@@ -79,9 +79,11 @@ func runLatency(n int) error {
 		}
 		for i := 0; i < n; i++ {
 			start := time.Now()
-			if _, err := st.Query(q.args(i)...); err != nil {
+			rows, err := st.Query(q.args(i)...)
+			if err != nil {
 				return fmt.Errorf("%s: %w", q.name, err)
 			}
+			rows.Close()
 			h.ObserveSince(start)
 		}
 		s := h.Snapshot()

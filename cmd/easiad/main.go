@@ -195,8 +195,12 @@ func seed(a *core.Archive, localHost string) error {
 	if localHost == "" {
 		return fmt.Errorf("-seed-demo requires -local-fs")
 	}
-	if rows, err := a.DB.Query(`SELECT COUNT(*) FROM SIMULATION`); err == nil && rows.Data[0][0].Int() > 0 {
-		return nil // already seeded
+	if rows, err := a.DB.Query(`SELECT COUNT(*) FROM SIMULATION`); err == nil {
+		seeded := rows.Data[0][0].Int() > 0
+		rows.Close()
+		if seeded {
+			return nil
+		}
 	}
 	for _, sql := range []string{
 		`INSERT INTO AUTHOR VALUES ('A19990110151042', 'Papiani', 'University of Southampton', 'papiani@computer.org')`,

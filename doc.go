@@ -190,26 +190,42 @@
 // # Result pipeline and caching
 //
 // SELECT results flow through an arena/columnar pipeline rather than a
-// per-row make on the heap:
+// per-row make on the heap, and every byte it allocates is proportional
+// to the rows a statement returns — not to the table, not to a fixed
+// slab: the archive's pages are 1–50-row results.
 //
 //   - Arena ownership. Every statement carves its result rows from a
-//     per-statement bump allocator (rowArena) backed by pooled
-//     fixed-size Value chunks. The returned Rows owns the arena:
-//     Rows.Close releases every chunk back to the pool wholesale — one
-//     pool round-trip per statement instead of one allocation per row —
-//     after which the row slices must not be touched. Rows.Detach
-//     copies the rows out into plain heap memory first, so detached
-//     results stay valid indefinitely (the contract long-lived callers
-//     rely on); Close is idempotent and nil-safe either way.
+//     per-statement bump allocator (rowArena). It starts on plain-heap
+//     chunks — the first sized to the first request, later ones
+//     doubling to 16 KiB, about a page of rows in all — that nobody
+//     owns; only a result that has outgrown them (or filled a whole
+//     projection batch) draws pooled fixed-size Value slabs. The
+//     returned Rows owns the arena: Rows.Close releases every slab back
+//     to the pool wholesale, after which the row slices must not be
+//     touched. For a small result Close is a no-op on storage, so
+//     leaving it unclosed costs nothing (core.Search hands Rows.Data to
+//     the renderer and never closes); an unclosed large result is
+//     reclaimed by the GC and only misses the pool. Callers that
+//     consume a result locally close it. Rows.Detach copies the rows
+//     out into plain heap memory first, so detached results stay valid
+//     indefinitely (the contract long-lived callers rely on); Close is
+//     idempotent and nil-safe either way.
 //     Intermediate join rows live in a separate scratch arena released
 //     when the statement returns — projection always copies surviving
 //     values into the result arena, so no scratch reference escapes.
-//     Single-table unsorted projections additionally batch rows through
-//     a columnar buffer (colBatch) and fill column-at-a-time before
-//     transposing into arena rows (BenchmarkAblation_Arena tracks the
-//     B/op and allocs/op win; DB.SetLegacyResultAlloc restores the
-//     per-row make path as the ablation baseline, and
-//     TestArenaLegacyEquivalence proves the two paths row-identical).
+//     Single-table unsorted projections batch source rows by reference
+//     through a row-pointer buffer (colBatch) and flush each batch into
+//     one rows × columns arena block, filled a column at a time with no
+//     staging columns; a batch is at most 1024 rows and never more
+//     than fit a slab, and the result's row-pointer slice is sized at
+//     the first flush — exactly, when the scan ended inside the first
+//     batch
+//     (TestSmallResultFootprint pins a page-sized SELECT to ≤ 8 KiB
+//     beyond its rows, TestLargeResultRecyclesSlabs and
+//     BenchmarkAblation_Arena the large-result B/op and allocs/op;
+//     DB.SetLegacyResultAlloc restores the per-row make path as the
+//     ablation baseline, and TestArenaLegacyEquivalence and
+//     TestArenaBoundaryEquivalence prove the two paths row-identical).
 //
 //   - Result cache. DB.SetResultCache(bytes) arms an opt-in LRU of
 //     complete SELECT results keyed by statement text plus bound

@@ -383,7 +383,12 @@ func (a *Archive) datalinkColumnFor(url string) (sqldb.Column, bool) {
 				continue
 			}
 			rows, err := stmt.Query(sqltypes.NewString(url))
-			if err == nil && len(rows.Data) == 1 && rows.Data[0][0].Int() > 0 {
+			if err != nil {
+				continue
+			}
+			linked := len(rows.Data) == 1 && rows.Data[0][0].Int() > 0
+			rows.Close()
+			if linked {
 				return col, true
 			}
 		}
@@ -442,6 +447,7 @@ func (a *Archive) Reconcile() error {
 			for _, r := range rows.Data {
 				urls = append(urls, r[0].Str())
 			}
+			rows.Close()
 			if err := a.Coord.Reconcile(urls, *opts); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -516,6 +522,7 @@ func (a *Archive) RowByKey(table string, key map[string]string) (map[string]sqlt
 	if err != nil {
 		return nil, err
 	}
+	defer rows.Close()
 	if len(rows.Data) == 0 {
 		return nil, fmt.Errorf("core: no %s row matches %v", table, key)
 	}

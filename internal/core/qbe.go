@@ -139,6 +139,8 @@ func (a *Archive) Search(q QBE) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Never closed, rs.Rows aliases rows.Data: free for a page-sized result
+	// (plain heap, nothing to release), GC-reclaimed slabs for a large one.
 	rows, err := stmt.Query(args...)
 	if err != nil {
 		return nil, err
@@ -189,6 +191,7 @@ func (a *Archive) SubstituteFK(refTable, refColumn, substColumn, keyValue string
 	if err != nil {
 		return "", err
 	}
+	defer rows.Close()
 	if len(rows.Data) == 0 {
 		return keyValue, nil // dangling user-defined relationship: show the raw key
 	}

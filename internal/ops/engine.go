@@ -353,6 +353,7 @@ func (e *Engine) resolveCode(op *xuis.Operation) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ops: resolving code for %s: %w", op.Name, err)
 	}
+	defer rows.Close()
 	if len(rows.Data) == 0 {
 		return nil, fmt.Errorf("ops: no archived code matches operation %s", op.Name)
 	}

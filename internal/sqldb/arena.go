@@ -9,31 +9,34 @@ import (
 // Arena/columnar result pipeline.
 //
 // Plain projections historically materialised one make([]Value, ncols)
-// per output row — the dominant allocation cost of the browse-style
-// queries the archive UI issues constantly (~36MB and ~100k allocs per
-// 100k projected rows). Two mechanisms remove it:
+// per output row (~36MB and ~100k allocs per 100k projected rows). Two
+// mechanisms remove it, and both size what they allocate by the rows a
+// statement returns, never by the table or by a fixed slab — the
+// archive UI lives on 1–50-row results:
 //
-//   - rowArena: a chunked bump allocator over []sqltypes.Value slabs.
-//     Every projected row of one statement is carved out of the same
-//     few chunks, and the whole set is released wholesale — returned to
-//     a process-wide pool — when the owning Rows is Closed. Value
-//     structs are copied into the arena by value; string/BLOB payloads
-//     are immutable Go strings shared with storage, so the arena never
-//     needs to own byte data to stay safe.
+//   - rowArena: a chunked bump allocator over []sqltypes.Value. A
+//     statement starts on plain-heap chunks — the first sized to the
+//     first request, later ones doubling up to arenaHeapValues — that
+//     nobody owns and the GC reclaims. Only a result that has outgrown
+//     those (about a page of rows) draws pooled arenaChunkValues slabs,
+//     which go back to the process-wide pool wholesale when the owning
+//     Rows is Closed. Value structs are copied into the arena by value;
+//     string/BLOB payloads are immutable Go strings shared with storage,
+//     so the arena never needs to own byte data to stay safe.
 //
-//   - colBatch: a per-column batch buffer the streaming projection
-//     fills column-at-a-time (plain copy loops for bare column
-//     references, one evalExpr sweep per computed column) and then
-//     transposes into arena-backed rows. Projection cost becomes a few
-//     tight loops per 1024 rows instead of an interpreter dispatch and
-//     an allocation per row.
+//   - colBatch: a row-pointer buffer the streaming projection fills
+//     (by reference) and flushes a batch at a time: one rows × columns
+//     block from the arena, each column written straight into it (a
+//     plain copy loop for bare column references, one evalExpr sweep
+//     per computed column). No staging columns, no transposition.
 //
 // Ownership rules (the contract doc.go documents for callers):
 //
 //   - Rows returned by Query/QueryContext/Stmt.Query own their arena.
-//     Rows.Close releases it; after Close the Data slices are invalid.
-//     Close is optional — an unclosed result is reclaimed by the GC
-//     like any other value, the chunks just miss the reuse pool.
+//     A small result holds no pooled slab: Close has nothing to release
+//     and leaving it unclosed costs nothing. A large result's Close
+//     recycles its slabs, after which the Data slices are invalid;
+//     unclosed, the slabs are reclaimed by the GC and just miss the pool.
 //   - Rows.Detach copies the result out of its arena onto the plain
 //     heap (and releases the arena), for callers that retain results
 //     indefinitely while closing eagerly elsewhere.
@@ -47,10 +50,19 @@ import (
 // them, never alias them), so the reuse benefits extend to the join
 // paths without pinning intermediates in the result's arena.
 
-// arenaChunkValues is the slab size in Value slots: 8192 × 32 bytes =
-// 256 KiB per chunk, large enough that a 100k-row projection needs a
-// few dozen chunk grabs, small enough that tiny results waste little.
+// arenaChunkValues is the pooled slab size in Value slots: 8192 × 32
+// bytes = 256 KiB per chunk, so a 100k-row projection needs a few dozen
+// chunk grabs.
 const arenaChunkValues = 8192
+
+// Plain-heap chunks grow from arenaFirstValues (512 bytes: a one-row
+// result pays for little more than its row) to arenaHeapValues (16 KiB):
+// together ~1000 values, a 50-row page of any archive table, and all a
+// closed large result gives up to the GC before it starts recycling.
+const (
+	arenaFirstValues = 16
+	arenaHeapValues  = 512
+)
 
 // arenaChunkPool recycles slabs across statements. Chunks are zeroed
 // before being returned so a pooled slab never pins old string payloads
@@ -63,7 +75,8 @@ var arenaChunkPool = sync.Pool{
 // Not safe for concurrent use: each statement execution owns its own.
 type rowArena struct {
 	cur    []sqltypes.Value   // remaining free slots of the newest chunk
-	chunks [][]sqltypes.Value // full-capacity slabs, for release
+	chunks [][]sqltypes.Value // pooled slabs, for release
+	heap   int                // size of the newest plain-heap chunk; past arenaHeapValues = slabs only
 }
 
 // alloc returns a zeroed n-slot slice backed by the arena (capacity
@@ -85,18 +98,25 @@ func (a *rowArena) allocCap(n, c int) []sqltypes.Value {
 		return make([]sqltypes.Value, n, c)
 	}
 	if c > len(a.cur) {
-		chunk := arenaChunkPool.Get().([]sqltypes.Value)
-		a.chunks = append(a.chunks, chunk)
-		a.cur = chunk
+		// Plain heap for the first request, whatever its size, and for
+		// doubling chunks after it up to arenaHeapValues; then pooled slabs.
+		if size := max(c, 2*a.heap, arenaFirstValues); a.heap == 0 || size <= arenaHeapValues {
+			a.heap = size
+			a.cur = make([]sqltypes.Value, size)
+		} else {
+			chunk := arenaChunkPool.Get().([]sqltypes.Value)
+			a.chunks = append(a.chunks, chunk)
+			a.cur = chunk
+		}
 	}
 	s := a.cur[:n:c]
 	a.cur = a.cur[c:]
 	return s
 }
 
-// release returns every chunk to the pool, zeroed. The arena is
-// reusable (empty) afterwards; any slice previously handed out is
-// invalid. Nil-safe.
+// release returns every pooled chunk to the pool, zeroed. The arena is
+// reusable (empty) afterwards; any slice previously handed out of a
+// slab is invalid. Nil-safe.
 func (a *rowArena) release() {
 	if a == nil {
 		return
@@ -107,37 +127,45 @@ func (a *rowArena) release() {
 		a.chunks[i] = nil
 	}
 	a.chunks = a.chunks[:0]
-	a.cur = nil
+	a.cur, a.heap = nil, 0
 }
 
-// colBatchRows is how many source rows a colBatch buffers per flush.
+// markLarge ends the plain-heap phase: the caller has seen enough rows
+// to know the result is large, so every later chunk is a pooled slab.
+func (a *rowArena) markLarge() {
+	a.heap = arenaChunkValues
+}
+
+// colBatchRows is the most source rows a colBatch buffers per flush.
 const colBatchRows = 1024
 
 // colBatch is the columnar projection buffer: source rows accumulate
 // (by reference — single-table scans alias storage rows, which is safe
-// under the statement's read lock), then flush projects them one
-// COLUMN at a time into per-column slabs and transposes the slabs into
-// arena-backed output rows.
+// under the statement's read lock), then flush carves one rows × columns
+// block out of the arena and projects into it one COLUMN at a time.
 type colBatch struct {
 	proj   []Expr
 	colIdx []int // source slot for bare ColRef projections; -1 = general expr
-	cols   [][]sqltypes.Value
 	src    [][]sqltypes.Value
+	rows   int // batch size: colBatchRows, or fewer so a batch's block fits a slab
+	est    int // out.Data capacity once a full batch proves the result large
 }
 
-func newColBatch(proj []Expr) *colBatch {
+// newColBatch prepares a batch for proj; est is the caller's row-count
+// estimate for a result that outgrows the first batch.
+func newColBatch(proj []Expr, est int) *colBatch {
 	cb := &colBatch{
 		proj:   proj,
 		colIdx: make([]int, len(proj)),
-		cols:   make([][]sqltypes.Value, len(proj)),
-		src:    make([][]sqltypes.Value, 0, colBatchRows),
+		src:    make([][]sqltypes.Value, 0, 16),
+		rows:   max(min(colBatchRows, arenaChunkValues/max(len(proj), 1)), 1),
+		est:    est,
 	}
 	for i, e := range proj {
 		cb.colIdx[i] = -1
 		if cr, ok := e.(*ColRef); ok && cr.Index >= 0 {
 			cb.colIdx[i] = cr.Index
 		}
-		cb.cols[i] = make([]sqltypes.Value, colBatchRows)
 	}
 	return cb
 }
@@ -146,42 +174,49 @@ func newColBatch(proj []Expr) *colBatch {
 // must be flushed before the next push.
 func (cb *colBatch) push(row []sqltypes.Value) bool {
 	cb.src = append(cb.src, row)
-	return len(cb.src) == colBatchRows
+	return len(cb.src) == cb.rows
 }
 
-// flush projects the buffered rows column-at-a-time and appends the
-// transposed, arena-backed rows to out.Data. The batch is empty after
-// a successful flush.
+// flush projects the buffered rows column-at-a-time into one arena
+// block and appends its rows to out.Data — only once every column is
+// filled, so a failing expression leaves out.Data untouched. The first
+// flush sizes out.Data: exactly, when the scan ended inside the first
+// batch. The batch is empty after a successful flush.
 func (cb *colBatch) flush(ctx *evalCtx, ar *rowArena, out *Rows) error {
-	n := len(cb.src)
+	n, ncols := len(cb.src), len(cb.proj)
 	if n == 0 {
 		return nil
 	}
-	for j := range cb.proj {
-		col := cb.cols[j]
-		if k := cb.colIdx[j]; k >= 0 {
+	dataCap := n
+	if n == cb.rows {
+		// A full batch proves the result large: pooled slabs from here
+		// on, and the caller's estimate for the row pointers.
+		ar.markLarge()
+		dataCap = max(n, cb.est)
+	}
+	block := ar.alloc(n * ncols)
+	for j, k := range cb.colIdx {
+		if k >= 0 {
 			// Bare column reference: a plain copy loop, no dispatch.
-			for i := 0; i < n; i++ {
-				col[i] = cb.src[i][k]
+			for i, row := range cb.src {
+				block[i*ncols+j] = row[k]
 			}
 			continue
 		}
-		for i := 0; i < n; i++ {
-			ctx.vals = cb.src[i]
+		for i, row := range cb.src {
+			ctx.vals = row
 			v, err := evalExpr(cb.proj[j], ctx)
 			if err != nil {
 				return err
 			}
-			col[i] = v
+			block[i*ncols+j] = v
 		}
 	}
-	ncols := len(cb.proj)
+	if out.Data == nil {
+		out.Data = make([][]sqltypes.Value, 0, dataCap)
+	}
 	for i := 0; i < n; i++ {
-		row := ar.alloc(ncols)
-		for j := 0; j < ncols; j++ {
-			row[j] = cb.cols[j][i]
-		}
-		out.Data = append(out.Data, row)
+		out.Data = append(out.Data, block[i*ncols:(i+1)*ncols:(i+1)*ncols])
 	}
 	cb.src = cb.src[:0]
 	return nil

@@ -2,6 +2,9 @@ package sqldb
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 
@@ -105,6 +108,263 @@ func TestArenaLegacyEquivalence(t *testing.T) {
 		rowsMustEqual(t, shape.name, got, want)
 		got.Close()
 		want.Close()
+	}
+}
+
+// TestArenaBoundaryEquivalence holds arena ≡ legacy at every result
+// size where the arena path changes what it allocates from: an empty
+// result, the first and the last plain-heap chunk and all of them
+// together, a full colBatch, the nominal colBatchRows and a pooled slab
+// — one row either side of each, for a 1-column and a 40-column
+// projection, bare and computed, through the batch path (unsorted) and
+// the per-row path (sorted).
+func TestArenaBoundaryEquivalence(t *testing.T) {
+	db := memDB(t)
+	const wide = 40
+	cols := make([]string, wide)
+	marks := make([]string, wide)
+	for j := range cols {
+		cols[j] = fmt.Sprintf("c%d INTEGER", j)
+		marks[j] = "?"
+	}
+	mustExec(t, db, `CREATE TABLE wide (`+strings.Join(cols, ", ")+`)`)
+	ins, err := db.Prepare(`INSERT INTO wide VALUES (` + strings.Join(marks, ", ") + `)`)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	const tableRows = arenaChunkValues + 8
+	args := make([]sqltypes.Value, wide)
+	for i := 0; i < tableRows; i++ {
+		for j := range args {
+			args[j] = sqltypes.NewInt(int64(i*wide + j))
+		}
+		if _, err := ins.Exec(args...); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	for _, proj := range []struct {
+		ncols int
+		list  string
+	}{{1, "c0"}, {1, "c0 + 1"}, {wide, "*"}} {
+		edges := []int{
+			0, 1,
+			arenaFirstValues / proj.ncols,
+			arenaHeapValues / proj.ncols,
+			(2*arenaHeapValues - arenaFirstValues) / proj.ncols,
+			newColBatch(make([]Expr, proj.ncols), 0).rows,
+			colBatchRows,
+			arenaChunkValues / proj.ncols,
+		}
+		for _, edge := range edges {
+			for n := max(edge-1, 0); n <= edge+1; n++ {
+				for _, sql := range []string{
+					fmt.Sprintf(`SELECT %s FROM wide WHERE c0 < %d`, proj.list, n*wide),
+					fmt.Sprintf(`SELECT %s FROM wide LIMIT %d`, proj.list, n),
+					fmt.Sprintf(`SELECT %s FROM wide WHERE c0 < %d ORDER BY c1 DESC`, proj.list, n*wide),
+				} {
+					db.SetLegacyResultAlloc(true)
+					want := mustQuery(t, db, sql)
+					db.SetLegacyResultAlloc(false)
+					got := mustQuery(t, db, sql)
+					if len(got.Data) != n {
+						t.Fatalf("%s: %d rows, want %d", sql, len(got.Data), n)
+					}
+					rowsMustEqual(t, sql, got, want)
+					got.Close()
+				}
+			}
+		}
+	}
+}
+
+// TestProjectionWiderThanSlab: a projection of more expressions than a
+// slab has slots (allocCap serves such a row straight from the heap)
+// still batches at least one row at a time and equals the legacy path.
+func TestProjectionWiderThanSlab(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE w (a INTEGER)`)
+	mustExec(t, db, `INSERT INTO w VALUES (1), (2), (3)`)
+	sql := `SELECT a` + strings.Repeat(`, a`, arenaChunkValues) + ` FROM w`
+	db.SetLegacyResultAlloc(true)
+	want := mustQuery(t, db, sql)
+	db.SetLegacyResultAlloc(false)
+	got := mustQuery(t, db, sql)
+	if len(got.Data) != 3 || len(got.Data[0]) != arenaChunkValues+1 {
+		t.Fatalf("%d rows × %d columns, want 3 × %d", len(got.Data), len(got.Data[0]), arenaChunkValues+1)
+	}
+	rowsMustEqual(t, "wider than a slab", got, want)
+	got.Close()
+}
+
+// TestColBatchFlushErrorLeavesNoPartialRows: a computed column that
+// fails part-way through a flush must not leave rows in out.Data whose
+// earlier columns were filled and later ones were not; rows of batches
+// flushed before the failing one stay, complete.
+func TestColBatchFlushErrorLeavesNoPartialRows(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE e (id INTEGER, d INTEGER)`)
+	mustExec(t, db, `INSERT INTO e VALUES (1, 1)`)
+	stmt, err := db.Prepare(`SELECT id, 10 / d, id + 1 FROM e`)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	if _, err := stmt.Query(); err != nil { // builds and binds the plan
+		t.Fatalf("query: %v", err)
+	}
+	src := func(id, d int64) []sqltypes.Value {
+		return []sqltypes.Value{sqltypes.NewInt(id), sqltypes.NewInt(d)}
+	}
+	ctx, ar := &evalCtx{}, &rowArena{}
+	out := newRows(nil, nil)
+	cb := newColBatch(stmt.plan.proj, 0)
+	cb.push(src(1, 2))
+	cb.push(src(2, 5))
+	if err := cb.flush(ctx, ar, out); err != nil {
+		t.Fatalf("clean flush: %v", err)
+	}
+	cb.push(src(3, 1))
+	cb.push(src(4, 0)) // 10 / 0
+	cb.push(src(5, 1))
+	if err := cb.flush(ctx, ar, out); err == nil {
+		t.Fatal("flush over a zero divisor succeeded")
+	}
+	if len(out.Data) != 2 {
+		t.Fatalf("out.Data holds %d rows after a failed flush, want the 2 of the clean one", len(out.Data))
+	}
+	for i, row := range out.Data {
+		if len(row) != 3 || row[0].Int() != int64(i+1) || row[1].IsNull() || row[2].Int() != int64(i+2) {
+			t.Fatalf("row %d incomplete: %v", i, row)
+		}
+	}
+	mustExec(t, db, `INSERT INTO e VALUES (2, 0)`)
+	if _, err := stmt.Query(); err == nil {
+		t.Fatal("query over a zero divisor succeeded")
+	}
+}
+
+// totalAlloc runs f and returns the bytes and the objects it allocated.
+func totalAlloc(f func()) (bytes, objects uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestSmallResultFootprint pins what a page-sized indexed SELECT
+// allocates beyond the rows it returns. Results are left unclosed, as
+// core.Search leaves them: nothing here may depend on a release.
+func TestSmallResultFootprint(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE f (k INTEGER, grp INTEGER, name VARCHAR(30), v DOUBLE, ok BOOLEAN)`)
+	mustExec(t, db, `CREATE INDEX f_k ON f (k)`)
+	mustExec(t, db, `CREATE INDEX f_grp ON f (grp)`)
+	ins, err := db.Prepare(`INSERT INTO f VALUES (?, ?, ?, ?, ?)`)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	for i := 0; i < 20_000; i++ {
+		if _, err := ins.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i/50)),
+			sqltypes.NewString(fmt.Sprintf("N%05d", i)), sqltypes.NewDouble(float64(i)), sqltypes.NewBool(i%2 == 0)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	const (
+		statements = 1000
+		overhead   = 8 << 10 // bytes per statement beyond rows × cols × 32
+		allocs     = 32      // measured: 20 for one row, 28 for fifty
+	)
+	for _, tc := range []struct {
+		sql        string
+		rows, cols int
+	}{
+		{`SELECT k, name, v FROM f WHERE k = ?`, 1, 3},
+		{`SELECT * FROM f WHERE grp = ? LIMIT 20`, 20, 5},
+		{`SELECT * FROM f WHERE grp = ?`, 50, 5},
+	} {
+		stmt, err := db.Prepare(tc.sql)
+		if err != nil {
+			t.Fatalf("prepare %s: %v", tc.sql, err)
+		}
+		arg := 0
+		query := func() {
+			arg = (arg + 7) % 400
+			rows, err := stmt.Query(sqltypes.NewInt(int64(arg)))
+			if err != nil || len(rows.Data) != tc.rows {
+				t.Fatalf("%s: %d rows, err %v", tc.sql, len(rows.Data), err)
+			}
+		}
+		query() // plan built and bound outside the measurement
+		total, _ := totalAlloc(func() {
+			for i := 0; i < statements; i++ {
+				query()
+			}
+		})
+		perStmt := total / statements
+		result := uint64(tc.rows * tc.cols * 32)
+		if perStmt > result+overhead {
+			t.Errorf("%s: %d B/statement, result is %d B: %d B overhead, want ≤ %d",
+				tc.sql, perStmt, result, perStmt-result, overhead)
+		}
+		if n := testing.AllocsPerRun(statements, query); n > allocs {
+			t.Errorf("%s: %.0f allocs/statement, want ≤ %d", tc.sql, n, allocs)
+		}
+	}
+}
+
+// TestLargeResultRecyclesSlabs guards the other side of the size split:
+// a closed 100k-row projection draws pooled slabs, a repeat reuses them,
+// and the statement stays within the recorded Ablation_Arena/arena
+// footprint (2.6 MB, ≤ 100 allocs) once fresh slabs are set aside.
+func TestLargeResultRecyclesSlabs(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE big (id INTEGER, sim VARCHAR(30), v DOUBLE, ok BOOLEAN, n INTEGER)`)
+	ins, err := db.Prepare(`INSERT INTO big VALUES (?, ?, ?, ?, ?)`)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	const tableRows = 100_000
+	for i := 0; i < tableRows; i++ {
+		if _, err := ins.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewString("S"), sqltypes.NewDouble(float64(i)),
+			sqltypes.NewBool(i%2 == 0), sqltypes.NewInt(int64(i))); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	// Count slabs the pool had to make (the race detector drops a
+	// quarter of all Puts, so recycling is never total under -race).
+	fresh := 0
+	poolNew := arenaChunkPool.New
+	arenaChunkPool.New = func() any { fresh++; return poolNew() }
+	defer func() { arenaChunkPool.New = poolNew }()
+	query := func() {
+		rows := mustQuery(t, db, `SELECT id, sim, v, ok, n FROM big WHERE ok = TRUE`)
+		if len(rows.Data) != tableRows/2 {
+			t.Fatalf("%d rows, want %d", len(rows.Data), tableRows/2)
+		}
+		rows.Close()
+	}
+	// Two collections empty the pool, so the first run pays for its
+	// slabs; none may run in between, or the pool is emptied again.
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const slabBytes = arenaChunkValues * 32
+	first, _ := totalAlloc(query)
+	firstFresh := fresh
+	if want := tableRows / 2 * 5 / arenaChunkValues; firstFresh < want {
+		t.Fatalf("first run drew %d fresh slabs, want ≥ %d: large results must be pooled", firstFresh, want)
+	}
+	fresh = 0
+	second, objects := totalAlloc(query)
+	if second*2 > first || fresh*2 > firstFresh {
+		t.Errorf("second run allocated %d B (%d fresh slabs), first %d B (%d): slabs were not recycled",
+			second, fresh, first, firstFresh)
+	}
+	if net := second - uint64(fresh*slabBytes); net > 2_600_000 {
+		t.Errorf("closed 100k-row projection allocated %d B besides fresh slabs, want ≤ 2.6 MB", net)
+	}
+	if net := objects - uint64(fresh); net > 100 {
+		t.Errorf("closed 100k-row projection made %d allocations besides fresh slabs, want ≤ 100", net)
 	}
 }
 

@@ -66,14 +66,16 @@ type Result struct {
 // safe to read from any goroutine) after the query returns, concurrent
 // with later writes.
 //
-// Result rows are backed by a per-statement arena (arena.go). Close
-// releases the arena's chunks to a reuse pool wholesale; after Close
-// the Data slices must not be read. Close is optional — an unclosed
-// result is reclaimed by the GC like any other value, its chunks just
-// miss the pool. Callers that retain a result indefinitely while
-// closing eagerly elsewhere call Detach first, which copies the rows
-// onto the plain heap (the detached-Rows contract: detach forces a
-// copy-out, after which Close is a no-op).
+// Result rows are backed by a per-statement arena (arena.go): plain
+// heap for a small result, pooled slabs once it has outgrown that.
+// Close releases the slabs to a reuse pool wholesale; after Close the
+// Data slices must not be read. Close is optional — a small result has
+// nothing to release, and an unclosed large one is reclaimed by the GC
+// like any other value, its slabs just miss the pool. Callers that
+// retain a result indefinitely while closing eagerly elsewhere call
+// Detach first, which copies the rows onto the plain heap (the
+// detached-Rows contract: detach forces a copy-out, after which Close
+// is a no-op).
 type Rows struct {
 	Columns []string
 	Kinds   []sqltypes.Kind

@@ -619,19 +619,14 @@ func (db *DB) projectSingleTable(plan *selectPlan, ctx *evalCtx, out *Rows) erro
 		return nil
 	}
 	ft := plan.tables[0]
-	// Presize the row-pointer slice: append-doubling over 100k rows is
-	// itself a measurable share of the legacy path's bytes/op.
-	est := ft.data.live.Load()
+	// Row-pointer estimate for a result that outgrows the first batch
+	// (append-doubling over 100k rows is itself a measurable share of
+	// the legacy path's bytes/op); a smaller result is sized exactly.
+	est := min(ft.data.live.Load(), 1<<20)
 	if s.Limit >= 0 && int64(s.Limit) < est {
 		est = int64(s.Limit)
 	}
-	if est > 1<<20 {
-		est = 1 << 20
-	}
-	if est > 0 && out.Data == nil {
-		out.Data = make([][]sqltypes.Value, 0, est)
-	}
-	cb := newColBatch(plan.proj)
+	cb := newColBatch(plan.proj, int(est))
 	skip := s.Offset
 	kept := 0
 	charge := rowFootprint(len(plan.proj))

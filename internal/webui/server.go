@@ -1,11 +1,14 @@
 package webui
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -184,17 +187,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, u core.User
 	q := core.QBE{Table: table}
 	if r.Form.Get("all") == "" {
 		q.Select = r.Form["sel"]
-		for key, vals := range r.Form {
-			if !strings.HasPrefix(key, "val_") || len(vals) == 0 || strings.TrimSpace(vals[0]) == "" {
-				continue
-			}
-			col := strings.TrimPrefix(key, "val_")
-			op := r.Form.Get("op_" + col)
-			if op == "" {
-				op = "="
-			}
-			q.Restrictions = append(q.Restrictions, core.Restriction{Column: col, Op: op, Value: vals[0]})
-		}
+		q.Restrictions = formRestrictions(s.archive, table, r.Form)
 		q.OrderBy = r.Form.Get("orderby")
 		q.Desc = r.Form.Get("desc") == "1"
 		if lim := r.Form.Get("limit"); lim != "" {
@@ -212,6 +205,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, u core.User
 		return
 	}
 	s.renderResults(w, rs, u)
+}
+
+// formRestrictions collects a submitted query form's restrictions in
+// the table's column order, then by name — never in the form map's
+// iteration order, which would compile one form to several SQL texts
+// and as many plan-cache entries.
+func formRestrictions(a *core.Archive, table string, form url.Values) []core.Restriction {
+	var cols []string
+	for key, vals := range form {
+		if col, ok := strings.CutPrefix(key, "val_"); ok && len(vals) > 0 && strings.TrimSpace(vals[0]) != "" {
+			cols = append(cols, col)
+		}
+	}
+	schema, _ := a.DB.Catalog().Table(table)
+	slices.SortFunc(cols, func(x, y string) int {
+		if schema != nil {
+			if c := cmp.Compare(schema.ColIndex(x), schema.ColIndex(y)); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(x, y)
+	})
+	out := make([]core.Restriction, len(cols))
+	for i, col := range cols {
+		op := form.Get("op_" + col)
+		if op == "" {
+			op = "="
+		}
+		out[i] = core.Restriction{Column: col, Op: op, Value: form.Get("val_" + col)}
+	}
+	return out
 }
 
 func (s *Server) renderResults(w http.ResponseWriter, rs *core.ResultSet, u core.User) {

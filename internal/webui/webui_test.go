@@ -299,6 +299,49 @@ func TestQBEQueryWithRestrictions(t *testing.T) {
 	}
 }
 
+// TestQueryFormCompilesToOneStatement: one search form, submitted 50
+// times, is one SQL text and one plan-cache entry — the restrictions
+// follow the table's column order, not the form map's iteration order.
+func TestQueryFormCompilesToOneStatement(t *testing.T) {
+	ts := newSite(t)
+	ts.login(t, "guest", "guest")
+	form := url.Values{
+		"table":              {"RESULT_FILE"},
+		"sel":                {"FILE_NAME", "TIMESTEP"},
+		"val_TIMESTEP":       {"0"},
+		"op_TIMESTEP":        {">="},
+		"val_SIMULATION_KEY": {"S19990110150932"},
+		"val_FILE_FORMAT":    {"TSF"},
+		"limit":              {"20"},
+	}
+	const want = `SELECT FILE_NAME, TIMESTEP FROM RESULT_FILE WHERE SIMULATION_KEY = ? AND TIMESTEP >= ? AND FILE_FORMAT = ? LIMIT 20`
+	misses := func() int64 {
+		m, ok := ts.archive.DB.Metrics().Find("sqldb_plan_cache_misses_total")
+		if !ok {
+			t.Fatal("sqldb_plan_cache_misses_total not registered")
+		}
+		return m.Value
+	}
+	var warm int64
+	for i := 0; i < 50; i++ {
+		sql, _, err := ts.archive.BuildSQL(core.QBE{
+			Table: "RESULT_FILE", Select: form["sel"], Limit: 20,
+			Restrictions: formRestrictions(ts.archive, "RESULT_FILE", form),
+		})
+		if err != nil || sql != want {
+			t.Fatalf("submission %d compiled to %q (err %v), want %q", i, sql, err, want)
+		}
+		if _, body := ts.get(t, "/query?"+form.Encode()); !strings.Contains(body, "1 row(s)") {
+			t.Fatalf("submission %d: wrong page:\n%s", i, body)
+		}
+		if i == 0 {
+			warm = misses() // the first submission plans the search and the page's lookups
+		} else if got := misses(); got != warm {
+			t.Fatalf("submission %d planned again: %d plan-cache misses, %d after the first", i, got, warm)
+		}
+	}
+}
+
 func TestBrowseEndpoints(t *testing.T) {
 	ts := newSite(t)
 	ts.login(t, "guest", "guest")

@@ -90,6 +90,7 @@ func (g Generator) sampleColumn(db *sqldb.DB, schema *sqldb.TableSchema, col sql
 	if err != nil {
 		return nil, fmt.Errorf("xuis: sampling %s.%s: %w", schema.Name, col.Name, err)
 	}
+	defer rows.Close()
 	var out []string
 	for _, r := range rows.Data {
 		out = append(out, r[0].AsString())

@@ -68,19 +68,27 @@ go test -run 'xxx' -bench "$PATTERN" -benchtime "$BENCHTIME" -benchmem "$PKG" > 
 }
 cat "$RAW"
 
-# Allocation-regression guard: the arena result path exists to keep the
-# projection hot path allocation-free, so fail the run if the arena
-# sub-benchmark crept back above the pinned allocs/op ceiling. Skipped
-# when the pattern filtered the benchmark out of this run.
+# Allocation-regression guards, each skipped when the pattern filtered
+# its benchmark out of this run. The arena result path exists to keep
+# the large-projection hot path allocation-free: fail if the arena
+# sub-benchmark crept back above the pinned allocs/op ceiling. And a
+# small result must cost bytes in proportion to its rows, not a slab:
+# fail if the one-row prepared lookup exceeds the pinned B/op ceiling
+# (5.9 KB recorded; 266 KB when every statement drew a 256 KiB chunk).
 ARENA_ALLOC_CEILING="${ARENA_ALLOC_CEILING:-5000}"
-awk -v ceiling="$ARENA_ALLOC_CEILING" '
-$1 ~ /^BenchmarkAblation_Arena\/arena/ {
-    for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
-    if (allocs + 0 > ceiling + 0) {
-        printf "allocation regression: %s at %s allocs/op exceeds ceiling %s\n", $1, allocs, ceiling > "/dev/stderr"
+awk -v allocs_ceiling="$ARENA_ALLOC_CEILING" -v bytes_ceiling=32768 '
+function metric(unit,   i) {
+    for (i = 3; i < NF; i++) if ($(i+1) == unit) return $i
+    return 0
+}
+function guard(value, unit, ceiling) {
+    if (value + 0 > ceiling + 0) {
+        printf "allocation regression: %s at %s %s exceeds ceiling %s\n", $1, value, unit, ceiling > "/dev/stderr"
         exit 1
     }
 }
+$1 ~ /^BenchmarkAblation_Arena\/arena/ { guard(metric("allocs/op"), "allocs/op", allocs_ceiling) }
+$1 ~ /^BenchmarkAblation_PlanCache\/cache=on/ { guard(metric("B/op"), "B/op", bytes_ceiling) }
 ' "$RAW" || exit 1
 
 # Per-query latency percentiles from the telemetry histograms: the
