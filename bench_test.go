@@ -265,8 +265,8 @@ func (zeroReader) Read(p []byte) (int, error) {
 
 // ---------- ablation benches (DESIGN.md §5) ----------
 
-// BenchmarkAblation_IndexVsScan shows the effect of the hash index the
-// schema creates on RESULT_FILE.SIMULATION_KEY.
+// BenchmarkAblation_IndexVsScan shows the effect of an index like the one the
+// schema creates on CODE_FILE.SIMULATION_KEY.
 func BenchmarkAblation_IndexVsScan(b *testing.B) {
 	build := func(withIndex bool) *sqldb.DB {
 		db, err := sqldb.Open("")

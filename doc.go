@@ -45,19 +45,22 @@
 //     materialisation B/op (BenchmarkAblation_ValueLayout; layout
 //     invariants documented in internal/sqltypes/value.go).
 //
-//   - Secondary indexes with an access-path planner. CREATE INDEX name
-//     ON table (col, ...) USING {HASH|ORDERED} builds either an O(1)
-//     equality index or an ordered B+tree (the default) over a
-//     canonical total-order key encoding of sqltypes values; composite
-//     indexes concatenate the per-column encodings, whose terminator
-//     scheme makes tuple order equal byte order. The planner matches
-//     WHERE conjuncts against each index's leading prefix: a hash
-//     index serves full-tuple equality, an ordered index serves any
-//     equality prefix plus one range/BETWEEN/IS [NOT] NULL predicate
-//     on the next column, and ORDER BY keys that walk the index
-//     columns after the (constant) equality prefix — all in one
-//     direction — are emitted in order with no sort (LIMIT stops the
-//     scan early). The choice is cached in the prepared plan and
+//   - One index structure with an access-path planner. Every PRIMARY
+//     KEY and UNIQUE constraint and every CREATE INDEX name ON table
+//     (col, ...) builds the same B+tree over a canonical total-order
+//     key encoding of sqltypes values (a trailing USING HASH|ORDERED
+//     is accepted and ignored); composite indexes concatenate the
+//     per-column encodings, whose terminator scheme makes tuple order
+//     equal byte order. Constraints are enforced by probing that
+//     tree's MVCC postings for a current holder, so the structure
+//     that guards a key is the one the planner reads it through. The
+//     planner matches WHERE conjuncts against each index's leading
+//     prefix: full-tuple equality is a point lookup, any equality
+//     prefix plus one range/BETWEEN/IS [NOT] NULL predicate on the
+//     next column is one bounded scan, and ORDER BY keys that walk
+//     the index columns after the (constant) equality prefix — all in
+//     one direction — are emitted in order with no sort (LIMIT stops
+//     the scan early). The choice is cached in the prepared plan and
 //     re-made when DDL moves the schema epoch. Index paths only
 //     narrow the candidate set — the residual predicate is always
 //     re-applied — so the returned row set is identical to a full
@@ -180,8 +183,8 @@
 //     snapshot is live; because readers hold the read lock for the
 //     whole statement, "older than the oldest live snapshot" reduces
 //     to "not the current committed version", and each table folds to
-//     exactly one version per live row, with hash and B+tree indexes
-//     swept of dead postings (emptied leaves merge away). Checkpoints
+//     exactly one version per live row, with every index swept of
+//     dead postings (emptied leaves merge away). Checkpoints
 //     vacuum as a side effect, since the snapshot they write keeps
 //     only current rows. TestMVCCSnapshotIsolation, TestVacuumReclaim
 //     and TestAutoVacuum pin these contracts down; BenchmarkParallelQuery
@@ -323,10 +326,12 @@
 // link-control column probe behind download-URL minting and startup
 // reconciliation (internal/core/archive.go), and — through those — the
 // webui query/browse/result handlers. The turbulence schema
-// (internal/core/schema.go) picks index kinds per query shape: HASH on
-// the SIMULATION_KEY browse columns, ORDERED on TIMESTEP/CREATED range
-// columns and on the DATALINK columns, so the DLVALUE(?) equality probe
-// and Reconcile's IS NOT NULL scan are both index-served; the composite
+// (internal/core/schema.go) declares the keys those pages follow —
+// SIMULATION_KEY, AUTHOR_KEY, (FILE_NAME, SIMULATION_KEY) — and each
+// is served by its own constraint index; named indexes add the
+// foreign-key side of browsing, the TIMESTEP/CREATED range columns and
+// the DATALINK columns, so the DLVALUE(?) equality probe and
+// Reconcile's IS NOT NULL scan are both index-served; the composite
 // (SIMULATION_KEY, TIMESTEP) index serves the compound "this run, this
 // timestep window" shape with one prefix+range scan, answers its
 // COUNT/MIN/MAX forms index-only, and gives SIMULATION_KEY equi-joins

@@ -12,16 +12,23 @@ package core
 //	    FILE LINK CONTROL
 //	    READ PERMISSION DB …
 //
-// The trailing CREATE INDEX statements choose access methods per query
-// shape: HASH for the foreign-key browse/join lookups (pure equality),
-// ORDERED for the range-heavy scientific terms (TIMESTEP windows,
-// CREATED recency) and for the DATALINK columns, whose ordered indexes
-// serve both the per-render "which column holds this URL" equality
-// probe (DLVALUE(?)) and the startup reconciliation's IS NOT NULL scan.
-// The composite (SIMULATION_KEY, TIMESTEP) index serves the archive's
-// dominant compound shape — "this run, this timestep window" — with a
-// single prefix+range scan, answers COUNT/MIN/MAX over it index-only,
-// and gives joins on SIMULATION_KEY an index nested-loop probe.
+// Every PRIMARY KEY is itself an index the planner uses (the engine has
+// one index structure, a B+tree — sqldb/index.go), so the hyperlinks
+// the browse interface is built from — SIMULATION and AUTHOR by key, a
+// RESULT_FILE by (FILE_NAME, SIMULATION_KEY) — are point lookups with
+// nothing declared for them. The trailing CREATE INDEX statements add
+// what the keys do not cover: the foreign-key side of browsing and
+// joins (SIMULATION_KEY on the three file tables), the range-heavy
+// scientific terms (TIMESTEP windows, CREATED recency) and the DATALINK
+// columns, whose indexes serve both the per-render "which column holds
+// this URL" equality probe (DLVALUE(?)) and the startup
+// reconciliation's IS NOT NULL scan. RESULT_FILE needs no index on
+// SIMULATION_KEY alone: the composite (SIMULATION_KEY, TIMESTEP) index
+// leads with it, serves the archive's dominant compound shape — "this
+// run, this timestep window" — with a single prefix+range scan, answers
+// COUNT/MIN/MAX over it index-only, gives joins and the RESTRICT check
+// on SIMULATION_KEY a prefix probe, and costs one tree per archived
+// file instead of two.
 const TurbulenceSchema = `
 CREATE TABLE AUTHOR (
   AUTHOR_KEY   VARCHAR(30) PRIMARY KEY,
@@ -74,15 +81,14 @@ CREATE TABLE VISUALISATION_FILE (
                  RECOVERY YES ON UNLINK RESTORE
 );
 
-CREATE INDEX IDX_RESULT_SIM ON RESULT_FILE (SIMULATION_KEY) USING HASH;
-CREATE INDEX IDX_CODE_SIM ON CODE_FILE (SIMULATION_KEY) USING HASH;
-CREATE INDEX IDX_VIS_SIM ON VISUALISATION_FILE (SIMULATION_KEY) USING HASH;
+CREATE INDEX IDX_CODE_SIM ON CODE_FILE (SIMULATION_KEY);
+CREATE INDEX IDX_VIS_SIM ON VISUALISATION_FILE (SIMULATION_KEY);
 
-CREATE INDEX IDX_RESULT_TIMESTEP ON RESULT_FILE (TIMESTEP) USING ORDERED;
-CREATE INDEX IDX_RESULT_SIM_TS ON RESULT_FILE (SIMULATION_KEY, TIMESTEP) USING ORDERED;
-CREATE INDEX IDX_SIM_CREATED ON SIMULATION (CREATED) USING ORDERED;
+CREATE INDEX IDX_RESULT_TIMESTEP ON RESULT_FILE (TIMESTEP);
+CREATE INDEX IDX_RESULT_SIM_TS ON RESULT_FILE (SIMULATION_KEY, TIMESTEP);
+CREATE INDEX IDX_SIM_CREATED ON SIMULATION (CREATED);
 
-CREATE INDEX IDX_RESULT_DL ON RESULT_FILE (DOWNLOAD_RESULT) USING ORDERED;
-CREATE INDEX IDX_CODE_DL ON CODE_FILE (DOWNLOAD_CODE_FILE) USING ORDERED;
-CREATE INDEX IDX_VIS_DL ON VISUALISATION_FILE (DOWNLOAD_VIS) USING ORDERED;
+CREATE INDEX IDX_RESULT_DL ON RESULT_FILE (DOWNLOAD_RESULT);
+CREATE INDEX IDX_CODE_DL ON CODE_FILE (DOWNLOAD_CODE_FILE);
+CREATE INDEX IDX_VIS_DL ON VISUALISATION_FILE (DOWNLOAD_VIS);
 `

@@ -532,10 +532,7 @@ func (db *DB) foldSingleTable(plan *selectPlan, ctx *evalCtx) ([]*groupState, er
 	}
 	if plan.path != nil && !db.fullScanOnly {
 		folder := newGroupFolder(plan, plan.streamGroups)
-		handled, err := scanAccessPath(ft.data, plan.path, ctx, emit(folder))
-		if err != nil {
-			return nil, err
-		}
+		handled := scanAccessPath(ft.data, plan.path, ctx, emit(folder))
 		if foldErr != nil {
 			return nil, foldErr
 		}

@@ -42,8 +42,10 @@ func TestGroupAggPlanStrings(t *testing.T) {
 			"ordered-scan(C.A+B) group-ordered(A)"},
 		// B is not a leading index column: hash aggregation.
 		{`SELECT B, COUNT(*) FROM C GROUP BY B`, "full-scan hash-agg"},
-		// S is only hash-indexed (no order): hash aggregation.
-		{`SELECT S, COUNT(*) FROM C GROUP BY S`, "full-scan hash-agg"},
+		// S leads the (S, A) index — declared USING HASH, which is the
+		// same tree as any other — so its groups arrive clustered too.
+		{`SELECT S, COUNT(*) FROM C GROUP BY S`,
+			"ordered-scan(C.S+A) group-ordered(S) index-only"},
 		// Computed group key cannot be read off an index.
 		{`SELECT A + 1, COUNT(*) FROM C GROUP BY A + 1`, "full-scan hash-agg"},
 		// Aggregate-only query: one accumulator, no grouping at all.

@@ -300,11 +300,11 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 	gp := plan.groupIdxFold
 	path := plan.path
 	td := plan.tables[0].data
-	idx := td.indexes[path.idx]
+	idx := td.index(path.idx)
 	if idx == nil {
 		return nil, false, nil
 	}
-	er, ok := exactKeyRange(td, path, ctx)
+	er, ok := pathKeyRange(td, path, ctx, true)
 	if !ok {
 		return nil, false, nil
 	}
@@ -445,106 +445,12 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 			visit(er.lookup, ids)
 		}
 	} else {
-		rix, okr := idx.(rangeIndex)
-		if !okr {
-			return nil, false, nil
-		}
-		scanVisibleRange(td, rix, er.lo, er.hi, false, ctx.snap, visit)
+		scanVisibleRange(td, idx, er.lo, er.hi, false, ctx.snap, visit)
 	}
 	if foldErr != nil {
 		return nil, true, foldErr
 	}
 	return groups, true, nil
-}
-
-// exactRange is a resolved, exact key window over one index.
-type exactRange struct {
-	useLookup bool   // point lookup of lookup instead of a scan
-	lookup    string // full-tuple key (useLookup)
-	lo, hi    *keyBound
-	empty     bool // a probe was NULL: no rows match
-}
-
-// exactKeyRange resolves the path's probes into exact bounds, honouring
-// bound strictness. It shares the probe evaluation and key assembly
-// with scanAccessPath (eqPrefix/encodePathBound/prefixUpper in
-// planner.go), adding only the exactness requirement and the
-// strictness-correct bound shapes. ok=false means a probe failed to
-// evaluate, align or be exact, and the caller must use the ordinary
-// residual-checked path.
-func exactKeyRange(td *tableData, path *accessPath, ctx *evalCtx) (exactRange, bool) {
-	var er exactRange
-	prefix, nullProbe, ok := eqPrefix(td, path, ctx, true)
-	if !ok {
-		return er, false
-	}
-	if nullProbe {
-		er.empty = true
-		return er, true
-	}
-
-	switch path.kind {
-	case pathHashEq, pathOrderedEq:
-		er.useLookup = true
-		er.lookup = string(prefix)
-		return er, true
-
-	case pathOrderedRange:
-		switch {
-		case path.lo != nil:
-			enc, null, ok := encodePathBound(td, path, prefix, path.lo, ctx, true)
-			if !ok {
-				return er, false
-			}
-			if null {
-				er.empty = true
-				return er, true
-			}
-			if path.loIncl {
-				er.lo = &keyBound{key: enc, incl: true}
-			} else {
-				er.lo = &keyBound{key: enc + keyRangeHiSentinel, incl: false}
-			}
-		case path.hi != nil:
-			// Half range: exclude the NULL key and its continuations.
-			er.lo = &keyBound{key: string(prefix) + nullKey + keyRangeHiSentinel, incl: false}
-		default:
-			er.lo = &keyBound{key: string(prefix), incl: true}
-		}
-		if path.hi != nil {
-			enc, null, ok := encodePathBound(td, path, prefix, path.hi, ctx, true)
-			if !ok {
-				return er, false
-			}
-			if null {
-				er.empty = true
-				return er, true
-			}
-			if path.hiIncl {
-				er.hi = &keyBound{key: enc + keyRangeHiSentinel, incl: true}
-			} else {
-				er.hi = &keyBound{key: enc, incl: false}
-			}
-		} else {
-			er.hi = prefixUpper(prefix)
-		}
-		return er, true
-
-	case pathOrderedNull:
-		if path.notNull {
-			er.lo = &keyBound{key: string(prefix) + nullKey + keyRangeHiSentinel, incl: false}
-			er.hi = prefixUpper(prefix)
-		} else {
-			er.lo = &keyBound{key: string(prefix) + nullKey, incl: true}
-			er.hi = &keyBound{key: string(prefix) + nullKey + keyRangeHiSentinel, incl: true}
-		}
-		return er, true
-
-	case pathOrderedScan:
-		// residualFree ordered scans only exist for WHERE-less queries.
-		return er, true
-	}
-	return er, false
 }
 
 // runIndexOnlyAgg answers the planned aggregate items from the index.
@@ -557,17 +463,17 @@ func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx) (*Rows, bool, erro
 	td := plan.tables[0].data
 	path := plan.path
 
-	var idx secondaryIndex
-	var er exactRange
+	var idx *orderedIndex
+	var er keyRange
 	if path == nil {
 		// COUNT(*) with no WHERE: the live-row counter is the answer.
 	} else {
-		idx = td.indexes[path.idx]
+		idx = td.index(path.idx)
 		if idx == nil {
 			return nil, false, nil
 		}
 		var ok bool
-		er, ok = exactKeyRange(td, path, ctx)
+		er, ok = pathKeyRange(td, path, ctx, true)
 		if !ok {
 			return nil, false, nil
 		}
@@ -591,11 +497,7 @@ func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx) (*Rows, bool, erro
 			count = int64(len(lookupVisible(td, idx, er.lookup, ctx.snap)))
 		default:
 			count = 0
-			rix, ok := idx.(rangeIndex)
-			if !ok {
-				return 0
-			}
-			scanVisibleRange(td, rix, er.lo, er.hi, false, ctx.snap, func(_ string, ids []rowID) bool {
+			scanVisibleRange(td, idx, er.lo, er.hi, false, ctx.snap, func(_ string, ids []rowID) bool {
 				if err := ctx.intr.check(); err != nil {
 					govErr = err
 					return false
@@ -655,7 +557,7 @@ func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx) (*Rows, bool, erro
 // rows are materialised and compared: distinct values can share a key
 // in the far-integer collision window, so that key is a tiny candidate
 // set, not a single row, and the fetch resolves the exact extremum.
-func boundaryAgg(td *tableData, idx secondaryIndex, er exactRange, colPos int, desc bool, ctx *evalCtx) sqltypes.Value {
+func boundaryAgg(td *tableData, idx *orderedIndex, er keyRange, colPos int, desc bool, ctx *evalCtx) sqltypes.Value {
 	snap := ctx.snap
 	if idx == nil || er.empty {
 		return sqltypes.Null
@@ -664,8 +566,8 @@ func boundaryAgg(td *tableData, idx secondaryIndex, er exactRange, colPos int, d
 	// decoded; colKind materialises the decoded value in the column's
 	// declared kind (stored values were coerced to it).
 	slot := -1
-	for i, c := range idx.columns() {
-		if td.schema.ColIndex(c) == colPos {
+	for i, p := range idx.pos {
+		if p == colPos {
 			slot = i
 			break
 		}
@@ -720,10 +622,6 @@ func boundaryAgg(td *tableData, idx secondaryIndex, er exactRange, colPos int, d
 		}
 		return best
 	}
-	rix, ok := idx.(rangeIndex)
-	if !ok {
-		return sqltypes.Null
-	}
-	scanVisibleRange(td, rix, er.lo, er.hi, desc, snap, visitKey)
+	scanVisibleRange(td, idx, er.lo, er.hi, desc, snap, visitKey)
 	return best
 }

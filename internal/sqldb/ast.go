@@ -42,18 +42,14 @@ type DropTableStmt struct {
 	IfExists bool
 }
 
-// CreateIndexStmt is CREATE INDEX name ON table (col, ...) [USING kind].
-// Using is "HASH", "ORDERED" or "" (which defaults to ORDERED: it
-// serves equality plus the range/prefix/ORDER BY shapes that dominate
-// the archive's metadata queries). Multi-column indexes key on the
-// concatenated canonical encoding of the columns in declaration order;
-// a HASH index then serves only full-tuple equality, while an ORDERED
-// index additionally serves any leading-prefix shape.
+// CreateIndexStmt is CREATE INDEX name ON table (col, ...); a trailing
+// USING HASH|ORDERED is accepted and ignored. Multi-column indexes key
+// on the concatenated canonical encoding of the columns in declaration
+// order and serve full-tuple equality plus any leading-prefix shape.
 type CreateIndexStmt struct {
 	Name    string
 	Table   string
 	Columns []string
-	Using   string
 }
 
 // DropIndexStmt is DROP INDEX name.

@@ -89,7 +89,7 @@ func TestCompositeAccessPaths(t *testing.T) {
 		{`SELECT ID FROM C WHERE A = ? AND B IS NULL`,
 			[]sqltypes.Value{sqltypes.NewInt(3)}, "null(C.A+B)"},
 		{`SELECT ID FROM C WHERE S = ? AND A = ?`,
-			[]sqltypes.Value{sqltypes.NewString("alpha"), sqltypes.NewInt(3)}, "hash-eq(C.S+A)"},
+			[]sqltypes.Value{sqltypes.NewString("alpha"), sqltypes.NewInt(3)}, "eq(C.S+A)"},
 		// Multi-key ORDER BY served by the composite index.
 		{`SELECT ID FROM C ORDER BY A, B`, nil, "ordered-scan(C.A+B) order"},
 		{`SELECT ID FROM C ORDER BY A DESC, B DESC`, nil, "ordered-scan(C.A+B) order-desc"},
@@ -395,6 +395,12 @@ func TestOrderedIndexDeleteReclaim(t *testing.T) {
 	full := ix.nodeCount()
 	if full < n/btreeLeafMax {
 		t.Fatalf("tree suspiciously small: %d nodes", full)
+	}
+	// The load was monotonic, so every split was at the right edge and
+	// left a full leaf behind: the tree is within a tenth of the densest
+	// possible, not the twice of leaves split down the middle.
+	if full > n/btreeLeafMax*11/10 {
+		t.Fatalf("sequential load left %d nodes for %d keys, want at most %d", full, n, n/btreeLeafMax*11/10)
 	}
 	// Delete everything: the tree must collapse back to a single node.
 	for i := int64(0); i < n; i++ {

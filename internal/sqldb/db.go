@@ -173,7 +173,6 @@ type indexDef struct {
 	Name    string
 	Table   string
 	Columns []string // upper-cased, index order
-	Kind    string   // IndexKindHash or IndexKindOrdered
 }
 
 // DB is an embedded SQL database with MVCC snapshot reads and a sharded
@@ -190,19 +189,20 @@ type indexDef struct {
 // snapshot.db and wal.log in the directory provide durability with
 // crash recovery.
 //
-// Secondary indexes: CREATE INDEX name ON table (col) USING {HASH|
-// ORDERED} (ORDERED when USING is omitted) builds an equality hash
-// index or an ordered B+tree over the canonical key encoding shared by
-// every index (see key.go). The access-path planner (planner.go) routes
-// SELECT/UPDATE/DELETE through them for equality, range, BETWEEN and
-// IS [NOT] NULL predicates and satisfies single-key ORDER BY from an
-// ordered index in either direction. Index definitions live in the WAL
-// DDL log and are rebuilt on replay; CREATE/DROP INDEX bumps the schema
-// epoch, so cached plans transparently re-plan.
+// Indexes: every PRIMARY KEY and UNIQUE constraint and every CREATE
+// INDEX name ON table (col, ...) builds the same B+tree over the
+// canonical key encoding (see index.go, key.go). The access-path
+// planner (planner.go) routes SELECT/UPDATE/DELETE through them for
+// equality, range, BETWEEN and IS [NOT] NULL predicates and satisfies
+// ORDER BY from an index in either direction. Indexes are not
+// serialised: constraint indexes come from the CREATE TABLE text and
+// named ones from CREATE INDEX, both in the DDL log, and all are
+// rebuilt on open; CREATE/DROP INDEX bumps the schema epoch, so cached
+// plans transparently re-plan.
 //
 // Locking rules (for maintainers):
 //   - Catalogue/topology state — cat, data (the map itself), each
-//     table's indexes map, indexes, nowFn, fullScanOnly, schemaEpoch,
+//     table's indexes list, indexes, nowFn, fullScanOnly, schemaEpoch,
 //     closed — is written only under mu.Lock and may be read under
 //     mu.RLock.
 //   - Row and index CONTENT is MVCC-stamped: readers traverse versions

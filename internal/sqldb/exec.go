@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/sqltypes"
@@ -158,23 +159,19 @@ func (db *DB) execCreateIndexLocked(tx *txState, s *CreateIndexStmt) (Result, *R
 		seen[col] = true
 	}
 	td := db.data[schema.Name]
-	if _, exists := td.indexOnColumns(cols); exists {
-		return Result{}, nil, fmt.Errorf("sqldb: columns (%s) of %s are already indexed",
-			strings.Join(cols, ", "), s.Table)
+	if td.index(name) != nil {
+		return Result{}, nil, fmt.Errorf("sqldb: index %s already exists", s.Name)
 	}
-	kind := strings.ToUpper(s.Using)
-	if kind == "" {
-		kind = IndexKindOrdered
+	// Only named indexes count as duplicates: a DDL log written before
+	// constraints became planner-visible indexes may hold a CREATE INDEX
+	// over a PRIMARY KEY's columns, and it must keep replaying.
+	for _, def := range db.indexes {
+		if def.Table == schema.Name && sameCols(def.Columns, cols) {
+			return Result{}, nil, fmt.Errorf("sqldb: columns (%s) of %s are already indexed",
+				strings.Join(cols, ", "), s.Table)
+		}
 	}
-	var idx secondaryIndex
-	switch kind {
-	case IndexKindHash:
-		idx = newHashIndex(name, schema, cols)
-	case IndexKindOrdered:
-		idx = newOrderedIndex(name, schema, cols)
-	default:
-		return Result{}, nil, fmt.Errorf("sqldb: unknown index kind %s (want HASH or ORDERED)", s.Using)
-	}
+	idx := newOrderedIndex(name, schema, cols)
 	// Backfill under the DDL barrier: every row is committed and no
 	// snapshot that predates the index can be open, so entries carry the
 	// always-visible base stamp.
@@ -182,9 +179,9 @@ func (db *DB) execCreateIndexLocked(tx *txState, s *CreateIndexStmt) (Result, *R
 		idx.addRow(vals, liveEntry(id))
 		return true
 	})
-	td.indexes[name] = idx
-	db.indexes[name] = indexDef{Name: name, Table: schema.Name, Columns: cols, Kind: kind}
-	ddl := fmt.Sprintf("CREATE INDEX %s ON %s (%s) USING %s", name, schema.Name, strings.Join(cols, ", "), kind)
+	td.addIndex(idx)
+	db.indexes[name] = indexDef{Name: name, Table: schema.Name, Columns: cols}
+	ddl := fmt.Sprintf("CREATE INDEX %s ON %s (%s)", name, schema.Name, strings.Join(cols, ", "))
 	db.ddlLog = append(db.ddlLog, ddl)
 	db.schemaEpoch++ // invalidate cached plans
 	db.flushResultCache()
@@ -200,7 +197,7 @@ func (db *DB) execDropIndexLocked(tx *txState, s *DropIndexStmt) (Result, *Rows,
 	}
 	delete(db.indexes, name)
 	if td, ok := db.data[def.Table]; ok {
-		delete(td.indexes, name)
+		td.indexes = slices.DeleteFunc(td.indexes, func(idx *orderedIndex) bool { return idx.name == name })
 	}
 	ddl := "DROP INDEX " + name
 	db.ddlLog = append(db.ddlLog, ddl)
@@ -448,11 +445,7 @@ func (db *DB) matchRowsLocked(td *tableData, schema *TableSchema, where Expr, pa
 	handled := false
 	if !db.fullScanOnly {
 		if path := planAccess(td, schema.Name, where, nil, nil, false, false); path != nil {
-			var err error
-			handled, err = scanAccessPath(td, path, ctx, visit)
-			if err != nil {
-				return nil, err
-			}
+			handled = scanAccessPath(td, path, ctx, visit)
 		}
 	}
 	if !handled {
@@ -487,7 +480,7 @@ func (db *DB) checkRowConstraintsLocked(schema *TableSchema, vals []sqltypes.Val
 		if !ok {
 			return fmt.Errorf("sqldb: foreign key references missing table %s", fk.RefTable)
 		}
-		if !db.parentExistsLocked(parent, fk.RefCols, tuple) {
+		if !db.rowExistsLocked(parent, fk.RefCols, tuple) {
 			return fmt.Errorf("sqldb: foreign key violation: no %s row with (%s) = %v",
 				fk.RefTable, strings.Join(fk.RefCols, ", "), tuple)
 		}
@@ -495,34 +488,58 @@ func (db *DB) checkRowConstraintsLocked(schema *TableSchema, vals []sqltypes.Val
 	return nil
 }
 
-// parentExistsLocked checks whether the parent table holds the key tuple,
-// preferring a matching unique index; probes the index cannot align with
-// its column types (usable=false) fall through to the scan.
-func (db *DB) parentExistsLocked(parent *TableSchema, refCols []string, tuple []sqltypes.Value) bool {
-	ptd := db.data[parent.Name]
-	for _, ui := range ptd.uniqueIdx {
-		if sameCols(ui.colName, refCols) {
-			if _, found, usable := ui.lookup(tuple); usable {
-				return found
-			}
-			break
-		}
+// rowExistsLocked reports whether the table holds a current row whose
+// cols equal tuple (no NULLs in it) — the parent-exists and
+// child-references sides of every FK check. Any index whose leading
+// columns are cols serves the probe: a full key is a point lookup, a
+// prefix a bounded scan, and each candidate is compared on its exact
+// values, so the answer is the heap scan's. Without such an index, or
+// when a probe value does not align with the indexed column's type, the
+// heap is scanned.
+func (db *DB) rowExistsLocked(schema *TableSchema, cols []string, tuple []sqltypes.Value) bool {
+	td := db.data[schema.Name]
+	pos := make([]int, len(cols))
+	var prefix []byte
+	aligned := true
+	for i, c := range cols {
+		pos[i] = schema.ColIndex(c)
+		pv, ok := probeValue(schema.Cols[pos[i]].Type.Kind, tuple[i])
+		aligned = aligned && ok
+		prefix = appendKey(prefix, pv)
 	}
-	// Fallback scan for FKs referencing non-unique columns.
 	found := false
-	idx := make([]int, len(refCols))
-	for i, c := range refCols {
-		idx[i] = parent.ColIndex(c)
-	}
-	ptd.scan(snapLatest, func(id rowID, vals []sqltypes.Value) bool {
-		for i, ci := range idx {
-			if c, ok := sqltypes.Compare(vals[ci], tuple[i]); !ok || c != 0 {
-				return true
+	matches := func(vals []sqltypes.Value) bool {
+		for i, p := range pos {
+			if c, ok := sqltypes.Compare(vals[p], tuple[i]); !ok || c != 0 {
+				return false
 			}
 		}
 		found = true
-		return false
-	})
+		return true
+	}
+	for _, idx := range td.indexes {
+		if !aligned || len(idx.pos) < len(pos) || !slices.Equal(idx.pos[:len(pos)], pos) {
+			continue
+		}
+		visit := func(_ string, es []*idxEntry) bool {
+			for _, e := range es {
+				if !entryCurrent(e) {
+					continue
+				}
+				if vals, ok := td.fetch(e.id, snapLatest); ok && matches(vals) {
+					return false
+				}
+			}
+			return true
+		}
+		if len(idx.pos) == len(pos) {
+			visit("", idx.lookupKey(string(prefix)))
+		} else {
+			idx.scanRange(&keyBound{key: string(prefix), incl: true}, prefixUpper(prefix), false, visit)
+		}
+		return found
+	}
+	td.scan(snapLatest, func(_ rowID, vals []sqltypes.Value) bool { return !matches(vals) })
 	return found
 }
 
@@ -559,48 +576,13 @@ func (db *DB) checkNoChildRefsLocked(schema *TableSchema, old, new []sqltypes.Va
 					continue
 				}
 			}
-			if db.childExistsLocked(child, fk.Cols, oldKey) {
+			if db.rowExistsLocked(child, fk.Cols, oldKey) {
 				return fmt.Errorf("sqldb: RESTRICT: %s row is referenced by %s (%s)",
 					schema.Name, child.Name, strings.Join(fk.Cols, ", "))
 			}
 		}
 	}
 	return nil
-}
-
-func (db *DB) childExistsLocked(child *TableSchema, cols []string, key []sqltypes.Value) bool {
-	ctd := db.data[child.Name]
-	// Single-column FK with an exactly-matching index: point lookup,
-	// when the probe aligns with the child column's type.
-	if len(cols) == 1 && !key[0].IsNull() {
-		col := strings.ToUpper(cols[0])
-		if idx, ok := ctd.indexOnColumns([]string{col}); ok {
-			ci := child.ColIndex(col)
-			if pv, okp := probeValue(child.Cols[ci].Type.Kind, key[0]); okp {
-				for _, e := range idx.lookupKey(encodeKey(pv)) {
-					if entryCurrent(e) {
-						return true
-					}
-				}
-				return false
-			}
-		}
-	}
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		idx[i] = child.ColIndex(c)
-	}
-	found := false
-	ctd.scan(snapLatest, func(id rowID, vals []sqltypes.Value) bool {
-		for i, ci := range idx {
-			if c, ok := sqltypes.Compare(vals[ci], key[i]); !ok || c != 0 {
-				return true
-			}
-		}
-		found = true
-		return false
-	})
-	return found
 }
 
 func sameCols(a, b []string) bool {

@@ -2,21 +2,21 @@ package sqldb
 
 import (
 	"sort"
-	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/sqltypes"
 )
 
-// Index kind names as they appear in CREATE INDEX ... USING and in the
-// catalogue. The default for CREATE INDEX without USING is ORDERED: it
-// serves every shape a hash index serves (point lookups cost O(log n)
-// instead of O(1)) and additionally range, prefix and in-order scans,
-// which dominate the archive's scientific-metadata queries.
-const (
-	IndexKindHash    = "HASH"
-	IndexKindOrdered = "ORDERED"
-)
+// The engine has one index structure: a B+tree (orderedIndex) over the
+// canonical key encoding of key.go. PRIMARY KEY and UNIQUE constraints,
+// and every CREATE INDEX, build the same tree and register it in
+// tableData.indexes, so whatever enforces a key also serves the planner:
+// point lookups (O(log n)), leading-prefix, range and IS [NOT] NULL
+// scans, in-order scans for ORDER BY / GROUP BY, join probes and
+// index-only aggregates. CREATE INDEX ... USING HASH|ORDERED is still
+// parsed — DDL logs written by earlier versions contain it — and
+// ignored.
 
 // idxEntry is one stamped index posting: row id plus the MVCC begin/end
 // stamps of the key↔row association. An entry is visible at a snapshot
@@ -51,86 +51,16 @@ func liveEntry(id rowID) *idxEntry {
 	return e
 }
 
-// findCurrentEntry locates the live posting for (row id, key-of-vals),
-// the one a delete or key-changing update must end. Caller holds the
-// table latch at least shared plus the table's writer slot.
-func findCurrentEntry(idx secondaryIndex, vals []sqltypes.Value, id rowID) *idxEntry {
-	for _, e := range idx.lookupKey(idx.rowKeyOf(vals)) {
+// findCurrentEntry locates the live posting for row id under key k, the
+// one a delete or key-changing update must end. Caller holds the table
+// latch at least shared plus the table's writer slot.
+func findCurrentEntry(idx *orderedIndex, k string, id rowID) *idxEntry {
+	for _, e := range idx.lookupKey(k) {
 		if e.id == id && entryCurrent(e) {
 			return e
 		}
 	}
 	return nil
-}
-
-// indexedCols is the column tuple an index is declared over, shared by
-// the hash and ordered implementations. Keys are the concatenated
-// canonical encodings of the column values in declaration order (see
-// key.go); the escape/terminator scheme keeps concatenation unambiguous,
-// so a composite key's byte order equals the column-by-column tuple
-// order and every single-column prefix of a composite key is a byte
-// prefix of the full key — the property the planner's prefix scans rely
-// on.
-type indexedCols struct {
-	cols []string // upper-cased column names, index order
-	pos  []int    // schema positions, parallel to cols
-}
-
-func newIndexedCols(schema *TableSchema, cols []string) indexedCols {
-	ic := indexedCols{cols: make([]string, len(cols)), pos: make([]int, len(cols))}
-	for i, c := range cols {
-		ic.cols[i] = strings.ToUpper(c)
-		ic.pos[i] = schema.ColIndex(c)
-	}
-	return ic
-}
-
-func (ic indexedCols) columns() []string { return ic.cols }
-
-// rowKeyOf encodes the index key of one stored row.
-func (ic indexedCols) rowKeyOf(vals []sqltypes.Value) string {
-	b := make([]byte, 0, 16*len(ic.pos))
-	for _, p := range ic.pos {
-		b = appendKey(b, vals[p])
-	}
-	return string(b)
-}
-
-// secondaryIndex is the access interface shared by the hash and ordered
-// index implementations. Keys are canonical encodings (see encodeKey);
-// maintenance callers pass the full stored row (values already coerced
-// to their column types), while lookup callers must align probes via
-// probeValue before encoding. Structural mutation (addRow, removeRow,
-// sweepDead) requires the table latch exclusively; lookups require it
-// shared (postings' stamps are atomics and may be read lock-free once
-// located).
-type secondaryIndex interface {
-	kindName() string
-	columns() []string
-	rowKeyOf(vals []sqltypes.Value) string
-	addRow(vals []sqltypes.Value, e *idxEntry)
-	// removeRow structurally removes the current posting for id under
-	// the key of vals (vacuum, backfill undo and unit tests; DML ends
-	// postings by stamp instead).
-	removeRow(vals []sqltypes.Value, id rowID)
-	// lookupKey returns the postings stored under one encoded key (the
-	// full column tuple). The returned slice aliases index storage;
-	// callers must not mutate it and must copy what they keep past the
-	// table latch.
-	lookupKey(k string) []*idxEntry
-	// sweepDead structurally removes every non-current posting (vacuum,
-	// under the global barrier).
-	sweepDead()
-}
-
-// rangeIndex is the extra surface of indexes that keep keys in order.
-type rangeIndex interface {
-	secondaryIndex
-	// scanRange visits entries with lo <= key <= hi in key order
-	// (reversed when desc); nil bounds are open ends. An exclusive
-	// bound skips entries equal to the bound key. The visitor returns
-	// false to stop.
-	scanRange(lo, hi *keyBound, desc bool, f func(k string, es []*idxEntry) bool)
 }
 
 // keyBound is one end of an ordered-index scan.
@@ -152,7 +82,7 @@ type keyBound struct {
 const idxScanBatch = 128
 
 // lookupVisible returns the row ids visible at snap under one key.
-func lookupVisible(td *tableData, idx secondaryIndex, k string, snap uint64) []rowID {
+func lookupVisible(td *tableData, idx *orderedIndex, k string, snap uint64) []rowID {
 	td.latch.RLock()
 	es := idx.lookupKey(k)
 	var ids []rowID
@@ -173,17 +103,13 @@ func lookupVisible(td *tableData, idx secondaryIndex, k string, snap uint64) []r
 // postings invisible at snap, and structural removal happens only under
 // the global barrier, so the resumed walk observes exactly the
 // snapshot's key set.
-func scanVisibleRange(td *tableData, rix rangeIndex, lo, hi *keyBound, desc bool, snap uint64, f func(k string, ids []rowID) bool) {
-	type keyIDs struct {
-		k   string
-		ids []rowID
-	}
-	batch := make([]keyIDs, 0, idxScanBatch)
-	flat := make([]rowID, 0, 4*idxScanBatch)
+func scanVisibleRange(td *tableData, idx *orderedIndex, lo, hi *keyBound, desc bool, snap uint64, f func(k string, ids []rowID) bool) {
+	buf := scanBufs.Get().(*scanBuf)
+	defer scanBufs.Put(buf)
 	for {
-		batch, flat = batch[:0], flat[:0]
+		batch, flat := buf.batch[:0], buf.flat[:0]
 		td.latch.RLock()
-		rix.scanRange(lo, hi, desc, func(k string, es []*idxEntry) bool {
+		idx.scanRange(lo, hi, desc, func(k string, es []*idxEntry) bool {
 			start := len(flat)
 			for _, e := range es {
 				if e.visibleAt(snap) {
@@ -196,6 +122,7 @@ func scanVisibleRange(td *tableData, rix rangeIndex, lo, hi *keyBound, desc bool
 			return len(batch) < idxScanBatch
 		})
 		td.latch.RUnlock()
+		buf.flat = flat // keep what append grew
 		for _, kv := range batch {
 			if !f(kv.k, kv.ids) {
 				return
@@ -213,58 +140,25 @@ func scanVisibleRange(td *tableData, rix rangeIndex, lo, hi *keyBound, desc bool
 	}
 }
 
-// ---------- hash index ----------
-
-// hashIndex is a secondary equality index from canonical key → postings.
-// A composite hash index only serves equality on its full column tuple.
-type hashIndex struct {
-	name string
-	indexedCols
-	entries map[string][]*idxEntry
+// scanBuf is one range scan's gather buffer: the keys of a batch and,
+// flattened behind them, their visible ids. Pooled because it is sized
+// for a full batch, which is more than a page-sized result: allocated
+// per scan — per outer row, under a join probe — it would be most of
+// what a small statement allocates. A scan nested inside a visitor
+// draws its own buffer; visitors must not keep ids past their call.
+type scanBuf struct {
+	batch []keyIDs
+	flat  []rowID
 }
 
-func newHashIndex(name string, schema *TableSchema, cols []string) *hashIndex {
-	return &hashIndex{name: name, indexedCols: newIndexedCols(schema, cols), entries: make(map[string][]*idxEntry)}
+type keyIDs struct {
+	k   string
+	ids []rowID
 }
 
-func (h *hashIndex) kindName() string { return IndexKindHash }
-
-func (h *hashIndex) addRow(vals []sqltypes.Value, e *idxEntry) {
-	k := h.rowKeyOf(vals)
-	h.entries[k] = append(h.entries[k], e)
-}
-
-func (h *hashIndex) removeRow(vals []sqltypes.Value, id rowID) {
-	k := h.rowKeyOf(vals)
-	es := h.entries[k]
-	for i, e := range es {
-		if e.id == id && entryCurrent(e) {
-			h.entries[k] = append(es[:i], es[i+1:]...)
-			break
-		}
-	}
-	if len(h.entries[k]) == 0 {
-		delete(h.entries, k)
-	}
-}
-
-func (h *hashIndex) lookupKey(k string) []*idxEntry { return h.entries[k] }
-
-func (h *hashIndex) sweepDead() {
-	for k, es := range h.entries {
-		kept := es[:0]
-		for _, e := range es {
-			if entryCurrent(e) {
-				kept = append(kept, e)
-			}
-		}
-		if len(kept) == 0 {
-			delete(h.entries, k)
-		} else {
-			h.entries[k] = kept
-		}
-	}
-}
+var scanBufs = sync.Pool{New: func() any {
+	return &scanBuf{batch: make([]keyIDs, 0, idxScanBatch), flat: make([]rowID, 0, 4*idxScanBatch)}
+}}
 
 // ---------- ordered index (B+tree) ----------
 
@@ -277,19 +171,37 @@ const (
 )
 
 // orderedIndex is a B+tree over canonical key encodings supporting
-// point, range and in-order scans. All keys live in leaves; inner nodes
-// hold separators with len(seps) == len(children)-1, child i spanning
-// [seps[i-1], seps[i]). Structurally removing the last posting under a
-// key removes the leaf entry, and a leaf that empties out is merged away
-// (its parent drops the hollow child and the adjoining separator), so
-// delete-heavy tables do not accumulate dead nodes once vacuum sweeps
-// the dead postings; within still-populated leaves no rebalancing
-// happens, which is the right trade for the archive's insert-mostly
-// workload.
+// point, range and in-order scans. Keys are the concatenated canonical
+// encodings of the indexed column values in declaration order (see
+// key.go); the escape/terminator scheme keeps concatenation unambiguous,
+// so a composite key's byte order equals the column-by-column tuple
+// order and every leading prefix of a composite key is a byte prefix of
+// the full key — the property the planner's prefix scans rely on.
+//
+// All keys live in leaves; inner nodes hold separators with
+// len(seps) == len(children)-1, child i spanning [seps[i-1], seps[i]).
+// Structurally removing the last posting under a key removes the leaf
+// entry, and a leaf that empties out is merged away (its parent drops
+// the hollow child and the adjoining separator), so delete-heavy tables
+// do not accumulate dead nodes once vacuum sweeps the dead postings;
+// within still-populated leaves no rebalancing happens, which is the
+// right trade for the archive's insert-mostly workload.
+//
+// Structural mutation (insertKey, removeEntry, sweepDead) requires the
+// table latch exclusively and lookups require it shared — except from
+// the table's owning writer (wmu or the global barrier), which is the
+// only structural mutator and may therefore read without the latch.
+// Postings' stamps are atomics and may be read lock-free once located;
+// slices handed to visitors alias index storage and must not be mutated
+// or kept past the latch.
 type orderedIndex struct {
 	name string
-	indexedCols
-	root *btreeNode
+	cols []string // upper-cased column names, index order
+	pos  []int    // schema positions, parallel to cols
+	// unique marks a PRIMARY KEY / UNIQUE constraint index: writers probe
+	// it for a current holder before installing a key (checkUnique).
+	unique bool
+	root   *btreeNode
 }
 
 type btreeNode struct {
@@ -301,17 +213,36 @@ type btreeNode struct {
 }
 
 func newOrderedIndex(name string, schema *TableSchema, cols []string) *orderedIndex {
-	return &orderedIndex{
-		name:        name,
-		indexedCols: newIndexedCols(schema, cols),
-		root:        &btreeNode{leaf: true},
+	ix := &orderedIndex{
+		name: name,
+		cols: upperAll(cols),
+		pos:  make([]int, len(cols)),
+		root: &btreeNode{leaf: true},
 	}
+	for i, c := range cols {
+		ix.pos[i] = schema.ColIndex(c)
+	}
+	return ix
 }
 
-func (ix *orderedIndex) kindName() string { return IndexKindOrdered }
+// rowKeyOf encodes the index key of one stored row (values already
+// coerced to their column types; lookup callers must align probes via
+// probeValue before encoding).
+func (ix *orderedIndex) rowKeyOf(vals []sqltypes.Value) string {
+	b := make([]byte, 0, 16*len(ix.pos))
+	for _, p := range ix.pos {
+		b = appendKey(b, vals[p])
+	}
+	return string(b)
+}
 
 func (ix *orderedIndex) addRow(vals []sqltypes.Value, e *idxEntry) {
-	right, sep := ix.root.insert(ix.rowKeyOf(vals), e)
+	ix.insertKey(ix.rowKeyOf(vals), e)
+}
+
+// insertKey adds a posting under the already-encoded key k.
+func (ix *orderedIndex) insertKey(k string, e *idxEntry) {
+	right, sep := ix.root.insert(k, e)
 	if right != nil {
 		ix.root = &btreeNode{
 			seps:     []string{sep},
@@ -320,6 +251,9 @@ func (ix *orderedIndex) addRow(vals []sqltypes.Value, e *idxEntry) {
 	}
 }
 
+// removeRow structurally removes the current posting for id under the
+// key of vals (the direct index unit tests; DML ends postings by stamp
+// and vacuum sweeps them).
 func (ix *orderedIndex) removeRow(vals []sqltypes.Value, id rowID) {
 	ix.removeEntry(ix.rowKeyOf(vals), func(e *idxEntry) bool {
 		return e.id == id && entryCurrent(e)
@@ -336,6 +270,8 @@ func (ix *orderedIndex) removeEntry(k string, match func(*idxEntry) bool) {
 	}
 }
 
+// lookupKey returns the postings stored under one encoded key (the
+// full column tuple).
 func (ix *orderedIndex) lookupKey(k string) []*idxEntry {
 	n := ix.root
 	for !n.leaf {
@@ -348,6 +284,9 @@ func (ix *orderedIndex) lookupKey(k string) []*idxEntry {
 	return nil
 }
 
+// scanRange visits entries with lo <= key <= hi in key order (reversed
+// when desc); nil bounds are open ends. An exclusive bound skips entries
+// equal to the bound key. The visitor returns false to stop.
 func (ix *orderedIndex) scanRange(lo, hi *keyBound, desc bool, f func(k string, es []*idxEntry) bool) {
 	if desc {
 		ix.root.descend(lo, hi, f)
@@ -356,6 +295,8 @@ func (ix *orderedIndex) scanRange(lo, hi *keyBound, desc bool, f func(k string, 
 	}
 }
 
+// sweepDead structurally removes every non-current posting (vacuum,
+// under the global barrier).
 func (ix *orderedIndex) sweepDead() {
 	type deadPosting struct {
 		k string
@@ -404,23 +345,36 @@ func (n *btreeNode) insert(k string, e *idxEntry) (*btreeNode, string) {
 			n.ents[i] = append(n.ents[i], e)
 			return nil, ""
 		}
+		// A full leaf splits before it takes the key, so its arrays never
+		// grow past btreeLeafMax slots. A key landing past every other
+		// splits at the right edge: a monotonic load leaves full leaves
+		// behind, not half-full ones.
+		var right *btreeNode
+		if len(n.keys) == btreeLeafMax {
+			mid := len(n.keys) / 2
+			if i == len(n.keys) {
+				mid = i
+			}
+			right = &btreeNode{
+				leaf: true,
+				keys: append([]string(nil), n.keys[mid:]...),
+				ents: append([][]*idxEntry(nil), n.ents[mid:]...),
+			}
+			n.keys = n.keys[:mid:mid]
+			n.ents = n.ents[:mid:mid]
+			if i >= mid {
+				n, i = right, i-mid
+			}
+		}
 		n.keys = append(n.keys, "")
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = k
 		n.ents = append(n.ents, nil)
 		copy(n.ents[i+1:], n.ents[i:])
 		n.ents[i] = []*idxEntry{e}
-		if len(n.keys) <= btreeLeafMax {
+		if right == nil {
 			return nil, ""
 		}
-		mid := len(n.keys) / 2
-		right := &btreeNode{
-			leaf: true,
-			keys: append([]string(nil), n.keys[mid:]...),
-			ents: append([][]*idxEntry(nil), n.ents[mid:]...),
-		}
-		n.keys = n.keys[:mid:mid]
-		n.ents = n.ents[:mid:mid]
 		return right, right.keys[0]
 	}
 	ci := n.childFor(k)

@@ -17,8 +17,9 @@ import (
 //	inner.col = <expression over earlier tables (or constants)>
 //
 // in the joining ON condition and in the WHERE clause, matches them
-// against the inner table's indexes (longest leading prefix, hash needs
-// the full tuple), and records a joinProbe in the cached plan. At
+// against the inner table's indexes (longest leading prefix — a join
+// onto a declared key probes its constraint index), and records a
+// joinProbe in the cached plan. At
 // execution each outer row evaluates the outer-side expressions and
 // probes the index instead of scanning — O(probe) per outer row instead
 // of O(|inner|). Probes only narrow the candidate set: the ON condition
@@ -65,10 +66,10 @@ type joinProbe struct {
 // path — including LEFT JOIN NULL extension and the WHERE-derived
 // probe argument spelled out above for index probes.
 type hashJoinPlan struct {
-	cols   []string         // join columns on the probed table, sorted
-	colPos []int            // schema positions, parallel to cols
-	kinds  []sqltypes.Kind  // declared column kinds, for probe alignment
-	eqs    []Expr           // outer-side expressions, parallel to cols
+	cols   []string        // join columns on the probed table, sorted
+	colPos []int           // schema positions, parallel to cols
+	kinds  []sqltypes.Kind // declared column kinds, for probe alignment
+	eqs    []Expr          // outer-side expressions, parallel to cols
 }
 
 // planJoinProbes fills plan.joins (forward probes, one per FROM item)
@@ -273,19 +274,15 @@ func collectJoinEqs(e Expr, schema *TableSchema, innerLo, innerHi int, outerOK f
 }
 
 // bestJoinProbe matches the collected equalities against the table's
-// indexes: longest covered leading prefix wins, hash indexes need full
-// coverage, ordered indexes serve any non-empty prefix. Index names are
-// visited in sorted order so the choice is deterministic.
+// indexes: the longest covered leading prefix wins. Indexes are visited
+// in name order so the choice is deterministic.
 func bestJoinProbe(td *tableData, eqs map[string]Expr) *joinProbe {
 	if len(eqs) == 0 {
 		return nil
 	}
 	var best *joinProbe
-	bestScore := 0
-	for _, name := range td.indexNames() {
-		idx := td.indexes[name]
-		cols := idx.columns()
-		_, ordered := idx.(rangeIndex)
+	for _, idx := range td.indexes {
+		cols := idx.cols
 		nEq := 0
 		var probes []Expr
 		for nEq < len(cols) {
@@ -296,23 +293,8 @@ func bestJoinProbe(td *tableData, eqs map[string]Expr) *joinProbe {
 			probes = append(probes, e)
 			nEq++
 		}
-		if nEq == 0 || (!ordered && nEq < len(cols)) {
-			continue
-		}
-		score := nEq * 10
-		if !ordered {
-			score += 5
-		} else {
-			score += 4
-		}
-		if score > bestScore {
-			jp := &joinProbe{idx: name, cols: cols, nEq: nEq, eqs: probes}
-			jp.colPos = make([]int, len(cols))
-			for i, c := range cols {
-				jp.colPos[i] = td.schema.ColIndex(c)
-			}
-			best = jp
-			bestScore = score
+		if nEq > 0 && (best == nil || nEq > best.nEq) {
+			best = &joinProbe{idx: idx.name, cols: cols, colPos: idx.pos, nEq: nEq, eqs: probes}
 		}
 	}
 	return best
@@ -330,7 +312,7 @@ func (p *joinProbe) String() string {
 // Candidate slices alias live storage: callers must copy values out
 // (the join row assembly does) and not hold them past the engine lock.
 func probeJoin(td *tableData, p *joinProbe, ctx *evalCtx) (cands [][]sqltypes.Value, handled bool) {
-	idx := td.indexes[p.idx]
+	idx := td.index(p.idx)
 	if idx == nil {
 		return nil, false
 	}
@@ -368,13 +350,9 @@ func probeJoin(td *tableData, p *joinProbe, ctx *evalCtx) (cands [][]sqltypes.Va
 		collect(lookupVisible(td, idx, string(prefix), ctx.snap))
 		return cands, true
 	}
-	rix, ok := idx.(rangeIndex)
-	if !ok {
-		return nil, false
-	}
 	lo := &keyBound{key: string(prefix), incl: true}
 	hi := &keyBound{key: string(prefix) + keyRangeHiSentinel, incl: true}
-	scanVisibleRange(td, rix, lo, hi, false, ctx.snap, func(_ string, ids []rowID) bool {
+	scanVisibleRange(td, idx, lo, hi, false, ctx.snap, func(_ string, ids []rowID) bool {
 		return collect(ids)
 	})
 	return cands, true

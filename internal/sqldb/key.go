@@ -14,17 +14,18 @@ import (
 //
 //  1. two tuples encode to the same key exactly when they are equal
 //     under the engine's comparison rules within one column's type
-//     domain (so the encoding is usable as a hash-map key), and
+//     domain (so one key names one posting list, and join and group
+//     hash tables can key on it), and
 //  2. the lexicographic byte order of single-value keys matches
-//     sqltypes.SortCompare (so the same encoding drives the ordered
-//     index's range and in-order scans).
+//     sqltypes.SortCompare (so the same encoding drives the index's
+//     range and in-order scans).
 //
-// Every index in the engine — hash, ordered and the unique/PK indexes —
-// shares this one encoder. The previous encoder rendered values through
-// AsString, which collided across kinds (BOOLEAN TRUE vs VARCHAR 'TRUE',
-// TIMESTAMP vs its formatted text) and missed equal values with distinct
-// renderings (a timestamp probed via its RFC3339 spelling). Here each
-// value carries a class tag:
+// Every index in the engine — constraint or named — is the one B+tree
+// of index.go over this one encoder. The previous encoder rendered
+// values through AsString, which collided across kinds (BOOLEAN TRUE vs
+// VARCHAR 'TRUE', TIMESTAMP vs its formatted text) and missed equal
+// values with distinct renderings (a timestamp probed via its RFC3339
+// spelling). Here each value carries a class tag:
 //
 //	0x01 NULL
 //	0x02 numeric (INTEGER and DOUBLE share the class: 2 and 2.0 index
@@ -45,10 +46,12 @@ import (
 // values (the prior encoder had the same normalisation, and the
 // engine's own mixed int/double comparison promotes through float64).
 // Equality and range row SETS stay correct because every index consumer
-// re-applies the residual predicate; the one observable difference from
-// a heap scan is ordering WITHIN such a colliding key when an ordered
-// index serves ORDER BY — those rows come back in insertion order
-// rather than exact-integer order.
+// re-applies the residual predicate, and PRIMARY KEY / UNIQUE checks
+// compare a colliding key's holder on its exact values
+// (tableData.checkUnique); the one observable difference from a heap
+// scan is ordering WITHIN such a colliding key when an index serves
+// ORDER BY — those rows come back in insertion order rather than
+// exact-integer order.
 
 const (
 	keyTagNull    = 0x01

@@ -221,25 +221,18 @@ func countVersions(td *tableData) (slots, versions int) {
 	return slots, versions
 }
 
-func countIndexEntries(idx secondaryIndex) int {
+func countIndexEntries(idx *orderedIndex) int {
 	n := 0
-	switch ix := idx.(type) {
-	case *hashIndex:
-		for _, es := range ix.entries {
-			n += len(es)
-		}
-	case *orderedIndex:
-		ix.scanRange(nil, nil, false, func(_ string, es []*idxEntry) bool {
-			n += len(es)
-			return true
-		})
-	}
+	idx.scanRange(nil, nil, false, func(_ string, es []*idxEntry) bool {
+		n += len(es)
+		return true
+	})
 	return n
 }
 
 // TestVacuumReclaim: after delete/update-heavy churn, Vacuum returns the
-// heap (slots and version chains) and every index — hash and ordered —
-// to the pre-churn baseline, and the data still answers correctly.
+// heap (slots and version chains) and every index — the PRIMARY KEY's
+// included — to the pre-churn baseline, and the data still answers correctly.
 func TestVacuumReclaim(t *testing.T) {
 	db := memDB(t)
 	mustExec(t, db, `CREATE TABLE T (ID INTEGER PRIMARY KEY, A VARCHAR(16), B INTEGER)`)
@@ -258,11 +251,11 @@ func TestVacuumReclaim(t *testing.T) {
 		t.Fatalf("baseline: %d slots / %d versions, want 100/100", baseSlots, baseVersions)
 	}
 	baseIdx := map[string]int{}
-	ordered, _ := td.indexOnColumns([]string{"B"})
-	for _, name := range td.indexNames() {
-		baseIdx[name] = countIndexEntries(td.indexes[name])
+	ordered := td.index("T_B")
+	for _, idx := range td.indexes {
+		baseIdx[idx.name] = countIndexEntries(idx)
 	}
-	baseNodes := ordered.(*orderedIndex).nodeCount()
+	baseNodes := ordered.nodeCount()
 
 	// Churn: three rounds of insert + rewrite + delete on ids >= 1000.
 	for r := 0; r < 3; r++ {
@@ -277,7 +270,7 @@ func TestVacuumReclaim(t *testing.T) {
 	if _, dirtyVersions := countVersions(td); dirtyVersions <= baseVersions {
 		t.Fatalf("churn left no dead versions to reclaim (%d)", dirtyVersions)
 	}
-	dirtyNodes := ordered.(*orderedIndex).nodeCount()
+	dirtyNodes := ordered.nodeCount()
 
 	if err := db.Vacuum(); err != nil {
 		t.Fatal(err)
@@ -286,15 +279,15 @@ func TestVacuumReclaim(t *testing.T) {
 	if slots != baseSlots || versions != baseVersions {
 		t.Fatalf("after vacuum: %d slots / %d versions, want %d/%d", slots, versions, baseSlots, baseVersions)
 	}
-	for _, name := range td.indexNames() {
-		if got := countIndexEntries(td.indexes[name]); got != baseIdx[name] {
-			t.Fatalf("index %s: %d entries after vacuum, want %d", name, got, baseIdx[name])
+	for _, idx := range td.indexes {
+		if got := countIndexEntries(idx); got != baseIdx[idx.name] {
+			t.Fatalf("index %s: %d entries after vacuum, want %d", idx.name, got, baseIdx[idx.name])
 		}
 	}
 	// The tree merges hollow leaves but does not repack survivors, so
 	// allow a little slack over the pristine baseline while insisting
 	// the churn-time growth is gone.
-	if got := ordered.(*orderedIndex).nodeCount(); got > 2*baseNodes || got >= dirtyNodes {
+	if got := ordered.nodeCount(); got > 2*baseNodes || got >= dirtyNodes {
 		t.Fatalf("ordered index: %d nodes after vacuum (baseline %d, churn peak %d)", got, baseNodes, dirtyNodes)
 	}
 	if d := td.dead.Load(); d != 0 {

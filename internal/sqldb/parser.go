@@ -507,18 +507,12 @@ func (p *parser) parseCreateIndex() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt := &CreateIndexStmt{Name: name, Table: table, Columns: cols}
-	if p.acceptKeyword("USING") {
-		switch {
-		case p.acceptKeyword("HASH"):
-			stmt.Using = IndexKindHash
-		case p.acceptKeyword("ORDERED"):
-			stmt.Using = IndexKindOrdered
-		default:
-			return nil, p.errf("expected HASH or ORDERED after USING")
-		}
+	// USING names an access method. There is one (index.go), but DDL logs
+	// written by earlier versions carry the clause, so it still parses.
+	if p.acceptKeyword("USING") && !p.acceptKeyword("HASH") && !p.acceptKeyword("ORDERED") {
+		return nil, p.errf("expected HASH or ORDERED after USING")
 	}
-	return stmt, nil
+	return &CreateIndexStmt{Name: name, Table: table, Columns: cols}, nil
 }
 
 func (p *parser) parseDrop() (Statement, error) {

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"fmt"
 	"math"
 	"strings"
 
@@ -15,14 +14,16 @@ import (
 // reaches the first FROM table's rows. Indexes may be declared over one
 // column or a tuple (composite); matching is leading-prefix based:
 //
-//	full-tuple equality on a hash index      → O(1) point lookup
-//	full-tuple equality on an ordered index  → O(log n) point lookup
+//	full-tuple equality                      → O(log n) point lookup
 //	equality on a leading prefix, plus an
 //	optional range / IS [NOT] NULL predicate
-//	on the next column                       → ordered prefix/range scan
-//	ORDER BY a leading prefix of an ordered
-//	index (after any equality columns)       → in-order scan (no sort)
+//	on the next column                       → prefix/range scan
+//	ORDER BY a leading prefix of an index
+//	(after any equality columns)             → in-order scan (no sort)
 //	otherwise                                → heap scan
+//
+// PRIMARY KEY and UNIQUE constraint indexes are candidates like any
+// CREATE INDEX (index.go: there is one index structure).
 //
 // The chosen path is stored inside the cached selectPlan, so prepared
 // statements re-run it without re-analysis; the schema epoch invalidates
@@ -45,10 +46,9 @@ import (
 type accessPathKind uint8
 
 const (
-	pathHashEq       accessPathKind = iota // hash index point lookup (full tuple)
-	pathOrderedEq                          // ordered index point lookup (full tuple)
-	pathOrderedRange                       // ordered prefix + range scan
-	pathOrderedNull                        // prefix + IS NULL / IS NOT NULL via ordered index
+	pathOrderedEq    accessPathKind = iota // point lookup (full tuple)
+	pathOrderedRange                       // prefix + range scan
+	pathOrderedNull                        // prefix + IS NULL / IS NOT NULL
 	pathOrderedScan                        // full in-order scan (ORDER BY only)
 )
 
@@ -107,8 +107,6 @@ func (p *accessPath) String() string {
 		}
 	}
 	switch p.kind {
-	case pathHashEq:
-		return "hash-eq(" + target + ")" + suffix
 	case pathOrderedEq:
 		return "eq(" + target + ")" + suffix
 	case pathOrderedRange:
@@ -166,17 +164,15 @@ type predSet struct {
 func planAccess(td *tableData, alias string, where Expr, orderBy []OrderItem, orderBound []bool, aggregated, single bool) *accessPath {
 	preds := collectColPreds(where, alias, td.schema)
 
-	// Score the candidates per index, preferring the path that consumes
-	// the most leading equality columns, then the cheapest shape: hash
-	// equality, ordered equality, bounded range, half range, null test,
-	// bare prefix. Indexes are visited in name order so the choice is
-	// deterministic.
+	// Score the candidates per index, preferring the path that bounds the
+	// most leading columns — the equality prefix plus the scan column
+	// when a range bound narrows it — then the cheapest shape: equality,
+	// bounded range, half range, null test, bare prefix. Indexes are
+	// visited in name order so the choice is deterministic.
 	var best *accessPath
 	bestScore := 0
-	for _, name := range td.indexNames() {
-		idx := td.indexes[name]
-		cols := idx.columns()
-		_, ordered := idx.(rangeIndex)
+	for _, idx := range td.indexes {
+		cols := idx.cols
 
 		nEq := 0
 		var eqs []Expr
@@ -192,13 +188,6 @@ func planAccess(td *tableData, alias string, where Expr, orderBy []OrderItem, or
 		var cand *accessPath
 		score := 0
 		switch {
-		case !ordered:
-			// A hash index keys on the full tuple: usable only when
-			// every column has an equality probe.
-			if nEq == len(cols) {
-				cand = &accessPath{kind: pathHashEq, nEq: nEq, eqs: eqs}
-				score = nEq*10 + 5
-			}
 		case nEq == len(cols):
 			cand = &accessPath{kind: pathOrderedEq, nEq: nEq, eqs: eqs}
 			score = nEq*10 + 4
@@ -208,11 +197,11 @@ func planAccess(td *tableData, alias string, where Expr, orderBy []OrderItem, or
 			case p != nil && p.lo != nil && p.hi != nil:
 				cand = &accessPath{kind: pathOrderedRange, nEq: nEq, eqs: eqs,
 					lo: p.lo, hi: p.hi, loIncl: p.loIncl, hiIncl: p.hiIncl}
-				score = nEq*10 + 3
+				score = (nEq+1)*10 + 3
 			case p != nil && (p.lo != nil || p.hi != nil):
 				cand = &accessPath{kind: pathOrderedRange, nEq: nEq, eqs: eqs,
 					lo: p.lo, hi: p.hi, loIncl: p.loIncl, hiIncl: p.hiIncl}
-				score = nEq*10 + 2
+				score = (nEq+1)*10 + 2
 			case p != nil && (p.isNull || p.isNotNull):
 				cand = &accessPath{kind: pathOrderedNull, nEq: nEq, eqs: eqs, notNull: p.isNotNull}
 				score = nEq*10 + 1
@@ -224,31 +213,27 @@ func planAccess(td *tableData, alias string, where Expr, orderBy []OrderItem, or
 		}
 		if cand != nil && score > bestScore {
 			cand.table = td.schema.Name
-			cand.idx = name
+			cand.idx = idx.name
 			cand.cols = cols
-			cand.colPos = make([]int, len(cols))
-			for i, c := range cols {
-				cand.colPos[i] = td.schema.ColIndex(c)
-			}
+			cand.colPos = idx.pos
 			cand.residualFree = preds.residualFree(cand)
 			best = cand
 			bestScore = score
 		}
 	}
 
-	// ORDER BY satisfaction: the ordered paths emit rows sorted by the
+	// ORDER BY satisfaction: the scanning paths emit rows sorted by the
 	// index columns after the equality prefix (the prefix is constant),
 	// so an ORDER BY whose keys — skipping equality-constant columns —
 	// walk the index columns in order, all in one direction, needs no
 	// sort. With no predicate path at all, a full in-order scan of an
-	// ordered index whose leading columns match the ORDER BY replaces
-	// scan+sort.
+	// index whose leading columns match the ORDER BY replaces scan+sort.
 	if single && !aggregated && len(orderBy) > 0 {
 		if ocols, odesc, ok := orderByColumns(orderBy, orderBound, alias, td.schema); ok {
 			switch {
 			case best != nil:
 				if pathSatisfiesOrder(best, ocols) {
-					if best.kind == pathHashEq || best.kind == pathOrderedEq {
+					if best.kind == pathOrderedEq {
 						// Every candidate shares the ORDER BY columns'
 						// values, so any emission order is sorted.
 						best.satisfiesOrderBy = true
@@ -258,27 +243,20 @@ func planAccess(td *tableData, alias string, where Expr, orderBy []OrderItem, or
 					}
 				}
 			case best == nil:
-				for _, name := range td.indexNames() {
-					idx := td.indexes[name]
-					if _, ordered := idx.(rangeIndex); !ordered {
-						continue
-					}
-					cols := idx.columns()
+				for _, idx := range td.indexes {
+					cols := idx.cols
 					if !isPrefix(ocols, cols) {
 						continue
 					}
 					best = &accessPath{
 						kind:             pathOrderedScan,
 						table:            td.schema.Name,
-						idx:              name,
+						idx:              idx.name,
 						cols:             cols,
+						colPos:           idx.pos,
 						desc:             odesc,
 						satisfiesOrderBy: true,
 						residualFree:     where == nil,
-					}
-					best.colPos = make([]int, len(cols))
-					for i, c := range cols {
-						best.colPos[i] = td.schema.ColIndex(c)
 					}
 					break
 				}
@@ -292,10 +270,10 @@ func planAccess(td *tableData, alias string, where Expr, orderBy []OrderItem, or
 // reaches its groups. Two plan-time outcomes:
 //
 //   - GROUP BY pushdown: with no predicate-driven access path, an
-//     ordered index whose leading columns are exactly the GROUP BY
-//     columns replaces the heap scan, so rows arrive clustered by
-//     group and the executor folds one group at a time (O(groups)
-//     state, no hash table).
+//     index whose leading columns are exactly the GROUP BY columns
+//     replaces the heap scan, so rows arrive clustered by group and
+//     the executor folds one group at a time (O(groups) state, no
+//     hash table).
 //   - group-order satisfaction: whatever path the WHERE clause chose is
 //     checked for group clustering (pathClustersGroups), reusing the
 //     ORDER BY machinery's constant-equality-prefix skipping.
@@ -401,7 +379,7 @@ func pathClustersGroups(p *accessPath, gcols []string) bool {
 		// one group key, whatever order they arrive in.
 		return true
 	}
-	if p.kind == pathHashEq || p.kind == pathOrderedEq {
+	if p.kind == pathOrderedEq {
 		// Full-tuple lookups emit one key's rows; a group column outside
 		// the tuple is unconstrained across them.
 		return false
@@ -423,9 +401,9 @@ func pathClustersGroups(p *accessPath, gcols []string) bool {
 	return true
 }
 
-// groupOrderedScan finds an ordered index whose leading columns are
-// exactly the (distinct) GROUP BY columns and returns a full in-order
-// scan of it, so groups arrive clustered. Among qualifying indexes the
+// groupOrderedScan finds an index whose leading columns are exactly
+// the (distinct) GROUP BY columns and returns a full in-order scan of
+// it, so groups arrive clustered. Among qualifying indexes the
 // one covering the most aggregate-argument columns (wantPos, schema
 // positions) wins — covering every argument lets the fold run off the
 // index keys alone — with index name order breaking ties. residualFree
@@ -443,12 +421,8 @@ func groupOrderedScan(td *tableData, gcols []string, residualFree bool, wantPos 
 	}
 	var best *accessPath
 	bestScore := -1
-	for _, name := range td.indexNames() {
-		idx := td.indexes[name]
-		if _, ordered := idx.(rangeIndex); !ordered {
-			continue
-		}
-		cols := idx.columns()
+	for _, idx := range td.indexes {
+		cols := idx.cols
 		if len(cols) < len(distinct) {
 			continue
 		}
@@ -465,13 +439,10 @@ func groupOrderedScan(td *tableData, gcols []string, residualFree bool, wantPos 
 		p := &accessPath{
 			kind:         pathOrderedScan,
 			table:        td.schema.Name,
-			idx:          name,
+			idx:          idx.name,
 			cols:         cols,
+			colPos:       idx.pos,
 			residualFree: residualFree,
-		}
-		p.colPos = make([]int, len(cols))
-		for i, c := range cols {
-			p.colPos[i] = td.schema.ColIndex(c)
 		}
 		score := 0
 		for _, w := range wantPos {
@@ -503,7 +474,7 @@ func pathSatisfiesOrder(p *accessPath, ocols []string) bool {
 		}
 		return false
 	}
-	if p.kind == pathHashEq || p.kind == pathOrderedEq {
+	if p.kind == pathOrderedEq {
 		for _, oc := range ocols {
 			if !inEq(oc) {
 				return false
@@ -825,25 +796,36 @@ func eqPrefix(td *tableData, path *accessPath, ctx *evalCtx, requireExact bool) 
 	return prefix, false, true
 }
 
+// pathBound is one evaluated range bound on the path's scan column.
+type pathBound struct {
+	key   string // prefix + the bound's encoding
+	exact bool   // no other value shares key (exactProbe)
+	null  bool   // the bound evaluated to NULL: the range matches nothing
+}
+
 // encodePathBound evaluates and aligns one range bound on the path's
 // scan column (cols[nEq]) and appends its encoding to a copy of
-// prefix. null means the bound evaluated to NULL (the range matches
-// nothing); ok=false forces the heap-scan fallback (evaluation or
-// alignment failure, or — with requireExact — a shareable key).
-func encodePathBound(td *tableData, path *accessPath, prefix []byte, e Expr, ctx *evalCtx, requireExact bool) (key string, null, ok bool) {
+// prefix; an absent bound (e == nil) is the zero pathBound. ok=false
+// forces the heap-scan fallback (evaluation or alignment failure, or —
+// with requireExact — a shareable key).
+func encodePathBound(td *tableData, path *accessPath, prefix []byte, e Expr, ctx *evalCtx, requireExact bool) (b pathBound, ok bool) {
+	if e == nil {
+		return b, true
+	}
 	v, err := evalProbe(e, ctx)
 	if err != nil {
-		return "", false, false
+		return b, false
 	}
 	if v.IsNull() {
-		return "", true, true
+		return pathBound{null: true}, true
 	}
 	rangeKind := td.schema.Cols[path.colPos[path.nEq]].Type.Kind
 	pv, okp := probeValue(rangeKind, v)
-	if !okp || (requireExact && !exactProbe(pv)) {
-		return "", false, false
+	exact := okp && exactProbe(pv)
+	if !okp || (requireExact && !exact) {
+		return b, false
 	}
-	return string(appendKey(append([]byte(nil), prefix...), pv)), false, true
+	return pathBound{key: string(appendKey(append([]byte(nil), prefix...), pv)), exact: exact}, true
 }
 
 // prefixUpper bounds a scan to keys extending prefix; nil when the
@@ -855,28 +837,123 @@ func prefixUpper(prefix []byte) *keyBound {
 	return &keyBound{key: string(prefix) + keyRangeHiSentinel, incl: true}
 }
 
-// scanAccessPath drives the chosen path against current table state,
-// emitting candidate rows (in key order for ordered paths). It returns
-// handled=false when the path cannot serve this execution — a probe
-// value does not align with the indexed column's type, or evaluating a
-// probe failed — and the caller must fall back to a heap scan, which
-// preserves exact comparison semantics. Candidates over-approximate the
-// WHERE clause: callers always re-apply the residual predicate.
+// keyRange is a path's probes resolved into a key window over its index.
+type keyRange struct {
+	useLookup bool   // point lookup of lookup instead of a scan
+	lookup    string // full-tuple key (useLookup)
+	lo, hi    *keyBound
+	empty     bool // a probe was NULL: no rows match
+}
+
+// pathKeyRange resolves the path's probes into the key window the
+// executors walk. ok=false means a probe failed to evaluate or align
+// with the indexed column's type — or, with requireExact, maps to a key
+// other values share — and the caller must fall back to the heap scan
+// (or, for the index-only executors, to the residual-checked path),
+// which preserves exact comparison semantics.
 //
-// Value-typed range bounds are scanned inclusively even for strict
-// comparisons: distinct values can share an encoded key (float64 image
-// of huge integers), so exclusion happens in the residual predicate
-// where it is exact. The NULL boundary key is exact and is excluded
-// directly for IS NOT NULL.
-func scanAccessPath(td *tableData, path *accessPath, ctx *evalCtx, emit func(id rowID, vals []sqltypes.Value) bool) (bool, error) {
-	idx := td.indexes[path.idx]
+// A strict bound is excluded from the window only when its probe is
+// exact; otherwise it is scanned inclusively, since distinct values can
+// share an encoded key (the float64 image of huge integers), and
+// exclusion is left to the residual predicate every row-producing
+// caller re-applies. The NULL boundary key is exact and is excluded
+// directly.
+func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx, requireExact bool) (keyRange, bool) {
+	var kr keyRange
+	prefix, nullProbe, ok := eqPrefix(td, path, ctx, requireExact)
+	if !ok {
+		return kr, false
+	}
+	if nullProbe {
+		kr.empty = true
+		return kr, true
+	}
+	// pastNull skips the NULL key of the scan column and, with the
+	// sentinel, its composite continuations.
+	pastNull := func() *keyBound {
+		return &keyBound{key: string(prefix) + nullKey + keyRangeHiSentinel, incl: false}
+	}
+
+	switch path.kind {
+	case pathOrderedEq:
+		kr.useLookup = true
+		kr.lookup = string(prefix)
+
+	case pathOrderedRange:
+		// Both bounds are evaluated before either decides anything, so an
+		// evaluation error always reaches the fallback, where the residual
+		// predicate surfaces it with full-scan semantics.
+		lo, loOK := encodePathBound(td, path, prefix, path.lo, ctx, requireExact)
+		hi, hiOK := encodePathBound(td, path, prefix, path.hi, ctx, requireExact)
+		if !loOK || !hiOK {
+			return kr, false
+		}
+		if lo.null || hi.null {
+			kr.empty = true // comparison with NULL matches nothing
+			return kr, true
+		}
+		switch {
+		case path.lo != nil && (path.loIncl || !lo.exact):
+			kr.lo = &keyBound{key: lo.key, incl: true}
+		case path.lo != nil:
+			kr.lo = &keyBound{key: lo.key + keyRangeHiSentinel, incl: false}
+		case path.hi != nil:
+			// Half range open below still excludes NULLs in the scan
+			// column: col < x is UNKNOWN for NULL.
+			kr.lo = pastNull()
+		default:
+			// Bare prefix: everything extending the equality columns,
+			// NULLs in trailing columns included.
+			kr.lo = &keyBound{key: string(prefix), incl: true}
+		}
+		switch {
+		case path.hi != nil && (path.hiIncl || !hi.exact):
+			kr.hi = &keyBound{key: hi.key + keyRangeHiSentinel, incl: true}
+		case path.hi != nil:
+			kr.hi = &keyBound{key: hi.key, incl: false}
+		default:
+			kr.hi = prefixUpper(prefix)
+		}
+
+	case pathOrderedNull:
+		if path.notNull {
+			kr.lo, kr.hi = pastNull(), prefixUpper(prefix)
+		} else {
+			// All NULLs in the scan column share the prefix+NULL key;
+			// trailing index columns extend it, so scan the NULL-key
+			// continuation range (degenerates to the exact key when the
+			// index ends at the scan column).
+			kr.lo = &keyBound{key: string(prefix) + nullKey, incl: true}
+			kr.hi = &keyBound{key: string(prefix) + nullKey + keyRangeHiSentinel, incl: true}
+		}
+
+	case pathOrderedScan:
+		// The whole index, in order.
+	}
+	return kr, true
+}
+
+// scanAccessPath drives the chosen path against current table state,
+// emitting candidate rows in key order. It returns handled=false when
+// the path cannot serve this execution (see pathKeyRange) and the
+// caller must fall back to a heap scan. Candidates over-approximate the
+// WHERE clause: callers always re-apply the residual predicate.
+func scanAccessPath(td *tableData, path *accessPath, ctx *evalCtx, emit func(id rowID, vals []sqltypes.Value) bool) (handled bool) {
+	idx := td.index(path.idx)
 	if idx == nil {
-		return false, nil
+		return false
+	}
+	kr, ok := pathKeyRange(td, path, ctx, false)
+	if !ok {
+		return false
+	}
+	if kr.empty {
+		return true
 	}
 
 	reads := int64(0)
 	defer func() { td.heapReads.Add(reads) }()
-	emitIDs := func(ids []rowID) bool {
+	emitIDs := func(_ string, ids []rowID) bool {
 		for _, id := range ids {
 			vals, live := td.fetch(id, ctx.snap)
 			if !live {
@@ -889,102 +966,12 @@ func scanAccessPath(td *tableData, path *accessPath, ctx *evalCtx, emit func(id 
 		}
 		return true
 	}
-
-	prefix, nullProbe, ok := eqPrefix(td, path, ctx, false)
-	if !ok {
-		return false, nil
+	if kr.useLookup {
+		emitIDs(kr.lookup, lookupVisible(td, idx, kr.lookup, ctx.snap))
+	} else {
+		scanVisibleRange(td, idx, kr.lo, kr.hi, path.desc, ctx.snap, emitIDs)
 	}
-	if nullProbe {
-		return true, nil
-	}
-
-	// Absent bounds report ok with an empty key; evaluation errors
-	// force the scan fallback, where the residual predicate surfaces
-	// them with full-scan semantics.
-	encodeBound := func(e Expr) (key string, null, ok bool) {
-		if e == nil {
-			return "", false, true
-		}
-		return encodePathBound(td, path, prefix, e, ctx, false)
-	}
-
-	switch path.kind {
-	case pathHashEq, pathOrderedEq:
-		emitIDs(lookupVisible(td, idx, string(prefix), ctx.snap))
-		return true, nil
-
-	case pathOrderedRange:
-		rix, ok := idx.(rangeIndex)
-		if !ok {
-			return false, nil
-		}
-		loKey, loNull, loOK := encodeBound(path.lo)
-		hiKey, hiNull, hiOK := encodeBound(path.hi)
-		if !loOK || !hiOK {
-			return false, nil
-		}
-		if loNull || hiNull {
-			return true, nil // comparison with NULL matches nothing
-		}
-		var lo, hi *keyBound
-		switch {
-		case path.lo != nil:
-			lo = &keyBound{key: loKey, incl: true}
-		case path.hi != nil:
-			// Half range open below still excludes NULLs in the scan
-			// column: col < x is UNKNOWN for NULL, and the residual
-			// filter would drop them anyway. The sentinel also skips
-			// composite continuations of the NULL key.
-			lo = &keyBound{key: string(prefix) + nullKey + keyRangeHiSentinel, incl: false}
-		default:
-			// Bare prefix: everything extending the equality columns,
-			// NULLs in trailing columns included.
-			lo = &keyBound{key: string(prefix), incl: true}
-		}
-		if path.hi != nil {
-			hi = &keyBound{key: hiKey + keyRangeHiSentinel, incl: true}
-		} else {
-			hi = prefixUpper(prefix)
-		}
-		scanVisibleRange(td, rix, lo, hi, path.desc, ctx.snap, func(_ string, ids []rowID) bool {
-			return emitIDs(ids)
-		})
-		return true, nil
-
-	case pathOrderedNull:
-		rix, ok := idx.(rangeIndex)
-		if !ok {
-			return false, nil
-		}
-		if path.notNull {
-			lo := &keyBound{key: string(prefix) + nullKey + keyRangeHiSentinel, incl: false}
-			scanVisibleRange(td, rix, lo, prefixUpper(prefix), path.desc, ctx.snap, func(_ string, ids []rowID) bool {
-				return emitIDs(ids)
-			})
-		} else {
-			// All NULLs in the scan column share the prefix+NULL key;
-			// trailing index columns extend it, so scan the NULL-key
-			// continuation range (degenerates to the exact key when the
-			// index ends at the scan column).
-			lo := &keyBound{key: string(prefix) + nullKey, incl: true}
-			hi := &keyBound{key: string(prefix) + nullKey + keyRangeHiSentinel, incl: true}
-			scanVisibleRange(td, rix, lo, hi, path.desc, ctx.snap, func(_ string, ids []rowID) bool {
-				return emitIDs(ids)
-			})
-		}
-		return true, nil
-
-	case pathOrderedScan:
-		rix, ok := idx.(rangeIndex)
-		if !ok {
-			return false, nil
-		}
-		scanVisibleRange(td, rix, nil, nil, path.desc, ctx.snap, func(_ string, ids []rowID) bool {
-			return emitIDs(ids)
-		})
-		return true, nil
-	}
-	return false, fmt.Errorf("sqldb: unknown access path kind %d", path.kind)
+	return true
 }
 
 // exactProbe reports whether the aligned probe value pv maps to an

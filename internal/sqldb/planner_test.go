@@ -10,9 +10,11 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// buildPropertyDB creates the table the planner property tests run
-// against: typed columns with NULLs, duplicates and adversarial string
-// values, plus a mixed set of hash and ordered indexes.
+// buildPropertyDB creates the tables the planner property tests run
+// against. P: typed columns with NULLs, duplicates and adversarial
+// string values under named indexes, and a single-column PRIMARY KEY.
+// K: a composite PRIMARY KEY and a UNIQUE tuple with NULLs and no named
+// index at all, so every index path over it is a constraint index.
 func buildPropertyDB(t testing.TB, rng *rand.Rand, rows int) *DB {
 	t.Helper()
 	db, err := Open("")
@@ -54,6 +56,21 @@ func buildPropertyDB(t testing.TB, rng *rand.Rand, rows int) *DB {
 			t.Fatal(err)
 		}
 	}
+	if err := db.ExecScript(`CREATE TABLE K (
+		A INTEGER, B VARCHAR(30), U INTEGER, V INTEGER, W INTEGER,
+		PRIMARY KEY (A, B), UNIQUE (U, V))`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows/2; i++ {
+		// (A, B) and the non-NULL (U, V) pairs are distinct by construction.
+		_, err := db.Exec(`INSERT INTO K VALUES (?, ?, ?, ?, ?)`,
+			sqltypes.NewInt(int64(i/len(words))), sqltypes.NewString(words[i%len(words)]),
+			maybeNull(sqltypes.NewInt(int64(i%17))), maybeNull(sqltypes.NewInt(int64(i/17))),
+			sqltypes.NewInt(int64(rng.Intn(50))))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, ddl := range []string{
 		`CREATE INDEX PIX_N ON P (N) USING ORDERED`,
 		`CREATE INDEX PIX_D ON P (D) USING ORDERED`,
@@ -76,7 +93,12 @@ func randomPredicate(rng *rand.Rand) (string, []sqltypes.Value) {
 		}
 		return sqltypes.NewInt(int64(v))
 	}
-	switch rng.Intn(10) {
+	switch rng.Intn(12) {
+	case 10:
+		return "ID = ?", []sqltypes.Value{num(rng.Intn(600))}
+	case 11:
+		lo := rng.Intn(600)
+		return "ID BETWEEN ? AND ?", []sqltypes.Value{num(lo), num(lo + rng.Intn(40))}
 	case 0:
 		return "N = ?", []sqltypes.Value{num(rng.Intn(200) - 100)}
 	case 1:
@@ -101,6 +123,37 @@ func randomPredicate(rng *rand.Rand) (string, []sqltypes.Value) {
 		return "S IS NOT NULL", nil
 	default:
 		return "D > ?", []sqltypes.Value{num(rng.Intn(300) - 150)}
+	}
+}
+
+// randomKeyPredicate builds one WHERE conjunct over table K's declared
+// keys: full and partial PRIMARY KEY tuples, the UNIQUE tuple and its
+// NULLs, and a column no index covers.
+func randomKeyPredicate(rng *rand.Rand) (string, []sqltypes.Value) {
+	words := []string{"alpha", "beta", "", "5", "zz", "nothere"}
+	word := func() sqltypes.Value { return sqltypes.NewString(words[rng.Intn(len(words))]) }
+	n := func(max int) sqltypes.Value { return sqltypes.NewInt(int64(rng.Intn(max))) }
+	switch rng.Intn(10) {
+	case 0:
+		return "A = ? AND B = ?", []sqltypes.Value{n(30), word()}
+	case 1:
+		return "A = ?", []sqltypes.Value{n(30)}
+	case 2:
+		return "A = ? AND B >= ?", []sqltypes.Value{n(30), word()}
+	case 3:
+		return "A BETWEEN ? AND ?", []sqltypes.Value{n(15), n(30)}
+	case 4:
+		return "B = ?", []sqltypes.Value{word()}
+	case 5:
+		return "U = ? AND V = ?", []sqltypes.Value{n(17), n(15)}
+	case 6:
+		return "U = ?", []sqltypes.Value{n(17)}
+	case 7:
+		return "U IS NULL", nil
+	case 8:
+		return "U = ? AND V IS NULL", []sqltypes.Value{n(17)}
+	default:
+		return "W < ?", []sqltypes.Value{n(50)}
 	}
 }
 
@@ -229,6 +282,47 @@ func TestPlannerPropertyIndexVsScan(t *testing.T) {
 		c, a := randomPredicate(rng)
 		runOne("SELECT COUNT(*), MIN(N), MAX(D) FROM P WHERE "+c, a, false, "", false)
 	}
+
+	// Declared keys: K has no named index, so whatever the planner picks
+	// here is a PRIMARY KEY or UNIQUE constraint index. Without ORDER BY
+	// the comparison is as sets — the serving index decides the order.
+	keyPhase := func(iterations int) {
+		for i := 0; i < iterations; i++ {
+			var conds []string
+			var args []sqltypes.Value
+			for n := rng.Intn(2); n >= 0; n-- {
+				c, a := randomKeyPredicate(rng)
+				conds = append(conds, c)
+				args = append(args, a...)
+			}
+			where := " WHERE " + strings.Join(conds, " AND ")
+			switch rng.Intn(4) {
+			case 0:
+				runOne("SELECT A, B, U, V, W FROM K"+where, args, false, "", false)
+			case 1: // the whole key: a total order, compared exactly
+				dir := []string{"", " DESC"}[rng.Intn(2)]
+				runOne(fmt.Sprintf("SELECT A, B, U, V, W FROM K%s ORDER BY A%s, B%s LIMIT %d",
+					where, dir, dir, 1+rng.Intn(30)), args, true, "", false)
+			case 2:
+				desc := rng.Intn(2) == 0
+				sql := "SELECT A, B, U, V, W FROM K" + where + " ORDER BY U"
+				if desc {
+					sql += " DESC"
+				}
+				runOne(sql, args, false, "U", desc)
+			default:
+				runOne("SELECT COUNT(*), MIN(B), MAX(U), MIN(V) FROM K"+where, args, false, "", false)
+			}
+		}
+	}
+	keyPhase(200)
+	if _, err := db.Exec(`DELETE FROM K WHERE A BETWEEN ? AND ?`, sqltypes.NewInt(5), sqltypes.NewInt(9)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`UPDATE K SET A = A + 100, U = NULL WHERE W < ?`, sqltypes.NewInt(10)); err != nil {
+		t.Fatal(err)
+	}
+	keyPhase(200)
 }
 
 // TestPlannerPropertyDML: UPDATE/DELETE row selection through index
@@ -244,14 +338,8 @@ func TestPlannerPropertyDML(t *testing.T) {
 	a, b := mkDB(false), mkDB(true)
 	defer a.Close()
 	defer b.Close()
-	for i := 0; i < 60; i++ {
-		c, args := randomPredicate(rng)
-		var sql string
-		if i%2 == 0 {
-			sql = "UPDATE P SET D = 999 WHERE " + c
-		} else {
-			sql = "DELETE FROM P WHERE " + c
-		}
+	both := func(sql string, args []sqltypes.Value) {
+		t.Helper()
 		ra, ea := a.Exec(sql, args...)
 		rb, eb := b.Exec(sql, args...)
 		if (ea == nil) != (eb == nil) {
@@ -261,10 +349,32 @@ func TestPlannerPropertyDML(t *testing.T) {
 			t.Fatalf("%s: affected %d (index) vs %d (scan)", sql, ra.RowsAffected, rb.RowsAffected)
 		}
 	}
-	ra, _ := a.Query("SELECT * FROM P ORDER BY ID")
-	rb, _ := b.Query("SELECT * FROM P ORDER BY ID")
-	if rowsKey(ra, true) != rowsKey(rb, true) {
-		t.Fatal("databases diverged after DML through index vs scan paths")
+	for i := 0; i < 60; i++ {
+		c, args := randomPredicate(rng)
+		var sql string
+		if i%2 == 0 {
+			sql = "UPDATE P SET D = 999 WHERE " + c
+		} else {
+			sql = "DELETE FROM P WHERE " + c
+		}
+		both(sql, args)
+	}
+	// The same through K's constraint indexes; W carries no constraint,
+	// so the rewrite itself cannot be refused.
+	for i := 0; i < 40; i++ {
+		c, args := randomKeyPredicate(rng)
+		if i%2 == 0 {
+			both("UPDATE K SET W = W + 1 WHERE "+c, args)
+		} else {
+			both("DELETE FROM K WHERE "+c, args)
+		}
+	}
+	for _, q := range []string{"SELECT * FROM P ORDER BY ID", "SELECT * FROM K ORDER BY A, B"} {
+		ra, _ := a.Query(q)
+		rb, _ := b.Query(q)
+		if rowsKey(ra, true) != rowsKey(rb, true) {
+			t.Fatalf("%s: databases diverged after DML through index vs scan paths", q)
+		}
 	}
 }
 
@@ -324,7 +434,7 @@ func TestPlanInvalidationOnIndexDDL(t *testing.T) {
 	if _, err := db.Exec(`CREATE INDEX IXS ON T (S) USING HASH`); err != nil {
 		t.Fatal(err)
 	}
-	expectPath(eqStmt, "hash-eq(T.S)")
+	expectPath(eqStmt, "eq(T.S)")
 	expectRows(eqStmt, []sqltypes.Value{sqltypes.NewString("b")}, 1)
 
 	if _, err := db.Exec(`DROP INDEX IXN`); err != nil {

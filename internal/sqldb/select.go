@@ -668,13 +668,9 @@ func (db *DB) projectSingleTable(plan *selectPlan, ctx *evalCtx, out *Rows) erro
 	}
 	handled := false
 	if plan.path != nil && !db.fullScanOnly {
-		var err error
-		handled, err = scanAccessPath(ft.data, plan.path, ctx, func(_ rowID, vals []sqltypes.Value) bool {
+		handled = scanAccessPath(ft.data, plan.path, ctx, func(_ rowID, vals []sqltypes.Value) bool {
 			return visit(vals)
 		})
-		if err != nil {
-			return err
-		}
 	}
 	if !handled && scanErr == nil {
 		ft.data.scan(ctx.snap, func(_ rowID, vals []sqltypes.Value) bool {
@@ -731,8 +727,7 @@ func (db *DB) materialiseRows(plan *selectPlan, ctx *evalCtx) (rows [][]sqltypes
 		}
 		handled := false
 		if plan.path != nil && !db.fullScanOnly {
-			var scanHandledErr error
-			handled, scanHandledErr = scanAccessPath(ft.data, plan.path, ctx, func(_ rowID, vals []sqltypes.Value) bool {
+			handled = scanAccessPath(ft.data, plan.path, ctx, func(_ rowID, vals []sqltypes.Value) bool {
 				ok, err := keep(vals)
 				if err == nil && ok {
 					// Retained rows buffer until projection/sort: charge
@@ -748,9 +743,6 @@ func (db *DB) materialiseRows(plan *selectPlan, ctx *evalCtx) (rows [][]sqltypes
 				}
 				return stopAt < 0 || len(rows) < stopAt
 			})
-			if scanHandledErr != nil {
-				return nil, false, false, scanHandledErr
-			}
 			orderApplied = handled && plan.path.satisfiesOrderBy
 		}
 		if !handled {
@@ -837,14 +829,10 @@ func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx) ([][]sqltypes.Value, erro
 		var candidates [][]sqltypes.Value
 		haveCandidates := false
 		if i == 0 && plan.path != nil && !db.fullScanOnly {
-			handled, err := scanAccessPath(ft.data, plan.path, ctx, func(_ rowID, vals []sqltypes.Value) bool {
+			haveCandidates = scanAccessPath(ft.data, plan.path, ctx, func(_ rowID, vals []sqltypes.Value) bool {
 				candidates = append(candidates, vals)
 				return true
 			})
-			if err != nil {
-				return nil, err
-			}
-			haveCandidates = handled
 		}
 		scanInto := func(base []sqltypes.Value) error {
 			matched := false

@@ -49,10 +49,12 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 func (s *Stmt) Text() string { return s.text }
 
 // AccessPath describes how the statement's current plan reaches the
-// first FROM table — "hash-eq(T.C)", "eq(T.C)", "range(T.C)",
-// "not-null(T.C)", "ordered-scan(T.C)" (with an " order"/" order-desc"
-// suffix when the index scan also satisfies ORDER BY) or "full-scan".
-// Composite paths join the used index columns with '+' ("eq(T.A+B)").
+// first FROM table — "eq(T.C)", "prefix(T.C)", "range(T.C)",
+// "null(T.C)", "not-null(T.C)", "ordered-scan(T.C)" (with an " order"/
+// " order-desc" suffix when the index scan also satisfies ORDER BY) or
+// "full-scan". Composite paths join the used index columns with '+'
+// ("eq(T.A+B)"). A PRIMARY KEY or UNIQUE constraint's index appears
+// like any named one.
 //
 // Aggregated plans append their strategy: " index-only" (answered from
 // the index without materialising rows), " group-ordered(COLS)" (the

@@ -99,9 +99,8 @@ type mvccRefs struct {
 	ended      []*rowVersion
 	createdIdx []*idxEntry
 	endedIdx   []*idxEntry
-	// undo reverses the structural side effects that are not
-	// stamp-guarded: unique-constraint map entries and live counters.
-	// Run in reverse order on abort.
+	// undo reverses the side effects that are not stamp-guarded: the
+	// live/dead counters. Run in reverse order on abort.
 	undo []func()
 	// delta is the per-table net live-row change, applied to the
 	// committed live-count history at commit time.
@@ -219,11 +218,10 @@ type tableData struct {
 	wmu sync.Mutex
 
 	// latch guards the physical structure readers traverse: the slots
-	// slice header, the secondary-index trees/maps and the unique-index
-	// maps. Writers hold it exclusively only for short structural
-	// mutations; readers hold it in shared mode for bounded batches
-	// (see scanVisibleRange) and never nest two table latches, so
-	// reader/writer latch cycles cannot form.
+	// slice header and the index trees. Writers hold it exclusively only
+	// for short structural mutations; readers hold it in shared mode for
+	// bounded batches (see scanVisibleRange) and never nest two table
+	// latches, so reader/writer latch cycles cannot form.
 	latch sync.RWMutex
 
 	slots []*rowSlot
@@ -234,12 +232,13 @@ type tableData struct {
 	histMu   sync.Mutex
 	liveHist []liveMark // committed live counts, ascending ts
 
-	// indexes maps upper-cased index name → secondary index (hash or
-	// ordered, single- or multi-column; see index.go). The PK and UNIQUE
-	// constraints get implicit composite indexes in uniqueIdx. The map
-	// itself only changes under the DDL barrier.
-	indexes   map[string]secondaryIndex
-	uniqueIdx []*uniqueIndex // parallel to schema constraint list (PK first if present)
+	// indexes lists the table's indexes (see index.go) sorted by name, so
+	// the planner's candidate walk and writer entry-stamping order are
+	// deterministic. The PRIMARY KEY and UNIQUE constraints are
+	// unique-flagged members under the fixed names pkIndexName and
+	// "UNIQUE(A,B)", which no CREATE/DROP INDEX can take or reach. The
+	// slice only changes under the DDL barrier.
+	indexes []*orderedIndex
 
 	// heapReads counts row materialisations out of the heap (get hits
 	// and scan visits). It is the access-path introspection the
@@ -254,19 +253,104 @@ type tableData struct {
 	lastWrite atomic.Uint64
 }
 
+// pkIndexName is the fixed name of a table's PRIMARY KEY index.
+const pkIndexName = "PRIMARY KEY"
+
 func newTableData(schema *TableSchema) *tableData {
 	td := &tableData{
 		schema:   schema,
-		indexes:  make(map[string]secondaryIndex),
 		liveHist: []liveMark{{ts: 0, live: 0}},
 	}
+	constraint := func(name string, cols []string) {
+		if td.index(name) != nil {
+			return // the same UNIQUE tuple declared twice
+		}
+		idx := newOrderedIndex(name, schema, cols)
+		idx.unique = true
+		td.addIndex(idx)
+	}
 	if len(schema.PrimaryKey) > 0 {
-		td.uniqueIdx = append(td.uniqueIdx, newUniqueIndex("PRIMARY KEY", schema, schema.PrimaryKey))
+		constraint(pkIndexName, schema.PrimaryKey)
 	}
 	for _, u := range schema.Uniques {
-		td.uniqueIdx = append(td.uniqueIdx, newUniqueIndex("UNIQUE", schema, u))
+		constraint("UNIQUE("+strings.Join(u, ",")+")", u)
 	}
 	return td
+}
+
+// index returns the table's index of that (upper-cased) name, or nil.
+func (td *tableData) index(name string) *orderedIndex {
+	for _, idx := range td.indexes {
+		if idx.name == name {
+			return idx
+		}
+	}
+	return nil
+}
+
+// addIndex registers idx at its name-sorted position.
+func (td *tableData) addIndex(idx *orderedIndex) {
+	i := sort.Search(len(td.indexes), func(i int) bool { return td.indexes[i].name > idx.name })
+	td.indexes = append(td.indexes, nil)
+	copy(td.indexes[i+1:], td.indexes[i:])
+	td.indexes[i] = idx
+}
+
+// checkUnique enforces a PRIMARY KEY / UNIQUE index against the latest
+// state: no current posting under k — committed or this transaction's
+// own in-flight one — may belong to a row other than self. The owning
+// writer slot excludes every other writer, and abort flips posting
+// stamps back, so the MVCC postings are the whole truth and no second
+// structure is kept. Distinct integers beyond ±2^53 share a key
+// (key.go), so a holder is compared on its exact column values before
+// it counts. SQL semantics: rows with NULL in any constrained column
+// are exempt (they are still indexed; the planner may use them).
+func (td *tableData) checkUnique(idx *orderedIndex, k string, vals []sqltypes.Value, self rowID) error {
+	if !idx.unique {
+		return nil
+	}
+	for _, p := range idx.pos {
+		if vals[p].IsNull() {
+			return nil
+		}
+	}
+	for _, e := range idx.lookupKey(k) {
+		if e.id == self || !entryCurrent(e) {
+			continue
+		}
+		if holder, ok := td.fetch(e.id, snapLatest); ok && sameTuple(holder, vals, idx.pos) {
+			label := "UNIQUE"
+			if idx.name == pkIndexName {
+				label = pkIndexName
+			}
+			return fmt.Errorf("sqldb: %s violation on (%s)", label, strings.Join(idx.cols, ", "))
+		}
+	}
+	return nil
+}
+
+// checkedKeys encodes vals' key in every index (parallel to td.indexes),
+// once for the constraint checks and the postings that follow them.
+func (td *tableData) checkedKeys(vals []sqltypes.Value, self rowID) ([]string, error) {
+	keys := make([]string, len(td.indexes))
+	for i, idx := range td.indexes {
+		keys[i] = idx.rowKeyOf(vals)
+		if err := td.checkUnique(idx, keys[i], vals, self); err != nil {
+			return nil, err
+		}
+	}
+	return keys, nil
+}
+
+// sameTuple reports whether rows a and b hold equal values at every
+// schema position in pos (exact comparison, unlike key equality).
+func sameTuple(a, b []sqltypes.Value, pos []int) bool {
+	for _, p := range pos {
+		if c, ok := sqltypes.Compare(a[p], b[p]); !ok || c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // pushLiveMark records the committed live count after the commit at ts.
@@ -317,10 +401,9 @@ func (td *tableData) resetLiveHist(ts uint64) {
 // indexes. The caller owns the table's writer slot (wmu or the global
 // barrier).
 func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) error {
-	for _, ui := range td.uniqueIdx {
-		if err := ui.check(vals, 0); err != nil {
-			return err
-		}
+	keys, err := td.checkedKeys(vals, 0)
+	if err != nil {
+		return err
 	}
 	refs.touch(td)
 	v := &rowVersion{vals: vals}
@@ -330,23 +413,17 @@ func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) err
 	td.byID.Store(id, s)
 	td.latch.Lock()
 	td.slots = append(td.slots, s)
-	for _, name := range td.indexNames() {
+	for i, idx := range td.indexes {
 		e := &idxEntry{id: id}
 		e.begin.Store(uncommittedStamp)
-		td.indexes[name].addRow(vals, e)
+		idx.insertKey(keys[i], e)
 		refs.createdIdx = append(refs.createdIdx, e)
 	}
 	td.latch.Unlock()
-	for _, ui := range td.uniqueIdx {
-		ui.add(vals, id)
-	}
 	td.live.Add(1)
 	refs.created = append(refs.created, v)
 	refs.addDelta(td, 1)
 	refs.undo = append(refs.undo, func() {
-		for _, ui := range td.uniqueIdx {
-			ui.remove(vals, id)
-		}
 		td.live.Add(-1)
 		td.dead.Add(1)
 	})
@@ -370,22 +447,16 @@ func (td *tableData) delete(id rowID, refs *mvccRefs) ([]sqltypes.Value, error) 
 	refs.ended = append(refs.ended, v)
 	td.latch.RLock()
 	for _, idx := range td.indexes {
-		if e := findCurrentEntry(idx, vals, id); e != nil {
+		if e := findCurrentEntry(idx, idx.rowKeyOf(vals), id); e != nil {
 			e.end.Store(uncommittedStamp)
 			refs.endedIdx = append(refs.endedIdx, e)
 		}
 	}
 	td.latch.RUnlock()
-	for _, ui := range td.uniqueIdx {
-		ui.remove(vals, id)
-	}
 	td.live.Add(-1)
 	td.dead.Add(1)
 	refs.addDelta(td, -1)
 	refs.undo = append(refs.undo, func() {
-		for _, ui := range td.uniqueIdx {
-			ui.add(vals, id)
-		}
 		td.live.Add(1)
 		td.dead.Add(-1)
 	})
@@ -405,10 +476,9 @@ func (td *tableData) update(id rowID, newVals []sqltypes.Value, refs *mvccRefs) 
 		return nil, fmt.Errorf("sqldb: row %d not found in %s", id, td.schema.Name)
 	}
 	old := v.vals
-	for _, ui := range td.uniqueIdx {
-		if err := ui.check(newVals, id); err != nil {
-			return nil, err
-		}
+	keys, err := td.checkedKeys(newVals, id)
+	if err != nil {
+		return nil, err
 	}
 	refs.touch(td)
 	nv := &rowVersion{vals: newVals, prev: s.head.Load()}
@@ -419,33 +489,23 @@ func (td *tableData) update(id rowID, newVals []sqltypes.Value, refs *mvccRefs) 
 	refs.ended = append(refs.ended, v)
 	td.dead.Add(1) // the superseded version
 	td.latch.Lock()
-	for _, name := range td.indexNames() {
-		idx := td.indexes[name]
+	for i, idx := range td.indexes {
 		oldKey := idx.rowKeyOf(old)
-		newKey := idx.rowKeyOf(newVals)
-		if oldKey == newKey {
+		if oldKey == keys[i] {
 			continue // entry stays valid for both versions
 		}
-		if e := findCurrentEntry(idx, old, id); e != nil {
+		if e := findCurrentEntry(idx, oldKey, id); e != nil {
 			e.end.Store(uncommittedStamp)
 			refs.endedIdx = append(refs.endedIdx, e)
 			td.dead.Add(1)
 		}
 		ne := &idxEntry{id: id}
 		ne.begin.Store(uncommittedStamp)
-		idx.addRow(newVals, ne)
+		idx.insertKey(keys[i], ne)
 		refs.createdIdx = append(refs.createdIdx, ne)
 	}
 	td.latch.Unlock()
-	for _, ui := range td.uniqueIdx {
-		ui.remove(old, id)
-		ui.add(newVals, id)
-	}
 	refs.undo = append(refs.undo, func() {
-		for _, ui := range td.uniqueIdx {
-			ui.remove(newVals, id)
-			ui.add(old, id)
-		}
 		td.dead.Add(1) // the aborted new version
 	})
 	return old, nil
@@ -508,29 +568,6 @@ func (td *tableData) scan(snap uint64, f func(id rowID, vals []sqltypes.Value) b
 	td.heapReads.Add(visited)
 }
 
-// indexOnColumns returns the secondary index declared over exactly the
-// given column tuple, if any.
-func (td *tableData) indexOnColumns(cols []string) (secondaryIndex, bool) {
-	for _, idx := range td.indexes {
-		if sameCols(idx.columns(), cols) {
-			return idx, true
-		}
-	}
-	return nil, false
-}
-
-// indexNames returns the table's secondary index names, sorted, so the
-// planner's candidate walk and writer entry-stamping order are
-// deterministic.
-func (td *tableData) indexNames() []string {
-	names := make([]string, 0, len(td.indexes))
-	for name := range td.indexes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // vacuum reclaims every dead row version and dead index entry. Caller
 // must hold the global barrier (DB.mu exclusively) with the WAL fenced,
 // so no snapshot is live and no commit can be unwound afterwards: a
@@ -553,89 +590,4 @@ func (td *tableData) vacuum(ts uint64) {
 	}
 	td.dead.Store(0)
 	td.resetLiveHist(ts)
-}
-
-// ---------- unique (PK / UNIQUE) indexes ----------
-
-// uniqueIndex enforces PRIMARY KEY / UNIQUE over a column tuple with
-// latest-state semantics: entries track the current (committed or
-// in-flight) holder of each key, eagerly maintained by writers and
-// structurally reversed on abort. Only writer paths touch it — the
-// planner serves readers from the MVCC-stamped secondary indexes — so
-// the owning writer serialisation (wmu / the global barrier) is its
-// only required protection.
-// SQL semantics: rows containing NULL in any constrained column are
-// exempt from uniqueness (except PK columns, which are NOT NULL anyway).
-type uniqueIndex struct {
-	label   string
-	cols    []int
-	colName []string
-	kinds   []sqltypes.Kind // declared column kinds, for probe coercion
-	entries map[string]rowID
-}
-
-func newUniqueIndex(label string, schema *TableSchema, cols []string) *uniqueIndex {
-	ui := &uniqueIndex{label: label, colName: cols, entries: make(map[string]rowID)}
-	for _, c := range cols {
-		ci := schema.ColIndex(c)
-		ui.cols = append(ui.cols, ci)
-		ui.kinds = append(ui.kinds, schema.Cols[ci].Type.Kind)
-	}
-	return ui
-}
-
-func (ui *uniqueIndex) key(vals []sqltypes.Value) (string, bool) {
-	tuple := make([]sqltypes.Value, len(ui.cols))
-	for i, ci := range ui.cols {
-		if vals[ci].IsNull() {
-			return "", false
-		}
-		tuple[i] = vals[ci]
-	}
-	return encodeKey(tuple...), true
-}
-
-func (ui *uniqueIndex) check(vals []sqltypes.Value, self rowID) error {
-	k, ok := ui.key(vals)
-	if !ok {
-		return nil
-	}
-	if existing, dup := ui.entries[k]; dup && existing != self {
-		return fmt.Errorf("sqldb: %s violation on (%s)", ui.label, strings.Join(ui.colName, ", "))
-	}
-	return nil
-}
-
-func (ui *uniqueIndex) add(vals []sqltypes.Value, id rowID) {
-	if k, ok := ui.key(vals); ok {
-		ui.entries[k] = id
-	}
-}
-
-func (ui *uniqueIndex) remove(vals []sqltypes.Value, id rowID) {
-	if k, ok := ui.key(vals); ok {
-		if ui.entries[k] == id {
-			delete(ui.entries, k)
-		}
-	}
-}
-
-// lookup returns the row holding the given key tuple, if any. Probe
-// values may come from another table's columns (FK checks), so each is
-// aligned with this index's column kinds first; usable=false means the
-// probe cannot be served here and the caller must fall back to a scan.
-func (ui *uniqueIndex) lookup(tuple []sqltypes.Value) (id rowID, found, usable bool) {
-	probe := make([]sqltypes.Value, len(tuple))
-	for i, v := range tuple {
-		if v.IsNull() {
-			return 0, false, true // NULL never matches a unique key
-		}
-		pv, ok := probeValue(ui.kinds[i], v)
-		if !ok {
-			return 0, false, false
-		}
-		probe[i] = pv
-	}
-	id, found = ui.entries[encodeKey(probe...)]
-	return id, found, true
 }
