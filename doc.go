@@ -277,10 +277,11 @@
 //   - Recovery classifies the log tail instead of trusting it. An
 //     incomplete or garbage final region (crash mid-append) is truncated
 //     and reported (RecoveryInfo); a bad frame with intact frames after
-//     it is mid-log corruption of once-durable data, and Open refuses
-//     with ErrWALCorrupt rather than silently dropping committed
-//     transactions (Options.Salvage opens with the intact prefix,
-//     explicitly). Snapshots carry a whole-file checksum verified
+//     it — one whose length field points past the end of the file
+//     included — is mid-log corruption of once-durable data, and Open
+//     refuses with ErrWALCorrupt rather than silently dropping
+//     committed transactions (Options.Salvage opens with the intact
+//     prefix, explicitly). Snapshots carry a whole-file checksum verified
 //     before any field is trusted (ErrSnapshotCorrupt on mismatch) and
 //     rotate by tmp + fsync + rename + parent-dir fsync.
 //   - Checkpoints are crash-safe at every step. Each snapshot carries a
@@ -289,9 +290,57 @@
 //     by the epoch check, and any failure after the rename poisons the
 //     database so no commit lands in a log that a restart would skip.
 //
-// The same WriteFileAtomic discipline covers the dlfs link registry
-// (with unlink tombstones, below) and the cluster's repair-state
-// checkpoint, whose failures are counted in Stats rather than dropped.
+// The dlfs link registry (internal/dlfs/store.go) is a log under the
+// same contract, built from the same code: iofault.AppendFrame and
+// iofault.ScanFrames are the WAL's framing and tail classification,
+// moved where both tiers can reach them.
+//
+//   - An acknowledged link state change survives any crash.
+//     Acknowledgement means its records — one per path: a link, or the
+//     tombstone of an unlink; all of one Commit in one write — were
+//     appended and passed fsync. What it costs does not depend on how
+//     many links the registry holds.
+//   - A torn tail is truncated at open, before the first append could
+//     land behind it; a bad frame with intact frames after it refuses
+//     the open with ErrRegistryCorrupt, and there is no salvage switch:
+//     the database is the system of record, and Reconcile rebuilds the
+//     links of a registry an operator has moved aside.
+//   - A failed append does not poison the store (today's contract: the
+//     error reaches the 2PC coordinator, the state change stays applied
+//     in memory) but the file is never appended to again behind a tail
+//     of unknown content: the next state change rewrites it whole.
+//   - Compaction is atomic (WriteFileAtomic: tmp + fsync + rename + dir
+//     fsync) and runs when the file is first created, when a JSON
+//     registry of an earlier version is opened, after a failed write,
+//     and whenever the file holds more than 2×(links + retained
+//     tombstones) + 64 records. Expired tombstones leave with it.
+//   - ON UNLINK DELETE removes the file only after the unlink is
+//     durable; the other order can strand a link to a file that is gone.
+//
+// TestStoreCrashSoak holds the store to this against a model, the way
+// TestCrashRecoverySoak holds sqldb, and FuzzScanFrames feeds the shared
+// scanner arbitrary bytes. The cluster's repair-state checkpoint still
+// uses WriteFileAtomic for its (small) dirty set; its failures are
+// counted in Stats rather than dropped.
+//
+// One archive step — Put a result file, INSERT its RESULT_FILE row with
+// the DATALINK, UPDATE the run's timestep count — makes four fsyncs,
+// and each backs a guarantee of its own:
+//
+//   - the file Put: a DATALINK must never name bytes that a file-server
+//     crash can take back. Prepare checks that the file exists; only the
+//     fsync makes "exists" mean "is on disk";
+//   - the INSERT's WAL flush: the row is acknowledged, and the
+//     coordinator sends Commit to the file server only once the
+//     database side is durable (a crash in between is what Reconcile
+//     resolves, from the database outwards);
+//   - the registry append: it is what keeps a committed link protected
+//     against rename, delete and overwrite between a file-server crash
+//     and the archive's next Reconcile. Without it a restarted dlfsd
+//     would serve, unprotected, a file the database still references;
+//   - the UPDATE's WAL flush: a second statement, acknowledged on its
+//     own. A caller that wants one flush for both puts them in one
+//     transaction; the engine does not guess.
 //
 // # The replicated DATALINK file-server tier
 //

@@ -17,6 +17,7 @@
 package dlfs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,6 +43,11 @@ var (
 	ErrWriteBlocked  = errors.New("dlfs: write refused: linked with WRITE PERMISSION BLOCKED")
 	ErrTokenRequired = errors.New("dlfs: access token required (READ PERMISSION DB)")
 	ErrBadPath       = errors.New("dlfs: invalid path")
+	// ErrRegistryCorrupt refuses to open a store whose link registry has
+	// damage in bytes that were once durable: acknowledged links live in
+	// or behind it, and dropping them silently would unprotect files the
+	// database still references.
+	ErrRegistryCorrupt = errors.New("dlfs: link registry is corrupt")
 )
 
 // LinkState records one linked file in the manager's registry — or,
@@ -92,10 +98,10 @@ type FileInfo struct {
 // host. Server-local paths always start with "/" and are mapped below
 // the root directory; traversal outside the root is rejected.
 type Store struct {
-	mu      sync.Mutex
-	root    string
-	fs      iofault.FS
-	links   map[string]LinkState
+	mu    sync.Mutex
+	root  string
+	fs    iofault.FS
+	links map[string]LinkState
 	// unlinked holds unlink tombstones by path, GC'd after tombstoneTTL.
 	unlinked     map[string]LinkState
 	tombstoneTTL time.Duration
@@ -103,10 +109,20 @@ type Store struct {
 	// reserved tracks paths claimed by in-flight transactions so two
 	// concurrent transactions cannot prepare conflicting work.
 	reserved map[string]uint64
+	// logRecords counts the records in the registry file, and sinceGC
+	// the state changes since expired tombstones were last dropped from
+	// memory. stale is set while the file may not hold everything memory
+	// does, or may end in bytes of unknown content — it does not exist
+	// yet, or a write to it failed — and makes the next state change
+	// rewrite it whole instead of appending.
+	logRecords int
+	sinceGC    int
+	stale      bool
 }
 
 // NewStore opens (creating if needed) a store rooted at dir, loading any
-// persisted link registry.
+// persisted link registry; ErrRegistryCorrupt refuses one that is damaged
+// in more than its tail.
 func NewStore(dir string) (*Store, error) { return NewStoreFS(dir, nil) }
 
 // NewStoreFS opens a store whose durability I/O goes through fs (nil
@@ -146,73 +162,205 @@ func (s *Store) Root() string { return s.root }
 
 func (s *Store) registryPath() string { return filepath.Join(s.root, ".dlfm-links.json") }
 
-// registryFile is the persisted v2 registry: live links plus unlink
-// tombstones. The v1 format was a bare JSON array of links; loadRegistry
-// still reads it (first byte '[') so existing stores upgrade in place on
-// their next save.
+// The registry is an append-only record log: registryMagic, then one
+// iofault frame per link state change, its payload the compact JSON of
+// a LinkState (the form /dlfm/links puts on the wire) — a live link, or
+// with UnlinkedAt set the tombstone of an unlink. Replaying the records
+// in order rebuilds the two maps. A state change costs one append and
+// one fsync whatever the registry's size; the file is rewritten whole,
+// atomically, only by compactLocked.
+const registryMagic = "DLFMLOG1"
+
+// registryFile is the JSON registry earlier versions rewrote on every
+// state change: v2 an object of live links plus unlink tombstones, v1 a
+// bare array of links. It is read once, at the open that converts the
+// file to the log.
 type registryFile struct {
-	Version    int         `json:"version"`
 	Links      []LinkState `json:"links"`
-	Tombstones []LinkState `json:"tombstones,omitempty"`
+	Tombstones []LinkState `json:"tombstones"`
 }
 
+func decodeLinkRecord(payload []byte) (LinkState, error) {
+	var ls LinkState
+	if err := json.Unmarshal(payload, &ls); err != nil {
+		return ls, err
+	}
+	if ls.Path == "" {
+		return ls, errors.New("link record without a path")
+	}
+	return ls, nil
+}
+
+func appendLinkRecords(dst []byte, recs []LinkState) ([]byte, error) {
+	for _, ls := range recs {
+		payload, err := json.Marshal(ls)
+		if err != nil {
+			return dst, err
+		}
+		dst = iofault.AppendFrame(dst, payload)
+	}
+	return dst, nil
+}
+
+// applyLocked is the one place a record changes the maps: at replay and
+// at every state change alike.
+func (s *Store) applyLocked(ls LinkState) {
+	if ls.Tombstone() {
+		delete(s.links, ls.Path)
+		s.unlinked[ls.Path] = ls
+	} else {
+		s.links[ls.Path] = ls
+		delete(s.unlinked, ls.Path) // a fresh link supersedes any tombstone
+	}
+}
+
+// loadRegistry replays the registry log. A torn tail — what a crash in
+// the middle of an append leaves — is cut off here, before anything can
+// be appended behind it: a later good frame behind garbage would read as
+// mid-log corruption at the next open. Damage with intact records after
+// it was once durable, and refuses the open.
 func (s *Store) loadRegistry() error {
-	b, err := iofault.ReadFile(s.fs, s.registryPath())
+	path := s.registryPath()
+	b, err := iofault.ReadFile(s.fs, path)
 	if iofault.IsNotExist(err) {
+		s.stale = true // the first state change creates it
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	trimmed := strings.TrimSpace(string(b))
-	if strings.HasPrefix(trimmed, "[") { // legacy v1: bare link array
-		var list []LinkState
-		if err := json.Unmarshal(b, &list); err != nil {
-			return fmt.Errorf("dlfs: corrupt link registry: %w", err)
+	if t := bytes.TrimSpace(b); len(t) > 0 && (t[0] == '[' || t[0] == '{') {
+		var reg registryFile
+		if t[0] == '[' {
+			err = json.Unmarshal(b, &reg.Links)
+		} else {
+			err = json.Unmarshal(b, &reg)
 		}
-		for _, ls := range list {
-			s.links[ls.Path] = ls
+		if err != nil {
+			return fmt.Errorf("%w: %s: %v", ErrRegistryCorrupt, path, err)
 		}
-		return nil
+		for _, ls := range append(reg.Links, reg.Tombstones...) {
+			s.applyLocked(ls)
+		}
+		return s.compactLocked()
 	}
-	var reg registryFile
-	if err := json.Unmarshal(b, &reg); err != nil {
-		return fmt.Errorf("dlfs: corrupt link registry: %w", err)
+	if !bytes.HasPrefix(b, []byte(registryMagic)) {
+		return fmt.Errorf("%w: %s is not a link registry", ErrRegistryCorrupt, path)
 	}
-	for _, ls := range reg.Links {
-		s.links[ls.Path] = ls
+	scan := iofault.ScanFrames(b[len(registryMagic):], decodeLinkRecord)
+	good := int64(len(registryMagic)) + scan.GoodLen
+	if scan.Tail == iofault.TailCorrupt {
+		return fmt.Errorf("%w: %s, counted from byte %d of %s (%d of %d bytes readable)",
+			ErrRegistryCorrupt, scan.Detail, len(registryMagic), path, good, len(b))
 	}
-	for _, ls := range reg.Tombstones {
-		s.unlinked[ls.Path] = ls
+	for _, ls := range scan.Records {
+		s.applyLocked(ls)
+	}
+	s.logRecords = len(scan.Records)
+	if good < int64(len(b)) {
+		return s.fs.Truncate(path, good)
 	}
 	return nil
 }
 
-// saveRegistryLocked persists the link registry durably: tmp file +
-// fsync + rename + parent-dir fsync, so a crash at any point leaves the
-// complete old or complete new registry — never a torn file, and never
-// a rename that evaporates with the page cache. Expired tombstones are
-// GC'd on the way out.
-func (s *Store) saveRegistryLocked() error {
-	reg := registryFile{Version: 2, Links: make([]LinkState, 0, len(s.links))}
-	for _, ls := range s.links {
-		reg.Links = append(reg.Links, ls)
+// recordLocked applies one batch of link state changes to memory and
+// makes it durable: one O_APPEND write and one fsync through a
+// descriptor that does not outlive the call. On failure the changes
+// stay applied and the error says they may not survive a restart; the
+// caller (the 2PC coordinator) is the one who can retry or reconcile.
+func (s *Store) recordLocked(recs ...LinkState) error {
+	if len(recs) == 0 {
+		return nil
 	}
+	for _, ls := range recs {
+		s.applyLocked(ls)
+	}
+	if s.sinceGC++; s.sinceGC > len(s.unlinked) {
+		s.gcTombstonesLocked()
+	}
+	if s.compactionDueLocked(len(recs)) {
+		return s.compactLocked()
+	}
+	buf, err := appendLinkRecords(nil, recs)
+	if err == nil {
+		err = appendSync(s.fs, s.registryPath(), buf)
+	}
+	if err != nil {
+		// After a failed write or fsync the kernel may or may not have
+		// kept the frame; never append behind a tail of unknown content.
+		s.stale = true
+		return err
+	}
+	s.logRecords += len(recs)
+	return nil
+}
+
+// compactionDueLocked reports whether recording n more records should
+// rewrite the file rather than append to it: when it is stale, and once
+// it would hold more than twice what a rewrite leaves in it (the
+// constant keeps small registries from compacting at every other
+// change).
+func (s *Store) compactionDueLocked(n int) bool {
+	return s.stale || s.logRecords+n > 2*(len(s.links)+len(s.unlinked))+64
+}
+
+// compactLocked atomically replaces the registry file with one record
+// per live link and unexpired tombstone, sorted by path.
+func (s *Store) compactLocked() error {
+	s.stale = true // until the new file is known to be in place
+	states := s.statesLocked()
+	buf, err := appendLinkRecords([]byte(registryMagic), states)
+	if err == nil {
+		err = iofault.WriteFileAtomic(s.fs, s.registryPath(), buf, 0o644)
+	}
+	if err != nil {
+		return err
+	}
+	s.stale, s.logRecords = false, len(states)
+	return nil
+}
+
+// gcTombstonesLocked forgets expired tombstones; their records leave
+// the file at the next compaction, which forgetting them brings nearer.
+func (s *Store) gcTombstonesLocked() {
+	s.sinceGC = 0
 	cutoff := time.Now().UTC().Add(-s.tombstoneTTL)
 	for path, ls := range s.unlinked {
 		if ls.UnlinkedAt.Before(cutoff) {
 			delete(s.unlinked, path)
-			continue
 		}
-		reg.Tombstones = append(reg.Tombstones, ls)
 	}
-	sort.Slice(reg.Links, func(i, j int) bool { return reg.Links[i].Path < reg.Links[j].Path })
-	sort.Slice(reg.Tombstones, func(i, j int) bool { return reg.Tombstones[i].Path < reg.Tombstones[j].Path })
-	b, err := json.MarshalIndent(reg, "", "  ")
+}
+
+// statesLocked returns every live link and unexpired tombstone, sorted
+// by path.
+func (s *Store) statesLocked() []LinkState {
+	s.gcTombstonesLocked()
+	out := make([]LinkState, 0, len(s.links)+len(s.unlinked))
+	for _, ls := range s.links {
+		out = append(out, ls)
+	}
+	for _, ls := range s.unlinked {
+		out = append(out, ls)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
+}
+
+// appendSync appends data to the existing file name and fsyncs it.
+func appendSync(fsys iofault.FS, name string, data []byte) error {
+	f, err := fsys.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return err
 	}
-	return iofault.WriteFileAtomic(s.fs, s.registryPath(), b, 0o644)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // resolve maps a server-local path ("/dir/file") to a filesystem path,
@@ -280,33 +428,38 @@ func (s *Store) Commit(txID uint64) error {
 	defer s.mu.Unlock()
 	ops := s.pending[txID]
 	delete(s.pending, txID)
-	var errs []error
+	recs := make([]LinkState, 0, len(ops))
+	var doomed []string // ON UNLINK DELETE files
 	for _, op := range ops {
 		delete(s.reserved, op.Path)
 		switch op.Kind {
 		case med.OpLink:
-			s.links[op.Path] = LinkState{Path: op.Path, Opts: op.Opts, LinkedAt: time.Now().UTC()}
-			delete(s.unlinked, op.Path) // a fresh link supersedes any tombstone
+			recs = append(recs, LinkState{Path: op.Path, Opts: op.Opts, LinkedAt: time.Now().UTC()})
 		case med.OpUnlink:
-			st, linked := s.links[op.Path]
-			delete(s.links, op.Path)
 			// Tombstone the unlink so a replica that missed it (partition,
 			// crash) cannot resurrect the link via the registry union.
-			s.unlinked[op.Path] = LinkState{Path: op.Path, Opts: st.Opts, LinkedAt: st.LinkedAt, UnlinkedAt: time.Now().UTC()}
+			st, linked := s.links[op.Path]
+			recs = append(recs, LinkState{Path: op.Path, Opts: st.Opts, LinkedAt: st.LinkedAt, UnlinkedAt: time.Now().UTC()})
 			if linked && st.Opts.OnUnlink == sqltypes.UnlinkDelete {
-				if fsPath, err := s.resolve(op.Path); err == nil {
-					if err := s.fs.Remove(fsPath); err != nil && !iofault.IsNotExist(err) {
-						errs = append(errs, err)
-					}
-				}
+				doomed = append(doomed, op.Path)
 			}
 			// ON UNLINK RESTORE: the file simply returns to file-system
 			// control — it stays in place, no longer protected.
 		}
 	}
-	if len(ops) > 0 {
-		if err := s.saveRegistryLocked(); err != nil {
-			errs = append(errs, err)
+	if err := s.recordLocked(recs...); err != nil {
+		// The files stay: a restart may still find them linked, and a
+		// registry that lists a link to a file that is gone is stuck
+		// (the database has committed the delete, so Reconcile never
+		// visits the path). Unlinked in memory, they are removable.
+		return err
+	}
+	var errs []error
+	for _, path := range doomed {
+		if fsPath, err := s.resolve(path); err == nil {
+			if err := s.fs.Remove(fsPath); err != nil && !iofault.IsNotExist(err) {
+				errs = append(errs, err)
+			}
 		}
 	}
 	return errors.Join(errs...)
@@ -333,12 +486,10 @@ func (s *Store) EnsureLinked(path string, opts sqltypes.DatalinkOptions) error {
 	if _, err := os.Stat(fsPath); err != nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	if _, linked := s.links[path]; !linked {
-		s.links[path] = LinkState{Path: path, Opts: opts, LinkedAt: time.Now().UTC()}
-		delete(s.unlinked, path)
-		return s.saveRegistryLocked()
+	if _, linked := s.links[path]; linked {
+		return nil
 	}
-	return nil
+	return s.recordLocked(LinkState{Path: path, Opts: opts, LinkedAt: time.Now().UTC()})
 }
 
 // EnsureUnlinked forces path out of the linked state, recording the
@@ -354,9 +505,7 @@ func (s *Store) EnsureUnlinked(path string, at time.Time) error {
 		return nil
 	}
 	st := s.links[path]
-	delete(s.links, path)
-	s.unlinked[path] = LinkState{Path: path, Opts: st.Opts, LinkedAt: st.LinkedAt, UnlinkedAt: at.UTC()}
-	return s.saveRegistryLocked()
+	return s.recordLocked(LinkState{Path: path, Opts: st.Opts, LinkedAt: st.LinkedAt, UnlinkedAt: at.UTC()})
 }
 
 // LinkedCount reports how many files are currently linked.
@@ -386,19 +535,7 @@ func (s *Store) LinkedPaths() []string {
 func (s *Store) LinkStates() []LinkState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]LinkState, 0, len(s.links)+len(s.unlinked))
-	for _, ls := range s.links {
-		out = append(out, ls)
-	}
-	cutoff := time.Now().UTC().Add(-s.tombstoneTTL)
-	for _, ls := range s.unlinked {
-		if ls.UnlinkedAt.Before(cutoff) {
-			continue // expired; the next save GCs it
-		}
-		out = append(out, ls)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
+	return s.statesLocked()
 }
 
 // ---------- file operations with link enforcement ----------
@@ -571,7 +708,7 @@ func (s *Store) BackupLinked(dst string) (int, error) {
 // them with their registered options (or default EASIA options when the
 // registry entry was lost with the store).
 func (s *Store) RestoreLinked(src string) (int, error) {
-	n := 0
+	var restored []string
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
 		if err != nil || info.IsDir() {
 			return err
@@ -588,21 +725,22 @@ func (s *Store) RestoreLinked(src string) (int, error) {
 		if err := copyFileMk(path, fsPath); err != nil {
 			return err
 		}
-		s.mu.Lock()
-		if _, linked := s.links[local]; !linked {
-			s.links[local] = LinkState{Path: local, Opts: sqltypes.DefaultEASIA(), LinkedAt: time.Now().UTC()}
-			delete(s.unlinked, local) // an explicit restore overrides any tombstone
-		}
-		s.mu.Unlock()
-		n++
+		restored = append(restored, local)
 		return nil
 	})
 	if err != nil {
-		return n, err
+		return len(restored), err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return n, s.saveRegistryLocked()
+	var recs []LinkState
+	for _, local := range restored {
+		if _, linked := s.links[local]; !linked {
+			// An explicit restore overrides any tombstone.
+			recs = append(recs, LinkState{Path: local, Opts: sqltypes.DefaultEASIA(), LinkedAt: time.Now().UTC()})
+		}
+	}
+	return len(restored), s.recordLocked(recs...)
 }
 
 func copyFileMk(src, dst string) error {

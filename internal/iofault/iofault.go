@@ -8,8 +8,10 @@
 //
 // The package also carries the durability helpers the storage layers
 // share: SyncDir (parent-directory fsync, the half of atomic-rename
-// durability that is easy to forget) and WriteFileAtomic
-// (tmp + write + fsync + rename + dir fsync).
+// durability that is easy to forget), WriteFileAtomic
+// (tmp + write + fsync + rename + dir fsync), and the record framing of
+// the append-only logs with the scan that tells a torn tail from
+// corruption (AppendFrame, ScanFrames: frame.go).
 package iofault
 
 import (

@@ -432,7 +432,7 @@ func OpenWith(dir string, opts Options) (*DB, error) {
 		if err := db.fs.Truncate(walPath, 0); err != nil {
 			return nil, err
 		}
-		rep = walReplay{tail: tailClean}
+		rep = walReplay{}
 	case rep.hasEpoch && rep.epoch > db.gen:
 		// A log from the future of our snapshot: the snapshot rename
 		// reached disk but a previous snapshot is what we read, or the
@@ -441,14 +441,14 @@ func OpenWith(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("%w: log epoch %d is newer than snapshot generation %d", ErrWALCorrupt, rep.epoch, db.gen)
 	case !rep.hasEpoch && rep.goodLen > 0:
 		// Pre-epoch log format (or a first frame lost to corruption with
-		// the rest intact — replayWAL reports the latter as tailCorrupt
+		// the rest intact — replayWAL reports the latter as TailCorrupt
 		// only via frame damage, so this arm is the legacy-format one).
 		// Replay it against generation 0 snapshots only.
 		if db.gen != 0 {
 			return nil, fmt.Errorf("%w: log carries no epoch but snapshot is generation %d", ErrWALCorrupt, db.gen)
 		}
 	}
-	if rep.tail == tailCorrupt {
+	if rep.tail == iofault.TailCorrupt {
 		if !opts.Salvage {
 			return nil, fmt.Errorf("%w: %s in %s (%d of %d bytes recoverable; reopen with the salvage option to accept losing the rest)",
 				ErrWALCorrupt, rep.detail, walPath, rep.goodLen, rep.total)

@@ -28,22 +28,20 @@ import (
 //	wal.log     — redo records for transactions committed since the
 //	              last checkpoint
 //
-// Every WAL record is framed as
-//
-//	uint32 length | uint32 crc32(payload) | payload
-//
-// The first frame of every log is an epoch frame naming the checkpoint
+// Every WAL record is one iofault frame (length | crc32 | payload; the
+// link registry of internal/dlfs shares the framing and the scan). The
+// first frame of every log is an epoch frame naming the checkpoint
 // generation the log applies on top of; replay ignores a log whose
 // epoch does not match the snapshot's generation (a crash between the
 // snapshot rename and the log rotation leaves exactly that stale log
 // behind, already folded into the snapshot).
 //
 // Replay classifies the log tail instead of silently stopping at the
-// first bad frame (see replayWAL): an incomplete final frame is the
-// signature of a crash mid-append and is truncated away, while a bad
-// frame with intact frames AFTER it proves mid-log corruption of data
-// that was once durable — that refuses to open rather than silently
-// dropping committed transactions.
+// first bad frame (iofault.ScanFrames): an incomplete final frame is
+// the signature of a crash mid-append and is truncated away, while a
+// bad frame with intact frames AFTER it proves mid-log corruption of
+// data that was once durable — that refuses to open rather than
+// silently dropping committed transactions.
 
 const (
 	walOpBegin  = byte(1)
@@ -56,10 +54,6 @@ const (
 	// checkpoint generation this log applies on top of.
 	walOpEpoch = byte(7)
 )
-
-// maxWALFrame bounds a frame's payload; a length field beyond it is
-// treated as corruption, not allocation advice.
-const maxWALFrame = 64 << 20
 
 // walRecord is one redo record, buffered per transaction and written at
 // commit.
@@ -102,18 +96,18 @@ type walFile struct {
 	f        iofault.File
 	fs       iofault.FS
 	path     string
-	pending  bytes.Buffer // staged frames not yet written
-	nPending int          // staged transactions in pending
-	seq      uint64       // last staged commit sequence
-	durable  uint64       // highest sequence known fsynced
+	pending  []byte // staged frames not yet written
+	nPending int    // staged transactions in pending
+	seq      uint64 // last staged commit sequence
+	durable  uint64 // highest sequence known fsynced
 	// durableBytes is the log length at the last successful fsync. On a
 	// flush failure the file is truncated back to it: the failed batch's
 	// transactions are rolled back and reported failed, so their frames
 	// must not sit in the log where a later replay would resurrect them.
 	durableBytes int64
-	flushing     bool // a leader is draining/syncing
-	waiters      int  // committers inside waitDurable
-	flushes      int  // completed flush batches (observability/tests)
+	flushing     bool  // a leader is draining/syncing
+	waiters      int   // committers inside waitDurable
+	flushes      int   // completed flush batches (observability/tests)
 	err          error // sticky write/sync failure (wraps ErrPoisoned)
 
 	met walMetrics // nil-safe handles; zero value records nothing
@@ -141,13 +135,7 @@ func (w *walFile) setMetrics(m walMetrics) {
 }
 
 // frameBytes wraps payload in the length|crc frame header.
-func frameBytes(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
-	putUint32(out[0:4], uint32(len(payload)))
-	putUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[8:], payload)
-	return out
-}
+func frameBytes(payload []byte) []byte { return iofault.AppendFrame(nil, payload) }
 
 // openWAL opens the log for appending, stamping a fresh (empty) log
 // with an epoch frame for the given checkpoint generation — synced
@@ -215,18 +203,11 @@ func (w *walFile) stageTx(txID uint64, recs []walRecord) (uint64, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	writeFrame := func(payload []byte) {
-		var hdr [8]byte
-		putUint32(hdr[0:4], uint32(len(payload)))
-		putUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		w.pending.Write(hdr[:])
-		w.pending.Write(payload)
-	}
-	writeFrame(encodeWALRecord(walRecord{op: walOpBegin}, txID))
+	w.pending = iofault.AppendFrame(w.pending, encodeWALRecord(walRecord{op: walOpBegin}, txID))
 	for _, r := range recs {
-		writeFrame(encodeWALRecord(r, txID))
+		w.pending = iofault.AppendFrame(w.pending, encodeWALRecord(r, txID))
 	}
-	writeFrame(encodeWALRecord(walRecord{op: walOpCommit}, txID))
+	w.pending = iofault.AppendFrame(w.pending, encodeWALRecord(walRecord{op: walOpCommit}, txID))
 	w.nPending++
 	w.seq++
 	return w.seq, nil
@@ -293,11 +274,11 @@ func (w *walFile) flushLocked() {
 		time.Sleep(groupCommitWindow)
 		w.mu.Lock()
 	}
-	data := append([]byte(nil), w.pending.Bytes()...)
+	data := append([]byte(nil), w.pending...)
 	target := w.seq
 	batch := w.nPending
 	met := w.met
-	w.pending.Reset()
+	w.pending = w.pending[:0]
 	w.nPending = 0
 	w.mu.Unlock()
 
@@ -411,35 +392,18 @@ func decodeWALRecord(payload []byte) (walRecord, uint64, error) {
 	return r, txID, nil
 }
 
-// ---------- replay with tail classification ----------
+// ---------- replay ----------
 
-// tailClass is what the end of the log looked like at replay.
-type tailClass int
+// walFrame is one decoded frame: the record and the transaction (or,
+// for the epoch frame, the checkpoint generation) it belongs to.
+type walFrame struct {
+	rec  walRecord
+	txID uint64
+}
 
-const (
-	// tailClean: the log ends exactly on a frame boundary.
-	tailClean tailClass = iota
-	// tailTorn: the final region is an incomplete or garbage frame with
-	// nothing valid after it — the signature of a crash mid-append.
-	// Truncating it loses nothing that was ever acknowledged.
-	tailTorn
-	// tailCorrupt: a bad frame has INTACT frames after it. The bad frame
-	// once passed through a successful fsync (later appends prove it),
-	// so committed transactions live in or after the damage. Opening
-	// must refuse rather than silently truncate them away.
-	tailCorrupt
-)
-
-func (c tailClass) String() string {
-	switch c {
-	case tailClean:
-		return "clean"
-	case tailTorn:
-		return "torn-tail"
-	case tailCorrupt:
-		return "mid-log-corruption"
-	}
-	return "unknown"
+func decodeWALFrame(payload []byte) (walFrame, error) {
+	rec, txID, err := decodeWALRecord(payload)
+	return walFrame{rec, txID}, err
 }
 
 // walReplay is the parsed state of one log file.
@@ -449,51 +413,8 @@ type walReplay struct {
 	hasEpoch  bool
 	goodLen   int64 // byte offset past the last intact frame
 	total     int64 // file length
-	tail      tailClass
+	tail      iofault.Tail
 	detail    string // human-readable corruption description
-}
-
-// parseWALFrame reads one frame at off. ok=false with torn=true means
-// the bytes from off to EOF cannot hold a complete frame; torn=false
-// means a structurally complete frame failed its CRC or decode.
-func parseWALFrame(data []byte, off int64) (rec walRecord, txID uint64, next int64, ok, torn bool, why string) {
-	rest := int64(len(data)) - off
-	if rest < 8 {
-		return rec, 0, off, false, true, "incomplete frame header"
-	}
-	length := int64(getUint32(data[off : off+4]))
-	if length > maxWALFrame {
-		// An absurd length field: either a torn header or foreign bytes.
-		// There is no payload to skip, so the distinction is made by
-		// whether anything after parses (see classify below).
-		return rec, 0, off, false, false, fmt.Sprintf("implausible frame length %d", length)
-	}
-	if rest < 8+length {
-		return rec, 0, off, false, true, "incomplete frame payload"
-	}
-	payload := data[off+8 : off+8+length]
-	if crc32.ChecksumIEEE(payload) != getUint32(data[off+4:off+8]) {
-		return rec, 0, off + 8 + length, false, false, "frame CRC mismatch"
-	}
-	rec, txID, err := decodeWALRecord(payload)
-	if err != nil {
-		return rec, 0, off + 8 + length, false, false, fmt.Sprintf("undecodable frame: %v", err)
-	}
-	return rec, txID, off + 8 + length, true, false, ""
-}
-
-// anyValidFrameAfter scans for any intact frame starting at or past
-// from. Used to distinguish a torn tail (garbage to EOF — safe to
-// truncate) from mid-log corruption (valid frames beyond the damage —
-// durable data at risk). The scan tries every byte offset: corruption
-// recovery is rare enough that O(n·m) honesty beats a fast guess.
-func anyValidFrameAfter(data []byte, from int64) bool {
-	for off := from; off+8 <= int64(len(data)); off++ {
-		if _, _, _, ok, _, _ := parseWALFrame(data, off); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // replayWAL parses the log, returning the committed transactions in
@@ -509,55 +430,27 @@ func replayWAL(fs iofault.FS, path string) (walReplay, error) {
 	if err != nil {
 		return rep, err
 	}
+	scan := iofault.ScanFrames(data, decodeWALFrame)
 	rep.total = int64(len(data))
+	rep.goodLen, rep.tail, rep.detail = scan.GoodLen, scan.Tail, scan.Detail
 	pending := map[uint64][]walRecord{}
-	var off int64
-	first := true
-	for off < rep.total {
-		rec, txID, next, ok, torn, why := parseWALFrame(data, off)
-		if !ok {
-			if torn {
-				rep.tail = tailTorn
-				rep.detail = why
-			} else if anyValidFrameAfter(data, off+1) {
-				rep.tail = tailCorrupt
-				rep.detail = fmt.Sprintf("%s at offset %d with intact frames after it", why, off)
-			} else {
-				// A structurally complete but bad frame with nothing
-				// valid behind it: indistinguishable from a torn append
-				// of garbage — truncate, like any torn tail.
-				rep.tail = tailTorn
-				rep.detail = why
-			}
-			rep.goodLen = off
-			return rep, nil
-		}
-		if first {
-			first = false
-			if rec.op == walOpEpoch {
-				rep.epoch = txID
-				rep.hasEpoch = true
-				off = next
-				rep.goodLen = off
-				continue
-			}
-		}
-		switch rec.op {
-		case walOpBegin:
-			pending[txID] = nil
-		case walOpCommit:
-			rep.committed = append(rep.committed, pending[txID])
-			delete(pending, txID)
+	for i, fr := range scan.Records {
+		switch fr.rec.op {
 		case walOpEpoch:
-			// A stray epoch frame mid-log (never written by this engine)
-			// is ignored; the frame itself was intact.
+			// Only the log-header frame counts; a stray epoch frame
+			// mid-log (never written by this engine) is ignored.
+			if i == 0 {
+				rep.epoch, rep.hasEpoch = fr.txID, true
+			}
+		case walOpBegin:
+			pending[fr.txID] = nil
+		case walOpCommit:
+			rep.committed = append(rep.committed, pending[fr.txID])
+			delete(pending, fr.txID)
 		default:
-			pending[txID] = append(pending[txID], rec)
+			pending[fr.txID] = append(pending[fr.txID], fr.rec)
 		}
-		off = next
-		rep.goodLen = off
 	}
-	rep.tail = tailClean
 	return rep, nil
 }
 

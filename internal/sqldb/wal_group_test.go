@@ -184,7 +184,7 @@ func TestGroupCommitExplicitTx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.tail != tailClean {
+	if rep.tail != iofault.TailClean {
 		t.Fatalf("synced WAL classified %v, want clean", rep.tail)
 	}
 	if len(rep.committed) != 2 { // DDL + the 10-row transaction

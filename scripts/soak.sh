@@ -1,10 +1,11 @@
 #!/bin/sh
-# Long crash-recovery soak: drive the sqldb storage engine through
-# randomized disk-fault schedules (internal/iofault crash points: torn
-# writes, suppressed renames/truncates, dead-after-crash descriptors)
-# and hold it to the durability contract — every acknowledged commit
-# present after recovery, no phantom rows, multi-row transactions atomic,
-# and a crash history alone never mistaken for corruption.
+# Long crash-recovery soak: drive the sqldb storage engine and the dlfs
+# link registry through randomized disk-fault schedules (internal/iofault
+# crash points: torn writes, suppressed renames/truncates,
+# dead-after-crash descriptors) and hold them to the durability contract
+# — every acknowledged commit and link state change present after
+# recovery, no phantom rows or paths, multi-row transactions atomic, and
+# a crash history alone never mistaken for corruption.
 #
 # Usage:
 #   scripts/soak.sh                 # 2000 schedules, seed 1, -race
@@ -33,7 +34,7 @@ SOAK_SEED="${SOAK_SEED:-1}"
 RACE="-race"
 [ -n "$NORACE" ] && RACE=""
 
-RUN='TestCrashRecoverySoak|TestSoakHonestRefusal|TestCheckpointCrashWindows|TestWALTailCorpus|TestFsyncPoisonsDB'
+RUN='TestCrashRecoverySoak|TestSoakHonestRefusal|TestCheckpointCrashWindows|TestWALTailCorpus|TestFsyncPoisonsDB|TestStoreCrashSoak|TestRegistryTailCorpus'
 [ -n "$SOAK_CHAOS" ] && RUN="$RUN|TestChaosCancelSoak"
 
 echo "soak: $SOAK_SCHEDULES schedules, base seed $SOAK_SEED${RACE:+, race detector on}${SOAK_CHAOS:+, chaos cancel schedules on}"
@@ -41,4 +42,4 @@ SOAK_SCHEDULES="$SOAK_SCHEDULES" SOAK_SEED="$SOAK_SEED" \
 	CHAOS_SCHEDULES="$SOAK_SCHEDULES" CHAOS_SEED="$SOAK_SEED" \
 	go test $RACE -count=1 -timeout 60m \
 	-run "$RUN" \
-	./internal/sqldb/
+	./internal/sqldb/ ./internal/dlfs/
