@@ -91,8 +91,8 @@
 //     key string only when a group first appears. When the path is
 //     additionally residual-free and every aggregate argument is an
 //     index column, whole groups fold from the index KEYS — COUNT adds
-//     the row-ID list length, SUM adds the decoded value once per row
-//     it stands for (identical double rounding), MIN/MAX compare
+//     the key's visible-posting count, SUM adds the decoded value once
+//     per row it stands for (identical double rounding), MIN/MAX compare
 //     the decoded component — reading zero heap rows (" index-only",
 //     asserted via DB.HeapRowReads); keys in the far-integer collision
 //     window fall back to fetching just that key's rows. The legacy
@@ -106,7 +106,7 @@
 //     WHERE clause is consumed exactly by the chosen path (no residual
 //     conjuncts — tracked at plan time) and the probes are exact at
 //     execution time (no far-integer key collisions), COUNT is
-//     answered by summing row-ID list lengths under the exact key
+//     answered by summing visible-posting counts under the exact key
 //     range — zero heap rows read, asserted via DB.HeapRowReads — and
 //     MIN/MAX decode the answer straight off the boundary key for
 //     every kind whose canonical encoding round-trips (integers inside
@@ -184,11 +184,16 @@
 //     whole statement, "older than the oldest live snapshot" reduces
 //     to "not the current committed version", and each table folds to
 //     exactly one version per live row, with every index swept of
-//     dead postings (emptied leaves merge away). Checkpoints
-//     vacuum as a side effect, since the snapshot they write keeps
-//     only current rows. TestMVCCSnapshotIsolation, TestVacuumReclaim
-//     and TestAutoVacuum pin these contracts down; BenchmarkParallelQuery
-//     tracks read scaling and the 90/10 mixed workload.
+//     dead postings (emptied leaves merge away). That barrier is also
+//     why an index posting can be the row reference itself — a pointer
+//     to the row's slot, followed with no id lookup after the table
+//     latch is released: a slot and its postings are removed only here,
+//     together, with no reader in flight (TestSlotOrderInvariant).
+//     Checkpoints vacuum as a side effect, since the snapshot they
+//     write keeps only current rows. TestMVCCSnapshotIsolation,
+//     TestVacuumReclaim and TestAutoVacuum pin these contracts down;
+//     BenchmarkParallelQuery tracks read scaling and the 90/10 mixed
+//     workload.
 //
 // # Result pipeline and caching
 //

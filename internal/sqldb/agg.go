@@ -493,8 +493,8 @@ func (db *DB) foldSingleTable(plan *selectPlan, ctx *evalCtx) ([]*groupState, er
 	s := plan.stmt
 	ft := plan.tables[0]
 	var foldErr error
-	emit := func(f *groupFolder) func(id rowID, vals []sqltypes.Value) bool {
-		return func(_ rowID, vals []sqltypes.Value) bool {
+	emit := func(f *groupFolder) func(*rowSlot, []sqltypes.Value) bool {
+		return func(_ *rowSlot, vals []sqltypes.Value) bool {
 			// Per-row cancellation checkpoint for the fold scans.
 			if err := ctx.intr.check(); err != nil {
 				foldErr = err

@@ -323,9 +323,9 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 	)
 	// foldRowsFallback folds one key's rows through the heap fetch (the
 	// decode refused); nothing of this key has been folded yet.
-	foldRowsFallback := func(ids []rowID) bool {
-		for _, id := range ids {
-			vals, live := td.fetch(id, ctx.snap)
+	foldRowsFallback := func(rows []*rowSlot) bool {
+		for _, r := range rows {
+			vals, live := r.fetch(ctx.snap)
 			if !live {
 				continue
 			}
@@ -337,7 +337,7 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 	// startGroup opens the group identified by prefix, building the
 	// synthetic first row for the scalar parts from the group's first
 	// key; a non-round-tripping component falls back to one real row.
-	startGroup := func(k, prefix string, ids []rowID) {
+	startGroup := func(k, prefix string, rows []*rowSlot) {
 		// Each open group retains its state for the statement's lifetime:
 		// charge the memory budget (surfaces through foldErr on the next
 		// visit, since this path cannot abort mid-key).
@@ -360,8 +360,8 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 		if okSynth {
 			cur.firstRow = row
 		} else {
-			for _, id := range ids {
-				if vals, live := td.fetch(id, ctx.snap); live {
+			for _, r := range rows {
+				if vals, live := r.fetch(ctx.snap); live {
 					reads++
 					cur.firstRow = vals
 					break
@@ -369,7 +369,7 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 			}
 		}
 	}
-	visit := func(k string, ids []rowID) bool {
+	visit := func(k string, rows []*rowSlot) bool {
 		// Per-key cancellation checkpoint for the index-key fold.
 		if gerr := ctx.intr.check(); gerr != nil {
 			foldErr = gerr
@@ -412,12 +412,12 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 				// closed, so the rest of the key walk cannot contribute.
 				return false
 			}
-			startGroup(k, prefix, ids)
+			startGroup(k, prefix, rows)
 		}
 		if !decodeOK {
-			return foldRowsFallback(ids)
+			return foldRowsFallback(rows)
 		}
-		n := int64(len(ids))
+		n := int64(len(rows))
 		for i := range gp.slots {
 			sl := &gp.slots[i]
 			acc := &cur.accs[i]
@@ -440,9 +440,9 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 	}
 
 	if er.useLookup {
-		ids := lookupVisible(td, idx, er.lookup, ctx.snap)
-		if len(ids) > 0 {
-			visit(er.lookup, ids)
+		rows := lookupVisible(td, idx, er.lookup, ctx.snap)
+		if len(rows) > 0 {
+			visit(er.lookup, rows)
 		}
 	} else {
 		scanVisibleRange(td, idx, er.lo, er.hi, false, ctx.snap, visit)
@@ -497,12 +497,12 @@ func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx) (*Rows, bool, erro
 			count = int64(len(lookupVisible(td, idx, er.lookup, ctx.snap)))
 		default:
 			count = 0
-			scanVisibleRange(td, idx, er.lo, er.hi, false, ctx.snap, func(_ string, ids []rowID) bool {
+			scanVisibleRange(td, idx, er.lo, er.hi, false, ctx.snap, func(_ string, rows []*rowSlot) bool {
 				if err := ctx.intr.check(); err != nil {
 					govErr = err
 					return false
 				}
-				count += int64(len(ids))
+				count += int64(len(rows))
 				return true
 			})
 		}
@@ -576,9 +576,9 @@ func boundaryAgg(td *tableData, idx *orderedIndex, er keyRange, colPos int, desc
 	best := sqltypes.Null
 	reads := int64(0)
 	defer func() { td.heapReads.Add(reads) }()
-	visit := func(ids []rowID) bool {
-		for _, id := range ids {
-			vals, live := td.fetch(id, snap)
+	visit := func(rows []*rowSlot) bool {
+		for _, r := range rows {
+			vals, live := r.fetch(snap)
 			if !live {
 				continue
 			}
@@ -600,7 +600,7 @@ func boundaryAgg(td *tableData, idx *orderedIndex, er keyRange, colPos int, desc
 	// visitKey serves one key: decoded when possible, fetched when not.
 	// A cancellation mid-walk stops the scan; the sticky interrupt error
 	// is picked up by the caller's checkpoint right after the walk.
-	visitKey := func(k string, ids []rowID) bool {
+	visitKey := func(k string, rows []*rowSlot) bool {
 		if ctx.intr.check() != nil {
 			return false
 		}
@@ -613,12 +613,12 @@ func boundaryAgg(td *tableData, idx *orderedIndex, er keyRange, colPos int, desc
 				return false
 			}
 		}
-		return visit(ids)
+		return visit(rows)
 	}
 	if er.useLookup {
-		ids := lookupVisible(td, idx, er.lookup, snap)
-		if len(ids) > 0 {
-			visitKey(er.lookup, ids)
+		rows := lookupVisible(td, idx, er.lookup, snap)
+		if len(rows) > 0 {
+			visitKey(er.lookup, rows)
 		}
 		return best
 	}

@@ -312,6 +312,58 @@ func TestSmallResultFootprint(t *testing.T) {
 	}
 }
 
+// TestTopKCandidateFootprint pins what the report's top-k shape costs
+// per candidate row: WHERE c = ? ORDER BY n DESC LIMIT 20 matches 2,500
+// rows of a heap scan, projects and keys every one of them and keeps 20.
+// Until the selection streams (ROADMAP item 2) the statement is sized by
+// its candidates, so the ceiling is bytes per candidate: the row
+// pointer, the projected values, one outRow and one sort key each —
+// allocated once, not regrown.
+func TestTopKCandidateFootprint(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE f (name VARCHAR(30), k VARCHAR(30), c VARCHAR(8), n INTEGER)`)
+	ins, err := db.Prepare(`INSERT INTO f VALUES (?, ?, ?, ?)`)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	const tableRows, classes = 20_000, 8
+	for i := 0; i < tableRows; i++ {
+		if _, err := ins.Exec(sqltypes.NewString(fmt.Sprintf("N%05d", i)), sqltypes.NewString(fmt.Sprintf("K%03d", i/50)),
+			sqltypes.NewString(fmt.Sprintf("C%d", i%classes)), sqltypes.NewInt(int64(i*7919%tableRows))); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	stmt, err := db.Prepare(`SELECT name, k, n FROM f WHERE c = ? ORDER BY n DESC LIMIT 20`)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	// Measured 397 B/candidate (≈420 under -race, whose sync.Pool drops
+	// buffers); 600 while outRows grew by doubling.
+	const (
+		statements   = 200
+		candidates   = tableRows / classes
+		perCandidate = 440
+	)
+	arg := 0
+	query := func() {
+		arg = (arg + 3) % classes
+		rows, err := stmt.Query(sqltypes.NewString(fmt.Sprintf("C%d", arg)))
+		if err != nil || len(rows.Data) != 20 {
+			t.Fatalf("%d rows, err %v", len(rows.Data), err)
+		}
+		rows.Close()
+	}
+	query() // plan built and bound outside the measurement
+	total, _ := totalAlloc(func() {
+		for i := 0; i < statements; i++ {
+			query()
+		}
+	})
+	if got := total / statements / candidates; got > perCandidate {
+		t.Errorf("top-k: %d B/candidate over %d candidates, want ≤ %d", got, candidates, perCandidate)
+	}
+}
+
 // TestLargeResultRecyclesSlabs guards the other side of the size split:
 // a closed 100k-row projection draws pooled slabs, a repeat reuses them,
 // and the statement stays within the recorded Ablation_Arena/arena

@@ -390,7 +390,7 @@ func TestOrderedIndexDeleteReclaim(t *testing.T) {
 	const n = 20000
 	row := func(k int64) []sqltypes.Value { return []sqltypes.Value{sqltypes.NewInt(k)} }
 	for i := int64(0); i < n; i++ {
-		ix.addRow(row(i), liveEntry(rowID(i)))
+		ix.addRow(row(i), liveEntry(&rowSlot{id: rowID(i)}))
 	}
 	full := ix.nodeCount()
 	if full < n/btreeLeafMax {
@@ -410,8 +410,8 @@ func TestOrderedIndexDeleteReclaim(t *testing.T) {
 		t.Fatalf("after deleting all keys: %d nodes, want 1 (was %d)", got, full)
 	}
 	// And it must still be a working index.
-	ix.addRow(row(42), liveEntry(rowID(1)))
-	if es := ix.lookupKey(encodeKey(sqltypes.NewInt(42))); len(es) != 1 || es[0].id != 1 {
+	ix.addRow(row(42), liveEntry(&rowSlot{id: 1}))
+	if es := ix.lookupKey(encodeKey(sqltypes.NewInt(42))); len(es) != 1 || es[0].slot.id != 1 {
 		t.Fatalf("lookup after reclaim: %v", es)
 	}
 
@@ -423,7 +423,7 @@ func TestOrderedIndexDeleteReclaim(t *testing.T) {
 	for op := 0; op < 30000; op++ {
 		k := int64(rng.Intn(500))
 		if rng.Intn(3) > 0 && len(oracle[k]) == 0 || rng.Intn(2) == 0 {
-			ix2.addRow(row(k), liveEntry(nextID))
+			ix2.addRow(row(k), liveEntry(&rowSlot{id: nextID}))
 			oracle[k] = append(oracle[k], nextID)
 			nextID++
 		} else if ids := oracle[k]; len(ids) > 0 {

@@ -205,10 +205,16 @@ type indexDef struct {
 //     table's indexes list, indexes, nowFn, fullScanOnly, schemaEpoch,
 //     closed — is written only under mu.Lock and may be read under
 //     mu.RLock.
-//   - Row and index CONTENT is MVCC-stamped: readers traverse versions
-//     lock-free (or under short tableData.latch read sections) at the
-//     snapshot pinned by readSnapshot; writers serialise per table on
-//     tableData.wmu while holding mu.RLock, or skip wmu under mu.Lock.
+//   - Row and index CONTENT is MVCC-stamped: readers walk an index (or
+//     copy the slots header) under a short tableData.latch read section,
+//     take the *rowSlot each posting points at, and read its version
+//     chain lock-free, after the latch is released, at the snapshot
+//     pinned by readSnapshot. No reader looks a row up by id: a table's
+//     slots are ascending by id, and tableData.slotFor (a binary search)
+//     exists for WAL replay alone. A slot pointer outlives the latch
+//     because slots and postings are removed only by vacuum, under
+//     mu.Lock. Writers serialise per table on tableData.wmu while
+//     holding mu.RLock, or skip wmu under mu.Lock.
 //     Lock order: mu (any mode) → wmu → latch/commitMu. Never acquire
 //     mu while holding commitMu or a wmu.
 //   - Commit-path state — wal, inflight, poisonErr, txSinceCheckpoint,
@@ -513,19 +519,23 @@ func (db *DB) applyWALRecord(rec walRecord, refs *mvccRefs) error {
 			db.nextRow.Store(uint64(rec.row) + 1)
 		}
 		return td.insert(rec.row, rec.vals, refs)
-	case walOpDelete:
+	case walOpDelete, walOpUpdate:
 		td, ok := db.data[rec.table]
 		if !ok {
-			return fmt.Errorf("delete from unknown table %s", rec.table)
+			return fmt.Errorf("write to unknown table %s", rec.table)
 		}
-		_, err := td.delete(rec.row, refs)
-		return err
-	case walOpUpdate:
-		td, ok := db.data[rec.table]
+		// The record names its row by id alone: the one place a row is
+		// looked up rather than reached through a posting or a scan.
+		s, ok := td.slotFor(rec.row)
 		if !ok {
-			return fmt.Errorf("update of unknown table %s", rec.table)
+			return fmt.Errorf("write to unknown row %d of %s", rec.row, rec.table)
 		}
-		_, err := td.update(rec.row, rec.vals, refs)
+		var err error
+		if rec.op == walOpDelete {
+			_, err = td.delete(s, refs)
+		} else {
+			_, err = td.update(s, rec.vals, refs)
+		}
 		return err
 	}
 	return nil

@@ -104,7 +104,7 @@ func (db *DB) execDropTableLocked(tx *txState, s *DropTableStmt) (Result, *Rows,
 		dlCols := schema.DatalinkColumns()
 		if len(dlCols) > 0 {
 			var err error
-			td.scan(snapLatest, func(id rowID, vals []sqltypes.Value) bool {
+			td.scan(snapLatest, func(_ *rowSlot, vals []sqltypes.Value) bool {
 				for _, ci := range dlCols {
 					if e := db.unlinkValueLocked(tx, schema, ci, vals[ci]); e != nil {
 						err = e
@@ -175,8 +175,8 @@ func (db *DB) execCreateIndexLocked(tx *txState, s *CreateIndexStmt) (Result, *R
 	// Backfill under the DDL barrier: every row is committed and no
 	// snapshot that predates the index can be open, so entries carry the
 	// always-visible base stamp.
-	td.scan(snapLatest, func(id rowID, vals []sqltypes.Value) bool {
-		idx.addRow(vals, liveEntry(id))
+	td.scan(snapLatest, func(s *rowSlot, vals []sqltypes.Value) bool {
+		idx.addRow(vals, liveEntry(s))
 		return true
 	})
 	td.addIndex(idx)
@@ -309,18 +309,18 @@ func (db *DB) execUpdateLocked(tx *txState, s *UpdateStmt, params []sqltypes.Val
 	}
 
 	// Phase 1: collect matching rows (stable against mutation).
-	ids, err := db.matchRowsLocked(td, schema, s.Where, params, tx.intr)
+	matched, err := db.matchRowsLocked(td, schema, s.Where, params, tx.intr)
 	if err != nil {
 		return Result{}, err
 	}
 
 	ctx := &evalCtx{params: params, now: db.nowFn(), snap: snapLatest, intr: tx.intr}
 	updated := 0
-	for _, id := range ids {
+	for _, row := range matched {
 		if err := ctx.intr.check(); err != nil {
 			return Result{}, err
 		}
-		old, ok := td.get(id, snapLatest)
+		old, ok := td.get(row, snapLatest)
 		if !ok {
 			continue
 		}
@@ -359,10 +359,10 @@ func (db *DB) execUpdateLocked(tx *txState, s *UpdateStmt, params []sqltypes.Val
 				return Result{}, err
 			}
 		}
-		if _, err := td.update(id, newVals, &tx.refs); err != nil {
+		if _, err := td.update(row, newVals, &tx.refs); err != nil {
 			return Result{}, err
 		}
-		tx.redo = append(tx.redo, walRecord{op: walOpUpdate, table: schema.Name, row: id, vals: newVals})
+		tx.redo = append(tx.redo, walRecord{op: walOpUpdate, table: schema.Name, row: row.id, vals: newVals})
 		updated++
 	}
 	return Result{RowsAffected: updated}, nil
@@ -379,16 +379,16 @@ func (db *DB) execDeleteLocked(tx *txState, s *DeleteStmt, params []sqltypes.Val
 			return Result{}, err
 		}
 	}
-	ids, err := db.matchRowsLocked(td, schema, s.Where, params, tx.intr)
+	matched, err := db.matchRowsLocked(td, schema, s.Where, params, tx.intr)
 	if err != nil {
 		return Result{}, err
 	}
 	deleted := 0
-	for _, id := range ids {
+	for _, row := range matched {
 		if err := tx.intr.check(); err != nil {
 			return Result{}, err
 		}
-		old, ok := td.get(id, snapLatest)
+		old, ok := td.get(row, snapLatest)
 		if !ok {
 			continue
 		}
@@ -400,35 +400,35 @@ func (db *DB) execDeleteLocked(tx *txState, s *DeleteStmt, params []sqltypes.Val
 				return Result{}, err
 			}
 		}
-		if _, err := td.delete(id, &tx.refs); err != nil {
+		if _, err := td.delete(row, &tx.refs); err != nil {
 			return Result{}, err
 		}
-		tx.redo = append(tx.redo, walRecord{op: walOpDelete, table: schema.Name, row: id})
+		tx.redo = append(tx.redo, walRecord{op: walOpDelete, table: schema.Name, row: row.id})
 		deleted++
 	}
 	return Result{RowsAffected: deleted}, nil
 }
 
-// matchRowsLocked returns the IDs of rows satisfying where, routed
+// matchRowsLocked returns the rows (slots) satisfying where, routed
 // through the access-path planner: equality, range and null predicates
 // on indexed columns narrow the candidate set, and the full predicate is
 // re-applied to every candidate so index-path and scan-path semantics
 // are identical (the old equality fast path skipped that residual check,
 // which let encoded-key over-approximations reach UPDATE/DELETE).
-func (db *DB) matchRowsLocked(td *tableData, schema *TableSchema, where Expr, params []sqltypes.Value, ic *interrupt) ([]rowID, error) {
+func (db *DB) matchRowsLocked(td *tableData, schema *TableSchema, where Expr, params []sqltypes.Value, ic *interrupt) ([]*rowSlot, error) {
 	// Latest-mode visibility: DML must see the current state, including
 	// this transaction's own earlier writes (the owning writer slot —
 	// wmu or the global lock — guarantees no foreign in-flight stamps).
 	ctx := &evalCtx{params: params, now: db.nowFn(), snap: snapLatest, intr: ic}
-	var ids []rowID
+	var matched []*rowSlot
 	var evalErr error
-	visit := func(id rowID, vals []sqltypes.Value) bool {
+	visit := func(s *rowSlot, vals []sqltypes.Value) bool {
 		if err := ic.check(); err != nil {
 			evalErr = err
 			return false
 		}
 		if where == nil {
-			ids = append(ids, id)
+			matched = append(matched, s)
 			return true
 		}
 		ctx.vals = vals
@@ -438,7 +438,7 @@ func (db *DB) matchRowsLocked(td *tableData, schema *TableSchema, where Expr, pa
 			return false
 		}
 		if !v.IsNull() && truthy(v) {
-			ids = append(ids, id)
+			matched = append(matched, s)
 		}
 		return true
 	}
@@ -451,7 +451,7 @@ func (db *DB) matchRowsLocked(td *tableData, schema *TableSchema, where Expr, pa
 	if !handled {
 		td.scan(snapLatest, visit)
 	}
-	return ids, evalErr
+	return matched, evalErr
 }
 
 // ---------- constraints ----------
@@ -526,7 +526,7 @@ func (db *DB) rowExistsLocked(schema *TableSchema, cols []string, tuple []sqltyp
 				if !entryCurrent(e) {
 					continue
 				}
-				if vals, ok := td.fetch(e.id, snapLatest); ok && matches(vals) {
+				if vals, ok := e.slot.fetch(snapLatest); ok && matches(vals) {
 					return false
 				}
 			}
@@ -539,7 +539,7 @@ func (db *DB) rowExistsLocked(schema *TableSchema, cols []string, tuple []sqltyp
 		}
 		return found
 	}
-	td.scan(snapLatest, func(_ rowID, vals []sqltypes.Value) bool { return !matches(vals) })
+	td.scan(snapLatest, func(_ *rowSlot, vals []sqltypes.Value) bool { return !matches(vals) })
 	return found
 }
 

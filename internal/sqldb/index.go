@@ -18,15 +18,15 @@ import (
 // parsed — DDL logs written by earlier versions contain it — and
 // ignored.
 
-// idxEntry is one stamped index posting: row id plus the MVCC begin/end
-// stamps of the key↔row association. An entry is visible at a snapshot
-// iff a version of the row visible at that snapshot has this key, which
-// is what lets index-only aggregates (COUNT from posting counts, MIN/MAX
-// from boundary keys) stay exact while dead postings linger until
-// vacuum. Updates that keep a key untouched leave its entry alone;
-// key-changing updates end the old entry and add a new one.
+// idxEntry is one stamped index posting: the row's slot — the row
+// reference itself, followed with no lookup (see tableData.slots) — and
+// the MVCC begin/end stamps of the key↔row association. It is visible at
+// a snapshot iff a version of the row visible there has this key, so
+// index-only aggregates (COUNT from posting counts, MIN/MAX from boundary
+// keys) stay exact while dead postings linger until vacuum. Only a
+// key-changing update ends an entry and adds a new one.
 type idxEntry struct {
-	id    rowID
+	slot  *rowSlot
 	begin atomic.Uint64
 	end   atomic.Uint64
 }
@@ -42,21 +42,20 @@ func entryCurrent(e *idxEntry) bool {
 	return e.begin.Load() != abortedStamp && e.end.Load() == 0
 }
 
-// liveEntry returns a posting stamped as committed from the start —
-// index backfill (CREATE INDEX over existing rows, snapshot load) and
-// the direct index unit tests use it.
-func liveEntry(id rowID) *idxEntry {
-	e := &idxEntry{id: id}
+// liveEntry returns a posting stamped as committed from the start, for
+// CREATE INDEX's backfill and the direct index unit tests.
+func liveEntry(s *rowSlot) *idxEntry {
+	e := &idxEntry{slot: s}
 	e.begin.Store(baseStamp)
 	return e
 }
 
-// findCurrentEntry locates the live posting for row id under key k, the
+// findCurrentEntry locates the live posting for row s under key k, the
 // one a delete or key-changing update must end. Caller holds the table
 // latch at least shared plus the table's writer slot.
-func findCurrentEntry(idx *orderedIndex, k string, id rowID) *idxEntry {
+func findCurrentEntry(idx *orderedIndex, k string, s *rowSlot) *idxEntry {
 	for _, e := range idx.lookupKey(k) {
-		if e.id == id && entryCurrent(e) {
+		if e.slot == s && entryCurrent(e) {
 			return e
 		}
 	}
@@ -73,37 +72,36 @@ type keyBound struct {
 //
 // Readers go through these: they hold the table latch shared only for
 // bounded stretches (one point lookup, or one batch of keys), filter
-// postings down to plain row ids visible at the snapshot, and hand the
-// caller latch-free data. Because a reader never holds two table
-// latches at once (join probes re-enter per probe, after the outer
-// batch is released), reader/writer latch cycles cannot form.
+// postings down to the slots of the rows visible at the snapshot, and
+// hand the caller latch-free data (a slot outlives the latch). Because a
+// reader never holds two table latches at once (join probes re-enter per
+// probe, after the outer batch is released), latch cycles cannot form.
 
 // idxScanBatch is how many keys a range scan gathers per latch hold.
 const idxScanBatch = 128
 
-// lookupVisible returns the row ids visible at snap under one key.
-func lookupVisible(td *tableData, idx *orderedIndex, k string, snap uint64) []rowID {
+// lookupVisible returns the rows visible at snap under one key.
+func lookupVisible(td *tableData, idx *orderedIndex, k string, snap uint64) []*rowSlot {
+	var rows []*rowSlot
 	td.latch.RLock()
-	es := idx.lookupKey(k)
-	var ids []rowID
-	for _, e := range es {
+	for _, e := range idx.lookupKey(k) {
 		if e.visibleAt(snap) {
-			ids = append(ids, e.id)
+			rows = append(rows, e.slot)
 		}
 	}
 	td.latch.RUnlock()
-	return ids
+	return rows
 }
 
 // scanVisibleRange drives a resumable, batched range scan: up to
 // idxScanBatch keys are collected per latch hold, then f runs
-// latch-free over each key's visible ids (keys with no visible posting
+// latch-free over each key's visible rows (keys with no visible posting
 // are skipped). Between batches the scan resumes strictly after the
 // last delivered key; committed-after-snapshot writers only add
 // postings invisible at snap, and structural removal happens only under
 // the global barrier, so the resumed walk observes exactly the
 // snapshot's key set.
-func scanVisibleRange(td *tableData, idx *orderedIndex, lo, hi *keyBound, desc bool, snap uint64, f func(k string, ids []rowID) bool) {
+func scanVisibleRange(td *tableData, idx *orderedIndex, lo, hi *keyBound, desc bool, snap uint64, f func(k string, rows []*rowSlot) bool) {
 	buf := scanBufs.Get().(*scanBuf)
 	defer scanBufs.Put(buf)
 	for {
@@ -113,18 +111,18 @@ func scanVisibleRange(td *tableData, idx *orderedIndex, lo, hi *keyBound, desc b
 			start := len(flat)
 			for _, e := range es {
 				if e.visibleAt(snap) {
-					flat = append(flat, e.id)
+					flat = append(flat, e.slot)
 				}
 			}
 			if len(flat) > start {
-				batch = append(batch, keyIDs{k: k, ids: flat[start:len(flat):len(flat)]})
+				batch = append(batch, keyRows{k: k, rows: flat[start:len(flat):len(flat)]})
 			}
 			return len(batch) < idxScanBatch
 		})
 		td.latch.RUnlock()
 		buf.flat = flat // keep what append grew
 		for _, kv := range batch {
-			if !f(kv.k, kv.ids) {
+			if !f(kv.k, kv.rows) {
 				return
 			}
 		}
@@ -141,23 +139,25 @@ func scanVisibleRange(td *tableData, idx *orderedIndex, lo, hi *keyBound, desc b
 }
 
 // scanBuf is one range scan's gather buffer: the keys of a batch and,
-// flattened behind them, their visible ids. Pooled because it is sized
+// flattened behind them, their visible rows. Pooled because it is sized
 // for a full batch, which is more than a page-sized result: allocated
 // per scan — per outer row, under a join probe — it would be most of
 // what a small statement allocates. A scan nested inside a visitor
-// draws its own buffer; visitors must not keep ids past their call.
+// draws its own buffer; visitors must not keep rows past their call. An
+// idle buffer pins the keys and slots of its last batch until its next
+// scan or a GC empties the pool: cheaper than clearing on every Put.
 type scanBuf struct {
-	batch []keyIDs
-	flat  []rowID
+	batch []keyRows
+	flat  []*rowSlot
 }
 
-type keyIDs struct {
-	k   string
-	ids []rowID
+type keyRows struct {
+	k    string
+	rows []*rowSlot
 }
 
 var scanBufs = sync.Pool{New: func() any {
-	return &scanBuf{batch: make([]keyIDs, 0, idxScanBatch), flat: make([]rowID, 0, 4*idxScanBatch)}
+	return &scanBuf{batch: make([]keyRows, 0, idxScanBatch), flat: make([]*rowSlot, 0, 4*idxScanBatch)}
 }}
 
 // ---------- ordered index (B+tree) ----------
@@ -256,7 +256,7 @@ func (ix *orderedIndex) insertKey(k string, e *idxEntry) {
 // and vacuum sweeps them).
 func (ix *orderedIndex) removeRow(vals []sqltypes.Value, id rowID) {
 	ix.removeEntry(ix.rowKeyOf(vals), func(e *idxEntry) bool {
-		return e.id == id && entryCurrent(e)
+		return e.slot.id == id && entryCurrent(e)
 	})
 }
 

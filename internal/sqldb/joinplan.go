@@ -149,7 +149,7 @@ func buildJoinHash(td *tableData, hp *hashJoinPlan, ctx *evalCtx) (map[string][]
 	m := make(map[string][][]sqltypes.Value)
 	var buf []byte
 	var buildErr error
-	td.scan(ctx.snap, func(_ rowID, vals []sqltypes.Value) bool {
+	td.scan(ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
 		if buildErr = ctx.intr.check(); buildErr != nil {
 			return false
 		}
@@ -338,9 +338,9 @@ func probeJoin(td *tableData, p *joinProbe, ctx *evalCtx) (cands [][]sqltypes.Va
 		prefix = appendKey(prefix, pv)
 	}
 	defer func() { td.heapReads.Add(int64(len(cands))) }()
-	collect := func(ids []rowID) bool {
-		for _, id := range ids {
-			if vals, live := td.fetch(id, ctx.snap); live {
+	collect := func(rows []*rowSlot) bool {
+		for _, r := range rows {
+			if vals, live := r.fetch(ctx.snap); live {
 				cands = append(cands, vals)
 			}
 		}
@@ -352,8 +352,8 @@ func probeJoin(td *tableData, p *joinProbe, ctx *evalCtx) (cands [][]sqltypes.Va
 	}
 	lo := &keyBound{key: string(prefix), incl: true}
 	hi := &keyBound{key: string(prefix) + keyRangeHiSentinel, incl: true}
-	scanVisibleRange(td, idx, lo, hi, false, ctx.snap, func(_ string, ids []rowID) bool {
-		return collect(ids)
+	scanVisibleRange(td, idx, lo, hi, false, ctx.snap, func(_ string, rows []*rowSlot) bool {
+		return collect(rows)
 	})
 	return cands, true
 }

@@ -938,7 +938,7 @@ func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx, requireExact bo
 // the path cannot serve this execution (see pathKeyRange) and the
 // caller must fall back to a heap scan. Candidates over-approximate the
 // WHERE clause: callers always re-apply the residual predicate.
-func scanAccessPath(td *tableData, path *accessPath, ctx *evalCtx, emit func(id rowID, vals []sqltypes.Value) bool) (handled bool) {
+func scanAccessPath(td *tableData, path *accessPath, ctx *evalCtx, emit func(s *rowSlot, vals []sqltypes.Value) bool) (handled bool) {
 	idx := td.index(path.idx)
 	if idx == nil {
 		return false
@@ -953,23 +953,23 @@ func scanAccessPath(td *tableData, path *accessPath, ctx *evalCtx, emit func(id 
 
 	reads := int64(0)
 	defer func() { td.heapReads.Add(reads) }()
-	emitIDs := func(_ string, ids []rowID) bool {
-		for _, id := range ids {
-			vals, live := td.fetch(id, ctx.snap)
+	emitRows := func(_ string, rows []*rowSlot) bool {
+		for _, r := range rows {
+			vals, live := r.fetch(ctx.snap)
 			if !live {
 				continue
 			}
 			reads++
-			if !emit(id, vals) {
+			if !emit(r, vals) {
 				return false
 			}
 		}
 		return true
 	}
 	if kr.useLookup {
-		emitIDs(kr.lookup, lookupVisible(td, idx, kr.lookup, ctx.snap))
+		emitRows(kr.lookup, lookupVisible(td, idx, kr.lookup, ctx.snap))
 	} else {
-		scanVisibleRange(td, idx, kr.lo, kr.hi, path.desc, ctx.snap, emitIDs)
+		scanVisibleRange(td, idx, kr.lo, kr.hi, path.desc, ctx.snap, emitRows)
 	}
 	return true
 }

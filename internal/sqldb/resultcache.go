@@ -2,7 +2,9 @@ package sqldb
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/sqltypes"
@@ -117,12 +119,45 @@ func newResultCache(db *DB, capBytes int64) *resultCache {
 }
 
 // cacheKey builds the entry identity for a statement text and its bound
-// arguments.
+// arguments. A hit is replayed with no residual check, so the argument
+// encoding is exact — unlike the index key encoding (key.go), which
+// folds every numeric onto its float64 image so that values Compare
+// treats as equal share a key: here 2^53 and 2^53+1, or INTEGER 1 and
+// DOUBLE 1, must be different entries. Each argument is its kind byte
+// and an exact, self-delimiting payload; −0/+0 and NaN payloads stay
+// distinct, because a spurious miss is harmless and a spurious hit is
+// not.
 func cacheKey(text string, args []sqltypes.Value) string {
 	if len(args) == 0 {
 		return text
 	}
-	return text + "\x00" + encodeKey(args...)
+	b := make([]byte, 0, 16*len(args))
+	for _, v := range args {
+		b = append(b, byte(v.Kind()))
+		switch v.Kind() {
+		case sqltypes.KindInt:
+			b = binary.BigEndian.AppendUint64(b, uint64(v.Int()))
+		case sqltypes.KindDouble:
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.Double()))
+		case sqltypes.KindBool:
+			if v.Bool() {
+				b = append(b, 1)
+			} else {
+				b = append(b, 0)
+			}
+		case sqltypes.KindTime:
+			t := v.Time()
+			b = binary.BigEndian.AppendUint64(b, uint64(t.Unix()))
+			b = binary.BigEndian.AppendUint32(b, uint32(t.Nanosecond()))
+		case sqltypes.KindString, sqltypes.KindClob, sqltypes.KindDatalink:
+			b = binary.AppendUvarint(b, uint64(len(v.Str())))
+			b = append(b, v.Str()...)
+		case sqltypes.KindBytes:
+			b = binary.AppendUvarint(b, uint64(len(v.Bytes())))
+			b = append(b, v.Bytes()...)
+		}
+	}
+	return text + "\x00" + string(b)
 }
 
 // lookup returns a fresh copy of the cached result for key, valid at

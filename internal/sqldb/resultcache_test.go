@@ -72,6 +72,60 @@ func TestResultCacheHitAndAccessPath(t *testing.T) {
 	r2.Close()
 }
 
+// TestResultCacheKeyIsExact: bound arguments that the index key
+// encoding folds together — distinct integers past 2^53 (one float64
+// image), INTEGER 1 and DOUBLE 1 (equal under Compare) — are different
+// statements to the cache, which replays a hit with no residual check.
+func TestResultCacheKeyIsExact(t *testing.T) {
+	db := cacheDB(t)
+	mustExec(t, db, `CREATE TABLE t (id BIGINT PRIMARY KEY, v VARCHAR(10))`)
+	const far = int64(1) << 53
+	ins, err := db.Prepare(`INSERT INTO t VALUES (?, ?)`)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	for id, v := range map[int64]string{far: "a", far + 1: "b", 1: "one"} {
+		if _, err := ins.Exec(sqltypes.NewInt(id), sqltypes.NewString(v)); err != nil {
+			t.Fatalf("insert %d: %v", id, err)
+		}
+	}
+	byID, err := db.Prepare(`SELECT v FROM t WHERE id = ?`)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	for _, tc := range []struct {
+		id   int64
+		want string
+	}{{far, "a"}, {far + 1, "b"}, {far, "a"}} {
+		rows, err := byID.Query(sqltypes.NewInt(tc.id))
+		if err != nil || len(rows.Data) != 1 {
+			t.Fatalf("id %d: %d rows, err %v", tc.id, len(rows.Data), err)
+		}
+		if got := rows.Data[0][0].AsString(); got != tc.want {
+			t.Errorf("id %d: cache served %q, want %q", tc.id, got, tc.want)
+		}
+		rows.Close()
+	}
+
+	echo, err := db.Prepare(`SELECT v, ? FROM t WHERE id = 1`)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	for _, arg := range []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewDouble(1), sqltypes.NewString("1"), sqltypes.NewInt(1)} {
+		rows, err := echo.Query(arg)
+		if err != nil || len(rows.Data) != 1 {
+			t.Fatalf("echo %v: %d rows, err %v", arg, len(rows.Data), err)
+		}
+		if got := rows.Data[0][1]; got.Kind() != arg.Kind() {
+			t.Errorf("echo of %s %v: cache served a %s", arg.Kind(), arg, got.Kind())
+		}
+		rows.Close()
+	}
+	if got := counterValue(t, db, "sqldb_result_cache_hits_total"); got != 2 {
+		t.Errorf("hits = %d, want 2 (the repeated far id and the repeated INTEGER 1)", got)
+	}
+}
+
 // TestResultCacheInvalidationOnWrite: a committed write to a referenced
 // table must never let a later query observe the stale cached result.
 func TestResultCacheInvalidationOnWrite(t *testing.T) {

@@ -444,6 +444,7 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 				outRows = append(outRows, outRow{vals: vals, group: g})
 			}
 		} else {
+			outRows = make([]outRow, 0, len(rows))
 			for _, r := range rows {
 				if err := ctx.intr.check(); err != nil {
 					return nil, err
@@ -668,12 +669,12 @@ func (db *DB) projectSingleTable(plan *selectPlan, ctx *evalCtx, out *Rows) erro
 	}
 	handled := false
 	if plan.path != nil && !db.fullScanOnly {
-		handled = scanAccessPath(ft.data, plan.path, ctx, func(_ rowID, vals []sqltypes.Value) bool {
+		handled = scanAccessPath(ft.data, plan.path, ctx, func(_ *rowSlot, vals []sqltypes.Value) bool {
 			return visit(vals)
 		})
 	}
 	if !handled && scanErr == nil {
-		ft.data.scan(ctx.snap, func(_ rowID, vals []sqltypes.Value) bool {
+		ft.data.scan(ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
 			return visit(vals)
 		})
 	}
@@ -727,7 +728,7 @@ func (db *DB) materialiseRows(plan *selectPlan, ctx *evalCtx) (rows [][]sqltypes
 		}
 		handled := false
 		if plan.path != nil && !db.fullScanOnly {
-			handled = scanAccessPath(ft.data, plan.path, ctx, func(_ rowID, vals []sqltypes.Value) bool {
+			handled = scanAccessPath(ft.data, plan.path, ctx, func(_ *rowSlot, vals []sqltypes.Value) bool {
 				ok, err := keep(vals)
 				if err == nil && ok {
 					// Retained rows buffer until projection/sort: charge
@@ -746,7 +747,7 @@ func (db *DB) materialiseRows(plan *selectPlan, ctx *evalCtx) (rows [][]sqltypes
 			orderApplied = handled && plan.path.satisfiesOrderBy
 		}
 		if !handled {
-			ft.data.scan(ctx.snap, func(id rowID, vals []sqltypes.Value) bool {
+			ft.data.scan(ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
 				ok, err := keep(vals)
 				if err == nil && ok {
 					err = ctx.intr.charge(rowFootprint(len(vals)))
@@ -829,7 +830,7 @@ func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx) ([][]sqltypes.Value, erro
 		var candidates [][]sqltypes.Value
 		haveCandidates := false
 		if i == 0 && plan.path != nil && !db.fullScanOnly {
-			haveCandidates = scanAccessPath(ft.data, plan.path, ctx, func(_ rowID, vals []sqltypes.Value) bool {
+			haveCandidates = scanAccessPath(ft.data, plan.path, ctx, func(_ *rowSlot, vals []sqltypes.Value) bool {
 				candidates = append(candidates, vals)
 				return true
 			})
@@ -902,7 +903,7 @@ func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx) ([][]sqltypes.Value, erro
 				}
 			}
 			if !probed && scanErr == nil {
-				ft.data.scan(ctx.snap, func(id rowID, vals []sqltypes.Value) bool {
+				ft.data.scan(ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
 					scanErr = appendRow(vals)
 					return scanErr == nil
 				})
@@ -979,7 +980,7 @@ func (db *DB) joinRowsSwapped(plan *selectPlan, ctx *evalCtx, probeFn func(*eval
 	// Scratch row for probe evaluation: the probe's expressions only
 	// reference table 1 slots, so the table 0 prefix can stay stale.
 	scratch := make([]sqltypes.Value, width)
-	t1.data.scan(ctx.snap, func(_ rowID, v1 []sqltypes.Value) bool {
+	t1.data.scan(ctx.snap, func(_ *rowSlot, v1 []sqltypes.Value) bool {
 		// Outer-row checkpoint: probes that match nothing still visit
 		// every outer row.
 		if err := ctx.intr.check(); err != nil {
@@ -1024,7 +1025,7 @@ func (db *DB) joinRowsSwapped(plan *selectPlan, ctx *evalCtx, probeFn func(*eval
 			return true
 		}
 		keep := true
-		t0.data.scan(ctx.snap, func(_ rowID, v0 []sqltypes.Value) bool {
+		t0.data.scan(ctx.snap, func(_ *rowSlot, v0 []sqltypes.Value) bool {
 			keep = emit(v0)
 			return keep
 		})

@@ -89,6 +89,17 @@ func (s *rowSlot) versionAt(snap uint64) *rowVersion {
 	return nil
 }
 
+// fetch returns the row values visible at snap, lock-free and uncounted:
+// reader loops (index scans, join probes, boundary fetches) add to
+// heapReads once per call site, not with a shared atomic RMW per row.
+func (s *rowSlot) fetch(snap uint64) ([]sqltypes.Value, bool) {
+	v := s.versionAt(snap)
+	if v == nil {
+		return nil, false
+	}
+	return v.vals, true
+}
+
 // mvccRefs is a transaction's record of everything it stamped, kept on
 // txState until the commit is durable. Commit resolves the in-flight
 // stamps to the allocated commit stamp; abort (rollback, or unwinding an
@@ -219,13 +230,16 @@ type tableData struct {
 
 	// latch guards the physical structure readers traverse: the slots
 	// slice header and the index trees. Writers hold it exclusively only
-	// for short structural mutations; readers hold it in shared mode for
-	// bounded batches (see scanVisibleRange) and never nest two table
-	// latches, so reader/writer latch cycles cannot form.
+	// for short structural mutations; readers hold it shared for bounded
+	// batches and never nest two table latches (see index.go).
 	latch sync.RWMutex
 
+	// slots is the heap, strictly ascending by row id: ids come from one
+	// allocator and are taken, inserted and WAL-staged under the table's
+	// writer slot; snapshots and vacuum keep slots order. Postings point
+	// into it, and a slot leaves it only in vacuum — under the barrier,
+	// its postings swept with it — so a *rowSlot outlives the latch.
 	slots []*rowSlot
-	byID  sync.Map     // rowID → *rowSlot; lock-free point fetches
 	live  atomic.Int64 // latest committed+in-flight live rows (planner heuristics)
 	dead  atomic.Int64 // dead versions + index entries awaiting vacuum
 
@@ -305,7 +319,7 @@ func (td *tableData) addIndex(idx *orderedIndex) {
 // (key.go), so a holder is compared on its exact column values before
 // it counts. SQL semantics: rows with NULL in any constrained column
 // are exempt (they are still indexed; the planner may use them).
-func (td *tableData) checkUnique(idx *orderedIndex, k string, vals []sqltypes.Value, self rowID) error {
+func (td *tableData) checkUnique(idx *orderedIndex, k string, vals []sqltypes.Value, self *rowSlot) error {
 	if !idx.unique {
 		return nil
 	}
@@ -315,10 +329,10 @@ func (td *tableData) checkUnique(idx *orderedIndex, k string, vals []sqltypes.Va
 		}
 	}
 	for _, e := range idx.lookupKey(k) {
-		if e.id == self || !entryCurrent(e) {
+		if e.slot == self || !entryCurrent(e) {
 			continue
 		}
-		if holder, ok := td.fetch(e.id, snapLatest); ok && sameTuple(holder, vals, idx.pos) {
+		if holder, ok := e.slot.fetch(snapLatest); ok && sameTuple(holder, vals, idx.pos) {
 			label := "UNIQUE"
 			if idx.name == pkIndexName {
 				label = pkIndexName
@@ -331,7 +345,7 @@ func (td *tableData) checkUnique(idx *orderedIndex, k string, vals []sqltypes.Va
 
 // checkedKeys encodes vals' key in every index (parallel to td.indexes),
 // once for the constraint checks and the postings that follow them.
-func (td *tableData) checkedKeys(vals []sqltypes.Value, self rowID) ([]string, error) {
+func (td *tableData) checkedKeys(vals []sqltypes.Value, self *rowSlot) ([]string, error) {
 	keys := make([]string, len(td.indexes))
 	for i, idx := range td.indexes {
 		keys[i] = idx.rowKeyOf(vals)
@@ -401,7 +415,7 @@ func (td *tableData) resetLiveHist(ts uint64) {
 // indexes. The caller owns the table's writer slot (wmu or the global
 // barrier).
 func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) error {
-	keys, err := td.checkedKeys(vals, 0)
+	keys, err := td.checkedKeys(vals, nil)
 	if err != nil {
 		return err
 	}
@@ -410,11 +424,10 @@ func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) err
 	v.begin.Store(uncommittedStamp)
 	s := &rowSlot{id: id}
 	s.head.Store(v)
-	td.byID.Store(id, s)
 	td.latch.Lock()
-	td.slots = append(td.slots, s)
+	td.appendSlot(s)
 	for i, idx := range td.indexes {
-		e := &idxEntry{id: id}
+		e := &idxEntry{slot: s}
 		e.begin.Store(uncommittedStamp)
 		idx.insertKey(keys[i], e)
 		refs.createdIdx = append(refs.createdIdx, e)
@@ -432,14 +445,10 @@ func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) err
 
 // delete ends the current version of a row (uncommitted end stamp) and
 // its index entries; nothing is removed structurally until vacuum.
-func (td *tableData) delete(id rowID, refs *mvccRefs) ([]sqltypes.Value, error) {
-	s, ok := td.slotFor(id)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: row %d not found in %s", id, td.schema.Name)
-	}
+func (td *tableData) delete(s *rowSlot, refs *mvccRefs) ([]sqltypes.Value, error) {
 	v := s.versionAt(snapLatest)
 	if v == nil {
-		return nil, fmt.Errorf("sqldb: row %d not found in %s", id, td.schema.Name)
+		return nil, fmt.Errorf("sqldb: row %d not found in %s", s.id, td.schema.Name)
 	}
 	vals := v.vals
 	refs.touch(td)
@@ -447,7 +456,7 @@ func (td *tableData) delete(id rowID, refs *mvccRefs) ([]sqltypes.Value, error) 
 	refs.ended = append(refs.ended, v)
 	td.latch.RLock()
 	for _, idx := range td.indexes {
-		if e := findCurrentEntry(idx, idx.rowKeyOf(vals), id); e != nil {
+		if e := findCurrentEntry(idx, idx.rowKeyOf(vals), s); e != nil {
 			e.end.Store(uncommittedStamp)
 			refs.endedIdx = append(refs.endedIdx, e)
 		}
@@ -466,17 +475,13 @@ func (td *tableData) delete(id rowID, refs *mvccRefs) ([]sqltypes.Value, error) 
 // update installs a new version at the head of the row's chain,
 // maintaining indexes and checking unique constraints against all rows
 // but itself. Index entries are touched only for keys that changed.
-func (td *tableData) update(id rowID, newVals []sqltypes.Value, refs *mvccRefs) ([]sqltypes.Value, error) {
-	s, ok := td.slotFor(id)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: row %d not found in %s", id, td.schema.Name)
-	}
+func (td *tableData) update(s *rowSlot, newVals []sqltypes.Value, refs *mvccRefs) ([]sqltypes.Value, error) {
 	v := s.versionAt(snapLatest)
 	if v == nil {
-		return nil, fmt.Errorf("sqldb: row %d not found in %s", id, td.schema.Name)
+		return nil, fmt.Errorf("sqldb: row %d not found in %s", s.id, td.schema.Name)
 	}
 	old := v.vals
-	keys, err := td.checkedKeys(newVals, id)
+	keys, err := td.checkedKeys(newVals, s)
 	if err != nil {
 		return nil, err
 	}
@@ -494,12 +499,12 @@ func (td *tableData) update(id rowID, newVals []sqltypes.Value, refs *mvccRefs) 
 		if oldKey == keys[i] {
 			continue // entry stays valid for both versions
 		}
-		if e := findCurrentEntry(idx, oldKey, id); e != nil {
+		if e := findCurrentEntry(idx, oldKey, s); e != nil {
 			e.end.Store(uncommittedStamp)
 			refs.endedIdx = append(refs.endedIdx, e)
 			td.dead.Add(1)
 		}
-		ne := &idxEntry{id: id}
+		ne := &idxEntry{slot: s}
 		ne.begin.Store(uncommittedStamp)
 		idx.insertKey(keys[i], ne)
 		refs.createdIdx = append(refs.createdIdx, ne)
@@ -511,36 +516,32 @@ func (td *tableData) update(id rowID, newVals []sqltypes.Value, refs *mvccRefs) 
 	return old, nil
 }
 
+// appendSlot adds a new row's slot under the exclusive latch, keeping
+// slots ascending by id. Ids arrive in order; one that did not is placed
+// by a copying insert (cap i), since scans walk the old array unlatched.
+func (td *tableData) appendSlot(s *rowSlot) {
+	if n := len(td.slots); n == 0 || td.slots[n-1].id < s.id {
+		td.slots = append(td.slots, s)
+		return
+	}
+	i := sort.Search(len(td.slots), func(i int) bool { return td.slots[i].id > s.id })
+	td.slots = append(td.slots[:i:i], append([]*rowSlot{s}, td.slots[i:]...)...)
+}
+
+// slotFor finds a row from its id alone, by binary search: the way in for
+// WAL replay; every other path has the slot, from a posting or a scan.
 func (td *tableData) slotFor(id rowID) (*rowSlot, bool) {
-	v, ok := td.byID.Load(id)
-	if !ok {
+	i := sort.Search(len(td.slots), func(i int) bool { return td.slots[i].id >= id })
+	if i == len(td.slots) || td.slots[i].id != id {
 		return nil, false
 	}
-	return v.(*rowSlot), true
+	return td.slots[i], true
 }
 
-// fetch returns the row values visible at snap without touching the
-// read counter. Reader loops (index scans, join probes, boundary
-// fetches) use it with one batched heapReads.Add per call site, so the
-// hot path avoids a shared atomic RMW per row. Lock-free: the slot map
-// and version stamps are safe under concurrent writers.
-func (td *tableData) fetch(id rowID, snap uint64) ([]sqltypes.Value, bool) {
-	s, ok := td.slotFor(id)
-	if !ok {
-		return nil, false
-	}
-	v := s.versionAt(snap)
-	if v == nil {
-		return nil, false
-	}
-	return v.vals, true
-}
-
-// get returns the row values visible at snap, counting the read. Used
-// by the low-frequency point paths (DML row collection under the writer
-// lock); reader loops use fetch + a batched count instead.
-func (td *tableData) get(id rowID, snap uint64) ([]sqltypes.Value, bool) {
-	vals, ok := td.fetch(id, snap)
+// get is fetch plus the read count, for the low-frequency point paths
+// (DML row collection under the writer lock).
+func (td *tableData) get(s *rowSlot, snap uint64) ([]sqltypes.Value, bool) {
+	vals, ok := s.fetch(snap)
 	if ok {
 		td.heapReads.Add(1)
 	}
@@ -550,7 +551,7 @@ func (td *tableData) get(id rowID, snap uint64) ([]sqltypes.Value, bool) {
 // scan calls f for each row visible at snap in insertion order; f
 // returns false to stop. The latch is held only long enough to copy the
 // slots slice header, so long analytical scans never block writers.
-func (td *tableData) scan(snap uint64, f func(id rowID, vals []sqltypes.Value) bool) {
+func (td *tableData) scan(snap uint64, f func(s *rowSlot, vals []sqltypes.Value) bool) {
 	td.latch.RLock()
 	slots := td.slots
 	td.latch.RUnlock()
@@ -561,7 +562,7 @@ func (td *tableData) scan(snap uint64, f func(id rowID, vals []sqltypes.Value) b
 			continue
 		}
 		visited++
-		if !f(s.id, v.vals) {
+		if !f(s, v.vals) {
 			break
 		}
 	}
@@ -577,7 +578,6 @@ func (td *tableData) vacuum(ts uint64) {
 	for _, s := range td.slots {
 		v := s.versionAt(snapLatest)
 		if v == nil {
-			td.byID.Delete(s.id)
 			continue
 		}
 		v.prev = nil // drop older versions

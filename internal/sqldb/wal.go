@@ -528,8 +528,8 @@ func (db *DB) saveSnapshotLocked(gen uint64) (renamed bool, err error) {
 		// latest-mode count equals the number of rows the scan writes.
 		writeUint64(bw, uint64(td.live.Load()))
 		var werr error
-		td.scan(snapLatest, func(id rowID, vals []sqltypes.Value) bool {
-			if werr = writeUint64(bw, uint64(id)); werr != nil {
+		td.scan(snapLatest, func(s *rowSlot, vals []sqltypes.Value) bool {
+			if werr = writeUint64(bw, uint64(s.id)); werr != nil {
 				return false
 			}
 			if werr = writeRow(bw, vals); werr != nil {

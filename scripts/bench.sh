@@ -28,6 +28,9 @@
 #                                      100k-row rollup: legacy materialise
 #                                      vs hash-agg fold vs group-ordered
 #                                      index-only fold
+#   BenchmarkAblation_IndexFetch     — posting → row fetch: the same 100k-
+#                                      row grouped SUM through the group-
+#                                      ordered index vs a heap scan, ns/row
 #   BenchmarkAblation_HashJoin       — hash join vs cross product on an
 #                                      unindexed 1k×1k equi-join
 #   BenchmarkAblation_Arena          — arena/columnar result path vs
