@@ -73,34 +73,52 @@
 //     on delete (merge-at-empty, no further rebalancing), so
 //     delete-heavy tables do not accumulate hollow nodes.
 //
+//   - One row source, one sink. Every SELECT runs as a row source —
+//     the filtered scan of a lone table through its access path or the
+//     heap, or the depth-first join of several — handing each row, as
+//     it is produced, to one sink: the projection (OFFSET skip, LIMIT
+//     stop), or the sort in front of it when DISTINCT or an ORDER BY
+//     the path did not serve must see rows first. Under ORDER BY ...
+//     LIMIT the sort holds only the OFFSET+LIMIT best candidates in a
+//     bounded heap and projects only the survivors; a LIMIT with no
+//     sort stops the scan or the join at the last row wanted. Nothing
+//     holds the complete row set of a scan or a join, and UPDATE and
+//     DELETE find their rows through the same filtered scan
+//     (internal/sqldb/select.go; TestJoinLimitStopsTheJoin and
+//     TestTopKCandidateFootprint pin what streaming buys).
+//
 //   - A fold-based aggregation pipeline. Every COUNT/SUM/AVG/MIN/MAX
 //     call gets an accumulator slot and rows fold into per-group
-//     accumulator structs (internal/sqldb/agg.go); single-table
-//     aggregates fold rows as they stream out of the scan and never
-//     retain them, while multi-table aggregates fold the joined row
-//     set the join executor materialises (grouped state stays
-//     O(groups), the join product does not).
+//     accumulator structs (internal/sqldb/agg.go) as the source hands
+//     them over — a scan's rows and a join's alike — and are never
+//     retained: grouped state is O(groups), and the groups HAVING
+//     keeps take the rows' place in front of the sink.
 //     Grouping picks the cheapest strategy the plan allows: when the
 //     chosen ordered index emits rows clustered by the GROUP BY
 //     columns (leading-prefix match with equality-constant skipping,
 //     or an index selected expressly for the GROUP BY), groups close
 //     one at a time with O(groups) state and no hash table
 //     ("group-ordered" in Stmt.AccessPath); otherwise groups hash on
-//     the canonical tuple encoding of their keys ("hash-agg"), which
-//     keeps NULL, '' and 0 vs '0' in distinct groups and allocates a
-//     key string only when a group first appears. When the path is
+//     the exact tuple encoding of their keys ("hash-agg"), which
+//     keeps NULL, '' and 0 vs '0' in distinct groups, INTEGER 1 and
+//     DOUBLE 1 in one, integers beyond ±2^53 that share a float64
+//     image apart (DISTINCT keys on the same encoding), and allocates
+//     a key string only when a group first appears. When the path is
 //     additionally residual-free and every aggregate argument is an
 //     index column, whole groups fold from the index KEYS — COUNT adds
 //     the key's visible-posting count, SUM adds the decoded value once
 //     per row it stands for (identical double rounding), MIN/MAX compare
 //     the decoded component — reading zero heap rows (" index-only",
-//     asserted via DB.HeapRowReads); keys in the far-integer collision
-//     window fall back to fetching just that key's rows. The legacy
-//     materialise-then-group executor survives behind
-//     DB.SetLegacyAggregation as the ablation baseline and the oracle
-//     the aggregation property tests compare all strategies against
-//     (BenchmarkAblation_GroupPushdown: ~6x time and ~56x B/op on a
-//     100k-row, 400-group rollup).
+//     asserted via DB.HeapRowReads). An index clusters by the float64
+//     image alone, so both index-ordered strategies decline an
+//     execution that meets a far-integer group key and it is folded
+//     through the hash strategy off the heap. There is one executor:
+//     every strategy is held to a naive reference evaluator
+//     (internal/sqldb/refeval_test.go — nested loops over table
+//     snapshots, pairwise grouping, sort.SliceStable) over hand-written
+//     and generated statements, with index paths on and under
+//     SetFullScanOnly (BenchmarkAblation_GroupPushdown tracks the two
+//     fold strategies on a 100k-row, 400-group rollup).
 //
 //   - Index-only aggregates. When a single-table COUNT/MIN/MAX query's
 //     WHERE clause is consumed exactly by the chosen path (no residual
@@ -221,19 +239,19 @@
 //     Intermediate join rows live in a separate scratch arena released
 //     when the statement returns — projection always copies surviving
 //     values into the result arena, so no scratch reference escapes.
-//     Single-table unsorted projections batch source rows by reference
-//     through a row-pointer buffer (colBatch) and flush each batch into
-//     one rows × columns arena block, filled a column at a time with no
+//     The projection batches source rows by reference through a
+//     row-pointer buffer (colBatch) and flushes each batch into one
+//     rows × columns arena block, filled a column at a time with no
 //     staging columns; a batch is at most 1024 rows and never more
 //     than fit a slab, and the result's row-pointer slice is sized at
-//     the first flush — exactly, when the scan ended inside the first
-//     batch
-//     (TestSmallResultFootprint pins a page-sized SELECT to ≤ 8 KiB
+//     the first flush — exactly, when the source ended inside the
+//     first batch (TestSmallResultFootprint pins a page-sized SELECT to ≤ 8 KiB
 //     beyond its rows, TestLargeResultRecyclesSlabs and
-//     BenchmarkAblation_Arena the large-result B/op and allocs/op;
-//     DB.SetLegacyResultAlloc restores the per-row make path as the
-//     ablation baseline, and TestArenaLegacyEquivalence and
-//     TestArenaBoundaryEquivalence prove the two paths row-identical).
+//     BenchmarkAblation_Arena the large-result bytes per row and
+//     allocs/op; there is no arena-less mode, and
+//     TestArenaReferenceEquivalence and TestArenaBoundaryEquivalence
+//     hold the path to the reference evaluator at every size where it
+//     changes what it allocates from).
 //
 //   - Result cache. DB.SetResultCache(bytes) arms an opt-in LRU of
 //     complete SELECT results keyed by statement text plus bound
@@ -417,9 +435,9 @@
 // 4x); a statement arriving with the queue full is shed immediately
 // with ErrAdmissionRejected rather than piling latency onto everyone
 // else. Options.MemoryBudget bounds the bytes statements may retain
-// concurrently — hash-aggregation groups, join hash tables, sort keys
-// and materialised result rows are charged against it, and a
-// statement that would exceed the budget fails with ErrMemoryBudget
+// concurrently — hash-aggregation groups, join hash tables, joined
+// rows, held sort candidates and result rows are charged against it,
+// and a statement that would exceed the budget fails with ErrMemoryBudget
 // instead of taking the process down. DB.Close drains admitted
 // statements for a grace period (DB.CloseGrace) before tearing down
 // the WAL, so

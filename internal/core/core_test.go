@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -220,6 +221,19 @@ func TestQBEBuildSQL(t *testing.T) {
 		Restrictions: []Restriction{{Column: "TITLE", Op: "=", Value: "x' OR '1'='1"}}})
 	if err != nil || len(rs.Rows) != 0 {
 		t.Fatalf("injection through value: rows=%d err=%v", len(rs.Rows), err)
+	}
+
+	// A select list is at most the table's columns, each once: valid
+	// names alone do not bound what a request can make the engine project.
+	if _, _, err := a.BuildSQL(QBE{Table: "SIMULATION", Select: []string{"TITLE", "title"}}); err == nil {
+		t.Fatal("repeated column accepted")
+	}
+	if _, _, err := a.BuildSQL(QBE{Table: "SIMULATION", Select: slices.Repeat([]string{"TITLE"}, 8193)}); err == nil {
+		t.Fatal("8,193-column select list accepted")
+	}
+	schema, _ := a.DB.Catalog().Table("SIMULATION")
+	if _, _, err := a.BuildSQL(QBE{Table: "SIMULATION", Select: schema.ColNames()}); err != nil {
+		t.Fatalf("every column once refused: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/sqltypes"
@@ -54,12 +55,22 @@ func (a *Archive) BuildSQL(q QBE) (string, []sqltypes.Value, error) {
 	if len(cols) == 0 {
 		cols = schema.ColNames()
 	}
+	// The form offers each column once, so a longer or repeating list is
+	// not a form submission: it would compile a projection as wide as the
+	// request is long over every matching row.
+	if len(cols) > len(schema.Cols) {
+		return "", nil, fmt.Errorf("core: %d columns selected, %s has %d", len(cols), q.Table, len(schema.Cols))
+	}
 	var sel []string
 	for _, c := range cols {
 		if schema.ColIndex(c) < 0 {
 			return "", nil, fmt.Errorf("core: unknown column %s.%s", q.Table, c)
 		}
-		sel = append(sel, strings.ToUpper(c))
+		c = strings.ToUpper(c)
+		if slices.Contains(sel, c) {
+			return "", nil, fmt.Errorf("core: column %s.%s selected twice", q.Table, c)
+		}
+		sel = append(sel, c)
 	}
 	var (
 		sql  strings.Builder

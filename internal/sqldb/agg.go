@@ -9,20 +9,12 @@ import (
 
 // The fold-based aggregation pipeline.
 //
-// The legacy executor (kept behind DB.SetLegacyAggregation as the
-// ablation baseline and property-test oracle) materialises every source
-// row, partitions the materialised set into groups via a string-keyed
-// map of row slices, and then walks each group once per aggregate call
-// (groupRows/evalAgg/computeAggregate in select.go). That costs O(rows)
-// memory for the retained groups plus one key-string allocation per
-// input row.
-//
-// The fold pipeline replaces that with per-group accumulator structs:
-// every aggregate call in the query gets one slot (aggCall), every
-// group one accumulator per slot (aggAccum), and each source row is
-// folded into its group's accumulators as it streams out of the scan —
-// no row is retained beyond the fold. Two grouping strategies share the
-// fold:
+// An aggregated SELECT never retains its source rows: every aggregate
+// call in the query gets one slot (aggCall), every group one accumulator
+// per slot (aggAccum), and each source row — of a scan or of a join — is
+// folded into its group's accumulators as the row source hands it over
+// (runSelectAt). The groups HAVING keeps then take the rows' place in
+// front of the statement's sink. Two grouping strategies share the fold:
 //
 //   - streaming ("group-ordered" in Stmt.AccessPath): when the chosen
 //     ordered index emits rows clustered by the GROUP BY columns
@@ -32,18 +24,20 @@ import (
 //     group and O(groups) total state, never a hash table.
 //
 //   - hash aggregation ("hash-agg"): arbitrary input order; groups live
-//     in a map keyed by the canonical tuple encoding (key.go). The
+//     in a map keyed by the exact tuple encoding (appendExactKey). The
 //     per-row lookup converts the scratch key buffer with a
 //     no-allocation map access; a key string is allocated only when a
 //     new group first appears.
 //
-// Group identity is the canonical encoding of the evaluated GROUP BY
-// expressions, so NULL, '' and 0 vs '0' land in distinct groups (class
-// tags differ) in every strategy. The one shared caveat is the numeric
-// collision window: integers beyond ±2^53 that share a float64 image
-// group together — in the legacy path, the hash folder and the
-// streaming folder alike (the ordered index clusters by the same
-// encoding), so all strategies stay result-identical.
+// Group identity is that encoding of the evaluated GROUP BY expressions,
+// so NULL, '' and 0 vs '0' land in distinct groups (class tags differ),
+// INTEGER 1 and DOUBLE 1 in one (sqltypes.Compare calls them equal), and
+// integers beyond ±2^53 that share a float64 image stay apart. An index
+// clusters by the image alone, and the postings under one image are in
+// insertion order, so a run of equal images is not a run of equal
+// values: the index-ordered strategies decline an execution the moment
+// they meet such a group key, and it is folded again through the hash
+// strategy off the heap.
 
 // aggCall is one aggregate invocation appearing in the projection,
 // HAVING or bound ORDER BY of an aggregated SELECT. Collected once at
@@ -58,10 +52,10 @@ type aggCall struct {
 // aggAccum is the running state of one aggregate call within one group.
 // One struct serves every aggregate kind; fold and finalize only touch
 // the fields their function reads. Evaluation errors met during the
-// fold are DEFERRED into err and surfaced by finalize: the legacy
-// executor only evaluates aggregates for groups that survive HAVING,
-// so a group the HAVING clause discards must not fail the query just
-// because its rows were folded.
+// fold are DEFERRED into err and surfaced by finalize: an aggregate is
+// only asked for in groups that survive HAVING, so a group the HAVING
+// clause discards must not fail the query just because its rows were
+// folded.
 type aggAccum struct {
 	count   int64
 	sumF    float64
@@ -74,9 +68,9 @@ type aggAccum struct {
 }
 
 // groupState is one group's accumulators plus its first source row:
-// scalar (non-aggregate) parts of the projection evaluate against it,
-// exactly as the legacy evaluator uses group[0]. firstRow == nil marks
-// the empty group of an aggregate-only query over no rows.
+// scalar (non-aggregate) parts of the projection evaluate against it
+// (the GROUP BY columns are constant within a group). firstRow == nil
+// marks the empty group of an aggregate-only query over no rows.
 type groupState struct {
 	firstRow []sqltypes.Value
 	accs     []aggAccum
@@ -96,8 +90,8 @@ func (plan *selectPlan) newGroupState() *groupState {
 // reach, mirroring evalAggFold's traversal exactly: aggregates under
 // scalar function arguments and binary/unary operators are reachable;
 // anything under other node kinds (IN, BETWEEN, IS NULL) is evaluated
-// row-wise against the group's first row, where an aggregate errors in
-// the legacy path too, so it needs no slot. Runs once per plan build.
+// row-wise against the group's first row, where an aggregate is an
+// error, so it needs no slot. Runs once per plan build.
 func collectAggCalls(plan *selectPlan) {
 	if !plan.aggregated {
 		return
@@ -145,9 +139,8 @@ func collectAggCalls(plan *selectPlan) {
 	}
 }
 
-// foldRow folds one source row into the group's accumulators, matching
-// computeAggregate's per-row semantics exactly: NULL arguments are
-// skipped, SUM/AVG demand numeric operands, MIN/MAX use
+// foldRow folds one source row into the group's accumulators: NULL
+// arguments are skipped, SUM/AVG demand numeric operands, MIN/MAX use
 // sqltypes.Compare and keep the incumbent on incomparable pairs.
 // Evaluation errors defer into the accumulator (see aggAccum.err) so
 // HAVING-excluded groups never surface them.
@@ -184,9 +177,9 @@ func (plan *selectPlan) foldRow(gs *groupState, row []sqltypes.Value, ctx *evalC
 // only for the index-key fold, where one key stands for n identical
 // rows), into the accumulator. Shared by the row fold and the
 // index-only grouped fold so their semantics cannot drift. SUM/AVG add
-// the double image n times rather than multiplying — floating-point
-// addition is what the legacy executor does per row, and f*n rounds
-// differently (e.g. ten rows of 0.1).
+// the double image n times rather than multiplying — that is what
+// folding the n rows one by one does, and f*n rounds differently (e.g.
+// ten rows of 0.1).
 func foldValue(acc *aggAccum, fn string, v sqltypes.Value, n int64) {
 	acc.count += n
 	switch fn {
@@ -230,9 +223,9 @@ func foldValue(acc *aggAccum, fn string, v sqltypes.Value, n int64) {
 	}
 }
 
-// finalize extracts the aggregate's value from a folded accumulator,
-// mirroring computeAggregate's result rules (SUM/AVG over an empty or
-// all-NULL group are NULL; integer SUM stays integer).
+// finalize extracts the aggregate's value from a folded accumulator
+// (SUM/AVG over an empty or all-NULL group are NULL; integer SUM stays
+// integer).
 func (c *aggCall) finalize(acc *aggAccum) (sqltypes.Value, error) {
 	if c.star {
 		return sqltypes.NewInt(acc.count), nil
@@ -268,10 +261,9 @@ func (c *aggCall) finalize(acc *aggAccum) (sqltypes.Value, error) {
 }
 
 // evalAggFold evaluates an expression over a folded group: aggregate
-// calls read their accumulator slot, everything else mirrors evalAgg —
-// scalar functions and operators recurse with evaluated operands
-// (preserving three-valued logic), and leaf expressions evaluate
-// against the group's first row.
+// calls read their accumulator slot, scalar functions and operators
+// recurse with evaluated operands (preserving three-valued logic), and
+// leaf expressions evaluate against the group's first row.
 func evalAggFold(e Expr, plan *selectPlan, gs *groupState, ctx *evalCtx) (sqltypes.Value, error) {
 	switch n := e.(type) {
 	case *FuncCall:
@@ -325,6 +317,7 @@ func evalAggFold(e Expr, plan *selectPlan, gs *groupState, ctx *evalCtx) (sqltyp
 // equal keys) and keeps one open group; hash mode accepts any order.
 type groupFolder struct {
 	plan      *selectPlan
+	ctx       *evalCtx
 	streaming bool
 	keyBuf    []byte
 	curKey    []byte
@@ -338,26 +331,32 @@ type groupFolder struct {
 	// (k+1)th group key can never appear in the result, so the index
 	// walk halts there (grouped-fold early-stop).
 	maxGroups int
-	stopped   bool
+
+	// declined (streaming only) reports a group key the index order
+	// cannot cluster — see the far-integer note above; the groups folded
+	// so far are void. err is a failure that stopped the fold.
+	declined bool
+	err      error
 }
 
 // groupFootprint estimates the retained bytes of one hash-agg group:
 // the groupState shell plus one accumulator per aggregate slot.
 func groupFootprint(slots int) int64 { return 64 + 48*int64(slots) }
 
-func newGroupFolder(plan *selectPlan, streaming bool) *groupFolder {
-	f := &groupFolder{plan: plan, streaming: streaming}
+func newGroupFolder(plan *selectPlan, ctx *evalCtx, streaming bool) *groupFolder {
+	f := &groupFolder{plan: plan, ctx: ctx, streaming: streaming}
 	if streaming {
 		f.maxGroups = plan.groupStop
-	} else {
+	} else if len(plan.stmt.GroupBy) > 0 {
 		f.byKey = make(map[string]*groupState)
 	}
 	return f
 }
 
-// add folds one kept source row into its group.
-func (f *groupFolder) add(row []sqltypes.Value, ctx *evalCtx) error {
-	plan := f.plan
+// add folds one source row into its group. false stops the source: the
+// wanted groups are complete, or the fold declined or failed.
+func (f *groupFolder) add(row []sqltypes.Value) bool {
+	plan, ctx := f.plan, f.ctx
 	groupBy := plan.stmt.GroupBy
 	if len(groupBy) == 0 {
 		if f.cur == nil {
@@ -365,16 +364,21 @@ func (f *groupFolder) add(row []sqltypes.Value, ctx *evalCtx) error {
 			f.groups = append(f.groups, f.cur)
 		}
 		plan.foldRow(f.cur, row, ctx)
-		return nil
+		return true
 	}
 	f.keyBuf = f.keyBuf[:0]
 	ctx.vals = row
 	for _, g := range groupBy {
 		v, err := evalExpr(g, ctx)
 		if err != nil {
-			return err
+			f.err = err
+			return false
 		}
-		f.keyBuf = appendKey(f.keyBuf, v)
+		if f.streaming && !exactProbe(v) {
+			f.declined = true
+			return false
+		}
+		f.keyBuf = appendExactKey(f.keyBuf, v)
 	}
 	var gs *groupState
 	if f.streaming {
@@ -382,10 +386,8 @@ func (f *groupFolder) add(row []sqltypes.Value, ctx *evalCtx) error {
 			gs = f.cur
 		} else {
 			if f.maxGroups > 0 && len(f.groups) >= f.maxGroups {
-				// The limit-th group just closed; ignore this row and
-				// tell the scan to stop.
-				f.stopped = true
-				return nil
+				// The limit-th group just closed; this row opens one past it.
+				return false
 			}
 			gs = plan.newGroupState()
 			f.groups = append(f.groups, gs)
@@ -397,8 +399,8 @@ func (f *groupFolder) add(row []sqltypes.Value, ctx *evalCtx) error {
 		if gs == nil {
 			// A new hash-agg group retains its key and accumulators for
 			// the statement's lifetime: charge the memory budget.
-			if err := ctx.intr.charge(int64(len(f.keyBuf)) + groupFootprint(len(plan.aggCalls))); err != nil {
-				return err
+			if f.err = ctx.intr.charge(int64(len(f.keyBuf)) + groupFootprint(len(plan.aggCalls))); f.err != nil {
+				return false
 			}
 			gs = plan.newGroupState()
 			f.byKey[string(f.keyBuf)] = gs
@@ -406,145 +408,63 @@ func (f *groupFolder) add(row []sqltypes.Value, ctx *evalCtx) error {
 		}
 	}
 	plan.foldRow(gs, row, ctx)
-	return nil
+	return true
 }
 
-// finish returns the folded groups. With no GROUP BY the whole input is
+// foldGroups folds the statement's rows into groups, in first-seen
+// order: from the index keys alone when the plan allows and this
+// execution's probes are exact (aggplan.go), else from the row source —
+// one open group at a time when scan serves the group-clustering path,
+// through the hash table otherwise (any join; a path that declined
+// loses the clustering with it). With no GROUP BY the whole input is
 // one group even when empty, per SQL (COUNT(*) over no rows is 0).
-func (f *groupFolder) finish() []*groupState {
-	if len(f.plan.stmt.GroupBy) == 0 && len(f.groups) == 0 {
-		f.groups = append(f.groups, f.plan.newGroupState())
+func (db *DB) foldGroups(plan *selectPlan, ctx *evalCtx, scan tableScan) ([]*groupState, error) {
+	streaming := plan.streamGroups && scan.path != nil
+	if streaming && plan.groupIdxFold != nil {
+		groups, handled, err := db.runGroupIndexFold(plan, ctx)
+		if err != nil || handled {
+			return groups, err
+		}
 	}
-	return f.groups
+	f := newGroupFolder(plan, ctx, streaming)
+	err := db.streamRows(plan, ctx, scan, f.add)
+	if err == nil && f.declined {
+		f = newGroupFolder(plan, ctx, false)
+		err = db.streamRows(plan, ctx, tableScan{td: scan.td}, f.add)
+	}
+	if err == nil {
+		err = f.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(plan.stmt.GroupBy) == 0 && len(f.groups) == 0 {
+		f.groups = append(f.groups, plan.newGroupState())
+	}
+	return f.groups, nil
 }
 
-// runFoldAggregate executes an aggregated SELECT through the fold
-// pipeline: scan (or join), fold rows into group accumulators, then
-// evaluate HAVING and the projection per group. It returns the
-// projected output rows; the caller applies DISTINCT/ORDER BY/LIMIT.
-// Read-only on the plan like the rest of runSelect.
-func (db *DB) runFoldAggregate(plan *selectPlan, ctx *evalCtx) ([]outRow, error) {
-	s := plan.stmt
-	var groups []*groupState
-	if len(plan.tables) == 1 {
-		g, err := db.foldSingleTable(plan, ctx)
-		if err != nil {
-			return nil, err
-		}
-		groups = g
-	} else {
-		rows, err := db.joinRows(plan, ctx)
-		if err != nil {
-			return nil, err
-		}
-		folder := newGroupFolder(plan, false)
-		for _, r := range rows {
-			if err := ctx.intr.check(); err != nil {
-				return nil, err
-			}
-			if s.Where != nil {
-				ctx.vals = r
-				v, err := evalExpr(s.Where, ctx)
-				if err != nil {
-					return nil, err
-				}
-				if v.IsNull() || !truthy(v) {
-					continue
-				}
-			}
-			if err := folder.add(r, ctx); err != nil {
-				return nil, err
-			}
-		}
-		groups = folder.finish()
+// foldInto runs an aggregated SELECT's source through the fold and
+// hands the groups HAVING keeps to sink, counting them.
+func (db *DB) foldInto(plan *selectPlan, ctx *evalCtx, scan tableScan, sink rowSink) (kept int64, err error) {
+	groups, err := db.foldGroups(plan, ctx, scan)
+	if err != nil {
+		return 0, err
 	}
-
-	out := make([]outRow, 0, len(groups))
 	for _, gs := range groups {
-		if s.Having != nil {
-			v, err := evalAggFold(s.Having, plan, gs, ctx)
+		if having := plan.stmt.Having; having != nil {
+			v, err := evalAggFold(having, plan, gs, ctx)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if v.IsNull() || !truthy(v) {
 				continue
 			}
 		}
-		vals := ctx.ar.alloc(len(plan.proj))
-		for i, e := range plan.proj {
-			v, err := evalAggFold(e, plan, gs, ctx)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		out = append(out, outRow{vals: vals, gs: gs})
-	}
-	return out, nil
-}
-
-// foldSingleTable scans the single FROM table (through the planned
-// access path when it serves this execution) folding kept rows as they
-// stream by — no row set is materialised. Streaming grouping is used
-// only when the plan marked the path as group-clustered AND the path
-// actually handled the scan; a probe-misalignment fallback to the heap
-// scan loses the clustering, so it folds through the hash strategy.
-func (db *DB) foldSingleTable(plan *selectPlan, ctx *evalCtx) ([]*groupState, error) {
-	s := plan.stmt
-	ft := plan.tables[0]
-	var foldErr error
-	emit := func(f *groupFolder) func(*rowSlot, []sqltypes.Value) bool {
-		return func(_ *rowSlot, vals []sqltypes.Value) bool {
-			// Per-row cancellation checkpoint for the fold scans.
-			if err := ctx.intr.check(); err != nil {
-				foldErr = err
-				return false
-			}
-			if s.Where != nil {
-				ctx.vals = vals
-				v, err := evalExpr(s.Where, ctx)
-				if err != nil {
-					foldErr = err
-					return false
-				}
-				if v.IsNull() || !truthy(v) {
-					return true
-				}
-			}
-			if err := f.add(vals, ctx); err != nil {
-				foldErr = err
-				return false
-			}
-			return !f.stopped
+		kept++
+		if !sink.add(nil, gs) {
+			break
 		}
 	}
-	// Index-only grouped fold: whole groups answered from index keys,
-	// zero heap fetches (aggplan.go). handled=false — probe misalignment
-	// or inexact keys — falls to the scan-and-fold paths below.
-	if plan.groupIdxFold != nil && !db.fullScanOnly {
-		groups, handled, err := db.runGroupIndexFold(plan, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			return groups, nil
-		}
-	}
-	if plan.path != nil && !db.fullScanOnly {
-		folder := newGroupFolder(plan, plan.streamGroups)
-		handled := scanAccessPath(ft.data, plan.path, ctx, emit(folder))
-		if foldErr != nil {
-			return nil, foldErr
-		}
-		if handled {
-			return folder.finish(), nil
-		}
-		// handled=false emits nothing: fall through with a fresh folder.
-	}
-	folder := newGroupFolder(plan, false)
-	ft.data.scan(ctx.snap, emit(folder))
-	if foldErr != nil {
-		return nil, foldErr
-	}
-	return folder.finish(), nil
+	return kept, nil
 }

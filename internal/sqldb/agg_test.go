@@ -67,10 +67,10 @@ func TestGroupAggPlanStrings(t *testing.T) {
 }
 
 // TestGroupAggPropertyStrategies: every aggregated query must return
-// identical results through the streaming fold (group-ordered index
-// scan), the hash fold (full scan) and the legacy materialise-then-
-// group executor, across GROUP BY / HAVING / ORDER BY / LIMIT / OFFSET
-// combinations with NULLs in both group keys and aggregate arguments.
+// what the reference evaluator returns through the streaming fold
+// (group-ordered index scan) and through the hash fold (full scan),
+// across GROUP BY / HAVING / ORDER BY / LIMIT / OFFSET combinations with
+// NULLs in both group keys and aggregate arguments.
 func TestGroupAggPropertyStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	db := buildCompositeDB(t, rng, 500)
@@ -114,37 +114,15 @@ func TestGroupAggPropertyStrategies(t *testing.T) {
 	if p, _ := st.AccessPath(); !strings.Contains(p, "group-ordered") {
 		t.Fatalf("expected a streaming plan for %s, got %q", queries[0].sql, p)
 	}
+	ref := newRefEval(db)
 	for _, q := range queries {
-		run := func(scanOnly, legacy bool) (*Rows, error) {
-			db.SetFullScanOnly(scanOnly)
-			db.SetLegacyAggregation(legacy)
-			defer db.SetFullScanOnly(false)
-			defer db.SetLegacyAggregation(false)
-			return db.Query(q.sql, q.args...)
-		}
-		folded, err1 := run(false, false)   // streaming where planned
-		hashed, err2 := run(true, false)    // fold through the hash table
-		legacy, err3 := run(false, true)    // materialise-then-group oracle
-		if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
-			t.Fatalf("%s: error mismatch %v / %v / %v", q.sql, err1, err2, err3)
-		}
-		if err1 != nil {
-			continue
-		}
-		ordered := strings.Contains(q.sql, "ORDER BY")
-		fk, hk, lk := rowsKey(folded, ordered), rowsKey(hashed, ordered), rowsKey(legacy, ordered)
-		if fk != lk {
-			t.Fatalf("%s: fold %d rows != legacy %d rows", q.sql, len(folded.Data), len(legacy.Data))
-		}
-		if hk != lk {
-			t.Fatalf("%s: hash-agg %d rows != legacy %d rows", q.sql, len(hashed.Data), len(legacy.Data))
-		}
+		ref.check(t, q.sql, q.args...)
 	}
 }
 
-// TestGroupKeyDistinctness: the canonical group-key encoding must keep
-// NULL, '' and 0 vs '0' in distinct groups (the legacy string-keyed map
-// risk this regression test pins down), in every strategy and for
+// TestGroupKeyDistinctness: the group-key encoding must keep NULL, the
+// empty string and 0 vs '0' in distinct groups (the risk of any string-keyed map,
+// which this regression test pins down), in every strategy and for
 // multi-column keys whose components could smear into each other.
 func TestGroupKeyDistinctness(t *testing.T) {
 	db, err := Open("")
@@ -175,24 +153,12 @@ func TestGroupKeyDistinctness(t *testing.T) {
 	if _, err := db.Exec(`CREATE INDEX G_S ON G (S) USING ORDERED`); err != nil {
 		t.Fatal(err)
 	}
+	ref := newRefEval(db)
 	check := func(sql string, wantGroups int) {
 		t.Helper()
-		for _, mode := range []struct {
-			name             string
-			scanOnly, legacy bool
-		}{{"fold", false, false}, {"hash", true, false}, {"legacy", false, true}} {
-			db.SetFullScanOnly(mode.scanOnly)
-			db.SetLegacyAggregation(mode.legacy)
-			rows, err := db.Query(sql)
-			db.SetFullScanOnly(false)
-			db.SetLegacyAggregation(false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rows.Data) != wantGroups {
-				t.Fatalf("%s [%s]: %d groups, want %d (%v)",
-					sql, mode.name, len(rows.Data), wantGroups, rows.Data)
-			}
+		// fold ≡ hash ≡ reference, and the reference finds wantGroups.
+		if got := len(ref.check(t, sql).rows()); got != wantGroups {
+			t.Fatalf("%s: %d groups, want %d", sql, got, wantGroups)
 		}
 	}
 	// NULL vs '' vs '0' are three distinct single-column groups.
@@ -313,7 +279,7 @@ func TestAggFoldMinMaxBoundaryDecode(t *testing.T) {
 // TestGroupIndexFoldZeroHeapReads: a grouped COUNT/SUM/MIN/MAX whose
 // arguments all live in the clustering index must be answered from the
 // index keys alone — zero heap rows — while a far-integer group key
-// falls back to fetching just that key's rows, with identical results.
+// sends the execution to the heap, with identical results.
 func TestGroupIndexFoldZeroHeapReads(t *testing.T) {
 	db, err := Open("")
 	if err != nil {
@@ -364,23 +330,13 @@ func TestGroupIndexFoldZeroHeapReads(t *testing.T) {
 	if len(indexed.Data) != 20 {
 		t.Fatalf("%d groups, want 20", len(indexed.Data))
 	}
-	oracle := func() *Rows {
-		db.SetLegacyAggregation(true)
-		db.SetFullScanOnly(true)
-		defer db.SetFullScanOnly(false)
-		defer db.SetLegacyAggregation(false)
-		r, err := db.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	if rowsKey(indexed, true) != rowsKey(oracle(), true) {
-		t.Fatalf("index-only fold diverges from the legacy oracle")
-	}
+	ref := newRefEval(db)
+	ref.check(t, q)
 
-	// A group key in the far-integer collision window: only that key's
-	// rows are fetched, and results still match the oracle.
+	// A group key beyond ±2^53 may share its index key with another
+	// group's: the index-only fold (and the group-ordered row fold behind
+	// it) decline, the heap is folded through the hash strategy, and the
+	// result is still the reference's.
 	if _, err := db.Exec(`CREATE TABLE F (ID INTEGER PRIMARY KEY, K INTEGER, V INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
@@ -406,21 +362,14 @@ func TestGroupIndexFoldZeroHeapReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reads := db.HeapRowReads("F") - before
-	if reads == 0 || reads > 3 {
-		t.Fatalf("collision fallback read %d heap rows, want 1..3 (the far keys plus first-row synth)", reads)
+	if reads := db.HeapRowReads("F") - before; reads < 5 {
+		t.Fatalf("a far group key was folded from %d heap rows: the execution must be declined to the heap (5 rows)", reads)
 	}
-	db.SetLegacyAggregation(true)
-	db.SetFullScanOnly(true)
-	legacy, err := db.Query(fq)
-	db.SetFullScanOnly(false)
-	db.SetLegacyAggregation(false)
-	if err != nil {
-		t.Fatal(err)
+	if len(folded.Data) != 4 {
+		t.Fatalf("%d groups, want 4: %v", len(folded.Data), folded.Data)
 	}
-	if rowsKey(folded, false) != rowsKey(legacy, false) {
-		t.Fatalf("collision fallback diverges: %v vs %v", folded.Data, legacy.Data)
-	}
+	ref.reset()
+	ref.check(t, fq)
 }
 
 // TestGroupIndexFoldDoubleSumParity: the index-key fold stands one key
@@ -457,20 +406,16 @@ func TestGroupIndexFoldDoubleSumParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetLegacyAggregation(true)
-	legacy, err := db.Query(q)
-	db.SetLegacyAggregation(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if folded.Data[0][1].Double() != legacy.Data[0][1].Double() ||
-		folded.Data[0][2].Double() != legacy.Data[0][2].Double() {
-		t.Fatalf("index fold %v != legacy %v", folded.Data[0], legacy.Data[0])
+	want := newRefEval(db).check(t, q).rows()[0].vals
+	if folded.Data[0][1].Double() != want[1].Double() ||
+		folded.Data[0][2].Double() != want[2].Double() {
+		t.Fatalf("index fold %v != row-wise sum %v", folded.Data[0], want)
 	}
 }
 
-// TestAggFoldErrorParity: malformed aggregate usage must fail (or not)
-// identically through the fold pipeline and the legacy oracle.
+// TestAggFoldErrorParity: malformed aggregate usage must fail — and
+// sound usage over the same rows must not — through the fold pipeline
+// exactly where the reference evaluator fails.
 func TestAggFoldErrorParity(t *testing.T) {
 	db, err := Open("")
 	if err != nil {
@@ -481,31 +426,75 @@ func TestAggFoldErrorParity(t *testing.T) {
 		INSERT INTO E VALUES (1, 'a'); INSERT INTO E VALUES (2, 'b')`); err != nil {
 		t.Fatal(err)
 	}
-	for _, sql := range []string{
-		`SELECT SUM(S) FROM E`,                // non-numeric SUM errors
-		`SELECT COUNT(ID, S) FROM E`,          // arity error
-		`SELECT SUM(S) FROM E WHERE ID > 100`, // empty input: SUM is NULL, no error
-		`SELECT MIN(S) FROM E GROUP BY S`,
+	ref := newRefEval(db)
+	for _, tc := range []struct {
+		sql     string
+		wantErr bool
+	}{
+		{`SELECT SUM(S) FROM E`, true},                 // non-numeric SUM
+		{`SELECT COUNT(ID, S) FROM E`, true},           // arity
+		{`SELECT SUM(S) FROM E WHERE ID > 100`, false}, // empty input: SUM is NULL
+		{`SELECT MIN(S) FROM E GROUP BY S`, false},
 		// The erroring aggregate belongs only to groups HAVING discards:
-		// the legacy executor never evaluates it, so the fold must defer
-		// the error and return the same empty result.
-		`SELECT S, SUM(S) FROM E GROUP BY S HAVING COUNT(*) > 100`,
+		// nothing asks for it, so the fold must defer the error and
+		// return the empty result.
+		{`SELECT S, SUM(S) FROM E GROUP BY S HAVING COUNT(*) > 100`, false},
 	} {
-		fold, ferr := db.Query(sql)
-		db.SetLegacyAggregation(true)
-		legacy, lerr := db.Query(sql)
-		db.SetLegacyAggregation(false)
-		if (ferr == nil) != (lerr == nil) {
-			t.Fatalf("%s: fold err %v, legacy err %v", sql, ferr, lerr)
-		}
-		if ferr != nil {
-			if ferr.Error() != lerr.Error() {
-				t.Fatalf("%s: fold %q != legacy %q", sql, ferr, lerr)
-			}
-			continue
-		}
-		if rowsKey(fold, false) != rowsKey(legacy, false) {
-			t.Fatalf("%s: fold %v != legacy %v", sql, fold.Data, legacy.Data)
+		if res := ref.check(t, tc.sql); (res == nil) != tc.wantErr {
+			t.Fatalf("%s: error = %v, want %v", tc.sql, res == nil, tc.wantErr)
 		}
 	}
+}
+
+// TestFarIntegerGroupsStayApart: integers beyond ±2^53 that share a
+// float64 image are distinct values, so DISTINCT and GROUP BY must keep
+// them apart — on the heap scan's hash fold and, with an index that
+// clusters by the shared image, on both group-ordered strategies (the
+// index-only fold for COUNT(*), the row fold for an aggregate over a
+// column the index does not hold), which decline and refold off the heap.
+func TestFarIntegerGroupsStayApart(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE T (ID BIGINT, V VARCHAR(10))`)
+	for i, id := range []int64{1<<53 + 1, 1 << 53, 1 << 53} {
+		mustExec(t, db, `INSERT INTO T VALUES (?, ?)`, sqltypes.NewInt(id), sqltypes.NewString(fmt.Sprintf("v%d", i)))
+	}
+	ref := newRefEval(db)
+	check := func() {
+		t.Helper()
+		for sql, want := range map[string]string{
+			`SELECT DISTINCT ID FROM T`:                      "9007199254740993|9007199254740992",
+			`SELECT ID, COUNT(*) FROM T GROUP BY ID`:         "9007199254740993,1|9007199254740992,2",
+			`SELECT ID, MIN(V) FROM T GROUP BY ID`:           "9007199254740993,v0|9007199254740992,v1",
+			`SELECT ID, COUNT(*) FROM T GROUP BY ID LIMIT 5`: "9007199254740993,1|9007199254740992,2",
+		} {
+			ref.check(t, sql)
+			rows := mustQuery(t, db, sql)
+			var got []string
+			for _, row := range rows.Data {
+				cells := make([]string, len(row))
+				for i, v := range row {
+					cells[i] = v.AsString()
+				}
+				got = append(got, strings.Join(cells, ","))
+			}
+			if g := strings.Join(got, "|"); g != want {
+				t.Errorf("%s: %s, want %s", sql, g, want)
+			}
+		}
+	}
+	check()
+	mustExec(t, db, `CREATE INDEX T_ID ON T (ID)`)
+	for sql, want := range map[string]string{
+		`SELECT ID, COUNT(*) FROM T GROUP BY ID`: "ordered-scan(T.ID) group-ordered(ID) index-only",
+		`SELECT ID, MIN(V) FROM T GROUP BY ID`:   "ordered-scan(T.ID) group-ordered(ID)",
+	} {
+		st, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := st.AccessPath(); p != want {
+			t.Fatalf("%s: path %q, want %q", sql, p, want)
+		}
+	}
+	check()
 }

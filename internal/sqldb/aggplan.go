@@ -149,9 +149,11 @@ func pathServesMinMax(path *accessPath, colPos int) bool {
 // the row-ID list length, SUM folds the decoded value once per row the
 // key stands for (see foldValue), MIN/MAX compare the decoded component
 // once per key — and no heap row is ever fetched.
-// Keys whose needed components do not round-trip (the far-integer
-// collision window, a DOUBLE zero) fold that one key's rows through the
-// ordinary row fetch, keeping results exact. Scalar (non-aggregate)
+// A key whose aggregate-argument component does not round-trip (a far
+// integer, a DOUBLE zero) folds that one key's rows through the ordinary
+// row fetch, keeping results exact; one whose GROUP-KEY component does
+// not may share its image with another group's (key.go), so the whole
+// execution is declined to the row fold. Scalar (non-aggregate)
 // expression parts are restricted at plan time to index columns and
 // evaluate against a synthetic row decoded from the group's first key.
 
@@ -271,11 +273,17 @@ func planGroupIndexFold(plan *selectPlan) {
 			gp.synth = append(gp.synth, j)
 		}
 	}
-	// Per-key decode walk: every aggregate-argument slot, plus enough
-	// components to delimit the group prefix.
+	// Per-key decode walk: every aggregate-argument slot and every
+	// numeric group-key component (the executor declines on one that does
+	// not round-trip), plus enough components to delimit the group prefix.
 	gp.needed = make([]bool, len(path.cols))
 	gp.kinds = make([]sqltypes.Kind, len(path.cols))
 	gp.walkLen = gp.prefixComponents
+	for j := 0; j < gp.prefixComponents; j++ {
+		if k := td.schema.Cols[path.colPos[j]].Type.Kind; k == sqltypes.KindInt || k == sqltypes.KindDouble {
+			gp.needed[j], gp.kinds[j] = true, k
+		}
+	}
 	for i := range slots {
 		sl := &slots[i]
 		if sl.star {
@@ -291,8 +299,9 @@ func planGroupIndexFold(plan *selectPlan) {
 }
 
 // runGroupIndexFold folds the grouped aggregate from index keys.
-// handled=false (probe misalignment or inexact keys) sends the caller
-// to the ordinary scan-and-fold executor. Evaluation errors defer into
+// handled=false (probe misalignment, an inexact probe or an inexact
+// group key) sends the caller to the row fold, whatever was folded
+// here discarded. Evaluation errors defer into
 // the accumulators and surface at finalize, exactly like the row-wise
 // fold (same messages, same HAVING-aware timing). Governance errors
 // (cancellation, deadline, memory budget) surface immediately.
@@ -319,6 +328,7 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 		cur       *groupState
 		curPrefix string
 		foldErr   error
+		declined  bool
 		decoded   = make([]sqltypes.Value, gp.walkLen) // per-slot scratch, reused per key
 	)
 	// foldRowsFallback folds one key's rows through the heap fetch (the
@@ -385,9 +395,13 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 		for j := 0; j < gp.walkLen; j++ {
 			if decodeOK && gp.needed[j] {
 				v, okd := decodeKeyValue(rest, gp.kinds[j])
-				if okd {
+				switch {
+				case okd:
 					decoded[j] = v
-				} else {
+				case j < gp.prefixComponents:
+					declined = true
+					return false
+				default:
 					decodeOK = false
 				}
 			}
@@ -433,7 +447,7 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 			// with the row fold) keeps the per-value semantics — and
 			// double SUM rounding — bit-identical to folding each row.
 			// Errors defer into the accumulator and surface at finalize,
-			// matching the legacy executor's HAVING-aware timing.
+			// so HAVING-discarded groups never raise them.
 			foldValue(acc, sl.fn, v, n)
 		}
 		return true
@@ -450,7 +464,7 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 	if foldErr != nil {
 		return nil, true, foldErr
 	}
-	return groups, true, nil
+	return groups, !declined, nil
 }
 
 // runIndexOnlyAgg answers the planned aggregate items from the index.
@@ -536,17 +550,7 @@ func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx) (*Rows, bool, erro
 	if s.Offset == 0 && s.Limit != 0 {
 		out.Data = [][]sqltypes.Value{vals}
 	}
-	for ci, k := range out.Kinds {
-		if k != sqltypes.KindNull {
-			continue
-		}
-		for _, r := range out.Data {
-			if !r[ci].IsNull() {
-				out.Kinds[ci] = r[ci].Kind()
-				break
-			}
-		}
-	}
+	backfillKinds(out)
 	return out, true, nil
 }
 

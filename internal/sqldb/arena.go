@@ -8,11 +8,11 @@ import (
 
 // Arena/columnar result pipeline.
 //
-// Plain projections historically materialised one make([]Value, ncols)
-// per output row (~36MB and ~100k allocs per 100k projected rows). Two
-// mechanisms remove it, and both size what they allocate by the rows a
-// statement returns, never by the table or by a fixed slab — the
-// archive UI lives on 1–50-row results:
+// A projection that makes one []Value per output row costs ~36MB and
+// ~100k allocs per 100k projected rows. Two mechanisms avoid that, and
+// both size what they allocate by the rows a statement returns, never
+// by the table or by a fixed slab — the archive UI lives on 1–50-row
+// results:
 //
 //   - rowArena: a chunked bump allocator over []sqltypes.Value. A
 //     statement starts on plain-heap chunks — the first sized to the
@@ -24,8 +24,8 @@ import (
 //     string/BLOB payloads are immutable Go strings shared with storage,
 //     so the arena never needs to own byte data to stay safe.
 //
-//   - colBatch: a row-pointer buffer the streaming projection fills
-//     (by reference) and flushes a batch at a time: one rows × columns
+//   - colBatch: a row-pointer buffer the projection sink fills (by
+//     reference) and flushes a batch at a time: one rows × columns
 //     block from the arena, each column written straight into it (a
 //     plain copy loop for bare column references, one evalExpr sweep
 //     per computed column). No staging columns, no transposition.
@@ -40,15 +40,15 @@ import (
 //   - Rows.Detach copies the result out of its arena onto the plain
 //     heap (and releases the arena), for callers that retain results
 //     indefinitely while closing eagerly elsewhere.
-//   - A nil *rowArena is the legacy allocation path: alloc falls back
-//     to make, byte-for-byte the pre-arena behaviour. This is the
-//     ablation baseline behind DB.SetLegacyResultAlloc and the oracle
-//     the arena property tests compare against.
+//   - Every SELECT execution makes its own two arenas (runSelectAt);
+//     there is no arena-less mode. A Rows with a nil arena — detached,
+//     cache-served, an index-only aggregate's single row — simply owns
+//     plain-heap rows.
 //
-// Intermediate join rows use a second, scratch arena that is released
-// when the statement finishes (the result rows copy values out of
-// them, never alias them), so the reuse benefits extend to the join
-// paths without pinning intermediates in the result's arena.
+// Intermediate join rows use the second, scratch arena, released when
+// the statement finishes (the result rows copy values out of them,
+// never alias them), so the reuse benefits extend to the join paths
+// without pinning intermediates in the result's arena.
 
 // arenaChunkValues is the pooled slab size in Value slots: 8192 × 32
 // bytes = 256 KiB per chunk, so a 100k-row projection needs a few dozen
@@ -80,9 +80,8 @@ type rowArena struct {
 }
 
 // alloc returns a zeroed n-slot slice backed by the arena (capacity
-// exactly n, so appends can never bleed into a neighbouring row). A nil
-// arena falls back to make — the legacy path. Requests larger than a
-// chunk are served straight from the heap.
+// exactly n, so appends can never bleed into a neighbouring row).
+// Requests larger than a chunk are served straight from the heap.
 func (a *rowArena) alloc(n int) []sqltypes.Value {
 	return a.allocCap(n, n)
 }
@@ -94,7 +93,7 @@ func (a *rowArena) allocCap(n, c int) []sqltypes.Value {
 	if c < n {
 		c = n
 	}
-	if a == nil || c > arenaChunkValues {
+	if c > arenaChunkValues {
 		return make([]sqltypes.Value, n, c)
 	}
 	if c > len(a.cur) {
@@ -116,11 +115,8 @@ func (a *rowArena) allocCap(n, c int) []sqltypes.Value {
 
 // release returns every pooled chunk to the pool, zeroed. The arena is
 // reusable (empty) afterwards; any slice previously handed out of a
-// slab is invalid. Nil-safe.
+// slab is invalid.
 func (a *rowArena) release() {
-	if a == nil {
-		return
-	}
 	for i, chunk := range a.chunks {
 		clear(chunk)
 		arenaChunkPool.Put(chunk) //nolint:staticcheck // slabs are slice values by design
@@ -140,8 +136,9 @@ func (a *rowArena) markLarge() {
 const colBatchRows = 1024
 
 // colBatch is the columnar projection buffer: source rows accumulate
-// (by reference — single-table scans alias storage rows, which is safe
-// under the statement's read lock), then flush carves one rows × columns
+// (by reference — a lone table's rows alias storage, which is safe under
+// the statement's read lock; joined rows sit in the scratch arena until
+// the statement ends), then flush carves one rows × columns
 // block out of the arena and projects into it one COLUMN at a time.
 type colBatch struct {
 	proj   []Expr

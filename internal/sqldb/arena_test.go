@@ -48,8 +48,8 @@ func arenaFixture(t *testing.T, db *DB) {
 	}
 }
 
-// arenaShapes are the query shapes whose results must be byte-identical
-// between the arena/columnar path and the legacy per-row make path.
+// arenaShapes are the query shapes whose arena/columnar results must be
+// the reference evaluator's.
 var arenaShapes = []struct {
 	name string
 	sql  string
@@ -90,28 +90,21 @@ func rowsMustEqual(t *testing.T, name string, got, want *Rows) {
 	}
 }
 
-// TestArenaLegacyEquivalence checks the arena/columnar result path
-// produces exactly the same rows as the legacy per-row allocation path
-// across projections, sorts, top-k, LIMIT without ORDER BY (both paths
-// scan in the same deterministic order, so early-stop picks identical
+// TestArenaReferenceEquivalence checks the arena/columnar result path
+// produces exactly the reference evaluator's rows across projections,
+// sorts, top-k, LIMIT without ORDER BY (a heap scan and the reference
+// read in the same deterministic order, so early-stop picks identical
 // rows), DISTINCT, joins and aggregates.
-func TestArenaLegacyEquivalence(t *testing.T) {
+func TestArenaReferenceEquivalence(t *testing.T) {
 	db := memDB(t)
 	arenaFixture(t, db)
+	ref := newRefEval(db)
 	for _, shape := range arenaShapes {
-		db.SetLegacyResultAlloc(true)
-		want := mustQuery(t, db, shape.sql)
-		want.Detach()
-		db.SetLegacyResultAlloc(false)
-		got := mustQuery(t, db, shape.sql)
-		got.Detach()
-		rowsMustEqual(t, shape.name, got, want)
-		got.Close()
-		want.Close()
+		ref.check(t, shape.sql)
 	}
 }
 
-// TestArenaBoundaryEquivalence holds arena ≡ legacy at every result
+// TestArenaBoundaryEquivalence holds arena ≡ reference at every result
 // size where the arena path changes what it allocates from: an empty
 // result, the first and the last plain-heap chunk and all of them
 // together, a full colBatch, the nominal colBatchRows and a pooled slab
@@ -142,6 +135,7 @@ func TestArenaBoundaryEquivalence(t *testing.T) {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
+	ref := newRefEval(db)
 	for _, proj := range []struct {
 		ncols int
 		list  string
@@ -162,15 +156,9 @@ func TestArenaBoundaryEquivalence(t *testing.T) {
 					fmt.Sprintf(`SELECT %s FROM wide LIMIT %d`, proj.list, n),
 					fmt.Sprintf(`SELECT %s FROM wide WHERE c0 < %d ORDER BY c1 DESC`, proj.list, n*wide),
 				} {
-					db.SetLegacyResultAlloc(true)
-					want := mustQuery(t, db, sql)
-					db.SetLegacyResultAlloc(false)
-					got := mustQuery(t, db, sql)
-					if len(got.Data) != n {
-						t.Fatalf("%s: %d rows, want %d", sql, len(got.Data), n)
+					if got := len(ref.check(t, sql).rows()); got != n {
+						t.Fatalf("%s: %d rows, want %d", sql, got, n)
 					}
-					rowsMustEqual(t, sql, got, want)
-					got.Close()
 				}
 			}
 		}
@@ -179,21 +167,18 @@ func TestArenaBoundaryEquivalence(t *testing.T) {
 
 // TestProjectionWiderThanSlab: a projection of more expressions than a
 // slab has slots (allocCap serves such a row straight from the heap)
-// still batches at least one row at a time and equals the legacy path.
+// still batches at least one row at a time and equals the reference.
 func TestProjectionWiderThanSlab(t *testing.T) {
 	db := memDB(t)
 	mustExec(t, db, `CREATE TABLE w (a INTEGER)`)
 	mustExec(t, db, `INSERT INTO w VALUES (1), (2), (3)`)
 	sql := `SELECT a` + strings.Repeat(`, a`, arenaChunkValues) + ` FROM w`
-	db.SetLegacyResultAlloc(true)
-	want := mustQuery(t, db, sql)
-	db.SetLegacyResultAlloc(false)
 	got := mustQuery(t, db, sql)
 	if len(got.Data) != 3 || len(got.Data[0]) != arenaChunkValues+1 {
 		t.Fatalf("%d rows × %d columns, want 3 × %d", len(got.Data), len(got.Data[0]), arenaChunkValues+1)
 	}
-	rowsMustEqual(t, "wider than a slab", got, want)
 	got.Close()
+	newRefEval(db).check(t, sql)
 }
 
 // TestColBatchFlushErrorLeavesNoPartialRows: a computed column that
@@ -314,11 +299,10 @@ func TestSmallResultFootprint(t *testing.T) {
 
 // TestTopKCandidateFootprint pins what the report's top-k shape costs
 // per candidate row: WHERE c = ? ORDER BY n DESC LIMIT 20 matches 2,500
-// rows of a heap scan, projects and keys every one of them and keeps 20.
-// Until the selection streams (ROADMAP item 2) the statement is sized by
-// its candidates, so the ceiling is bytes per candidate: the row
-// pointer, the projected values, one outRow and one sort key each —
-// allocated once, not regrown.
+// rows of a heap scan and keeps 20. The selection streams: a candidate
+// is keyed into a scratch cell, compared with the worst of the 20 held
+// and dropped, so the statement is sized by what it holds and returns,
+// and a candidate costs next to nothing.
 func TestTopKCandidateFootprint(t *testing.T) {
 	db := memDB(t)
 	mustExec(t, db, `CREATE TABLE f (name VARCHAR(30), k VARCHAR(30), c VARCHAR(8), n INTEGER)`)
@@ -337,12 +321,13 @@ func TestTopKCandidateFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	// Measured 397 B/candidate (≈420 under -race, whose sync.Pool drops
-	// buffers); 600 while outRows grew by doubling.
+	// Measured 5.98 B/candidate — 15 KB a statement, whatever it scans;
+	// 397 while every candidate was projected and keyed before the
+	// selection ran.
 	const (
 		statements   = 200
 		candidates   = tableRows / classes
-		perCandidate = 440
+		perCandidate = 6.28
 	)
 	arg := 0
 	query := func() {
@@ -359,8 +344,8 @@ func TestTopKCandidateFootprint(t *testing.T) {
 			query()
 		}
 	})
-	if got := total / statements / candidates; got > perCandidate {
-		t.Errorf("top-k: %d B/candidate over %d candidates, want ≤ %d", got, candidates, perCandidate)
+	if got := float64(total) / statements / candidates; got > perCandidate {
+		t.Errorf("top-k: %.2f B/candidate over %d candidates, want ≤ %v", got, candidates, perCandidate)
 	}
 }
 
@@ -520,4 +505,47 @@ func TestArenaConcurrentQueries(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	writerWG.Wait()
+}
+
+// TestJoinFoldFootprint pins what a join that feeds a GROUP BY allocates
+// per joined row: rows stream from the join into the fold, so nothing
+// holds them but the scratch arena's recycled slabs, and what is left is
+// each probe's candidate list. Slabs the pool had to make afresh are set
+// aside (the race detector drops a quarter of all Puts).
+func TestJoinFoldFootprint(t *testing.T) {
+	db := buildJoinDB(t, 100, 10_000, false, false)
+	defer db.Close()
+	stmt, err := db.Prepare(`SELECT P.NAME, COUNT(*), SUM(C.V) FROM CHI C JOIN PAR P ON C.K = P.PID GROUP BY P.NAME`)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	joined := mustQuery(t, db, `SELECT COUNT(*) FROM CHI C JOIN PAR P ON C.K = P.PID`).Data[0][0].Int()
+	// Measured 36.8 B/joined row; 253 while the join's output was
+	// collected, level by level, before the fold saw a row.
+	const (
+		statements   = 50
+		perJoinedRow = 38.6
+		slabBytes    = arenaChunkValues * 32
+	)
+	fresh := 0
+	poolNew := arenaChunkPool.New
+	arenaChunkPool.New = func() any { fresh++; return poolNew() }
+	defer func() { arenaChunkPool.New = poolNew }()
+	query := func() {
+		rows, err := stmt.Query()
+		if err != nil || len(rows.Data) != 7 {
+			t.Fatalf("%d rows, err %v", len(rows.Data), err)
+		}
+		rows.Close()
+	}
+	query() // plan built and bound, slabs pooled, outside the measurement
+	fresh = 0
+	total, _ := totalAlloc(func() {
+		for i := 0; i < statements; i++ {
+			query()
+		}
+	})
+	if got := float64(total-uint64(fresh*slabBytes)) / statements / float64(joined); got > perJoinedRow {
+		t.Errorf("join → GROUP BY: %.1f B/joined row over %d rows, want ≤ %v", got, joined, perJoinedRow)
+	}
 }

@@ -85,15 +85,15 @@ type Rows struct {
 	// calls (the result-page render path) avoid an O(columns) scan.
 	colIdx map[string]int
 
-	// arena backs the Data row slices when the statement ran on the
-	// arena path; nil for legacy-allocated, detached and cache-served
-	// results (whose rows live on the plain heap).
+	// arena backs the Data row slices of an executed SELECT; nil for
+	// detached, cache-served and index-only aggregate results (whose
+	// rows live on the plain heap).
 	arena *rowArena
 }
 
 // Close releases the result's arena-backed row storage to the reuse
 // pool. The Data slices are invalid afterwards. Nil-safe, idempotent,
-// and a no-op for detached or legacy-allocated results.
+// and a no-op for results that own no arena.
 func (r *Rows) Close() {
 	if r == nil || r.arena == nil {
 		return
@@ -301,16 +301,6 @@ type DB struct {
 
 	// recovery describes what the Open that produced this DB found.
 	recovery RecoveryInfo
-
-	// legacyAggregation routes aggregated SELECTs through the
-	// materialise-then-group executor instead of the fold pipeline —
-	// the ablation baseline and property oracle. See SetLegacyAggregation.
-	legacyAggregation bool
-
-	// legacyResults disables the arena/columnar result path: every
-	// result row is an individual make, the pre-arena behaviour — the
-	// ablation baseline and property oracle. See SetLegacyResultAlloc.
-	legacyResults bool
 
 	// rcache is the opt-in query result cache (resultcache.go); nil
 	// when disabled. Swapped atomically so the read path loads it
@@ -625,31 +615,6 @@ func (db *DB) SetFullScanOnly(on bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.fullScanOnly = on
-}
-
-// SetLegacyAggregation routes (on=true) aggregated SELECTs through the
-// legacy executor — materialise every source row, partition into groups
-// via a map of row slices, then walk each group per aggregate call —
-// instead of the fold-based pipeline (agg.go) that streams rows into
-// per-group accumulators. Results are identical (the aggregation
-// property tests compare the two); this is the ablation baseline for
-// BenchmarkAblation_GroupPushdown and the oracle those tests use.
-func (db *DB) SetLegacyAggregation(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.legacyAggregation = on
-}
-
-// SetLegacyResultAlloc routes (on=true) result materialisation through
-// the pre-arena allocator — one make([]Value, ...) per output row —
-// instead of the per-statement arena and columnar projection batches
-// (arena.go). Results are identical (the arena property tests compare
-// the two); this is the ablation baseline for BenchmarkAblation_Arena
-// and the oracle those tests use.
-func (db *DB) SetLegacyResultAlloc(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.legacyResults = on
 }
 
 // SetResultCache enables the query result cache with the given byte

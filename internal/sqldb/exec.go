@@ -409,49 +409,23 @@ func (db *DB) execDeleteLocked(tx *txState, s *DeleteStmt, params []sqltypes.Val
 	return Result{RowsAffected: deleted}, nil
 }
 
-// matchRowsLocked returns the rows (slots) satisfying where, routed
-// through the access-path planner: equality, range and null predicates
-// on indexed columns narrow the candidate set, and the full predicate is
-// re-applied to every candidate so index-path and scan-path semantics
-// are identical (the old equality fast path skipped that residual check,
-// which let encoded-key over-approximations reach UPDATE/DELETE).
+// matchRowsLocked returns the rows (slots) satisfying where, read
+// through the same filtered scan a SELECT uses: equality, range and null
+// predicates on indexed columns narrow the candidate set, and the full
+// predicate is applied to every candidate, so index-path and scan-path
+// semantics are identical.
 func (db *DB) matchRowsLocked(td *tableData, schema *TableSchema, where Expr, params []sqltypes.Value, ic *interrupt) ([]*rowSlot, error) {
 	// Latest-mode visibility: DML must see the current state, including
 	// this transaction's own earlier writes (the owning writer slot —
 	// wmu or the global lock — guarantees no foreign in-flight stamps).
 	ctx := &evalCtx{params: params, now: db.nowFn(), snap: snapLatest, intr: ic}
+	scan := db.openScan(td, planAccess(td, schema.Name, where, nil, nil, false, false), ctx)
 	var matched []*rowSlot
-	var evalErr error
-	visit := func(s *rowSlot, vals []sqltypes.Value) bool {
-		if err := ic.check(); err != nil {
-			evalErr = err
-			return false
-		}
-		if where == nil {
-			matched = append(matched, s)
-			return true
-		}
-		ctx.vals = vals
-		v, err := evalExpr(where, ctx)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if !v.IsNull() && truthy(v) {
-			matched = append(matched, s)
-		}
+	err := scan.run(where, ctx, func(s *rowSlot, _ []sqltypes.Value) bool {
+		matched = append(matched, s)
 		return true
-	}
-	handled := false
-	if !db.fullScanOnly {
-		if path := planAccess(td, schema.Name, where, nil, nil, false, false); path != nil {
-			handled = scanAccessPath(td, path, ctx, visit)
-		}
-	}
-	if !handled {
-		td.scan(snapLatest, visit)
-	}
-	return matched, evalErr
+	})
+	return matched, err
 }
 
 // ---------- constraints ----------

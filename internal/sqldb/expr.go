@@ -107,8 +107,8 @@ type evalCtx struct {
 	// ar backs the statement's result rows (owned by the returned Rows,
 	// released on Rows.Close); scratch backs intermediate rows — joined
 	// tuples the projection copies out of — and is released when the
-	// statement finishes. Both nil on the legacy allocation path, which
-	// makes every arena alloc an ordinary make (see arena.go).
+	// statement finishes. Both nil outside a SELECT (DML row matching and
+	// INSERT evaluation allocate from neither).
 	ar      *rowArena
 	scratch *rowArena
 
@@ -187,6 +187,17 @@ func evalUnary(n *Unary, ctx *evalCtx) (sqltypes.Value, error) {
 }
 
 // truthy interprets a value as a boolean condition.
+// holds reports whether predicate e (nil = none) is TRUE — not FALSE,
+// not UNKNOWN — of row.
+func (c *evalCtx) holds(e Expr, row []sqltypes.Value) (bool, error) {
+	if e == nil {
+		return true, nil
+	}
+	c.vals = row
+	v, err := evalExpr(e, c)
+	return err == nil && !v.IsNull() && truthy(v), err
+}
+
 func truthy(v sqltypes.Value) bool {
 	switch v.Kind() {
 	case sqltypes.KindBool:

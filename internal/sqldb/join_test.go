@@ -328,3 +328,27 @@ func TestJoinSwapPicksSmallerOuter(t *testing.T) {
 		t.Fatalf("swapped INL %d rows != naive %d rows", len(indexed.Data), len(naive.Data))
 	}
 }
+
+// TestJoinLimitStopsTheJoin: a join streams its rows to the sink, so
+// LIMIT 10 with no ORDER BY reads the handful of children (and the one
+// parent each probes) it takes to assemble ten rows — not every child.
+func TestJoinLimitStopsTheJoin(t *testing.T) {
+	db := buildJoinDB(t, 100, 10_000, false, false)
+	defer db.Close()
+	st, err := db.Prepare(`SELECT C.CID, P.NAME FROM CHI C JOIN PAR P ON C.K = P.PID LIMIT 10`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := st.AccessPath(); !strings.Contains(p, "inl(P.PID)") {
+		t.Fatalf("path = %q", p)
+	}
+	tr, err := st.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One in ten children has a NULL key and probes nothing: ≈ 11
+	// children and 10 parents.
+	if tr.Rows != 10 || tr.HeapReads > 40 {
+		t.Fatalf("%d rows for %d heap reads, want 10 rows for ≤ 40", tr.Rows, tr.HeapReads)
+	}
+}

@@ -46,12 +46,13 @@ import (
 // values (the prior encoder had the same normalisation, and the
 // engine's own mixed int/double comparison promotes through float64).
 // Equality and range row SETS stay correct because every index consumer
-// re-applies the residual predicate, and PRIMARY KEY / UNIQUE checks
-// compare a colliding key's holder on its exact values
-// (tableData.checkUnique); the one observable difference from a heap
-// scan is ordering WITHIN such a colliding key when an index serves
-// ORDER BY — those rows come back in insertion order rather than
-// exact-integer order.
+// re-applies the residual predicate, PRIMARY KEY / UNIQUE checks compare
+// a colliding key's holder on its exact values (tableData.checkUnique),
+// and GROUP BY / DISTINCT key on appendExactKey, with the index-ordered
+// grouping strategies declining any execution that meets such a key.
+// The one observable difference from a heap scan is ordering WITHIN a
+// colliding key when an index serves ORDER BY — those rows come back in
+// insertion order rather than exact-integer order.
 
 const (
 	keyTagNull    = 0x01
@@ -113,6 +114,27 @@ func appendKey(b []byte, v sqltypes.Value) []byte {
 		return appendEscaped(append(b, keyTagLink), v.Str())
 	}
 	return append(b, keyTagNull)
+}
+
+// appendExactKey is appendKey made exact between integers, for the
+// consumers that take key equality as value equality with no residual
+// check behind it — GROUP BY and DISTINCT. A numeric whose float64 image
+// other integers share (exactProbe is false) appends its exact int64 as a
+// tiebreak, so 2^53 and 2^53+1 get different keys, while INTEGER 1 and
+// DOUBLE 1 still share one, as sqltypes.Compare says. A far DOUBLE
+// appends the integer it equals, zero when no int64 does.
+func appendExactKey(b []byte, v sqltypes.Value) []byte {
+	b = appendKey(b, v)
+	if exactProbe(v) {
+		return b
+	}
+	var exact int64
+	if f, _ := v.AsDouble(); v.Kind() == sqltypes.KindInt {
+		exact = v.Int()
+	} else if f >= -(1<<63) && f < 1<<63 {
+		exact = int64(f)
+	}
+	return binary.BigEndian.AppendUint64(b, uint64(exact))
 }
 
 // appendEscaped writes s with 0x00 escaped as {0x00,0xFF} and a

@@ -933,45 +933,88 @@ func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx, requireExact bo
 	return kr, true
 }
 
-// scanAccessPath drives the chosen path against current table state,
-// emitting candidate rows in key order. It returns handled=false when
-// the path cannot serve this execution (see pathKeyRange) and the
-// caller must fall back to a heap scan. Candidates over-approximate the
-// WHERE clause: callers always re-apply the residual predicate.
-func scanAccessPath(td *tableData, path *accessPath, ctx *evalCtx, emit func(s *rowSlot, vals []sqltypes.Value) bool) (handled bool) {
+// tableScan is one table's row stream, resolved for one execution: the
+// planned access path when it serves this execution, else the heap in
+// insertion order. Every statement-level reader of a table — the SELECT
+// source, a join's driving table, UPDATE/DELETE row matching — goes
+// through it, so the path-else-heap choice, the per-row interrupt poll
+// and the WHERE test are written once.
+type tableScan struct {
+	td   *tableData
+	path *accessPath // nil: heap scan
+	idx  *orderedIndex
+	kr   keyRange
+}
+
+// openScan resolves path's probes against this execution's parameters.
+// A path that cannot serve it — none planned, SetFullScanOnly, or a
+// probe that fails to evaluate or align (see pathKeyRange) — leaves the
+// heap scan, so whether rows will arrive in the path's order is known
+// before the first one is emitted.
+func (db *DB) openScan(td *tableData, path *accessPath, ctx *evalCtx) tableScan {
+	ts := tableScan{td: td}
+	if path == nil || db.fullScanOnly {
+		return ts
+	}
 	idx := td.index(path.idx)
 	if idx == nil {
-		return false
+		return ts
 	}
 	kr, ok := pathKeyRange(td, path, ctx, false)
 	if !ok {
-		return false
+		return ts
 	}
-	if kr.empty {
-		return true
-	}
+	ts.path, ts.idx, ts.kr = path, idx, kr
+	return ts
+}
 
+// run visits, in scan order, the rows visible at ctx.snap that satisfy
+// where (nil = all) until visit returns false. Index candidates
+// over-approximate the predicate (encoded keys can collide, strict
+// bounds scan inclusively), so where is always the full statement
+// predicate, never a residual. The returned error is the scan's own —
+// a governance failure or a WHERE evaluation error; a visitor that
+// stops on an error of its own keeps it.
+func (ts *tableScan) run(where Expr, ctx *evalCtx, visit func(s *rowSlot, vals []sqltypes.Value) bool) error {
+	var err error
+	each := func(s *rowSlot, vals []sqltypes.Value) bool {
+		if err = ctx.intr.check(); err != nil {
+			return false
+		}
+		var ok bool
+		if ok, err = ctx.holds(where, vals); !ok {
+			return err == nil
+		}
+		return visit(s, vals)
+	}
+	if ts.path == nil {
+		ts.td.scan(ctx.snap, each)
+		return err
+	}
+	if ts.kr.empty {
+		return nil
+	}
 	reads := int64(0)
-	defer func() { td.heapReads.Add(reads) }()
-	emitRows := func(_ string, rows []*rowSlot) bool {
+	defer func() { ts.td.heapReads.Add(reads) }()
+	fetch := func(_ string, rows []*rowSlot) bool {
 		for _, r := range rows {
 			vals, live := r.fetch(ctx.snap)
 			if !live {
 				continue
 			}
 			reads++
-			if !emit(r, vals) {
+			if !each(r, vals) {
 				return false
 			}
 		}
 		return true
 	}
-	if kr.useLookup {
-		emitRows(kr.lookup, lookupVisible(td, idx, kr.lookup, ctx.snap))
+	if ts.kr.useLookup {
+		fetch(ts.kr.lookup, lookupVisible(ts.td, ts.idx, ts.kr.lookup, ctx.snap))
 	} else {
-		scanVisibleRange(td, idx, kr.lo, kr.hi, path.desc, ctx.snap, emitRows)
+		scanVisibleRange(ts.td, ts.idx, ts.kr.lo, ts.kr.hi, ts.path.desc, ctx.snap, fetch)
 	}
-	return true
+	return err
 }
 
 // exactProbe reports whether the aligned probe value pv maps to an

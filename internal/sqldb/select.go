@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,10 +29,15 @@ type selectPlan struct {
 	env        *bindEnv
 	aggregated bool
 	orderBound []bool
-	proj       []Expr
-	labels     []string
-	kinds      []sqltypes.Kind
-	noFrom     bool
+	// order is the ORDER BY list as the sort evaluates it: a bound item's
+	// own expression, an alias's projection expression. orderErr is the
+	// item that is neither, reported by the first row that needs sorting.
+	order    []Expr
+	orderErr error
+	proj     []Expr
+	labels   []string
+	kinds    []sqltypes.Kind
+	noFrom   bool
 
 	// path is the planner's access-path choice for the first FROM
 	// table (nil = heap scan); see planner.go. It is immutable after
@@ -130,16 +136,6 @@ func planVolatile(plan *selectPlan) bool {
 	return vol
 }
 
-// outRow is one projected output row awaiting DISTINCT/ORDER BY/LIMIT.
-// Exactly one of group (legacy aggregated), gs (fold aggregated) or src
-// (non-aggregated) carries the source context ORDER BY may still need.
-type outRow struct {
-	vals  []sqltypes.Value
-	group [][]sqltypes.Value
-	gs    *groupState
-	src   []sqltypes.Value
-}
-
 // execSelectLocked plans and runs a SELECT in one step (the uncached
 // path). The caller holds db.mu exclusively — this is the explicit-Tx /
 // script path — so the query runs in latest-mode visibility: it must
@@ -154,14 +150,13 @@ func (db *DB) execSelectLocked(s *SelectStmt, params []sqltypes.Value, ic *inter
 }
 
 // planSelect resolves FROM items against the catalogue, binds every
-// expression and runs the access-path planner (planner.go) over the
-// first FROM table. Execution remains deliberately simple — nested-loop
-// joins in FROM order with pushed ON predicates, hash aggregation, then
-// sort/limit — but the initial table access is index-driven whenever the
-// WHERE conjuncts or ORDER BY allow: hash lookups for equalities,
-// ordered-index scans for ranges and in-order reads. Caller holds db.mu
-// (read suffices; binding of a shared statement is serialised by
-// Stmt.mu).
+// expression and runs the planners over the result: the access path of
+// the first FROM table (planner.go), the aggregation strategy (agg.go,
+// aggplan.go) and the join probes (joinplan.go). What it leaves to each
+// execution is only what depends on the bound parameters or the data —
+// whether the path serves this execution, which side of a two-table
+// join drives — see runSelectAt. Caller holds db.mu (read suffices;
+// binding of a shared statement is serialised by Stmt.mu).
 func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 	// SELECT without FROM: bind items against an empty namespace.
 	if len(s.From) == 0 {
@@ -273,6 +268,7 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 		labels:     labels,
 		kinds:      kinds,
 	}
+	plan.order, plan.orderErr = resolveOrderBy(s.OrderBy, orderBound, proj, labels)
 	// Access-path selection for the first FROM table. DISTINCT keeps
 	// the first occurrence of each row, so index order survives dedup
 	// and ORDER BY satisfaction remains valid under it.
@@ -293,6 +289,30 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 	return plan, nil
 }
 
+// resolveOrderBy turns the ORDER BY list into the expressions the sort
+// evaluates: an item bound against the source columns is itself, an
+// unbound one must name a projection label and becomes that item's
+// expression.
+func resolveOrderBy(orderBy []OrderItem, bound []bool, proj []Expr, labels []string) ([]Expr, error) {
+	order := make([]Expr, len(orderBy))
+	for oi, o := range orderBy {
+		if bound[oi] {
+			order[oi] = o.Expr
+			continue
+		}
+		cr, ok := o.Expr.(*ColRef)
+		if !ok {
+			return nil, fmt.Errorf("sqldb: cannot resolve ORDER BY expression")
+		}
+		j := slices.IndexFunc(labels, func(l string) bool { return strings.EqualFold(l, cr.Col) })
+		if j < 0 {
+			return nil, fmt.Errorf("sqldb: unknown ORDER BY column %s", cr.Col)
+		}
+		order[oi] = proj[j]
+	}
+	return order, nil
+}
+
 // runSelect executes a bound plan against current state and materialises
 // a fully detached result (Rows shares no mutable storage with the
 // engine). It must not mutate the plan or its AST: concurrent readers
@@ -307,29 +327,31 @@ func (db *DB) runSelect(plan *selectPlan, params []sqltypes.Value) (*Rows, error
 // runSelectAt is runSelect at an explicit snapshot (snapLatest for the
 // exclusive-lock transaction path). A non-nil tr collects per-node
 // timings and heap-read counts for EXPLAIN ANALYZE. A non-nil ic makes
-// every streaming loop below a cancellation checkpoint and charges
-// buffered state against the memory budget.
+// the row source a cancellation checkpoint and charges buffered state
+// against the memory budget.
+//
+// Every statement is one row source feeding one sink. The source is the
+// filtered scan of a lone table (tableScan) or the join of several
+// (joinRows); it hands each row over as it is produced and stops when
+// the sink says so. The sink is the projection (OFFSET skip, LIMIT
+// stop), or the sort in front of it when DISTINCT or an ORDER BY the
+// access path did not serve has to see rows before any can be returned;
+// an aggregated statement folds the source into groups first (agg.go)
+// and the groups HAVING keeps take the rows' place. Nothing holds the
+// complete row set of a scan or a join.
 func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64, tr *execTrace, ic *interrupt) (*Rows, error) {
 	if plan.noFrom {
 		return db.runSelectNoFrom(plan, params)
 	}
 	s := plan.stmt
-	aggregated := plan.aggregated
-	orderBound := plan.orderBound
-
-	ctx := &evalCtx{params: params, now: db.nowFn(), snap: snap, intr: ic}
-	if !db.legacyResults {
-		// Result rows live in ar, owned by the returned Rows and released
-		// on Rows.Close. Intermediate joined rows live in scratch, whose
-		// chunks go back to the pool as soon as the statement finishes —
-		// everything that references them (outRow.src/group, groupState
-		// first rows) dies with this call; the projection copied their
-		// values out into ar. A nil arena (legacy mode) makes every arena
-		// alloc an ordinary make — see arena.go.
-		ctx.ar = &rowArena{}
-		ctx.scratch = &rowArena{}
-		defer ctx.scratch.release()
-	}
+	// Result rows live in ar, owned by the returned Rows and released on
+	// Rows.Close. Joined rows live in scratch, whose chunks go back to the
+	// pool as soon as the statement finishes — whatever references them
+	// (a batch awaiting projection, a sort entry, a group's first row)
+	// dies with this call; the projection copies their values into ar.
+	ctx := &evalCtx{params: params, now: db.nowFn(), snap: snap, intr: ic,
+		ar: &rowArena{}, scratch: &rowArena{}}
+	defer ctx.scratch.release()
 
 	// Index-only aggregation: COUNT/MIN/MAX over a residual-free path
 	// answered from the index without materialising candidate rows.
@@ -345,251 +367,62 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 		}
 	}
 
-	proj, labels := plan.proj, plan.labels
 	// The result owns its Columns and Kinds slices: the kind backfill
 	// below writes to Kinds, Columns is an exported field callers may
 	// touch, and the plan (with its labels and kinds) is shared across
 	// concurrent executions.
-	kinds := make([]sqltypes.Kind, len(plan.kinds))
-	copy(kinds, plan.kinds)
-	columns := make([]string, len(labels))
-	copy(columns, labels)
-	out := newRows(columns, kinds)
+	out := newRows(slices.Clone(plan.labels), slices.Clone(plan.kinds))
 	out.arena = ctx.ar
-
-	// Streaming columnar projection: a plain single-table SELECT with no
-	// DISTINCT/ORDER BY to reshape the row set projects straight from
-	// the scan through per-column batches into arena rows — no outRow
-	// buffering, no per-row allocation, and an early stop at
-	// OFFSET+LIMIT (legal: with no ORDER BY the row order is whatever
-	// the scan delivers, and both paths scan in the same order).
-	if !aggregated && !s.Distinct && len(s.OrderBy) == 0 &&
-		len(plan.tables) == 1 && ctx.ar != nil {
-		endScan := tr.span("scan")
-		if err := db.projectSingleTable(plan, ctx, out); err != nil {
-			return nil, err
-		}
-		endScan(int64(len(out.Data)))
-		backfillKinds(out)
+	if s.Limit == 0 {
 		return out, nil
 	}
 
-	var outRows []outRow
-	orderApplied := false
-
-	// Aggregated queries fold rows into per-group accumulators as they
-	// stream out of the scan (agg.go) — no row set is retained. The
-	// legacy materialise-then-group executor below survives behind
-	// SetLegacyAggregation as the ablation baseline and property oracle.
-	if aggregated && !db.legacyAggregation {
-		endFold := tr.span("fold-agg")
-		var err error
-		outRows, err = db.runFoldAggregate(plan, ctx)
-		if err != nil {
-			return nil, err
-		}
-		endFold(int64(len(outRows)))
+	scan := db.openScan(plan.tables[0].data, plan.path, ctx)
+	// An ORDER BY the access path serves needs no sort — and, like no
+	// ORDER BY at all, lets the projection stop the source at
+	// OFFSET+LIMIT. DISTINCT keeps the first occurrence of each row, so
+	// it preserves the path's order but must still see rows first.
+	sorting := s.Distinct || (len(s.OrderBy) > 0 && (scan.path == nil || !scan.path.satisfiesOrderBy))
+	var sink rowSink
+	if sorting {
+		sink = newSortSink(plan, ctx, out)
 	} else {
-		scanNode := "scan"
-		if len(plan.tables) > 1 {
-			scanNode = "join"
+		est := min(plan.tables[0].data.live.Load(), 1<<20)
+		if s.Limit >= 0 {
+			est = min(est, int64(s.Limit))
 		}
-		endScan := tr.span(scanNode)
-		rows, whereApplied, oa, err := db.materialiseRows(plan, ctx)
-		if err != nil {
-			return nil, err
-		}
-		endScan(int64(len(rows)))
-		orderApplied = oa
-
-		// WHERE (already fused into the single-table scan).
-		if s.Where != nil && !whereApplied {
-			filtered := rows[:0]
-			for _, r := range rows {
-				ctx.vals = r
-				v, err := evalExpr(s.Where, ctx)
-				if err != nil {
-					return nil, err
-				}
-				if !v.IsNull() && truthy(v) {
-					filtered = append(filtered, r)
-				}
-			}
-			rows = filtered
-		}
-
-		if aggregated {
-			groups, err := groupRows(rows, s.GroupBy, ctx)
-			if err != nil {
-				return nil, err
-			}
-			for _, g := range groups {
-				if s.Having != nil {
-					v, err := evalAgg(s.Having, g, ctx)
-					if err != nil {
-						return nil, err
-					}
-					if v.IsNull() || !truthy(v) {
-						continue
-					}
-				}
-				vals := ctx.ar.alloc(len(proj))
-				for i, e := range proj {
-					v, err := evalAgg(e, g, ctx)
-					if err != nil {
-						return nil, err
-					}
-					vals[i] = v
-				}
-				outRows = append(outRows, outRow{vals: vals, group: g})
-			}
-		} else {
-			outRows = make([]outRow, 0, len(rows))
-			for _, r := range rows {
-				if err := ctx.intr.check(); err != nil {
-					return nil, err
-				}
-				ctx.vals = r
-				vals := ctx.ar.alloc(len(proj))
-				for i, e := range proj {
-					v, err := evalExpr(e, ctx)
-					if err != nil {
-						return nil, err
-					}
-					vals[i] = v
-				}
-				outRows = append(outRows, outRow{vals: vals, src: r})
-			}
-		}
+		sink = newProjectSink(plan, ctx, out, s.Offset, s.Limit, int(est))
 	}
 
-	// DISTINCT.
-	if s.Distinct {
-		seen := make(map[string]bool, len(outRows))
-		dedup := outRows[:0]
-		for _, r := range outRows {
-			k := encodeKey(r.vals...)
-			if !seen[k] {
-				seen[k] = true
-				dedup = append(dedup, r)
-			}
-		}
-		outRows = dedup
+	node := "scan"
+	switch {
+	case plan.aggregated:
+		node = "fold-agg"
+	case len(plan.tables) > 1:
+		node = "join"
 	}
-
-	// ORDER BY (skipped when the access path already delivered rows in
-	// order — the index scan replaces the sort).
-	if len(s.OrderBy) > 0 && !orderApplied {
-		endSort := tr.span("sort")
-		keys := make([][]sqltypes.Value, len(outRows))
-		// One flat backing for the whole key set instead of a slice per
-		// row: the keys are transient (dead once the sort returns), so
-		// they stay off the arena — plain heap, but a single allocation.
-		nOrd := len(s.OrderBy)
-		flatKeys := make([]sqltypes.Value, len(outRows)*nOrd)
-		for ri, r := range outRows {
-			// Sort-key assembly is both a cancellation checkpoint and a
-			// sort-buffer charge: the key set is O(rows × order cols).
-			if err := ctx.intr.check(); err != nil {
-				return nil, err
-			}
-			if err := ctx.intr.charge(rowFootprint(nOrd)); err != nil {
-				return nil, err
-			}
-			ks := flatKeys[ri*nOrd : (ri+1)*nOrd : (ri+1)*nOrd]
-			for oi, o := range s.OrderBy {
-				var v sqltypes.Value
-				var err error
-				switch {
-				case orderBound[oi] && aggregated && r.gs != nil:
-					v, err = evalAggFold(o.Expr, plan, r.gs, ctx)
-				case orderBound[oi] && aggregated:
-					v, err = evalAgg(o.Expr, r.group, ctx)
-				case orderBound[oi]:
-					ctx.vals = r.src
-					v, err = evalExpr(o.Expr, ctx)
-				default:
-					// Alias reference into the projection.
-					cr, ok := o.Expr.(*ColRef)
-					if !ok {
-						return nil, fmt.Errorf("sqldb: cannot resolve ORDER BY expression")
-					}
-					j := -1
-					for li, l := range labels {
-						if strings.EqualFold(l, cr.Col) {
-							j = li
-							break
-						}
-					}
-					if j < 0 {
-						return nil, fmt.Errorf("sqldb: unknown ORDER BY column %s", cr.Col)
-					}
-					v = r.vals[j]
-				}
-				if err != nil {
-					return nil, err
-				}
-				ks[oi] = v
-			}
-			keys[ri] = ks
-		}
-		// Coerce sort keys once per row: mixed time-vs-text and
-		// numeric-vs-text comparisons would otherwise re-parse the
-		// textual operand on every SortCompare call inside the sort.
-		cells := annotateSortKeys(keys, len(s.OrderBy))
-		less := func(a, b int) bool {
-			for oi, o := range s.OrderBy {
-				c := cmpSortCells(&cells[a][oi], &cells[b][oi])
-				if c == 0 {
-					continue
-				}
-				if o.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			// Equal keys order by original position, which both makes
-			// the comparator total (sort.Slice == stable sort) and lets
-			// the top-K heap preserve first-appearance order on ties.
-			return a < b
-		}
-		var idx []int
-		if k := s.Offset + s.Limit; s.Limit >= 0 && k < len(outRows) {
-			// ORDER BY ... LIMIT: only the k best rows survive the
-			// OFFSET/LIMIT slice below, so select them with a bounded
-			// heap — O(n log k) — instead of sorting everything.
-			idx = topKIndices(len(outRows), k, less)
-		} else {
-			idx = make([]int, len(outRows))
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.Slice(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
-		}
-		sorted := make([]outRow, len(idx))
-		for i, j := range idx {
-			sorted[i] = outRows[j]
-		}
-		outRows = sorted
-		endSort(int64(len(outRows)))
+	end := tr.span(node)
+	var fed int64 // rows (groups) handed to the sink
+	var err error
+	if plan.aggregated {
+		fed, err = db.foldInto(plan, ctx, scan, sink)
+	} else {
+		err = db.streamRows(plan, ctx, scan, func(row []sqltypes.Value) bool {
+			fed++
+			return sink.add(row, nil)
+		})
 	}
-
-	// OFFSET / LIMIT.
-	if s.Offset > 0 {
-		if s.Offset >= len(outRows) {
-			outRows = nil
-		} else {
-			outRows = outRows[s.Offset:]
-		}
+	if err != nil {
+		return nil, err
 	}
-	if s.Limit >= 0 && s.Limit < len(outRows) {
-		outRows = outRows[:s.Limit]
+	if sorting && len(s.OrderBy) > 0 {
+		end(fed)
+		end = tr.span("sort")
 	}
-
-	out.Data = make([][]sqltypes.Value, len(outRows))
-	for i, r := range outRows {
-		out.Data[i] = r.vals
+	if err := sink.finish(); err != nil {
+		return nil, err
 	}
+	end(int64(len(out.Data)))
 	backfillKinds(out)
 	return out, nil
 }
@@ -609,334 +442,254 @@ func backfillKinds(out *Rows) {
 	}
 }
 
-// projectSingleTable is the streaming columnar projection fast path:
-// scan the single FROM table with the WHERE fused in, skip OFFSET kept
-// rows, stop after LIMIT projected rows, and project through colBatch
-// into arena-backed rows appended to out.Data. Requires ctx.ar != nil;
-// only reached for non-aggregated, non-DISTINCT, unordered plans.
-func (db *DB) projectSingleTable(plan *selectPlan, ctx *evalCtx, out *Rows) error {
-	s := plan.stmt
-	if s.Limit == 0 {
+// streamRows drives the statement's row source into emit until emit
+// returns false: the lone table's scan with the WHERE fused in, or the
+// join. A lone table's rows alias storage, which is safe — the engine
+// never mutates a row slice in place (updates swap in a fresh slice,
+// deletes only tombstone) and every sink copies values out, so nothing
+// mutable escapes into the result. Read-only on the plan.
+func (db *DB) streamRows(plan *selectPlan, ctx *evalCtx, scan tableScan, emit func([]sqltypes.Value) bool) error {
+	if len(plan.tables) == 1 {
+		return scan.run(plan.stmt.Where, ctx, func(_ *rowSlot, vals []sqltypes.Value) bool { return emit(vals) })
+	}
+	return db.joinRows(plan, ctx, scan, emit)
+}
+
+// rowSink consumes a statement's candidates — source rows (gs nil) or,
+// for an aggregated statement, folded groups (src nil) — and completes
+// the result in finish. add returns false to stop the source: the sink
+// has all it needs, or it failed and finish reports why.
+type rowSink interface {
+	add(src []sqltypes.Value, gs *groupState) bool
+	finish() error
+}
+
+// evalOver evaluates e for one sink candidate: over the folded group
+// when there is one, else against the source row.
+func (plan *selectPlan) evalOver(e Expr, src []sqltypes.Value, gs *groupState, ctx *evalCtx) (sqltypes.Value, error) {
+	if gs != nil {
+		return evalAggFold(e, plan, gs, ctx)
+	}
+	ctx.vals = src
+	return evalExpr(e, ctx)
+}
+
+// projectSink is the projection: it skips OFFSET candidates, projects
+// the next LIMIT into arena-backed rows appended to out.Data, and stops
+// the source there. Source rows go through the columnar batch (arena.go);
+// groups, few and evaluated through their accumulators, a row at a time.
+type projectSink struct {
+	plan  *selectPlan
+	ctx   *evalCtx
+	out   *Rows
+	cb    *colBatch // made by the first source row
+	est   int       // row estimate for cb
+	skip  int       // OFFSET candidates still to drop
+	limit int       // rows wanted; -1 = all
+	err   error
+}
+
+func newProjectSink(plan *selectPlan, ctx *evalCtx, out *Rows, skip, limit, est int) *projectSink {
+	return &projectSink{plan: plan, ctx: ctx, out: out, est: est, skip: skip, limit: limit}
+}
+
+func (p *projectSink) add(src []sqltypes.Value, gs *groupState) bool {
+	if p.skip > 0 {
+		p.skip--
+		return true
+	}
+	proj, ctx := p.plan.proj, p.ctx
+	// Projected rows are retained in the result: charge the budget.
+	if p.err = ctx.intr.charge(rowFootprint(len(proj))); p.err != nil {
+		return false
+	}
+	if gs != nil {
+		vals := ctx.ar.alloc(len(proj))
+		for i, e := range proj {
+			if vals[i], p.err = evalAggFold(e, p.plan, gs, ctx); p.err != nil {
+				return false
+			}
+		}
+		p.out.Data = append(p.out.Data, vals)
+	} else {
+		if p.cb == nil {
+			p.cb = newColBatch(proj, p.est)
+		}
+		if p.cb.push(src) {
+			if p.err = p.cb.flush(ctx, ctx.ar, p.out); p.err != nil {
+				return false
+			}
+		}
+	}
+	if p.limit > 0 {
+		p.limit--
+	}
+	return p.limit != 0
+}
+
+func (p *projectSink) finish() error {
+	if p.err != nil || p.cb == nil {
+		return p.err
+	}
+	return p.cb.flush(p.ctx, p.ctx.ar, p.out)
+}
+
+// joinRows streams the join of a multi-table SELECT into emit, depth
+// first in FROM order: each level extends the row assembled so far with
+// one candidate of its table, tests the pushed ON predicate and descends,
+// so a fully joined row reaches emit — past the statement's WHERE,
+// applied here once — the moment it is assembled, in the order a
+// level-by-level build would list them, and the loops unwind as soon as
+// emit returns false. Inner tables whose join key is indexed are probed
+// per outer row (index nested-loop) instead of re-scanned; unindexed
+// equi-joins build a hash table over the inner table once, when its
+// level is first reached, and probe it per outer row (hash join) instead
+// of degrading to the cross product. For a two-table inner join the
+// probed side is chosen at run time (see chooseSwap / chooseHashSwap).
+// first is the first table's resolved scan. Read-only on the plan.
+func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx, first tableScan, emit func([]sqltypes.Value) bool) error {
+	j := &joinRun{db: db, plan: plan, ctx: ctx, emit: emit,
+		width: len(plan.env.cols), probes: !db.fullScanOnly}
+	if j.probes {
+		if rev := chooseSwap(plan); rev != nil {
+			t0 := plan.tables[0]
+			return j.swapped(func(c *evalCtx) ([][]sqltypes.Value, bool) {
+				return probeJoin(t0.data, rev, c)
+			})
+		}
+		if hj := chooseHashSwap(plan); hj != nil {
+			hp, err := newHashProber(plan.tables[0].data, hj, ctx)
+			if err != nil {
+				return err
+			}
+			return j.swapped(hp.probe)
+		}
+	}
+	j.hashers = make([]*hashProber, len(plan.tables))
+	// The planner's path narrows the outer loop's candidates; the WHERE
+	// may name any table, so it waits for the assembled row.
+	matched := false
+	if err := first.run(nil, ctx, func(_ *rowSlot, vals []sqltypes.Value) bool {
+		return j.extend(0, nil, vals, &matched)
+	}); err != nil {
+		return err
+	}
+	return j.err
+}
+
+// joinRun is one execution of a join: what every level of the depth-
+// first assembly shares.
+type joinRun struct {
+	db      *DB
+	plan    *selectPlan
+	ctx     *evalCtx
+	emit    func([]sqltypes.Value) bool
+	width   int           // columns of the fully joined row
+	probes  bool          // index and hash probes allowed (not SetFullScanOnly)
+	hashers []*hashProber // per FROM item, built when its level is first reached
+	err     error         // the first failure; it unwinds every level
+}
+
+// deliver applies the statement's WHERE to one fully joined row and
+// hands a match to the sink.
+func (j *joinRun) deliver(row []sqltypes.Value) bool {
+	ok, err := j.ctx.holds(j.plan.stmt.Where, row)
+	if !ok {
+		j.err = err
+		return err == nil
+	}
+	return j.emit(row)
+}
+
+// assemble allocates the combined row prefix‖vals. Joined rows are
+// statement-lifetime intermediates: they live in the scratch arena,
+// never in the result arena, and each is a checkpoint and a charge
+// against the memory budget where it is allocated — a row costs its
+// bytes until the statement ends whether or not a sink keeps it.
+func (j *joinRun) assemble(n int) []sqltypes.Value {
+	if j.err = j.ctx.intr.check(); j.err == nil {
+		j.err = j.ctx.intr.charge(rowFootprint(j.width))
+	}
+	if j.err != nil {
 		return nil
 	}
-	ft := plan.tables[0]
-	// Row-pointer estimate for a result that outgrows the first batch
-	// (append-doubling over 100k rows is itself a measurable share of
-	// the legacy path's bytes/op); a smaller result is sized exactly.
-	est := min(ft.data.live.Load(), 1<<20)
-	if s.Limit >= 0 && int64(s.Limit) < est {
-		est = int64(s.Limit)
-	}
-	cb := newColBatch(plan.proj, int(est))
-	skip := s.Offset
-	kept := 0
-	charge := rowFootprint(len(plan.proj))
-	var scanErr error
-	visit := func(vals []sqltypes.Value) bool {
-		// Per-row cancellation checkpoint for both scan flavours below.
-		if err := ctx.intr.check(); err != nil {
-			scanErr = err
-			return false
-		}
-		if s.Where != nil {
-			ctx.vals = vals
-			v, err := evalExpr(s.Where, ctx)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if v.IsNull() || !truthy(v) {
-				return true
-			}
-		}
-		if skip > 0 {
-			skip--
-			return true
-		}
-		// Projected rows are retained in the result: charge the budget.
-		if err := ctx.intr.charge(charge); err != nil {
-			scanErr = err
-			return false
-		}
-		if cb.push(vals) {
-			if err := cb.flush(ctx, ctx.ar, out); err != nil {
-				scanErr = err
-				return false
-			}
-		}
-		kept++
-		return s.Limit < 0 || kept < s.Limit
-	}
-	handled := false
-	if plan.path != nil && !db.fullScanOnly {
-		handled = scanAccessPath(ft.data, plan.path, ctx, func(_ *rowSlot, vals []sqltypes.Value) bool {
-			return visit(vals)
-		})
-	}
-	if !handled && scanErr == nil {
-		ft.data.scan(ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
-			return visit(vals)
-		})
-	}
-	if scanErr != nil {
-		return scanErr
-	}
-	return cb.flush(ctx, ctx.ar, out)
+	return j.ctx.scratch.allocCap(n, j.width)
 }
 
-// materialiseRows collects the candidate row set for the non-folding
-// executor paths (non-aggregated queries and the legacy aggregation
-// oracle): the single-table fast path with the WHERE fused into the
-// scan, or the nested-loop join. whereApplied reports whether the WHERE
-// clause has already been enforced; orderApplied whether rows arrived
-// in ORDER BY order. Read-only on the plan.
-func (db *DB) materialiseRows(plan *selectPlan, ctx *evalCtx) (rows [][]sqltypes.Value, whereApplied, orderApplied bool, err error) {
-	s := plan.stmt
-	tables := plan.tables
-	if len(tables) == 1 {
-		// Single-table fast path: no joined row to assemble, so reference
-		// the stored row slices directly and fuse the WHERE filter into
-		// the scan. Aliasing storage is safe — the engine never mutates a
-		// row slice in place (updates swap in a fresh slice, deletes only
-		// tombstone) and the projection copies values out, so nothing
-		// mutable escapes into the result.
-		whereApplied = true
-		ft := tables[0]
-		var scanErr error
-		keep := func(vals []sqltypes.Value) (bool, error) {
-			// Per-row cancellation checkpoint for both the access-path
-			// and heap scans below.
-			if err := ctx.intr.check(); err != nil {
-				return false, err
-			}
-			if s.Where == nil {
-				return true, nil
-			}
-			ctx.vals = vals
-			v, err := evalExpr(s.Where, ctx)
-			if err != nil {
-				return false, err
-			}
-			return !v.IsNull() && truthy(v), nil
-		}
-		// When the access path delivers rows already in ORDER BY order
-		// and no DISTINCT reshapes the set, the scan can stop as soon
-		// as OFFSET+LIMIT kept rows are collected.
-		stopAt := -1
-		if plan.path != nil && plan.path.satisfiesOrderBy && !s.Distinct && !plan.aggregated && s.Limit >= 0 {
-			stopAt = s.Offset + s.Limit
-		}
-		handled := false
-		if plan.path != nil && !db.fullScanOnly {
-			handled = scanAccessPath(ft.data, plan.path, ctx, func(_ *rowSlot, vals []sqltypes.Value) bool {
-				ok, err := keep(vals)
-				if err == nil && ok {
-					// Retained rows buffer until projection/sort: charge
-					// them against the memory budget.
-					err = ctx.intr.charge(rowFootprint(len(vals)))
-				}
-				if err != nil {
-					scanErr = err
+// extend joins one candidate row of FROM item i onto base and, when the
+// ON condition holds, descends to the next level. false unwinds the join.
+func (j *joinRun) extend(i int, base, vals []sqltypes.Value, matched *bool) bool {
+	combined := j.assemble(len(base))
+	if combined == nil {
+		return false
+	}
+	copy(combined, base)
+	combined = append(combined, vals...)
+	if ok, err := j.ctx.holds(j.plan.stmt.From[i].JoinCond, combined); !ok {
+		j.err = err
+		return err == nil
+	}
+	*matched = true
+	return j.level(i+1, combined)
+}
+
+// level joins FROM item i onto base: through its index probe or hash
+// table when the plan has one and it serves this outer row, else by
+// scanning the table.
+func (j *joinRun) level(i int, base []sqltypes.Value) bool {
+	plan, ctx := j.plan, j.ctx
+	if i == len(plan.tables) {
+		return j.deliver(base)
+	}
+	ft := plan.tables[i]
+	var cands [][]sqltypes.Value
+	probed := false
+	if j.probes {
+		switch probe, hj := plan.joins[i], plan.hashJoins[i]; {
+		case probe != nil:
+			ctx.vals = base
+			cands, probed = probeJoin(ft.data, probe, ctx)
+		case hj != nil:
+			if j.hashers[i] == nil {
+				if j.hashers[i], j.err = newHashProber(ft.data, hj, ctx); j.err != nil {
 					return false
 				}
-				if ok {
-					rows = append(rows, vals)
-				}
-				return stopAt < 0 || len(rows) < stopAt
-			})
-			orderApplied = handled && plan.path.satisfiesOrderBy
+			}
+			ctx.vals = base
+			cands, probed = j.hashers[i].probe(ctx)
 		}
-		if !handled {
-			ft.data.scan(ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
-				ok, err := keep(vals)
-				if err == nil && ok {
-					err = ctx.intr.charge(rowFootprint(len(vals)))
-				}
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if ok {
-					rows = append(rows, vals)
-				}
-				return true
-			})
-		}
-		if scanErr != nil {
-			return nil, false, false, scanErr
+	}
+	matched, more := false, true
+	if probed {
+		for _, vals := range cands {
+			if more = j.extend(i, base, vals, &matched); !more {
+				break
+			}
 		}
 	} else {
-		var joinErr error
-		rows, joinErr = db.joinRows(plan, ctx)
-		if joinErr != nil {
-			return nil, false, false, joinErr
-		}
-	}
-
-	return rows, whereApplied, orderApplied, nil
-}
-
-// joinRows materialises the nested-loop join for multi-table SELECTs,
-// building joined rows incrementally in FROM order with pushed ON
-// predicates. Inner tables whose join key is indexed are probed per
-// outer row (index nested-loop) instead of re-scanned; unindexed
-// equi-joins build a hash table over the inner table once and probe it
-// per outer row (hash join) instead of degrading to the cross product.
-// For a two-table inner join the probed side is chosen at run time
-// (see chooseSwap / chooseHashSwap). Read-only on the plan.
-func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx) ([][]sqltypes.Value, error) {
-	s := plan.stmt
-	if rev := db.chooseSwap(plan); rev != nil {
-		t0 := plan.tables[0]
-		return db.joinRowsSwapped(plan, ctx, func(c *evalCtx) ([][]sqltypes.Value, bool) {
-			return probeJoin(t0.data, rev, c)
+		ft.data.scan(ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
+			more = j.extend(i, base, vals, &matched)
+			return more
 		})
 	}
-	if hj := db.chooseHashSwap(plan); hj != nil {
-		hp, err := newHashProber(plan.tables[0].data, hj, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return db.joinRowsSwapped(plan, ctx, hp.probe)
+	if !more || matched || !plan.stmt.From[i].LeftJoin {
+		return more
 	}
-	width := len(plan.env.cols)
-	rows := make([][]sqltypes.Value, 1)
-	rows[0] = make([]sqltypes.Value, 0, width)
-	for i, ft := range plan.tables {
-		cond := s.From[i].JoinCond
-		left := s.From[i].LeftJoin
-		var probe *joinProbe
-		if plan.joins != nil && !db.fullScanOnly {
-			probe = plan.joins[i]
-		}
-		// Hash-join fallback: equi-join conjuncts exist but no index
-		// serves them. The table is built once per FROM item — O(|inner|)
-		// — then probed per outer row, replacing the per-outer-row scan.
-		var hashP *hashProber
-		if plan.hashJoins != nil && probe == nil && !db.fullScanOnly {
-			if hj := plan.hashJoins[i]; hj != nil && len(rows) > 0 {
-				var err error
-				hashP, err = newHashProber(ft.data, hj, ctx)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		var next [][]sqltypes.Value
-
-		// Access-path fast path for the first table: the planner's
-		// choice narrows the outer loop's candidates (the full WHERE is
-		// still applied after the join, so over-approximation is safe).
-		var candidates [][]sqltypes.Value
-		haveCandidates := false
-		if i == 0 && plan.path != nil && !db.fullScanOnly {
-			haveCandidates = scanAccessPath(ft.data, plan.path, ctx, func(_ *rowSlot, vals []sqltypes.Value) bool {
-				candidates = append(candidates, vals)
-				return true
-			})
-		}
-		scanInto := func(base []sqltypes.Value) error {
-			matched := false
-			appendRow := func(vals []sqltypes.Value) error {
-				// Per-row checkpoint + joined-row buffer charge: the
-				// nested loop assembles and retains every combined row.
-				if err := ctx.intr.check(); err != nil {
-					return err
-				}
-				if err := ctx.intr.charge(rowFootprint(width)); err != nil {
-					return err
-				}
-				// Joined rows are statement-lifetime intermediates: they
-				// live in the scratch arena (released when the statement
-				// finishes), never in the result arena — the projection
-				// copies values out of them.
-				combined := ctx.scratch.allocCap(len(base), width)
-				copy(combined, base)
-				combined = append(combined, vals...)
-				if cond != nil {
-					ctx.vals = combined
-					v, err := evalExpr(cond, ctx)
-					if err != nil {
-						return err
-					}
-					if v.IsNull() || !truthy(v) {
-						return nil
-					}
-				}
-				matched = true
-				next = append(next, combined)
-				return nil
-			}
-			var scanErr error
-			probed := false
-			switch {
-			case haveCandidates:
-				probed = true
-				for _, vals := range candidates {
-					if scanErr = appendRow(vals); scanErr != nil {
-						break
-					}
-				}
-			case probe != nil:
-				// Index nested-loop: evaluate the outer-side probe
-				// expressions against the accumulated row and look the
-				// candidates up instead of scanning.
-				ctx.vals = base
-				if cands, handled := probeJoin(ft.data, probe, ctx); handled {
-					probed = true
-					for _, vals := range cands {
-						if scanErr = appendRow(vals); scanErr != nil {
-							break
-						}
-					}
-				}
-			case hashP != nil:
-				// Hash join: look the candidates up in the prebuilt table.
-				ctx.vals = base
-				if cands, handled := hashP.probe(ctx); handled {
-					probed = true
-					for _, vals := range cands {
-						if scanErr = appendRow(vals); scanErr != nil {
-							break
-						}
-					}
-				}
-			}
-			if !probed && scanErr == nil {
-				ft.data.scan(ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
-					scanErr = appendRow(vals)
-					return scanErr == nil
-				})
-			}
-			if scanErr != nil {
-				return scanErr
-			}
-			if left && !matched {
-				combined := ctx.scratch.allocCap(len(base), width)
-				copy(combined, base)
-				for range ft.schema.Cols {
-					combined = append(combined, sqltypes.Null)
-				}
-				next = append(next, combined)
-			}
-			return nil
-		}
-		for _, base := range rows {
-			if err := scanInto(base); err != nil {
-				return nil, err
-			}
-		}
-		rows = next
+	// LEFT JOIN with no match: the NULL-extended row.
+	combined := ctx.scratch.allocCap(len(base), j.width)
+	copy(combined, base)
+	for range ft.schema.Cols {
+		combined = append(combined, sqltypes.Null)
 	}
-	return rows, nil
+	return j.level(i+1, combined)
 }
 
 // chooseSwap decides whether a two-table inner join should run with the
 // second table as the outer loop probing the first: when only the first
 // table's join key is indexed, or when both are and the first table is
 // larger (the smaller table should drive the outer loop).
-func (db *DB) chooseSwap(plan *selectPlan) *joinProbe {
-	if db.fullScanOnly || plan.revProbe == nil || len(plan.tables) != 2 {
+func chooseSwap(plan *selectPlan) *joinProbe {
+	if plan.revProbe == nil || len(plan.tables) != 2 {
 		return nil
 	}
 	if fwd := plan.joins[1]; fwd != nil && plan.tables[0].data.live.Load() <= plan.tables[1].data.live.Load() {
@@ -951,8 +704,8 @@ func (db *DB) chooseSwap(plan *selectPlan) *joinProbe {
 // table is smaller (the hash table belongs on the smaller side, the
 // larger one drives the outer loop). Index probes, when any exist,
 // already won in chooseSwap / the forward loop.
-func (db *DB) chooseHashSwap(plan *selectPlan) *hashJoinPlan {
-	if db.fullScanOnly || plan.revHash == nil || len(plan.tables) != 2 {
+func chooseHashSwap(plan *selectPlan) *hashJoinPlan {
+	if plan.revHash == nil || len(plan.tables) != 2 {
 		return nil
 	}
 	if plan.joins[1] != nil || plan.revProbe != nil {
@@ -964,141 +717,108 @@ func (db *DB) chooseHashSwap(plan *selectPlan) *hashJoinPlan {
 	return plan.revHash
 }
 
-// joinRowsSwapped is the reversed two-table nested loop: scan table 1
-// as the outer side and probe table 0 (via an index probe or a prebuilt
-// hash table — probeFn encapsulates the lookup), assembling each
-// combined row in declared column order so every bound expression keeps
-// its slot. Only inner joins reach here (LEFT JOIN is direction-bound).
-func (db *DB) joinRowsSwapped(plan *selectPlan, ctx *evalCtx, probeFn func(*evalCtx) ([][]sqltypes.Value, bool)) ([][]sqltypes.Value, error) {
-	s := plan.stmt
-	t0, t1 := plan.tables[0], plan.tables[1]
-	width := len(plan.env.cols)
+// swapped is the reversed two-table nested loop: scan table 1 as the
+// outer side and probe table 0 (via an index probe or a prebuilt hash
+// table — probeFn encapsulates the lookup), assembling each combined row
+// in declared column order so every bound expression keeps its slot.
+// Only inner joins reach here (LEFT JOIN is direction-bound).
+func (j *joinRun) swapped(probeFn func(*evalCtx) ([][]sqltypes.Value, bool)) error {
+	ctx := j.ctx
+	t0, t1 := j.plan.tables[0], j.plan.tables[1]
 	start1 := t1.start
-	cond := s.From[1].JoinCond
-	var rows [][]sqltypes.Value
-	var outerErr error
-	// Scratch row for probe evaluation: the probe's expressions only
-	// reference table 1 slots, so the table 0 prefix can stay stale.
-	scratch := make([]sqltypes.Value, width)
-	t1.data.scan(ctx.snap, func(_ *rowSlot, v1 []sqltypes.Value) bool {
-		// Outer-row checkpoint: probes that match nothing still visit
-		// every outer row.
-		if err := ctx.intr.check(); err != nil {
-			outerErr = err
-			return false
-		}
-		copy(scratch[start1:], v1)
-		ctx.vals = scratch
+	cond := j.plan.stmt.From[1].JoinCond
+	// Probe-evaluation row: the probe's expressions only reference table 1
+	// slots, so the table 0 prefix can stay stale.
+	probeRow := make([]sqltypes.Value, j.width)
+	outer := j.db.openScan(t1.data, nil, ctx)
+	err := outer.run(nil, ctx, func(_ *rowSlot, v1 []sqltypes.Value) bool {
+		copy(probeRow[start1:], v1)
+		ctx.vals = probeRow
 		cands, handled := probeFn(ctx)
-		emit := func(v0 []sqltypes.Value) bool {
-			gerr := ctx.intr.check()
-			if gerr == nil {
-				gerr = ctx.intr.charge(rowFootprint(width))
-			}
-			if gerr != nil {
-				outerErr = gerr
+		pair := func(v0 []sqltypes.Value) bool {
+			combined := j.assemble(j.width)
+			if combined == nil {
 				return false
 			}
-			combined := ctx.scratch.alloc(width)
 			copy(combined, v0)
 			copy(combined[start1:], v1)
-			if cond != nil {
-				ctx.vals = combined
-				cv, err := evalExpr(cond, ctx)
-				if err != nil {
-					outerErr = err
-					return false
-				}
-				if cv.IsNull() || !truthy(cv) {
-					return true
-				}
+			if ok, err := ctx.holds(cond, combined); !ok {
+				j.err = err
+				return err == nil
 			}
-			rows = append(rows, combined)
-			return true
+			return j.deliver(combined)
 		}
 		if handled {
 			for _, v0 := range cands {
-				if !emit(v0) {
+				if !pair(v0) {
 					return false
 				}
 			}
 			return true
 		}
-		keep := true
+		more := true
 		t0.data.scan(ctx.snap, func(_ *rowSlot, v0 []sqltypes.Value) bool {
-			keep = emit(v0)
-			return keep
+			more = pair(v0)
+			return more
 		})
-		return keep
+		return more
 	})
-	return rows, outerErr
+	if err != nil {
+		return err
+	}
+	return j.err
 }
 
-// sortKeyCell is one ORDER BY key with its cross-kind coercions
-// precomputed. SortCompare parses a textual operand every time it meets
-// a TIMESTAMP or numeric on the other side; annotateSortKeys performs
-// that coercion once per row so the O(n log n) comparisons are parse
-// free, with ordering semantics identical to SortCompare's.
+// sortKeyCell is one ORDER BY key with its cross-kind coercions cached.
+// SortCompare parses a textual operand every time it meets a TIMESTAMP
+// or numeric on the other side; a cell performs each coercion at most
+// once — on the first comparison that needs it — so a homogeneous column
+// (the common case) never parses and costs no more than its value, and a
+// mixed one parses each key once, with ordering semantics identical to
+// SortCompare's.
 type sortKeyCell struct {
-	v       sqltypes.Value
-	timeVal sqltypes.Value // parsed-timestamp twin of a textual v
-	timeOK  bool
-	numVal  sqltypes.Value // numeric twin of a textual v
-	numOK   bool
+	v    sqltypes.Value
+	twin *sortTwins // made by the first mixed-kind comparison of a textual v
 }
 
-// annotateSortKeys builds the coerced cells column by column: twins are
-// only computed when the column actually mixes kinds, so homogeneous
-// sorts (the common case) pay one kind sweep and nothing else.
-func annotateSortKeys(keys [][]sqltypes.Value, ncols int) [][]sortKeyCell {
-	cells := make([][]sortKeyCell, len(keys))
-	flat := make([]sortKeyCell, len(keys)*ncols) // one backing, not one per row
-	for ri, ks := range keys {
-		row := flat[ri*ncols : (ri+1)*ncols : (ri+1)*ncols]
-		for oi := 0; oi < ncols; oi++ {
-			row[oi].v = ks[oi]
-		}
-		cells[ri] = row
+// sortTwins are a textual key's coerced images; a NULL twin (the zero
+// Value) is one that was tried and does not parse.
+type sortTwins struct {
+	time, num           sqltypes.Value
+	timeTried, numTried bool
+}
+
+func (c *sortKeyCell) twins() *sortTwins {
+	if c.twin == nil {
+		c.twin = &sortTwins{}
 	}
-	for oi := 0; oi < ncols; oi++ {
-		hasTime, hasNum, hasText := false, false, false
-		for _, ks := range keys {
-			switch ks[oi].Kind() {
-			case sqltypes.KindTime:
-				hasTime = true
-			case sqltypes.KindInt, sqltypes.KindDouble:
-				hasNum = true
-			case sqltypes.KindString, sqltypes.KindClob:
-				hasText = true
-			}
-		}
-		if !hasText || (!hasTime && !hasNum) {
-			continue
-		}
-		for ri := range cells {
-			c := &cells[ri][oi]
-			if !c.v.IsTextual() {
-				continue
-			}
-			if hasTime {
-				if t, err := sqltypes.ParseTimestamp(c.v.Str()); err == nil {
-					c.timeVal = sqltypes.NewTime(t)
-					c.timeOK = true
-				}
-			}
-			if hasNum {
-				if f, ok := c.v.AsDouble(); ok {
-					c.numVal = sqltypes.NewDouble(f)
-					c.numOK = true
-				}
-			}
+	return c.twin
+}
+
+func (c *sortKeyCell) timeTwin() sqltypes.Value {
+	t := c.twins()
+	if !t.timeTried {
+		t.timeTried = true
+		if ts, err := sqltypes.ParseTimestamp(c.v.Str()); err == nil {
+			t.time = sqltypes.NewTime(ts)
 		}
 	}
-	return cells
+	return t.time
+}
+
+func (c *sortKeyCell) numTwin() sqltypes.Value {
+	t := c.twins()
+	if !t.numTried {
+		t.numTried = true
+		if f, ok := c.v.AsDouble(); ok {
+			t.num = sqltypes.NewDouble(f)
+		}
+	}
+	return t.num
 }
 
 // cmpSortCells mirrors sqltypes.SortCompare exactly, substituting the
-// precomputed twins wherever SortCompare would coerce a textual operand.
+// cached twins wherever SortCompare would coerce a textual operand.
 func cmpSortCells(a, b *sortKeyCell) int {
 	an, bn := a.v.IsNull(), b.v.IsNull()
 	switch {
@@ -1109,98 +829,245 @@ func cmpSortCells(a, b *sortKeyCell) int {
 	case bn:
 		return 1
 	}
-	kindOrder := func() int {
-		ak, bk := int64(a.v.Kind()), int64(b.v.Kind())
-		switch {
+	// mixed compares a twin against the other side's value; a textual key
+	// that does not parse (a NULL twin: Compare refuses it) is
+	// incomparable and orders by kind.
+	mixed := func(x, y sqltypes.Value) int {
+		if c, ok := sqltypes.Compare(x, y); ok {
+			return c
+		}
+		switch ak, bk := a.v.Kind(), b.v.Kind(); {
 		case ak < bk:
 			return -1
 		case ak > bk:
 			return 1
-		default:
-			return 0
 		}
+		return 0
 	}
 	switch {
 	case a.v.Kind() == sqltypes.KindTime && b.v.IsTextual():
-		if b.timeOK {
-			if c, ok := sqltypes.Compare(a.v, b.timeVal); ok {
-				return c
-			}
-		}
-		return kindOrder()
+		return mixed(a.v, b.timeTwin())
 	case a.v.IsTextual() && b.v.Kind() == sqltypes.KindTime:
-		if a.timeOK {
-			if c, ok := sqltypes.Compare(a.timeVal, b.v); ok {
-				return c
-			}
-		}
-		return kindOrder()
+		return mixed(a.timeTwin(), b.v)
 	case a.v.IsTextual() && b.v.IsNumeric():
-		if a.numOK {
-			if c, ok := sqltypes.Compare(a.numVal, b.v); ok {
-				return c
-			}
-		}
-		return kindOrder()
+		return mixed(a.numTwin(), b.v)
 	case a.v.IsNumeric() && b.v.IsTextual():
-		if b.numOK {
-			if c, ok := sqltypes.Compare(a.v, b.numVal); ok {
-				return c
-			}
-		}
-		return kindOrder()
+		return mixed(a.v, b.numTwin())
 	}
 	return sqltypes.SortCompare(a.v, b.v)
 }
 
-// topKIndices returns the indices of the k least rows under less, in
-// sorted order, without sorting the rest: a size-k max-heap (root =
-// worst kept candidate) admits each row in O(log k), then the k
-// survivors sort among themselves. less must be total (topKIndices is
-// used with the position tiebreaker above), which also keeps the
-// selection stable: a later row never displaces an equal earlier one.
-func topKIndices(n, k int, less func(a, b int) bool) []int {
-	if k <= 0 {
-		return nil
+// sortEntry is one candidate the sort holds: a reference to its source
+// and its evaluated ORDER BY keys — not its projection, which only the
+// survivors of OFFSET/LIMIT get.
+type sortEntry struct {
+	src  []sqltypes.Value // source row: aliases storage (scan) or the scratch arena (join)
+	gs   *groupState      // the folded group, for an aggregated statement
+	vals []sqltypes.Value // DISTINCT only: the projected row, in the result arena
+	keys []sortKeyCell
+	seq  int // arrival order: the tie-break that makes the sort stable
+}
+
+// sortSink is the sink for statements whose rows cannot be returned as
+// they arrive: DISTINCT (which projects each candidate first, to drop
+// repeats of a row already seen) and/or an ORDER BY the access path did
+// not serve. Under ORDER BY ... LIMIT it holds only the OFFSET+LIMIT
+// best candidates seen so far, in a bounded max-heap whose root is the
+// worst of them — O(n log k) and O(k) memory — and a later arrival never
+// displaces an equal earlier one, so the selection is the stable sort's.
+// finish sorts what is held and projects the OFFSET/LIMIT window.
+type sortSink struct {
+	plan  *selectPlan
+	ctx   *evalCtx
+	out   *Rows
+	bound int // candidates worth holding: OFFSET+LIMIT, or -1 for all
+
+	entries []sortEntry
+	seq     int
+	cand    []sortKeyCell // the arriving candidate's keys
+	cells   []sortKeyCell // block the held entries' keys are carved from
+
+	// DISTINCT state: projected rows seen, keyed exactly (key.go).
+	seen   map[string]struct{}
+	row    []sqltypes.Value
+	keyBuf []byte
+
+	err error
+}
+
+func newSortSink(plan *selectPlan, ctx *evalCtx, out *Rows) *sortSink {
+	st := plan.stmt
+	s := &sortSink{plan: plan, ctx: ctx, out: out, bound: -1, cand: make([]sortKeyCell, len(plan.order))}
+	if st.Limit >= 0 {
+		s.bound = st.Offset + st.Limit
 	}
-	h := make([]int, 0, k)
-	siftDown := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
-			}
-			// Pick the worse child (max-heap on "sorts after").
-			if c+1 < len(h) && less(h[c], h[c+1]) {
-				c++
-			}
-			if !less(h[i], h[c]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
+	if st.Distinct {
+		s.seen = make(map[string]struct{})
+		s.row = make([]sqltypes.Value, len(plan.proj))
 	}
-	for i := 0; i < n; i++ {
-		if len(h) < k {
-			h = append(h, i)
-			for c := len(h) - 1; c > 0; {
-				p := (c - 1) / 2
-				if !less(h[p], h[c]) {
-					break
-				}
-				h[p], h[c] = h[c], h[p]
-				c = p
-			}
+	return s
+}
+
+// before reports whether candidate a sorts ahead of b: by the ORDER BY
+// keys, then by arrival, which makes the order total.
+func (s *sortSink) before(ak []sortKeyCell, aseq int, bk []sortKeyCell, bseq int) bool {
+	for oi, o := range s.plan.stmt.OrderBy {
+		c := cmpSortCells(&ak[oi], &bk[oi])
+		if c == 0 {
 			continue
 		}
-		if less(i, h[0]) {
-			h[0] = i
-			siftDown(0)
+		if o.Desc {
+			return c > 0
+		}
+		return c < 0
+	}
+	return aseq < bseq
+}
+
+func (s *sortSink) add(src []sqltypes.Value, gs *groupState) bool {
+	plan, ctx := s.plan, s.ctx
+	if s.err = plan.orderErr; s.err != nil {
+		return false
+	}
+	held := rowFootprint(len(s.cand))
+	if s.seen != nil {
+		s.keyBuf = s.keyBuf[:0]
+		for i, e := range plan.proj {
+			if s.row[i], s.err = plan.evalOver(e, src, gs, ctx); s.err != nil {
+				return false
+			}
+			s.keyBuf = appendExactKey(s.keyBuf, s.row[i])
+		}
+		if _, dup := s.seen[string(s.keyBuf)]; dup {
+			return true
+		}
+		s.seen[string(s.keyBuf)] = struct{}{}
+		held += rowFootprint(len(s.row)) + int64(len(s.keyBuf))
+	}
+	for i, e := range plan.order {
+		v, err := plan.evalOver(e, src, gs, ctx)
+		if err != nil {
+			s.err = err
+			return false
+		}
+		s.cand[i] = sortKeyCell{v: v}
+	}
+	e := sortEntry{src: src, gs: gs, seq: s.seq}
+	s.seq++
+	ordered := len(s.cand) > 0
+	full := len(s.entries) == s.bound
+	if full {
+		// A full heap (only an ORDER BY fills one: without it the source
+		// was stopped): the candidate replaces the worst held one or goes.
+		worst := &s.entries[0]
+		if !s.before(s.cand, e.seq, worst.keys, worst.seq) {
+			return true
+		}
+		e.keys = worst.keys
+	} else {
+		// Held candidates buffer until finish: charge the memory budget.
+		if s.err = ctx.intr.charge(held); s.err != nil {
+			return false
+		}
+		e.keys = s.newKeys()
+	}
+	copy(e.keys, s.cand)
+	if s.seen != nil {
+		e.vals = ctx.ar.alloc(len(s.row))
+		copy(e.vals, s.row)
+	}
+	switch {
+	case full:
+		s.entries[0] = e
+		s.siftDown(0)
+	case ordered && s.bound >= 0:
+		s.entries = append(s.entries, e)
+		s.siftUp(len(s.entries) - 1)
+	default:
+		s.entries = append(s.entries, e)
+	}
+	// With no ORDER BY the first OFFSET+LIMIT distinct rows are the result.
+	return ordered || len(s.entries) != s.bound
+}
+
+// newKeys carves one entry's key cells out of the current block; each
+// new block is as large as everything held so far (never larger than
+// what a bounded heap will still admit), so the cells of n entries cost
+// at most 2n and are never copied.
+func (s *sortSink) newKeys() []sortKeyCell {
+	n := len(s.cand)
+	if len(s.cells) < n {
+		block := max(len(s.entries), 16)
+		if s.bound >= 0 {
+			block = min(block, s.bound-len(s.entries))
+		}
+		s.cells = make([]sortKeyCell, n*block)
+	}
+	keys := s.cells[:n:n]
+	s.cells = s.cells[n:]
+	return keys
+}
+
+// worse reports whether entry i sorts after entry j (the heap's order).
+func (s *sortSink) worse(i, j int) bool {
+	a, b := &s.entries[i], &s.entries[j]
+	return s.before(b.keys, b.seq, a.keys, a.seq)
+}
+
+func (s *sortSink) siftUp(c int) {
+	for c > 0 {
+		p := (c - 1) / 2
+		if !s.worse(c, p) {
+			return
+		}
+		s.entries[p], s.entries[c] = s.entries[c], s.entries[p]
+		c = p
+	}
+}
+
+func (s *sortSink) siftDown(p int) {
+	for {
+		c := 2*p + 1
+		if c >= len(s.entries) {
+			return
+		}
+		if c+1 < len(s.entries) && s.worse(c+1, c) {
+			c++
+		}
+		if !s.worse(c, p) {
+			return
+		}
+		s.entries[p], s.entries[c] = s.entries[c], s.entries[p]
+		p = c
+	}
+}
+
+func (s *sortSink) finish() error {
+	if s.err != nil {
+		return s.err
+	}
+	if len(s.cand) > 0 {
+		sort.Slice(s.entries, func(i, j int) bool { return s.worse(j, i) })
+	}
+	st := s.plan.stmt
+	window := s.entries[min(st.Offset, len(s.entries)):]
+	if st.Limit >= 0 {
+		window = window[:min(st.Limit, len(window))]
+	}
+	if s.seen != nil {
+		s.out.Data = make([][]sqltypes.Value, len(window))
+		for i := range window {
+			s.out.Data[i] = window[i].vals
+		}
+		return nil
+	}
+	p := newProjectSink(s.plan, s.ctx, s.out, 0, -1, len(window))
+	for i := range window {
+		if !p.add(window[i].src, window[i].gs) {
+			break
 		}
 	}
-	sort.Slice(h, func(a, b int) bool { return less(h[a], h[b]) })
-	return h
+	return p.finish()
 }
 
 // runSelectNoFrom evaluates a FROM-less SELECT once against an empty
@@ -1290,173 +1157,4 @@ func (db *DB) colKind(qc qualCol) sqltypes.Kind {
 		}
 	}
 	return sqltypes.KindNull
-}
-
-// groupRows partitions rows by the GROUP BY key expressions. With no
-// GROUP BY the whole input is one group (aggregate-only query) — even
-// when empty, per SQL (COUNT(*) over no rows is 0).
-func groupRows(rows [][]sqltypes.Value, groupBy []Expr, ctx *evalCtx) ([][][]sqltypes.Value, error) {
-	if len(groupBy) == 0 {
-		return [][][]sqltypes.Value{rows}, nil
-	}
-	var order []string
-	groups := make(map[string][][]sqltypes.Value)
-	for _, r := range rows {
-		ctx.vals = r
-		key := make([]sqltypes.Value, len(groupBy))
-		for i, g := range groupBy {
-			v, err := evalExpr(g, ctx)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
-		}
-		k := encodeKey(key...)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], r)
-	}
-	out := make([][][]sqltypes.Value, len(order))
-	for i, k := range order {
-		out[i] = groups[k]
-	}
-	return out, nil
-}
-
-// evalAgg evaluates an expression over a group: aggregate calls consume
-// the whole group; everything else is evaluated against the group's
-// first row (the GROUP BY key columns are constant within a group).
-func evalAgg(e Expr, group [][]sqltypes.Value, ctx *evalCtx) (sqltypes.Value, error) {
-	switch n := e.(type) {
-	case *FuncCall:
-		if isAggregate(n.Name) {
-			return computeAggregate(n, group, ctx)
-		}
-		// Scalar function: evaluate args in aggregate mode.
-		args := make([]Expr, len(n.Args))
-		for i, a := range n.Args {
-			v, err := evalAgg(a, group, ctx)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			args[i] = &Literal{Val: v}
-		}
-		return evalFunc(&FuncCall{Name: n.Name, Args: args}, ctx)
-	case *Binary:
-		if n.Op == "AND" || n.Op == "OR" {
-			// Preserve three-valued logic by substituting evaluated sides.
-			l, err := evalAgg(n.L, group, ctx)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			r, err := evalAgg(n.R, group, ctx)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			return evalBinary(&Binary{Op: n.Op, L: &Literal{Val: l}, R: &Literal{Val: r}}, ctx)
-		}
-		l, err := evalAgg(n.L, group, ctx)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		r, err := evalAgg(n.R, group, ctx)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		return evalBinary(&Binary{Op: n.Op, L: &Literal{Val: l}, R: &Literal{Val: r}}, ctx)
-	case *Unary:
-		v, err := evalAgg(n.X, group, ctx)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		return evalUnary(&Unary{Op: n.Op, X: &Literal{Val: v}}, ctx)
-	default:
-		if len(group) == 0 {
-			// Aggregate query over an empty input: scalar parts are NULL.
-			if _, ok := e.(*Literal); ok {
-				return evalExpr(e, ctx)
-			}
-			return sqltypes.Null, nil
-		}
-		ctx.vals = group[0]
-		return evalExpr(e, ctx)
-	}
-}
-
-func computeAggregate(n *FuncCall, group [][]sqltypes.Value, ctx *evalCtx) (sqltypes.Value, error) {
-	if n.Star {
-		return sqltypes.NewInt(int64(len(group))), nil
-	}
-	if len(n.Args) != 1 {
-		return sqltypes.Null, fmt.Errorf("sqldb: %s expects exactly one argument", n.Name)
-	}
-	var (
-		count   int64
-		sumF    float64
-		allInt  = true
-		sumI    int64
-		minV    = sqltypes.Null
-		maxV    = sqltypes.Null
-		started bool
-	)
-	for _, r := range group {
-		ctx.vals = r
-		v, err := evalExpr(n.Args[0], ctx)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		count++
-		switch n.Name {
-		case "COUNT":
-		case "SUM", "AVG":
-			f, ok := v.AsDouble()
-			if !ok {
-				return sqltypes.Null, fmt.Errorf("sqldb: %s over non-numeric value", n.Name)
-			}
-			sumF += f
-			if v.Kind() == sqltypes.KindInt {
-				sumI += v.Int()
-			} else {
-				allInt = false
-			}
-		case "MIN", "MAX":
-			if !started {
-				minV, maxV = v, v
-				started = true
-				continue
-			}
-			if c, ok := sqltypes.Compare(v, minV); ok && c < 0 {
-				minV = v
-			}
-			if c, ok := sqltypes.Compare(v, maxV); ok && c > 0 {
-				maxV = v
-			}
-		}
-	}
-	switch n.Name {
-	case "COUNT":
-		return sqltypes.NewInt(count), nil
-	case "SUM":
-		if count == 0 {
-			return sqltypes.Null, nil
-		}
-		if allInt {
-			return sqltypes.NewInt(sumI), nil
-		}
-		return sqltypes.NewDouble(sumF), nil
-	case "AVG":
-		if count == 0 {
-			return sqltypes.Null, nil
-		}
-		return sqltypes.NewDouble(sumF / float64(count)), nil
-	case "MIN":
-		return minV, nil
-	case "MAX":
-		return maxV, nil
-	}
-	return sqltypes.Null, fmt.Errorf("sqldb: unknown aggregate %s", n.Name)
 }

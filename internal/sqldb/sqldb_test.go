@@ -707,3 +707,34 @@ func TestInsertSelectRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSortCellsMatchSortCompare: the sort's cached-coercion comparison
+// must order every pair of keys — text that parses as a timestamp or a
+// number beside real ones, and text that does not — exactly as
+// sqltypes.SortCompare does, in both argument orders and on repeat
+// (the second comparison reads the cached twin).
+func TestSortCellsMatchSortCompare(t *testing.T) {
+	ts, err := sqltypes.ParseTimestamp("2001-02-03 04:05:06")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := []sqltypes.Value{
+		sqltypes.Null, sqltypes.NewInt(7), sqltypes.NewInt(-3), sqltypes.NewDouble(7), sqltypes.NewDouble(2.5),
+		sqltypes.NewString("7"), sqltypes.NewString("2.5"), sqltypes.NewString("abc"), sqltypes.NewString(""),
+		sqltypes.NewString("2001-02-03 04:05:06"), sqltypes.NewString("1999-01-01 00:00:00"), sqltypes.NewClob("10"),
+		sqltypes.NewTime(ts), sqltypes.NewTime(ts.Add(time.Hour)), sqltypes.NewBool(true),
+	}
+	cells := make([]sortKeyCell, len(vals))
+	for i, v := range vals {
+		cells[i].v = v
+	}
+	for round := 0; round < 2; round++ {
+		for i := range cells {
+			for j := range cells {
+				if got, want := cmpSortCells(&cells[i], &cells[j]), sqltypes.SortCompare(vals[i], vals[j]); got != want {
+					t.Fatalf("round %d: cmpSortCells(%s, %s) = %d, SortCompare = %d", round, vals[i], vals[j], got, want)
+				}
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"net/http/cookiejar"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
@@ -339,6 +340,17 @@ func TestQueryFormCompilesToOneStatement(t *testing.T) {
 		} else if got := misses(); got != warm {
 			t.Fatalf("submission %d planned again: %d plan-cache misses, %d after the first", i, got, warm)
 		}
+	}
+}
+
+// TestQueryRejectsOversizedSelectList: sel is outside input, and each
+// name being a real column does not bound how many arrive.
+func TestQueryRejectsOversizedSelectList(t *testing.T) {
+	ts := newSite(t)
+	ts.login(t, "guest", "guest")
+	form := url.Values{"table": {"RESULT_FILE"}, "sel": slices.Repeat([]string{"FILE_NAME"}, 8193)}
+	if code, body := ts.post(t, "/query", form); code != http.StatusBadRequest {
+		t.Fatalf("8,193 × sel=FILE_NAME: status %d, want 400:\n%.200s", code, body)
 	}
 }
 

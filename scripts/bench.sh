@@ -25,17 +25,20 @@
 #   BenchmarkAblation_JoinPlan       — index nested-loop vs cross-product
 #                                      join on 1k×1k
 #   BenchmarkAblation_GroupPushdown  — grouped-aggregate strategies on a
-#                                      100k-row rollup: legacy materialise
-#                                      vs hash-agg fold vs group-ordered
-#                                      index-only fold
+#                                      100k-row rollup: hash-agg fold vs
+#                                      group-ordered index-only fold (the
+#                                      materialise-then-group executor is
+#                                      gone; its last record is
+#                                      BENCH_20261004)
 #   BenchmarkAblation_IndexFetch     — posting → row fetch: the same 100k-
 #                                      row grouped SUM through the group-
 #                                      ordered index vs a heap scan, ns/row
 #   BenchmarkAblation_HashJoin       — hash join vs cross product on an
 #                                      unindexed 1k×1k equi-join
-#   BenchmarkAblation_Arena          — arena/columnar result path vs
-#                                      legacy per-row allocation on a
-#                                      100k-row projection (B/op guard)
+#   BenchmarkAblation_Arena          — arena/columnar result path on a
+#                                      100k-row projection (allocs/op and
+#                                      B/row ceilings; the per-row make
+#                                      path is gone)
 #   BenchmarkAblation_OpCache        — result cache on vs off on a
 #                                      repeated parameterized browse query
 #   BenchmarkAblation_GroupCommit    — WAL group commit vs serial fsyncs
@@ -74,12 +77,13 @@ cat "$RAW"
 # Allocation-regression guards, each skipped when the pattern filtered
 # its benchmark out of this run. The arena result path exists to keep
 # the large-projection hot path allocation-free: fail if the arena
-# sub-benchmark crept back above the pinned allocs/op ceiling. And a
+# sub-benchmark crept back above the pinned allocs/op ceiling, or above
+# the pinned bytes per returned row (49.4 recorded + 5%). And a
 # small result must cost bytes in proportion to its rows, not a slab:
 # fail if the one-row prepared lookup exceeds the pinned B/op ceiling
 # (5.9 KB recorded; 266 KB when every statement drew a 256 KiB chunk).
 ARENA_ALLOC_CEILING="${ARENA_ALLOC_CEILING:-5000}"
-awk -v allocs_ceiling="$ARENA_ALLOC_CEILING" -v bytes_ceiling=32768 '
+awk -v allocs_ceiling="$ARENA_ALLOC_CEILING" -v row_ceiling=51.9 -v bytes_ceiling=32768 '
 function metric(unit,   i) {
     for (i = 3; i < NF; i++) if ($(i+1) == unit) return $i
     return 0
@@ -90,7 +94,10 @@ function guard(value, unit, ceiling) {
         exit 1
     }
 }
-$1 ~ /^BenchmarkAblation_Arena\/arena/ { guard(metric("allocs/op"), "allocs/op", allocs_ceiling) }
+$1 ~ /^BenchmarkAblation_Arena\/arena/ {
+    guard(metric("allocs/op"), "allocs/op", allocs_ceiling)
+    guard(metric("B/row"), "B/row", row_ceiling)
+}
 $1 ~ /^BenchmarkAblation_PlanCache\/cache=on/ { guard(metric("B/op"), "B/op", bytes_ceiling) }
 ' "$RAW" || exit 1
 
