@@ -1,6 +1,6 @@
-// One benchmark per exhibit of the paper's evaluation (see DESIGN.md §4
-// and EXPERIMENTS.md), plus ablation benches for the design choices the
-// architecture calls out. Run with:
+// One benchmark per exhibit of the paper's evaluation (the experiments
+// E1–E12 of internal/exp), plus ablation benches for the design choices
+// the architecture calls out. Run with:
 //
 //	go test -bench=. -benchmem
 package repro
@@ -162,6 +162,44 @@ func BenchmarkE8_ResultPage(b *testing.B) {
 	}
 }
 
+// BenchmarkRenderPKPage measures one 50-row primary-key browse page
+// (the last request of a bench/ browse visit) through the webui
+// handler in process: search, column plan and streamed rows, with no
+// socket in the way.
+func BenchmarkRenderPKPage(b *testing.B) {
+	d, err := exp.BuildDemoArchive(b, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	for i := 1; i < 50; i++ {
+		if _, err := d.Archive.DB.Exec(fmt.Sprintf(
+			`INSERT INTO RESULT_FILE VALUES ('ts%d.tsf', 'S19990110150932', %d, 'u,v,w,p', 'TSF', 27680, NULL)`, 100+i, 100+i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := d.Archive.Users.Add(core.User{Name: "bench"}, "pw"); err != nil {
+		b.Fatal(err)
+	}
+	h := webui.NewServer(d.Archive)
+	login := httptest.NewRecorder()
+	form := httptest.NewRequest("POST", "/login", strings.NewReader("username=bench&password=pw"))
+	form.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	h.ServeHTTP(login, form)
+	req := httptest.NewRequest("GET", "/browse?mode=pk&table=RESULT_FILE&col=SIMULATION_KEY&value=S19990110150932", nil)
+	for _, c := range login.Result().Cookies() {
+		req.AddCookie(c)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			b.Fatalf("status %d", rec.Code)
+		}
+	}
+}
+
 // BenchmarkE9_XUISMarshal measures serialising the XUIS fragments.
 func BenchmarkE9_XUISMarshal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -263,7 +301,7 @@ func (zeroReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// ---------- ablation benches (DESIGN.md §5) ----------
+// ---------- ablation benches ----------
 
 // BenchmarkAblation_IndexVsScan shows the effect of an index like the one the
 // schema creates on CODE_FILE.SIMULATION_KEY.

@@ -1,5 +1,5 @@
 // Command easiabench regenerates every table and figure of the paper's
-// evaluation (experiments E1–E12 in DESIGN.md/EXPERIMENTS.md) and
+// evaluation (experiments E1–E12, implemented in internal/exp) and
 // prints them in the paper's format.
 //
 // Usage:

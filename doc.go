@@ -7,10 +7,12 @@
 // interface specification (XUIS) drives searching, browsing and
 // server-side post-processing.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record of every table and figure. The library
-// lives under internal/ (core is the archive facade); cmd/ holds the
-// runnable daemons and tools; examples/ holds runnable walkthroughs.
+// internal/exp regenerates every table and figure of the paper's
+// evaluation (cmd/easiabench prints them, bench_test.go wraps them as
+// Go benchmarks) and bench/README.md explains the end-to-end
+// benchmark. The library lives under internal/ (core is the archive
+// facade); cmd/ holds the runnable daemons and tools; examples/ holds
+// runnable walkthroughs.
 //
 // # The metadata engine's prepare/cache layer
 //
@@ -228,11 +230,11 @@
 //     projection batch) draws pooled fixed-size Value slabs. The
 //     returned Rows owns the arena: Rows.Close releases every slab back
 //     to the pool wholesale, after which the row slices must not be
-//     touched. For a small result Close is a no-op on storage, so
-//     leaving it unclosed costs nothing (core.Search hands Rows.Data to
-//     the renderer and never closes); an unclosed large result is
-//     reclaimed by the GC and only misses the pool. Callers that
-//     consume a result locally close it. Rows.Detach copies the rows
+//     touched. For a small result Close is a no-op on storage, and an
+//     unclosed large result is reclaimed by the GC and only misses the
+//     pool. Callers that consume a result close it: core.ResultSet
+//     aliases Rows.Data and passes Close on, and the webui results page
+//     closes its search after the last row is written. Rows.Detach copies the rows
 //     out into plain heap memory first, so detached results stay valid
 //     indefinitely (the contract long-lived callers rely on); Close is
 //     idempotent and nil-safe either way.
@@ -395,9 +397,17 @@
 //
 // The hot internal callers hold prepared statements: QBE searches and
 // FK substitution (internal/core/qbe.go), row-by-key lookups, the
-// link-control column probe behind download-URL minting and startup
+// link-control column probe behind DownloadURL and startup
 // reconciliation (internal/core/archive.go), and — through those — the
-// webui query/browse/result handlers. The turbulence schema
+// webui query/browse/result handlers. A results page is compiled once
+// per request into a column plan (internal/webui/render.go): per
+// column its header, its pre-encoded FK/PK browse links and the
+// schema column a DATALINK cell's token is minted for
+// (Archive.DownloadURLFor, so no cell probes the catalogue), with each
+// FK substitution looked up once per distinct key. The rows stream
+// through the plan into a buffered writer, escaped byte for byte as
+// html/template would (FuzzEscapersMatchTemplate,
+// TestGoldenResultPages); the templates draw only the page chrome. The turbulence schema
 // (internal/core/schema.go) declares the keys those pages follow —
 // SIMULATION_KEY, AUTHOR_KEY, (FILE_NAME, SIMULATION_KEY) — and each
 // is served by its own constraint index; named indexes add the

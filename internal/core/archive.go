@@ -344,8 +344,18 @@ func (a *Archive) ArchiveFile(host, path string, r io.Reader) (string, error) {
 
 // DownloadURL produces the tokenized URL a SELECT hands to an
 // authorised user — "http://host/filesystem/directory/access_token;filename".
-// Guests cannot download datasets (the paper's demo policy).
+// Guests cannot download datasets (the paper's demo policy). It first
+// finds the column holding the URL; a caller that already knows the
+// column mints through DownloadURLFor.
 func (a *Archive) DownloadURL(datalink string, u User) (string, error) {
+	col, _ := a.datalinkColumnFor(datalink)
+	return a.DownloadURLFor(col, datalink, u)
+}
+
+// DownloadURLFor is DownloadURL for a URL read from col: the token
+// lives for the column's EXPIRY option, or the authority's default when
+// it has none (or col is the zero Column).
+func (a *Archive) DownloadURLFor(col sqldb.Column, datalink string, u User) (string, error) {
 	if !u.CanDownload() {
 		return "", fmt.Errorf("core: user %s may not download datasets", u.Name)
 	}
@@ -353,9 +363,8 @@ func (a *Archive) DownloadURL(datalink string, u User) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	col, colOK := a.datalinkColumnFor(datalink)
 	ttl := time.Duration(0)
-	if colOK && col.Type.Datalink != nil && col.Type.Datalink.TokenLifetime > 0 {
+	if col.Type.Datalink != nil && col.Type.Datalink.TokenLifetime > 0 {
 		ttl = time.Duration(col.Type.Datalink.TokenLifetime) * time.Second
 	}
 	token, err := a.Tokens.Mint(parsed.Path, u.Name, ttl)
@@ -374,9 +383,8 @@ func (a *Archive) datalinkColumnFor(url string) (sqldb.Column, bool) {
 		schema, _ := cat.Table(name)
 		for _, ci := range schema.DatalinkColumns() {
 			col := schema.Cols[ci]
-			// Link-control lookup on every download-link render: prepared
-			// per (table, column), so only the first render pays for
-			// parsing and binding.
+			// Prepared per (table, column), so only the first lookup
+			// pays for parsing and binding.
 			stmt, err := a.DB.Prepare(
 				fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s = DLVALUE(?)", schema.Name, col.Name))
 			if err != nil {

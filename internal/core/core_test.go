@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/dlfs"
 	"repro/internal/med"
+	"repro/internal/sqldb"
 	"repro/internal/sqltypes"
 	"repro/internal/turb"
 	"repro/internal/xuis"
@@ -559,4 +560,94 @@ func TestDatalinkUpdateToMissingFileFails(t *testing.T) {
 	if err != nil || rows.Data[0][0].AsString() != "/vol0/run1/ts4.tsf" {
 		t.Fatalf("row changed after failed update: %v %v", rows, err)
 	}
+}
+
+// TestDownloadURLForUsesColumnExpiry: a DATALINK column's EXPIRY sets
+// the token life whether the minting caller names the column or
+// DownloadURL finds it, and the zero Column mints with the default.
+func TestDownloadURLForUsesColumnExpiry(t *testing.T) {
+	now := time.Date(2000, 3, 27, 12, 0, 0, 0, time.UTC)
+	clock := func() time.Time { return now }
+	secret := []byte("expiry-secret")
+	a, err := Open(Config{Secret: secret, TokenTTL: time.Minute, WorkRoot: t.TempDir(), Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	auth, _ := med.NewTokenAuthority(secret, 0)
+	auth.SetClock(clock)
+	store, err := dlfs.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.AttachFileServer(WrapManager(dlfs.NewManager("fs1.sim:80", store, auth)))
+	if _, err := a.DB.Exec(`CREATE TABLE SHORT_LIVED (ID INTEGER PRIMARY KEY,
+		F DATALINK LINKTYPE URL FILE LINK CONTROL INTEGRITY ALL READ PERMISSION DB EXPIRY 5)`); err != nil {
+		t.Fatal(err)
+	}
+	url, err := a.ArchiveFile("fs1.sim:80", "/d/f.tsf", strings.NewReader("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.DB.Exec(`INSERT INTO SHORT_LIVED VALUES (1, DLVALUE(?))`, sqltypes.NewString(url)); err != nil {
+		t.Fatal(err)
+	}
+	schema, _ := a.DB.Catalog().Table("SHORT_LIVED")
+	col, _ := schema.Col("F")
+	u := User{Name: "u"}
+	found, err := a.DownloadURL(url, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := a.DownloadURLFor(col, url, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unnamed, err := a.DownloadURLFor(sqldb.Column{}, url, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(tok string) error {
+		rc, err := a.OpenDownload(tok)
+		if err == nil {
+			rc.Close()
+		}
+		return err
+	}
+	now = now.Add(4 * time.Second)
+	for _, tok := range []string{found, named, unnamed} {
+		if err := open(tok); err != nil {
+			t.Fatalf("token refused inside its life: %v", err)
+		}
+	}
+	now = now.Add(2 * time.Second)
+	for _, tok := range []string{found, named} {
+		if err := open(tok); !errors.Is(err, med.ErrTokenExpired) {
+			t.Fatalf("token past the column's EXPIRY 5: %v", err)
+		}
+	}
+	if err := open(unnamed); err != nil {
+		t.Fatalf("default-life token refused after 6s: %v", err)
+	}
+	if _, err := a.DownloadURLFor(col, url, User{Name: "guest", Guest: true}); err == nil {
+		t.Fatal("guest minted a download URL")
+	}
+}
+
+// TestResultSetClose: Close releases a search's rows once; a second
+// Close and a nil result are no-ops.
+func TestResultSetClose(t *testing.T) {
+	a, _, _ := newArchive(t, "")
+	seedSimulation(t, a, 8)
+	rs, err := a.Search(QBE{Table: "RESULT_FILE"})
+	if err != nil || len(rs.Rows) != 1 {
+		t.Fatalf("search: %d rows, %v", len(rs.Rows), err)
+	}
+	rs.Close()
+	if rs.Rows != nil {
+		t.Fatal("Rows still readable after Close")
+	}
+	rs.Close()
+	var none *ResultSet
+	none.Close()
 }

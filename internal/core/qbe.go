@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/sqldb"
 	"repro/internal/sqltypes"
 )
 
@@ -124,7 +125,21 @@ type ResultSet struct {
 	Columns []string // upper-cased column names
 	ColIDs  []string // "TABLE.COLUMN"
 	Kinds   []sqltypes.Kind
-	Rows    [][]sqltypes.Value
+	Rows    [][]sqltypes.Value // alias the engine's result storage until Close
+
+	rows *sqldb.Rows
+}
+
+// Close releases the result's row storage back to the engine; Rows must
+// not be read afterwards. A page-sized result has nothing to release,
+// so forgetting Close is cheap, but a renderer closes once the last row
+// is written. Nil-safe and idempotent.
+func (rs *ResultSet) Close() {
+	if rs == nil {
+		return
+	}
+	rs.rows.Close()
+	rs.rows, rs.Rows = nil, nil
 }
 
 // Row returns row i as the colid→value map operations consume.
@@ -150,8 +165,6 @@ func (a *Archive) Search(q QBE) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Never closed, rs.Rows aliases rows.Data: free for a page-sized result
-	// (plain heap, nothing to release), GC-reclaimed slabs for a large one.
 	rows, err := stmt.Query(args...)
 	if err != nil {
 		return nil, err
@@ -162,6 +175,7 @@ func (a *Archive) Search(q QBE) (*ResultSet, error) {
 		Columns: rows.Columns,
 		Kinds:   rows.Kinds,
 		Rows:    rows.Data,
+		rows:    rows,
 	}
 	for _, c := range rows.Columns {
 		rs.ColIDs = append(rs.ColIDs, schema.Name+"."+strings.ToUpper(c))

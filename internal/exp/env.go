@@ -2,8 +2,7 @@
 // the paper (the FTP bandwidth table and every figure that encodes a
 // performance or behaviour claim), each regenerating the exhibit from
 // the code in this repository. cmd/easiabench prints them; the root
-// bench_test.go wraps them as Go benchmarks; EXPERIMENTS.md records
-// paper-vs-measured for each.
+// bench_test.go wraps them as Go benchmarks.
 package exp
 
 import (

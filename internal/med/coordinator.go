@@ -56,10 +56,11 @@ type FileServer interface {
 // engine to the file managers named in each DATALINK URL. It satisfies
 // sqldb.LinkController structurally.
 //
-// Protocol (see DESIGN.md): the engine calls PrepareLink/PrepareUnlink
-// while executing statements, then, after its WAL records are durable,
-// Commit; Abort on rollback. The coordinator fans each call out to the
-// file servers involved in the transaction.
+// Protocol (the root package doc's durability contract): the engine
+// calls PrepareLink/PrepareUnlink while executing statements, then,
+// after its WAL records are durable, Commit; Abort on rollback. The
+// coordinator fans each call out to the file servers involved in the
+// transaction.
 type Coordinator struct {
 	mu      sync.Mutex
 	servers map[string]FileServer // host → manager

@@ -8,7 +8,7 @@
 // The paper's Table 1 law is simple and exact: transfer time =
 // bytes × 8 / bandwidth, with decimal megabytes and megabits. The same
 // law, plus fair sharing under contention, drives every bandwidth
-// experiment in EXPERIMENTS.md.
+// experiment in internal/exp.
 package netsim
 
 import (

@@ -5,8 +5,7 @@
 // limits — plus the SQL/MED DATALINK column type with transactional
 // link control hooks, write-ahead logging and snapshot persistence.
 //
-// The engine stands in for the commercial ORDBMS the paper used; see
-// DESIGN.md §2 for the substitution rationale.
+// The engine stands in for the commercial ORDBMS the paper used.
 package sqldb
 
 import (

@@ -1,231 +1,253 @@
 package webui
 
 import (
+	"bufio"
 	"fmt"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/ops"
+	"repro/internal/sqldb"
 	"repro/internal/sqltypes"
 	"repro/internal/xuis"
 )
 
-// Link is one hyperlink rendered beside a cell value.
-type Link struct {
-	Href  string
-	Label string
-}
-
-// Cell is one rendered result-table cell.
-type Cell struct {
-	Text  string
-	Links []Link
-}
-
-// RenderedRow is one rendered result row.
-type RenderedRow struct {
-	Cells []Cell
-}
-
-// resultsView is the data handed to the results template.
+// resultsView is the data the results page's chrome templates see.
 type resultsView struct {
-	Title        string
-	User         core.User
-	Error        string
-	Table        string
-	TableDisplay string
-	Count        int
-	Headers      []string
-	Rows         []RenderedRow
+	Title, Error, Table, TableDisplay string
+	User                              core.User
+	Count                             int
 }
 
-// buildResults decorates a result set with the paper's four browsing
-// modes. It needs the XUIS (aliases, FK/PK markup, substitutions), the
-// archive (token minting, FK substitution queries) and the user (guest
-// policy).
-func buildResults(a *core.Archive, rs *core.ResultSet, u core.User) (*resultsView, error) {
-	spec := a.Spec()
-	view := &resultsView{
-		Table:        rs.Table,
-		TableDisplay: rs.Table,
-		Count:        len(rs.Rows),
-	}
-	var specTable *xuis.Table
-	if spec != nil {
-		if t, ok := spec.Table(rs.Table); ok {
-			specTable = t
-			view.TableDisplay = t.DisplayName()
-		}
-	}
-	colMeta := make([]*xuis.Column, len(rs.Columns))
-	for j, name := range rs.Columns {
-		header := name
-		if specTable != nil {
-			if c, ok := specTable.Column(name); ok {
-				colMeta[j] = c
-				header = c.DisplayName()
-			}
-		}
-		view.Headers = append(view.Headers, header)
-	}
+// htmlEscaper escapes exactly as html/template does a string in text
+// and in a quoted attribute (FuzzEscapersMatchTemplate).
+var htmlEscaper = strings.NewReplacer("\x00", "\uFFFD", `"`, "&#34;", "&", "&amp;", "'", "&#39;", "+", "&#43;", "<", "&lt;", ">", "&gt;")
 
-	// Identify primary-key columns present in the result so rows can be
-	// addressed by LOB and operation links.
+// pageWriters recycles the buffered writers results pages stream through.
+var pageWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 8<<10) }}
+
+// link is a hyperlink beside a cell's text, its href completed by the value.
+type link struct{ href, label string }
+
+// pagePlan is a results page compiled from the XUIS and the schema
+// before its first row is written, so the paper's four browsing modes
+// cost a lookup per column, not per cell. It is built per request: a
+// plan over a handful of columns costs less than keeping a cache fresh.
+type pagePlan struct {
+	view resultsView
+	a    *core.Archive
+	rs   *core.ResultSet
+	u    core.User
+	eng  *ops.Engine
+	cols []colPlan
+
+	// keyCols are the result positions of the primary key in pk_<COLUMN>
+	// order; nil unless the result carries the whole key.
+	keyCols  []int
+	keyNames []string
+	keyRow   int    // the row key was encoded for
+	key      string // row keyRow's "&pk_<COLUMN>=value" parameters
+	links    []link // scratch for a LOB or DATALINK cell's links
+}
+
+// colPlan is one result column of a pagePlan.
+type colPlan struct {
+	header, colID, table, column string
+	col                          sqldb.Column // a DATALINK token lives for its EXPIRY
+	links                        []link       // FK and PK browsing links
+	subst                        *fkSubst
+}
+
+// fkSubst shows a column of the referenced row in place of a foreign
+// key, looked up once per distinct key on a page.
+type fkSubst struct {
+	refTable, refCol, column string
+	memo                     map[string]string
+}
+
+func (f *fkSubst) lookup(a *core.Archive, key string) string {
+	if s, ok := f.memo[key]; ok {
+		return s
+	}
+	s, err := a.SubstituteFK(f.refTable, f.refCol, f.column, key)
+	if err != nil {
+		s = key
+	}
+	f.memo[key] = s
+	return s
+}
+
+// planPage compiles the results page for rs as seen by u.
+func planPage(a *core.Archive, rs *core.ResultSet, u core.User) *pagePlan {
+	p := &pagePlan{a: a, rs: rs, u: u, eng: a.Ops(), keyRow: -1, cols: make([]colPlan, len(rs.Columns))}
+	p.view = resultsView{User: u, Table: rs.Table, TableDisplay: rs.Table, Count: len(rs.Rows)}
+	specTable := &xuis.Table{} // no XUIS: raw names, no links
+	if spec := a.Spec(); spec != nil {
+		if t, ok := spec.Table(rs.Table); ok {
+			specTable, p.view.TableDisplay = t, t.DisplayName()
+		}
+	}
+	p.view.Title = "Results from " + p.view.TableDisplay
 	schema, _ := a.DB.Catalog().Table(rs.Table)
-	pkPresent := map[string]int{}
-	if schema != nil {
-		for _, pk := range schema.PrimaryKey {
-			for j, col := range rs.Columns {
-				if strings.EqualFold(col, pk) {
-					pkPresent[pk] = j
+	for j, name := range rs.Columns {
+		c := &p.cols[j]
+		c.header, c.colID = name, rs.ColIDs[j]
+		c.table, c.column, _ = xuis.SplitColID(c.colID)
+		if schema != nil {
+			c.col, _ = schema.Col(name)
+		}
+		m, ok := specTable.Column(name)
+		if !ok {
+			continue
+		}
+		c.header = m.DisplayName()
+		if m.FK != nil {
+			if refTable, refCol, err := xuis.SplitColID(m.FK.TableColumn); err == nil {
+				c.links = append(c.links, link{browseHref("fk", refTable, refCol), "details"})
+				if _, column, err := xuis.SplitColID(m.FK.SubstColumn); err == nil {
+					c.subst = &fkSubst{refTable, refCol, column, map[string]string{}}
 				}
 			}
 		}
-		if len(pkPresent) != len(schema.PrimaryKey) {
-			pkPresent = nil // incomplete key: suppress row-addressed links
-		}
-	}
-
-	eng := a.Ops()
-	for i := range rs.Rows {
-		// Only DATALINK cells consult the row as a colid→value map (for
-		// operation applicability); build it lazily so ordinary metadata
-		// rows skip the per-row map allocation entirely.
-		var rowMap map[string]sqltypes.Value
-		rowOf := func() map[string]sqltypes.Value {
-			if rowMap == nil {
-				rowMap = rs.Row(i)
+		if m.PK != nil {
+			for _, ref := range m.PK.RefBy {
+				if childTable, childCol, err := xuis.SplitColID(ref.TableColumn); err == nil {
+					c.links = append(c.links, link{browseHref("pk", childTable, childCol), "→ " + childTable})
+				}
 			}
-			return rowMap
 		}
-		keyParams := url.Values{}
-		for pk, j := range pkPresent {
-			keyParams.Set("pk_"+pk, rs.Rows[i][j].AsString())
-		}
-		var row RenderedRow
-		for j, v := range rs.Rows[i] {
-			cell := renderCell(a, eng, rs, colMeta[j], rs.ColIDs[j], v, rowOf, keyParams, u)
-			row.Cells = append(row.Cells, cell)
-		}
-		view.Rows = append(view.Rows, row)
 	}
-	return view, nil
+	if schema != nil {
+		for _, pk := range slices.Sorted(slices.Values(schema.PrimaryKey)) {
+			j := slices.IndexFunc(rs.Columns, func(col string) bool { return strings.EqualFold(col, pk) })
+			if j < 0 {
+				p.keyCols, p.keyNames = nil, nil
+				break
+			}
+			p.keyCols, p.keyNames = append(p.keyCols, j), append(p.keyNames, pk)
+		}
+	}
+	return p
 }
 
-func renderCell(a *core.Archive, eng *ops.Engine, rs *core.ResultSet, meta *xuis.Column,
-	colID string, v sqltypes.Value, rowOf func() map[string]sqltypes.Value, keyParams url.Values, u core.User) Cell {
+func browseHref(mode, table, col string) string {
+	return "/browse?col=" + url.QueryEscape(col) + "&mode=" + mode + "&table=" + url.QueryEscape(table) + "&value="
+}
 
-	if v.IsNull() {
-		return Cell{Text: ""}
+// writeTable writes the header cells, then streams every row.
+func (p *pagePlan) writeTable(w *bufio.Writer) {
+	for _, c := range p.cols {
+		w.WriteString("<th>")
+		htmlEscaper.WriteString(w, c.header)
+		w.WriteString("</th>")
 	}
-	table, column, _ := xuis.SplitColID(colID)
+	w.WriteString("</tr>\n")
+	for i, row := range p.rs.Rows {
+		w.WriteString("\n<tr>\n ")
+		for j, v := range row {
+			w.WriteString("\n <td>\n  ")
+			p.writeCell(w, i, row, &p.cols[j], v)
+			w.WriteString("\n </td>\n ")
+		}
+		w.WriteString("\n</tr>\n")
+	}
+}
 
+func (p *pagePlan) writeCell(w *bufio.Writer, i int, row []sqltypes.Value, c *colPlan, v sqltypes.Value) {
 	switch v.Kind() {
+	case sqltypes.KindNull:
 	case sqltypes.KindDatalink:
-		return renderDatalinkCell(a, eng, colID, v, rowOf(), keyParams, u, table)
+		writeLinked(w, p.datalinkText(i, row, c, v), p.links, "")
 	case sqltypes.KindBytes, sqltypes.KindClob:
 		// "Hypertext link displays size of object — rematerialised and
 		// returned to the client."
 		label := fmt.Sprintf("%s (%d bytes)", v.Kind(), v.Size())
-		if len(keyParams) == 0 {
-			return Cell{Text: label}
+		if p.keyCols == nil {
+			htmlEscaper.WriteString(w, label)
+			return
 		}
-		q := cloneValues(keyParams)
-		q.Set("table", table)
-		q.Set("col", column)
-		return Cell{Text: "", Links: []Link{{Href: "/lob?" + q.Encode(), Label: label}}}
-	}
-
-	text := v.AsString()
-	var links []Link
-
-	if meta != nil && meta.FK != nil {
-		refTable, refCol, err := xuis.SplitColID(meta.FK.TableColumn)
-		if err == nil {
-			// FK substitution: show the referenced row's display column.
-			if meta.FK.SubstColumn != "" {
-				if _, subst, err := xuis.SplitColID(meta.FK.SubstColumn); err == nil {
-					if s, err := a.SubstituteFK(refTable, refCol, subst, text); err == nil {
-						text = s
-					}
-				}
-			}
-			q := url.Values{}
-			q.Set("mode", "fk")
-			q.Set("table", refTable)
-			q.Set("col", refCol)
-			q.Set("value", v.AsString())
-			links = append(links, Link{Href: "/browse?" + q.Encode(), Label: "details"})
+		href := "/lob?col=" + url.QueryEscape(c.column) + p.rowKey(i, row) + "&table=" + url.QueryEscape(c.table)
+		p.links = append(p.links[:0], link{href, label})
+		writeLinked(w, "", p.links, "")
+	default:
+		value := v.AsString()
+		text := value
+		if c.subst != nil {
+			text = c.subst.lookup(p.a, value)
 		}
+		writeLinked(w, text, c.links, value)
 	}
-	if meta != nil && meta.PK != nil {
-		for _, ref := range meta.PK.RefBy {
-			childTable, childCol, err := xuis.SplitColID(ref.TableColumn)
-			if err != nil {
-				continue
-			}
-			q := url.Values{}
-			q.Set("mode", "pk")
-			q.Set("table", childTable)
-			q.Set("col", childCol)
-			q.Set("value", v.AsString())
-			links = append(links, Link{Href: "/browse?" + q.Encode(), Label: "→ " + childTable})
-		}
-	}
-	return Cell{Text: text, Links: links}
 }
 
-func renderDatalinkCell(a *core.Archive, eng *ops.Engine, colID string, v sqltypes.Value,
-	rowMap map[string]sqltypes.Value, keyParams url.Values, u core.User, table string) Cell {
+// writeLinked writes a cell's text, or the text and then its links on
+// a line of their own.
+func writeLinked(w *bufio.Writer, text string, links []link, value string) {
+	if len(links) == 0 {
+		htmlEscaper.WriteString(w, text)
+		return
+	}
+	w.WriteString("\n    ")
+	htmlEscaper.WriteString(w, text)
+	w.WriteString("\n    ")
+	for _, l := range links {
+		w.WriteString(` <a href="`)
+		htmlEscaper.WriteString(w, l.href)
+		htmlEscaper.WriteString(w, url.QueryEscape(value))
+		w.WriteString(`">`)
+		htmlEscaper.WriteString(w, l.label)
+		w.WriteString("</a>")
+	}
+	w.WriteString("\n  ")
+}
 
+// datalinkText renders a DATALINK cell's text — the file name and
+// size — and leaves in p.links a tokenized download link for users
+// allowed one and the operations and upload the XUIS offers on the row.
+func (p *pagePlan) datalinkText(i int, row []sqltypes.Value, c *colPlan, v sqltypes.Value) string {
+	p.links = p.links[:0]
 	parsed, err := sqltypes.ParseDatalinkURL(v.Str())
 	if err != nil {
-		return Cell{Text: v.Str()}
+		return v.Str()
 	}
 	text := parsed.File()
-	if h, ok := a.Host(parsed.Host); ok {
+	if h, ok := p.a.Host(parsed.Host); ok {
 		if fi, err := h.StatFile(parsed.Path); err == nil {
 			text = fmt.Sprintf("%s (%d bytes)", parsed.File(), fi.Size)
 		}
 	}
-	var links []Link
-	// DATALINK browsing: the hyperlink carries the encrypted access
-	// token; guests get no download link at all.
-	if u.CanDownload() {
-		if tokURL, err := a.DownloadURL(v.Str(), u); err == nil {
-			q := url.Values{}
-			q.Set("url", tokURL)
-			links = append(links, Link{Href: "/download?" + q.Encode(), Label: "download"})
+	if p.u.CanDownload() {
+		if tokURL, err := p.a.DownloadURLFor(c.col, v.Str(), p.u); err == nil {
+			p.links = append(p.links, link{"/download?url=" + url.QueryEscape(tokURL), "download"})
 		}
 	}
-	// Operations applicable to this row.
-	if eng != nil {
-		for _, op := range eng.Applicable(colID, rowMap, ops.User{Name: u.Name, Guest: u.Guest}) {
-			q := cloneValues(keyParams)
-			q.Set("op", op.Name)
-			q.Set("colid", colID)
-			q.Set("table", table)
-			links = append(links, Link{Href: "/opform?" + q.Encode(), Label: "op:" + op.Name})
+	if p.eng != nil {
+		rowMap, user := p.rs.Row(i), ops.User{Name: p.u.Name, Guest: p.u.Guest}
+		for _, op := range p.eng.Applicable(c.colID, rowMap, user) {
+			href := "/opform?colid=" + url.QueryEscape(c.colID) + "&op=" + url.QueryEscape(op.Name) + p.rowKey(i, row) + "&table=" + url.QueryEscape(c.table)
+			p.links = append(p.links, link{href, "op:" + op.Name})
 		}
-		if u.CanUpload() && eng.CanUpload(colID, rowMap, ops.User{Name: u.Name, Guest: u.Guest}) {
-			q := cloneValues(keyParams)
-			q.Set("colid", colID)
-			q.Set("table", table)
-			links = append(links, Link{Href: "/uploadform?" + q.Encode(), Label: "upload code"})
+		if p.u.CanUpload() && p.eng.CanUpload(c.colID, rowMap, user) {
+			href := "/uploadform?colid=" + url.QueryEscape(c.colID) + p.rowKey(i, row) + "&table=" + url.QueryEscape(c.table)
+			p.links = append(p.links, link{href, "upload code"})
 		}
 	}
-	return Cell{Text: text, Links: links}
+	return text
 }
 
-func cloneValues(v url.Values) url.Values {
-	out := url.Values{}
-	for k, vs := range v {
-		for _, s := range vs {
-			out.Add(k, s)
+// rowKey returns row i's "&pk_<COLUMN>=value" parameters (none without
+// the whole key), encoded once, for the first cell that links by key.
+func (p *pagePlan) rowKey(i int, row []sqltypes.Value) string {
+	if p.keyRow != i {
+		var b strings.Builder
+		for k, j := range p.keyCols {
+			b.WriteString("&pk_" + url.QueryEscape(p.keyNames[k]) + "=" + url.QueryEscape(row[j].AsString()))
 		}
+		p.key, p.keyRow = b.String(), i
 	}
-	return out
+	return p.key
 }
 
 // queryFormView feeds the QBE form template.

@@ -1,6 +1,7 @@
 package webui
 
 import (
+	"bufio"
 	"cmp"
 	"crypto/rand"
 	"encoding/hex"
@@ -104,12 +105,7 @@ func (s *Server) withUser(h func(http.ResponseWriter, *http.Request, core.User))
 
 func (s *Server) renderError(w http.ResponseWriter, u core.User, status int, msg string) {
 	w.WriteHeader(status)
-	_ = homeTmpl.Execute(w, struct {
-		Title  string
-		User   core.User
-		Error  string
-		Tables []tableEntry
-	}{Title: "Error", User: u, Error: msg})
+	_ = homeTmpl.Execute(w, homeView{Title: "Error", User: u, Error: msg})
 }
 
 // ---------- pages ----------
@@ -117,6 +113,14 @@ func (s *Server) renderError(w http.ResponseWriter, u core.User, status int, msg
 type tableEntry struct {
 	Name    string
 	Display string
+}
+
+// homeView feeds the home page, which also renders errors.
+type homeView struct {
+	Title  string
+	User   core.User
+	Error  string
+	Tables []tableEntry
 }
 
 func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
@@ -131,12 +135,7 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 			tables = append(tables, tableEntry{Name: t.Name, Display: t.DisplayName()})
 		}
 	}
-	_ = homeTmpl.Execute(w, struct {
-		Title  string
-		User   core.User
-		Error  string
-		Tables []tableEntry
-	}{Title: "Scientific Data Archive", User: u, Tables: tables})
+	_ = homeTmpl.Execute(w, homeView{Title: "Scientific Data Archive", User: u, Tables: tables})
 }
 
 func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
@@ -238,15 +237,19 @@ func formRestrictions(a *core.Archive, table string, form url.Values) []core.Res
 	return out
 }
 
+// renderResults streams a results page: the chrome through templates,
+// the rows through a column plan; the result is closed after them.
 func (s *Server) renderResults(w http.ResponseWriter, rs *core.ResultSet, u core.User) {
-	view, err := buildResults(s.archive, rs, u)
-	if err != nil {
-		s.renderError(w, u, http.StatusInternalServerError, err.Error())
-		return
-	}
-	view.Title = "Results from " + view.TableDisplay
-	view.User = u
-	_ = resultsTmpl.Execute(w, view)
+	defer rs.Close()
+	p := planPage(s.archive, rs, u)
+	bw := pageWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	_ = resultsHeadTmpl.Execute(bw, &p.view)
+	p.writeTable(bw)
+	_ = resultsFootTmpl.Execute(bw, &p.view)
+	_ = bw.Flush() // a failed write is a client gone away: nothing left to tell it
+	bw.Reset(nil)
+	pageWriters.Put(bw)
 }
 
 // handleBrowse serves both browsing modes.
@@ -277,13 +280,7 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request, u core.Use
 func (s *Server) handleLOB(w http.ResponseWriter, r *http.Request, u core.User) {
 	q := r.URL.Query()
 	table, col := q.Get("table"), q.Get("col")
-	key := map[string]string{}
-	for k, vs := range q {
-		if strings.HasPrefix(k, "pk_") && len(vs) > 0 {
-			key[strings.TrimPrefix(k, "pk_")] = vs[0]
-		}
-	}
-	row, err := s.archive.RowByKey(table, key)
+	row, err := s.archive.RowByKey(table, pkParams(q))
 	if err != nil {
 		s.renderError(w, u, http.StatusNotFound, err.Error())
 		return
@@ -321,26 +318,31 @@ func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request, u core.U
 }
 
 func (s *Server) opFromRequest(r *http.Request) (opName, colID, table string, key map[string]string) {
-	get := func(k string) string {
-		if r.Method == http.MethodPost {
-			return r.PostFormValue(k)
-		}
-		return r.URL.Query().Get(k)
-	}
-	key = map[string]string{}
-	var src map[string][]string
+	src := r.URL.Query()
 	if r.Method == http.MethodPost {
-		r.ParseForm()
+		r.ParseMultipartForm(32 << 20) // as PostFormValue would
 		src = r.PostForm
-	} else {
-		src = r.URL.Query()
 	}
-	for k, vs := range src {
-		if strings.HasPrefix(k, "pk_") && len(vs) > 0 {
-			key[strings.TrimPrefix(k, "pk_")] = vs[0]
+	return src.Get("op"), src.Get("colid"), src.Get("table"), pkParams(src)
+}
+
+// pkParams collects a row key from its pk_<COLUMN> parameters.
+func pkParams(q url.Values) map[string]string {
+	key := map[string]string{}
+	for k, vs := range q {
+		if col, ok := strings.CutPrefix(k, "pk_"); ok && len(vs) > 0 {
+			key[col] = vs[0]
 		}
 	}
-	return get("op"), get("colid"), get("table"), key
+	return key
+}
+
+// opFormView feeds the operation parameter and code upload forms.
+type opFormView struct {
+	Title, Error, Op, ColID, Table, File, Description string
+	User                                              core.User
+	Key                                               map[string]string
+	Params                                            []xuis.Variable
 }
 
 // handleOpForm renders the parameter form generated from XUIS markup.
@@ -376,17 +378,7 @@ func (s *Server) handleOpForm(w http.ResponseWriter, r *http.Request, u core.Use
 		s.renderError(w, u, http.StatusNotFound, "unknown operation")
 		return
 	}
-	view := struct {
-		Title       string
-		User        core.User
-		Error       string
-		Op          string
-		ColID       string
-		Table       string
-		Description string
-		Key         map[string]string
-		Params      []xuis.Variable
-	}{
+	view := opFormView{
 		Title: "Run " + op.Name, User: u, Op: op.Name, ColID: colID, Table: table,
 		Description: op.Description, Key: key,
 	}
@@ -500,15 +492,7 @@ func mimeFor(name string) string {
 func (s *Server) handleUploadForm(w http.ResponseWriter, r *http.Request, u core.User) {
 	_, colID, table, key := s.opFromRequest(r)
 	file := key["FILE_NAME"]
-	_ = uploadFormTmpl.Execute(w, struct {
-		Title string
-		User  core.User
-		Error string
-		ColID string
-		Table string
-		File  string
-		Key   map[string]string
-	}{Title: "Upload post-processing code", User: u, ColID: colID, Table: table, File: file, Key: key})
+	_ = uploadFormTmpl.Execute(w, opFormView{Title: "Upload post-processing code", User: u, ColID: colID, Table: table, File: file, Key: key})
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, u core.User) {

@@ -4,14 +4,15 @@
 // modes (primary key, foreign key, BLOB/CLOB rematerialisation and
 // DATALINK download), operation parameter forms generated from XUIS
 // markup, code upload, and session-based user management with the
-// guest policy from the demo.
+// guest policy from the demo. Every page is a template over one layout
+// but the results table, which streams through a column plan
+// (render.go) between the chrome of resultsHeadTmpl and resultsFootTmpl.
 package webui
 
 import "html/template"
 
-// pageTmpl is the shared layout; every page executes one of the named
-// content templates defined below.
-var pageTmpl = template.Must(template.New("page").Parse(`<!DOCTYPE html>
+// pageHead and pageFoot are the layout around every page's content.
+const pageHead = `<!DOCTYPE html>
 <html>
 <head>
 <title>{{.Title}} — EASIA</title>
@@ -34,10 +35,13 @@ EASIA — Extensible Architecture for Scientific Information Archives
 </p>
 <h1>{{.Title}}</h1>
 {{if .Error}}<p class="err">{{.Error}}</p>{{end}}
-{{template "content" .}}
-</body>
-</html>
-`))
+`
+
+const pageFoot = "\n</body>\n</html>\n"
+
+// pageTmpl is the shared layout; every page executes one of the named
+// content templates defined below.
+var pageTmpl = template.Must(template.New("page").Parse(pageHead + `{{template "content" .}}` + pageFoot))
 
 func mustDefine(name, text string) *template.Template {
 	t := template.Must(pageTmpl.Clone())
@@ -104,25 +108,15 @@ Wildcards (%, _) are allowed with the LIKE operator.</p>
 </form>
 `)
 
-var resultsTmpl = mustDefine("results", `
+// resultsHeadTmpl and resultsFootTmpl frame the streamed results table.
+var resultsHeadTmpl = template.Must(template.New("results").Parse(pageHead + `
 <p class="meta">{{.Count}} row(s) from {{.TableDisplay}}.</p>
 <table class="results">
-<tr>{{range .Headers}}<th>{{.}}</th>{{end}}</tr>
-{{range .Rows}}
-<tr>
- {{range .Cells}}
- <td>
-  {{if .Links}}
-    {{.Text}}
-    {{range .Links}} <a href="{{.Href}}">{{.Label}}</a>{{end}}
-  {{else}}{{.Text}}{{end}}
- </td>
- {{end}}
-</tr>
-{{end}}
+<tr>`))
+var resultsFootTmpl = template.Must(template.New("resultsfoot").Parse(`
 </table>
 <p><a href="/table?name={{.Table}}">New search on {{.TableDisplay}}</a> | <a href="/">Home</a></p>
-`)
+` + pageFoot))
 
 var opFormTmpl = mustDefine("opform", `
 <p>{{.Description}}</p>

@@ -2,6 +2,7 @@ package webui
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dlfs"
@@ -515,5 +517,117 @@ func TestLogout(t *testing.T) {
 	ts.get(t, "/logout")
 	if _, body := ts.get(t, "/"); strings.Contains(body, "logout") {
 		t.Fatal("still logged in after logout")
+	}
+}
+
+// pkPage50 adds 49 unlinked RESULT_FILE rows beside the fixture's one,
+// so /browse?mode=pk on the simulation is the 50-row page a visit's
+// last request renders, and returns that page's handler request.
+func pkPage50(t testing.TB, ts *testSite) *http.Request {
+	for i := 1; i < 50; i++ {
+		if _, err := ts.archive.DB.Exec(fmt.Sprintf(
+			`INSERT INTO RESULT_FILE VALUES ('ts%d.tsf', 'S19990110150932', %d, 'u,v,w,p', 'TSF', 27680, NULL)`, 100+i, 100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ws := ts.srv.Config.Handler.(*Server)
+	ws.sessions["allocs"] = core.User{Name: "papiani"}
+	req := httptest.NewRequest("GET", "/browse?mode=pk&table=RESULT_FILE&col=SIMULATION_KEY&value=S19990110150932", nil)
+	req.AddCookie(&http.Cookie{Name: sessionCookie, Value: "allocs"})
+	return req
+}
+
+// TestResultsPageAllocs pins the allocations of one 50-row primary-key
+// browse page, rendered in process: search, plan and streamed rows.
+// Per-cell view structs walked by html/template took 6,226 per page;
+// the column plan measured 287, and the ceiling is that plus 10%.
+func TestResultsPageAllocs(t *testing.T) {
+	ts := newSite(t)
+	req := pkPage50(t, ts)
+	h := ts.srv.Config.Handler
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != 200 || strings.Count(rec.Body.String(), "<tr>") != 51 {
+		t.Fatalf("status %d, %d rows:\n%.300s", rec.Code, strings.Count(rec.Body.String(), "<tr>")-1, rec.Body.String())
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	})
+	const ceiling = 316
+	t.Logf("%.0f allocs per 50-row page", allocs)
+	if allocs > ceiling {
+		t.Fatalf("%.0f allocs per 50-row page, ceiling %d", allocs, ceiling)
+	}
+}
+
+// statementLog traces every statement the archive's engine runs from
+// now on and returns a reader of the SQL texts executed so far.
+func statementLog(t *testing.T, a *core.Archive) func() []string {
+	t.Helper()
+	var buf bytes.Buffer
+	a.DB.SetSlowQueryLog(&buf)
+	a.DB.SetTraceThreshold(time.Nanosecond)
+	t.Cleanup(func() {
+		a.DB.SetTraceThreshold(0)
+		a.DB.SetSlowQueryLog(nil)
+	})
+	return func() []string {
+		var out []string
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var tr struct{ SQL string }
+			if err := json.Unmarshal([]byte(line), &tr); err != nil {
+				t.Fatalf("trace line %q: %v", line, err)
+			}
+			out = append(out, tr.SQL)
+		}
+		return out
+	}
+}
+
+// TestDatalinkCellRunsNoColumnProbe: the page knows which column a
+// DATALINK cell belongs to, so minting its download token must not
+// search the catalogue's DATALINK columns with DLVALUE probes.
+func TestDatalinkCellRunsNoColumnProbe(t *testing.T) {
+	ts := newSite(t)
+	ts.login(t, "papiani", "s3cret")
+	log := statementLog(t, ts.archive)
+	if _, body := ts.get(t, "/query?table=RESULT_FILE&all=1"); !strings.Contains(body, "/download?url=") {
+		t.Fatalf("no download link rendered:\n%s", body)
+	}
+	stmts := log()
+	for _, sql := range stmts {
+		if strings.Contains(sql, "DLVALUE") {
+			t.Errorf("render ran a link-control probe: %s", sql)
+		}
+	}
+	if len(stmts) != 1 {
+		t.Errorf("page ran %d statements, want only its search: %q", len(stmts), stmts)
+	}
+}
+
+// TestFKSubstitutionOncePerKey: a page of N rows naming the same author
+// substitutes the author's name with one query, not N.
+func TestFKSubstitutionOncePerKey(t *testing.T) {
+	ts := newSite(t)
+	for i := 0; i < 9; i++ {
+		if _, err := ts.archive.DB.Exec(fmt.Sprintf(
+			`INSERT INTO SIMULATION VALUES ('S%d', 'A19990110151042', 'Run %d', NULL, 8, 1.0, 1, NULL)`, i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts.login(t, "papiani", "s3cret")
+	log := statementLog(t, ts.archive)
+	_, body := ts.get(t, "/query?table=SIMULATION&all=1")
+	if n := strings.Count(body, "Papiani"); n != 10 {
+		t.Fatalf("%d substituted author cells, want 10", n)
+	}
+	subst := 0
+	for _, sql := range log() {
+		if sql == "SELECT NAME FROM AUTHOR WHERE AUTHOR_KEY = ?" {
+			subst++
+		}
+	}
+	if subst != 1 {
+		t.Fatalf("%d substitution queries for one author key, want 1", subst)
 	}
 }

@@ -48,6 +48,9 @@
 #                                      replicas down
 #   BenchmarkReplicatedPut           — archival write throughput at RF=1
 #                                      vs RF=2 fan-out
+#   BenchmarkRenderPKPage            — one 50-row primary-key browse
+#                                      page through the webui handler:
+#                                      search, column plan, streamed rows
 set -eu
 
 cd "$(dirname "$0")/.."
