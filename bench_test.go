@@ -303,6 +303,23 @@ func (zeroReader) Read(p []byte) (int, error) {
 
 // ---------- ablation benches ----------
 
+// firstSightings numbers the surplus argument uncached appends.
+var firstSightings atomic.Int64
+
+// uncached returns a reusable argument list for one goroutine: args
+// plus one surplus argument, which no placeholder reads and which is a
+// fresh number on every call. The engine ignores surplus arguments,
+// but the result cache keys on them, so every execution is a first
+// sighting: an ablation that repeats one statement keeps measuring the
+// executor it compares, not cache hits.
+func uncached(args ...sqltypes.Value) func() []sqltypes.Value {
+	buf := append(args[:len(args):len(args)], sqltypes.Null)
+	return func() []sqltypes.Value {
+		buf[len(buf)-1] = sqltypes.NewInt(firstSightings.Add(1))
+		return buf
+	}
+}
+
 // BenchmarkAblation_IndexVsScan shows the effect of an index like the one the
 // schema creates on CODE_FILE.SIMULATION_KEY.
 func BenchmarkAblation_IndexVsScan(b *testing.B) {
@@ -336,9 +353,10 @@ func BenchmarkAblation_IndexVsScan(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			db := build(mode.idx)
 			defer db.Close()
+			args := uncached()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := db.Query(`SELECT COUNT(*) FROM t WHERE sim = 'S042'`)
+				rows, err := db.Query(`SELECT COUNT(*) FROM t WHERE sim = 'S042'`, args()...)
 				if err != nil || rows.Data[0][0].Int() != 50 {
 					b.Fatalf("rows=%v err=%v", rows, err)
 				}
@@ -348,53 +366,51 @@ func BenchmarkAblation_IndexVsScan(b *testing.B) {
 }
 
 // BenchmarkAblation_OpCache measures the engine's result cache — the
-// paper's future-work item, now implemented in sqldb — on the archive's
-// hottest repeated shape: the same parameterized browse query issued
-// over and over against an unchanged catalogue. Cache off re-executes
-// the indexed scan, sort and projection every time; cache on serves a
-// copy-out of the epoch-checked cached entry. The acceptance bar is
-// ≥10x on ns/op for the repeated query.
+// paper's future-work item, now implemented in sqldb and always on — on
+// the archive's hottest repeated shape: a parameterized browse query
+// against an unchanged catalogue. hit repeats one key, served from the
+// shared cached entry; miss cycles over pre-built arguments that are
+// each a first sighting (the second parameter never matters, so every
+// execution does the hit's work), so it runs the scan, sort and
+// projection plus the cache's admission check every time. The
+// acceptance bar is ≥10x on ns/op for hit over miss.
 func BenchmarkAblation_OpCache(b *testing.B) {
-	build := func() *sqldb.DB {
-		db, err := sqldb.Open("")
-		if err != nil {
+	db, err := sqldb.Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec(`CREATE TABLE RESULT_FILE (
+		FILE_NAME VARCHAR(64) PRIMARY KEY, SIMULATION_KEY VARCHAR(30),
+		TIMESTEP INTEGER, MEASUREMENT VARCHAR(10), SIZE_BYTES INTEGER)`); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 20_000; i++ {
+		if _, err := db.Exec(`INSERT INTO RESULT_FILE VALUES (?, ?, ?, ?, ?)`,
+			sqltypes.NewString(fmt.Sprintf("ts%05d.tsf", i)),
+			sqltypes.NewString(fmt.Sprintf("S%03d", i%400)),
+			sqltypes.NewInt(int64(i)),
+			sqltypes.NewString("u"),
+			sqltypes.NewInt(int64(i)*1024)); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := db.Exec(`CREATE TABLE RESULT_FILE (
-			FILE_NAME VARCHAR(64) PRIMARY KEY, SIMULATION_KEY VARCHAR(30),
-			TIMESTEP INTEGER, MEASUREMENT VARCHAR(10), SIZE_BYTES INTEGER)`); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 20_000; i++ {
-			if _, err := db.Exec(`INSERT INTO RESULT_FILE VALUES (?, ?, ?, ?, ?)`,
-				sqltypes.NewString(fmt.Sprintf("ts%05d.tsf", i)),
-				sqltypes.NewString(fmt.Sprintf("S%03d", i%400)),
-				sqltypes.NewInt(int64(i)),
-				sqltypes.NewString("u"),
-				sqltypes.NewInt(int64(i)*1024)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return db
 	}
 	const query = `SELECT FILE_NAME, TIMESTEP, SIZE_BYTES FROM RESULT_FILE
-		WHERE SIMULATION_KEY = ? AND MEASUREMENT = 'u' ORDER BY TIMESTEP LIMIT 20`
-	arg := sqltypes.NewString("S042")
-	for _, cached := range []bool{false, true} {
-		name := "cache=off"
-		if cached {
-			name = "cache=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			db := build()
-			defer db.Close()
-			if cached {
-				db.SetResultCache(16 << 20)
+		WHERE SIMULATION_KEY = ? AND MEASUREMENT = 'u' AND TIMESTEP > ? ORDER BY TIMESTEP LIMIT 20`
+	sim := sqltypes.NewString("S042")
+	for _, mode := range []string{"hit", "miss"} {
+		b.Run(mode, func(b *testing.B) {
+			floors := make([]sqltypes.Value, b.N)
+			for i := range floors {
+				floors[i] = sqltypes.NewInt(-1)
+				if mode == "miss" {
+					floors[i] = sqltypes.NewInt(-int64(i) - 2)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := db.Query(query, arg)
+				rows, err := db.Query(query, sim, floors[i])
 				if err != nil || len(rows.Data) != 20 {
 					b.Fatalf("rows=%v err=%v", rows, err)
 				}
@@ -493,7 +509,7 @@ func BenchmarkAblation_OrderedIndex(b *testing.B) {
 		b.Fatal(err)
 	}
 	const query = `SELECT COUNT(*), MAX(SIZE_BYTES) FROM RESULT_FILE WHERE TIMESTEP BETWEEN ? AND ?`
-	args := []sqltypes.Value{sqltypes.NewInt(50_000), sqltypes.NewInt(50_099)}
+	args := uncached(sqltypes.NewInt(50_000), sqltypes.NewInt(50_099))
 	for _, mode := range []struct {
 		name     string
 		scanOnly bool
@@ -503,7 +519,7 @@ func BenchmarkAblation_OrderedIndex(b *testing.B) {
 			defer db.SetFullScanOnly(false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := db.Query(query, args...)
+				rows, err := db.Query(query, args()...)
 				if err != nil || rows.Data[0][0].Int() != 100 {
 					b.Fatalf("rows=%v err=%v", rows, err)
 				}
@@ -547,12 +563,13 @@ func BenchmarkAblation_ValueLayout(b *testing.B) {
 	}
 	// No index on V: these are deliberately full heap scans.
 	arg := sqltypes.NewDouble(0)
+	aggArgs := uncached(arg)
 	b.Run("aggregate", func(b *testing.B) {
 		const query = `SELECT COUNT(*), AVG(V) FROM T WHERE V >= ? AND OK = TRUE`
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err := db.Query(query, arg)
+			out, err := db.Query(query, aggArgs()...)
 			if err != nil || out.Data[0][0].Int() != rows/2 {
 				b.Fatalf("rows=%v err=%v", out, err)
 			}
@@ -608,7 +625,7 @@ func BenchmarkAblation_CompositeIndex(b *testing.B) {
 		b.Fatal(err)
 	}
 	const query = `SELECT COUNT(*) FROM RESULT_FILE WHERE SIMULATION_KEY = ? AND TIMESTEP = ?`
-	args := []sqltypes.Value{sqltypes.NewString("S042"), sqltypes.NewInt(125)}
+	args := uncached(sqltypes.NewString("S042"), sqltypes.NewInt(125))
 	for _, mode := range []struct {
 		name     string
 		scanOnly bool
@@ -618,7 +635,7 @@ func BenchmarkAblation_CompositeIndex(b *testing.B) {
 			defer db.SetFullScanOnly(false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := db.Query(query, args...)
+				out, err := db.Query(query, args()...)
 				if err != nil || out.Data[0][0].Int() != 1 {
 					b.Fatalf("rows=%v err=%v", out, err)
 				}
@@ -658,6 +675,7 @@ func BenchmarkAblation_JoinPlan(b *testing.B) {
 		b.Fatal(err)
 	}
 	const query = `SELECT COUNT(*) FROM SIM JOIN RES ON RES.K = SIM.K`
+	args := uncached()
 	for _, mode := range []struct {
 		name     string
 		scanOnly bool
@@ -667,7 +685,7 @@ func BenchmarkAblation_JoinPlan(b *testing.B) {
 			defer db.SetFullScanOnly(false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := db.Query(query)
+				out, err := db.Query(query, args()...)
 				if err != nil || out.Data[0][0].Int() != n {
 					b.Fatalf("rows=%v err=%v", out, err)
 				}
@@ -716,6 +734,7 @@ func BenchmarkAblation_GroupPushdown(b *testing.B) {
 	}
 	const query = `SELECT SIMULATION_KEY, COUNT(*), SUM(SIZE_BYTES), AVG(SIZE_BYTES),
 		MIN(TIMESTEP), MAX(TIMESTEP) FROM RESULT_FILE GROUP BY SIMULATION_KEY`
+	args := uncached()
 	for _, mode := range []struct {
 		name     string
 		scanOnly bool
@@ -726,7 +745,7 @@ func BenchmarkAblation_GroupPushdown(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := db.Query(query)
+				out, err := db.Query(query, args()...)
 				if err != nil || len(out.Data) != 400 {
 					b.Fatalf("groups=%d err=%v", len(out.Data), err)
 				}
@@ -778,6 +797,7 @@ func BenchmarkAblation_IndexFetch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	args := uncached()
 	for _, mode := range []struct {
 		name     string
 		scanOnly bool
@@ -788,7 +808,7 @@ func BenchmarkAblation_IndexFetch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := stmt.Query()
+				out, err := stmt.Query(args()...)
 				if err != nil || len(out.Data) != 400 {
 					b.Fatalf("groups=%d err=%v", len(out.Data), err)
 				}
@@ -827,6 +847,7 @@ func BenchmarkAblation_HashJoin(b *testing.B) {
 		}
 	}
 	const query = `SELECT COUNT(*) FROM SIM JOIN RES ON RES.K = SIM.K`
+	args := uncached()
 	for _, mode := range []struct {
 		name     string
 		scanOnly bool
@@ -837,7 +858,7 @@ func BenchmarkAblation_HashJoin(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := db.Query(query)
+				out, err := db.Query(query, args()...)
 				if err != nil || out.Data[0][0].Int() != n {
 					b.Fatalf("rows=%v err=%v", out, err)
 				}
@@ -977,11 +998,10 @@ func BenchmarkAblation_PlanCache(b *testing.B) {
 			if !cached {
 				db.SetPlanCacheCapacity(0)
 			}
-			args := []sqltypes.Value{
-				sqltypes.NewString("S042"), sqltypes.NewInt(0), sqltypes.NewInt(2000)}
+			args := uncached(sqltypes.NewString("S042"), sqltypes.NewInt(0), sqltypes.NewInt(2000))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := db.Query(query, args...)
+				rows, err := db.Query(query, args()...)
 				if err != nil || len(rows.Data) != 5 {
 					b.Fatalf("rows=%v err=%v", rows, err)
 				}
@@ -1036,8 +1056,9 @@ func BenchmarkParallelQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("read-only/procs=%d", procs), func(b *testing.B) {
 			atProcs(b, procs, func(b *testing.B, db *sqldb.DB) {
 				b.RunParallel(func(pb *testing.PB) {
+					args := uncached(arg)
 					for pb.Next() {
-						if _, err := db.Query(query, arg); err != nil {
+						if _, err := db.Query(query, args()...); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -1050,6 +1071,7 @@ func BenchmarkParallelQuery(b *testing.B) {
 			atProcs(b, procs, func(b *testing.B, db *sqldb.DB) {
 				var seq atomic.Int64
 				b.RunParallel(func(pb *testing.PB) {
+					args := uncached(arg)
 					for pb.Next() {
 						n := seq.Add(1)
 						if n%10 == 0 {
@@ -1058,7 +1080,7 @@ func BenchmarkParallelQuery(b *testing.B) {
 							}
 							continue
 						}
-						if _, err := db.Query(query, arg); err != nil {
+						if _, err := db.Query(query, args()...); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -1110,9 +1132,10 @@ func BenchmarkAblation_Telemetry(b *testing.B) {
 			db := build()
 			defer db.Close()
 			db.SetTraceThreshold(mode.threshold)
+			args := uncached(arg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(query, arg); err != nil {
+				if _, err := db.Query(query, args()...); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1154,9 +1177,10 @@ func BenchmarkAblation_Admission(b *testing.B) {
 	b.Run("ungoverned", func(b *testing.B) {
 		db := build(sqldb.Options{})
 		defer db.Close()
+		args := uncached(arg)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.Query(query, arg); err != nil {
+			if _, err := db.Query(query, args()...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1169,9 +1193,10 @@ func BenchmarkAblation_Admission(b *testing.B) {
 		defer db.Close()
 		db.SetStatementTimeout(time.Minute)
 		ctx := context.Background()
+		args := uncached(arg)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.QueryContext(ctx, query, arg); err != nil {
+			if _, err := db.QueryContext(ctx, query, args()...); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -64,7 +64,6 @@ func main() {
 		salvage  = flag.Bool("salvage", false, "accept committed-data loss on a corrupt WAL: recover the intact prefix instead of refusing to open")
 		slowLog  = flag.String("slow-query-log", "", "append EXPLAIN ANALYZE JSON lines for statements over -slow-query-threshold to this file")
 		slowThr  = flag.Duration("slow-query-threshold", 100*time.Millisecond, "statement wall time that counts as slow (with -slow-query-log)")
-		rcache   = flag.Int64("result-cache", 0, "cache complete SELECT results up to this many bytes (0 disables; entries invalidated by writes and DDL)")
 	)
 	remotes := fsFlags{}
 	flag.Var(remotes, "fs", "remote file server as host=baseURL (repeatable)")
@@ -97,10 +96,6 @@ func main() {
 		a.DB.SetSlowQueryLog(f)
 		a.DB.SetTraceThreshold(*slowThr)
 		log.Printf("easiad: tracing statements, logging those over %s to %s", *slowThr, *slowLog)
-	}
-	if *rcache > 0 {
-		a.DB.SetResultCache(*rcache)
-		log.Printf("easiad: result cache enabled (%d bytes)", *rcache)
 	}
 
 	var localMgr *dlfs.Manager

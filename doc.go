@@ -33,8 +33,8 @@
 //     engine's read lock and run in parallel — against each other and,
 //     through MVCC snapshot reads, against sharded single-table DML
 //     (see "Concurrency model" below). Query results are fully
-//     materialised copies, valid after the lock is released and
-//     concurrent with later writes.
+//     materialised, read-only results, valid after the lock is
+//     released and concurrent with later writes.
 //
 //   - A compact value layout. sqltypes.Value is a 32-byte tagged union
 //     (kind + flags byte, one 64-bit scalar word shared by INTEGER/
@@ -255,27 +255,41 @@
 //     hold the path to the reference evaluator at every size where it
 //     changes what it allocates from).
 //
-//   - Result cache. DB.SetResultCache(bytes) arms an opt-in LRU of
-//     complete SELECT results keyed by statement text plus bound
-//     arguments (the canonical key.go encoding, sharing its documented
-//     far-integer collision window). An entry records the schema epoch
-//     and the snapshot it was computed at; a lookup serves it only when
-//     the epoch still matches, every referenced table's last committed
-//     write stamp is ≤ the entry's snapshot, and the reader's snapshot
-//     is ≥ it — so a cached read can never observe staler data than a
-//     fresh execution (TestResultCacheConcurrentNoStaleReads). Commits
-//     eagerly drop entries for the tables they touched and DDL flushes
-//     the cache with the epoch bump; both are reclamation, not the
-//     correctness mechanism — the serve-time stamp check is. Statements
-//     with volatile functions (NOW, CURRENT_TIMESTAMP) bypass the
-//     cache, explicit-transaction reads never consult it (they run in
+//   - Result cache. Every database opens with an LRU of complete
+//     SELECT results keyed by statement text plus an exact encoding of
+//     the bound arguments. The key is an exact identity on purpose: a
+//     hit is replayed with no residual check, so `SELECT v, ?` bound to
+//     INTEGER 1 and to DOUBLE 1 must stay two entries, unlike the index
+//     key encoding, which folds equal-comparing numerics together. An
+//     entry records the schema epoch and the snapshot it was computed
+//     at; a lookup serves it only when the epoch still matches, every
+//     referenced table's last committed write stamp is ≤ the entry's
+//     snapshot, and the reader's snapshot is ≥ it — so a cached read
+//     can never observe staler data than a fresh execution
+//     (TestResultCacheConcurrentNoStaleReads). Commits eagerly drop
+//     entries for the tables they touched and DDL flushes the cache
+//     with the epoch bump; both are reclamation, not the correctness
+//     mechanism — the serve-time stamp check is. A completed miss fills
+//     only on a repeat that would have hit: a doorkeeper of key hashes
+//     must have seen the same statement at the same source-table write
+//     stamp, and on a full cache the candidate must be seen more often
+//     than every entry it would evict (TestResultCacheAdmitsOnRepeat,
+//     TestResultCacheSkipsFillAcrossWrite,
+//     TestResultCacheHotEntrySurvivesColdChurn); a first sighting
+//     allocates nothing for the cache (TestResultCacheMissAllocs). A
+//     hit shares the entry's rows (TestResultCacheHitAllocs), which is
+//     why Rows from Query are read-only. Statements with volatile
+//     functions (NOW, CURRENT_TIMESTAMP) bypass the cache,
+//     explicit-transaction reads never consult it (they run in
 //     latest-state mode), and a statement that fails or is canceled
-//     mid-fill publishes nothing. Entries are byte- and row-capped,
-//     charged against Options.MemoryBudget while resident (refunded on
-//     eviction), and observable via the sqldb_result_cache_* metrics,
-//     the " cached" AccessPath suffix and the trace cache:"hit|miss|
-//     bypass" tag (BenchmarkAblation_OpCache tracks the repeated-query
-//     win).
+//     mid-fill publishes nothing. The cache holds at most 512 KiB — an
+//     eighth of Options.MemoryBudget when that is less — charged at
+//     what entries keep on the heap (TestResultCacheResidentBytesHonest)
+//     and against the budget while resident (refunded on eviction).
+//     It is observable via the sqldb_result_cache_* metrics (declined
+//     fills by reason), the /status page, the " cached" AccessPath
+//     suffix and the trace cache:"hit|miss|bypass" tag
+//     (BenchmarkAblation_OpCache tracks the repeated-query win).
 //
 // # Durability and recovery contract
 //

@@ -410,6 +410,9 @@ func TestLargeResultRecyclesSlabs(t *testing.T) {
 // later statements reuse them.
 func TestArenaDetachSurvivesReuse(t *testing.T) {
 	db := memDB(t)
+	// The churn below must execute every time, and it writes into its
+	// results — which a result cache hit would share.
+	db.setResultCacheCap(0)
 	arenaFixture(t, db)
 
 	detached := mustQuery(t, db, `SELECT id, name, score FROM sim WHERE bucket = 2 ORDER BY id`)

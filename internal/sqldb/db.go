@@ -66,6 +66,11 @@ type Result struct {
 // safe to read from any goroutine) after the query returns, concurrent
 // with later writes.
 //
+// Rows from Query are read-only: Columns, Kinds and the Data values may
+// be shared with the result cache and with every other caller served
+// the same cached answer. Reslicing Data or Detach/Close on one's own
+// Rows is fine; writing through them is not.
+//
 // Result rows are backed by a per-statement arena (arena.go): plain
 // heap for a small result, pooled slabs once it has outgrown that.
 // Close releases the slabs to a reuse pool wholesale; after Close the
@@ -302,9 +307,10 @@ type DB struct {
 	// recovery describes what the Open that produced this DB found.
 	recovery RecoveryInfo
 
-	// rcache is the opt-in query result cache (resultcache.go); nil
-	// when disabled. Swapped atomically so the read path loads it
-	// without touching mu's write side.
+	// rcache is the query result cache (resultcache.go), armed at
+	// Open; nil only when an in-package test turns it off. Swapped
+	// atomically so the read path loads it without touching mu's write
+	// side.
 	rcache atomic.Pointer[resultCache]
 
 	// fullScanOnly disables index access paths at execution time (the
@@ -350,7 +356,8 @@ type Options struct {
 	// MemoryBudget caps the bytes buffered by hash aggregation, join
 	// hash builds and sort/materialise buffers across all concurrent
 	// statements; a statement that would exceed it fails with
-	// ErrMemoryBudget. Zero means unlimited.
+	// ErrMemoryBudget. Zero means unlimited. The result cache is
+	// charged against it too, and holds at most an eighth of it.
 	MemoryBudget int64
 }
 
@@ -396,6 +403,11 @@ func OpenWith(dir string, opts Options) (*DB, error) {
 	db.lastTS.Store(baseStamp)
 	db.initGovern(opts)
 	db.met = newDBMetrics(db)
+	rcBytes := int64(resultCacheBytes)
+	if db.memBudget > 0 {
+		rcBytes = min(rcBytes, db.memBudget/8)
+	}
+	db.rcache.Store(newResultCache(db, rcBytes))
 	if db.fs == nil {
 		db.fs = iofault.Disk{}
 	}
@@ -610,32 +622,14 @@ func (db *DB) SetLinkController(lc LinkController) {
 // scans the heap; results are identical because index paths only ever
 // narrow the candidate set before the residual predicate re-checks it.
 // This is the ablation baseline for BenchmarkAblation_OrderedIndex and
-// the oracle the planner property tests compare against.
+// the oracle the planner property tests compare against. Switching
+// flushes the result cache, whose row orders came from the other mode.
 func (db *DB) SetFullScanOnly(on bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.fullScanOnly = on
-}
-
-// SetResultCache enables the query result cache with the given byte
-// capacity, or disables it (bytes <= 0). The cache serves repeated
-// auto-commit SELECTs from completed small result sets, invalidated by
-// table writes (commit-stamp publication) and DDL (schema epoch), so a
-// hit is always exactly what re-running the statement at the caller's
-// snapshot would return — see resultcache.go for the visibility
-// contract. Cached bytes are charged against Options.MemoryBudget when
-// one is set. Enabling replaces (and empties) any previous cache.
-func (db *DB) SetResultCache(bytes int64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	old := db.rcache.Load()
-	if bytes <= 0 {
-		db.rcache.Store(nil)
-	} else {
-		db.rcache.Store(newResultCache(db, bytes))
-	}
-	if old != nil {
-		old.flush() // refund budget charges
+	if db.fullScanOnly != on {
+		db.fullScanOnly = on
+		db.flushResultCache()
 	}
 }
 

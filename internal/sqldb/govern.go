@@ -100,6 +100,9 @@ type interrupt struct {
 
 	mem        int64 // bytes currently charged against db.memUsed
 	deadlineNs int64 // effective statement deadline budget (0 = none)
+
+	admitted bool               // holds an admission slot
+	cancel   context.CancelFunc // the default timeout's context, if any
 }
 
 // check is the per-row checkpoint. The fast path — no sticky error,
@@ -192,16 +195,15 @@ func (ic *interrupt) releaseMem() {
 
 // admitStatement is the statement entry gate: it applies the default
 // statement timeout, passes (or sheds at) admission control, and builds
-// the statement's interrupt. The returned release function MUST be
-// called when the statement finishes, on every path; it frees the
-// admission slot, returns memory charges and records the cancellation
-// telemetry. ctx may be nil (the context-less Exec/Query entry points).
-func (db *DB) admitStatement(ctx context.Context) (*interrupt, func(), error) {
+// the statement's interrupt, whose release MUST be called when the
+// statement finishes, on every path. ctx may be nil (the context-less
+// Exec/Query entry points).
+func (db *DB) admitStatement(ctx context.Context) (*interrupt, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if db.closingFlag.Load() {
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	cancel := func() {}
 	var deadlineNs int64
@@ -225,7 +227,7 @@ func (db *DB) admitStatement(ctx context.Context) (*interrupt, func(), error) {
 				db.admitWaiting.Add(-1)
 				db.met.stmtShed.Inc()
 				cancel()
-				return nil, nil, ErrAdmissionRejected
+				return nil, ErrAdmissionRejected
 			}
 			start := time.Now()
 			select {
@@ -238,14 +240,14 @@ func (db *DB) admitStatement(ctx context.Context) (*interrupt, func(), error) {
 				cancel()
 				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 					db.met.stmtTimedOut.Inc()
-					return nil, nil, ErrDeadlineExceeded
+					return nil, ErrDeadlineExceeded
 				}
 				db.met.stmtCanceled.Inc()
-				return nil, nil, ErrCanceled
+				return nil, ErrCanceled
 			case <-db.closing:
 				db.admitWaiting.Add(-1)
 				cancel()
-				return nil, nil, ErrClosed
+				return nil, ErrClosed
 			}
 		}
 	}
@@ -260,31 +262,36 @@ func (db *DB) admitStatement(ctx context.Context) (*interrupt, func(), error) {
 		}
 		db.stmtWG.Done()
 		cancel()
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
 
-	ic := &interrupt{
+	return &interrupt{
 		db:         db,
 		ctx:        ctx,
 		done:       ctx.Done(),
 		closing:    db.closing,
 		deadlineNs: deadlineNs,
+		admitted:   admitted,
+		cancel:     cancel,
+	}, nil
+}
+
+// release ends an admitted statement: it frees the admission slot,
+// returns memory charges and records the cancellation telemetry.
+func (ic *interrupt) release() {
+	ic.releaseMem()
+	db := ic.db
+	switch ic.reason {
+	case cancelReasonCanceled, cancelReasonShutdown:
+		db.met.stmtCanceled.Inc()
+	case cancelReasonDeadline:
+		db.met.stmtTimedOut.Inc()
 	}
-	release := func() {
-		ic.releaseMem()
-		switch ic.reason {
-		case cancelReasonCanceled, cancelReasonShutdown:
-			db.met.stmtCanceled.Inc()
-		case cancelReasonDeadline:
-			db.met.stmtTimedOut.Inc()
-		}
-		if admitted {
-			<-db.admit
-		}
-		db.stmtWG.Done()
-		cancel()
+	if ic.admitted {
+		<-db.admit
 	}
-	return ic, release, nil
+	db.stmtWG.Done()
+	ic.cancel()
 }
 
 // SetStatementTimeout installs a default deadline applied to every

@@ -33,11 +33,13 @@ import (
 //	sqldb_admission_queue_depth        gauge      statements currently queued for admission
 //	sqldb_mem_budget_rejected_total    counter    statements stopped by the memory budget
 //	sqldb_mem_budget_bytes_in_use      gauge      bytes charged against the memory budget
-//	sqldb_result_cache_hits_total      counter    result-cache hits (statement not re-executed)
-//	sqldb_result_cache_misses_total    counter    result-cache misses on cacheable statements
+//	sqldb_result_cache_hits_total      counter    result cache hits (statement not re-executed)
+//	sqldb_result_cache_misses_total    counter    result cache misses on cacheable statements
+//	sqldb_result_cache_declines_total  counter    completed misses not cached, by reason
 //	sqldb_result_cache_evictions_total counter    entries evicted by LRU capacity pressure
 //	sqldb_result_cache_invalidations_total counter entries dropped by table writes
 //	sqldb_result_cache_bytes           gauge      bytes currently held by the result cache
+//	sqldb_result_cache_capacity_bytes  gauge      the result cache's byte capacity
 type dbMetrics struct {
 	reg *telemetry.Registry
 
@@ -65,6 +67,7 @@ type dbMetrics struct {
 	rcMisses        *telemetry.Counter
 	rcEvicts        *telemetry.Counter
 	rcInvalidations *telemetry.Counter
+	rcDeclines      [len(declineReasons)]*telemetry.Counter
 }
 
 // newDBMetrics builds the registry and registers the engine's metric
@@ -99,6 +102,9 @@ func newDBMetrics(db *DB) *dbMetrics {
 		rcEvicts:        reg.Counter("sqldb_result_cache_evictions_total", "Result-cache entries evicted by LRU capacity pressure."),
 		rcInvalidations: reg.Counter("sqldb_result_cache_invalidations_total", "Result-cache entries dropped by table writes."),
 	}
+	for i, reason := range declineReasons {
+		m.rcDeclines[i] = reg.Counter("sqldb_result_cache_declines_total", "Completed result cache misses not cached, by reason.", "reason", reason)
+	}
 	reg.GaugeFunc("sqldb_dead_rows", "Dead row versions and index entries awaiting vacuum.", db.deadRowDebt)
 	reg.GaugeFunc("sqldb_snapshot_age_ns", "Age of the newest published commit stamp in nanoseconds.", func() int64 {
 		last := db.lastCommitWall.Load()
@@ -119,6 +125,12 @@ func newDBMetrics(db *DB) *dbMetrics {
 	reg.GaugeFunc("sqldb_result_cache_bytes", "Bytes currently held by the result cache.", func() int64 {
 		if rc := db.rcache.Load(); rc != nil {
 			return rc.bytesUsed()
+		}
+		return 0
+	})
+	reg.GaugeFunc("sqldb_result_cache_capacity_bytes", "Byte capacity of the result cache.", func() int64 {
+		if rc := db.rcache.Load(); rc != nil {
+			return rc.capBytes
 		}
 		return 0
 	})

@@ -454,14 +454,16 @@ func refCanon(row []sqltypes.Value, exact bool) string {
 	return b.String()
 }
 
-// check runs sql through the engine under SetFullScanOnly and with index
-// paths on and holds both results against the reference. An error must
-// be an error everywhere (its text is the engine's own business). It
-// returns the reference result, nil on error.
+// check runs sql through the engine under SetFullScanOnly, then twice
+// with index paths on, and holds every result against the reference.
+// The second index-path run repeats the first at the same table stamps,
+// so it is served by the result cache whenever the cache admitted the
+// first. An error must be an error everywhere (its text is the engine's
+// own business). It returns the reference result, nil on error.
 func (r *refEval) check(t testing.TB, sql string, args ...sqltypes.Value) *refResult {
 	t.Helper()
 	ref, refErr := r.eval(sql, args...)
-	for _, scanOnly := range []bool{true, false} {
+	for _, scanOnly := range []bool{true, false, false} {
 		r.db.SetFullScanOnly(scanOnly)
 		got, err := r.db.Query(sql, args...)
 		r.db.SetFullScanOnly(false)
@@ -723,18 +725,26 @@ func pick3(rng *rand.Rand, lo, mid, hi int) int {
 // TestReferenceEvaluatorProperty is the engine ≡ reference property over
 // generated statements: every shape the generator draws, on a fixture
 // with NULLs, whole-valued doubles beside integers and far integers,
-// answers the same with index paths on, under SetFullScanOnly, and
-// through the naive evaluator.
+// answers the same with index paths on, under SetFullScanOnly, from the
+// result cache, and through the naive evaluator. Updates that keep the
+// fixture's value domains are interleaved, so cached answers must also
+// follow the writes.
 func TestReferenceEvaluatorProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	db := refFixture(t, rng)
 	ref := newRefEval(db)
+	dml := rand.New(rand.NewSource(29))
 	n := 2400
 	if testing.Short() {
 		n = 300
 	}
 	rowsSeen, errs := 0, 0
 	for i := 0; i < n; i++ {
+		if i%8 == 7 {
+			mustExec(t, db, `UPDATE C SET K = ? WHERE CID = ?`, sqltypes.NewInt(int64(dml.Intn(6))), sqltypes.NewInt(int64(dml.Intn(40))))
+			mustExec(t, db, `UPDATE T SET N = ? WHERE TID = ?`, sqltypes.NewInt(int64(dml.Intn(9)-4)), sqltypes.NewInt(int64(dml.Intn(50))))
+			ref.reset()
+		}
 		sh := genShape(rng)
 		if res := ref.check(t, sh.sql, sh.args...); res != nil {
 			rowsSeen += len(res.rows())
@@ -746,5 +756,8 @@ func TestReferenceEvaluatorProperty(t *testing.T) {
 	// or statements that fail everywhere.
 	if rowsSeen < 5*n || errs > n/20 {
 		t.Fatalf("%d statements returned %d rows and %d errors: the generator is not exercising the engine", n, rowsSeen, errs)
+	}
+	if counterValue(t, db, "sqldb_result_cache_hits_total") == 0 {
+		t.Fatal("no statement was served by the result cache: the cache leg of the property is vacuous")
 	}
 }

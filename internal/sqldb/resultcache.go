@@ -3,7 +3,7 @@ package sqldb
 import (
 	"container/list"
 	"encoding/binary"
-	"fmt"
+	"hash/maphash"
 	"math"
 	"sync"
 
@@ -16,17 +16,31 @@ import (
 // of hot metadata queries repeated over and over between rare ingests
 // (Graywulf makes the same observation for scientific result sets). The
 // result cache serves those repeats from completed, size-capped result
-// sets instead of re-executing the statement. Opt-in via
-// DB.SetResultCache(bytes); consulted only on the auto-commit
-// Stmt.query path (explicit transactions and scripts run in latest-mode
-// visibility, which must observe the transaction's own writes).
+// sets instead of re-executing the statement. Every database opens with
+// it armed; it is consulted only on the auto-commit Stmt.query path
+// (explicit transactions and scripts run in latest-mode visibility,
+// which must observe the transaction's own writes).
 //
-// Identity: an entry is keyed by statement text + the canonical
-// encoding of its bound arguments (key.go) — the same identity the plan
-// cache uses for the text plus the engine's canonical value identity
-// for the args, including its documented far-integer collision window.
-// Plans containing volatile functions (NOW / CURRENT_TIMESTAMP) are
-// never cached (selectPlan.cacheable).
+// Identity: an entry is keyed by statement text + an exact encoding of
+// its bound arguments (appendArgKey). The identity is exact on purpose: a
+// hit is replayed with no residual check, so `SELECT v, ?` bound to
+// INTEGER 1 and to DOUBLE 1 must be two entries, unlike the index key
+// encoding, which folds equal-comparing numerics together. Plans
+// containing volatile functions (NOW / CURRENT_TIMESTAMP) are never
+// cached (selectPlan.cacheable).
+//
+// Admission (TinyLFU-style): a completed miss fills only on a repeat
+// that would have hit — a direct-mapped doorkeeper must hold the same
+// key hash at the same source-table write stamp — so one-off statements
+// and statements over tables written between sightings never pay for a
+// copy. On a full cache the candidate's sighting count must also beat
+// the frequency (count at admission + hits) of every entry it would
+// evict, decided before anything is copied. Counts and frequencies
+// halve every doorkeeperAging sightings; declines are counted by reason.
+//
+// Sharing: an entry holds one *Rows built at fill (Columns, Kinds,
+// colIdx, row headers over one flat slab); a hit is a shallow copy of
+// it. Rows from Query are read-only (see Rows).
 //
 // Visibility contract (why a hit can never be a stale read): an entry
 // records asOf — the snapshot the filling statement executed at — and
@@ -50,39 +64,54 @@ import (
 // not load-bearing. DDL flushes the whole cache (flushResultCache at
 // every schema-epoch bump) and the epoch check rejects any straggler.
 //
-// Memory: entries store one flat []Value slab per result (rows are
-// subslices), with bytes estimated as rowFootprint per row plus the
-// variable payload sizes (sqltypes.Value.Size). When the database has
-// Options.MemoryBudget, cached bytes are charged against the same pool
-// as live statement buffers — insert refuses (statement still
-// succeeds, uncached) when the pool is exhausted, and every eviction,
-// invalidation or flush refunds in full.
+// Memory: capacity is resultCacheBytes, or an eighth of
+// Options.MemoryBudget when that is smaller. An entry is charged what it
+// holds on the heap (entryBytes); with a budget, cached bytes are
+// charged against the same pool as live statement buffers — a fill
+// that the pool refuses is declined (the statement still succeeds), and
+// every eviction, invalidation or flush refunds in full.
 //
 // Locking: mu is a leaf lock — taken under db.mu read sections (the
-// lookup path) and after commitMu is released (the invalidation hook),
-// never around either.
+// lookup and fill paths) and after commitMu is released (the
+// invalidation hook), never around either.
 
 const (
+	// resultCacheBytes is the capacity: room for the hot metadata
+	// answers, small beside the engine's resident heap.
+	resultCacheBytes = 512 << 10
 	// resultCacheMaxRows caps cached result sets by row count: the cache
 	// targets the hot small browse queries, not bulk exports.
 	resultCacheMaxRows = 1024
 	// resultCacheEntryDivisor caps one entry at capacity/divisor bytes,
 	// so a single large result cannot monopolise the cache.
-	resultCacheEntryDivisor = 8
+	resultCacheEntryDivisor = 4
+	doorkeeperSlots         = 4096 // direct-mapped; a power of two
+	doorkeeperAging         = 8 * doorkeeperSlots
+	// entryOverhead is an entry's heap cost beyond its values, row
+	// headers, payloads and key: the entry, list element, Rows header,
+	// column index and map slots.
+	entryOverhead = 640
 )
+
+// Decline reasons (the reason label of sqldb_result_cache_declines_total).
+const (
+	declineFirstSighting = iota
+	declineStampMoved
+	declineColder
+	declineOversize
+)
+
+var declineReasons = [...]string{"first_sighting", "stamp_moved", "colder_than_victim", "oversize"}
 
 // cacheEntry is one cached result set.
 type cacheEntry struct {
-	key  string // stmt text + canonical arg encoding
+	key  string // stmt text + exact arg encoding
+	hash uint64
 	stmt string // stmt text alone (AccessPath introspection)
-
-	cols  []string
-	kinds []sqltypes.Kind
-	flat  []sqltypes.Value // nrows*ncols values, row-major
-	ncols int
-	nrows int
+	rows *Rows  // shared by every hit; never written after fill
 
 	bytes  int64
+	freq   uint32 // sightings at admission + hits
 	asOf   uint64 // snapshot the filling statement executed at
 	epoch  uint64 // schema epoch at fill time
 	tables []*tableData
@@ -90,48 +119,56 @@ type cacheEntry struct {
 	elem *list.Element
 }
 
-// resultCache is the epoch- and table-version-invalidated LRU.
+// sighting is one doorkeeper slot.
+type sighting struct {
+	hash, stamp uint64
+	count       uint32
+}
+
+// cacheProbe carries a miss's identity hash and source-table stamp from
+// lookup to fill.
+type cacheProbe struct{ hash, stamp uint64 }
+
+// resultCache is the admission-filtered, epoch- and table-version-
+// invalidated LRU.
 type resultCache struct {
-	db *DB
+	db   *DB
+	seed maphash.Seed
 
 	mu       sync.Mutex
 	capBytes int64
 	used     int64
 	order    *list.List // front = most recently used; values are *cacheEntry
-	entries  map[string]*list.Element
+	entries  map[uint64]*cacheEntry
 	// byTable indexes entries by source table so the commit hook drops
 	// O(affected) entries, not O(cache).
 	byTable map[*tableData]map[*cacheEntry]struct{}
 	// stmts counts live entries per statement text, for AccessPath's
 	// " cached" tag.
 	stmts map[string]int
+
+	door      [doorkeeperSlots]sighting
+	sightings int
 }
 
 func newResultCache(db *DB, capBytes int64) *resultCache {
 	return &resultCache{
 		db:       db,
+		seed:     maphash.MakeSeed(),
 		capBytes: capBytes,
 		order:    list.New(),
-		entries:  make(map[string]*list.Element),
+		entries:  make(map[uint64]*cacheEntry),
 		byTable:  make(map[*tableData]map[*cacheEntry]struct{}),
 		stmts:    make(map[string]int),
 	}
 }
 
-// cacheKey builds the entry identity for a statement text and its bound
-// arguments. A hit is replayed with no residual check, so the argument
-// encoding is exact — unlike the index key encoding (key.go), which
-// folds every numeric onto its float64 image so that values Compare
-// treats as equal share a key: here 2^53 and 2^53+1, or INTEGER 1 and
-// DOUBLE 1, must be different entries. Each argument is its kind byte
-// and an exact, self-delimiting payload; −0/+0 and NaN payloads stay
-// distinct, because a spurious miss is harmless and a spurious hit is
-// not.
-func cacheKey(text string, args []sqltypes.Value) string {
-	if len(args) == 0 {
-		return text
-	}
-	b := make([]byte, 0, 16*len(args))
+// appendArgKey appends the exact encoding of bound arguments: each is
+// its kind byte and an exact, self-delimiting payload. Unlike the index
+// key encoding (key.go), 2^53 and 2^53+1, or INTEGER 1 and DOUBLE 1,
+// stay distinct; −0/+0 and NaN payloads too, because a spurious miss is
+// harmless and a spurious hit is not.
+func appendArgKey(b []byte, args []sqltypes.Value) []byte {
 	for _, v := range args {
 		b = append(b, byte(v.Kind()))
 		switch v.Kind() {
@@ -157,144 +194,157 @@ func cacheKey(text string, args []sqltypes.Value) string {
 			b = append(b, v.Bytes()...)
 		}
 	}
-	return text + "\x00" + string(b)
+	return b
 }
 
-// lookup returns a fresh copy of the cached result for key, valid at
-// (epoch, snap), or nil on miss. Entries that fail the epoch or
-// table-version check are dropped (they can never be served again);
-// entries merely newer than the caller's snapshot are kept for newer
-// readers. Counts a hit or miss on the metrics.
-func (rc *resultCache) lookup(key string, epoch, snap uint64) *Rows {
+// keyIs reports whether key is an entry's identity for a statement text
+// and its argument encoding — text + "\x00" + argKey — without building
+// the latter.
+func keyIs(key, text string, argKey []byte) bool {
+	n := len(text)
+	return len(key) == n+1+len(argKey) && key[:n] == text && key[n] == 0 && key[n+1:] == string(argKey)
+}
+
+// lookup returns the cached result for the statement at (epoch, snap),
+// or nil and the probe its fill needs. A hit is a shallow copy of the
+// entry's shared Rows. Entries that fail the epoch or table-version
+// check are dropped (they can never be served again); entries merely
+// newer than the caller's snapshot are kept for newer readers. Counts a
+// hit or miss on the metrics. A miss allocates nothing.
+func (rc *resultCache) lookup(text string, args []sqltypes.Value, plan *selectPlan, epoch, snap uint64) (*Rows, cacheProbe) {
+	var buf [64]byte
+	argKey := appendArgKey(buf[:0], args)
+	var h maphash.Hash
+	h.SetSeed(rc.seed)
+	h.WriteString(text)
+	h.Write(argKey)
+	p := cacheProbe{hash: h.Sum64()}
+	for _, t := range plan.tables {
+		p.stamp = max(p.stamp, t.data.lastWrite.Load())
+	}
 	rc.mu.Lock()
-	el, ok := rc.entries[key]
-	if !ok {
+	ent := rc.entries[p.hash]
+	if ent == nil || !keyIs(ent.key, text, argKey) || snap < ent.asOf {
+		// Absent, or (snap < asOf) a reader older than the fill —
+		// possible only through exotic snapshot pinning: not served, not
+		// evicted.
 		rc.mu.Unlock()
 		rc.db.met.rcMisses.Inc()
-		return nil
+		return nil, p
 	}
-	ent := el.Value.(*cacheEntry)
-	if ent.epoch != epoch {
-		// DDL straggler (flush raced): permanently unservable.
+	// Stale when DDL raced the flush, or a source table was written since
+	// the fill (snapshots only move forward: no reader can use it again).
+	stale := ent.epoch != epoch
+	for _, td := range ent.tables {
+		stale = stale || td.lastWrite.Load() > ent.asOf
+	}
+	if stale {
 		rc.removeLocked(ent)
 		rc.mu.Unlock()
+		rc.db.met.rcInvalidations.Inc()
 		rc.db.met.rcMisses.Inc()
-		return nil
+		return nil, p
 	}
-	for _, td := range ent.tables {
-		if td.lastWrite.Load() > ent.asOf {
-			// Written since the fill: serving it to ANY snapshot taken
-			// after that write would be stale, and snapshots older than
-			// the write no longer start (snapshots only move forward).
-			rc.removeLocked(ent)
-			rc.mu.Unlock()
-			rc.db.met.rcInvalidations.Inc()
-			rc.db.met.rcMisses.Inc()
-			return nil
-		}
-	}
-	if snap < ent.asOf {
-		// A reader older than the fill (possible only through exotic
-		// snapshot pinning): not served, not evicted.
-		rc.mu.Unlock()
-		rc.db.met.rcMisses.Inc()
-		return nil
-	}
-	rc.order.MoveToFront(el)
-	// Copy out under the lock: the entry may be evicted the moment it
-	// is released, and callers own (and may mutate) the returned Rows.
-	out := ent.materialise()
+	rc.order.MoveToFront(ent.elem)
+	ent.freq++
+	out := *ent.rows
 	rc.mu.Unlock()
 	rc.db.met.rcHits.Inc()
-	return out
+	return &out, p
 }
 
-// materialise builds a caller-owned Rows from the entry's flat slab.
-// Caller holds rc.mu (reads only).
-func (ent *cacheEntry) materialise() *Rows {
-	cols := make([]string, len(ent.cols))
-	copy(cols, ent.cols)
-	kinds := make([]sqltypes.Kind, len(ent.kinds))
-	copy(kinds, ent.kinds)
-	out := newRows(cols, kinds)
-	flat := make([]sqltypes.Value, len(ent.flat))
-	copy(flat, ent.flat)
-	out.Data = make([][]sqltypes.Value, ent.nrows)
-	for i := 0; i < ent.nrows; i++ {
-		out.Data[i] = flat[i*ent.ncols : (i+1)*ent.ncols : (i+1)*ent.ncols]
-	}
-	return out
-}
-
-// entryBytes estimates the retained size of a result: the per-row
-// footprint (slice header + value structs) plus variable payloads.
-func entryBytes(rows *Rows) int64 {
-	b := int64(0)
+// entryBytes is what an entry holding rows under a keyLen-byte key keeps
+// on the heap: value slab, row headers, string payloads (counted even
+// when shared with storage: the entry keeps them alive), key, overhead.
+func entryBytes(rows *Rows, keyLen int) int64 {
+	b := int64(entryOverhead + keyLen + 24*len(rows.Data))
 	for _, r := range rows.Data {
-		b += rowFootprint(len(r))
+		b += 32 * int64(len(r))
 		for _, v := range r {
-			b += int64(v.Size())
+			switch v.Kind() {
+			case sqltypes.KindString, sqltypes.KindClob, sqltypes.KindDatalink, sqltypes.KindBytes:
+				b += int64(v.Size())
+			}
 		}
 	}
 	return b
 }
 
-// insert stores a completed result set, charging the memory budget and
-// evicting LRU entries to fit. Oversized results (rows or bytes) are
-// silently skipped — the statement already succeeded. The rows are
-// deep-copied: the caller's Rows may be arena-backed and Closed later.
-func (rc *resultCache) insert(key, stmtText string, tables []*tableData, rows *Rows, asOf, epoch uint64) {
+// fill offers a completed miss's result to the cache: admitted only past
+// the row cap, the doorkeeper, the byte cap, the victim comparison and
+// the memory budget, all decided before anything is copied. A decline
+// is silent to the caller: the statement already succeeded.
+func (rc *resultCache) fill(p cacheProbe, text string, args []sqltypes.Value, plan *selectPlan, rows *Rows, asOf, epoch uint64) {
 	if len(rows.Data) > resultCacheMaxRows {
+		rc.decline(declineOversize)
 		return
 	}
-	bytes := entryBytes(rows)
+	var buf [64]byte
+	argKey := appendArgKey(buf[:0], args)
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	count, reason := rc.sight(p)
+	if p.stamp > asOf {
+		// A source table was written after the snapshot: the entry would
+		// be stale on arrival.
+		count, reason = 0, declineStampMoved
+	}
+	if count == 0 {
+		rc.decline(reason)
+		return
+	}
+	bytes := entryBytes(rows, len(text)+1+len(argKey))
 	if bytes > rc.capBytes/resultCacheEntryDivisor {
+		rc.decline(declineOversize)
 		return
 	}
-	// Charge the database memory budget BEFORE accepting: cached bytes
-	// compete with live statement buffers for the same pool. Refused
-	// charges skip caching; the statement result is unaffected.
-	if rc.db.memBudget > 0 {
-		if rc.db.memUsed.Add(bytes) > rc.db.memBudget {
-			rc.db.memUsed.Add(-bytes)
+	// The victims, LRU first, until the candidate fits: every one must
+	// be colder than it.
+	freed := rc.capBytes - rc.used
+	for el := rc.order.Back(); freed < bytes && el != nil; el = el.Prev() {
+		v := el.Value.(*cacheEntry)
+		if v.freq >= count {
+			rc.decline(declineColder)
 			return
 		}
+		freed += v.bytes
 	}
-	ncols := len(rows.Columns)
-	ent := &cacheEntry{
-		key:    key,
-		stmt:   stmtText,
-		cols:   append([]string(nil), rows.Columns...),
-		kinds:  append([]sqltypes.Kind(nil), rows.Kinds...),
-		ncols:  ncols,
-		nrows:  len(rows.Data),
-		bytes:  bytes,
-		asOf:   asOf,
-		epoch:  epoch,
-		tables: tables,
+	// Charge the database memory budget BEFORE accepting: cached bytes
+	// compete with live statement buffers for the same pool.
+	if rc.db.memBudget > 0 && rc.db.memUsed.Add(bytes) > rc.db.memBudget {
+		rc.db.memUsed.Add(-bytes)
+		rc.decline(declineOversize)
+		return
 	}
-	ent.flat = make([]sqltypes.Value, 0, ent.nrows*ncols)
-	for _, r := range rows.Data {
-		ent.flat = append(ent.flat, r...)
-	}
-
-	rc.mu.Lock()
-	if old, ok := rc.entries[key]; ok {
-		// Raced fill of the same key: keep the newer answer.
-		rc.removeLocked(old.Value.(*cacheEntry))
+	key := text + "\x00" + string(argKey)
+	if old := rc.entries[p.hash]; old != nil {
+		// Raced fill of the same key (or a hash collision): keep the
+		// newer answer.
+		rc.removeLocked(old)
 	}
 	for rc.used+bytes > rc.capBytes {
-		back := rc.order.Back()
-		if back == nil {
-			break
-		}
-		rc.removeLocked(back.Value.(*cacheEntry))
+		rc.removeLocked(rc.order.Back().Value.(*cacheEntry))
 		rc.db.met.rcEvicts.Inc()
 	}
+	ent := &cacheEntry{key: key, hash: p.hash, stmt: text, bytes: bytes, freq: count,
+		asOf: asOf, epoch: epoch, tables: make([]*tableData, len(plan.tables))}
+	for i, t := range plan.tables {
+		ent.tables[i] = t.data
+	}
+	// The caller's rows may be arena-backed and Closed later: copy them
+	// into one slab. Columns, Kinds and colIdx belong to this execution
+	// and are read-only from here on, so the entry adopts them.
+	flat := make([]sqltypes.Value, 0, len(rows.Data)*len(rows.Columns))
+	data := make([][]sqltypes.Value, len(rows.Data))
+	for i, r := range rows.Data {
+		flat = append(flat, r...)
+		data[i] = flat[len(flat)-len(r) : len(flat) : len(flat)]
+	}
+	ent.rows = &Rows{Columns: rows.Columns, Kinds: rows.Kinds, Data: data, colIdx: rows.colIdx}
 	ent.elem = rc.order.PushFront(ent)
-	rc.entries[key] = ent.elem
-	rc.used += ent.bytes
-	rc.stmts[ent.stmt]++
+	rc.entries[p.hash] = ent
+	rc.used += bytes
+	rc.stmts[text]++
 	for _, td := range ent.tables {
 		set := rc.byTable[td]
 		if set == nil {
@@ -303,8 +353,37 @@ func (rc *resultCache) insert(key, stmtText string, tables []*tableData, rows *R
 		}
 		set[ent] = struct{}{}
 	}
-	rc.mu.Unlock()
 }
+
+// sight records a completed miss in the doorkeeper and returns the
+// key's sighting count, or 0 and the decline reason when this is not a
+// repeat at the same stamp. Caller holds rc.mu.
+func (rc *resultCache) sight(p cacheProbe) (uint32, int) {
+	if rc.sightings++; rc.sightings == doorkeeperAging {
+		rc.sightings = 0
+		for i := range rc.door {
+			rc.door[i].count /= 2
+		}
+		for el := rc.order.Front(); el != nil; el = el.Next() {
+			el.Value.(*cacheEntry).freq /= 2
+		}
+	}
+	s := &rc.door[p.hash%doorkeeperSlots]
+	if s.hash != p.hash || s.stamp != p.stamp {
+		reason := declineFirstSighting
+		if s.hash == p.hash {
+			reason = declineStampMoved
+		}
+		*s = sighting{hash: p.hash, stamp: p.stamp, count: 1}
+		return 0, reason
+	}
+	if s.count < math.MaxUint32 {
+		s.count++
+	}
+	return s.count, 0
+}
+
+func (rc *resultCache) decline(reason int) { rc.db.met.rcDeclines[reason].Inc() }
 
 // removeLocked unlinks an entry and refunds its bytes (cache accounting
 // and, when budgeted, the database memory pool). Caller holds rc.mu.
@@ -314,7 +393,7 @@ func (rc *resultCache) removeLocked(ent *cacheEntry) {
 	}
 	rc.order.Remove(ent.elem)
 	ent.elem = nil
-	delete(rc.entries, ent.key)
+	delete(rc.entries, ent.hash)
 	rc.used -= ent.bytes
 	if rc.stmts[ent.stmt]--; rc.stmts[ent.stmt] <= 0 {
 		delete(rc.stmts, ent.stmt)
@@ -346,13 +425,11 @@ func (rc *resultCache) invalidateTables(tds []*tableData) {
 		}
 	}
 	rc.mu.Unlock()
-	for i := 0; i < n; i++ {
-		rc.db.met.rcInvalidations.Inc()
-	}
+	rc.db.met.rcInvalidations.Add(int64(n))
 }
 
 // flush empties the cache, refunding every charge. Called on DDL
-// (schema-epoch bumps) and when the cache is disabled or replaced.
+// (schema-epoch bumps) and when the cache is replaced.
 func (rc *resultCache) flush() {
 	rc.mu.Lock()
 	for rc.order.Len() > 0 {
@@ -374,18 +451,4 @@ func (rc *resultCache) bytesUsed() int64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.used
-}
-
-// entryCount reports how many result sets are cached (status page).
-func (rc *resultCache) entryCount() int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.order.Len()
-}
-
-// String renders a one-line summary for debugging.
-func (rc *resultCache) String() string {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return fmt.Sprintf("resultCache{entries=%d bytes=%d/%d}", rc.order.Len(), rc.used, rc.capBytes)
 }

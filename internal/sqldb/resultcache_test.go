@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,8 +16,32 @@ import (
 func cacheDB(t *testing.T) *DB {
 	t.Helper()
 	db := memDB(t)
-	db.SetResultCache(4 << 20)
+	db.setResultCacheCap(4 << 20)
 	return db
+}
+
+// setResultCacheCap replaces the database's result cache with an empty
+// one of the given byte capacity, or turns it off (bytes <= 0),
+// refunding every budget charge the old one held.
+func (db *DB) setResultCacheCap(bytes int64) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	old := db.rcache.Load()
+	if bytes <= 0 {
+		db.rcache.Store(nil)
+	} else {
+		db.rcache.Store(newResultCache(db, bytes))
+	}
+	if old != nil {
+		old.flush()
+	}
+}
+
+// entryCount reports how many result sets are cached.
+func (rc *resultCache) entryCount() int {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.order.Len()
 }
 
 // TestResultCacheHitAndAccessPath: the second execution of an identical
@@ -28,9 +53,11 @@ func TestResultCacheHitAndAccessPath(t *testing.T) {
 	mustExec(t, db, `INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')`)
 
 	const q = `SELECT id, v FROM t WHERE id > 1 ORDER BY id`
+	mustQuery(t, db, q).Close() // priming: a first sighting is not cached
+	misses0 := counterValue(t, db, "sqldb_result_cache_misses_total")
 	first := mustQuery(t, db, q)
 	first.Detach()
-	if got := counterValue(t, db, "sqldb_result_cache_misses_total"); got != 1 {
+	if got := counterValue(t, db, "sqldb_result_cache_misses_total") - misses0; got != 1 {
 		t.Fatalf("misses after first query = %d, want 1", got)
 	}
 	second := mustQuery(t, db, q)
@@ -93,6 +120,16 @@ func TestResultCacheKeyIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
+	prime := func(s *Stmt, args ...sqltypes.Value) {
+		for _, a := range args {
+			rows, err := s.Query(a)
+			if err != nil {
+				t.Fatalf("priming %v: %v", a, err)
+			}
+			rows.Close()
+		}
+	}
+	prime(byID, sqltypes.NewInt(far), sqltypes.NewInt(far+1))
 	for _, tc := range []struct {
 		id   int64
 		want string
@@ -111,6 +148,7 @@ func TestResultCacheKeyIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
+	prime(echo, sqltypes.NewInt(1), sqltypes.NewDouble(1), sqltypes.NewString("1"))
 	for _, arg := range []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewDouble(1), sqltypes.NewString("1"), sqltypes.NewInt(1)} {
 		rows, err := echo.Query(arg)
 		if err != nil || len(rows.Data) != 1 {
@@ -175,6 +213,7 @@ func TestResultCacheDDLFlush(t *testing.T) {
 	db := cacheDB(t)
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR(10))`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, 'a')`)
+	mustQuery(t, db, `SELECT v FROM t`).Close() // priming
 	mustQuery(t, db, `SELECT v FROM t`).Close()
 	rc := db.rcache.Load()
 	if rc.entryCount() != 1 {
@@ -195,19 +234,23 @@ func TestResultCacheDDLFlush(t *testing.T) {
 }
 
 // TestResultCacheLRUEviction: a byte-capped cache evicts least-recently
-// used entries instead of growing without bound.
+// used entries instead of growing without bound. Later keys are
+// executed more often, so they are hotter than the entries they evict.
 func TestResultCacheLRUEviction(t *testing.T) {
 	db := memDB(t)
-	db.SetResultCache(8 << 10)
+	db.setResultCacheCap(8 << 10)
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, pad VARCHAR(100))`)
 	pad := strings.Repeat("x", 100)
 	for i := 0; i < 40; i++ {
 		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString(pad))
 	}
 	rc := db.rcache.Load()
-	// One row per entry (~240 bytes) stays under the per-entry cap
-	// (capBytes/8); forty of them overflow the 8 KiB cache.
+	// One row per entry (~900 bytes) stays under the per-entry cap
+	// (capBytes/4); forty of them overflow the 8 KiB cache.
 	for i := 0; i < 40; i++ {
+		for rep := 0; rep <= i/10; rep++ {
+			mustQuery(t, db, fmt.Sprintf(`SELECT id, pad FROM t WHERE id = %d`, i)).Close() // priming
+		}
 		r := mustQuery(t, db, fmt.Sprintf(`SELECT id, pad FROM t WHERE id = %d`, i))
 		r.Close()
 		if used, cap := rc.bytesUsed(), int64(8<<10); used > cap {
@@ -225,8 +268,8 @@ func TestResultCacheLRUEviction(t *testing.T) {
 func TestResultCacheEquivalenceSequential(t *testing.T) {
 	setup := func(t *testing.T, cached bool) *DB {
 		db := memDB(t)
-		if cached {
-			db.SetResultCache(4 << 20)
+		if !cached {
+			db.setResultCacheCap(0)
 		}
 		mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, bucket INTEGER, v DOUBLE)`)
 		return db
@@ -339,7 +382,7 @@ func TestResultCacheMemoryBudget(t *testing.T) {
 		t.Fatalf("OpenWith: %v", err)
 	}
 	t.Cleanup(func() { db.Close() })
-	db.SetResultCache(4 << 20)
+	db.setResultCacheCap(4 << 20)
 
 	mustExec(t, db, `CREATE TABLE small (id INTEGER PRIMARY KEY, v VARCHAR(10))`)
 	mustExec(t, db, `INSERT INTO small VALUES (1, 'a'), (2, 'b')`)
@@ -352,6 +395,7 @@ func TestResultCacheMemoryBudget(t *testing.T) {
 		mustExec(t, db, `INSERT INTO big VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString(pad))
 	}
 
+	mustQuery(t, db, `SELECT id, v FROM small ORDER BY id`).Close() // priming
 	mustQuery(t, db, `SELECT id, v FROM small ORDER BY id`).Close()
 	rc := db.rcache.Load()
 	held := db.MemoryInUse()
@@ -359,6 +403,7 @@ func TestResultCacheMemoryBudget(t *testing.T) {
 		t.Fatalf("MemoryInUse = %d, cache holds %d — cached bytes not charged", held, rc.bytesUsed())
 	}
 
+	mustQuery(t, db, `SELECT id, pad FROM big`).Close() // priming
 	r := mustQuery(t, db, `SELECT id, pad FROM big`)
 	if len(r.Data) != 50 {
 		t.Fatalf("big query rows = %d, want 50", len(r.Data))
@@ -377,7 +422,7 @@ func TestResultCacheMemoryBudget(t *testing.T) {
 		t.Fatal("small entry lost")
 	}
 
-	db.SetResultCache(0)
+	db.setResultCacheCap(0)
 	if got := db.MemoryInUse(); got != 0 {
 		t.Fatalf("MemoryInUse = %d after cache disabled, want 0", got)
 	}
@@ -408,6 +453,7 @@ func TestResultCacheCancellationNoPartialEntry(t *testing.T) {
 	}
 
 	// The same statement on a live context executes, caches and hits.
+	mustQuery(t, db, q).Close() // priming
 	r, err := db.Query(q)
 	if err != nil {
 		t.Fatalf("live query: %v", err)
@@ -431,6 +477,9 @@ func TestResultCacheTraceStates(t *testing.T) {
 	stmt, err := db.Prepare(`SELECT id FROM t ORDER BY id`)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
+	}
+	if _, err := stmt.Trace(); err != nil { // priming
+		t.Fatalf("trace: %v", err)
 	}
 	tr, err := stmt.Trace()
 	if err != nil {
@@ -463,6 +512,7 @@ func TestResultCacheTraceStates(t *testing.T) {
 	}
 
 	off := memDB(t)
+	off.setResultCacheCap(0)
 	mustExec(t, off, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
 	s2, err := off.Prepare(`SELECT id FROM t`)
 	if err != nil {
@@ -509,4 +559,234 @@ func TestResultCacheSnapshotTxBypass(t *testing.T) {
 		t.Fatalf("post-commit COUNT = %d, want 2", n)
 	}
 	r.Close()
+}
+
+// declines reads sqldb_result_cache_declines_total for one reason.
+func declines(t *testing.T, db *DB, reason string) int64 {
+	t.Helper()
+	m, ok := db.Metrics().Find("sqldb_result_cache_declines_total", "reason", reason)
+	if !ok {
+		t.Fatalf("declines{reason=%q} not registered", reason)
+	}
+	return m.Value
+}
+
+// TestResultCacheAdmitsOnRepeat: a first execution is not cached, the
+// second (a repeat that would have hit) fills, the third hits.
+func TestResultCacheAdmitsOnRepeat(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR(10))`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 'a'), (2, 'b')`)
+	rc := db.rcache.Load()
+	const q = `SELECT id, v FROM t ORDER BY id`
+	for i, want := range []int{0, 1, 1} {
+		rows := mustQuery(t, db, q)
+		rowsMustEqual(t, fmt.Sprintf("execution %d", i+1), rows,
+			&Rows{Columns: []string{"ID", "V"}, Data: [][]sqltypes.Value{
+				{sqltypes.NewInt(1), sqltypes.NewString("a")}, {sqltypes.NewInt(2), sqltypes.NewString("b")}}})
+		rows.Close()
+		if got := rc.entryCount(); got != want {
+			t.Fatalf("after execution %d: %d entries, want %d", i+1, got, want)
+		}
+	}
+	if got := counterValue(t, db, "sqldb_result_cache_hits_total"); got != 1 {
+		t.Fatalf("hits = %d, want 1 (the third execution)", got)
+	}
+	if got := declines(t, db, "first_sighting"); got != 1 {
+		t.Fatalf("first-sighting declines = %d, want 1", got)
+	}
+}
+
+// TestResultCacheSkipsFillAcrossWrite: a statement whose source table
+// is written between every pair of sightings is never filled — every
+// sighting is the first at its table stamp.
+func TestResultCacheSkipsFillAcrossWrite(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)`)
+	rc := db.rcache.Load()
+	const q = `SELECT COUNT(*), SUM(v) FROM t`
+	for i := 0; i < 20; i++ {
+		rows := mustQuery(t, db, q)
+		if n := rows.Data[0][0].Int(); n != int64(i) {
+			t.Fatalf("step %d: COUNT = %d", i, n)
+		}
+		rows.Close()
+		if rc.entryCount() != 0 {
+			t.Fatalf("step %d: a statement over a table written between sightings was cached", i)
+		}
+		mustExec(t, db, `INSERT INTO t VALUES (?, 1)`, sqltypes.NewInt(int64(i)))
+	}
+	if got := counterValue(t, db, "sqldb_result_cache_hits_total"); got != 0 {
+		t.Fatalf("hits = %d, want 0", got)
+	}
+	if got := declines(t, db, "stamp_moved"); got != 19 {
+		t.Fatalf("stamp-moved declines = %d, want 19", got)
+	}
+}
+
+// TestResultCacheHotEntrySurvivesColdChurn: a key hit every 8th
+// statement stays resident while 200 distinct keys, each seen twice,
+// stream past a full cache — a cold candidate never displaces a hotter
+// entry. The entries are sized so that four fill the cache.
+func TestResultCacheHotEntrySurvivesColdChurn(t *testing.T) {
+	db := memDB(t)
+	db.setResultCacheCap(8 << 10)
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, pad VARCHAR(1200))`)
+	pad := strings.Repeat("p", 1150)
+	for i := 0; i <= 200; i++ {
+		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString(pad))
+	}
+	stmt, err := db.Prepare(`SELECT id, pad FROM t WHERE id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(id int) {
+		t.Helper()
+		rows, err := stmt.Query(sqltypes.NewInt(int64(id)))
+		if err != nil || len(rows.Data) != 1 || rows.Data[0][0].Int() != int64(id) {
+			t.Fatalf("id %d: %v, err %v", id, rows, err)
+		}
+		rows.Close()
+	}
+	query(0)
+	query(0) // the hot key is admitted
+	cold := 0
+	for s := 0; cold < 400; s++ {
+		if s%8 != 0 {
+			query(1 + cold/2)
+			cold++
+			continue
+		}
+		hits := counterValue(t, db, "sqldb_result_cache_hits_total")
+		query(0)
+		if counterValue(t, db, "sqldb_result_cache_hits_total") != hits+1 {
+			t.Fatalf("statement %d: the hot key was evicted by cold churn (after %d cold statements)", s, cold)
+		}
+	}
+	if got := db.rcache.Load().entryCount(); got != 4 {
+		t.Fatalf("%d entries, want a full cache of 4", got)
+	}
+	if declines(t, db, "colder_than_victim") == 0 {
+		t.Fatal("no cold candidate met a full cache")
+	}
+}
+
+// TestResultCacheResidentBytesHonest: what the cache charges is what it
+// keeps on the heap — after two collections, the heap growth of a cache
+// filled to its cap is within 1.25× of bytesUsed.
+func TestResultCacheResidentBytesHonest(t *testing.T) {
+	db := memDB(t)
+	const capBytes = 256 << 10
+	db.setResultCacheCap(capBytes)
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)`)
+	for i := 0; i <= 600; i += 100 {
+		vals := make([]string, 0, 100)
+		for j := i; j < i+100; j++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d)", j, 2*j))
+		}
+		mustExec(t, db, `INSERT INTO t VALUES `+strings.Join(vals, ", "))
+	}
+	stmt, err := db.Prepare(`SELECT v FROM t WHERE id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(id int) {
+		rows, err := stmt.Query(sqltypes.NewInt(int64(id)))
+		if err != nil || len(rows.Data) != 1 {
+			t.Fatalf("id %d: err %v", id, err)
+		}
+		rows.Close()
+	}
+	query(600) // warm the plan and the arena pools
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for id := 0; id < 600; id++ {
+		query(id)
+		query(id)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	rc := db.rcache.Load()
+	used := rc.bytesUsed()
+	if used < capBytes*9/10 {
+		t.Fatalf("cache holds %d of %d bytes: not filled to its cap", used, capBytes)
+	}
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d entries charged %d bytes; the heap grew %d bytes (%.2f×)", rc.entryCount(), used, grew, float64(grew)/float64(used))
+	if float64(grew) > 1.25*float64(used) || 1.25*float64(grew) < float64(used) {
+		t.Fatalf("the heap grew %d bytes for %d charged: not within 1.25×", grew, used)
+	}
+	runtime.KeepAlive(db)
+}
+
+// TestResultCacheMissAllocs: on a miss the cache allocates nothing — no
+// key string, no copy — so a statement whose argument cycles through
+// first sightings allocates no more than with the cache off. 22 is the
+// same query's count with the cache off before the cache was armed by
+// default.
+func TestResultCacheMissAllocs(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR(10))`)
+	for i := 0; i < 1000; i++ {
+		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprint("v", i)))
+	}
+	stmt, err := db.Prepare(`SELECT id, v FROM t WHERE id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := make([]sqltypes.Value, 1)
+	id := int64(0)
+	allocs := testing.AllocsPerRun(500, func() {
+		id++
+		args[0] = sqltypes.NewInt(id)
+		rows, err := stmt.Query(args...)
+		if err != nil || len(rows.Data) != 1 {
+			t.Fatalf("id %d: err %v", id, err)
+		}
+		rows.Close()
+	})
+	if got := counterValue(t, db, "sqldb_result_cache_hits_total"); got != 0 {
+		t.Fatalf("%d hits: the arguments did not cycle through first sightings", got)
+	}
+	if allocs > 22 {
+		t.Fatalf("a first-sighting miss costs %v allocations, want ≤ 22 (the cache-off count)", allocs)
+	}
+}
+
+// TestResultCacheHitAllocs: a hit shares the cached entry — at most two
+// allocations (the statement's interrupt and the Rows header), the same
+// Data backing array for every hit, and Close on a hit releases nothing.
+func TestResultCacheHitAllocs(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR(10))`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')`)
+	stmt, err := db.Prepare(`SELECT id, v FROM t WHERE id >= ? ORDER BY id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []sqltypes.Value{sqltypes.NewInt(2)}
+	query := func() *Rows {
+		rows, err := stmt.Query(args...)
+		if err != nil || len(rows.Data) != 2 {
+			t.Fatalf("query: %v, err %v", rows, err)
+		}
+		return rows
+	}
+	query().Close()
+	query().Close() // fills
+	allocs := testing.AllocsPerRun(200, func() { query().Close() })
+	if allocs > 2 {
+		t.Fatalf("a hit costs %v allocations, want ≤ 2", allocs)
+	}
+	a, b := query(), query()
+	if &a.Data[0][0] != &b.Data[0][0] {
+		t.Fatal("two hits do not share the entry's Data backing array")
+	}
+	b.Close()
+	if b.Data == nil || a.Data[1][1].AsString() != "c" || query().Data[0][1].AsString() != "b" {
+		t.Fatal("Close on a hit released the shared entry")
+	}
 }

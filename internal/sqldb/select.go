@@ -368,9 +368,9 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 	}
 
 	// The result owns its Columns and Kinds slices: the kind backfill
-	// below writes to Kinds, Columns is an exported field callers may
-	// touch, and the plan (with its labels and kinds) is shared across
-	// concurrent executions.
+	// below writes to Kinds, and the plan (with its labels and kinds) is
+	// shared across concurrent executions. A result cache entry adopts
+	// them once the statement completes.
 	out := newRows(slices.Clone(plan.labels), slices.Clone(plan.kinds))
 	out.arena = ctx.ar
 	if s.Limit == 0 {

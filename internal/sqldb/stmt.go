@@ -66,7 +66,7 @@ func (s *Stmt) Text() string { return s.text }
 // tables probed by an index nested-loop append " inl(ALIAS.COLS)" (or
 // " inl-rev(...)" for the two-table swap candidate that probes the
 // first table); unindexed equi-joins append " hash-join(ALIAS.COLS)"
-// (or " hash-join-rev(...)"). A statement with a live result-cache
+// (or " hash-join-rev(...)"). A statement with a live result cache
 // entry appends " cached" — its repeats are served without execution.
 //
 // EXPLAIN-style introspection for tests and diagnostics; building the
@@ -84,7 +84,7 @@ func (s *Stmt) AccessPath() (string, error) {
 		return "", err
 	}
 	out := pathString(plan, sel)
-	// A live result-cache entry for this statement means repeats are
+	// A live result cache entry for this statement means repeats are
 	// answered without execution: surface it like the other strategies.
 	if rc := s.db.rcache.Load(); rc != nil && plan.cacheable && rc.hasStmt(s.text) {
 		out += " cached"
@@ -197,11 +197,11 @@ func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value, force bool) (Res
 	}
 	// Admission + deadline gate. Acquired before any engine lock, so a
 	// queued statement holds nothing while it waits.
-	ic, release, err := db.admitStatement(ctx)
+	ic, err := db.admitStatement(ctx)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	defer release()
+	defer ic.release()
 	tr.setDeadline(ic)
 	db.mu.RLock()
 	if td := db.shardedTarget(s.ast); td != nil {
@@ -379,11 +379,11 @@ func (s *Stmt) query(ctx context.Context, args []sqltypes.Value, force bool) (*R
 	if force || thr > 0 {
 		tr = db.newTrace(s.text, "select")
 	}
-	ic, release, err := db.admitStatement(ctx)
+	ic, err := db.admitStatement(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer release()
+	defer ic.release()
 	tr.setDeadline(ic)
 	cacheState := ""
 	rows, err := func() (*Rows, error) {
@@ -404,11 +404,11 @@ func (s *Stmt) query(ctx context.Context, args []sqltypes.Value, force bool) (*R
 		// functions), only this auto-commit path — Tx/script SELECTs run
 		// in latest-mode visibility and never reach here.
 		rc := db.rcache.Load()
-		var key string
+		var probe cacheProbe
 		if rc != nil {
 			if plan.cacheable {
-				key = cacheKey(s.text, args)
-				if out := rc.lookup(key, db.schemaEpoch, snap); out != nil {
+				var out *Rows
+				if out, probe = rc.lookup(s.text, args, plan, db.schemaEpoch, snap); out != nil {
 					cacheState = "hit"
 					if tr != nil {
 						tr.t.Path += " cached"
@@ -424,14 +424,10 @@ func (s *Stmt) query(ctx context.Context, args []sqltypes.Value, force bool) (*R
 		out, err := db.runSelectAt(plan, args, snap, tr, ic)
 		tr.endHeap()
 		if err == nil && cacheState == "miss" {
-			// Only COMPLETED results are published: any error above —
+			// Only COMPLETED results are offered: any error above —
 			// including cancellation mid-fill — returns before this
 			// point, so a partial result can never be served.
-			tables := make([]*tableData, len(plan.tables))
-			for i, t := range plan.tables {
-				tables[i] = t.data
-			}
-			rc.insert(key, s.text, tables, out, snap, db.schemaEpoch)
+			rc.fill(probe, s.text, args, plan, out, snap, db.schemaEpoch)
 		}
 		return out, err
 	}()

@@ -29,9 +29,9 @@ type Trace struct {
 	// Path is the planner's access-path description (see Stmt.AccessPath);
 	// empty for non-SELECT statements.
 	Path string `json:"path,omitempty"`
-	// Cache records the statement's result-cache interaction: "hit"
-	// (served without execution), "miss" (executed, then cached if it
-	// fit) or "bypass" (cacheable=false — volatile functions). Empty
+	// Cache records the statement's result cache interaction: "hit"
+	// (served without execution), "miss" (executed, then cached if
+	// admitted) or "bypass" (cacheable=false — volatile functions). Empty
 	// when the result cache is disabled or for non-SELECT statements.
 	Cache     string      `json:"cache,omitempty"`
 	Rows      int64       `json:"rows"`

@@ -565,9 +565,20 @@ func engineSummary(ms []telemetry.Metric) []statusMetric {
 	rcMisses, _ := findMetric(ms, "sqldb_result_cache_misses_total")
 	if total := rcHits.Value + rcMisses.Value; total > 0 {
 		bytes, _ := findMetric(ms, "sqldb_result_cache_bytes")
+		capacity, _ := findMetric(ms, "sqldb_result_cache_capacity_bytes")
+		var declines []string
+		for _, m := range ms {
+			if m.Name == "sqldb_result_cache_declines_total" && m.Value > 0 {
+				declines = append(declines, fmt.Sprintf("%d %s", m.Value, m.Label("reason")))
+			}
+		}
+		if len(declines) == 0 {
+			declines = append(declines, "none")
+		}
 		rows = append(rows, statusMetric{"Result-cache hit rate",
-			fmt.Sprintf("%.1f%% (%d of %d lookups, %d bytes held)",
-				100*float64(rcHits.Value)/float64(total), rcHits.Value, total, bytes.Value)})
+			fmt.Sprintf("%.1f%% (%d of %d lookups, %d of %d bytes held; fills declined: %s)",
+				100*float64(rcHits.Value)/float64(total), rcHits.Value, total, bytes.Value, capacity.Value,
+				strings.Join(declines, ", "))})
 	}
 	if m, ok := findMetric(ms, "sqldb_dead_rows"); ok {
 		rows = append(rows, statusMetric{"Dead-row debt (awaiting vacuum)", strconv.FormatInt(m.Value, 10)})

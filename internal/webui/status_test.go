@@ -65,10 +65,13 @@ func TestStatusPage(t *testing.T) {
 	}
 
 	// The engine telemetry headlines render above the host tables
-	// (queries against the seeded archive guarantee non-zero counters).
+	// (queries against the seeded archive guarantee non-zero counters),
+	// the result cache's with its bytes against the cap and its declines.
 	if !strings.Contains(body, "Archive engine") ||
 		!strings.Contains(body, "Committed transactions") ||
-		!strings.Contains(body, "Plan-cache hit rate") {
+		!strings.Contains(body, "Plan-cache hit rate") ||
+		!strings.Contains(body, "Result-cache hit rate") ||
+		!strings.Contains(body, " of 524288 bytes held; fills declined: ") {
 		t.Fatalf("status page missing engine telemetry summary:\n%s", body)
 	}
 }

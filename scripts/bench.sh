@@ -39,8 +39,10 @@
 #                                      100k-row projection (allocs/op and
 #                                      B/row ceilings; the per-row make
 #                                      path is gone)
-#   BenchmarkAblation_OpCache        — result cache on vs off on a
-#                                      repeated parameterized browse query
+#   BenchmarkAblation_OpCache        — result cache hit (a repeated key)
+#                                      vs miss (every key a first
+#                                      sighting) on a parameterized
+#                                      browse query
 #   BenchmarkAblation_GroupCommit    — WAL group commit vs serial fsyncs
 #                                      (parallel vs serial committers)
 #   BenchmarkAblation_Failover       — token-checked read latency through
