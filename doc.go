@@ -68,12 +68,12 @@
 //     re-applied — so the returned row set is identical to a full
 //     scan's (property-tested in internal/sqldb/planner_test.go and
 //     composite_test.go; ablated by BenchmarkAblation_OrderedIndex and
-//     BenchmarkAblation_CompositeIndex). One documented ordering
-//     caveat: integers beyond 2^53 that share a float64 key image (see
-//     key.go) sort in insertion order within the collision when ORDER
-//     BY is served by the index. The B+tree merges emptied leaves away
-//     on delete (merge-at-empty, no further rebalancing), so
-//     delete-heavy tables do not accumulate hollow nodes.
+//     BenchmarkAblation_CompositeIndex). Key equality is value
+//     equality — integers beyond ±2^53 carry an exact tiebreak after
+//     their float64 image (key.go; FuzzKeyEncoding) — so an index
+//     serves ORDER BY in exact value order. The B+tree merges emptied
+//     leaves away on delete (merge-at-empty, no further rebalancing),
+//     so delete-heavy tables do not accumulate hollow nodes.
 //
 //   - One row source, one sink. Every SELECT runs as a row source —
 //     the filtered scan of a lone table through its access path or the
@@ -101,20 +101,16 @@
 //     or an index selected expressly for the GROUP BY), groups close
 //     one at a time with O(groups) state and no hash table
 //     ("group-ordered" in Stmt.AccessPath); otherwise groups hash on
-//     the exact tuple encoding of their keys ("hash-agg"), which
-//     keeps NULL, '' and 0 vs '0' in distinct groups, INTEGER 1 and
-//     DOUBLE 1 in one, integers beyond ±2^53 that share a float64
-//     image apart (DISTINCT keys on the same encoding), and allocates
-//     a key string only when a group first appears. When the path is
+//     the index-key encoding of their keys ("hash-agg"), which keeps
+//     NULL, '' and 0 vs '0' in distinct groups and INTEGER 1 and
+//     DOUBLE 1 in one (DISTINCT keys on the same encoding), and
+//     allocates a key string only when a group first appears. When the path is
 //     additionally residual-free and every aggregate argument is an
 //     index column, whole groups fold from the index KEYS — COUNT adds
 //     the key's visible-posting count, SUM adds the decoded value once
 //     per row it stands for (identical double rounding), MIN/MAX compare
 //     the decoded component — reading zero heap rows (" index-only",
-//     asserted via DB.HeapRowReads). An index clusters by the float64
-//     image alone, so both index-ordered strategies decline an
-//     execution that meets a far-integer group key and it is folded
-//     through the hash strategy off the heap. There is one executor:
+//     asserted via DB.HeapRowReads). There is one executor:
 //     every strategy is held to a naive reference evaluator
 //     (internal/sqldb/refeval_test.go — nested loops over table
 //     snapshots, pairwise grouping, sort.SliceStable) over hand-written
@@ -124,16 +120,12 @@
 //
 //   - Index-only aggregates. When a single-table COUNT/MIN/MAX query's
 //     WHERE clause is consumed exactly by the chosen path (no residual
-//     conjuncts — tracked at plan time) and the probes are exact at
-//     execution time (no far-integer key collisions), COUNT is
-//     answered by summing visible-posting counts under the exact key
-//     range — zero heap rows read, asserted via DB.HeapRowReads — and
-//     MIN/MAX decode the answer straight off the boundary key for
-//     every kind whose canonical encoding round-trips (integers inside
-//     ±2^53, text, TIMESTAMP, BOOLEAN, BLOB, DATALINK — see the
-//     decoding notes in key.go), materialising the boundary key's rows
-//     only for ambiguous keys (far integers, a DOUBLE ±0.0). Inexact
-//     probes fall back to the ordinary residual-checked executor.
+//     conjuncts — tracked at plan time), COUNT is answered by summing
+//     visible-posting counts under the key range the statement's scan
+//     resolved — zero heap rows read, asserted via DB.HeapRowReads —
+//     and MIN/MAX decode the answer straight off the boundary key,
+//     fetching one boundary row only for a DOUBLE ±0.0 key, whose sign
+//     the key cannot name (see the decoding notes in key.go).
 //
 //   - Index nested-loop and hash joins. Equality conjuncts of the form
 //     inner.col = expr(outer tables) in ON or WHERE are matched against

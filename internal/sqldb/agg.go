@@ -24,20 +24,16 @@ import (
 //     group and O(groups) total state, never a hash table.
 //
 //   - hash aggregation ("hash-agg"): arbitrary input order; groups live
-//     in a map keyed by the exact tuple encoding (appendExactKey). The
+//     in a map keyed by the tuple's index-key encoding (key.go). The
 //     per-row lookup converts the scratch key buffer with a
 //     no-allocation map access; a key string is allocated only when a
 //     new group first appears.
 //
 // Group identity is that encoding of the evaluated GROUP BY expressions,
-// so NULL, '' and 0 vs '0' land in distinct groups (class tags differ),
-// INTEGER 1 and DOUBLE 1 in one (sqltypes.Compare calls them equal), and
-// integers beyond ±2^53 that share a float64 image stay apart. An index
-// clusters by the image alone, and the postings under one image are in
-// insertion order, so a run of equal images is not a run of equal
-// values: the index-ordered strategies decline an execution the moment
-// they meet such a group key, and it is folded again through the hash
-// strategy off the heap.
+// so NULL, '' and 0 vs '0' land in distinct groups (class tags differ)
+// and INTEGER 1 and DOUBLE 1 in one (sqltypes.Compare calls them equal).
+// An index orders its keys by the same encoding, so a run of equal keys
+// in index order is exactly one group.
 
 // aggCall is one aggregate invocation appearing in the projection,
 // HAVING or bound ORDER BY of an aggregated SELECT. Collected once at
@@ -332,11 +328,7 @@ type groupFolder struct {
 	// walk halts there (grouped-fold early-stop).
 	maxGroups int
 
-	// declined (streaming only) reports a group key the index order
-	// cannot cluster — see the far-integer note above; the groups folded
-	// so far are void. err is a failure that stopped the fold.
-	declined bool
-	err      error
+	err error // a failure that stopped the fold
 }
 
 // groupFootprint estimates the retained bytes of one hash-agg group:
@@ -354,7 +346,7 @@ func newGroupFolder(plan *selectPlan, ctx *evalCtx, streaming bool) *groupFolder
 }
 
 // add folds one source row into its group. false stops the source: the
-// wanted groups are complete, or the fold declined or failed.
+// wanted groups are complete, or the fold failed.
 func (f *groupFolder) add(row []sqltypes.Value) bool {
 	plan, ctx := f.plan, f.ctx
 	groupBy := plan.stmt.GroupBy
@@ -374,11 +366,7 @@ func (f *groupFolder) add(row []sqltypes.Value) bool {
 			f.err = err
 			return false
 		}
-		if f.streaming && !exactProbe(v) {
-			f.declined = true
-			return false
-		}
-		f.keyBuf = appendExactKey(f.keyBuf, v)
+		f.keyBuf = appendKey(f.keyBuf, v)
 	}
 	var gs *groupState
 	if f.streaming {
@@ -412,26 +400,19 @@ func (f *groupFolder) add(row []sqltypes.Value) bool {
 }
 
 // foldGroups folds the statement's rows into groups, in first-seen
-// order: from the index keys alone when the plan allows and this
-// execution's probes are exact (aggplan.go), else from the row source —
-// one open group at a time when scan serves the group-clustering path,
-// through the hash table otherwise (any join; a path that declined
-// loses the clustering with it). With no GROUP BY the whole input is
-// one group even when empty, per SQL (COUNT(*) over no rows is 0).
+// order: from the index keys alone when the plan allows (aggplan.go),
+// else from the row source — one open group at a time when scan serves
+// the group-clustering path, through the hash table otherwise (any join,
+// or a path this execution's probes could not use). With no GROUP BY
+// the whole input is one group even when empty, per SQL (COUNT(*) over
+// no rows is 0).
 func (db *DB) foldGroups(plan *selectPlan, ctx *evalCtx, scan tableScan) ([]*groupState, error) {
 	streaming := plan.streamGroups && scan.path != nil
 	if streaming && plan.groupIdxFold != nil {
-		groups, handled, err := db.runGroupIndexFold(plan, ctx)
-		if err != nil || handled {
-			return groups, err
-		}
+		return db.runGroupIndexFold(plan, ctx, scan)
 	}
 	f := newGroupFolder(plan, ctx, streaming)
 	err := db.streamRows(plan, ctx, scan, f.add)
-	if err == nil && f.declined {
-		f = newGroupFolder(plan, ctx, false)
-		err = db.streamRows(plan, ctx, tableScan{td: scan.td}, f.add)
-	}
 	if err == nil {
 		err = f.err
 	}

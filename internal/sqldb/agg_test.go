@@ -255,8 +255,8 @@ func TestAggFoldMinMaxBoundaryDecode(t *testing.T) {
 	checkReads(`SELECT MIN(TS), MAX(TS) FROM M WHERE TS IS NOT NULL`, true)
 	checkReads(`SELECT MIN(D), MAX(D) FROM M WHERE D > ?`, true, sqltypes.NewDouble(-1000))
 
-	// Far-integer boundary: the key image is ambiguous, so the executor
-	// must fetch the boundary rows and resolve the exact maximum.
+	// Far-integer boundary: the key's tiebreak names the exact integer,
+	// so the maximum decodes straight off the key like any other.
 	if _, err := db.Exec(`INSERT INTO M VALUES (1000, ?, 'far', '2009-01-11 00:00:00', 1.5)`,
 		sqltypes.NewInt(1<<53)); err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestAggFoldMinMaxBoundaryDecode(t *testing.T) {
 		sqltypes.NewInt(1<<53+2)); err != nil {
 		t.Fatal(err)
 	}
-	checkReads(`SELECT MAX(N) FROM M WHERE N IS NOT NULL`, false)
+	checkReads(`SELECT MAX(N) FROM M WHERE N IS NOT NULL`, true)
 
 	// A DOUBLE zero key cannot name its sign: fallback, correct result.
 	if _, err := db.Exec(`INSERT INTO M VALUES (1002, 1, 'z', '2009-01-12 00:00:00', ?)`,
@@ -278,8 +278,8 @@ func TestAggFoldMinMaxBoundaryDecode(t *testing.T) {
 
 // TestGroupIndexFoldZeroHeapReads: a grouped COUNT/SUM/MIN/MAX whose
 // arguments all live in the clustering index must be answered from the
-// index keys alone — zero heap rows — while a far-integer group key
-// sends the execution to the heap, with identical results.
+// index keys alone — zero heap rows, far-integer group keys included —
+// with the reference's results.
 func TestGroupIndexFoldZeroHeapReads(t *testing.T) {
 	db, err := Open("")
 	if err != nil {
@@ -333,10 +333,8 @@ func TestGroupIndexFoldZeroHeapReads(t *testing.T) {
 	ref := newRefEval(db)
 	ref.check(t, q)
 
-	// A group key beyond ±2^53 may share its index key with another
-	// group's: the index-only fold (and the group-ordered row fold behind
-	// it) decline, the heap is folded through the hash strategy, and the
-	// result is still the reference's.
+	// Group keys beyond ±2^53 are exact index keys too: the fold stays on
+	// the keys, and the result is still the reference's.
 	if _, err := db.Exec(`CREATE TABLE F (ID INTEGER PRIMARY KEY, K INTEGER, V INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +360,8 @@ func TestGroupIndexFoldZeroHeapReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reads := db.HeapRowReads("F") - before; reads < 5 {
-		t.Fatalf("a far group key was folded from %d heap rows: the execution must be declined to the heap (5 rows)", reads)
+	if reads := db.HeapRowReads("F") - before; reads != 0 {
+		t.Fatalf("far group keys were folded from %d heap rows, want 0", reads)
 	}
 	if len(folded.Data) != 4 {
 		t.Fatalf("%d groups, want 4: %v", len(folded.Data), folded.Data)
@@ -448,10 +446,10 @@ func TestAggFoldErrorParity(t *testing.T) {
 
 // TestFarIntegerGroupsStayApart: integers beyond ±2^53 that share a
 // float64 image are distinct values, so DISTINCT and GROUP BY must keep
-// them apart — on the heap scan's hash fold and, with an index that
-// clusters by the shared image, on both group-ordered strategies (the
-// index-only fold for COUNT(*), the row fold for an aggregate over a
-// column the index does not hold), which decline and refold off the heap.
+// them apart — on the heap scan's hash fold and, with an index, on both
+// group-ordered strategies (the index-only fold for COUNT(*), the row
+// fold for an aggregate over a column the index does not hold), whose
+// groups come out in index order, which is value order.
 func TestFarIntegerGroupsStayApart(t *testing.T) {
 	db := memDB(t)
 	mustExec(t, db, `CREATE TABLE T (ID BIGINT, V VARCHAR(10))`)
@@ -459,14 +457,9 @@ func TestFarIntegerGroupsStayApart(t *testing.T) {
 		mustExec(t, db, `INSERT INTO T VALUES (?, ?)`, sqltypes.NewInt(id), sqltypes.NewString(fmt.Sprintf("v%d", i)))
 	}
 	ref := newRefEval(db)
-	check := func() {
+	check := func(wants map[string]string) {
 		t.Helper()
-		for sql, want := range map[string]string{
-			`SELECT DISTINCT ID FROM T`:                      "9007199254740993|9007199254740992",
-			`SELECT ID, COUNT(*) FROM T GROUP BY ID`:         "9007199254740993,1|9007199254740992,2",
-			`SELECT ID, MIN(V) FROM T GROUP BY ID`:           "9007199254740993,v0|9007199254740992,v1",
-			`SELECT ID, COUNT(*) FROM T GROUP BY ID LIMIT 5`: "9007199254740993,1|9007199254740992,2",
-		} {
+		for sql, want := range wants {
 			ref.check(t, sql)
 			rows := mustQuery(t, db, sql)
 			var got []string
@@ -482,7 +475,12 @@ func TestFarIntegerGroupsStayApart(t *testing.T) {
 			}
 		}
 	}
-	check()
+	check(map[string]string{
+		`SELECT DISTINCT ID FROM T`:                      "9007199254740993|9007199254740992",
+		`SELECT ID, COUNT(*) FROM T GROUP BY ID`:         "9007199254740993,1|9007199254740992,2",
+		`SELECT ID, MIN(V) FROM T GROUP BY ID`:           "9007199254740993,v0|9007199254740992,v1",
+		`SELECT ID, COUNT(*) FROM T GROUP BY ID LIMIT 5`: "9007199254740993,1|9007199254740992,2",
+	})
 	mustExec(t, db, `CREATE INDEX T_ID ON T (ID)`)
 	for sql, want := range map[string]string{
 		`SELECT ID, COUNT(*) FROM T GROUP BY ID`: "ordered-scan(T.ID) group-ordered(ID) index-only",
@@ -496,5 +494,11 @@ func TestFarIntegerGroupsStayApart(t *testing.T) {
 			t.Fatalf("%s: path %q, want %q", sql, p, want)
 		}
 	}
-	check()
+	// A GROUP BY without ORDER BY follows the path: index order.
+	check(map[string]string{
+		`SELECT DISTINCT ID FROM T`:                      "9007199254740993|9007199254740992",
+		`SELECT ID, COUNT(*) FROM T GROUP BY ID`:         "9007199254740992,2|9007199254740993,1",
+		`SELECT ID, MIN(V) FROM T GROUP BY ID`:           "9007199254740992,v1|9007199254740993,v0",
+		`SELECT ID, COUNT(*) FROM T GROUP BY ID LIMIT 5`: "9007199254740992,2|9007199254740993,1",
+	})
 }

@@ -1,6 +1,9 @@
 package sqldb
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/sqltypes"
 )
 
@@ -12,25 +15,17 @@ import (
 // the index without materialising candidate rows:
 //
 //	COUNT(*) / COUNT(col)  — sum the row-ID list lengths under the
-//	                         path's exact key range: zero heap reads.
+//	                         path's key range: zero heap reads.
 //	MIN(col) / MAX(col)    — walk the key range in (reverse) order and
 //	                         decode the answer straight off the boundary
 //	                         KEY (key.go decode support): zero heap
-//	                         reads for every kind whose encoding
-//	                         round-trips. Components that do not
-//	                         round-trip — integers in the ±2^53 float
-//	                         collision window, a DOUBLE zero key (±0.0
-//	                         share it) — fall back to materialising the
-//	                         boundary key's rows, as every key did
-//	                         before decode support existed.
+//	                         reads, but for a DOUBLE zero key (±0.0
+//	                         share it), which one boundary row answers.
 //
-// Because encoded keys can over-approximate value equality (the float64
-// image of integers beyond ±2^53), the executor re-verifies at each
-// execution that every probe is exact (exactProbe); when it is not, it
-// falls back to the ordinary row-materialising path, which re-applies
-// the residual predicate. Strict range bounds, which the ordinary path
-// widens to inclusive scans, are honoured exactly here for the same
-// reason.
+// Both walk the key range the statement's tableScan resolved, the one a
+// row-fetching scan would walk. An aligned probe's key is exact
+// (key.go), so a residual-free path's range holds exactly the matching
+// rows, strict bounds included.
 
 // aggItem is one projection item of an index-only aggregate plan.
 type aggItem struct {
@@ -149,13 +144,11 @@ func pathServesMinMax(path *accessPath, colPos int) bool {
 // the row-ID list length, SUM folds the decoded value once per row the
 // key stands for (see foldValue), MIN/MAX compare the decoded component
 // once per key — and no heap row is ever fetched.
-// A key whose aggregate-argument component does not round-trip (a far
-// integer, a DOUBLE zero) folds that one key's rows through the ordinary
-// row fetch, keeping results exact; one whose GROUP-KEY component does
-// not may share its image with another group's (key.go), so the whole
-// execution is declined to the row fold. Scalar (non-aggregate)
-// expression parts are restricted at plan time to index columns and
-// evaluate against a synthetic row decoded from the group's first key.
+// A key whose aggregate-argument component does not round-trip (a DOUBLE
+// zero) folds that one key's rows through the ordinary row fetch,
+// keeping results exact. Scalar (non-aggregate) expression parts are
+// restricted at plan time to index columns and evaluate against a
+// synthetic row decoded from the group's first key.
 
 // idxFoldSlot is the per-aggregate-call decode recipe, parallel to
 // selectPlan.aggCalls.
@@ -273,17 +266,11 @@ func planGroupIndexFold(plan *selectPlan) {
 			gp.synth = append(gp.synth, j)
 		}
 	}
-	// Per-key decode walk: every aggregate-argument slot and every
-	// numeric group-key component (the executor declines on one that does
-	// not round-trip), plus enough components to delimit the group prefix.
+	// Per-key decode walk: every aggregate-argument slot, plus enough
+	// components to delimit the group prefix.
 	gp.needed = make([]bool, len(path.cols))
 	gp.kinds = make([]sqltypes.Kind, len(path.cols))
 	gp.walkLen = gp.prefixComponents
-	for j := 0; j < gp.prefixComponents; j++ {
-		if k := td.schema.Cols[path.colPos[j]].Type.Kind; k == sqltypes.KindInt || k == sqltypes.KindDouble {
-			gp.needed[j], gp.kinds[j] = true, k
-		}
-	}
 	for i := range slots {
 		sl := &slots[i]
 		if sl.star {
@@ -298,116 +285,70 @@ func planGroupIndexFold(plan *selectPlan) {
 	plan.groupIdxFold = gp
 }
 
-// runGroupIndexFold folds the grouped aggregate from index keys.
-// handled=false (probe misalignment, an inexact probe or an inexact
-// group key) sends the caller to the row fold, whatever was folded
-// here discarded. Evaluation errors defer into
-// the accumulators and surface at finalize, exactly like the row-wise
-// fold (same messages, same HAVING-aware timing). Governance errors
-// (cancellation, deadline, memory budget) surface immediately.
-func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*groupState, handled bool, err error) {
+// runGroupIndexFold folds the grouped aggregate from the index keys of
+// scan's key range. Evaluation errors defer into the accumulators and
+// surface at finalize, exactly like the row-wise fold (same messages,
+// same HAVING-aware timing). Governance errors (cancellation, deadline,
+// memory budget) surface immediately.
+func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx, scan tableScan) ([]*groupState, error) {
 	gp := plan.groupIdxFold
-	path := plan.path
-	td := plan.tables[0].data
-	idx := td.index(path.idx)
-	if idx == nil {
-		return nil, false, nil
-	}
-	er, ok := pathKeyRange(td, path, ctx, true)
-	if !ok {
-		return nil, false, nil
-	}
-	if er.empty {
-		return nil, true, nil
-	}
-
+	path, td := scan.path, scan.td
 	reads := int64(0)
 	defer func() { td.heapReads.Add(reads) }()
 
 	var (
+		groups    []*groupState
 		cur       *groupState
 		curPrefix string
-		foldErr   error
-		declined  bool
+		chargeErr error
 		decoded   = make([]sqltypes.Value, gp.walkLen) // per-slot scratch, reused per key
 	)
-	// foldRowsFallback folds one key's rows through the heap fetch (the
-	// decode refused); nothing of this key has been folded yet.
-	foldRowsFallback := func(rows []*rowSlot) bool {
+	// fetchRows folds one key's rows through the heap fetch (the decode
+	// refused); nothing of this key has been folded yet.
+	fetchRows := func(rows []*rowSlot) {
 		for _, r := range rows {
-			vals, live := r.fetch(ctx.snap)
-			if !live {
-				continue
+			if vals, live := r.fetch(ctx.snap); live {
+				reads++
+				plan.foldRow(cur, vals, ctx)
 			}
-			reads++
-			plan.foldRow(cur, vals, ctx)
 		}
-		return true
 	}
 	// startGroup opens the group identified by prefix, building the
 	// synthetic first row for the scalar parts from the group's first
 	// key; a non-round-tripping component falls back to one real row.
 	startGroup := func(k, prefix string, rows []*rowSlot) {
-		// Each open group retains its state for the statement's lifetime:
-		// charge the memory budget (surfaces through foldErr on the next
-		// visit, since this path cannot abort mid-key).
-		if gerr := ctx.intr.charge(int64(len(prefix)) + groupFootprint(len(plan.aggCalls))); gerr != nil {
-			foldErr = gerr
-		}
 		cur = plan.newGroupState()
 		groups = append(groups, cur)
 		curPrefix = prefix
 		row := make([]sqltypes.Value, len(td.schema.Cols))
-		okSynth := true
 		for _, j := range gp.synth {
-			v, okd := decodeKeyColumn(k, j, td.schema.Cols[path.colPos[j]].Type.Kind)
-			if !okd {
-				okSynth = false
-				break
+			v, ok := decodeKeyColumn(k, j, td.schema.Cols[path.colPos[j]].Type.Kind)
+			if !ok {
+				for _, r := range rows {
+					if vals, live := r.fetch(ctx.snap); live {
+						reads++
+						cur.firstRow = vals
+						return
+					}
+				}
+				return
 			}
 			row[path.colPos[j]] = v
 		}
-		if okSynth {
-			cur.firstRow = row
-		} else {
-			for _, r := range rows {
-				if vals, live := r.fetch(ctx.snap); live {
-					reads++
-					cur.firstRow = vals
-					break
-				}
-			}
-		}
+		cur.firstRow = row
 	}
-	visit := func(k string, rows []*rowSlot) bool {
-		// Per-key cancellation checkpoint for the index-key fold.
-		if gerr := ctx.intr.check(); gerr != nil {
-			foldErr = gerr
-			return false
-		}
+	walkErr := scan.keys(ctx, path.desc, func(k string, rows []*rowSlot) bool {
 		// One forward walk per key: delimit the group prefix and decode
 		// the aggregate-argument components. Any refusal (malformed key,
 		// non-round-tripping component) folds this key's rows through
-		// the heap fetch instead — nothing has been folded yet.
-		rest := k
-		prefix := k
-		decodeOK := true
+		// the heap fetch instead.
+		rest, prefix, decodeOK := k, k, true
 		for j := 0; j < gp.walkLen; j++ {
 			if decodeOK && gp.needed[j] {
-				v, okd := decodeKeyValue(rest, gp.kinds[j])
-				switch {
-				case okd:
-					decoded[j] = v
-				case j < gp.prefixComponents:
-					declined = true
-					return false
-				default:
-					decodeOK = false
-				}
+				decoded[j], decodeOK = decodeKeyValue(rest, gp.kinds[j])
 			}
 			var okc bool
-			rest, okc = skipKeyComponent(rest)
-			if !okc {
+			if rest, okc = skipKeyComponent(rest); !okc {
 				// Malformed key (cannot happen for keys the engine
 				// built); the row fetch below still folds it exactly.
 				decodeOK = false
@@ -426,10 +367,16 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 				// closed, so the rest of the key walk cannot contribute.
 				return false
 			}
+			// Each open group retains its state for the statement's
+			// lifetime: charge the memory budget.
+			if chargeErr = ctx.intr.charge(int64(len(prefix)) + groupFootprint(len(plan.aggCalls))); chargeErr != nil {
+				return false
+			}
 			startGroup(k, prefix, rows)
 		}
 		if !decodeOK {
-			return foldRowsFallback(rows)
+			fetchRows(rows)
+			return true
 		}
 		n := int64(len(rows))
 		for i := range gp.slots {
@@ -451,93 +398,47 @@ func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx) (groups []*group
 			foldValue(acc, sl.fn, v, n)
 		}
 		return true
+	})
+	if err := cmp.Or(chargeErr, walkErr); err != nil {
+		return nil, err
 	}
-
-	if er.useLookup {
-		rows := lookupVisible(td, idx, er.lookup, ctx.snap)
-		if len(rows) > 0 {
-			visit(er.lookup, rows)
-		}
-	} else {
-		scanVisibleRange(td, idx, er.lo, er.hi, false, ctx.snap, visit)
-	}
-	if foldErr != nil {
-		return nil, true, foldErr
-	}
-	return groups, !declined, nil
+	return groups, nil
 }
 
-// runIndexOnlyAgg answers the planned aggregate items from the index.
-// handled=false falls back to the row-materialising executor (probe
-// misalignment or inexact keys). COUNT items read zero heap rows;
-// MIN/MAX materialise only the boundary key's rows. Governance errors
-// (cancellation, deadline) surface immediately.
-func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx) (*Rows, bool, error) {
+// runIndexOnlyAgg answers the planned aggregate items from scan's key
+// range — or, for a bare COUNT(*) with no path, from the live-row count.
+// COUNT items read zero heap rows; MIN/MAX at most one boundary row.
+// Governance errors (cancellation, deadline) surface immediately.
+func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx, scan tableScan) (*Rows, error) {
 	s := plan.stmt
-	td := plan.tables[0].data
-	path := plan.path
-
-	var idx *orderedIndex
-	var er keyRange
-	if path == nil {
-		// COUNT(*) with no WHERE: the live-row counter is the answer.
-	} else {
-		idx = td.index(path.idx)
-		if idx == nil {
-			return nil, false, nil
-		}
-		var ok bool
-		er, ok = pathKeyRange(td, path, ctx, true)
-		if !ok {
-			return nil, false, nil
-		}
-	}
-
-	var govErr error
+	var err error
 	count := int64(-1)
 	countRows := func() int64 {
-		if count >= 0 {
-			return count
-		}
 		switch {
-		case path == nil:
+		case count >= 0:
+		case scan.path == nil:
 			// COUNT(*) with no WHERE: the committed live-count history
 			// answers exactly for this statement's snapshot even while
 			// writers keep committing.
-			count = td.liveAt(ctx.snap)
-		case er.empty:
-			count = 0
-		case er.useLookup:
-			count = int64(len(lookupVisible(td, idx, er.lookup, ctx.snap)))
+			count = scan.td.liveAt(ctx.snap)
 		default:
 			count = 0
-			scanVisibleRange(td, idx, er.lo, er.hi, false, ctx.snap, func(_ string, rows []*rowSlot) bool {
-				if err := ctx.intr.check(); err != nil {
-					govErr = err
-					return false
-				}
+			err = scan.keys(ctx, false, func(_ string, rows []*rowSlot) bool {
 				count += int64(len(rows))
 				return true
 			})
 		}
 		return count
 	}
-
 	vals := make([]sqltypes.Value, len(plan.aggItems))
 	for i, it := range plan.aggItems {
-		switch it.fn {
-		case "COUNT":
+		if it.fn == "COUNT" {
 			vals[i] = sqltypes.NewInt(countRows())
-		case "MIN":
-			vals[i] = boundaryAgg(td, idx, er, it.colPos, false, ctx)
-		case "MAX":
-			vals[i] = boundaryAgg(td, idx, er, it.colPos, true, ctx)
+		} else {
+			vals[i], err = boundaryAgg(&scan, it.colPos, it.fn == "MAX", ctx)
 		}
-		if govErr == nil {
-			govErr = ctx.intr.check()
-		}
-		if govErr != nil {
-			return nil, false, govErr
+		if err != nil {
+			return nil, err
 		}
 	}
 
@@ -551,81 +452,32 @@ func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx) (*Rows, bool, erro
 		out.Data = [][]sqltypes.Value{vals}
 	}
 	backfillKinds(out)
-	return out, true, nil
+	return out, nil
 }
 
-// boundaryAgg finds MIN (desc=false) or MAX (desc=true) of colPos by
-// walking the exact key range in order. Whenever the column's component
-// of the boundary key round-trips (decodeKeyColumn), the answer is read
-// straight off the key — zero heap rows. Otherwise the boundary key's
-// rows are materialised and compared: distinct values can share a key
-// in the far-integer collision window, so that key is a tiny candidate
-// set, not a single row, and the fetch resolves the exact extremum.
-func boundaryAgg(td *tableData, idx *orderedIndex, er keyRange, colPos int, desc bool, ctx *evalCtx) sqltypes.Value {
-	snap := ctx.snap
-	if idx == nil || er.empty {
-		return sqltypes.Null
-	}
-	// Locate colPos inside the index tuple so the key component can be
-	// decoded; colKind materialises the decoded value in the column's
-	// declared kind (stored values were coerced to it).
-	slot := -1
-	for i, p := range idx.pos {
-		if p == colPos {
-			slot = i
-			break
-		}
-	}
-	colKind := td.schema.Cols[colPos].Type.Kind
+// boundaryAgg finds MIN (desc=false) or MAX (desc=true) of colPos —
+// one of the path's columns (pathServesMinMax) — by walking scan's key
+// range in order: the first key whose colPos component is not NULL
+// holds the answer, decoded straight off the key (decodeKeyColumn) —
+// zero heap rows — or, for a DOUBLE zero key, whose sign the key cannot
+// name, read from one of its rows.
+func boundaryAgg(scan *tableScan, colPos int, desc bool, ctx *evalCtx) (sqltypes.Value, error) {
+	slot := slices.Index(scan.path.colPos, colPos)
+	colKind := scan.td.schema.Cols[colPos].Type.Kind
 	best := sqltypes.Null
-	reads := int64(0)
-	defer func() { td.heapReads.Add(reads) }()
-	visit := func(rows []*rowSlot) bool {
+	err := scan.keys(ctx, desc, func(k string, rows []*rowSlot) bool {
+		if v, ok := decodeKeyColumn(k, slot, colKind); ok {
+			best = v
+			return v.IsNull() // keep scanning past the NULL key
+		}
 		for _, r := range rows {
-			vals, live := r.fetch(snap)
-			if !live {
-				continue
-			}
-			reads++
-			if vals[colPos].IsNull() {
-				continue
-			}
-			v := vals[colPos]
-			if best.IsNull() {
-				best = v
-				continue
-			}
-			if c, ok := sqltypes.Compare(v, best); ok && ((desc && c > 0) || (!desc && c < 0)) {
-				best = v
-			}
-		}
-		return best.IsNull() // stop after the first key with a value
-	}
-	// visitKey serves one key: decoded when possible, fetched when not.
-	// A cancellation mid-walk stops the scan; the sticky interrupt error
-	// is picked up by the caller's checkpoint right after the walk.
-	visitKey := func(k string, rows []*rowSlot) bool {
-		if ctx.intr.check() != nil {
-			return false
-		}
-		if slot >= 0 {
-			if v, ok := decodeKeyColumn(k, slot, colKind); ok {
-				if v.IsNull() {
-					return true // keep scanning past the NULL key
-				}
-				best = v
+			if vals, live := r.fetch(ctx.snap); live {
+				scan.td.heapReads.Add(1)
+				best = vals[colPos]
 				return false
 			}
 		}
-		return visit(rows)
-	}
-	if er.useLookup {
-		rows := lookupVisible(td, idx, er.lookup, snap)
-		if len(rows) > 0 {
-			visitKey(er.lookup, rows)
-		}
-		return best
-	}
-	scanVisibleRange(td, idx, er.lo, er.hi, desc, snap, visitKey)
-	return best
+		return true
+	})
+	return best, err
 }

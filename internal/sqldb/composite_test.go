@@ -207,8 +207,7 @@ func TestIndexOnlyAggregates(t *testing.T) {
 		t.Fatalf("NULL probe gave %v", rows.Data[0])
 	}
 
-	// Inexact probes (far-integer collision window) must fall back to
-	// the residual-checked path and still agree with the scan.
+	// Far probes are exact keys: answered from the index, equal to the scan.
 	if _, err := db.Exec(`INSERT INTO C VALUES (?, ?, ?, ?, ?)`,
 		sqltypes.NewInt(100001), sqltypes.NewInt(1<<53), sqltypes.NewInt(1), sqltypes.Null, sqltypes.Null); err != nil {
 		t.Fatal(err)
@@ -219,6 +218,30 @@ func TestIndexOnlyAggregates(t *testing.T) {
 	}
 	checkAgainstScan(`SELECT COUNT(*) FROM C WHERE A = ? AND B = ?`,
 		sqltypes.NewInt(1<<53), sqltypes.NewInt(1))
+
+	// A strict bound on a far B is exact too: answered index-only, with
+	// zero heap reads, and equal to the scan.
+	for i, b := range []int64{1 << 53, 1<<53 + 1, 1<<53 + 2} {
+		if _, err := db.Exec(`INSERT INTO C VALUES (?, ?, ?, ?, ?)`,
+			sqltypes.NewInt(int64(100003+i)), sqltypes.NewInt(7), sqltypes.NewInt(b), sqltypes.Null, sqltypes.Null); err != nil {
+			t.Fatal(err)
+		}
+	}
+	strict, err := db.Prepare(`SELECT COUNT(*) FROM C WHERE A = ? AND B > ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := strict.AccessPath(); !strings.HasSuffix(p, " index-only") {
+		t.Fatalf("path = %q, want index-only", p)
+	}
+	before = db.HeapRowReads("C")
+	if rows, err = strict.Query(sqltypes.NewInt(7), sqltypes.NewInt(1<<53)); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.HeapRowReads("C") - before; got != 0 || rows.Data[0][0].Int() != 2 {
+		t.Fatalf("far strict bound: COUNT %v from %d heap reads, want 2 from 0", rows.Data[0][0], got)
+	}
+	checkAgainstScan(`SELECT COUNT(*) FROM C WHERE A = ? AND B > ?`, sqltypes.NewInt(7), sqltypes.NewInt(1<<53))
 
 	// A residual-bearing WHERE must NOT be answered index-only.
 	st2, err := db.Prepare(`SELECT COUNT(*) FROM C WHERE A = ? AND S LIKE 'a%'`)

@@ -59,12 +59,11 @@ type joinProbe struct {
 // are hashed once on the canonical encoding of the join columns
 // (buildJoinHash) and each outer row probes the map (probeJoinHash) —
 // O(|inner| + |outer|·probe) instead of the cross product's
-// O(|inner|·|outer|). Candidate sets over-approximate exactly like
-// index probes do (the far-integer key-collision window), and the ON
-// condition is still evaluated on every candidate with the WHERE
-// applied after the join, so results are identical to the scanning
-// path — including LEFT JOIN NULL extension and the WHERE-derived
-// probe argument spelled out above for index probes.
+// O(|inner|·|outer|). The ON condition is still evaluated on every
+// candidate and the WHERE applied after the join, so results are
+// identical to the scanning path — including LEFT JOIN NULL extension
+// and the WHERE-derived probe argument spelled out above for index
+// probes.
 type hashJoinPlan struct {
 	cols   []string        // join columns on the probed table, sorted
 	colPos []int           // schema positions, parallel to cols

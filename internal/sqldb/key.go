@@ -12,47 +12,43 @@ import (
 //
 // encodeKey maps a tuple of values onto a byte string such that
 //
-//  1. two tuples encode to the same key exactly when they are equal
-//     under the engine's comparison rules within one column's type
-//     domain (so one key names one posting list, and join and group
-//     hash tables can key on it), and
+//  1. two tuples of values of one kind per column encode to the same
+//     key exactly when sqltypes.Compare calls them equal column by
+//     column (so one key names one posting list, and join and group hash
+//     tables can key on it), and
 //  2. the lexicographic byte order of single-value keys matches
 //     sqltypes.SortCompare (so the same encoding drives the index's
 //     range and in-order scans).
 //
 // Every index in the engine — constraint or named — is the one B+tree
-// of index.go over this one encoder. The previous encoder rendered
-// values through AsString, which collided across kinds (BOOLEAN TRUE vs
-// VARCHAR 'TRUE', TIMESTAMP vs its formatted text) and missed equal
-// values with distinct renderings (a timestamp probed via its RFC3339
-// spelling). Here each value carries a class tag:
+// of index.go over this one encoder, and keys are never serialised, so
+// the encoding can change without a format change. Each component is a
+// class tag and a payload:
 //
-//	0x01 NULL
-//	0x02 numeric (INTEGER and DOUBLE share the class: 2 and 2.0 index
-//	     equally, as SQL comparison promotes them)
-//	0x03 text (VARCHAR and CLOB)
-//	0x04 BOOLEAN
-//	0x05 TIMESTAMP
-//	0x06 BLOB
-//	0x07 DATALINK
+//	0x01 NULL      no payload
+//	0x02 numeric   INTEGER and DOUBLE share the class (2 and 2.0 index
+//	               equally, as SQL comparison promotes them): the
+//	               sign-flipped IEEE-754 image (8 bytes, big-endian;
+//	               -0.0 folded into +0.0, every NaN into one NaN that
+//	               sorts below all numbers), then — only when the image
+//	               is not NaN and |image| >= 2^53 — an 8-byte sign-flipped
+//	               int64 tiebreak: an INTEGER's own value, int64(f) for a
+//	               DOUBLE inside the int64 range, 0 for ±Inf and
+//	               |f| >= 2^63. Beyond 2^53 distinct integers share an
+//	               image; the tiebreak keeps them apart and in order.
+//	0x03 text      VARCHAR and CLOB: escaped bytes (appendEscaped)
+//	0x04 BOOLEAN   one byte, 0 or 1
+//	0x05 TIMESTAMP sign-flipped unix seconds (8 bytes), nanoseconds (4)
+//	0x06 BLOB      escaped bytes
+//	0x07 DATALINK  escaped URL
 //
 // Tag order matches the kind order SortCompare falls back to for
-// incomparable pairs, and within a class the payload is byte-comparable:
-// numerics use the sign-flipped IEEE-754 trick, timestamps sign-flipped
-// seconds plus nanoseconds, and byte strings an escape encoding that
-// keeps 0x00 transparent and orders prefixes first.
-//
-// Integers beyond 2^53 share their float64 image with neighbouring
-// values (the prior encoder had the same normalisation, and the
-// engine's own mixed int/double comparison promotes through float64).
-// Equality and range row SETS stay correct because every index consumer
-// re-applies the residual predicate, PRIMARY KEY / UNIQUE checks compare
-// a colliding key's holder on its exact values (tableData.checkUnique),
-// and GROUP BY / DISTINCT key on appendExactKey, with the index-ordered
-// grouping strategies declining any execution that meets such a key.
-// The one observable difference from a heap scan is ordering WITHIN a
-// colliding key when an index serves ORDER BY — those rows come back in
-// insertion order rather than exact-integer order.
+// incomparable pairs. Whether a numeric component carries the tiebreak
+// depends on its image alone, so every component is self-delimiting and
+// a reader (skipKeyComponent, decodeKeyValue) knows its length from the
+// bytes it has read. A probe must be aligned with the indexed column's
+// kind before it is encoded (probeValue): keys are exact within one
+// kind, and alignment is what keeps mixed-kind comparisons exact.
 
 const (
 	keyTagNull    = 0x01
@@ -94,8 +90,17 @@ func appendKey(b []byte, v sqltypes.Value) []byte {
 		} else {
 			bits |= 1 << 63 // non-negative: set the sign bit
 		}
-		b = append(b, keyTagNumeric)
-		return binary.BigEndian.AppendUint64(b, bits)
+		b = binary.BigEndian.AppendUint64(append(b, keyTagNumeric), bits)
+		if !farImage(f) {
+			return b
+		}
+		var tie int64
+		if v.Kind() == sqltypes.KindInt {
+			tie = v.Int()
+		} else if f >= -(1<<63) && f < 1<<63 {
+			tie = int64(f)
+		}
+		return binary.BigEndian.AppendUint64(b, uint64(tie)^(1<<63))
 	case sqltypes.KindString, sqltypes.KindClob:
 		return appendEscaped(append(b, keyTagText), v.Str())
 	case sqltypes.KindBool:
@@ -116,25 +121,27 @@ func appendKey(b []byte, v sqltypes.Value) []byte {
 	return append(b, keyTagNull)
 }
 
-// appendExactKey is appendKey made exact between integers, for the
-// consumers that take key equality as value equality with no residual
-// check behind it — GROUP BY and DISTINCT. A numeric whose float64 image
-// other integers share (exactProbe is false) appends its exact int64 as a
-// tiebreak, so 2^53 and 2^53+1 get different keys, while INTEGER 1 and
-// DOUBLE 1 still share one, as sqltypes.Compare says. A far DOUBLE
-// appends the integer it equals, zero when no int64 does.
-func appendExactKey(b []byte, v sqltypes.Value) []byte {
-	b = appendKey(b, v)
-	if exactProbe(v) {
-		return b
+// farImage reports whether a numeric image is one distinct integers can
+// share (|f| >= 2^53, NaN excluded), so its key carries the tiebreak.
+func farImage(f float64) bool { return math.Abs(f) >= 1<<53 }
+
+// numericComponent reads the numeric component leading k (k[0] is its
+// tag): its float64 image and its encoded length.
+func numericComponent(k string) (f float64, n int, ok bool) {
+	if len(k) < 9 {
+		return 0, 0, false
 	}
-	var exact int64
-	if f, _ := v.AsDouble(); v.Kind() == sqltypes.KindInt {
-		exact = v.Int()
-	} else if f >= -(1<<63) && f < 1<<63 {
-		exact = int64(f)
+	bits := binary.BigEndian.Uint64([]byte(k[1:9]))
+	if bits&(1<<63) != 0 {
+		bits &^= 1 << 63 // non-negative: clear the set sign bit
+	} else {
+		bits = ^bits // negative: unflip everything
 	}
-	return binary.BigEndian.AppendUint64(b, uint64(exact))
+	f, n = math.Float64frombits(bits), 9
+	if farImage(f) {
+		n = 17
+	}
+	return f, n, len(k) >= n
 }
 
 // appendEscaped writes s with 0x00 escaped as {0x00,0xFF} and a
@@ -157,25 +164,16 @@ var nullKey = encodeKey(sqltypes.Null)
 
 // ---------- decoding ----------
 //
-// The encoding is also (partially) decodable: the index-only MIN/MAX
-// executor reads the aggregate's answer straight off the boundary KEY
-// instead of fetching the boundary rows, but only for components that
-// round-trip exactly to the stored value. The non-round-tripping cases
-// — where one key image is shared by more than one storable value —
-// make decodeKeyValue report ok=false and the caller falls back to the
-// row fetch:
-//
-//	numeric, INTEGER column — beyond ±2^53 distinct integers share a
-//	    float64 image; inside the window the integer is exact.
-//	numeric, DOUBLE column  — -0.0 and +0.0 share one key (Compare
-//	    treats them as equal), so a zero key cannot name its sign.
-//	    All NaN payloads were canonicalised to one key, but every NaN
-//	    is observably identical to the engine, so NaN round-trips.
-//
-// Text, BLOB and DATALINK escape encodings invert exactly; BOOLEAN is
-// one byte; TIMESTAMP keys carry the full (seconds, nanoseconds) pair.
-// The decoded value is materialised in the COLUMN's declared kind —
-// stored values were coerced to it on write, so the class tag alone
+// The encoding is also decodable: the index-only aggregates read their
+// answers straight off index KEYS instead of fetching rows. Every
+// component round-trips to the stored value but one: on a DOUBLE column
+// -0.0 and +0.0 share a key (Compare treats them as equal), so a zero
+// key cannot name its sign; decodeKeyValue reports ok=false and the
+// caller falls back to the row fetch. All NaN payloads were
+// canonicalised to one key, but every NaN is observably identical to
+// the engine, so NaN round-trips; a far INTEGER decodes from its
+// tiebreak. The decoded value is materialised in the COLUMN's declared
+// kind — stored values were coerced to it on write, so the class tag alone
 // (numeric, text) would not distinguish INTEGER from DOUBLE or VARCHAR
 // from CLOB.
 
@@ -189,10 +187,11 @@ func skipKeyComponent(k string) (rest string, ok bool) {
 	case keyTagNull:
 		return k[1:], true
 	case keyTagNumeric:
-		if len(k) < 9 {
+		_, n, ok := numericComponent(k)
+		if !ok {
 			return "", false
 		}
-		return k[9:], true
+		return k[n:], true
 	case keyTagBool:
 		if len(k) < 2 {
 			return "", false
@@ -257,22 +256,20 @@ func decodeKeyValue(k string, colKind sqltypes.Kind) (sqltypes.Value, bool) {
 	case keyTagNull:
 		return sqltypes.Null, true
 	case keyTagNumeric:
-		if len(k) < 9 {
+		f, n, ok := numericComponent(k)
+		if !ok {
 			return sqltypes.Null, false
 		}
-		bits := binary.BigEndian.Uint64([]byte(k[1:9]))
-		if bits&(1<<63) != 0 {
-			bits &^= 1 << 63 // non-negative: clear the set sign bit
-		} else {
-			bits = ^bits // negative: unflip everything
-		}
-		f := math.Float64frombits(bits)
 		switch colKind {
 		case sqltypes.KindInt:
-			if math.IsNaN(f) || math.IsInf(f, 0) || f != math.Trunc(f) || math.Abs(f) >= 1<<53 {
+			i := int64(f)
+			if n > 9 {
+				i = int64(binary.BigEndian.Uint64([]byte(k[9:17])) ^ (1 << 63))
+			}
+			if float64(i) != f { // NaN, ±Inf or a fraction: no INTEGER's key
 				return sqltypes.Null, false
 			}
-			return sqltypes.NewInt(int64(f)), true
+			return sqltypes.NewInt(i), true
 		case sqltypes.KindDouble:
 			if f == 0 {
 				return sqltypes.Null, false // cannot reconstruct the sign of ±0.0
@@ -342,19 +339,28 @@ func decodeKeyColumn(k string, slot int, colKind sqltypes.Kind) (sqltypes.Value,
 // numeric probe against a VARCHAR column, which SQL compares by parsing
 // each stored string — and the caller must fall back to a heap scan,
 // which preserves exact comparison semantics.
+//
+// Numeric probes are where that matters: sqltypes.Compare promotes a
+// mixed INTEGER/DOUBLE pair through float64. On a DOUBLE column every
+// probe becomes a DOUBLE, which is exactly that promotion. On an
+// INTEGER column a DOUBLE (or text) probe aligns only inside ±2^53 (or
+// as NaN), where each integer owns its float64 image; beyond it the
+// probe equals every integer sharing its image, which no one key names.
 func probeValue(colKind sqltypes.Kind, v sqltypes.Value) (sqltypes.Value, bool) {
 	if v.IsNull() {
 		return v, false
 	}
 	switch colKind {
 	case sqltypes.KindInt, sqltypes.KindDouble:
-		if v.IsNumeric() {
+		if colKind == sqltypes.KindInt && v.Kind() == sqltypes.KindInt {
 			return v, true
 		}
-		if v.IsTextual() {
-			if f, ok := v.AsDouble(); ok {
-				return sqltypes.NewDouble(f), true
-			}
+		if !v.IsNumeric() && !v.IsTextual() {
+			return v, false
+		}
+		f, ok := v.AsDouble()
+		if ok && (colKind == sqltypes.KindDouble || !farImage(f)) {
+			return sqltypes.NewDouble(f), true
 		}
 	case sqltypes.KindString, sqltypes.KindClob:
 		if v.IsTextual() {

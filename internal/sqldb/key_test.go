@@ -64,6 +64,8 @@ func TestDecodeKeyRoundTrip(t *testing.T) {
 		{sqltypes.NewInt(-12345), sqltypes.KindInt},
 		{sqltypes.NewInt(1<<53 - 1), sqltypes.KindInt},
 		{sqltypes.NewInt(-(1<<53 - 1)), sqltypes.KindInt},
+		{sqltypes.NewInt(1 << 53), sqltypes.KindInt},
+		{sqltypes.NewInt(-(1 << 53)), sqltypes.KindInt},
 		{sqltypes.NewDouble(3.25), sqltypes.KindDouble},
 		{sqltypes.NewDouble(-1e300), sqltypes.KindDouble},
 		{sqltypes.NewDouble(math.NaN()), sqltypes.KindDouble},
@@ -111,16 +113,14 @@ func TestDecodeKeyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeKeyRejectsAmbiguous: components that do not round-trip —
-// far integers sharing a float64 image, a DOUBLE zero key (±0.0), and
-// class/kind mismatches — must refuse to decode rather than guess.
+// TestDecodeKeyRejectsAmbiguous: components that do not round-trip — a
+// DOUBLE zero key (±0.0) and class/kind mismatches — must refuse to
+// decode rather than guess.
 func TestDecodeKeyRejectsAmbiguous(t *testing.T) {
 	reject := []struct {
 		v    sqltypes.Value
 		kind sqltypes.Kind
 	}{
-		{sqltypes.NewInt(1 << 53), sqltypes.KindInt},
-		{sqltypes.NewInt(-(1 << 53)), sqltypes.KindInt},
 		{sqltypes.NewDouble(0), sqltypes.KindDouble},
 		{sqltypes.NewDouble(math.Copysign(0, -1)), sqltypes.KindDouble},
 		{sqltypes.NewDouble(1.5), sqltypes.KindInt}, // non-integral image
@@ -280,6 +280,12 @@ func TestProbeValueAlignment(t *testing.T) {
 		{sqltypes.KindInt, sqltypes.NewString(" 5 "), true, sqltypes.NewInt(5)},
 		{sqltypes.KindInt, sqltypes.NewString("abc"), false, sqltypes.Null},
 		{sqltypes.KindDouble, sqltypes.NewInt(2), true, sqltypes.NewDouble(2)},
+		// On a DOUBLE column an INTEGER probe is its float64 promotion.
+		{sqltypes.KindDouble, sqltypes.NewInt(1<<53 + 1), true, sqltypes.NewDouble(1 << 53)},
+		// Beyond ±2^53 a DOUBLE equals every INTEGER sharing its image,
+		// which no one key names: the probe goes to the heap scan.
+		{sqltypes.KindInt, sqltypes.NewDouble(1 << 53), false, sqltypes.Null},
+		{sqltypes.KindInt, sqltypes.NewString("9007199254740993"), false, sqltypes.Null},
 		{sqltypes.KindString, sqltypes.NewInt(5), false, sqltypes.Null},
 		{sqltypes.KindString, sqltypes.NewBool(true), false, sqltypes.Null},
 		{sqltypes.KindTime, sqltypes.NewString("1999-01-10T15:09:32Z"), true, sqltypes.NewTime(ts)},
@@ -297,6 +303,121 @@ func TestProbeValueAlignment(t *testing.T) {
 			t.Errorf("probeValue(%v, %v) = %v, does not key-match %v", c.col, c.probe, pv, c.expect)
 		}
 	}
+}
+
+// TestFarKeysMatchReference: beyond ±2^53 the index key is still exact,
+// so an index-served ORDER BY returns far integers in value order, and
+// DOUBLE, text and INTEGER probes across column kinds answer like the
+// reference evaluator.
+func TestFarKeysMatchReference(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE T (ID INTEGER PRIMARY KEY, B BIGINT, D DOUBLE)`)
+	const far = int64(1) << 53
+	for i, b := range []int64{far + 1, far, -far - 1, -far, 5} {
+		mustExec(t, db, `INSERT INTO T VALUES (?, ?, ?)`,
+			sqltypes.NewInt(int64(i)), sqltypes.NewInt(b), sqltypes.NewDouble(float64(b)))
+	}
+	mustExec(t, db, `CREATE INDEX T_B ON T (B)`)
+	mustExec(t, db, `CREATE INDEX T_D ON T (D)`)
+	ref := newRefEval(db)
+	for _, q := range []string{
+		`SELECT B FROM T ORDER BY B`,
+		`SELECT B FROM T ORDER BY B DESC`,
+		`SELECT B FROM T ORDER BY B LIMIT 3`,
+	} {
+		st, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := st.AccessPath(); !strings.HasPrefix(p, "ordered-scan(T.B) order") {
+			t.Fatalf("%s: path %q, want an index-served ORDER BY", q, p)
+		}
+		ref.check(t, q)
+	}
+	for _, op := range []string{"=", ">", "<="} {
+		ref.check(t, `SELECT ID FROM T WHERE B `+op+` ?`, sqltypes.NewDouble(float64(far+1)))
+		ref.check(t, `SELECT ID FROM T WHERE B `+op+` ?`, sqltypes.NewString("9007199254740993"))
+		ref.check(t, `SELECT ID FROM T WHERE D `+op+` ?`, sqltypes.NewInt(far+1))
+	}
+}
+
+// fuzzKeyValue draws a value of one indexable kind from fuzz input: sel
+// picks the kind, x the scalar, s the bytes.
+func fuzzKeyValue(sel uint8, x uint64, s []byte) (sqltypes.Value, sqltypes.Kind) {
+	switch sel % 6 {
+	case 0:
+		return sqltypes.NewInt(int64(x)), sqltypes.KindInt
+	case 1:
+		return sqltypes.NewDouble(math.Float64frombits(x)), sqltypes.KindDouble
+	case 2:
+		return sqltypes.NewString(string(s)), sqltypes.KindString
+	case 3:
+		// Seconds within ±2^35 (years 881 to 3058) reach both sides of
+		// the inline nanosecond window.
+		sec := (int64(x) >> 28) % (1 << 35)
+		return sqltypes.NewTime(time.Unix(sec, int64(x%1_000_000_000)).UTC()), sqltypes.KindTime
+	case 4:
+		return sqltypes.NewBytes(s), sqltypes.KindBytes
+	}
+	return sqltypes.NewDatalink(string(s)), sqltypes.KindDatalink
+}
+
+// FuzzKeyEncoding holds the index-key encoding to its contract over two
+// values of one kind: equal keys exactly when sqltypes.Compare says
+// equal, key byte order in SortCompare's order, a two-value tuple key
+// that splits after its first component, and a key that decodes to a
+// value encoding back to it — except a DOUBLE zero, whose sign the key
+// cannot name.
+func FuzzKeyEncoding(f *testing.F) {
+	i, d := func(v int64) uint64 { return uint64(v) }, math.Float64bits
+	for _, c := range []struct {
+		sel  uint8
+		x, y uint64
+		s, u string
+	}{
+		{0, i(1 << 53), i(1<<53 + 1), "", ""},
+		{0, i(-(1 << 53) - 1), i(-(1 << 53)), "", ""},
+		{0, i(math.MaxInt64), i(math.MaxInt64 - 1), "", ""},
+		{0, i(math.MinInt64), i(math.MinInt64 + 1), "", ""},
+		{0, i(-7), i(1<<53 - 1), "", ""},
+		{1, d(0), d(math.Copysign(0, -1)), "", ""},
+		{1, d(math.NaN()), 0x7ff8000000000001, "", ""},
+		{1, d(math.Inf(1)), d(math.Inf(-1)), "", ""},
+		{1, d(1 << 53), d(1<<53 + 2), "", ""},
+		{1, d(1 << 63), d(-(1 << 63)), "", ""},
+		{1, d(-1e300), d(2.5), "", ""},
+		{2, 0, 0, "a\x00b", "a"},
+		{2, 0, 0, "", "\x00"},
+		{3, i(time.Date(1999, 1, 10, 15, 9, 32, 0, time.UTC).Unix() << 28), i(-(1 << 62)), "", ""},
+		{4, 0, 0, "\x00\xff", "\x00"},
+		{5, 0, 0, "http://fs1/x", "http://fs1/x\x00"},
+	} {
+		f.Add(c.sel, c.x, c.y, []byte(c.s), []byte(c.u))
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, x, y uint64, s, u []byte) {
+		a, kind := fuzzKeyValue(sel, x, s)
+		b, _ := fuzzKeyValue(sel, y, u)
+		ka, kb := encodeKey(a), encodeKey(b)
+		if c, ok := sqltypes.Compare(a, b); (ka == kb) != (ok && c == 0) {
+			t.Fatalf("%v vs %v: equal keys %v, Compare %d (ok %v)", a, b, ka == kb, c, ok)
+		}
+		if got, want := strings.Compare(ka, kb), sqltypes.SortCompare(a, b); got != want {
+			t.Fatalf("%v vs %v: key order %d, SortCompare %d", a, b, got, want)
+		}
+		if rest, ok := skipKeyComponent(encodeKey(a, b)); !ok || rest != kb {
+			t.Fatalf("(%v, %v): skipping the first component left %q, want %q", a, b, rest, kb)
+		}
+		got, ok := decodeKeyValue(ka, kind)
+		if fv, _ := a.AsDouble(); kind == sqltypes.KindDouble && fv == 0 {
+			if ok {
+				t.Fatalf("a DOUBLE zero key decoded to %v", got)
+			}
+			return
+		}
+		if !ok || encodeKey(got) != ka {
+			t.Fatalf("%v: decoded to %v (ok %v), which does not encode back to its key", a, got, ok)
+		}
+	})
 }
 
 // TestIndexZeroAndNaN: -0.0 and +0.0 are one SQL value and every NaN

@@ -1,7 +1,7 @@
 package sqldb
 
 import (
-	"math"
+	"cmp"
 	"strings"
 
 	"repro/internal/sqltypes"
@@ -39,8 +39,7 @@ import (
 // clause exactly (residualFree): every conjunct claimed by exactly one
 // used predicate slot. Residual-free paths are what allow the index-only
 // aggregate executor (COUNT/MIN/MAX answered from index keys without
-// materialising table rows — see aggplan.go), after a per-execution
-// probe-exactness check.
+// materialising table rows — see aggplan.go).
 
 // accessPathKind enumerates the executor strategies.
 type accessPathKind uint8
@@ -66,7 +65,7 @@ type accessPath struct {
 	eqs []Expr // equality probes, len nEq
 
 	lo, hi         Expr // range bounds on cols[nEq]; nil = open end
-	loIncl, hiIncl bool // bound strictness as written (exact-mode scans)
+	loIncl, hiIncl bool // bound strictness as written
 	notNull        bool // pathOrderedNull: true = IS NOT NULL
 
 	desc             bool // scan direction (ordered paths)
@@ -74,9 +73,8 @@ type accessPath struct {
 
 	// residualFree records that the WHERE clause is entirely and exactly
 	// consumed by this path's predicate slots. The normal executor still
-	// re-applies the residual WHERE (encoded keys can over-approximate);
-	// only the index-only aggregate executor relies on residualFree, and
-	// it additionally verifies probe exactness per execution.
+	// re-applies the whole WHERE; only the index-only aggregate executor
+	// relies on residualFree.
 	residualFree bool
 }
 
@@ -776,9 +774,8 @@ const keyRangeHiSentinel = "\xff"
 // eqPrefix evaluates and aligns the path's equality probes into a
 // concatenated key prefix. nullProbe means a probe was NULL (the path
 // matches no rows); ok=false means a probe failed to evaluate or align
-// — or, with requireExact, maps to a shareable key (exactProbe) — and
-// the caller must fall back to the ordinary heap-scan semantics.
-func eqPrefix(td *tableData, path *accessPath, ctx *evalCtx, requireExact bool) (prefix []byte, nullProbe, ok bool) {
+// and the caller must fall back to the ordinary heap-scan semantics.
+func eqPrefix(td *tableData, path *accessPath, ctx *evalCtx) (prefix []byte, nullProbe, ok bool) {
 	for i := 0; i < path.nEq; i++ {
 		v, err := evalProbe(path.eqs[i], ctx)
 		if err != nil {
@@ -788,7 +785,7 @@ func eqPrefix(td *tableData, path *accessPath, ctx *evalCtx, requireExact bool) 
 			return nil, true, true // col = NULL is UNKNOWN: no rows
 		}
 		pv, okp := probeValue(td.schema.Cols[path.colPos[i]].Type.Kind, v)
-		if !okp || (requireExact && !exactProbe(pv)) {
+		if !okp {
 			return nil, false, false
 		}
 		prefix = appendKey(prefix, pv)
@@ -798,17 +795,15 @@ func eqPrefix(td *tableData, path *accessPath, ctx *evalCtx, requireExact bool) 
 
 // pathBound is one evaluated range bound on the path's scan column.
 type pathBound struct {
-	key   string // prefix + the bound's encoding
-	exact bool   // no other value shares key (exactProbe)
-	null  bool   // the bound evaluated to NULL: the range matches nothing
+	key  string // prefix + the bound's encoding
+	null bool   // the bound evaluated to NULL: the range matches nothing
 }
 
 // encodePathBound evaluates and aligns one range bound on the path's
 // scan column (cols[nEq]) and appends its encoding to a copy of
 // prefix; an absent bound (e == nil) is the zero pathBound. ok=false
-// forces the heap-scan fallback (evaluation or alignment failure, or —
-// with requireExact — a shareable key).
-func encodePathBound(td *tableData, path *accessPath, prefix []byte, e Expr, ctx *evalCtx, requireExact bool) (b pathBound, ok bool) {
+// (evaluation or alignment failure) forces the heap-scan fallback.
+func encodePathBound(td *tableData, path *accessPath, prefix []byte, e Expr, ctx *evalCtx) (b pathBound, ok bool) {
 	if e == nil {
 		return b, true
 	}
@@ -819,13 +814,11 @@ func encodePathBound(td *tableData, path *accessPath, prefix []byte, e Expr, ctx
 	if v.IsNull() {
 		return pathBound{null: true}, true
 	}
-	rangeKind := td.schema.Cols[path.colPos[path.nEq]].Type.Kind
-	pv, okp := probeValue(rangeKind, v)
-	exact := okp && exactProbe(pv)
-	if !okp || (requireExact && !exact) {
+	pv, okp := probeValue(td.schema.Cols[path.colPos[path.nEq]].Type.Kind, v)
+	if !okp {
 		return b, false
 	}
-	return pathBound{key: string(appendKey(append([]byte(nil), prefix...), pv)), exact: exact}, true
+	return pathBound{key: string(appendKey(append([]byte(nil), prefix...), pv))}, true
 }
 
 // prefixUpper bounds a scan to keys extending prefix; nil when the
@@ -847,20 +840,13 @@ type keyRange struct {
 
 // pathKeyRange resolves the path's probes into the key window the
 // executors walk. ok=false means a probe failed to evaluate or align
-// with the indexed column's type — or, with requireExact, maps to a key
-// other values share — and the caller must fall back to the heap scan
-// (or, for the index-only executors, to the residual-checked path),
-// which preserves exact comparison semantics.
-//
-// A strict bound is excluded from the window only when its probe is
-// exact; otherwise it is scanned inclusively, since distinct values can
-// share an encoded key (the float64 image of huge integers), and
-// exclusion is left to the residual predicate every row-producing
-// caller re-applies. The NULL boundary key is exact and is excluded
-// directly.
-func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx, requireExact bool) (keyRange, bool) {
+// with the indexed column's type, and the caller must fall back to the
+// heap scan, which preserves exact comparison semantics. An aligned
+// probe's key is exact (key.go), so strict bounds and the NULL boundary
+// key are excluded from the window directly.
+func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx) (keyRange, bool) {
 	var kr keyRange
-	prefix, nullProbe, ok := eqPrefix(td, path, ctx, requireExact)
+	prefix, nullProbe, ok := eqPrefix(td, path, ctx)
 	if !ok {
 		return kr, false
 	}
@@ -883,8 +869,8 @@ func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx, requireExact bo
 		// Both bounds are evaluated before either decides anything, so an
 		// evaluation error always reaches the fallback, where the residual
 		// predicate surfaces it with full-scan semantics.
-		lo, loOK := encodePathBound(td, path, prefix, path.lo, ctx, requireExact)
-		hi, hiOK := encodePathBound(td, path, prefix, path.hi, ctx, requireExact)
+		lo, loOK := encodePathBound(td, path, prefix, path.lo, ctx)
+		hi, hiOK := encodePathBound(td, path, prefix, path.hi, ctx)
 		if !loOK || !hiOK {
 			return kr, false
 		}
@@ -893,7 +879,7 @@ func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx, requireExact bo
 			return kr, true
 		}
 		switch {
-		case path.lo != nil && (path.loIncl || !lo.exact):
+		case path.lo != nil && path.loIncl:
 			kr.lo = &keyBound{key: lo.key, incl: true}
 		case path.lo != nil:
 			kr.lo = &keyBound{key: lo.key + keyRangeHiSentinel, incl: false}
@@ -907,7 +893,7 @@ func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx, requireExact bo
 			kr.lo = &keyBound{key: string(prefix), incl: true}
 		}
 		switch {
-		case path.hi != nil && (path.hiIncl || !hi.exact):
+		case path.hi != nil && path.hiIncl:
 			kr.hi = &keyBound{key: hi.key + keyRangeHiSentinel, incl: true}
 		case path.hi != nil:
 			kr.hi = &keyBound{key: hi.key, incl: false}
@@ -960,7 +946,7 @@ func (db *DB) openScan(td *tableData, path *accessPath, ctx *evalCtx) tableScan 
 	if idx == nil {
 		return ts
 	}
-	kr, ok := pathKeyRange(td, path, ctx, false)
+	kr, ok := pathKeyRange(td, path, ctx)
 	if !ok {
 		return ts
 	}
@@ -968,13 +954,37 @@ func (db *DB) openScan(td *tableData, path *accessPath, ctx *evalCtx) tableScan 
 	return ts
 }
 
+// keys walks the resolved key window — one point lookup, or a batched
+// range scan, in reverse index order when desc — handing f each key with
+// its rows visible at ctx.snap until f returns false. Every key is an
+// interrupt checkpoint; the returned error is the interrupt's. Only a
+// path scan has keys: callers walk when ts.path != nil.
+func (ts *tableScan) keys(ctx *evalCtx, desc bool, f func(k string, rows []*rowSlot) bool) error {
+	var err error
+	visit := func(k string, rows []*rowSlot) bool {
+		if err = ctx.intr.check(); err != nil {
+			return false
+		}
+		return f(k, rows)
+	}
+	switch {
+	case ts.kr.empty:
+	case ts.kr.useLookup:
+		if rows := lookupVisible(ts.td, ts.idx, ts.kr.lookup, ctx.snap); len(rows) > 0 {
+			visit(ts.kr.lookup, rows)
+		}
+	default:
+		scanVisibleRange(ts.td, ts.idx, ts.kr.lo, ts.kr.hi, desc, ctx.snap, visit)
+	}
+	return err
+}
+
 // run visits, in scan order, the rows visible at ctx.snap that satisfy
-// where (nil = all) until visit returns false. Index candidates
-// over-approximate the predicate (encoded keys can collide, strict
-// bounds scan inclusively), so where is always the full statement
-// predicate, never a residual. The returned error is the scan's own —
-// a governance failure or a WHERE evaluation error; a visitor that
-// stops on an error of its own keeps it.
+// where (nil = all) until visit returns false. A path consumes only the
+// conjuncts it can serve, so where is always the full statement
+// predicate, never a residual. The returned error is the scan's own — a
+// governance failure or a WHERE evaluation error; a visitor that stops
+// on an error of its own keeps it.
 func (ts *tableScan) run(where Expr, ctx *evalCtx, visit func(s *rowSlot, vals []sqltypes.Value) bool) error {
 	var err error
 	each := func(s *rowSlot, vals []sqltypes.Value) bool {
@@ -991,12 +1001,9 @@ func (ts *tableScan) run(where Expr, ctx *evalCtx, visit func(s *rowSlot, vals [
 		ts.td.scan(ctx.snap, each)
 		return err
 	}
-	if ts.kr.empty {
-		return nil
-	}
 	reads := int64(0)
 	defer func() { ts.td.heapReads.Add(reads) }()
-	fetch := func(_ string, rows []*rowSlot) bool {
+	walkErr := ts.keys(ctx, ts.path.desc, func(_ string, rows []*rowSlot) bool {
 		for _, r := range rows {
 			vals, live := r.fetch(ctx.snap)
 			if !live {
@@ -1008,24 +1015,6 @@ func (ts *tableScan) run(where Expr, ctx *evalCtx, visit func(s *rowSlot, vals [
 			}
 		}
 		return true
-	}
-	if ts.kr.useLookup {
-		fetch(ts.kr.lookup, lookupVisible(ts.td, ts.idx, ts.kr.lookup, ctx.snap))
-	} else {
-		scanVisibleRange(ts.td, ts.idx, ts.kr.lo, ts.kr.hi, ts.path.desc, ctx.snap, fetch)
-	}
-	return err
-}
-
-// exactProbe reports whether the aligned probe value pv maps to an
-// index key that exactly one comparison class of stored values shares:
-// equality and range bounds on such keys are exact, never
-// over-approximations. The only inexact case is the numeric class
-// beyond ±2^53, where distinct integers share a float64 image.
-func exactProbe(pv sqltypes.Value) bool {
-	if !pv.IsNumeric() {
-		return true
-	}
-	f, _ := pv.AsDouble()
-	return math.IsNaN(f) || math.Abs(f) < 1<<53
+	})
+	return cmp.Or(walkErr, err)
 }

@@ -604,6 +604,16 @@ func genShape(rng *rand.Rand) refShape {
 		return v.AsString()
 	}
 
+	// Far keys in index order: an in-order scan of C_BIG serves this,
+	// and integers sharing a float64 image must still sort by value.
+	if rng.Intn(12) == 0 {
+		sh.sql = "SELECT C.CID AS X0, C.BIG AS X1 FROM C ORDER BY C.BIG" + pick([]string{"", " DESC"})
+		if rng.Intn(2) == 0 {
+			sh.sql += fmt.Sprintf(" LIMIT %d", 1+rng.Intn(12))
+		}
+		return sh
+	}
+
 	// FROM, and the columns and predicates it offers.
 	var from string
 	cols := []string{"C.CID", "C.K", "C.D", "C.S", "C.BIG", "C.PID", "COALESCE(C.K, C.D)", "C.K + 1"}
@@ -616,6 +626,10 @@ func genShape(rng *rand.Rand) refShape {
 		func() string { return "C.K IS " + pick([]string{"", "NOT "}) + "NULL" },
 		func() string { return "C.BIG >= " + param(sqltypes.NewInt(1<<53)) },
 		func() string { return "C.BIG = " + param(sqltypes.NewInt(1<<53+1)) },
+		func() string {
+			sh.args = append(sh.args, sqltypes.NewDouble([]float64{1 << 53, 1<<53 + 2, -(1 << 53) - 2, 1 << 60, 12.5}[rng.Intn(5)]))
+			return "C.BIG " + pick([]string{"=", ">", "<="}) + " ?"
+		},
 		func() string { return "C.K BETWEEN 1 AND " + param(sqltypes.NewInt(int64(1+rng.Intn(4)))) },
 		func() string { return "C.CID < " + param(sqltypes.NewInt(int64(rng.Intn(45)))) },
 	}
@@ -738,7 +752,7 @@ func TestReferenceEvaluatorProperty(t *testing.T) {
 	if testing.Short() {
 		n = 300
 	}
-	rowsSeen, errs := 0, 0
+	rowsSeen, errs, farOrdered := 0, 0, 0
 	for i := 0; i < n; i++ {
 		if i%8 == 7 {
 			mustExec(t, db, `UPDATE C SET K = ? WHERE CID = ?`, sqltypes.NewInt(int64(dml.Intn(6))), sqltypes.NewInt(int64(dml.Intn(40))))
@@ -746,6 +760,11 @@ func TestReferenceEvaluatorProperty(t *testing.T) {
 			ref.reset()
 		}
 		sh := genShape(rng)
+		if st, err := db.Prepare(sh.sql); err == nil {
+			if p, _ := st.AccessPath(); strings.Contains(p, "(C.BIG) order") {
+				farOrdered++
+			}
+		}
 		if res := ref.check(t, sh.sql, sh.args...); res != nil {
 			rowsSeen += len(res.rows())
 		} else {
@@ -759,5 +778,8 @@ func TestReferenceEvaluatorProperty(t *testing.T) {
 	}
 	if counterValue(t, db, "sqldb_result_cache_hits_total") == 0 {
 		t.Fatal("no statement was served by the result cache: the cache leg of the property is vacuous")
+	}
+	if farOrdered == 0 {
+		t.Fatal("no statement was an ORDER BY served by C_BIG: the far-key order leg is vacuous")
 	}
 }

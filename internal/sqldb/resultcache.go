@@ -165,9 +165,9 @@ func newResultCache(db *DB, capBytes int64) *resultCache {
 
 // appendArgKey appends the exact encoding of bound arguments: each is
 // its kind byte and an exact, self-delimiting payload. Unlike the index
-// key encoding (key.go), 2^53 and 2^53+1, or INTEGER 1 and DOUBLE 1,
-// stay distinct; −0/+0 and NaN payloads too, because a spurious miss is
-// harmless and a spurious hit is not.
+// key encoding (key.go), INTEGER 1 and DOUBLE 1 stay distinct; −0/+0
+// and NaN payloads too, because a spurious miss is harmless and a
+// spurious hit is not.
 func appendArgKey(b []byte, args []sqltypes.Value) []byte {
 	for _, v := range args {
 		b = append(b, byte(v.Kind()))

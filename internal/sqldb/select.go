@@ -353,18 +353,18 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 		ar: &rowArena{}, scratch: &rowArena{}}
 	defer ctx.scratch.release()
 
+	scan := db.openScan(plan.tables[0].data, plan.path, ctx)
 	// Index-only aggregation: COUNT/MIN/MAX over a residual-free path
-	// answered from the index without materialising candidate rows.
-	if plan.aggItems != nil && !db.fullScanOnly {
+	// answered from its keys without materialising candidate rows, or a
+	// bare COUNT(*) from the live-row count.
+	if plan.aggItems != nil && (scan.path != nil || (plan.path == nil && !db.fullScanOnly)) {
 		endAgg := tr.span("index-only-agg")
-		out, handled, err := db.runIndexOnlyAgg(plan, ctx)
+		out, err := db.runIndexOnlyAgg(plan, ctx, scan)
 		if err != nil {
 			return nil, err
 		}
-		if handled {
-			endAgg(int64(len(out.Data)))
-			return out, nil
-		}
+		endAgg(int64(len(out.Data)))
+		return out, nil
 	}
 
 	// The result owns its Columns and Kinds slices: the kind backfill
@@ -377,7 +377,6 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 		return out, nil
 	}
 
-	scan := db.openScan(plan.tables[0].data, plan.path, ctx)
 	// An ORDER BY the access path serves needs no sort — and, like no
 	// ORDER BY at all, lets the projection stop the source at
 	// OFFSET+LIMIT. DISTINCT keeps the first occurrence of each row, so
@@ -936,7 +935,7 @@ func (s *sortSink) add(src []sqltypes.Value, gs *groupState) bool {
 			if s.row[i], s.err = plan.evalOver(e, src, gs, ctx); s.err != nil {
 				return false
 			}
-			s.keyBuf = appendExactKey(s.keyBuf, s.row[i])
+			s.keyBuf = appendKey(s.keyBuf, s.row[i])
 		}
 		if _, dup := s.seen[string(s.keyBuf)]; dup {
 			return true

@@ -315,10 +315,10 @@ func (td *tableData) addIndex(idx *orderedIndex) {
 // own in-flight one — may belong to a row other than self. The owning
 // writer slot excludes every other writer, and abort flips posting
 // stamps back, so the MVCC postings are the whole truth and no second
-// structure is kept. Distinct integers beyond ±2^53 share a key
-// (key.go), so a holder is compared on its exact column values before
-// it counts. SQL semantics: rows with NULL in any constrained column
-// are exempt (they are still indexed; the planner may use them).
+// structure is kept. Key equality is value equality (key.go), so any
+// live holder is a violation. SQL semantics: rows with NULL in any
+// constrained column are exempt (they are still indexed; the planner
+// may use them).
 func (td *tableData) checkUnique(idx *orderedIndex, k string, vals []sqltypes.Value, self *rowSlot) error {
 	if !idx.unique {
 		return nil
@@ -332,7 +332,7 @@ func (td *tableData) checkUnique(idx *orderedIndex, k string, vals []sqltypes.Va
 		if e.slot == self || !entryCurrent(e) {
 			continue
 		}
-		if holder, ok := e.slot.fetch(snapLatest); ok && sameTuple(holder, vals, idx.pos) {
+		if _, live := e.slot.fetch(snapLatest); live {
 			label := "UNIQUE"
 			if idx.name == pkIndexName {
 				label = pkIndexName
@@ -354,17 +354,6 @@ func (td *tableData) checkedKeys(vals []sqltypes.Value, self *rowSlot) ([]string
 		}
 	}
 	return keys, nil
-}
-
-// sameTuple reports whether rows a and b hold equal values at every
-// schema position in pos (exact comparison, unlike key equality).
-func sameTuple(a, b []sqltypes.Value, pos []int) bool {
-	for _, p := range pos {
-		if c, ok := sqltypes.Compare(a[p], b[p]); !ok || c != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // pushLiveMark records the committed live count after the commit at ts.
