@@ -71,7 +71,9 @@
 //     BenchmarkAblation_CompositeIndex). Key equality is value
 //     equality — integers beyond ±2^53 carry an exact tiebreak after
 //     their float64 image (key.go; FuzzKeyEncoding) — so an index
-//     serves ORDER BY in exact value order. The B+tree merges emptied
+//     serves ORDER BY in exact value order, and a far DOUBLE or text
+//     probe on an INTEGER column reads the key range of the integers
+//     sharing its image. The B+tree merges emptied
 //     leaves away on delete (merge-at-empty, no further rebalancing),
 //     so delete-heavy tables do not accumulate hollow nodes.
 //

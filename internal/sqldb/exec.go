@@ -466,10 +466,10 @@ func (db *DB) checkRowConstraintsLocked(schema *TableSchema, vals []sqltypes.Val
 // cols equal tuple (no NULLs in it) — the parent-exists and
 // child-references sides of every FK check. Any index whose leading
 // columns are cols serves the probe: a full key is a point lookup, a
-// prefix a bounded scan, and each candidate is compared on its exact
-// values, so the answer is the heap scan's. Without such an index, or
-// when a probe value does not align with the indexed column's type, the
-// heap is scanned.
+// prefix a bounded scan, and an aligned probe's key is exact (key.go),
+// so any live row under it matches. Without such an index, or when a
+// probe value does not align with the indexed column's type, the heap
+// is scanned.
 func (db *DB) rowExistsLocked(schema *TableSchema, cols []string, tuple []sqltypes.Value) bool {
 	td := db.data[schema.Name]
 	pos := make([]int, len(cols))
@@ -482,15 +482,6 @@ func (db *DB) rowExistsLocked(schema *TableSchema, cols []string, tuple []sqltyp
 		prefix = appendKey(prefix, pv)
 	}
 	found := false
-	matches := func(vals []sqltypes.Value) bool {
-		for i, p := range pos {
-			if c, ok := sqltypes.Compare(vals[p], tuple[i]); !ok || c != 0 {
-				return false
-			}
-		}
-		found = true
-		return true
-	}
 	for _, idx := range td.indexes {
 		if !aligned || len(idx.pos) < len(pos) || !slices.Equal(idx.pos[:len(pos)], pos) {
 			continue
@@ -500,7 +491,8 @@ func (db *DB) rowExistsLocked(schema *TableSchema, cols []string, tuple []sqltyp
 				if !entryCurrent(e) {
 					continue
 				}
-				if vals, ok := e.slot.fetch(snapLatest); ok && matches(vals) {
+				if _, live := e.slot.fetch(snapLatest); live {
+					found = true
 					return false
 				}
 			}
@@ -513,7 +505,15 @@ func (db *DB) rowExistsLocked(schema *TableSchema, cols []string, tuple []sqltyp
 		}
 		return found
 	}
-	td.scan(snapLatest, func(_ *rowSlot, vals []sqltypes.Value) bool { return !matches(vals) })
+	td.scan(snapLatest, func(_ *rowSlot, vals []sqltypes.Value) bool {
+		for i, p := range pos {
+			if c, ok := sqltypes.Compare(vals[p], tuple[i]); !ok || c != 0 {
+				return true
+			}
+		}
+		found = true
+		return false
+	})
 	return found
 }
 

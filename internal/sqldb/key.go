@@ -345,7 +345,8 @@ func decodeKeyColumn(k string, slot int, colKind sqltypes.Kind) (sqltypes.Value,
 // probe becomes a DOUBLE, which is exactly that promotion. On an
 // INTEGER column a DOUBLE (or text) probe aligns only inside ±2^53 (or
 // as NaN), where each integer owns its float64 image; beyond it the
-// probe equals every integer sharing its image, which no one key names.
+// probe equals every integer sharing its image, which no one key names
+// (a range reader takes it through appendProbe).
 func probeValue(colKind sqltypes.Kind, v sqltypes.Value) (sqltypes.Value, bool) {
 	if v.IsNull() {
 		return v, false
@@ -389,4 +390,32 @@ func probeValue(colKind sqltypes.Kind, v sqltypes.Value) (sqltypes.Value, bool) 
 		}
 	}
 	return v, false
+}
+
+// appendProbe appends the key of v aligned to a column of kind colKind
+// (probeValue) for a reader that walks a key range, which can also take
+// the one probe no single key names: a far DOUBLE (or text) probe on an
+// INTEGER column equals exactly the integers sharing its image, whose
+// keys all begin with the image. For it span=true, and the appended key
+// is the image with the least tiebreak; spanLast gives the greatest.
+func appendProbe(b []byte, colKind sqltypes.Kind, v sqltypes.Value) (_ []byte, span, ok bool) {
+	if pv, ok := probeValue(colKind, v); ok {
+		return appendKey(b, pv), false, true
+	}
+	if colKind != sqltypes.KindInt || !v.IsNumeric() && !v.IsTextual() {
+		return b, false, false
+	}
+	f, ok := v.AsDouble()
+	if !ok || !farImage(f) {
+		return b, false, false
+	}
+	b = appendKey(b, sqltypes.NewDouble(f))
+	binary.BigEndian.PutUint64(b[len(b)-8:], 0)
+	return b, true, true
+}
+
+// spanLast turns the key appendProbe ended with a span into the span's
+// last key: the same image with the greatest tiebreak.
+func spanLast(k string) string {
+	return k[:len(k)-8] + "\xff\xff\xff\xff\xff\xff\xff\xff"
 }

@@ -339,6 +339,54 @@ func TestFarKeysMatchReference(t *testing.T) {
 		ref.check(t, `SELECT ID FROM T WHERE B `+op+` ?`, sqltypes.NewString("9007199254740993"))
 		ref.check(t, `SELECT ID FROM T WHERE D `+op+` ?`, sqltypes.NewInt(far+1))
 	}
+
+	// A far text probe on the BIGINT index equals every integer sharing
+	// its image, 2^53 and 2^53+1 here. It stays on the index: the lookup
+	// reads only those two rows, and the aggregates read none.
+	probe := sqltypes.NewString("9007199254740993")
+	heapReads := func(q string, args ...sqltypes.Value) int64 {
+		t.Helper()
+		before := db.HeapRowReads("T")
+		if _, err := db.Query(q, args...); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return db.HeapRowReads("T") - before
+	}
+	for _, c := range []struct {
+		q     string
+		arg   sqltypes.Value
+		path  string
+		reads int64
+	}{
+		{`SELECT ID FROM T WHERE B = ?`, probe, "eq(T.B)", 2},
+		{`SELECT COUNT(*) FROM T WHERE B = ?`, probe, "eq(T.B) index-only", 0},
+		{`SELECT MIN(B), MAX(B) FROM T WHERE B = ?`, probe, "eq(T.B) index-only", 0},
+		{`SELECT COUNT(*) FROM T WHERE B < ?`, probe, "range(T.B) index-only", 0},
+		{`SELECT COUNT(*) FROM T WHERE B >= ?`, probe, "range(T.B) index-only", 0},
+		{`SELECT COUNT(*) FROM T WHERE B > ?`, sqltypes.NewString("-9007199254740993"), "range(T.B) index-only", 0},
+		{`SELECT COUNT(*) FROM T WHERE B <= ?`, sqltypes.NewDouble(-float64(far)), "range(T.B) index-only", 0},
+	} {
+		st, err := db.Prepare(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := st.AccessPath(); p != c.path {
+			t.Fatalf("%s: path %q, want %q", c.q, p, c.path)
+		}
+		if got := heapReads(c.q, c.arg); got != c.reads {
+			t.Errorf("%s [%v]: %d heap reads, want %d", c.q, c.arg, got, c.reads)
+		}
+		ref.check(t, c.q, c.arg)
+	}
+	// Values equal to a spanning probe differ from each other, so an
+	// ORDER BY or GROUP BY over them still orders and splits by value.
+	for _, q := range []string{
+		`SELECT B FROM T WHERE B = ? ORDER BY B`,
+		`SELECT B FROM T WHERE B = ? ORDER BY B DESC`,
+		`SELECT B, COUNT(*) FROM T WHERE B = ? GROUP BY B`,
+	} {
+		ref.check(t, q, probe)
+	}
 }
 
 // fuzzKeyValue draws a value of one indexable kind from fuzz input: sel

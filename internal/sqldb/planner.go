@@ -775,28 +775,35 @@ const keyRangeHiSentinel = "\xff"
 // concatenated key prefix. nullProbe means a probe was NULL (the path
 // matches no rows); ok=false means a probe failed to evaluate or align
 // and the caller must fall back to the ordinary heap-scan semantics.
-func eqPrefix(td *tableData, path *accessPath, ctx *evalCtx) (prefix []byte, nullProbe, ok bool) {
+// span reports that the last probe spans keys (appendProbe). Equal
+// values under a span are not one value, so a span serves only a
+// full-tuple path that no ORDER BY relies on being constant.
+func eqPrefix(td *tableData, path *accessPath, ctx *evalCtx) (prefix []byte, span, nullProbe, ok bool) {
 	for i := 0; i < path.nEq; i++ {
 		v, err := evalProbe(path.eqs[i], ctx)
 		if err != nil {
-			return nil, false, false
+			return nil, false, false, false
 		}
 		if v.IsNull() {
-			return nil, true, true // col = NULL is UNKNOWN: no rows
+			return nil, false, true, true // col = NULL is UNKNOWN: no rows
 		}
-		pv, okp := probeValue(td.schema.Cols[path.colPos[i]].Type.Kind, v)
-		if !okp {
-			return nil, false, false
+		if span {
+			return nil, false, false, false
 		}
-		prefix = appendKey(prefix, pv)
+		prefix, span, ok = appendProbe(prefix, td.schema.Cols[path.colPos[i]].Type.Kind, v)
+		if !ok || span && (path.kind != pathOrderedEq || path.satisfiesOrderBy) {
+			return nil, false, false, false
+		}
 	}
-	return prefix, false, true
+	return prefix, span, false, true
 }
 
-// pathBound is one evaluated range bound on the path's scan column.
+// pathBound is one evaluated range bound on the path's scan column: the
+// first and last keys equal to it — one key unless the probe spans
+// (appendProbe).
 type pathBound struct {
-	key  string // prefix + the bound's encoding
-	null bool   // the bound evaluated to NULL: the range matches nothing
+	first, last string // prefix + the bound's encoding
+	null        bool   // the bound evaluated to NULL: the range matches nothing
 }
 
 // encodePathBound evaluates and aligns one range bound on the path's
@@ -814,11 +821,16 @@ func encodePathBound(td *tableData, path *accessPath, prefix []byte, e Expr, ctx
 	if v.IsNull() {
 		return pathBound{null: true}, true
 	}
-	pv, okp := probeValue(td.schema.Cols[path.colPos[path.nEq]].Type.Kind, v)
+	k, span, okp := appendProbe(append([]byte(nil), prefix...), td.schema.Cols[path.colPos[path.nEq]].Type.Kind, v)
 	if !okp {
 		return b, false
 	}
-	return pathBound{key: string(appendKey(append([]byte(nil), prefix...), pv))}, true
+	b.first = string(k)
+	b.last = b.first
+	if span {
+		b.last = spanLast(b.first)
+	}
+	return b, true
 }
 
 // prefixUpper bounds a scan to keys extending prefix; nil when the
@@ -842,11 +854,11 @@ type keyRange struct {
 // executors walk. ok=false means a probe failed to evaluate or align
 // with the indexed column's type, and the caller must fall back to the
 // heap scan, which preserves exact comparison semantics. An aligned
-// probe's key is exact (key.go), so strict bounds and the NULL boundary
-// key are excluded from the window directly.
+// probe's keys are exact (key.go), so strict bounds and the NULL
+// boundary key are excluded from the window directly.
 func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx) (keyRange, bool) {
 	var kr keyRange
-	prefix, nullProbe, ok := eqPrefix(td, path, ctx)
+	prefix, span, nullProbe, ok := eqPrefix(td, path, ctx)
 	if !ok {
 		return kr, false
 	}
@@ -862,6 +874,11 @@ func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx) (keyRange, bool
 
 	switch path.kind {
 	case pathOrderedEq:
+		if span {
+			kr.lo = &keyBound{key: string(prefix), incl: true}
+			kr.hi = &keyBound{key: spanLast(string(prefix)), incl: true}
+			break
+		}
 		kr.useLookup = true
 		kr.lookup = string(prefix)
 
@@ -880,9 +897,9 @@ func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx) (keyRange, bool
 		}
 		switch {
 		case path.lo != nil && path.loIncl:
-			kr.lo = &keyBound{key: lo.key, incl: true}
+			kr.lo = &keyBound{key: lo.first, incl: true}
 		case path.lo != nil:
-			kr.lo = &keyBound{key: lo.key + keyRangeHiSentinel, incl: false}
+			kr.lo = &keyBound{key: lo.last + keyRangeHiSentinel, incl: false}
 		case path.hi != nil:
 			// Half range open below still excludes NULLs in the scan
 			// column: col < x is UNKNOWN for NULL.
@@ -894,9 +911,9 @@ func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx) (keyRange, bool
 		}
 		switch {
 		case path.hi != nil && path.hiIncl:
-			kr.hi = &keyBound{key: hi.key + keyRangeHiSentinel, incl: true}
+			kr.hi = &keyBound{key: hi.last + keyRangeHiSentinel, incl: true}
 		case path.hi != nil:
-			kr.hi = &keyBound{key: hi.key, incl: false}
+			kr.hi = &keyBound{key: hi.first, incl: false}
 		default:
 			kr.hi = prefixUpper(prefix)
 		}
