@@ -428,6 +428,9 @@ func FuzzKeyEncoding(f *testing.F) {
 		{0, i(math.MaxInt64), i(math.MaxInt64 - 1), "", ""},
 		{0, i(math.MinInt64), i(math.MinInt64 + 1), "", ""},
 		{0, i(-7), i(1<<53 - 1), "", ""},
+		// As a DOUBLE probe, y = 2^53 spans 2^53+1 and stops below 2^53+3.
+		{0, i(1<<53 + 1), d(1 << 53), "", ""},
+		{0, i(1<<53 + 3), d(1 << 53), "", ""},
 		{1, d(0), d(math.Copysign(0, -1)), "", ""},
 		{1, d(math.NaN()), 0x7ff8000000000001, "", ""},
 		{1, d(math.Inf(1)), d(math.Inf(-1)), "", ""},
@@ -454,6 +457,25 @@ func FuzzKeyEncoding(f *testing.F) {
 		}
 		if rest, ok := skipKeyComponent(encodeKey(a, b)); !ok || rest != kb {
 			t.Fatalf("(%v, %v): skipping the first component left %q, want %q", a, b, rest, kb)
+		}
+		// A DOUBLE probe on an INTEGER column: a's key sits below, inside
+		// or above the probe's keys as Compare orders a against it.
+		if p := sqltypes.NewDouble(math.Float64frombits(y)); kind == sqltypes.KindInt {
+			if k, span, ok := appendProbe(nil, kind, p); ok {
+				first, last := string(k), string(k)
+				if span {
+					last = spanLast(first)
+				}
+				pos := 0
+				if ka < first {
+					pos = -1
+				} else if ka > last {
+					pos = 1
+				}
+				if c, _ := sqltypes.Compare(a, p); c != pos {
+					t.Fatalf("%v vs probe %v: key position %d, Compare %d", a, p, pos, c)
+				}
+			}
 		}
 		got, ok := decodeKeyValue(ka, kind)
 		if fv, _ := a.AsDouble(); kind == sqltypes.KindDouble && fv == 0 {
