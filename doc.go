@@ -216,10 +216,23 @@
 // to the rows a statement returns — not to the table, not to a fixed
 // slab: the archive's pages are 1–50-row results.
 //
-//   - Arena ownership. Every statement carves its result rows from a
-//     per-statement bump allocator (rowArena). It starts on plain-heap
-//     chunks — the first sized to the first request, later ones
-//     doubling to 16 KiB, about a page of rows in all — that nobody
+//   - Stored rows. When the projection is the lone table's columns in
+//     stored order — SELECT *, the same list spelled out, every QBE page
+//     the form sends — a result row is the visible row version itself,
+//     clipped to its width so an append cannot reach storage: no copy,
+//     no arena. A version is never written after it is published, so
+//     the result keeps its as-of values through later UPDATEs, DELETEs,
+//     VACUUM and checkpoints (TestStoredOrderResultOutlivesWrites,
+//     TestStoredOrderRowsAreStoredVersions). The trade: a retained
+//     result keeps alive the versions it returned after VACUUM unlinks
+//     them, bounded by what callers hold plus the 512 KiB result cache;
+//     and writing through such a row would corrupt the table, which is
+//     why Rows are read-only.
+//
+//   - Arena ownership. Every other projection carves its result rows
+//     from a per-statement bump allocator (rowArena). It starts on
+//     plain-heap chunks — the first sized to the first request, later
+//     ones doubling to 16 KiB, about a page of rows in all — that nobody
 //     owns; only a result that has outgrown them (or filled a whole
 //     projection batch) draws pooled fixed-size Value slabs. The
 //     returned Rows owns the arena: Rows.Close releases every slab back
@@ -228,26 +241,29 @@
 //     unclosed large result is reclaimed by the GC and only misses the
 //     pool. Callers that consume a result close it: core.ResultSet
 //     aliases Rows.Data and passes Close on, and the webui results page
-//     closes its search after the last row is written. Rows.Detach copies the rows
+//     closes its search after the last row is written. Rows.Detach copies arena-backed rows
 //     out into plain heap memory first, so detached results stay valid
 //     indefinitely (the contract long-lived callers rely on); Close is
 //     idempotent and nil-safe either way.
 //     Intermediate join rows live in a separate scratch arena released
-//     when the statement returns — projection always copies surviving
-//     values into the result arena, so no scratch reference escapes.
-//     The projection batches source rows by reference through a
-//     row-pointer buffer (colBatch) and flushes each batch into one
-//     rows × columns arena block, filled a column at a time with no
-//     staging columns; a batch is at most 1024 rows and never more
-//     than fit a slab, and the result's row-pointer slice is sized at
-//     the first flush — exactly, when the source ended inside the
-//     first batch (TestSmallResultFootprint pins a page-sized SELECT to ≤ 8 KiB
-//     beyond its rows, TestLargeResultRecyclesSlabs and
-//     BenchmarkAblation_Arena the large-result bytes per row and
-//     allocs/op; there is no arena-less mode, and
-//     TestArenaReferenceEquivalence and TestArenaBoundaryEquivalence
-//     hold the path to the reference evaluator at every size where it
-//     changes what it allocates from).
+//     when the statement returns — a computed projection copies
+//     surviving values into the result arena, so no scratch reference
+//     escapes. It batches source rows by reference (colBatch) and
+//     flushes each batch into one rows × columns arena block, filled a
+//     column at a time with no staging columns; a batch is at most 1024
+//     rows and never more than fit a slab.
+//
+//   - Exact sizing. Row headers collect in a list — the first 64 on the
+//     plain heap, the rest in pooled blocks reused across statements —
+//     and the result's row slice is made once, at the exact row count
+//     (TestSmallResultFootprint pins a page-sized SELECT to ≤ 8 KiB
+//     beyond its rows; TestResultBytesPerReturnedRow a 4,000-row range
+//     of a 100,000-row table to ≤ 40 B per returned row;
+//     TestLargeResultRecyclesSlabs and BenchmarkAblation_Arena the
+//     large-result bytes per row and allocs/op; there is no arena-less
+//     mode, and TestArenaReferenceEquivalence and
+//     TestArenaBoundaryEquivalence hold the path to the reference
+//     evaluator at every size where it changes what it allocates from).
 //
 //   - Result cache. Every database opens with an LRU of complete
 //     SELECT results keyed by statement text plus an exact encoding of
@@ -272,7 +288,8 @@
 //     TestResultCacheHotEntrySurvivesColdChurn); a first sighting
 //     allocates nothing for the cache (TestResultCacheMissAllocs). A
 //     hit shares the entry's rows (TestResultCacheHitAllocs), which is
-//     why Rows from Query are read-only. Statements with volatile
+//     why Rows from Query are read-only; a fill copies only rows an
+//     arena backs and keeps stored rows as they are. Statements with volatile
 //     functions (NOW, CURRENT_TIMESTAMP) bypass the cache,
 //     explicit-transaction reads never consult it (they run in
 //     latest-state mode), and a statement that fails or is canceled

@@ -9,26 +9,40 @@ import (
 // Arena/columnar result pipeline.
 //
 // A projection that makes one []Value per output row costs ~36MB and
-// ~100k allocs per 100k projected rows. Two mechanisms avoid that, and
-// both size what they allocate by the rows a statement returns, never
-// by the table or by a fixed slab — the archive UI lives on 1–50-row
-// results:
+// ~100k allocs per 100k projected rows. The pipeline avoids that, and
+// everything it allocates is sized by the rows a statement returns,
+// never by the table or by a fixed slab — the archive UI lives on
+// 1–50-row results:
 //
-//   - rowArena: a chunked bump allocator over []sqltypes.Value. A
-//     statement starts on plain-heap chunks — the first sized to the
-//     first request, later ones doubling up to arenaHeapValues — that
-//     nobody owns and the GC reclaims. Only a result that has outgrown
-//     those (about a page of rows) draws pooled arenaChunkValues slabs,
-//     which go back to the process-wide pool wholesale when the owning
-//     Rows is Closed. Value structs are copied into the arena by value;
-//     string/BLOB payloads are immutable Go strings shared with storage,
-//     so the arena never needs to own byte data to stay safe.
+//   - Stored-order rows: when the projection is the lone table's columns
+//     in stored order (selectPlan.storedRows), a result row is the
+//     visible version's vals, clipped to its width. A version is never
+//     written after it is published, so the result holds it as of the
+//     statement's snapshot whatever commits, vacuums or checkpoints
+//     later. No arena block, no batch, no Value copy.
+//
+//   - rowArena: a chunked bump allocator over []sqltypes.Value for every
+//     other projection. A statement starts on plain-heap chunks — the
+//     first sized to the first request, later ones doubling up to
+//     arenaHeapValues — that nobody owns and the GC reclaims. Only a
+//     result that has outgrown those (about a page of rows) draws pooled
+//     arenaChunkValues slabs, which go back to the process-wide pool
+//     wholesale when the owning Rows is Closed. Computed values are
+//     written into the arena by value; string/BLOB payloads are
+//     immutable Go strings shared with storage, so the arena never needs
+//     to own byte data to stay safe.
 //
 //   - colBatch: a row-pointer buffer the projection sink fills (by
 //     reference) and flushes a batch at a time: one rows × columns
 //     block from the arena, each column written straight into it (a
 //     plain copy loop for bare column references, one evalExpr sweep
 //     per computed column). No staging columns, no transposition.
+//
+//   - rowList: the result's row headers until the statement finishes,
+//     the first page of them on the plain heap and the rest in pooled
+//     fixed-size blocks reused across statements, so out.Data is made
+//     once, at the exact row count, for a 1-row lookup and a 100k-row
+//     export alike.
 //
 // Ownership rules (the contract doc.go documents for callers):
 //
@@ -40,10 +54,13 @@ import (
 //   - Rows.Detach copies the result out of its arena onto the plain
 //     heap (and releases the arena), for callers that retain results
 //     indefinitely while closing eagerly elsewhere.
-//   - Every SELECT execution makes its own two arenas (runSelectAt);
-//     there is no arena-less mode. A Rows with a nil arena — detached,
-//     cache-served, an index-only aggregate's single row — simply owns
-//     plain-heap rows.
+//   - Every SELECT execution makes its own two arenas (runSelectAt). A
+//     Rows with a nil arena — stored-order, detached, cache-served, an
+//     index-only aggregate's single row — holds no arena memory: its
+//     rows are stored versions or plain-heap rows, and Close releases
+//     nothing. A retained stored-order result keeps the versions it
+//     returned alive after VACUUM unlinks them, bounded by what callers
+//     keep plus the result cache's capacity.
 //
 // Intermediate join rows use the second, scratch arena, released when
 // the statement finishes (the result rows copy values out of them,
@@ -64,11 +81,12 @@ const (
 	arenaHeapValues  = 512
 )
 
-// arenaChunkPool recycles slabs across statements. Chunks are zeroed
-// before being returned so a pooled slab never pins old string payloads
-// and a use-after-Close reads NULLs, not another statement's rows.
+// arenaChunkPool recycles slabs across statements, as array pointers so
+// a Put boxes nothing. Chunks are zeroed before being returned so a
+// pooled slab never pins old string payloads and a use-after-Close
+// reads NULLs, not another statement's rows.
 var arenaChunkPool = sync.Pool{
-	New: func() any { return make([]sqltypes.Value, arenaChunkValues) },
+	New: func() any { return new([arenaChunkValues]sqltypes.Value) },
 }
 
 // rowArena is a chunked bump allocator for result-row value slices.
@@ -103,7 +121,7 @@ func (a *rowArena) allocCap(n, c int) []sqltypes.Value {
 			a.heap = size
 			a.cur = make([]sqltypes.Value, size)
 		} else {
-			chunk := arenaChunkPool.Get().([]sqltypes.Value)
+			chunk := arenaChunkPool.Get().(*[arenaChunkValues]sqltypes.Value)[:]
 			a.chunks = append(a.chunks, chunk)
 			a.cur = chunk
 		}
@@ -119,11 +137,17 @@ func (a *rowArena) allocCap(n, c int) []sqltypes.Value {
 func (a *rowArena) release() {
 	for i, chunk := range a.chunks {
 		clear(chunk)
-		arenaChunkPool.Put(chunk) //nolint:staticcheck // slabs are slice values by design
+		arenaChunkPool.Put((*[arenaChunkValues]sqltypes.Value)(chunk))
 		a.chunks[i] = nil
 	}
 	a.chunks = a.chunks[:0]
 	a.cur, a.heap = nil, 0
+}
+
+// empty reports whether the arena has handed out nothing since it was
+// made or released.
+func (a *rowArena) empty() bool {
+	return a.heap == 0
 }
 
 // markLarge ends the plain-heap phase: the caller has seen enough rows
@@ -132,31 +156,111 @@ func (a *rowArena) markLarge() {
 	a.heap = arenaChunkValues
 }
 
-// colBatchRows is the most source rows a colBatch buffers per flush.
+// colBatchRows is the most source rows a colBatch projects per flush.
 const colBatchRows = 1024
 
-// colBatch is the columnar projection buffer: source rows accumulate
-// (by reference — a lone table's rows alias storage, which is safe under
-// the statement's read lock; joined rows sit in the scratch arena until
-// the statement ends), then flush carves one rows × columns
-// block out of the arena and projects into it one COLUMN at a time.
+// A rowList keeps its first rowListHeapRows rows in one plain-heap
+// slice grown by append, so a page-sized result never touches a pool;
+// past that, rows go to pooled rowBlocks — a slab's worth of row
+// headers each, so a 100k-row result takes a dozen.
+const (
+	rowListHeapRows = 64
+	rowBlockRows    = arenaChunkValues
+)
+
+type rowBlock [rowBlockRows][]sqltypes.Value
+
+// rowBlockPool recycles header blocks across statements. Blocks are
+// cleared before being returned so a pooled block never pins rows.
+var rowBlockPool = sync.Pool{New: func() any { return new(rowBlock) }}
+
+// rowList collects a result's rows until take makes out.Data once, at
+// the exact row count, however many arrived: appending to out.Data
+// would leave up to twice its rows in headers, and sizing it up front
+// needs a row count nobody knows.
+type rowList struct {
+	head   [][]sqltypes.Value
+	blocks []*rowBlock
+	n      int
+}
+
+// add appends row.
+func (l *rowList) add(row []sqltypes.Value) {
+	if l.n < rowListHeapRows {
+		if l.head == nil {
+			l.head = make([][]sqltypes.Value, 0, 16)
+		}
+		l.head = append(l.head, row)
+	} else {
+		i := (l.n - rowListHeapRows) % rowBlockRows
+		if i == 0 {
+			if l.blocks == nil {
+				l.blocks = make([]*rowBlock, 0, 8)
+			}
+			l.blocks = append(l.blocks, rowBlockPool.Get().(*rowBlock))
+		}
+		l.blocks[len(l.blocks)-1][i] = row
+	}
+	l.n++
+}
+
+// at returns the slot of row i < l.n.
+func (l *rowList) at(i int) *[]sqltypes.Value {
+	if i < rowListHeapRows {
+		return &l.head[i]
+	}
+	i -= rowListHeapRows
+	return &l.blocks[i/rowBlockRows][i%rowBlockRows]
+}
+
+// truncate drops rows m and later, pooling the blocks left empty;
+// truncate(0) empties the list.
+func (l *rowList) truncate(m int) {
+	for i := m; i < l.n; i++ {
+		*l.at(i) = nil
+	}
+	l.head = l.head[:min(m, len(l.head))]
+	keep := (max(m-rowListHeapRows, 0) + rowBlockRows - 1) / rowBlockRows
+	for _, b := range l.blocks[keep:] {
+		rowBlockPool.Put(b)
+	}
+	l.blocks, l.n = l.blocks[:keep], m
+}
+
+// take returns the collected rows as one exactly sized slice (nil for
+// none) and empties the list, its blocks back in the pool.
+func (l *rowList) take() [][]sqltypes.Value {
+	var data [][]sqltypes.Value
+	if l.n > 0 {
+		data = make([][]sqltypes.Value, l.n)
+		at := copy(data, l.head)
+		for _, b := range l.blocks {
+			at += copy(data[at:], b[:])
+		}
+	}
+	l.truncate(0)
+	return data
+}
+
+// colBatch is the columnar projection of source rows that are not their
+// own result rows: the sink parks them in the result's rowList by
+// reference (a lone table's rows alias storage,
+// which is safe under the statement's read lock; joined rows sit in the
+// scratch arena until the statement ends), then flush carves one
+// rows × columns block out of the arena, projects the parked rows into
+// it one COLUMN at a time and puts the projected rows in their place.
 type colBatch struct {
 	proj   []Expr
 	colIdx []int // source slot for bare ColRef projections; -1 = general expr
-	src    [][]sqltypes.Value
-	rows   int // batch size: colBatchRows, or fewer so a batch's block fits a slab
-	est    int // out.Data capacity once a full batch proves the result large
+	rows   int   // batch size: colBatchRows, or fewer so a batch's block fits a slab
+	start  int   // list position of the batch's first parked row
 }
 
-// newColBatch prepares a batch for proj; est is the caller's row-count
-// estimate for a result that outgrows the first batch.
-func newColBatch(proj []Expr, est int) *colBatch {
+func newColBatch(proj []Expr) *colBatch {
 	cb := &colBatch{
 		proj:   proj,
 		colIdx: make([]int, len(proj)),
-		src:    make([][]sqltypes.Value, 0, 16),
 		rows:   max(min(colBatchRows, arenaChunkValues/max(len(proj), 1)), 1),
-		est:    est,
 	}
 	for i, e := range proj {
 		cb.colIdx[i] = -1
@@ -167,54 +271,47 @@ func newColBatch(proj []Expr, est int) *colBatch {
 	return cb
 }
 
-// push buffers one source row, reporting whether the batch is full and
-// must be flushed before the next push.
-func (cb *colBatch) push(row []sqltypes.Value) bool {
-	cb.src = append(cb.src, row)
-	return len(cb.src) == cb.rows
+// push parks one source row in l, reporting whether the batch is full
+// and must be flushed before the next push.
+func (cb *colBatch) push(l *rowList, row []sqltypes.Value) bool {
+	l.add(row)
+	return l.n-cb.start == cb.rows
 }
 
-// flush projects the buffered rows column-at-a-time into one arena
-// block and appends its rows to out.Data — only once every column is
-// filled, so a failing expression leaves out.Data untouched. The first
-// flush sizes out.Data: exactly, when the scan ended inside the first
-// batch. The batch is empty after a successful flush.
-func (cb *colBatch) flush(ctx *evalCtx, ar *rowArena, out *Rows) error {
-	n, ncols := len(cb.src), len(cb.proj)
+// flush projects the parked rows column-at-a-time into one arena block
+// and swaps the projected rows in for them — only once every column is
+// filled: a failing expression drops the parked rows and leaves the
+// rows of earlier batches as they were.
+func (cb *colBatch) flush(ctx *evalCtx, ar *rowArena, l *rowList) error {
+	n, ncols := l.n-cb.start, len(cb.proj)
 	if n == 0 {
 		return nil
 	}
-	dataCap := n
 	if n == cb.rows {
-		// A full batch proves the result large: pooled slabs from here
-		// on, and the caller's estimate for the row pointers.
+		// A full batch proves the result large: pooled slabs from here on.
 		ar.markLarge()
-		dataCap = max(n, cb.est)
 	}
 	block := ar.alloc(n * ncols)
 	for j, k := range cb.colIdx {
-		if k >= 0 {
-			// Bare column reference: a plain copy loop, no dispatch.
-			for i, row := range cb.src {
+		for i := 0; i < n; i++ {
+			row := *l.at(cb.start + i)
+			if k >= 0 {
+				// Bare column reference: a plain copy, no evalExpr.
 				block[i*ncols+j] = row[k]
+				continue
 			}
-			continue
-		}
-		for i, row := range cb.src {
 			ctx.vals = row
 			v, err := evalExpr(cb.proj[j], ctx)
 			if err != nil {
+				l.truncate(cb.start)
 				return err
 			}
 			block[i*ncols+j] = v
 		}
 	}
-	if out.Data == nil {
-		out.Data = make([][]sqltypes.Value, 0, dataCap)
-	}
 	for i := 0; i < n; i++ {
-		out.Data = append(out.Data, block[i*ncols:(i+1)*ncols:(i+1)*ncols])
+		*l.at(cb.start + i) = block[i*ncols : (i+1)*ncols : (i+1)*ncols]
 	}
-	cb.src = cb.src[:0]
+	cb.start = l.n
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sqltypes"
 )
@@ -107,8 +108,9 @@ func TestArenaReferenceEquivalence(t *testing.T) {
 // TestArenaBoundaryEquivalence holds arena ≡ reference at every result
 // size where the arena path changes what it allocates from: an empty
 // result, the first and the last plain-heap chunk and all of them
-// together, a full colBatch, the nominal colBatchRows and a pooled slab
-// — one row either side of each, for a 1-column and a 40-column
+// together, a full colBatch, the nominal colBatchRows, a pooled slab
+// and the end of the row list's plain-heap head — one row either side
+// of each, for a 1-column and a 40-column
 // projection, bare and computed, through the batch path (unsorted) and
 // the per-row path (sorted).
 func TestArenaBoundaryEquivalence(t *testing.T) {
@@ -145,9 +147,10 @@ func TestArenaBoundaryEquivalence(t *testing.T) {
 			arenaFirstValues / proj.ncols,
 			arenaHeapValues / proj.ncols,
 			(2*arenaHeapValues - arenaFirstValues) / proj.ncols,
-			newColBatch(make([]Expr, proj.ncols), 0).rows,
+			newColBatch(make([]Expr, proj.ncols)).rows,
 			colBatchRows,
 			arenaChunkValues / proj.ncols,
+			rowListHeapRows,
 		}
 		for _, edge := range edges {
 			for n := max(edge-1, 0); n <= edge+1; n++ {
@@ -161,6 +164,58 @@ func TestArenaBoundaryEquivalence(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestRowListKeepsOrder: a rowList hands back exactly the rows added,
+// in order, at every size around its plain-heap head and its pooled
+// blocks, and after a truncate to any of those sizes; the blocks go
+// back to the pool cleared.
+func TestRowListKeepsOrder(t *testing.T) {
+	rows := make([][]sqltypes.Value, rowListHeapRows+2*rowBlockRows+2)
+	for i := range rows {
+		rows[i] = []sqltypes.Value{sqltypes.NewInt(int64(i))}
+	}
+	var sizes []int
+	for _, edge := range []int{0, rowListHeapRows, rowListHeapRows + rowBlockRows, rowListHeapRows + 2*rowBlockRows} {
+		sizes = append(sizes, max(edge-1, 0), edge, edge+1)
+	}
+	check := func(what string, got [][]sqltypes.Value, n int) {
+		t.Helper()
+		if len(got) != n || (n == 0) != (got == nil) {
+			t.Fatalf("%s: %d rows (nil %v), want %d", what, len(got), got == nil, n)
+		}
+		for i, r := range got {
+			if &r[0] != &rows[i][0] {
+				t.Fatalf("%s: row %d is not the %d-th row added", what, i, i)
+			}
+		}
+	}
+	for _, n := range sizes {
+		var l rowList
+		for _, r := range rows[:n] {
+			l.add(r)
+		}
+		check(fmt.Sprintf("take of %d", n), l.take(), n)
+		for _, m := range sizes {
+			if m > n {
+				continue
+			}
+			for _, r := range rows[:n] {
+				l.add(r)
+			}
+			l.truncate(m)
+			for _, r := range rows[m:n] {
+				l.add(r)
+			}
+			check(fmt.Sprintf("%d truncated to %d and refilled", n, m), l.take(), n)
+		}
+	}
+	b := rowBlockPool.Get().(*rowBlock)
+	for i, r := range b {
+		if r != nil {
+			t.Fatalf("a pooled block still holds a row at %d", i)
 		}
 	}
 }
@@ -200,19 +255,21 @@ func TestColBatchFlushErrorLeavesNoPartialRows(t *testing.T) {
 		return []sqltypes.Value{sqltypes.NewInt(id), sqltypes.NewInt(d)}
 	}
 	ctx, ar := &evalCtx{}, &rowArena{}
-	out := newRows(nil, nil)
-	cb := newColBatch(stmt.plan.proj, 0)
-	cb.push(src(1, 2))
-	cb.push(src(2, 5))
-	if err := cb.flush(ctx, ar, out); err != nil {
+	var rl rowList
+	cb := newColBatch(stmt.plan.proj)
+	cb.push(&rl, src(1, 2))
+	cb.push(&rl, src(2, 5))
+	if err := cb.flush(ctx, ar, &rl); err != nil {
 		t.Fatalf("clean flush: %v", err)
 	}
-	cb.push(src(3, 1))
-	cb.push(src(4, 0)) // 10 / 0
-	cb.push(src(5, 1))
-	if err := cb.flush(ctx, ar, out); err == nil {
+	cb.push(&rl, src(3, 1))
+	cb.push(&rl, src(4, 0)) // 10 / 0
+	cb.push(&rl, src(5, 1))
+	if err := cb.flush(ctx, ar, &rl); err == nil {
 		t.Fatal("flush over a zero divisor succeeded")
 	}
+	out := newRows(nil, nil)
+	out.Data = rl.take()
 	if len(out.Data) != 2 {
 		t.Fatalf("out.Data holds %d rows after a failed flush, want the 2 of the clean one", len(out.Data))
 	}
@@ -374,7 +431,7 @@ func TestLargeResultRecyclesSlabs(t *testing.T) {
 	arenaChunkPool.New = func() any { fresh++; return poolNew() }
 	defer func() { arenaChunkPool.New = poolNew }()
 	query := func() {
-		rows := mustQuery(t, db, `SELECT id, sim, v, ok, n FROM big WHERE ok = TRUE`)
+		rows := mustQuery(t, db, `SELECT n, id, sim, v, ok FROM big WHERE ok = TRUE`)
 		if len(rows.Data) != tableRows/2 {
 			t.Fatalf("%d rows, want %d", len(rows.Data), tableRows/2)
 		}
@@ -405,6 +462,214 @@ func TestLargeResultRecyclesSlabs(t *testing.T) {
 	}
 }
 
+// TestResultBytesPerReturnedRow pins that a result costs the rows it
+// returns, not the table's: a 4,000-row index range over a 100,000-row
+// table, as SELECT * and as a computed projection, and a 50,000-row
+// SELECT * (BenchmarkAblation_Arena's shape). A stored-order projection
+// draws no slab at all, even from an emptied pool. Results are Closed,
+// so a computed one reuses its slabs; slabs and header blocks the pools
+// had to make afresh are set aside (the race detector drops a quarter
+// of all Puts).
+func TestResultBytesPerReturnedRow(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE big (k INTEGER, sim VARCHAR(30), v DOUBLE, ok BOOLEAN, n INTEGER)`)
+	mustExec(t, db, `CREATE INDEX big_k ON big (k)`)
+	ins, err := db.Prepare(`INSERT INTO big VALUES (?, ?, ?, ?, ?)`)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	const tableRows, window = 100_000, 4_000
+	for i := 0; i < tableRows; i++ {
+		if _, err := ins.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewString("S"), sqltypes.NewDouble(float64(i)),
+			sqltypes.NewBool(i%2 == 0), sqltypes.NewInt(int64(i))); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	freshSlabs, freshBlocks := 0, 0
+	slabNew, blockNew := arenaChunkPool.New, rowBlockPool.New
+	arenaChunkPool.New = func() any { freshSlabs++; return slabNew() }
+	rowBlockPool.New = func() any { freshBlocks++; return blockNew() }
+	defer func() { arenaChunkPool.New, rowBlockPool.New = slabNew, blockNew }()
+	const (
+		statements = 20
+		slabBytes  = arenaChunkValues * 32
+		blockBytes = rowBlockRows * 24
+	)
+	for _, tc := range []struct {
+		sql    string
+		ranged bool // takes a [lo, lo+window) key range
+		rows   int
+		perRow float64
+		stored bool
+	}{
+		{`SELECT * FROM big WHERE k >= ? AND k < ?`, true, window, 40, true},
+		{`SELECT k, v + 1 FROM big WHERE k >= ? AND k < ?`, true, window, 40, false},
+		{`SELECT * FROM big WHERE ok = TRUE`, false, tableRows / 2, 26, true},
+	} {
+		stmt, err := db.Prepare(tc.sql)
+		if err != nil {
+			t.Fatalf("prepare %s: %v", tc.sql, err)
+		}
+		lo := 0
+		query := func() {
+			var args []sqltypes.Value
+			if tc.ranged {
+				lo = (lo + window) % (tableRows - window)
+				args = []sqltypes.Value{sqltypes.NewInt(int64(lo)), sqltypes.NewInt(int64(lo + window))}
+			}
+			rows, err := stmt.Query(args...)
+			if err != nil || len(rows.Data) != tc.rows {
+				t.Fatalf("%s: %d rows, err %v", tc.sql, len(rows.Data), err)
+			}
+			rows.Close()
+		}
+		// Two collections empty the pools: the first run pays for
+		// whatever it draws.
+		runtime.GC()
+		runtime.GC()
+		freshSlabs = 0
+		query()
+		if tc.stored && freshSlabs != 0 {
+			t.Errorf("%s: drew %d fresh slabs, want 0: stored rows need no arena", tc.sql, freshSlabs)
+		}
+		freshSlabs, freshBlocks = 0, 0
+		total, _ := totalAlloc(func() {
+			for i := 0; i < statements; i++ {
+				query()
+			}
+		})
+		net := total - uint64(freshSlabs*slabBytes+freshBlocks*blockBytes)
+		if got := float64(net) / statements / float64(tc.rows); got > tc.perRow {
+			t.Errorf("%s: %.1f B per returned row, want ≤ %v", tc.sql, got, tc.perRow)
+		}
+	}
+}
+
+// TestStoredOrderRowsAreStoredVersions: every stored-order projection —
+// SELECT *, the same list spelled out, a table star, through an index
+// or the heap, under ORDER BY, DISTINCT, LIMIT/OFFSET and a result
+// cache hit — returns the visible versions' own vals, clipped to their
+// width; a reordered list returns copies.
+func TestStoredOrderRowsAreStoredVersions(t *testing.T) {
+	db := memDB(t)
+	arenaFixture(t, db)
+	schema, _ := db.cat.Table("sim")
+	stored := map[*sqltypes.Value]bool{}
+	db.data[schema.Name].scan(snapLatest, func(_ *rowSlot, vals []sqltypes.Value) bool {
+		stored[unsafe.SliceData(vals)] = true
+		return true
+	})
+	for _, tc := range []struct {
+		sql   string
+		alias bool
+	}{
+		{`SELECT * FROM sim WHERE bucket = 3`, true},
+		{`SELECT id, name, bucket, score, ok FROM sim WHERE id < 50`, true},
+		{`SELECT s.* FROM sim s WHERE s.id >= 450`, true},
+		{`SELECT * FROM sim ORDER BY score DESC LIMIT 10`, true},
+		{`SELECT * FROM sim ORDER BY name, id`, true},
+		{`SELECT DISTINCT * FROM sim WHERE ok = TRUE`, true},
+		{`SELECT * FROM sim LIMIT 5 OFFSET 3`, true},
+		{`SELECT name, id, bucket, score, ok FROM sim WHERE bucket = 3`, false},
+	} {
+		// Three runs: a miss, the fill on the repeat, then a cache hit.
+		for run := 0; run < 3; run++ {
+			rows := mustQuery(t, db, tc.sql)
+			if len(rows.Data) == 0 {
+				t.Fatalf("%s: no rows", tc.sql)
+			}
+			for i, row := range rows.Data {
+				if stored[unsafe.SliceData(row)] != tc.alias {
+					t.Fatalf("%s run %d row %d: shares a stored version = %v, want %v", tc.sql, run, i, !tc.alias, tc.alias)
+				}
+				if tc.alias && cap(row) != len(row) {
+					t.Fatalf("%s row %d: capacity %d past its %d columns", tc.sql, i, cap(row), len(row))
+				}
+			}
+		}
+	}
+}
+
+// TestStoredOrderResultOutlivesWrites: a SELECT * result's rows are the
+// versions its statement saw. Held across an UPDATE, a DELETE, VACUUM
+// and a checkpoint — and read from another goroutine all the while — it
+// still reads its as-of values while the table reads the new ones, and
+// appending to one of its rows leaves the table alone.
+func TestStoredOrderResultOutlivesWrites(t *testing.T) {
+	db, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { db.Close() })
+	mustExec(t, db, `CREATE TABLE kv (id INTEGER PRIMARY KEY, v VARCHAR(20), n INTEGER)`)
+	for i := 0; i < 200; i++ {
+		mustExec(t, db, `INSERT INTO kv VALUES (?, ?, ?)`,
+			sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("v%d", i)), sqltypes.NewInt(int64(i)))
+	}
+	asOf := func(row []sqltypes.Value) bool {
+		id := row[0].Int()
+		return len(row) == 3 && row[1].AsString() == fmt.Sprintf("v%d", id) && row[2].Int() == id
+	}
+	held := mustQuery(t, db, `SELECT * FROM kv ORDER BY id`)
+	if len(held.Data) != 200 {
+		t.Fatalf("held %d rows, want 200", len(held.Data))
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			for i, row := range held.Data {
+				if !asOf(row) {
+					t.Errorf("held row %d changed while the table was written: %v", i, row)
+					return
+				}
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	mustExec(t, db, `UPDATE kv SET v = 'new', n = n + 1000 WHERE id < 100`)
+	mustExec(t, db, `DELETE FROM kv WHERE id >= 150`)
+	if err := db.Vacuum(); err != nil {
+		t.Fatalf("Vacuum: %v", err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	close(done)
+	wg.Wait()
+
+	for i, row := range held.Data {
+		if row[0].Int() != int64(i) || !asOf(row) {
+			t.Fatalf("held row %d is not as of its snapshot: %v", i, row)
+		}
+	}
+	now := mustQuery(t, db, `SELECT * FROM kv ORDER BY id`)
+	if len(now.Data) != 150 {
+		t.Fatalf("table reads %d rows after the DELETE, want 150", len(now.Data))
+	}
+	for i, row := range now.Data {
+		updated := row[1].AsString() == "new" && row[2].Int() == int64(i)+1000
+		if row[0].Int() != int64(i) || (i < 100 && !updated) || (i >= 100 && !asOf(row)) {
+			t.Fatalf("table row %d reads %v after the UPDATE", i, row)
+		}
+	}
+
+	one := mustQuery(t, db, `SELECT * FROM kv WHERE id = 120`)
+	grown := append(one.Data[0], sqltypes.NewString("tail"))
+	grown[0] = sqltypes.NewInt(-1)
+	again := mustQuery(t, db, `SELECT * FROM kv WHERE id = 120`)
+	if len(again.Data) != 1 || !asOf(again.Data[0]) || again.Data[0][0].Int() != 120 {
+		t.Fatalf("appending to a result row changed the table: %v", again.Data)
+	}
+}
+
 // TestArenaDetachSurvivesReuse: Detach must copy rows out of the arena
 // so they stay valid after Close returns the chunks to the pool and
 // later statements reuse them.
@@ -427,7 +692,7 @@ func TestArenaDetachSurvivesReuse(t *testing.T) {
 	// arenas that would alias the detached rows if Detach had not
 	// copied them out.
 	for i := 0; i < 50; i++ {
-		r := mustQuery(t, db, `SELECT * FROM sim`)
+		r := mustQuery(t, db, `SELECT name, id, bucket, score, ok FROM sim`)
 		for ri := range r.Data {
 			for ci := range r.Data[ri] {
 				r.Data[ri][ci] = sqltypes.NewString("CLOBBER")

@@ -61,26 +61,31 @@ type Result struct {
 	RowsAffected int
 }
 
-// Rows is a fully materialised query result, detached from live storage:
-// it shares no mutable state with the engine, so it stays valid (and
-// safe to read from any goroutine) after the query returns, concurrent
-// with later writes.
+// Rows is a fully materialised query result: it shares no mutable state
+// with the engine, so it stays valid (and safe to read from any
+// goroutine) after the query returns, concurrent with later writes.
 //
 // Rows from Query are read-only: Columns, Kinds and the Data values may
-// be shared with the result cache and with every other caller served
-// the same cached answer. Reslicing Data or Detach/Close on one's own
-// Rows is fine; writing through them is not.
+// be shared with the result cache, with every other caller served the
+// same cached answer and — for a projection of a lone table's columns
+// in stored order, such as SELECT * — with the table itself: each such
+// row is the row version the statement saw, which the engine never
+// writes after publishing it, so later writes, VACUUM and checkpoints
+// leave the result as of its snapshot. Writing through such a row would
+// corrupt the table, not only the cache. Reslicing Data, appending to a
+// row (its capacity ends at its last column), or Detach/Close on one's
+// own Rows is fine; writing through them is not.
 //
-// Result rows are backed by a per-statement arena (arena.go): plain
-// heap for a small result, pooled slabs once it has outgrown that.
-// Close releases the slabs to a reuse pool wholesale; after Close the
-// Data slices must not be read. Close is optional — a small result has
-// nothing to release, and an unclosed large one is reclaimed by the GC
-// like any other value, its slabs just miss the pool. Callers that
-// retain a result indefinitely while closing eagerly elsewhere call
-// Detach first, which copies the rows onto the plain heap (the
-// detached-Rows contract: detach forces a copy-out, after which Close
-// is a no-op).
+// Any other projection's rows are backed by a per-statement arena
+// (arena.go): plain heap for a small result, pooled slabs once it has
+// outgrown that. Close releases the slabs to a reuse pool wholesale;
+// after Close the Data slices must not be read. Close is optional — a
+// small result has nothing to release, and an unclosed large one is
+// reclaimed by the GC like any other value, its slabs just miss the
+// pool. Callers that retain a result indefinitely while closing eagerly
+// elsewhere call Detach first, which copies arena-backed rows onto the
+// plain heap (the detached-Rows contract: after Detach, Close is a
+// no-op).
 type Rows struct {
 	Columns []string
 	Kinds   []sqltypes.Kind
@@ -90,9 +95,10 @@ type Rows struct {
 	// calls (the result-page render path) avoid an O(columns) scan.
 	colIdx map[string]int
 
-	// arena backs the Data row slices of an executed SELECT; nil for
-	// detached, cache-served and index-only aggregate results (whose
-	// rows live on the plain heap).
+	// arena backs the Data row slices of an executed SELECT; nil when no
+	// row lives in arena memory — stored-order, detached, cache-served
+	// and index-only aggregate results. Detach and the result cache copy
+	// the rows exactly when it is non-nil.
 	arena *rowArena
 }
 
@@ -111,8 +117,8 @@ func (r *Rows) Close() {
 
 // Detach copies the result out of its arena onto the plain heap, so it
 // stays valid indefinitely even if the arena's chunks are recycled.
-// After Detach, Close is a no-op. Nil-safe; detaching an already plain
-// result does nothing.
+// After Detach, Close is a no-op. Nil-safe; detaching a result that
+// owns no arena does nothing.
 func (r *Rows) Detach() {
 	if r == nil || r.arena == nil {
 		return

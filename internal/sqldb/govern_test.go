@@ -497,8 +497,11 @@ func TestSlowLogCancelReason(t *testing.T) {
 	if second.CancelReason != "deadline" {
 		t.Fatalf("deadline trace reason %q, want \"deadline\"", second.CancelReason)
 	}
-	if second.DeadlineNs <= 0 {
-		t.Fatalf("deadline trace carries no budget: %+v", second)
+	// DeadlineNs is the budget left at admission: a scheduling stall
+	// before it is read can leave it negative, so only its presence and
+	// its ceiling, the configured timeout, are fixed.
+	if second.DeadlineNs == 0 || second.DeadlineNs > int64(2*time.Millisecond) {
+		t.Fatalf("deadline trace carries no budget within the 2ms timeout: %+v", second)
 	}
 
 	if err := db.Close(); err != nil {

@@ -39,8 +39,10 @@ import (
 // halve every doorkeeperAging sightings; declines are counted by reason.
 //
 // Sharing: an entry holds one *Rows built at fill (Columns, Kinds,
-// colIdx, row headers over one flat slab); a hit is a shallow copy of
-// it. Rows from Query are read-only (see Rows).
+// colIdx, and the filling result's rows: its own Data when no arena
+// backs them — a stored-order projection's rows are the stored versions
+// — else row headers over one flat slab copied out of the arena); a hit
+// is a shallow copy of it. Rows from Query are read-only (see Rows).
 //
 // Visibility contract (why a hit can never be a stale read): an entry
 // records asOf — the snapshot the filling statement executed at — and
@@ -254,8 +256,9 @@ func (rc *resultCache) lookup(text string, args []sqltypes.Value, plan *selectPl
 }
 
 // entryBytes is what an entry holding rows under a keyLen-byte key keeps
-// on the heap: value slab, row headers, string payloads (counted even
-// when shared with storage: the entry keeps them alive), key, overhead.
+// on the heap: values, row headers, string payloads (values and
+// payloads counted in full even when shared with storage: the entry
+// keeps them alive), key, overhead.
 func entryBytes(rows *Rows, keyLen int) int64 {
 	b := int64(entryOverhead + keyLen + 24*len(rows.Data))
 	for _, r := range rows.Data {
@@ -331,14 +334,19 @@ func (rc *resultCache) fill(p cacheProbe, text string, args []sqltypes.Value, pl
 	for i, t := range plan.tables {
 		ent.tables[i] = t.data
 	}
-	// The caller's rows may be arena-backed and Closed later: copy them
-	// into one slab. Columns, Kinds and colIdx belong to this execution
-	// and are read-only from here on, so the entry adopts them.
-	flat := make([]sqltypes.Value, 0, len(rows.Data)*len(rows.Columns))
-	data := make([][]sqltypes.Value, len(rows.Data))
-	for i, r := range rows.Data {
-		flat = append(flat, r...)
-		data[i] = flat[len(flat)-len(r) : len(flat) : len(flat)]
+	// Arena-backed rows are Closed later, and their chunks may hold more
+	// than the rows: copy those into one slab. Other rows are exactly
+	// what entryBytes charged and never written, so the entry shares
+	// them. Columns, Kinds and colIdx belong to this execution and are
+	// read-only from here on, so the entry adopts them.
+	data := rows.Data
+	if rows.arena != nil {
+		flat := make([]sqltypes.Value, 0, len(rows.Data)*len(rows.Columns))
+		data = make([][]sqltypes.Value, len(rows.Data))
+		for i, r := range rows.Data {
+			flat = append(flat, r...)
+			data[i] = flat[len(flat)-len(r) : len(flat) : len(flat)]
+		}
 	}
 	ent.rows = &Rows{Columns: rows.Columns, Kinds: rows.Kinds, Data: data, colIdx: rows.colIdx}
 	ent.elem = rc.order.PushFront(ent)

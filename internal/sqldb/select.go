@@ -39,6 +39,13 @@ type selectPlan struct {
 	kinds    []sqltypes.Kind
 	noFrom   bool
 
+	// storedRows marks an unaggregated projection of the lone table's
+	// columns in stored order (SELECT *, or the same list spelled out):
+	// a source row — the visible version's vals, immutable once
+	// published — is its own result row, so the sinks return it instead
+	// of copying it.
+	storedRows bool
+
 	// path is the planner's access-path choice for the first FROM
 	// table (nil = heap scan); see planner.go. It is immutable after
 	// planning and shared by concurrent executions.
@@ -269,6 +276,7 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 		kinds:      kinds,
 	}
 	plan.order, plan.orderErr = resolveOrderBy(s.OrderBy, orderBound, proj, labels)
+	plan.storedRows = !aggregated && len(tables) == 1 && storedOrder(proj, len(env.cols))
 	// Access-path selection for the first FROM table. DISTINCT keeps
 	// the first occurrence of each row, so index order survives dedup
 	// and ORDER BY satisfaction remains valid under it.
@@ -287,6 +295,20 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 		(plan.path == nil || !plan.path.satisfiesOrderBy)
 	plan.cacheable = !planVolatile(plan)
 	return plan, nil
+}
+
+// storedOrder reports whether proj is the bare column references 0 ..
+// width-1, in order.
+func storedOrder(proj []Expr, width int) bool {
+	if len(proj) != width {
+		return false
+	}
+	for i, e := range proj {
+		if cr, ok := e.(*ColRef); !ok || cr.Index != i {
+			return false
+		}
+	}
+	return true
 }
 
 // resolveOrderBy turns the ORDER BY list into the expressions the sort
@@ -344,11 +366,13 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 		return db.runSelectNoFrom(plan, params)
 	}
 	s := plan.stmt
-	// Result rows live in ar, owned by the returned Rows and released on
-	// Rows.Close. Joined rows live in scratch, whose chunks go back to the
-	// pool as soon as the statement finishes — whatever references them
-	// (a batch awaiting projection, a sort entry, a group's first row)
-	// dies with this call; the projection copies their values into ar.
+	// Computed result rows live in ar, owned by the returned Rows and
+	// released on Rows.Close; a stored-order projection's rows are the
+	// stored versions and need no arena. Joined rows live in scratch,
+	// whose chunks go back to the pool as soon as the statement finishes
+	// — whatever references them (a batch awaiting projection, a sort
+	// entry, a group's first row) dies with this call; the projection
+	// copies their values into ar.
 	ctx := &evalCtx{params: params, now: db.nowFn(), snap: snap, intr: ic,
 		ar: &rowArena{}, scratch: &rowArena{}}
 	defer ctx.scratch.release()
@@ -372,7 +396,6 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 	// shared across concurrent executions. A result cache entry adopts
 	// them once the statement completes.
 	out := newRows(slices.Clone(plan.labels), slices.Clone(plan.kinds))
-	out.arena = ctx.ar
 	if s.Limit == 0 {
 		return out, nil
 	}
@@ -386,11 +409,7 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 	if sorting {
 		sink = newSortSink(plan, ctx, out)
 	} else {
-		est := min(plan.tables[0].data.live.Load(), 1<<20)
-		if s.Limit >= 0 {
-			est = min(est, int64(s.Limit))
-		}
-		sink = newProjectSink(plan, ctx, out, s.Offset, s.Limit, int(est))
+		sink = newProjectSink(plan, ctx, out, s.Offset, s.Limit)
 	}
 
 	node := "scan"
@@ -422,6 +441,9 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 		return nil, err
 	}
 	end(int64(len(out.Data)))
+	if !ctx.ar.empty() {
+		out.arena = ctx.ar
+	}
 	backfillKinds(out)
 	return out, nil
 }
@@ -445,8 +467,9 @@ func backfillKinds(out *Rows) {
 // returns false: the lone table's scan with the WHERE fused in, or the
 // join. A lone table's rows alias storage, which is safe — the engine
 // never mutates a row slice in place (updates swap in a fresh slice,
-// deletes only tombstone) and every sink copies values out, so nothing
-// mutable escapes into the result. Read-only on the plan.
+// deletes only tombstone), so a stored-order projection returns them
+// as they are and every other sink copies values out; nothing mutable
+// escapes into the result. Read-only on the plan.
 func (db *DB) streamRows(plan *selectPlan, ctx *evalCtx, scan tableScan, emit func([]sqltypes.Value) bool) error {
 	if len(plan.tables) == 1 {
 		return scan.run(plan.stmt.Where, ctx, func(_ *rowSlot, vals []sqltypes.Value) bool { return emit(vals) })
@@ -474,22 +497,24 @@ func (plan *selectPlan) evalOver(e Expr, src []sqltypes.Value, gs *groupState, c
 }
 
 // projectSink is the projection: it skips OFFSET candidates, projects
-// the next LIMIT into arena-backed rows appended to out.Data, and stops
-// the source there. Source rows go through the columnar batch (arena.go);
-// groups, few and evaluated through their accumulators, a row at a time.
+// the next LIMIT and stops the source there, and finish makes out.Data
+// at the exact row count. A stored-order projection returns each source
+// row itself, clipped so an append cannot reach storage; other source
+// rows go through the columnar batch into the arena (arena.go); groups,
+// few and evaluated through their accumulators, a row at a time.
 type projectSink struct {
 	plan  *selectPlan
 	ctx   *evalCtx
 	out   *Rows
-	cb    *colBatch // made by the first source row
-	est   int       // row estimate for cb
+	rows  rowList
+	cb    *colBatch // made by the first source row a projection copies
 	skip  int       // OFFSET candidates still to drop
 	limit int       // rows wanted; -1 = all
 	err   error
 }
 
-func newProjectSink(plan *selectPlan, ctx *evalCtx, out *Rows, skip, limit, est int) *projectSink {
-	return &projectSink{plan: plan, ctx: ctx, out: out, est: est, skip: skip, limit: limit}
+func newProjectSink(plan *selectPlan, ctx *evalCtx, out *Rows, skip, limit int) *projectSink {
+	return &projectSink{plan: plan, ctx: ctx, out: out, skip: skip, limit: limit}
 }
 
 func (p *projectSink) add(src []sqltypes.Value, gs *groupState) bool {
@@ -502,20 +527,23 @@ func (p *projectSink) add(src []sqltypes.Value, gs *groupState) bool {
 	if p.err = ctx.intr.charge(rowFootprint(len(proj))); p.err != nil {
 		return false
 	}
-	if gs != nil {
+	switch {
+	case gs != nil:
 		vals := ctx.ar.alloc(len(proj))
 		for i, e := range proj {
 			if vals[i], p.err = evalAggFold(e, p.plan, gs, ctx); p.err != nil {
 				return false
 			}
 		}
-		p.out.Data = append(p.out.Data, vals)
-	} else {
+		p.rows.add(vals)
+	case p.plan.storedRows:
+		p.rows.add(src[:len(proj):len(proj)])
+	default:
 		if p.cb == nil {
-			p.cb = newColBatch(proj, p.est)
+			p.cb = newColBatch(proj)
 		}
-		if p.cb.push(src) {
-			if p.err = p.cb.flush(ctx, ctx.ar, p.out); p.err != nil {
+		if p.cb.push(&p.rows, src) {
+			if p.err = p.cb.flush(ctx, ctx.ar, &p.rows); p.err != nil {
 				return false
 			}
 		}
@@ -527,10 +555,15 @@ func (p *projectSink) add(src []sqltypes.Value, gs *groupState) bool {
 }
 
 func (p *projectSink) finish() error {
-	if p.err != nil || p.cb == nil {
+	if p.err == nil && p.cb != nil {
+		p.err = p.cb.flush(p.ctx, p.ctx.ar, &p.rows)
+	}
+	if p.err != nil {
+		p.rows.truncate(0)
 		return p.err
 	}
-	return p.cb.flush(p.ctx, p.ctx.ar, p.out)
+	p.out.Data = p.rows.take()
+	return nil
 }
 
 // joinRows streams the join of a multi-table SELECT into emit, depth
@@ -862,7 +895,7 @@ func cmpSortCells(a, b *sortKeyCell) int {
 type sortEntry struct {
 	src  []sqltypes.Value // source row: aliases storage (scan) or the scratch arena (join)
 	gs   *groupState      // the folded group, for an aggregated statement
-	vals []sqltypes.Value // DISTINCT only: the projected row, in the result arena
+	vals []sqltypes.Value // DISTINCT only: the projected row (the source row itself under storedRows)
 	keys []sortKeyCell
 	seq  int // arrival order: the tie-break that makes the sort stable
 }
@@ -972,8 +1005,12 @@ func (s *sortSink) add(src []sqltypes.Value, gs *groupState) bool {
 	}
 	copy(e.keys, s.cand)
 	if s.seen != nil {
-		e.vals = ctx.ar.alloc(len(s.row))
-		copy(e.vals, s.row)
+		if plan.storedRows {
+			e.vals = src[:len(s.row):len(s.row)]
+		} else {
+			e.vals = ctx.ar.alloc(len(s.row))
+			copy(e.vals, s.row)
+		}
 	}
 	switch {
 	case full:
@@ -1060,7 +1097,7 @@ func (s *sortSink) finish() error {
 		}
 		return nil
 	}
-	p := newProjectSink(s.plan, s.ctx, s.out, 0, -1, len(window))
+	p := newProjectSink(s.plan, s.ctx, s.out, 0, -1)
 	for i := range window {
 		if !p.add(window[i].src, window[i].gs) {
 			break
