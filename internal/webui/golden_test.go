@@ -56,28 +56,7 @@ func TestGoldenResultPages(t *testing.T) {
 	}
 	check := func(user, name, path string) {
 		t.Helper()
-		code, body := ts.get(t, path)
-		if code != 200 {
-			t.Fatalf("%s as %s: status %d", path, user, code)
-		}
-		got := goldenToken.ReplaceAllString(body, "${1}TOKEN${2}")
-		file := filepath.Join("testdata", "golden", name+"."+user+".html")
-		if *updateGolden {
-			if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		want, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatalf("%v (run with -update to record)", err)
-		}
-		if got != string(want) {
-			t.Errorf("%s as %s (%s) differs from %s:\n%s", path, user, name, file, firstDiff(string(want), got))
-		}
+		checkGolden(t, ts, user, name, path, 200)
 	}
 	users := []struct{ name, pass string }{{"guest", "guest"}, {"papiani", "s3cret"}}
 	for _, u := range users {
@@ -112,6 +91,71 @@ func TestGoldenResultPages(t *testing.T) {
 	for _, u := range users {
 		ts.login(t, u.name, u.pass)
 		check(u.name, "query_large_simulation", "/query?table=SIMULATION&all=1")
+	}
+}
+
+// TestGoldenChromePages pins the pages that hold no results table: the
+// QBE form of every visible table as a guest and as a registered user,
+// the home page signed out and signed in, and the 404 page of an
+// unknown table. Regenerate with `go test -run TestGoldenChromePages
+// -update ./internal/webui`.
+func TestGoldenChromePages(t *testing.T) {
+	ts := newSite(t)
+	checkGolden(t, ts, "anonymous", "home", "/", 200)
+	for _, u := range []struct{ name, pass string }{{"guest", "guest"}, {"papiani", "s3cret"}} {
+		ts.login(t, u.name, u.pass)
+		checkGolden(t, ts, u.name, "home", "/", 200)
+		for _, tbl := range ts.archive.Spec().VisibleTables() {
+			checkGolden(t, ts, u.name, "table_"+strings.ToLower(tbl.Name), "/table?name="+tbl.Name, 200)
+		}
+		checkGolden(t, ts, u.name, "table_unknown", "/table?name=NOPE", 404)
+	}
+
+	// The installed spec customised in place, with every character the
+	// escapers rewrite in an alias, a sample and an error message.
+	spec := ts.archive.Spec()
+	for _, err := range []error{
+		spec.SetTableAlias("AUTHOR", `O'Brien & "Sons" <lab> + 1 → é`),
+		spec.SetColumnAlias("AUTHOR", "NAME", "<b>Name</b>\x00"),
+		spec.SetSamples("AUTHOR", "EMAIL", `a<b>@c`, "", `x+y&z="w"`, "\xff\xfe"),
+		spec.SetSamples("AUTHOR", "NAME"),
+		spec.HideColumn("AUTHOR", "ORGANISATION"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGolden(t, ts, "papiani", "home_custom", "/", 200)
+	checkGolden(t, ts, "papiani", "table_author_custom", "/table?name=author", 200)
+	checkGolden(t, ts, "papiani", "table_unknown_markup", "/table?name=%3Cb%3E%26%22x%27%2B%00", 404)
+}
+
+// checkGolden fetches path as user and compares the body byte for byte
+// with testdata/golden/<name>.<user>.html, download tokens masked; with
+// -update it records the body instead.
+func checkGolden(t *testing.T, ts *testSite, user, name, path string, status int) {
+	t.Helper()
+	code, body := ts.get(t, path)
+	if code != status {
+		t.Fatalf("%s as %s: status %d, want %d", path, user, code, status)
+	}
+	got := goldenToken.ReplaceAllString(body, "${1}TOKEN${2}")
+	file := filepath.Join("testdata", "golden", name+"."+user+".html")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s as %s (%s) differs from %s:\n%s", path, user, name, file, firstDiff(string(want), got))
 	}
 }
 
