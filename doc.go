@@ -432,9 +432,17 @@
 // FK substitution looked up once per distinct key. The rows stream
 // through the plan into a buffered writer, escaped byte for byte as
 // html/template would (FuzzEscapersMatchTemplate,
-// TestGoldenResultPages); the templates draw only the page chrome. The turbulence schema
-// (internal/core/schema.go) declares the keys those pages follow —
-// SIMULATION_KEY, AUTHOR_KEY, (FILE_NAME, SIMULATION_KEY) — and each
+// TestGoldenResultPages). The page chrome goes through the same writer:
+// one layout function heads every page, and the QBE form is written
+// straight from the installed XUIS on each request, so an in-place
+// customisation shows on the next render (TestQueryFormFollowsSpec).
+// FuzzChromeMatchesTemplate and TestGoldenChromePages hold the layout,
+// the form and the results chrome to the templates they replaced; only
+// the cold pages (home and errors, operation forms and results, status,
+// upload) still execute a template, for their content alone. The
+// turbulence schema (internal/core/schema.go) declares the keys those
+// pages follow — SIMULATION_KEY, AUTHOR_KEY, (FILE_NAME,
+// SIMULATION_KEY) — and each
 // is served by its own constraint index; named indexes add the
 // foreign-key side of browsing, the TIMESTEP/CREATED range columns and
 // the DATALINK columns, so the DLVALUE(?) equality probe and

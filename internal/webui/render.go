@@ -3,8 +3,10 @@ package webui
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -15,19 +17,41 @@ import (
 	"repro/internal/xuis"
 )
 
-// resultsView is the data the results page's chrome templates see.
-type resultsView struct {
-	Title, Error, Table, TableDisplay string
-	User                              core.User
-	Count                             int
-}
-
 // htmlEscaper escapes exactly as html/template does a string in text
 // and in a quoted attribute (FuzzEscapersMatchTemplate).
 var htmlEscaper = strings.NewReplacer("\x00", "\uFFFD", `"`, "&#34;", "&", "&amp;", "'", "&#39;", "+", "&#43;", "<", "&lt;", ">", "&gt;")
 
-// pageWriters recycles the buffered writers results pages stream through.
+// queryValueEscaper escapes exactly as html/template does a raw string
+// in the query of a quoted href: every byte but RFC 3986's unreserved
+// ones becomes %xx in lowercase hex (FuzzEscapersMatchTemplate).
+var queryValueEscaper = func() *strings.Replacer {
+	var oldnew []string
+	for c := 0; c < 256; c++ {
+		b := byte(c)
+		if 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z' || '0' <= b && b <= '9' || strings.IndexByte("-._~", b) >= 0 {
+			continue
+		}
+		oldnew = append(oldnew, string([]byte{b}), fmt.Sprintf("%%%02x", b))
+	}
+	return strings.NewReplacer(oldnew...)
+}()
+
+// pageWriters recycles the buffered writers pages stream through.
 var pageWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 8<<10) }}
+
+// pageWriter returns a pooled writer onto w; finishPage flushes it and
+// gives it back.
+func pageWriter(w io.Writer) *bufio.Writer {
+	bw := pageWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
+}
+
+func finishPage(bw *bufio.Writer) {
+	_ = bw.Flush() // a failed write is a client gone away: nothing left to tell it
+	bw.Reset(nil)
+	pageWriters.Put(bw)
+}
 
 // link is a hyperlink beside a cell's text, its href completed by the value.
 type link struct{ href, label string }
@@ -37,12 +61,12 @@ type link struct{ href, label string }
 // cost a lookup per column, not per cell. It is built per request: a
 // plan over a handful of columns costs less than keeping a cache fresh.
 type pagePlan struct {
-	view resultsView
-	a    *core.Archive
-	rs   *core.ResultSet
-	u    core.User
-	eng  *ops.Engine
-	cols []colPlan
+	display string // the table's name as the XUIS shows it
+	a       *core.Archive
+	rs      *core.ResultSet
+	u       core.User
+	eng     *ops.Engine
+	cols    []colPlan
 
 	// keyCols are the result positions of the primary key in pk_<COLUMN>
 	// order; nil unless the result carries the whole key.
@@ -82,15 +106,13 @@ func (f *fkSubst) lookup(a *core.Archive, key string) string {
 
 // planPage compiles the results page for rs as seen by u.
 func planPage(a *core.Archive, rs *core.ResultSet, u core.User) *pagePlan {
-	p := &pagePlan{a: a, rs: rs, u: u, eng: a.Ops(), keyRow: -1, cols: make([]colPlan, len(rs.Columns))}
-	p.view = resultsView{User: u, Table: rs.Table, TableDisplay: rs.Table, Count: len(rs.Rows)}
+	p := &pagePlan{display: rs.Table, a: a, rs: rs, u: u, eng: a.Ops(), keyRow: -1, cols: make([]colPlan, len(rs.Columns))}
 	specTable := &xuis.Table{} // no XUIS: raw names, no links
 	if spec := a.Spec(); spec != nil {
 		if t, ok := spec.Table(rs.Table); ok {
-			specTable, p.view.TableDisplay = t, t.DisplayName()
+			specTable, p.display = t, t.DisplayName()
 		}
 	}
-	p.view.Title = "Results from " + p.view.TableDisplay
 	schema, _ := a.DB.Catalog().Table(rs.Table)
 	for j, name := range rs.Columns {
 		c := &p.cols[j]
@@ -137,8 +159,15 @@ func browseHref(mode, table, col string) string {
 	return "/browse?col=" + url.QueryEscape(col) + "&mode=" + mode + "&table=" + url.QueryEscape(table) + "&value="
 }
 
-// writeTable writes the header cells, then streams every row.
-func (p *pagePlan) writeTable(w *bufio.Writer) {
+// writePage writes the whole results page: the layout head, the header
+// cells, every row, and the foot.
+func (p *pagePlan) writePage(w *bufio.Writer) {
+	writePageHead(w, "Results from "+p.display, p.u, "")
+	w.WriteString("\n<p class=\"meta\">")
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(len(p.rs.Rows)), 10))
+	w.WriteString(" row(s) from ")
+	htmlEscaper.WriteString(w, p.display)
+	w.WriteString(".</p>\n<table class=\"results\">\n<tr>")
 	for _, c := range p.cols {
 		w.WriteString("<th>")
 		htmlEscaper.WriteString(w, c.header)
@@ -154,6 +183,11 @@ func (p *pagePlan) writeTable(w *bufio.Writer) {
 		}
 		w.WriteString("\n</tr>\n")
 	}
+	w.WriteString("\n</table>\n<p><a href=\"/table?name=")
+	queryValueEscaper.WriteString(w, p.rs.Table)
+	w.WriteString(`">New search on `)
+	htmlEscaper.WriteString(w, p.display)
+	w.WriteString("</a> | <a href=\"/\">Home</a></p>\n" + pageFoot)
 }
 
 func (p *pagePlan) writeCell(w *bufio.Writer, i int, row []sqltypes.Value, c *colPlan, v sqltypes.Value) {
@@ -250,42 +284,82 @@ func (p *pagePlan) rowKey(i int, row []sqltypes.Value) string {
 	return p.key
 }
 
-// queryFormView feeds the QBE form template.
-type queryFormView struct {
-	Title     string
-	User      core.User
-	Error     string
-	Table     string
-	Fields    []formField
-	Operators []string
-}
-
-type formField struct {
-	Name    string
-	Display string
-	Samples []string
-}
-
-var formOperators = []string{"=", "<>", "<", "<=", ">", ">=", "LIKE", "CONTAINS", "STARTS"}
-
-// buildQueryForm assembles the QBE form for one table from the XUIS.
-func buildQueryForm(spec *xuis.Spec, table string, u core.User) (*queryFormView, error) {
-	t, ok := spec.Table(table)
-	if !ok || t.Hidden {
-		return nil, fmt.Errorf("webui: unknown table %s", table)
+// operatorOptions are the QBE form's operator choices, escaped once.
+var operatorOptions = func() string {
+	var b strings.Builder
+	for _, op := range []string{"=", "<>", "<", "<=", ">", ">=", "LIKE", "CONTAINS", "STARTS"} {
+		b.WriteString("<option>" + htmlEscaper.Replace(op) + "</option>")
 	}
-	view := &queryFormView{
-		Title:     "Query " + t.DisplayName(),
-		User:      u,
-		Table:     t.Name,
-		Operators: formOperators,
-	}
-	for _, c := range t.VisibleColumns() {
-		f := formField{Name: c.Name, Display: c.DisplayName()}
-		if c.Samples != nil {
-			f.Samples = c.Samples.Values
+	return b.String()
+}()
+
+// writeQueryForm writes the QBE form page for t, read from the XUIS as
+// it stands: a field per visible column with its operators and samples,
+// then the ordering and limit controls.
+func writeQueryForm(w *bufio.Writer, t *xuis.Table, u core.User) {
+	writePageHead(w, "Query "+t.DisplayName(), u, "")
+	w.WriteString(`
+<p>Select the fields to be returned and add optional restrictions.
+Wildcards (%, _) are allowed with the LIKE operator.</p>
+<form class="qbe" method="GET" action="/query">
+<input type="hidden" name="table" value="`)
+	htmlEscaper.WriteString(w, t.Name)
+	w.WriteString(`">
+<table class="results">
+<tr><th>Return</th><th>Field</th><th>Operator</th><th>Restriction</th><th>Sample values</th></tr>
+`)
+	cols := t.VisibleColumns()
+	for _, c := range cols {
+		w.WriteString("\n<tr>\n <td><input type=\"checkbox\" name=\"sel\" value=\"")
+		htmlEscaper.WriteString(w, c.Name)
+		w.WriteString("\" checked></td>\n <td>")
+		htmlEscaper.WriteString(w, c.DisplayName())
+		w.WriteString("</td>\n <td>\n  <select name=\"op_")
+		htmlEscaper.WriteString(w, c.Name)
+		w.WriteString("\">\n   ")
+		w.WriteString(operatorOptions)
+		w.WriteString("\n  </select>\n </td>\n <td><input name=\"val_")
+		htmlEscaper.WriteString(w, c.Name)
+		w.WriteString(`" list="dl_`)
+		htmlEscaper.WriteString(w, c.Name)
+		w.WriteString("\"></td>\n <td>\n  ")
+		if c.Samples != nil && len(c.Samples.Values) > 0 {
+			w.WriteString("\n  <datalist id=\"dl_")
+			htmlEscaper.WriteString(w, c.Name)
+			w.WriteString("\">\n   ")
+			for _, s := range c.Samples.Values {
+				w.WriteString(`<option value="`)
+				htmlEscaper.WriteString(w, s)
+				w.WriteString(`">`)
+			}
+			w.WriteString("\n  </datalist>\n  <span class=\"meta\">")
+			for i, s := range c.Samples.Values {
+				if i > 0 {
+					w.WriteString(", ")
+				}
+				htmlEscaper.WriteString(w, s)
+			}
+			w.WriteString("</span>\n  ")
 		}
-		view.Fields = append(view.Fields, f)
+		w.WriteString("\n </td>\n</tr>\n")
 	}
-	return view, nil
+	w.WriteString(`
+</table>
+<p><label>Order by
+ <select name="orderby"><option value=""></option>
+  `)
+	for _, c := range cols {
+		w.WriteString(`<option value="`)
+		htmlEscaper.WriteString(w, c.Name)
+		w.WriteString(`">`)
+		htmlEscaper.WriteString(w, c.DisplayName())
+		w.WriteString("</option>")
+	}
+	w.WriteString(`
+ </select></label>
+ <label><input type="checkbox" name="desc" value="1"> descending</label>
+ <label>Limit <input name="limit" size="5"></label>
+ <button type="submit">Search</button></p>
+</form>
+` + pageFoot)
 }

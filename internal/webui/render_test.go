@@ -8,13 +8,15 @@ import (
 )
 
 // escapeOracle renders s the way the results template used to: as a
-// text node, and as the query value of an href built with url.Values.
-var escapeOracle = template.Must(template.New("t").Parse(`{{.Text}}|<a href="{{.Href}}">`))
+// text node, as the query value of an href built with url.Values, and
+// as a raw value in an href's query (the foot's /table?name= link).
+var escapeOracle = template.Must(template.New("t").Parse(`{{.Text}}|<a href="{{.Href}}">|<a href="/table?name={{.Raw}}">`))
 
 // FuzzEscapersMatchTemplate: the page writer's escaper produces the
-// bytes html/template produces for the same string, in text and in a
-// quoted href holding a query-encoded value — including NUL, invalid
-// UTF-8 and every character either context rewrites.
+// bytes html/template produces for the same string, in text, in a
+// quoted href holding a query-encoded value and in a quoted href's query
+// holding the raw value — including NUL, invalid UTF-8 and every
+// character any of the contexts rewrites.
 func FuzzEscapersMatchTemplate(f *testing.F) {
 	for _, s := range []string{
 		"", "plain", `O'Brien & "Sons" <lab> + 1`, "a b+c=d&e?f/g#h%i", "→ é ü", "\x00nul", "\xff\xfe bad utf8",
@@ -22,12 +24,15 @@ func FuzzEscapersMatchTemplate(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	f.Add("%41%zz!#$&'()*+,/:;=?@[]")
+	f.Add("\x7f\x80 \t\n")
 	f.Fuzz(func(t *testing.T, s string) {
 		var want strings.Builder
-		if err := escapeOracle.Execute(&want, struct{ Text, Href string }{s, "/x?v=" + url.QueryEscape(s)}); err != nil {
+		if err := escapeOracle.Execute(&want, struct{ Text, Href, Raw string }{s, "/x?v=" + url.QueryEscape(s), s}); err != nil {
 			t.Skip(err)
 		}
-		got := htmlEscaper.Replace(s) + `|<a href="` + htmlEscaper.Replace("/x?v="+url.QueryEscape(s)) + `">`
+		got := htmlEscaper.Replace(s) + `|<a href="` + htmlEscaper.Replace("/x?v="+url.QueryEscape(s)) + `">` +
+			`|<a href="/table?name=` + queryValueEscaper.Replace(s) + `">`
 		if got != want.String() {
 			t.Fatalf("escaping %q:\n got %q\nwant %q", s, got, want.String())
 		}

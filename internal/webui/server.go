@@ -1,7 +1,6 @@
 package webui
 
 import (
-	"bufio"
 	"cmp"
 	"crypto/rand"
 	"encoding/hex"
@@ -29,8 +28,14 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]core.User
-	runs     map[string]*ops.Result // recent operation results for /opfile
-	runSeq   int
+	runs     map[string]retainedRun // recent operation results for /opfile
+}
+
+// retainedRun is an operation result kept for /opfile, which serves its
+// files to the user who ran it and to nobody else.
+type retainedRun struct {
+	user string
+	res  *ops.Result
 }
 
 // NewServer builds the HTTP front end.
@@ -39,7 +44,7 @@ func NewServer(a *core.Archive) *Server {
 		archive:  a,
 		mux:      http.NewServeMux(),
 		sessions: map[string]core.User{},
-		runs:     map[string]*ops.Result{},
+		runs:     map[string]retainedRun{},
 	}
 	s.mux.HandleFunc("/", s.handleHome)
 	s.mux.HandleFunc("/login", s.handleLogin)
@@ -105,7 +110,7 @@ func (s *Server) withUser(h func(http.ResponseWriter, *http.Request, core.User))
 
 func (s *Server) renderError(w http.ResponseWriter, u core.User, status int, msg string) {
 	w.WriteHeader(status)
-	_ = homeTmpl.Execute(w, homeView{Title: "Error", User: u, Error: msg})
+	writeTemplatePage(w, "Error", u, msg, homeTmpl, homeView{User: u})
 }
 
 // ---------- pages ----------
@@ -117,9 +122,7 @@ type tableEntry struct {
 
 // homeView feeds the home page, which also renders errors.
 type homeView struct {
-	Title  string
 	User   core.User
-	Error  string
 	Tables []tableEntry
 }
 
@@ -135,7 +138,7 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 			tables = append(tables, tableEntry{Name: t.Name, Display: t.DisplayName()})
 		}
 	}
-	_ = homeTmpl.Execute(w, homeView{Title: "Scientific Data Archive", User: u, Tables: tables})
+	writeTemplatePage(w, "Scientific Data Archive", u, "", homeTmpl, homeView{User: u, Tables: tables})
 }
 
 func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
@@ -168,12 +171,15 @@ func (s *Server) handleQueryForm(w http.ResponseWriter, r *http.Request, u core.
 		s.renderError(w, u, http.StatusServiceUnavailable, "no XUIS installed")
 		return
 	}
-	view, err := buildQueryForm(spec, r.URL.Query().Get("name"), u)
-	if err != nil {
-		s.renderError(w, u, http.StatusNotFound, err.Error())
+	name := r.URL.Query().Get("name")
+	t, ok := spec.Table(name)
+	if !ok || t.Hidden {
+		s.renderError(w, u, http.StatusNotFound, "webui: unknown table "+name)
 		return
 	}
-	_ = queryFormTmpl.Execute(w, view)
+	bw := pageWriter(w)
+	writeQueryForm(bw, t, u)
+	finishPage(bw)
 }
 
 // handleQuery translates the QBE form submission and renders results.
@@ -237,19 +243,13 @@ func formRestrictions(a *core.Archive, table string, form url.Values) []core.Res
 	return out
 }
 
-// renderResults streams a results page: the chrome through templates,
-// the rows through a column plan; the result is closed after them.
+// renderResults streams a results page through its column plan; the
+// result is closed after it.
 func (s *Server) renderResults(w http.ResponseWriter, rs *core.ResultSet, u core.User) {
 	defer rs.Close()
-	p := planPage(s.archive, rs, u)
-	bw := pageWriters.Get().(*bufio.Writer)
-	bw.Reset(w)
-	_ = resultsHeadTmpl.Execute(bw, &p.view)
-	p.writeTable(bw)
-	_ = resultsFootTmpl.Execute(bw, &p.view)
-	_ = bw.Flush() // a failed write is a client gone away: nothing left to tell it
-	bw.Reset(nil)
-	pageWriters.Put(bw)
+	bw := pageWriter(w)
+	planPage(s.archive, rs, u).writePage(bw)
+	finishPage(bw)
 }
 
 // handleBrowse serves both browsing modes.
@@ -339,10 +339,9 @@ func pkParams(q url.Values) map[string]string {
 
 // opFormView feeds the operation parameter and code upload forms.
 type opFormView struct {
-	Title, Error, Op, ColID, Table, File, Description string
-	User                                              core.User
-	Key                                               map[string]string
-	Params                                            []xuis.Variable
+	Op, ColID, Table, File, Description string
+	Key                                 map[string]string
+	Params                              []xuis.Variable
 }
 
 // handleOpForm renders the parameter form generated from XUIS markup.
@@ -378,16 +377,13 @@ func (s *Server) handleOpForm(w http.ResponseWriter, r *http.Request, u core.Use
 		s.renderError(w, u, http.StatusNotFound, "unknown operation")
 		return
 	}
-	view := opFormView{
-		Title: "Run " + op.Name, User: u, Op: op.Name, ColID: colID, Table: table,
-		Description: op.Description, Key: key,
-	}
+	view := opFormView{Op: op.Name, ColID: colID, Table: table, Description: op.Description, Key: key}
 	if op.Parameters != nil {
 		for _, p := range op.Parameters.Params {
 			view.Params = append(view.Params, p.Variable)
 		}
 	}
-	_ = opFormTmpl.Execute(w, view)
+	writeTemplatePage(w, "Run "+op.Name, u, "", opFormTmpl, view)
 }
 
 // handleOpRun executes the operation and renders its result.
@@ -418,10 +414,9 @@ type opFileEntry struct {
 }
 
 func (s *Server) renderOpResult(w http.ResponseWriter, res *ops.Result, u core.User) {
+	runID := rand.Text() // 130 random bits: nobody reaches a run by guessing
 	s.mu.Lock()
-	s.runSeq++
-	runID := fmt.Sprintf("r%06d", s.runSeq)
-	s.runs[runID] = res
+	s.runs[runID] = retainedRun{u.Name, res}
 	// Bound the retained results.
 	if len(s.runs) > 64 {
 		for k := range s.runs {
@@ -436,10 +431,7 @@ func (s *Server) renderOpResult(w http.ResponseWriter, res *ops.Result, u core.U
 	for _, f := range res.Files {
 		files = append(files, opFileEntry{Name: f.Name, Size: len(f.Data)})
 	}
-	_ = opResultTmpl.Execute(w, struct {
-		Title     string
-		User      core.User
-		Error     string
+	writeTemplatePage(w, "Operation output", u, "", opResultTmpl, struct {
 		Op        string
 		Elapsed   string
 		Steps     int64
@@ -449,24 +441,25 @@ func (s *Server) renderOpResult(w http.ResponseWriter, res *ops.Result, u core.U
 		BatchPlan string
 		RunID     string
 	}{
-		Title: "Operation output", User: u, Op: res.Operation,
+		Op:      res.Operation,
 		Elapsed: res.Elapsed.String(), Steps: res.Steps, FromCache: res.FromCache,
 		Stdout: res.Stdout, Files: files, BatchPlan: res.BatchPlan, RunID: runID,
 	})
 }
 
-// handleOpFile serves one artefact of a recent operation run.
+// handleOpFile serves one artefact of a recent operation run to the
+// user who ran it; to anyone else the run does not exist.
 func (s *Server) handleOpFile(w http.ResponseWriter, r *http.Request, u core.User) {
 	q := r.URL.Query()
 	s.mu.Lock()
-	res, ok := s.runs[q.Get("run")]
+	run, ok := s.runs[q.Get("run")]
 	s.mu.Unlock()
-	if !ok {
+	if !ok || run.user != u.Name {
 		http.NotFound(w, r)
 		return
 	}
 	name := q.Get("name")
-	for _, f := range res.Files {
+	for _, f := range run.res.Files {
 		if f.Name == name {
 			w.Header().Set("Content-Type", mimeFor(name))
 			w.Write(f.Data)
@@ -492,7 +485,7 @@ func mimeFor(name string) string {
 func (s *Server) handleUploadForm(w http.ResponseWriter, r *http.Request, u core.User) {
 	_, colID, table, key := s.opFromRequest(r)
 	file := key["FILE_NAME"]
-	_ = uploadFormTmpl.Execute(w, opFormView{Title: "Upload post-processing code", User: u, ColID: colID, Table: table, File: file, Key: key})
+	writeTemplatePage(w, "Upload post-processing code", u, "", uploadFormTmpl, opFormView{ColID: colID, Table: table, File: file, Key: key})
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, u core.User) {
@@ -652,15 +645,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, u core.Use
 	for i, h := range hs {
 		hosts[i] = statusHost{HostStatus: h, MetricRows: hostSummary(h.Metrics)}
 	}
-	_ = statusTmpl.Execute(w, struct {
-		Title  string
-		User   core.User
-		Error  string
+	writeTemplatePage(w, "File-server status", u, "", statusTmpl, struct {
 		Engine []statusMetric
 		Hosts  []statusHost
 	}{
-		Title:  "File-server status",
-		User:   u,
 		Engine: engineSummary(s.archive.DB.MetricsSnapshot()),
 		Hosts:  hosts,
 	})

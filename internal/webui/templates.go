@@ -4,18 +4,23 @@
 // modes (primary key, foreign key, BLOB/CLOB rematerialisation and
 // DATALINK download), operation parameter forms generated from XUIS
 // markup, code upload, and session-based user management with the
-// guest policy from the demo. Every page is a template over one layout
-// but the results table, which streams through a column plan
-// (render.go) between the chrome of resultsHeadTmpl and resultsFootTmpl.
+// guest policy from the demo. One writer draws the layout around every
+// page (writePageHead, pageFoot). The pages of a visit — the query form
+// and the results table — are written straight through it (render.go);
+// the rest execute a content template between its head and foot.
 package webui
 
-import "html/template"
+import (
+	"bufio"
+	"html/template"
+	"io"
 
-// pageHead and pageFoot are the layout around every page's content.
-const pageHead = `<!DOCTYPE html>
-<html>
-<head>
-<title>{{.Title}} — EASIA</title>
+	"repro/internal/core"
+)
+
+// pageStyle is the fixed part of the layout between the title and the
+// sign-in line.
+const pageStyle = ` — EASIA</title>
 <style>
 body { font-family: sans-serif; margin: 1.5em; }
 table.results { border-collapse: collapse; }
@@ -30,26 +35,56 @@ pre.output { background: #f4f4f4; padding: 8px; border: 1px solid #ccc; }
 <body>
 <p class="meta">
 EASIA — Extensible Architecture for Scientific Information Archives
-{{if .User.Name}} | user: <b>{{.User.Name}}</b>{{if .User.Guest}} (guest){{end}}
- | <a href="/logout">logout</a>{{else}} | <a href="/">login</a>{{end}}
-</p>
-<h1>{{.Title}}</h1>
-{{if .Error}}<p class="err">{{.Error}}</p>{{end}}
 `
 
+// pageFoot closes every page.
 const pageFoot = "\n</body>\n</html>\n"
 
-// pageTmpl is the shared layout; every page executes one of the named
-// content templates defined below.
-var pageTmpl = template.Must(template.New("page").Parse(pageHead + `{{template "content" .}}` + pageFoot))
-
-func mustDefine(name, text string) *template.Template {
-	t := template.Must(pageTmpl.Clone())
-	template.Must(t.New("content").Parse(text))
-	return t // executing t renders the full "page" layout
+// writePageHead writes the layout above every page's content: the
+// document head, who is signed in, the title and any error.
+func writePageHead(w *bufio.Writer, title string, u core.User, errMsg string) {
+	w.WriteString("<!DOCTYPE html>\n<html>\n<head>\n<title>")
+	htmlEscaper.WriteString(w, title)
+	w.WriteString(pageStyle)
+	if u.Name != "" {
+		w.WriteString(" | user: <b>")
+		htmlEscaper.WriteString(w, u.Name)
+		w.WriteString("</b>")
+		if u.Guest {
+			w.WriteString(" (guest)")
+		}
+		w.WriteString("\n | <a href=\"/logout\">logout</a>")
+	} else {
+		w.WriteString(` | <a href="/">login</a>`)
+	}
+	w.WriteString("\n</p>\n<h1>")
+	htmlEscaper.WriteString(w, title)
+	w.WriteString("</h1>\n")
+	if errMsg != "" {
+		w.WriteString(`<p class="err">`)
+		htmlEscaper.WriteString(w, errMsg)
+		w.WriteString("</p>")
+	}
+	w.WriteString("\n")
 }
 
-var homeTmpl = mustDefine("home", `
+// writeTemplatePage writes a page whose content is a template: the
+// layout head, content executed over data, the layout foot.
+func writeTemplatePage(w io.Writer, title string, u core.User, errMsg string, content *template.Template, data any) {
+	bw := pageWriter(w)
+	writePageHead(bw, title, u, errMsg)
+	_ = content.Execute(bw, data) // fails only on a write, as finishPage's Flush does
+	bw.WriteString(pageFoot)
+	finishPage(bw)
+}
+
+// mustContent parses the content template of a page drawn by
+// writeTemplatePage.
+func mustContent(name, text string) *template.Template {
+	return template.Must(template.New(name).Parse(text))
+}
+
+var homeTmpl = mustContent("home", `
 {{if not .User.Name}}
 <h2>Login</h2>
 <form method="POST" action="/login">
@@ -70,55 +105,7 @@ var homeTmpl = mustDefine("home", `
 {{end}}
 `)
 
-var queryFormTmpl = mustDefine("queryform", `
-<p>Select the fields to be returned and add optional restrictions.
-Wildcards (%, _) are allowed with the LIKE operator.</p>
-<form class="qbe" method="GET" action="/query">
-<input type="hidden" name="table" value="{{.Table}}">
-<table class="results">
-<tr><th>Return</th><th>Field</th><th>Operator</th><th>Restriction</th><th>Sample values</th></tr>
-{{range .Fields}}
-<tr>
- <td><input type="checkbox" name="sel" value="{{.Name}}" checked></td>
- <td>{{.Display}}</td>
- <td>
-  <select name="op_{{.Name}}">
-   {{range $.Operators}}<option>{{.}}</option>{{end}}
-  </select>
- </td>
- <td><input name="val_{{.Name}}" list="dl_{{.Name}}"></td>
- <td>
-  {{if .Samples}}
-  <datalist id="dl_{{.Name}}">
-   {{range .Samples}}<option value="{{.}}">{{end}}
-  </datalist>
-  <span class="meta">{{range $i, $s := .Samples}}{{if $i}}, {{end}}{{$s}}{{end}}</span>
-  {{end}}
- </td>
-</tr>
-{{end}}
-</table>
-<p><label>Order by
- <select name="orderby"><option value=""></option>
-  {{range .Fields}}<option value="{{.Name}}">{{.Display}}</option>{{end}}
- </select></label>
- <label><input type="checkbox" name="desc" value="1"> descending</label>
- <label>Limit <input name="limit" size="5"></label>
- <button type="submit">Search</button></p>
-</form>
-`)
-
-// resultsHeadTmpl and resultsFootTmpl frame the streamed results table.
-var resultsHeadTmpl = template.Must(template.New("results").Parse(pageHead + `
-<p class="meta">{{.Count}} row(s) from {{.TableDisplay}}.</p>
-<table class="results">
-<tr>`))
-var resultsFootTmpl = template.Must(template.New("resultsfoot").Parse(`
-</table>
-<p><a href="/table?name={{.Table}}">New search on {{.TableDisplay}}</a> | <a href="/">Home</a></p>
-` + pageFoot))
-
-var opFormTmpl = mustDefine("opform", `
+var opFormTmpl = mustContent("opform", `
 <p>{{.Description}}</p>
 <form method="POST" action="/oprun">
 <input type="hidden" name="op" value="{{.Op}}">
@@ -141,7 +128,7 @@ var opFormTmpl = mustDefine("opform", `
 </form>
 `)
 
-var opResultTmpl = mustDefine("opresult", `
+var opResultTmpl = mustContent("opresult", `
 <p class="meta">operation {{.Op}} finished in {{.Elapsed}}
  ({{.Steps}} interpreter steps{{if .FromCache}}, served from cache{{end}}).</p>
 {{if .Stdout}}<h2>Output</h2><pre class="output">{{.Stdout}}</pre>{{end}}
@@ -156,7 +143,7 @@ var opResultTmpl = mustDefine("opresult", `
 <p><a href="/">Home</a></p>
 `)
 
-var statusTmpl = mustDefine("status", `
+var statusTmpl = mustContent("status", `
 <p class="meta">Replication health of the registered file-server hosts
 (the DATALINK tier behind the archive's download links) and the
 archive's telemetry headlines. The full Prometheus exposition is at
@@ -189,7 +176,7 @@ archive's telemetry headlines. The full Prometheus exposition is at
 <p><a href="/">Home</a></p>
 `)
 
-var uploadFormTmpl = mustDefine("uploadform", `
+var uploadFormTmpl = mustContent("uploadform", `
 <p>Upload post-processing code for secure server-side execution against
 <b>{{.File}}</b>. The code must accept the dataset filename in the
 variable <code>filename</code> and write output to relative filenames.</p>
