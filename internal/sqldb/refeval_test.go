@@ -753,6 +753,7 @@ func TestReferenceEvaluatorProperty(t *testing.T) {
 		n = 300
 	}
 	rowsSeen, errs, farOrdered := 0, 0, 0
+	grouped := map[string]int{} // grouped statements by strategy (groupStrategy)
 	for i := 0; i < n; i++ {
 		if i%8 == 7 {
 			mustExec(t, db, `UPDATE C SET K = ? WHERE CID = ?`, sqltypes.NewInt(int64(dml.Intn(6))), sqltypes.NewInt(int64(dml.Intn(40))))
@@ -761,8 +762,12 @@ func TestReferenceEvaluatorProperty(t *testing.T) {
 		}
 		sh := genShape(rng)
 		if st, err := db.Prepare(sh.sql); err == nil {
-			if p, _ := st.AccessPath(); strings.Contains(p, "(C.BIG) order") {
+			p, _ := st.AccessPath()
+			if strings.Contains(p, "(C.BIG) order") {
 				farOrdered++
+			}
+			if strings.Contains(sh.sql, " GROUP BY ") {
+				grouped[groupStrategy(sh.sql, p)]++
 			}
 		}
 		if res := ref.check(t, sh.sql, sh.args...); res != nil {
@@ -782,4 +787,33 @@ func TestReferenceEvaluatorProperty(t *testing.T) {
 	if farOrdered == 0 {
 		t.Fatal("no statement was an ORDER BY served by C_BIG: the far-key order leg is vacuous")
 	}
+	total := 0
+	for _, c := range grouped {
+		total += c
+	}
+	t.Logf("grouped statements by strategy: %v", grouped)
+	if total < n/8 {
+		t.Fatalf("%d of %d statements grouped: the grouped-fold leg is vacuous", total, n)
+	}
+}
+
+// groupStrategy names how a grouped statement reaches its groups: the
+// strategy word AccessPath renders after the access path, its column
+// list dropped, plus " index-only" when the groups fold from index keys,
+// and " limit" for a LIMIT window with no HAVING, ORDER BY or DISTINCT
+// reshaping the group list (the shape a fold may stop early on).
+func groupStrategy(sql, path string) string {
+	f := strings.Fields(path)
+	if len(f) < 2 {
+		return path
+	}
+	s, _, _ := strings.Cut(f[1], "(")
+	if len(f) > 2 && f[2] == "index-only" {
+		s += " index-only"
+	}
+	if strings.Contains(sql, " LIMIT ") && !strings.Contains(sql, " HAVING ") &&
+		!strings.Contains(sql, " ORDER BY ") && !strings.Contains(sql, "SELECT DISTINCT ") {
+		s += " limit"
+	}
+	return s
 }
