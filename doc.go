@@ -97,28 +97,28 @@
 //     them over — a scan's rows and a join's alike — and are never
 //     retained: grouped state is O(groups), and the groups HAVING
 //     keeps take the rows' place in front of the sink.
-//     Grouping picks the cheapest strategy the plan allows: when the
-//     chosen ordered index emits rows clustered by the GROUP BY
-//     columns (leading-prefix match with equality-constant skipping,
-//     or an index selected expressly for the GROUP BY), groups close
-//     one at a time with O(groups) state and no hash table
-//     ("group-ordered" in Stmt.AccessPath); otherwise groups hash on
-//     the index-key encoding of their keys ("hash-agg"), which keeps
+//     Every GROUP BY groups one way ("hash-agg" in Stmt.AccessPath):
+//     groups hash on the index-key encoding of their keys, which keeps
 //     NULL, '' and 0 vs '0' in distinct groups and INTEGER 1 and
 //     DOUBLE 1 in one (DISTINCT keys on the same encoding), and
-//     allocates a key string only when a group first appears. When the path is
-//     additionally residual-free and every aggregate argument is an
-//     index column, whole groups fold from the index KEYS — COUNT adds
-//     the key's visible-posting count, SUM adds the decoded value once
-//     per row it stands for (identical double rounding), MIN/MAX compare
-//     the decoded component — reading zero heap rows (" index-only",
-//     asserted via DB.HeapRowReads). There is one executor:
-//     every strategy is held to a naive reference evaluator
+//     allocates a key string only when a group first appears. An
+//     integer SUM whose exact value leaves the BIGINT range fails
+//     ("SUM out of BIGINT range") instead of wrapping; like every fold
+//     error, only a group HAVING keeps raises it
+//     (TestIntegerSumOutOfRange). The index-clustered group fold and
+//     the grouped fold off index keys were deleted once they stopped
+//     paying: the report's rollup is cheaper on the heap
+//     (BenchmarkRollup). Knowingly lost with them: a GROUP BY ... LIMIT
+//     with no ORDER BY folds every source row instead of stopping at
+//     the last group wanted; a path the WHERE clause clusters by group
+//     folds through the hash table too (measured no slower); and the
+//     groups of a GROUP BY with no ORDER BY come out in first-seen
+//     order, not index order, an order SQL leaves unspecified. The
+//     fold is held to a naive reference evaluator
 //     (internal/sqldb/refeval_test.go — nested loops over table
 //     snapshots, pairwise grouping, sort.SliceStable) over hand-written
 //     and generated statements, with index paths on and under
-//     SetFullScanOnly (BenchmarkAblation_GroupPushdown tracks the two
-//     fold strategies on a 100k-row, 400-group rollup).
+//     SetFullScanOnly.
 //
 //   - Index-only aggregates. When a single-table COUNT/MIN/MAX query's
 //     WHERE clause is consumed exactly by the chosen path (no residual

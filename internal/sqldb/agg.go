@@ -1,8 +1,8 @@
 package sqldb
 
 import (
-	"bytes"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sqltypes"
 )
@@ -14,26 +14,19 @@ import (
 // per slot (aggAccum), and each source row — of a scan or of a join — is
 // folded into its group's accumulators as the row source hands it over
 // (runSelectAt). The groups HAVING keeps then take the rows' place in
-// front of the statement's sink. Two grouping strategies share the fold:
+// front of the statement's sink.
 //
-//   - streaming ("group-ordered" in Stmt.AccessPath): when the chosen
-//     ordered index emits rows clustered by the GROUP BY columns
-//     (pathClustersGroups in planner.go — equality-constant columns are
-//     skipped exactly like ORDER BY satisfaction does), consecutive
-//     equal group keys form one run, so the folder keeps a single open
-//     group and O(groups) total state, never a hash table.
-//
-//   - hash aggregation ("hash-agg"): arbitrary input order; groups live
-//     in a map keyed by the tuple's index-key encoding (key.go). The
-//     per-row lookup converts the scratch key buffer with a
-//     no-allocation map access; a key string is allocated only when a
-//     new group first appears.
+// One strategy reaches the groups of every GROUP BY ("hash-agg" in
+// Stmt.AccessPath), whatever order the source emits rows in: groups live
+// in a map keyed by the tuple's index-key encoding (key.go). The per-row
+// lookup converts the scratch key buffer with a no-allocation map
+// access; a key string is allocated only when a new group first appears.
+// Groups come out in first-seen order, which SQL leaves unspecified, and
+// the fold reads every source row even under a LIMIT.
 //
 // Group identity is that encoding of the evaluated GROUP BY expressions,
 // so NULL, '' and 0 vs '0' land in distinct groups (class tags differ)
 // and INTEGER 1 and DOUBLE 1 in one (sqltypes.Compare calls them equal).
-// An index orders its keys by the same encoding, so a run of equal keys
-// in index order is exactly one group.
 
 // aggCall is one aggregate invocation appearing in the projection,
 // HAVING or bound ORDER BY of an aggregated SELECT. Collected once at
@@ -57,6 +50,7 @@ type aggAccum struct {
 	sumF    float64
 	sumI    int64
 	allInt  bool
+	sumHi   int64 // high word of the 128-bit integer sum; sumI is the low word
 	minV    sqltypes.Value
 	maxV    sqltypes.Value
 	started bool
@@ -165,63 +159,51 @@ func (plan *selectPlan) foldRow(gs *groupState, row []sqltypes.Value, ctx *evalC
 		if v.IsNull() {
 			continue
 		}
-		foldValue(acc, c.fn, v, 1)
-	}
-}
-
-// foldValue folds one non-NULL argument value, repeated n times (n > 1
-// only for the index-key fold, where one key stands for n identical
-// rows), into the accumulator. Shared by the row fold and the
-// index-only grouped fold so their semantics cannot drift. SUM/AVG add
-// the double image n times rather than multiplying — that is what
-// folding the n rows one by one does, and f*n rounds differently (e.g.
-// ten rows of 0.1).
-func foldValue(acc *aggAccum, fn string, v sqltypes.Value, n int64) {
-	acc.count += n
-	switch fn {
-	case "COUNT":
-	case "SUM", "AVG":
-		f, ok := v.AsDouble()
-		if !ok {
-			if acc.err == nil {
-				acc.err = fmt.Errorf("sqldb: %s over non-numeric value", fn)
+		acc.count++
+		switch c.fn {
+		case "SUM", "AVG":
+			f, ok := v.AsDouble()
+			if !ok {
+				if acc.err == nil {
+					acc.err = fmt.Errorf("sqldb: %s over non-numeric value", c.fn)
+				}
+				continue
 			}
-			return
-		}
-		for i := int64(0); i < n; i++ {
 			acc.sumF += f
-		}
-		if v.Kind() == sqltypes.KindInt {
-			acc.sumI += v.Int() * n
-		} else {
-			acc.allInt = false
-		}
-	case "MIN":
-		// fn is fixed per slot, so only the extremum finalize reads is
-		// maintained (one Compare per row, not two).
-		if !acc.started {
-			acc.minV = v
-			acc.started = true
-			return
-		}
-		if cmp, ok := sqltypes.Compare(v, acc.minV); ok && cmp < 0 {
-			acc.minV = v
-		}
-	case "MAX":
-		if !acc.started {
-			acc.maxV = v
-			acc.started = true
-			return
-		}
-		if cmp, ok := sqltypes.Compare(v, acc.maxV); ok && cmp > 0 {
-			acc.maxV = v
+			if v.Kind() != sqltypes.KindInt {
+				acc.allInt = false
+				continue
+			}
+			// Add in 128 bits, so whether the sum fits int64 depends on
+			// the rows, not on the order the source emits them in.
+			x := v.Int()
+			lo, carry := bits.Add64(uint64(acc.sumI), uint64(x), 0)
+			acc.sumI = int64(lo)
+			acc.sumHi += int64(carry) + x>>63
+		case "MIN":
+			// fn is fixed per slot, so only the extremum finalize reads is
+			// maintained (one Compare per row, not two).
+			if !acc.started {
+				acc.minV = v
+				acc.started = true
+			} else if cmp, ok := sqltypes.Compare(v, acc.minV); ok && cmp < 0 {
+				acc.minV = v
+			}
+		case "MAX":
+			if !acc.started {
+				acc.maxV = v
+				acc.started = true
+			} else if cmp, ok := sqltypes.Compare(v, acc.maxV); ok && cmp > 0 {
+				acc.maxV = v
+			}
 		}
 	}
 }
 
 // finalize extracts the aggregate's value from a folded accumulator
 // (SUM/AVG over an empty or all-NULL group are NULL; integer SUM stays
-// integer).
+// integer, and fails once it leaves the int64 range — a DOUBLE operand
+// makes the SUM a DOUBLE, and AVG never reads the integer sum).
 func (c *aggCall) finalize(acc *aggAccum) (sqltypes.Value, error) {
 	if c.star {
 		return sqltypes.NewInt(acc.count), nil
@@ -240,6 +222,9 @@ func (c *aggCall) finalize(acc *aggAccum) (sqltypes.Value, error) {
 			return sqltypes.Null, nil
 		}
 		if acc.allInt {
+			if acc.sumHi != acc.sumI>>63 {
+				return sqltypes.Null, fmt.Errorf("sqldb: SUM out of BIGINT range")
+			}
 			return sqltypes.NewInt(acc.sumI), nil
 		}
 		return sqltypes.NewDouble(acc.sumF), nil
@@ -308,25 +293,15 @@ func evalAggFold(e Expr, plan *selectPlan, gs *groupState, ctx *evalCtx) (sqltyp
 	}
 }
 
-// groupFolder routes source rows into group accumulators. streaming
-// mode trusts the input to arrive clustered by group key (consecutive
-// equal keys) and keeps one open group; hash mode accepts any order.
+// groupFolder routes source rows into group accumulators: through the
+// hash table with GROUP BY, into the one group without.
 type groupFolder struct {
-	plan      *selectPlan
-	ctx       *evalCtx
-	streaming bool
-	keyBuf    []byte
-	curKey    []byte
-	cur       *groupState
-	byKey     map[string]*groupState
-	groups    []*groupState // first-seen (streaming: scan) order
-
-	// maxGroups > 0 (streaming only) stops the fold once that many
-	// groups have closed: with a group-ordered scan, LIMIT k and no
-	// HAVING/ORDER BY/DISTINCT reshaping the group list, rows beyond the
-	// (k+1)th group key can never appear in the result, so the index
-	// walk halts there (grouped-fold early-stop).
-	maxGroups int
+	plan   *selectPlan
+	ctx    *evalCtx
+	keyBuf []byte
+	cur    *groupState // the one group of a statement with no GROUP BY
+	byKey  map[string]*groupState
+	groups []*groupState // first-seen order
 
 	err error // a failure that stopped the fold
 }
@@ -335,18 +310,8 @@ type groupFolder struct {
 // the groupState shell plus one accumulator per aggregate slot.
 func groupFootprint(slots int) int64 { return 64 + 48*int64(slots) }
 
-func newGroupFolder(plan *selectPlan, ctx *evalCtx, streaming bool) *groupFolder {
-	f := &groupFolder{plan: plan, ctx: ctx, streaming: streaming}
-	if streaming {
-		f.maxGroups = plan.groupStop
-	} else if len(plan.stmt.GroupBy) > 0 {
-		f.byKey = make(map[string]*groupState)
-	}
-	return f
-}
-
 // add folds one source row into its group. false stops the source: the
-// wanted groups are complete, or the fold failed.
+// fold failed.
 func (f *groupFolder) add(row []sqltypes.Value) bool {
 	plan, ctx := f.plan, f.ctx
 	groupBy := plan.stmt.GroupBy
@@ -368,50 +333,29 @@ func (f *groupFolder) add(row []sqltypes.Value) bool {
 		}
 		f.keyBuf = appendKey(f.keyBuf, v)
 	}
-	var gs *groupState
-	if f.streaming {
-		if f.cur != nil && bytes.Equal(f.keyBuf, f.curKey) {
-			gs = f.cur
-		} else {
-			if f.maxGroups > 0 && len(f.groups) >= f.maxGroups {
-				// The limit-th group just closed; this row opens one past it.
-				return false
-			}
-			gs = plan.newGroupState()
-			f.groups = append(f.groups, gs)
-			f.cur = gs
-			f.curKey = append(f.curKey[:0], f.keyBuf...)
+	gs := f.byKey[string(f.keyBuf)] // no-allocation map lookup
+	if gs == nil {
+		// A new group retains its key and accumulators for the
+		// statement's lifetime: charge the memory budget.
+		if f.err = ctx.intr.charge(int64(len(f.keyBuf)) + groupFootprint(len(plan.aggCalls))); f.err != nil {
+			return false
 		}
-	} else {
-		gs = f.byKey[string(f.keyBuf)] // no-allocation map lookup
-		if gs == nil {
-			// A new hash-agg group retains its key and accumulators for
-			// the statement's lifetime: charge the memory budget.
-			if f.err = ctx.intr.charge(int64(len(f.keyBuf)) + groupFootprint(len(plan.aggCalls))); f.err != nil {
-				return false
-			}
-			gs = plan.newGroupState()
-			f.byKey[string(f.keyBuf)] = gs
-			f.groups = append(f.groups, gs)
-		}
+		gs = plan.newGroupState()
+		f.byKey[string(f.keyBuf)] = gs
+		f.groups = append(f.groups, gs)
 	}
 	plan.foldRow(gs, row, ctx)
 	return true
 }
 
 // foldGroups folds the statement's rows into groups, in first-seen
-// order: from the index keys alone when the plan allows (aggplan.go),
-// else from the row source — one open group at a time when scan serves
-// the group-clustering path, through the hash table otherwise (any join,
-// or a path this execution's probes could not use). With no GROUP BY
-// the whole input is one group even when empty, per SQL (COUNT(*) over
-// no rows is 0).
+// order. With no GROUP BY the whole input is one group even when empty,
+// per SQL (COUNT(*) over no rows is 0).
 func (db *DB) foldGroups(plan *selectPlan, ctx *evalCtx, scan tableScan) ([]*groupState, error) {
-	streaming := plan.streamGroups && scan.path != nil
-	if streaming && plan.groupIdxFold != nil {
-		return db.runGroupIndexFold(plan, ctx, scan)
+	f := &groupFolder{plan: plan, ctx: ctx}
+	if len(plan.stmt.GroupBy) > 0 {
+		f.byKey = make(map[string]*groupState)
 	}
-	f := newGroupFolder(plan, ctx, streaming)
 	err := db.streamRows(plan, ctx, scan, f.add)
 	if err == nil {
 		err = f.err

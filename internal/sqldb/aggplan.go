@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/sqltypes"
@@ -25,7 +24,8 @@ import (
 // Both walk the key range the statement's tableScan resolved, the one a
 // row-fetching scan would walk. An aligned probe's key is exact
 // (key.go), so a residual-free path's range holds exactly the matching
-// rows, strict bounds included.
+// rows, strict bounds included. These are the only key-only readers: a
+// GROUP BY, or any other aggregate, folds fetched rows (agg.go).
 
 // aggItem is one projection item of an index-only aggregate plan.
 type aggItem struct {
@@ -133,276 +133,6 @@ func pathServesMinMax(path *accessPath, colPos int) bool {
 		}
 	}
 	return false
-}
-
-// ---------- per-group index-only folding ----------
-//
-// The grouped counterpart of the single-row index-only aggregates: when
-// a residual-free path's index clusters the GROUP BY columns AND every
-// aggregate argument is itself an index column, whole groups fold from
-// the index KEYS — each key names its full column tuple, so COUNT adds
-// the row-ID list length, SUM folds the decoded value once per row the
-// key stands for (see foldValue), MIN/MAX compare the decoded component
-// once per key — and no heap row is ever fetched.
-// A key whose aggregate-argument component does not round-trip (a DOUBLE
-// zero) folds that one key's rows through the ordinary row fetch,
-// keeping results exact. Scalar (non-aggregate) expression parts are
-// restricted at plan time to index columns and evaluate against a
-// synthetic row decoded from the group's first key.
-
-// idxFoldSlot is the per-aggregate-call decode recipe, parallel to
-// selectPlan.aggCalls.
-type idxFoldSlot struct {
-	star      bool
-	tupleSlot int // index tuple position of the argument column; -1 for *
-	kind      sqltypes.Kind
-	fn        string
-}
-
-// groupIdxFoldPlan is the plan for answering a grouped aggregate from
-// index keys alone (see planGroupIndexFold).
-type groupIdxFoldPlan struct {
-	prefixComponents int // leading key components that identify a group
-	slots            []idxFoldSlot
-	synth            []int // tuple slots decoded into the synthetic first row
-
-	// Single-pass decode recipe: the executor walks each key's
-	// components once, decoding tuple slot j when needed[j]. walkLen
-	// covers both the group prefix and the deepest needed slot.
-	needed  []bool
-	kinds   []sqltypes.Kind // parallel to needed
-	walkLen int
-}
-
-// planGroupIndexFold decides whether the grouped fold can run off the
-// index keys and records the decode recipe. Requires the streaming
-// qualification (plan.streamGroups: the path clusters the group
-// columns) plus a residual-free path, aggregate arguments that are bare
-// index-column references, and scalar parts confined to index columns.
-// Runs once per plan build.
-func planGroupIndexFold(plan *selectPlan) {
-	s := plan.stmt
-	path := plan.path
-	if !plan.streamGroups || plan.groupCols == nil || path == nil || !path.residualFree {
-		return
-	}
-	td := plan.tables[0].data
-	slotOf := func(pos int) int {
-		for j, p := range path.colPos {
-			if p == pos {
-				return j
-			}
-		}
-		return -1
-	}
-	slots := make([]idxFoldSlot, len(plan.aggCalls))
-	for i := range plan.aggCalls {
-		c := &plan.aggCalls[i]
-		if c.star {
-			slots[i] = idxFoldSlot{star: true, tupleSlot: -1}
-			continue
-		}
-		cr, ok := c.arg.(*ColRef) // nil arg (arity error) fails here too
-		if !ok || cr.Index < 0 {
-			return
-		}
-		j := slotOf(cr.Index)
-		if j < 0 {
-			return
-		}
-		slots[i] = idxFoldSlot{tupleSlot: j, kind: td.schema.Cols[cr.Index].Type.Kind, fn: c.fn}
-	}
-	// Scalar parts evaluate against a synthetic row holding only the
-	// decoded index columns, so they may reference nothing else.
-	// Aggregate subtrees are pruned (their arguments were vetted above).
-	synthSet := make(map[int]bool)
-	ok := true
-	checkScalars := func(e Expr) {
-		walkExpr(e, func(x Expr) bool {
-			if !ok {
-				return false
-			}
-			if fc, isFunc := x.(*FuncCall); isFunc && isAggregate(fc.Name) {
-				return false
-			}
-			if cr, isCol := x.(*ColRef); isCol {
-				j := -1
-				if cr.Index >= 0 {
-					j = slotOf(cr.Index)
-				}
-				if j < 0 {
-					ok = false
-					return false
-				}
-				synthSet[j] = true
-			}
-			return true
-		})
-	}
-	for _, e := range plan.proj {
-		checkScalars(e)
-	}
-	if s.Having != nil {
-		checkScalars(s.Having)
-	}
-	for i, o := range s.OrderBy {
-		if plan.orderBound[i] {
-			checkScalars(o.Expr)
-		}
-	}
-	if !ok {
-		return
-	}
-	// Group identity: the equality prefix (constant) plus the leading
-	// run of distinct non-equality group columns — the same count the
-	// streaming qualification proved sits right after it
-	// (pathNonEqGroupCols, shared with pathClustersGroups).
-	gp := &groupIdxFoldPlan{
-		prefixComponents: path.nEq + pathNonEqGroupCols(path, plan.groupCols),
-		slots:            slots,
-	}
-	for j := range path.cols {
-		if synthSet[j] {
-			gp.synth = append(gp.synth, j)
-		}
-	}
-	// Per-key decode walk: every aggregate-argument slot, plus enough
-	// components to delimit the group prefix.
-	gp.needed = make([]bool, len(path.cols))
-	gp.kinds = make([]sqltypes.Kind, len(path.cols))
-	gp.walkLen = gp.prefixComponents
-	for i := range slots {
-		sl := &slots[i]
-		if sl.star {
-			continue
-		}
-		gp.needed[sl.tupleSlot] = true
-		gp.kinds[sl.tupleSlot] = sl.kind
-		if sl.tupleSlot+1 > gp.walkLen {
-			gp.walkLen = sl.tupleSlot + 1
-		}
-	}
-	plan.groupIdxFold = gp
-}
-
-// runGroupIndexFold folds the grouped aggregate from the index keys of
-// scan's key range. Evaluation errors defer into the accumulators and
-// surface at finalize, exactly like the row-wise fold (same messages,
-// same HAVING-aware timing). Governance errors (cancellation, deadline,
-// memory budget) surface immediately.
-func (db *DB) runGroupIndexFold(plan *selectPlan, ctx *evalCtx, scan tableScan) ([]*groupState, error) {
-	gp := plan.groupIdxFold
-	path, td := scan.path, scan.td
-	reads := int64(0)
-	defer func() { td.heapReads.Add(reads) }()
-
-	var (
-		groups    []*groupState
-		cur       *groupState
-		curPrefix string
-		chargeErr error
-		decoded   = make([]sqltypes.Value, gp.walkLen) // per-slot scratch, reused per key
-	)
-	// fetchRows folds one key's rows through the heap fetch (the decode
-	// refused); nothing of this key has been folded yet.
-	fetchRows := func(rows []*rowSlot) {
-		for _, r := range rows {
-			if vals, live := r.fetch(ctx.snap); live {
-				reads++
-				plan.foldRow(cur, vals, ctx)
-			}
-		}
-	}
-	// startGroup opens the group identified by prefix, building the
-	// synthetic first row for the scalar parts from the group's first
-	// key; a non-round-tripping component falls back to one real row.
-	startGroup := func(k, prefix string, rows []*rowSlot) {
-		cur = plan.newGroupState()
-		groups = append(groups, cur)
-		curPrefix = prefix
-		row := make([]sqltypes.Value, len(td.schema.Cols))
-		for _, j := range gp.synth {
-			v, ok := decodeKeyColumn(k, j, td.schema.Cols[path.colPos[j]].Type.Kind)
-			if !ok {
-				for _, r := range rows {
-					if vals, live := r.fetch(ctx.snap); live {
-						reads++
-						cur.firstRow = vals
-						return
-					}
-				}
-				return
-			}
-			row[path.colPos[j]] = v
-		}
-		cur.firstRow = row
-	}
-	walkErr := scan.keys(ctx, path.desc, func(k string, rows []*rowSlot) bool {
-		// One forward walk per key: delimit the group prefix and decode
-		// the aggregate-argument components. Any refusal (malformed key,
-		// non-round-tripping component) folds this key's rows through
-		// the heap fetch instead.
-		rest, prefix, decodeOK := k, k, true
-		for j := 0; j < gp.walkLen; j++ {
-			if decodeOK && gp.needed[j] {
-				decoded[j], decodeOK = decodeKeyValue(rest, gp.kinds[j])
-			}
-			var okc bool
-			if rest, okc = skipKeyComponent(rest); !okc {
-				// Malformed key (cannot happen for keys the engine
-				// built); the row fetch below still folds it exactly.
-				decodeOK = false
-				break
-			}
-			if j == gp.prefixComponents-1 {
-				prefix = k[:len(k)-len(rest)]
-				if !decodeOK {
-					break // prefix delimited; nothing left to decode
-				}
-			}
-		}
-		if cur == nil || prefix != curPrefix {
-			if plan.groupStop > 0 && len(groups) >= plan.groupStop {
-				// Grouped-fold early-stop: the LIMIT-th group just
-				// closed, so the rest of the key walk cannot contribute.
-				return false
-			}
-			// Each open group retains its state for the statement's
-			// lifetime: charge the memory budget.
-			if chargeErr = ctx.intr.charge(int64(len(prefix)) + groupFootprint(len(plan.aggCalls))); chargeErr != nil {
-				return false
-			}
-			startGroup(k, prefix, rows)
-		}
-		if !decodeOK {
-			fetchRows(rows)
-			return true
-		}
-		n := int64(len(rows))
-		for i := range gp.slots {
-			sl := &gp.slots[i]
-			acc := &cur.accs[i]
-			if sl.star {
-				acc.count += n
-				continue
-			}
-			v := decoded[sl.tupleSlot]
-			if v.IsNull() {
-				continue
-			}
-			// One key stands for n identical rows; foldValue (shared
-			// with the row fold) keeps the per-value semantics — and
-			// double SUM rounding — bit-identical to folding each row.
-			// Errors defer into the accumulator and surface at finalize,
-			// so HAVING-discarded groups never raise them.
-			foldValue(acc, sl.fn, v, n)
-		}
-		return true
-	})
-	if err := cmp.Or(chargeErr, walkErr); err != nil {
-		return nil, err
-	}
-	return groups, nil
 }
 
 // runIndexOnlyAgg answers the planned aggregate items from scan's key

@@ -13,7 +13,7 @@ import (
 // and every CREATE INDEX, build the same tree and register it in
 // tableData.indexes, so whatever enforces a key also serves the planner:
 // point lookups (O(log n)), leading-prefix, range and IS [NOT] NULL
-// scans, in-order scans for ORDER BY / GROUP BY, join probes and
+// scans, in-order scans for ORDER BY, join probes and
 // index-only aggregates. CREATE INDEX ... USING HASH|ORDERED is still
 // parsed — DDL logs written by earlier versions contain it — and
 // ignored.

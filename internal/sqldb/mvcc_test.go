@@ -406,59 +406,3 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
-
-// ---------- group-ordered LIMIT early stop ----------
-
-// TestGroupedFoldEarlyStop: a group-ordered fold with LIMIT k (no
-// HAVING, no ORDER BY, no DISTINCT) must stop the index walk after the
-// k-th group closes — observable as a heap-read count near k groups'
-// worth of rows instead of the whole table — and still return exactly
-// the full query's first k groups.
-func TestGroupedFoldEarlyStop(t *testing.T) {
-	db := memDB(t)
-	mustExec(t, db, `CREATE TABLE GL (ID INTEGER PRIMARY KEY, G VARCHAR(8), V INTEGER)`)
-	mustExec(t, db, `CREATE INDEX GL_G ON GL (G) USING ORDERED`)
-	const groups, per = 100, 20
-	for g := 0; g < groups; g++ {
-		for j := 0; j < per; j++ {
-			mustExec(t, db, `INSERT INTO GL VALUES (?, ?, ?)`,
-				sqltypes.NewInt(int64(g*per+j)), sqltypes.NewString(fmt.Sprintf("G%03d", g)), sqltypes.NewInt(int64(j)))
-		}
-	}
-
-	st, err := db.Prepare(`SELECT G, SUM(V) FROM GL GROUP BY G LIMIT 3`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if path, err := st.AccessPath(); err != nil || !strings.Contains(path, "group-ordered") {
-		t.Fatalf("AccessPath = %q (%v), want group-ordered", path, err)
-	}
-	full := rowSig(mustQuery(t, db, `SELECT G, SUM(V) FROM GL GROUP BY G`))
-
-	base := db.HeapRowReads("GL")
-	got, err := st.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := db.HeapRowReads("GL") - base
-	if !equalStrings(rowSig(got), full[:3]) {
-		t.Fatalf("limited fold mismatch:\n got %v\nwant %v", rowSig(got), full[:3])
-	}
-	// 3 groups of 20 rows, plus the boundary row that trips the stop.
-	if reads > 5*per {
-		t.Fatalf("early stop ineffective: %d heap reads for 3 of %d groups", reads, groups)
-	}
-
-	// OFFSET counts toward the stop bound.
-	windowed := rowSig(mustQuery(t, db, `SELECT G, SUM(V) FROM GL GROUP BY G LIMIT 3 OFFSET 2`))
-	if !equalStrings(windowed, full[2:5]) {
-		t.Fatalf("offset window mismatch:\n got %v\nwant %v", windowed, full[2:5])
-	}
-
-	// HAVING disables the early stop (groups may be filtered out) but
-	// the answer must stay right.
-	having := mustQuery(t, db, `SELECT G, SUM(V) FROM GL GROUP BY G HAVING SUM(V) > 0 LIMIT 3`)
-	if !equalStrings(rowSig(having), full[:3]) {
-		t.Fatalf("HAVING+LIMIT mismatch: %v", rowSig(having))
-	}
-}

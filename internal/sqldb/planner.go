@@ -264,201 +264,6 @@ func planAccess(td *tableData, alias string, where Expr, orderBy []OrderItem, or
 	return best
 }
 
-// planGroupAgg decides how an aggregated, grouped, single-table SELECT
-// reaches its groups. Two plan-time outcomes:
-//
-//   - GROUP BY pushdown: with no predicate-driven access path, an
-//     index whose leading columns are exactly the GROUP BY columns
-//     replaces the heap scan, so rows arrive clustered by group and
-//     the executor folds one group at a time (O(groups) state, no
-//     hash table).
-//   - group-order satisfaction: whatever path the WHERE clause chose is
-//     checked for group clustering (pathClustersGroups), reusing the
-//     ORDER BY machinery's constant-equality-prefix skipping.
-//
-// When neither applies the executor falls back to hash aggregation,
-// which accepts any row order. Runs once per plan build under the
-// schema epoch like the rest of the plan.
-func planGroupAgg(plan *selectPlan) {
-	s := plan.stmt
-	if plan.noFrom || len(plan.tables) != 1 || !plan.aggregated ||
-		len(s.GroupBy) == 0 || plan.aggItems != nil {
-		return
-	}
-	// Group columns must be plain references to the table's columns;
-	// computed group keys (GROUP BY A+1) cannot be read off an index.
-	cols := make([]string, 0, len(s.GroupBy))
-	for _, g := range s.GroupBy {
-		cr, ok := g.(*ColRef)
-		if !ok || cr.Index < 0 {
-			return
-		}
-		cols = append(cols, plan.env.cols[cr.Index].col)
-	}
-	plan.groupCols = cols
-	if plan.path == nil {
-		// Prefer an index that also carries the aggregate argument
-		// columns: it clusters the groups AND lets the whole fold run
-		// off the keys (planGroupIndexFold), never touching the heap.
-		var wantPos []int
-		for i := range plan.aggCalls {
-			if cr, ok := plan.aggCalls[i].arg.(*ColRef); ok && cr.Index >= 0 {
-				wantPos = append(wantPos, cr.Index)
-			}
-		}
-		plan.path = groupOrderedScan(plan.tables[0].data, cols, s.Where == nil, wantPos)
-	}
-	plan.streamGroups = pathClustersGroups(plan.path, cols)
-}
-
-// distinctCols returns cols without duplicates, first-occurrence order.
-func distinctCols(cols []string) []string {
-	out := make([]string, 0, len(cols))
-	for _, c := range cols {
-		dup := false
-		for _, d := range out {
-			if d == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// pathNonEqGroupCols counts the distinct group columns falling outside
-// the path's equality prefix — the columns the scan order must walk to
-// delimit a group. The streaming qualification (pathClustersGroups) and
-// the index-only grouped fold's prefix length (planGroupIndexFold) both
-// derive from this one definition, so group boundaries cannot drift
-// between the two.
-func pathNonEqGroupCols(p *accessPath, gcols []string) int {
-	inEq := func(c string) bool {
-		for _, e := range p.cols[:p.nEq] {
-			if e == c {
-				return true
-			}
-		}
-		return false
-	}
-	n := 0
-	for _, g := range distinctCols(gcols) {
-		if !inEq(g) {
-			n++
-		}
-	}
-	return n
-}
-
-// pathClustersGroups reports whether the path emits rows clustered by
-// the group columns: every group column is either inside the equality
-// prefix (constant over all candidates) or part of a leading run of the
-// scan-order columns made up entirely of group columns. Clustering is
-// with respect to the canonical key encoding — exactly the equivalence
-// the hash folder groups by — so streaming and hashing always agree.
-func pathClustersGroups(p *accessPath, gcols []string) bool {
-	if p == nil {
-		return false
-	}
-	inG := func(c string) bool {
-		for _, g := range gcols {
-			if g == c {
-				return true
-			}
-		}
-		return false
-	}
-	remaining := pathNonEqGroupCols(p, gcols)
-	if remaining == 0 {
-		// Every group column is equality-constant: all candidates share
-		// one group key, whatever order they arrive in.
-		return true
-	}
-	if p.kind == pathOrderedEq {
-		// Full-tuple lookups emit one key's rows; a group column outside
-		// the tuple is unconstrained across them.
-		return false
-	}
-	seen := make(map[string]bool, remaining)
-	for j := p.nEq; remaining > 0; j++ {
-		if j >= len(p.cols) {
-			return false
-		}
-		c := p.cols[j]
-		if !inG(c) {
-			return false
-		}
-		if !seen[c] {
-			seen[c] = true
-			remaining--
-		}
-	}
-	return true
-}
-
-// groupOrderedScan finds an index whose leading columns are exactly
-// the (distinct) GROUP BY columns and returns a full in-order scan of
-// it, so groups arrive clustered. Among qualifying indexes the
-// one covering the most aggregate-argument columns (wantPos, schema
-// positions) wins — covering every argument lets the fold run off the
-// index keys alone — with index name order breaking ties. residualFree
-// is the WHERE-less ordered-scan convention; the index-only grouped
-// fold relies on it.
-func groupOrderedScan(td *tableData, gcols []string, residualFree bool, wantPos []int) *accessPath {
-	distinct := distinctCols(gcols)
-	inG := func(c string) bool {
-		for _, g := range distinct {
-			if g == c {
-				return true
-			}
-		}
-		return false
-	}
-	var best *accessPath
-	bestScore := -1
-	for _, idx := range td.indexes {
-		cols := idx.cols
-		if len(cols) < len(distinct) {
-			continue
-		}
-		covered := true
-		for _, c := range cols[:len(distinct)] {
-			if !inG(c) {
-				covered = false
-				break
-			}
-		}
-		if !covered {
-			continue
-		}
-		p := &accessPath{
-			kind:         pathOrderedScan,
-			table:        td.schema.Name,
-			idx:          idx.name,
-			cols:         cols,
-			colPos:       idx.pos,
-			residualFree: residualFree,
-		}
-		score := 0
-		for _, w := range wantPos {
-			for _, cp := range p.colPos {
-				if cp == w {
-					score++
-					break
-				}
-			}
-		}
-		if score > bestScore {
-			best = p
-			bestScore = score
-		}
-	}
-	return best
-}
-
 // pathSatisfiesOrder reports whether the path's emission order sorts by
 // ocols: columns inside the equality prefix are constant and skippable,
 // the rest must walk the index columns in order starting at the scan

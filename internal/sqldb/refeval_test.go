@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"sort"
@@ -364,7 +365,7 @@ func refAggregate(fc *FuncCall, group [][]sqltypes.Value, ctx *evalCtx) (sqltype
 	}
 	switch fc.Name {
 	case "SUM", "AVG":
-		ints, sumI, sumF := true, int64(0), 0.0
+		ints, sumI, sumF := true, new(big.Int), 0.0
 		for _, v := range vals {
 			f, ok := v.AsDouble()
 			if !ok {
@@ -372,14 +373,16 @@ func refAggregate(fc *FuncCall, group [][]sqltypes.Value, ctx *evalCtx) (sqltype
 			}
 			sumF += f
 			if ints = ints && v.Kind() == sqltypes.KindInt; ints {
-				sumI += v.Int()
+				sumI.Add(sumI, big.NewInt(v.Int()))
 			}
 		}
 		switch {
 		case fc.Name == "AVG":
 			return sqltypes.NewDouble(sumF / float64(len(vals))), nil
+		case ints && !sumI.IsInt64():
+			return sqltypes.Null, fmt.Errorf("refeval: SUM out of BIGINT range")
 		case ints:
-			return sqltypes.NewInt(sumI), nil
+			return sqltypes.NewInt(sumI.Int64()), nil
 		}
 		return sqltypes.NewDouble(sumF), nil
 	case "MIN", "MAX":
@@ -798,19 +801,15 @@ func TestReferenceEvaluatorProperty(t *testing.T) {
 }
 
 // groupStrategy names how a grouped statement reaches its groups: the
-// strategy word AccessPath renders after the access path, its column
-// list dropped, plus " index-only" when the groups fold from index keys,
-// and " limit" for a LIMIT window with no HAVING, ORDER BY or DISTINCT
-// reshaping the group list (the shape a fold may stop early on).
+// strategy word AccessPath renders after the access path, plus " limit"
+// for a LIMIT window with no HAVING, ORDER BY or DISTINCT reshaping the
+// group list.
 func groupStrategy(sql, path string) string {
 	f := strings.Fields(path)
 	if len(f) < 2 {
 		return path
 	}
-	s, _, _ := strings.Cut(f[1], "(")
-	if len(f) > 2 && f[2] == "index-only" {
-		s += " index-only"
-	}
+	s := f[1]
 	if strings.Contains(sql, " LIMIT ") && !strings.Contains(sql, " HAVING ") &&
 		!strings.Contains(sql, " ORDER BY ") && !strings.Contains(sql, "SELECT DISTINCT ") {
 		s += " limit"

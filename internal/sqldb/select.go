@@ -72,25 +72,9 @@ type selectPlan struct {
 
 	// Fold-based aggregation state (see agg.go): every aggregate call
 	// in the projection/HAVING/ORDER BY gets an accumulator slot, keyed
-	// by AST node identity. groupCols names the GROUP BY columns when
-	// they are plain single-table column references; streamGroups marks
-	// that path emits rows clustered by them (planner.go), so the
-	// executor folds one group at a time instead of hashing.
-	aggCalls     []aggCall
-	aggSlots     map[*FuncCall]int
-	groupCols    []string
-	streamGroups bool
-
-	// groupIdxFold, when non-nil, answers the grouped aggregate from
-	// index keys alone — zero heap fetches (see aggplan.go).
-	groupIdxFold *groupIdxFoldPlan
-
-	// groupStop, when positive, bounds a streaming (group-ordered)
-	// grouped fold at OFFSET+LIMIT groups: with no HAVING to drop
-	// groups, no ORDER BY to reorder them and no DISTINCT to reshape
-	// the rows, groups past the limit cannot reach the result, so the
-	// scan stops as soon as the last wanted group closes.
-	groupStop int
+	// by AST node identity.
+	aggCalls []aggCall
+	aggSlots map[*FuncCall]int
 
 	// topK marks ORDER BY ... LIMIT plans whose sort runs as a bounded
 	// heap selection — O(n log k) over the OFFSET+LIMIT best rows —
@@ -284,13 +268,7 @@ func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
 		s.OrderBy, orderBound, aggregated, len(tables) == 1)
 	planIndexOnlyAgg(plan)
 	collectAggCalls(plan)
-	planGroupAgg(plan)
-	planGroupIndexFold(plan)
 	planJoinProbes(plan)
-	if plan.streamGroups && s.Limit >= 0 && s.Having == nil &&
-		len(s.OrderBy) == 0 && !s.Distinct {
-		plan.groupStop = s.Offset + s.Limit
-	}
 	plan.topK = len(s.OrderBy) > 0 && s.Limit >= 0 &&
 		(plan.path == nil || !plan.path.satisfiesOrderBy)
 	plan.cacheable = !planVolatile(plan)

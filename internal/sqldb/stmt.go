@@ -56,11 +56,10 @@ func (s *Stmt) Text() string { return s.text }
 // ("eq(T.A+B)"). A PRIMARY KEY or UNIQUE constraint's index appears
 // like any named one.
 //
-// Aggregated plans append their strategy: " index-only" (answered from
-// the index without materialising rows), " group-ordered(COLS)" (the
-// scan emits rows clustered by the GROUP BY columns and groups are
-// folded one at a time), " hash-agg" (grouped fold through a hash
-// table) or " agg-fold" (a single-group fold, no GROUP BY). Plans whose
+// Aggregated plans append their strategy: " index-only" (a
+// COUNT/MIN/MAX answered from the index without materialising rows),
+// " hash-agg" (every GROUP BY: a grouped fold through a hash table) or
+// " agg-fold" (a single-group fold, no GROUP BY). Plans whose
 // ORDER BY ... LIMIT runs as a bounded heap selection instead of a full
 // sort append " top-k". Joined
 // tables probed by an index nested-loop append " inl(ALIAS.COLS)" (or
@@ -102,11 +101,6 @@ func pathString(plan *selectPlan, sel *SelectStmt) string {
 	switch {
 	case plan.aggItems != nil:
 		out += " index-only"
-	case plan.streamGroups:
-		out += " group-ordered(" + strings.Join(plan.groupCols, "+") + ")"
-		if plan.groupIdxFold != nil {
-			out += " index-only"
-		}
 	case plan.aggregated && len(sel.GroupBy) > 0:
 		out += " hash-agg"
 	case plan.aggregated:

@@ -24,15 +24,12 @@
 #                                      only COUNT vs full scan, 100k rows
 #   BenchmarkAblation_JoinPlan       — index nested-loop vs cross-product
 #                                      join on 1k×1k
-#   BenchmarkAblation_GroupPushdown  — grouped-aggregate strategies on a
-#                                      100k-row rollup: hash-agg fold vs
-#                                      group-ordered index-only fold (the
-#                                      materialise-then-group executor is
-#                                      gone; its last record is
-#                                      BENCH_20261004)
-#   BenchmarkAblation_IndexFetch     — posting → row fetch: the same 100k-
-#                                      row grouped SUM through the group-
-#                                      ordered index vs a heap scan, ns/row
+#   BenchmarkRollup                  — the report's rollup: a 100k-row,
+#                                      400-group COUNT/SUM/MAX through the
+#                                      hash fold, ns/row (it replaces the
+#                                      GroupPushdown and IndexFetch
+#                                      ablations; older BENCH records
+#                                      hold their figures)
 #   BenchmarkAblation_HashJoin       — hash join vs cross product on an
 #                                      unindexed 1k×1k equi-join
 #   BenchmarkAblation_Arena          — arena/columnar result path on a
