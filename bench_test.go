@@ -701,10 +701,7 @@ func BenchmarkAblation_JoinPlan(b *testing.B) {
 // by COUNT/SUM/MAX per simulation through the hash table during a heap
 // scan. The (SIMULATION_KEY, TIMESTEP) index is present, as in the
 // archive, and is not used: a GROUP BY reads its rows from the heap.
-// ns/row is the fold's cost per source row. The rollup used to walk
-// that index and follow each posting to its row, at 1,619 allocs/op
-// against the heap scan's 1,252 (BenchmarkAblation_IndexFetch in the
-// older BENCH records).
+// ns/row is the fold's cost per source row.
 func BenchmarkRollup(b *testing.B) {
 	db, err := sqldb.Open("")
 	if err != nil {

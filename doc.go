@@ -101,24 +101,23 @@
 //     groups hash on the index-key encoding of their keys, which keeps
 //     NULL, '' and 0 vs '0' in distinct groups and INTEGER 1 and
 //     DOUBLE 1 in one (DISTINCT keys on the same encoding), and
-//     allocates a key string only when a group first appears. An
-//     integer SUM whose exact value leaves the BIGINT range fails
-//     ("SUM out of BIGINT range") instead of wrapping; like every fold
-//     error, only a group HAVING keeps raises it
-//     (TestIntegerSumOutOfRange). The index-clustered group fold and
-//     the grouped fold off index keys were deleted once they stopped
-//     paying: the report's rollup is cheaper on the heap
-//     (BenchmarkRollup). Knowingly lost with them: a GROUP BY ... LIMIT
+//     allocates a key string only when a group first appears. No
+//     GROUP BY reads an index to cluster its groups or folds them off
+//     index keys: the report's rollup measured faster on a heap scan
+//     than through its index. What that gives up: a GROUP BY ... LIMIT
 //     with no ORDER BY folds every source row instead of stopping at
-//     the last group wanted; a path the WHERE clause clusters by group
-//     folds through the hash table too (measured no slower); and the
-//     groups of a GROUP BY with no ORDER BY come out in first-seen
-//     order, not index order, an order SQL leaves unspecified. The
-//     fold is held to a naive reference evaluator
-//     (internal/sqldb/refeval_test.go — nested loops over table
-//     snapshots, pairwise grouping, sort.SliceStable) over hand-written
-//     and generated statements, with index paths on and under
-//     SetFullScanOnly.
+//     the last group wanted; a path the WHERE clause happens to cluster
+//     by group folds through the hash table too (measured no slower);
+//     and the groups of a GROUP BY with no ORDER BY come out in
+//     first-seen order, not index order, an order SQL leaves
+//     unspecified. An integer SUM whose exact value leaves the BIGINT
+//     range fails ("SUM out of BIGINT range") instead of wrapping; like
+//     every fold error, only a group HAVING keeps raises it
+//     (TestAggFoldErrorParity). The fold is held to a naive reference
+//     evaluator (internal/sqldb/refeval_test.go — nested loops over
+//     table snapshots, pairwise grouping, sort.SliceStable) over
+//     hand-written and generated statements, with index paths on and
+//     under SetFullScanOnly.
 //
 //   - Index-only aggregates. When a single-table COUNT/MIN/MAX query's
 //     WHERE clause is consumed exactly by the chosen path (no residual

@@ -254,7 +254,6 @@ func planAccess(td *tableData, alias string, where Expr, orderBy []OrderItem, or
 						colPos:           idx.pos,
 						desc:             odesc,
 						satisfiesOrderBy: true,
-						residualFree:     where == nil,
 					}
 					break
 				}
