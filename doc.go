@@ -63,10 +63,15 @@
 //     the index columns after the (constant) equality prefix — all in
 //     one direction — are emitted in order with no sort (LIMIT stops
 //     the scan early). The choice is cached in the prepared plan and
-//     re-made when DDL moves the schema epoch. Index paths only
-//     narrow the candidate set — the residual predicate is always
-//     re-applied — so the returned row set is identical to a full
-//     scan's (property-tested in internal/sqldb/planner_test.go and
+//     re-made when DDL moves the schema epoch. A path that consumes
+//     the whole WHERE exactly (residual-free) is the predicate: its key
+//     range holds exactly the matching rows, so no row it selects is
+//     tested again. Every other path, and the heap scan a probe that
+//     fails to evaluate or align falls back to, tests the full WHERE.
+//     Either way the returned row set is a full scan's
+//     (TestPlannerPropertyIndexVsScan, TestPlannerPropertyDML with its
+//     in-transaction key moves, FuzzIndexPathMatchesScan,
+//     TestFarKeysMatchReference, TestReferenceEvaluatorProperty,
 //     composite_test.go; ablated by BenchmarkAblation_OrderedIndex and
 //     BenchmarkAblation_CompositeIndex). Key equality is value
 //     equality — integers beyond ±2^53 carry an exact tiebreak after

@@ -223,7 +223,7 @@ func (c *aggCall) finalize(acc *aggAccum) (sqltypes.Value, error) {
 		}
 		if acc.allInt {
 			if acc.sumHi != acc.sumI>>63 {
-				return sqltypes.Null, fmt.Errorf("sqldb: SUM out of BIGINT range")
+				return sqltypes.Null, outOfBigint("SUM")
 			}
 			return sqltypes.NewInt(acc.sumI), nil
 		}

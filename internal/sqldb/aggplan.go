@@ -22,10 +22,11 @@ import (
 //	                         share it), which one boundary row answers.
 //
 // Both walk the key range the statement's tableScan resolved, the one a
-// row-fetching scan would walk. An aligned probe's key is exact
-// (key.go), so a residual-free path's range holds exactly the matching
-// rows, strict bounds included. These are the only key-only readers: a
-// GROUP BY, or any other aggregate, folds fetched rows (agg.go).
+// row-fetching scan walks, under the same rule (planner.go): a
+// residual-free path's range is the predicate, holding exactly the
+// matching rows, strict bounds included. These are the only readers
+// that never fetch a row: a GROUP BY, or any other aggregate, folds
+// fetched rows (agg.go).
 
 // aggItem is one projection item of an index-only aggregate plan.
 type aggItem struct {

@@ -625,8 +625,9 @@ func (db *DB) SetLinkController(lc LinkController) {
 
 // SetFullScanOnly disables (on=true) or re-enables index-driven access
 // paths for SELECT/UPDATE/DELETE execution. With it on, every statement
-// scans the heap; results are identical because index paths only ever
-// narrow the candidate set before the residual predicate re-checks it.
+// scans the heap and tests its full WHERE; results are identical
+// because a path's key range holds every matching row, and exactly
+// those when the path is residual-free (see planner.go).
 // This is the ablation baseline for BenchmarkAblation_OrderedIndex and
 // the oracle the planner property tests compare against. Switching
 // flushes the result cache, whose row orders came from the other mode.

@@ -410,18 +410,18 @@ func (db *DB) execDeleteLocked(tx *txState, s *DeleteStmt, params []sqltypes.Val
 }
 
 // matchRowsLocked returns the rows (slots) satisfying where, read
-// through the same filtered scan a SELECT uses: equality, range and null
-// predicates on indexed columns narrow the candidate set, and the full
-// predicate is applied to every candidate, so index-path and scan-path
-// semantics are identical.
+// through the same tableScan a SELECT uses: equality, range and null
+// predicates on indexed columns select the key range, which decides the
+// match on its own when the path is residual-free; otherwise the full
+// predicate is tested on every candidate (see openScan).
 func (db *DB) matchRowsLocked(td *tableData, schema *TableSchema, where Expr, params []sqltypes.Value, ic *interrupt) ([]*rowSlot, error) {
 	// Latest-mode visibility: DML must see the current state, including
 	// this transaction's own earlier writes (the owning writer slot —
 	// wmu or the global lock — guarantees no foreign in-flight stamps).
 	ctx := &evalCtx{params: params, now: db.nowFn(), snap: snapLatest, intr: ic}
-	scan := db.openScan(td, planAccess(td, schema.Name, where, nil, nil, false, false), ctx)
+	scan := db.openScan(td, planAccess(td, schema.Name, where, nil, nil, false, false), where, ctx)
 	var matched []*rowSlot
-	err := scan.run(where, ctx, func(s *rowSlot, _ []sqltypes.Value) bool {
+	err := scan.run(ctx, func(s *rowSlot, _ []sqltypes.Value) bool {
 		matched = append(matched, s)
 		return true
 	})

@@ -177,6 +177,9 @@ func evalUnary(n *Unary, ctx *evalCtx) (sqltypes.Value, error) {
 		}
 		switch v.Kind() {
 		case sqltypes.KindInt:
+			if v.Int() == math.MinInt64 {
+				return sqltypes.Null, outOfBigint(fmt.Sprintf("-(%d)", v.Int()))
+			}
 			return sqltypes.NewInt(-v.Int()), nil
 		case sqltypes.KindDouble:
 			return sqltypes.NewDouble(-v.Double()), nil
@@ -298,30 +301,54 @@ func evalBinary(n *Binary, ctx *evalCtx) (sqltypes.Value, error) {
 	return sqltypes.Null, fmt.Errorf("sqldb: unknown operator %s", n.Op)
 }
 
+// outOfBigint is the error of an integer result outside the BIGINT
+// (int64) range — an integer SUM's, or the arithmetic operation what
+// spells out — which the engine reports instead of wrapping.
+func outOfBigint(what string) error {
+	return fmt.Errorf("sqldb: %s out of BIGINT range", what)
+}
+
 func evalArith(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return sqltypes.Null, nil
 	}
 	if l.Kind() == sqltypes.KindInt && r.Kind() == sqltypes.KindInt {
 		a, b := l.Int(), r.Int()
+		// Each case computes the wrapped result and tests it: a sum
+		// overflowed when both operands' signs differ from its, a
+		// difference when the operands' signs differ and the result's
+		// differs from a's, a product when dividing it back fails (or
+		// it is -1 × MinInt64, whose quotient wraps to the operand).
+		var v int64
+		var wrapped bool
 		switch op {
 		case "+":
-			return sqltypes.NewInt(a + b), nil
+			v = a + b
+			wrapped = (a^v)&(b^v) < 0
 		case "-":
-			return sqltypes.NewInt(a - b), nil
+			v = a - b
+			wrapped = (a^b)&(a^v) < 0
 		case "*":
-			return sqltypes.NewInt(a * b), nil
+			v = a * b
+			wrapped = a != 0 && (v/a != b || a == -1 && b == math.MinInt64)
 		case "/":
 			if b == 0 {
 				return sqltypes.Null, fmt.Errorf("sqldb: division by zero")
 			}
-			return sqltypes.NewInt(a / b), nil
+			v = a / b
+			wrapped = a == math.MinInt64 && b == -1
 		case "%":
 			if b == 0 {
 				return sqltypes.Null, fmt.Errorf("sqldb: division by zero")
 			}
-			return sqltypes.NewInt(a % b), nil
+			return sqltypes.NewInt(a % b), nil // MinInt64 % -1 is 0
+		default:
+			return sqltypes.Null, fmt.Errorf("sqldb: unknown arithmetic operator %s", op)
 		}
+		if wrapped {
+			return sqltypes.Null, outOfBigint(fmt.Sprintf("%d %s %d", a, op, b))
+		}
+		return sqltypes.NewInt(v), nil
 	}
 	af, aok := l.AsDouble()
 	bf, bok := r.AsDouble()

@@ -27,19 +27,24 @@ import (
 //
 // The chosen path is stored inside the cached selectPlan, so prepared
 // statements re-run it without re-analysis; the schema epoch invalidates
-// plans when indexes are created or dropped. Every path over-approximates
-// — the executor always re-applies the residual WHERE to candidate rows
-// — so the planner only needs monotone key bounds, never exact ones.
-// Probe values are aligned with the indexed column's type at execution
-// time (parameters are unknown at plan time); when alignment fails the
-// executor transparently falls back to a heap scan with identical
-// semantics.
+// plans when indexes are created or dropped. Probe values are aligned
+// with the indexed column's type at execution time (parameters are
+// unknown at plan time); when a probe fails to evaluate or align the
+// executor falls back to a heap scan with identical semantics.
 //
-// The planner additionally records whether the path consumes the WHERE
-// clause exactly (residualFree): every conjunct claimed by exactly one
-// used predicate slot. Residual-free paths are what allow the index-only
-// aggregate executor (COUNT/MIN/MAX answered from index keys without
-// materialising table rows — see aggplan.go).
+// The planner also records whether the path consumes the WHERE clause
+// exactly (residualFree): every conjunct claimed by exactly one used
+// predicate slot. A residual-free path's key range is the predicate: an
+// aligned probe's keys are exact (key.go) and a posting is visible at a
+// snapshot exactly when a visible version of its row has that key
+// (idxEntry), so the range holds exactly the matching rows and nothing
+// re-tests them — neither the row executor (tableScan) nor the
+// index-only aggregates (aggplan.go). Everything else — a path that
+// leaves conjuncts, and the heap fallback — applies the full WHERE.
+// TestPlannerPropertyIndexVsScan, TestPlannerPropertyDML,
+// FuzzIndexPathMatchesScan, TestFarKeysMatchReference and
+// TestReferenceEvaluatorProperty pin the rule against forced scans and
+// the reference evaluator.
 
 // accessPathKind enumerates the executor strategies.
 type accessPathKind uint8
@@ -72,9 +77,8 @@ type accessPath struct {
 	satisfiesOrderBy bool // rows arrive in ORDER BY order; skip the sort
 
 	// residualFree records that the WHERE clause is entirely and exactly
-	// consumed by this path's predicate slots. The normal executor still
-	// re-applies the whole WHERE; only the index-only aggregate executor
-	// relies on residualFree.
+	// consumed by this path's predicate slots: once its probes resolve,
+	// the key range alone decides which rows match.
 	residualFree bool
 }
 
@@ -577,8 +581,11 @@ const keyRangeHiSentinel = "\xff"
 
 // eqPrefix evaluates and aligns the path's equality probes into a
 // concatenated key prefix. nullProbe means a probe was NULL (the path
-// matches no rows); ok=false means a probe failed to evaluate or align
-// and the caller must fall back to the ordinary heap-scan semantics.
+// matches no rows, and the prefix is meaningless); ok=false means a
+// probe failed to evaluate or align and the caller must fall back to
+// the ordinary heap-scan semantics. Every probe is evaluated and
+// aligned even after a NULL one: the heap scan's AND goes on past an
+// UNKNOWN conjunct, so a later probe's failure is the heap's answer.
 // span reports that the last probe spans keys (appendProbe). Equal
 // values under a span are not one value, so a span serves only a
 // full-tuple path that no ORDER BY relies on being constant.
@@ -589,7 +596,8 @@ func eqPrefix(td *tableData, path *accessPath, ctx *evalCtx) (prefix []byte, spa
 			return nil, false, false, false
 		}
 		if v.IsNull() {
-			return nil, false, true, true // col = NULL is UNKNOWN: no rows
+			nullProbe = true // col = NULL is UNKNOWN: no rows
+			continue
 		}
 		if span {
 			return nil, false, false, false
@@ -599,7 +607,7 @@ func eqPrefix(td *tableData, path *accessPath, ctx *evalCtx) (prefix []byte, spa
 			return nil, false, false, false
 		}
 	}
-	return prefix, span, false, true
+	return prefix, span, nullProbe, true
 }
 
 // pathBound is one evaluated range bound on the path's scan column: the
@@ -666,8 +674,20 @@ func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx) (keyRange, bool
 	if !ok {
 		return kr, false
 	}
-	if nullProbe {
-		kr.empty = true
+	// Both range bounds are evaluated before any probe decides anything,
+	// so an evaluation or alignment error always reaches the fallback,
+	// where the WHERE surfaces it with full-scan semantics.
+	var lo, hi pathBound
+	if path.kind == pathOrderedRange {
+		var loOK, hiOK bool
+		lo, loOK = encodePathBound(td, path, prefix, path.lo, ctx)
+		hi, hiOK = encodePathBound(td, path, prefix, path.hi, ctx)
+		if !loOK || !hiOK {
+			return kr, false
+		}
+	}
+	if nullProbe || lo.null || hi.null {
+		kr.empty = true // comparison with NULL matches nothing
 		return kr, true
 	}
 	// pastNull skips the NULL key of the scan column and, with the
@@ -687,18 +707,6 @@ func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx) (keyRange, bool
 		kr.lookup = string(prefix)
 
 	case pathOrderedRange:
-		// Both bounds are evaluated before either decides anything, so an
-		// evaluation error always reaches the fallback, where the residual
-		// predicate surfaces it with full-scan semantics.
-		lo, loOK := encodePathBound(td, path, prefix, path.lo, ctx)
-		hi, hiOK := encodePathBound(td, path, prefix, path.hi, ctx)
-		if !loOK || !hiOK {
-			return kr, false
-		}
-		if lo.null || hi.null {
-			kr.empty = true // comparison with NULL matches nothing
-			return kr, true
-		}
 		switch {
 		case path.lo != nil && path.loIncl:
 			kr.lo = &keyBound{key: lo.first, incl: true}
@@ -745,21 +753,26 @@ func pathKeyRange(td *tableData, path *accessPath, ctx *evalCtx) (keyRange, bool
 // insertion order. Every statement-level reader of a table — the SELECT
 // source, a join's driving table, UPDATE/DELETE row matching — goes
 // through it, so the path-else-heap choice, the per-row interrupt poll
-// and the WHERE test are written once.
+// and the decision of which predicate still needs testing are made once.
 type tableScan struct {
-	td   *tableData
-	path *accessPath // nil: heap scan
-	idx  *orderedIndex
-	kr   keyRange
+	td    *tableData
+	path  *accessPath // nil: heap scan
+	idx   *orderedIndex
+	kr    keyRange
+	where Expr // what the scan still tests per row; nil: nothing
 }
 
-// openScan resolves path's probes against this execution's parameters.
-// A path that cannot serve it — none planned, SetFullScanOnly, or a
-// probe that fails to evaluate or align (see pathKeyRange) — leaves the
-// heap scan, so whether rows will arrive in the path's order is known
-// before the first one is emitted.
-func (db *DB) openScan(td *tableData, path *accessPath, ctx *evalCtx) tableScan {
-	ts := tableScan{td: td}
+// openScan resolves path's probes against this execution's parameters
+// and decides what the scan still has to test of where, the statement's
+// predicate on this table (nil: none). A path that cannot serve the
+// execution — none planned, SetFullScanOnly, or a probe that fails to
+// evaluate or align (see pathKeyRange) — leaves the heap scan, so
+// whether rows will arrive in the path's order is known before the
+// first one is emitted. A resolved residual-free path's key range is
+// the predicate and the scan tests nothing; the heap scan and a path
+// that leaves conjuncts test all of where.
+func (db *DB) openScan(td *tableData, path *accessPath, where Expr, ctx *evalCtx) tableScan {
+	ts := tableScan{td: td, where: where}
 	if path == nil || db.fullScanOnly {
 		return ts
 	}
@@ -772,6 +785,9 @@ func (db *DB) openScan(td *tableData, path *accessPath, ctx *evalCtx) tableScan 
 		return ts
 	}
 	ts.path, ts.idx, ts.kr = path, idx, kr
+	if path.residualFree {
+		ts.where = nil
+	}
 	return ts
 }
 
@@ -801,19 +817,19 @@ func (ts *tableScan) keys(ctx *evalCtx, desc bool, f func(k string, rows []*rowS
 }
 
 // run visits, in scan order, the rows visible at ctx.snap that satisfy
-// where (nil = all) until visit returns false. A path consumes only the
-// conjuncts it can serve, so where is always the full statement
-// predicate, never a residual. The returned error is the scan's own — a
-// governance failure or a WHERE evaluation error; a visitor that stops
-// on an error of its own keeps it.
-func (ts *tableScan) run(where Expr, ctx *evalCtx, visit func(s *rowSlot, vals []sqltypes.Value) bool) error {
+// the statement's predicate until visit returns false: the rows of the
+// resolved key range, tested against ts.where when openScan left one.
+// The returned error is the scan's own — a governance failure or a
+// WHERE evaluation error; a visitor that stops on an error of its own
+// keeps it.
+func (ts *tableScan) run(ctx *evalCtx, visit func(s *rowSlot, vals []sqltypes.Value) bool) error {
 	var err error
 	each := func(s *rowSlot, vals []sqltypes.Value) bool {
 		if err = ctx.intr.check(); err != nil {
 			return false
 		}
 		var ok bool
-		if ok, err = ctx.holds(where, vals); !ok {
+		if ok, err = ctx.holds(ts.where, vals); !ok {
 			return err == nil
 		}
 		return visit(s, vals)

@@ -2,10 +2,12 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sqltypes"
 )
@@ -82,6 +84,25 @@ func buildPropertyDB(t testing.TB, rng *rand.Rand, rows int) *DB {
 		}
 	}
 	return db
+}
+
+// plannedPath returns the access path of sql's cached SELECT plan — the
+// path every execution of the prepared statement resolves. An UPDATE or
+// DELETE plans its WHERE the same way (matchRowsLocked), so a test reads
+// a DML statement's path from the SELECT sharing its WHERE.
+func plannedPath(t testing.TB, db *DB, sql string) *accessPath {
+	t.Helper()
+	st, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	plan, err := st.selectPlanLocked(st.ast.(*SelectStmt))
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return plan.path
 }
 
 // randomPredicate builds one WHERE conjunct, sometimes passing numeric
@@ -188,14 +209,21 @@ func assertSorted(t *testing.T, r *Rows, col string, desc bool, sql string) {
 // return identical rows through the planner's index paths and through a
 // forced full scan. ORDER BY results are additionally checked for
 // sortedness; exact sequences are compared when ordering by the unique
-// ID column.
+// ID column. A residual-free path's rows are never tested against the
+// WHERE, so the property is only as strong as the share of statements
+// that plan one: at least a quarter must.
 func TestPlannerPropertyIndexVsScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := buildPropertyDB(t, rng, 500)
 	defer db.Close()
 
+	statements, residualFree := 0, 0
 	runOne := func(sql string, args []sqltypes.Value, exactOrder bool, orderCol string, desc bool) {
 		t.Helper()
+		statements++
+		if p := plannedPath(t, db, sql); p != nil && p.residualFree {
+			residualFree++
+		}
 		indexed, ierr := db.Query(sql, args...)
 		db.SetFullScanOnly(true)
 		scanned, serr := db.Query(sql, args...)
@@ -323,10 +351,19 @@ func TestPlannerPropertyIndexVsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	keyPhase(200)
+	t.Logf("%d of %d statements planned a residual-free path", residualFree, statements)
+	if residualFree < statements/4 {
+		t.Fatalf("%d of %d statements planned a residual-free path: the key-range-only leg is vacuous", residualFree, statements)
+	}
 }
 
 // TestPlannerPropertyDML: UPDATE/DELETE row selection through index
-// paths must match the forced-scan selection.
+// paths must match the forced-scan selection, with at least a quarter
+// of the statements on a residual-free path (whose key range alone
+// picks the rows). Inside one explicit transaction, after an UPDATE
+// that moves rows to new index keys, statements keyed on the old and
+// the new value must see exactly the transaction's own writes: a
+// latest-mode posting is current exactly when its row holds its key.
 func TestPlannerPropertyDML(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	mkDB := func(scanOnly bool) *DB {
@@ -349,8 +386,92 @@ func TestPlannerPropertyDML(t *testing.T) {
 			t.Fatalf("%s: affected %d (index) vs %d (scan)", sql, ra.RowsAffected, rb.RowsAffected)
 		}
 	}
+	// Own writes: each key-changing UPDATE moves rows from old to new
+	// (P.N through a named index, K.A through the PRIMARY KEY's leading
+	// column); in the same transaction a SELECT, an UPDATE and a DELETE
+	// keyed on the old value and then on the new one run on both
+	// databases and must agree.
+	type keyMove struct {
+		table, col, other string // other: a column the inner UPDATE rewrites
+		from, to          int64  // from: the column's least value
+	}
+	moves := []keyMove{{"P", "N", "D", 0, 555}, {"K", "A", "W", 0, 777}}
+	for i, m := range moves {
+		least, err := a.Query(fmt.Sprintf("SELECT MIN(%s) FROM %s", m.col, m.table))
+		if err != nil {
+			t.Fatal(err)
+		}
+		moves[i].from = least.Data[0][0].Int()
+		if p := plannedPath(t, a, fmt.Sprintf("SELECT * FROM %s WHERE %s = ?", m.table, m.col)); p == nil || !p.residualFree {
+			t.Fatalf("%s.%s = ?: path %v is not residual-free", m.table, m.col, p)
+		}
+	}
+	ta, err := a.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ta.Rollback() //nolint:errcheck // no-op after Commit; releases the lock on failure
+	tb, err := b.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Rollback() //nolint:errcheck // as above
+	inTx := func(sql string, args ...sqltypes.Value) int {
+		t.Helper()
+		if strings.HasPrefix(sql, "SELECT") {
+			ra, ea := ta.Query(sql, args...)
+			rb, eb := tb.Query(sql, args...)
+			if ea != nil || eb != nil {
+				t.Fatalf("%s %v: %v / %v", sql, args, ea, eb)
+			}
+			if rowsKey(ra, false) != rowsKey(rb, false) {
+				t.Fatalf("%s %v: %d rows (index) vs %d (scan) inside the transaction", sql, args, len(ra.Data), len(rb.Data))
+			}
+			return len(ra.Data)
+		}
+		ra, ea := ta.Exec(sql, args...)
+		rb, eb := tb.Exec(sql, args...)
+		if ea != nil || eb != nil {
+			t.Fatalf("%s %v: %v / %v", sql, args, ea, eb)
+		}
+		if ra.RowsAffected != rb.RowsAffected {
+			t.Fatalf("%s %v: affected %d (index) vs %d (scan) inside the transaction", sql, args, ra.RowsAffected, rb.RowsAffected)
+		}
+		return ra.RowsAffected
+	}
+	for _, m := range moves {
+		from, to := sqltypes.NewInt(m.from), sqltypes.NewInt(m.to)
+		if n := inTx(fmt.Sprintf("UPDATE %s SET %s = ? WHERE %s = ?", m.table, m.col, m.col), to, from); n == 0 {
+			t.Fatalf("no %s row moved from %s = %d: the own-writes case is vacuous", m.table, m.col, m.from)
+		}
+		sel := fmt.Sprintf("SELECT * FROM %s WHERE %s = ?", m.table, m.col)
+		for _, v := range []sqltypes.Value{from, to} {
+			inTx(sel, v)
+			inTx(fmt.Sprintf("UPDATE %s SET %s = 999 WHERE %s = ?", m.table, m.other, m.col), v)
+			inTx(sel, v)
+		}
+		for _, v := range []sqltypes.Value{from, to} {
+			inTx(fmt.Sprintf("DELETE FROM %s WHERE %s = ?", m.table, m.col), v)
+			inTx(sel, v)
+		}
+	}
+	if err := ta.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	statements, residualFree := 0, 0
+	tally := func(table, cond string) {
+		statements++
+		if p := plannedPath(t, a, "SELECT * FROM "+table+" WHERE "+cond); p != nil && p.residualFree {
+			residualFree++
+		}
+	}
 	for i := 0; i < 60; i++ {
 		c, args := randomPredicate(rng)
+		tally("P", c)
 		var sql string
 		if i%2 == 0 {
 			sql = "UPDATE P SET D = 999 WHERE " + c
@@ -363,12 +484,18 @@ func TestPlannerPropertyDML(t *testing.T) {
 	// so the rewrite itself cannot be refused.
 	for i := 0; i < 40; i++ {
 		c, args := randomKeyPredicate(rng)
+		tally("K", c)
 		if i%2 == 0 {
 			both("UPDATE K SET W = W + 1 WHERE "+c, args)
 		} else {
 			both("DELETE FROM K WHERE "+c, args)
 		}
 	}
+	t.Logf("%d of %d statements planned a residual-free path", residualFree, statements)
+	if residualFree < statements/4 {
+		t.Fatalf("%d of %d statements planned a residual-free path: the key-range-only leg is vacuous", residualFree, statements)
+	}
+
 	for _, q := range []string{"SELECT * FROM P ORDER BY ID", "SELECT * FROM K ORDER BY A, B"} {
 		ra, _ := a.Query(q)
 		rb, _ := b.Query(q)
@@ -569,4 +696,190 @@ func TestOrderedScanSatisfiesOrderBy(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantIDs(rows, 4, 1, 6)
+}
+
+// fuzzPathDB is FuzzIndexPathMatchesScan's table: INTEGER, DOUBLE,
+// VARCHAR and TIMESTAMP columns holding the values key encoding has to
+// get right — the ±2^53 boundary and the BIGINT edges, ±0, NaN, ±Inf
+// and far doubles, text that reads as a number, a timestamp or neither,
+// far timestamps, NULLs — under a single-column index on each and four
+// composites, so a probe can be alone or behind an equality prefix.
+func fuzzPathDB(t testing.TB) *DB {
+	t.Helper()
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ExecScript(`CREATE TABLE F (ID INTEGER PRIMARY KEY, I BIGINT, D DOUBLE, S VARCHAR(30), TS TIMESTAMP)`); err != nil {
+		t.Fatal(err)
+	}
+	i := sqltypes.NewInt
+	d := sqltypes.NewDouble
+	str := sqltypes.NewString
+	ts := func(s string) sqltypes.Value {
+		v, err := time.Parse("2006-01-02 15:04:05.999999999", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sqltypes.NewTime(v)
+	}
+	null := sqltypes.Null
+	ints := []sqltypes.Value{i(0), i(1), i(-1), i(7), i(-7), i(1<<53 - 1), i(1 << 53), i(1<<53 + 1),
+		i(1<<53 + 2), i(-(1 << 53)), i(-(1 << 53) - 1), i(math.MaxInt64), i(math.MaxInt64 - 1),
+		i(math.MinInt64), i(math.MinInt64 + 1), i(1 << 62), null}
+	doubles := []sqltypes.Value{d(0), d(math.Copysign(0, -1)), d(1.5), d(-1.5), d(7), d(math.NaN()),
+		d(math.Inf(1)), d(math.Inf(-1)), d(1 << 53), d(1<<53 + 2), d(1e300), d(-1e300), d(1 << 63),
+		d(-(1 << 63)), d(5e-324), null}
+	strs := []sqltypes.Value{str(""), str("a"), str("a\x00"), str("a\x00b"), str("b"), str("5"), str("-5"),
+		str("5.0"), str("1e3"), str("9007199254740993"), str("1999-01-10 15:09:32"), str("NaN"), str("zz"), null}
+	times := []sqltypes.Value{ts("1999-01-10 15:09:32"), ts("1999-01-10 15:09:32.000000001"),
+		ts("1970-01-01 00:00:00"), ts("1969-12-31 23:59:59.5"), ts("2262-04-12 00:00:00"),
+		ts("0001-01-01 00:00:00"), ts("9999-12-31 23:59:59"), null}
+	rng := rand.New(rand.NewSource(5))
+	pick := func(vs []sqltypes.Value) sqltypes.Value { return vs[rng.Intn(len(vs))] }
+	for id := 0; id < 240; id++ {
+		if _, err := db.Exec(`INSERT INTO F VALUES (?, ?, ?, ?, ?)`,
+			i(int64(id)), pick(ints), pick(doubles), pick(strs), pick(times)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ddl := range []string{
+		`CREATE INDEX F_I ON F (I)`, `CREATE INDEX F_D ON F (D)`, `CREATE INDEX F_S ON F (S)`,
+		`CREATE INDEX F_TS ON F (TS)`, `CREATE INDEX F_SI ON F (S, I)`, `CREATE INDEX F_ID ON F (I, D)`,
+		`CREATE INDEX F_TSS ON F (TS, S)`, `CREATE INDEX F_DTS ON F (D, TS)`,
+	} {
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// fuzzProbe decodes one fuzzed probe: NULL, an INTEGER, a DOUBLE from
+// its bits, text, or a TIMESTAMP whose seconds reach far past the years
+// a nanosecond count can name.
+func fuzzProbe(kind uint8, x uint64, s string) sqltypes.Value {
+	switch kind % 5 {
+	case 0:
+		return sqltypes.Null
+	case 1:
+		return sqltypes.NewInt(int64(x))
+	case 2:
+		return sqltypes.NewDouble(math.Float64frombits(x))
+	case 3:
+		return sqltypes.NewString(s)
+	default:
+		return sqltypes.NewTime(time.Unix(int64(x)>>24, int64(x&0xffffff)).UTC())
+	}
+}
+
+// FuzzIndexPathMatchesScan: a residual-free index path's key range is
+// the predicate — no row it selects is tested against the WHERE again —
+// so for any probe, under =, <, <=, >, >=, BETWEEN or IS [NOT] NULL,
+// alone or behind an equality prefix, the path must select exactly the
+// rows SetFullScanOnly's heap scan does, or fail with the same error.
+func FuzzIndexPathMatchesScan(f *testing.F) {
+	i, d := func(v int64) uint64 { return uint64(v) }, math.Float64bits
+	const tInt, tDouble, tText, tTime = 1, 2, 3, 4
+	for _, c := range []struct {
+		shape, op uint8
+		k1        uint8
+		x1        uint64
+		s1        string
+		k2        uint8
+		x2        uint64
+		s2        string
+		k3        uint8
+		x3        uint64
+		s3        string
+	}{
+		{0, 0, tInt, i(1<<53 + 1), "", 0, 0, "", 0, 0, ""},
+		{0, 0, tDouble, d(1 << 53), "", 0, 0, "", 0, 0, ""},
+		{0, 1, tText, 0, "9007199254740993", 0, 0, "", 0, 0, ""},
+		{0, 5, tInt, i(math.MinInt64), "", tInt, i(-(1 << 53)), "", 0, 0, ""},
+		{0, 4, tInt, i(math.MaxInt64), "", 0, 0, "", 0, 0, ""},
+		{0, 3, tDouble, d(1 << 63), "", 0, 0, "", 0, 0, ""},
+		{0, 2, tDouble, d(math.Inf(-1)), "", 0, 0, "", 0, 0, ""},
+		{1, 0, tDouble, d(math.Copysign(0, -1)), "", 0, 0, "", 0, 0, ""},
+		{1, 1, tDouble, d(math.NaN()), "", 0, 0, "", 0, 0, ""},
+		{1, 2, tDouble, d(math.NaN()), "", 0, 0, "", 0, 0, ""},
+		{1, 5, tInt, i(-7), "", tText, 0, "1e300", 0, 0, ""},
+		{1, 3, tText, 0, "-0", 0, 0, "", 0, 0, ""},
+		{1, 0, tText, 0, "abc", 0, 0, "", 0, 0, ""},
+		{2, 0, tText, 0, "a\x00", 0, 0, "", 0, 0, ""},
+		{2, 1, tInt, i(5), "", 0, 0, "", 0, 0, ""},
+		{2, 5, tText, 0, "", tText, 0, "a\xff", 0, 0, ""},
+		{3, 0, tText, 0, "1999-01-10 15:09:32", 0, 0, "", 0, 0, ""},
+		{3, 3, tText, 0, "1999-01-10", 0, 0, "", 0, 0, ""},
+		{3, 4, tText, 0, "garbage", 0, 0, "", 0, 0, ""},
+		{3, 1, tTime, i(-62135596800 << 24), "", 0, 0, "", 0, 0, ""},
+		{3, 5, tTime, i(0), "", tText, 0, "9999-12-31 23:59:59", 0, 0, ""},
+		{0, 6, 0, 0, "", 0, 0, "", 0, 0, ""},
+		{3, 7, 0, 0, "", 0, 0, "", 0, 0, ""},
+		{0, 0, 0, 0, "", 0, 0, "", 0, 0, ""},
+		{4, 0, tInt, i(1<<53 + 2), "", 0, 0, "", tText, 0, "5"},
+		{4, 4, tDouble, d(1 << 53), "", 0, 0, "", tText, 0, "9007199254740993"},
+		{4, 6, 0, 0, "", 0, 0, "", tText, 0, "a"},
+		{5, 5, tDouble, d(-1.5), "", tDouble, d(1e300), "", tInt, i(math.MaxInt64), ""},
+		{5, 1, tInt, i(7), "", 0, 0, "", tDouble, d(7), ""},
+		{5, 7, 0, 0, "", 0, 0, "", 0, 0, ""},
+		{6, 2, tText, 0, "zz", 0, 0, "", tText, 0, "1999-01-10 15:09:32"},
+		{6, 0, tText, 0, "5", 0, 0, "", tText, 0, "garbage"},
+		{7, 3, tText, 0, "1970-01-01", 0, 0, "", tDouble, d(math.NaN()), ""},
+		{7, 6, 0, 0, "", 0, 0, "", tDouble, d(math.Inf(1)), ""},
+		{4, 1, tText, 0, "garbage", 0, 0, "", 0, 0, ""},
+	} {
+		f.Add(c.shape, c.op, c.k1, c.x1, c.s1, c.k2, c.x2, c.s2, c.k3, c.x3, c.s3)
+	}
+	db := fuzzPathDB(f)
+	defer db.Close()
+	cols := []string{"I", "D", "S", "TS"}
+	composites := [][2]string{{"S", "I"}, {"I", "D"}, {"TS", "S"}, {"D", "TS"}}
+	ops := []string{"=", "<", "<=", ">", ">="}
+	f.Fuzz(func(t *testing.T, shape, op, k1 uint8, x1 uint64, s1 string, k2 uint8, x2 uint64, s2 string, k3 uint8, x3 uint64, s3 string) {
+		p1, p2 := fuzzProbe(k1, x1, s1), fuzzProbe(k2, x2, s2)
+		var col, where string
+		var args []sqltypes.Value
+		if shape%8 < 4 {
+			col = cols[shape%4]
+		} else {
+			c := composites[shape%4]
+			col, where = c[1], c[0]+" = ? AND "
+			args = append(args, fuzzProbe(k3, x3, s3))
+		}
+		switch o := op % 8; {
+		case o < 5:
+			where += col + " " + ops[o] + " ?"
+			args = append(args, p1)
+		case o == 5:
+			where += col + " BETWEEN ? AND ?"
+			args = append(args, p1, p2)
+		case o == 6:
+			where += col + " IS NULL"
+		default:
+			where += col + " IS NOT NULL"
+		}
+		sql := "SELECT ID FROM F WHERE " + where
+		// Every shape plans a residual-free path but one: behind an
+		// equality prefix, an IS [NOT] NULL loses to the prefix column's
+		// own index (a point lookup outscores a null test), which leaves
+		// the null test to the WHERE.
+		prefixedNull := shape%8 >= 4 && op%8 >= 6
+		if p := plannedPath(t, db, sql); p == nil || p.residualFree == prefixedNull {
+			t.Fatalf("%s: planned path %v, residual-free %v", sql, p, p != nil && p.residualFree)
+		}
+		indexed, ierr := db.Query(sql, args...)
+		db.SetFullScanOnly(true)
+		scanned, serr := db.Query(sql, args...)
+		db.SetFullScanOnly(false)
+		if ierr != nil || serr != nil {
+			if ierr == nil || serr == nil || ierr.Error() != serr.Error() {
+				t.Fatalf("%s args=%v: index error %v, scan error %v", sql, args, ierr, serr)
+			}
+			return
+		}
+		if rowsKey(indexed, false) != rowsKey(scanned, false) {
+			t.Fatalf("%s args=%v: index path %d rows, scan %d rows", sql, args, len(indexed.Data), len(scanned.Data))
+		}
+	})
 }

@@ -355,7 +355,13 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 		ar: &rowArena{}, scratch: &rowArena{}}
 	defer ctx.scratch.release()
 
-	scan := db.openScan(plan.tables[0].data, plan.path, ctx)
+	// A join's WHERE may name any table, so it waits for the assembled
+	// row and the driving scan tests nothing.
+	where := s.Where
+	if len(plan.tables) > 1 {
+		where = nil
+	}
+	scan := db.openScan(plan.tables[0].data, plan.path, where, ctx)
 	// Index-only aggregation: COUNT/MIN/MAX over a residual-free path
 	// answered from its keys without materialising candidate rows, or a
 	// bare COUNT(*) from the live-row count.
@@ -442,7 +448,7 @@ func backfillKinds(out *Rows) {
 }
 
 // streamRows drives the statement's row source into emit until emit
-// returns false: the lone table's scan with the WHERE fused in, or the
+// returns false: the lone table's scan, which owns the WHERE, or the
 // join. A lone table's rows alias storage, which is safe — the engine
 // never mutates a row slice in place (updates swap in a fresh slice,
 // deletes only tombstone), so a stored-order projection returns them
@@ -450,7 +456,7 @@ func backfillKinds(out *Rows) {
 // escapes into the result. Read-only on the plan.
 func (db *DB) streamRows(plan *selectPlan, ctx *evalCtx, scan tableScan, emit func([]sqltypes.Value) bool) error {
 	if len(plan.tables) == 1 {
-		return scan.run(plan.stmt.Where, ctx, func(_ *rowSlot, vals []sqltypes.Value) bool { return emit(vals) })
+		return scan.run(ctx, func(_ *rowSlot, vals []sqltypes.Value) bool { return emit(vals) })
 	}
 	return db.joinRows(plan, ctx, scan, emit)
 }
@@ -577,9 +583,9 @@ func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx, first tableScan, emit fun
 	}
 	j.hashers = make([]*hashProber, len(plan.tables))
 	// The planner's path narrows the outer loop's candidates; the WHERE
-	// may name any table, so it waits for the assembled row.
+	// waits for the assembled row.
 	matched := false
-	if err := first.run(nil, ctx, func(_ *rowSlot, vals []sqltypes.Value) bool {
+	if err := first.run(ctx, func(_ *rowSlot, vals []sqltypes.Value) bool {
 		return j.extend(0, nil, vals, &matched)
 	}); err != nil {
 		return err
@@ -740,8 +746,8 @@ func (j *joinRun) swapped(probeFn func(*evalCtx) ([][]sqltypes.Value, bool)) err
 	// Probe-evaluation row: the probe's expressions only reference table 1
 	// slots, so the table 0 prefix can stay stale.
 	probeRow := make([]sqltypes.Value, j.width)
-	outer := j.db.openScan(t1.data, nil, ctx)
-	err := outer.run(nil, ctx, func(_ *rowSlot, v1 []sqltypes.Value) bool {
+	outer := j.db.openScan(t1.data, nil, nil, ctx)
+	err := outer.run(ctx, func(_ *rowSlot, v1 []sqltypes.Value) bool {
 		copy(probeRow[start1:], v1)
 		ctx.vals = probeRow
 		cands, handled := probeFn(ctx)

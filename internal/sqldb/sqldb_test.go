@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -735,6 +736,107 @@ func TestSortCellsMatchSortCompare(t *testing.T) {
 					t.Fatalf("round %d: cmpSortCells(%s, %s) = %d, SortCompare = %d", round, vals[i], vals[j], got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestIntegerArithmeticOutOfRange: +, -, *, / and unary minus on two
+// integers fail with the BIGINT range error instead of wrapping, while
+// results landing exactly on an edge (and MinInt64 % -1, which is 0)
+// pass. The error surfaces wherever the expression is evaluated — a
+// projection, an ORDER BY key, a HAVING, and a probe on an indexed
+// column, where the failed probe falls back to the heap scan and
+// reports what SetFullScanOnly reports.
+func TestIntegerArithmeticOutOfRange(t *testing.T) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	for _, c := range []struct {
+		op      string
+		a, b    int64
+		want    int64
+		wantErr bool
+	}{
+		{"+", maxI, 1, 0, true},
+		{"+", minI, -1, 0, true},
+		{"+", maxI - 1, 1, maxI, false},
+		{"+", minI, maxI, -1, false},
+		{"-", minI, 1, 0, true},
+		{"-", maxI, -1, 0, true},
+		{"-", 0, minI, 0, true},
+		{"-", -1, maxI, minI, false},
+		{"-", maxI, maxI, 0, false},
+		{"*", maxI, 2, 0, true},
+		{"*", minI, -1, 0, true},
+		{"*", -1, minI, 0, true},
+		{"*", 1 << 32, 1 << 31, 0, true},
+		{"*", -(1 << 62), 2, minI, false},
+		{"*", -1, maxI, -maxI, false},
+		{"*", 0, minI, 0, false},
+		{"/", minI, -1, 0, true},
+		{"/", minI, 1, minI, false},
+		{"/", maxI, -1, -maxI, false},
+		{"%", minI, -1, 0, false},
+	} {
+		got, err := evalArith(c.op, sqltypes.NewInt(c.a), sqltypes.NewInt(c.b))
+		switch {
+		case c.wantErr && (err == nil || !strings.Contains(err.Error(), "out of BIGINT range")):
+			t.Errorf("%d %s %d = %v, %v; want the BIGINT range error", c.a, c.op, c.b, got, err)
+		case !c.wantErr && (err != nil || got.Int() != c.want):
+			t.Errorf("%d %s %d = %v, %v; want %d", c.a, c.op, c.b, got, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		a, want int64
+		wantErr bool
+	}{{minI, 0, true}, {minI + 1, maxI, false}, {maxI, minI + 1, false}} {
+		got, err := evalUnary(&Unary{Op: "-", X: &Literal{Val: sqltypes.NewInt(c.a)}}, &evalCtx{})
+		if (err != nil) != c.wantErr || err == nil && got.Int() != c.want {
+			t.Errorf("-(%d) = %v, %v; want %d (error %v)", c.a, got, err, c.want, c.wantErr)
+		}
+	}
+
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE W (ID INTEGER PRIMARY KEY, G INTEGER, N BIGINT)`)
+	for i, gn := range [][2]int64{{1, maxI}, {1, minI}, {2, 0}} {
+		mustExec(t, db, `INSERT INTO W VALUES (?, ?, ?)`,
+			sqltypes.NewInt(int64(i)), sqltypes.NewInt(gn[0]), sqltypes.NewInt(gn[1]))
+	}
+	mustExec(t, db, `CREATE INDEX W_N ON W (N)`)
+	// Each operator at the edge one of W's rows holds; X stands for the
+	// operand: the column, the group's aggregate, or a probe parameter.
+	for _, c := range []struct {
+		expr, agg string
+		edge      int64
+	}{
+		{"X + 1", "MAX(N)", maxI},
+		{"X - 1", "MIN(N)", minI},
+		{"X * 2", "MAX(N)", maxI},
+		{"X / -1", "MIN(N)", minI},
+		{"-X", "MIN(N)", minI},
+	} {
+		with := func(x string) string { return strings.ReplaceAll(c.expr, "X", x) }
+		for _, sql := range []string{
+			"SELECT " + with("N") + " FROM W",
+			"SELECT ID FROM W ORDER BY " + with("N"),
+			"SELECT G FROM W GROUP BY G HAVING " + with(c.agg) + " > 0",
+		} {
+			if _, err := db.Query(sql); err == nil || !strings.Contains(err.Error(), "out of BIGINT range") {
+				t.Errorf("%s: error %v, want the BIGINT range error", sql, err)
+			}
+		}
+		sql := "SELECT ID FROM W WHERE N = " + with("?")
+		st, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := st.AccessPath(); p != "eq(W.N)" {
+			t.Fatalf("%s: path %q, want eq(W.N)", sql, p)
+		}
+		_, ierr := db.Query(sql, sqltypes.NewInt(c.edge))
+		db.SetFullScanOnly(true)
+		_, serr := db.Query(sql, sqltypes.NewInt(c.edge))
+		db.SetFullScanOnly(false)
+		if ierr == nil || serr == nil || ierr.Error() != serr.Error() || !strings.Contains(ierr.Error(), "out of BIGINT range") {
+			t.Errorf("%s: index error %v, scan error %v; want the same BIGINT range error", sql, ierr, serr)
 		}
 	}
 }
