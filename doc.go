@@ -24,8 +24,10 @@
 //     *sqldb.Stmt whose parsed AST and — for SELECTs — bound plan
 //     (resolved table/column slots, expanded projection) are reused
 //     across executions. An internal LRU keyed by SQL text backs
-//     Prepare and is consulted by plain Exec/Query too, so every caller
-//     gets statement caching for free. Any DDL bumps a schema epoch;
+//     Prepare and is consulted by plain Exec/Query and by an explicit
+//     transaction's Tx.Exec/Tx.Query too, so every caller — a batch of
+//     archival INSERTs inside one transaction included — gets
+//     statement caching for free. Any DDL bumps a schema epoch;
 //     plans record the epoch they were bound at and transparently
 //     re-bind when it moves, so a stale plan is never served.
 //

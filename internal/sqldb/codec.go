@@ -1,7 +1,7 @@
 package sqldb
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -21,196 +21,185 @@ import (
 //	VARCHAR/CLOB/DATALINK — uvarint length + UTF-8 bytes
 //	BLOB                  — uvarint length + raw bytes
 //
+// A row is an 8-byte little-endian value count followed by its values.
+//
 // Timestamps outside the int64-nanosecond window (before 1678 or after
 // 2262, where UnixNano is undefined) and the zero time use the
 // farTimeTag kind byte with a 12-byte unix seconds + nanoseconds
 // payload, so every instant sqltypes.Value can hold survives the
 // WAL/snapshot round trip. The plain 8-byte form is kept for in-window
 // values so existing logs stay readable.
+//
+// Encoding appends to a caller-owned slice (appendValue, appendRow,
+// appendWALRecord): the WAL writer reuses one buffer for every record
+// it stages and the snapshot writer one per checkpoint, so encoding
+// allocates nothing per record. Decoding is a cursor over bytes already
+// in memory (decoder) whose first error sticks: every later read
+// returns a zero value, so a caller reads a whole record and checks the
+// error once. The bytes decoded alias the file image, so every string
+// and BLOB is copied out of them exactly once.
 
 // farTimeTag marks the extended TIMESTAMP encoding. It sits far above
 // the sqltypes.Kind range, so it can never collide with a kind byte.
 const farTimeTag = 0x80 | byte(sqltypes.KindTime)
 
-func writeValue(w *bufio.Writer, v sqltypes.Value) error {
-	kindByte := byte(v.Kind())
-	farTime := false
-	if v.Kind() == sqltypes.KindTime {
-		t := v.Time()
-		if farTime = t.IsZero() || !sqltypes.InNanoRange(t); farTime {
-			kindByte = farTimeTag
-		}
-	}
-	if err := w.WriteByte(kindByte); err != nil {
-		return err
-	}
-	var buf [12]byte
-	switch v.Kind() {
+// Bounds a decoder applies before trusting a length or a count: no
+// string is longer than 2 GiB and no row wider than 2^20 values.
+const (
+	maxEncodedLen   = 1 << 31
+	maxEncodedWidth = 1 << 20
+)
+
+func appendUint64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendValue(b []byte, v sqltypes.Value) ([]byte, error) {
+	switch k := v.Kind(); k {
 	case sqltypes.KindNull:
-		return nil
+		return append(b, byte(k)), nil
 	case sqltypes.KindInt, sqltypes.KindBool:
-		binary.LittleEndian.PutUint64(buf[:8], uint64(v.Int()))
-		_, err := w.Write(buf[:8])
-		return err
+		return appendUint64(append(b, byte(k)), uint64(v.Int())), nil
 	case sqltypes.KindDouble:
-		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(v.Double()))
-		_, err := w.Write(buf[:8])
-		return err
+		return appendUint64(append(b, byte(k)), math.Float64bits(v.Double())), nil
 	case sqltypes.KindTime:
 		t := v.Time()
-		if farTime {
-			binary.LittleEndian.PutUint64(buf[:8], uint64(t.Unix()))
-			binary.LittleEndian.PutUint32(buf[8:], uint32(t.Nanosecond()))
-			_, err := w.Write(buf[:12])
-			return err
+		if t.IsZero() || !sqltypes.InNanoRange(t) {
+			b = appendUint64(append(b, farTimeTag), uint64(t.Unix()))
+			return binary.LittleEndian.AppendUint32(b, uint32(t.Nanosecond())), nil
 		}
-		binary.LittleEndian.PutUint64(buf[:8], uint64(t.UnixNano()))
-		_, err := w.Write(buf[:8])
-		return err
-	case sqltypes.KindString, sqltypes.KindClob, sqltypes.KindDatalink:
-		return writeBytes(w, []byte(v.Str()))
-	case sqltypes.KindBytes:
-		return writeBytes(w, v.Bytes())
+		return appendUint64(append(b, byte(k)), uint64(t.UnixNano())), nil
+	case sqltypes.KindString, sqltypes.KindClob, sqltypes.KindDatalink, sqltypes.KindBytes:
+		// A BLOB's Str is its raw bytes: the payload shares the string slot.
+		return appendString(append(b, byte(k)), v.Str()), nil
 	default:
-		return fmt.Errorf("sqldb: cannot encode value kind %d", v.Kind())
+		return b, fmt.Errorf("sqldb: cannot encode value kind %d", k)
 	}
 }
 
-func readValue(r *bufio.Reader) (sqltypes.Value, error) {
-	kb, err := r.ReadByte()
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	if kb == farTimeTag {
-		var buf [12]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return sqltypes.Null, err
+func appendRow(b []byte, vals []sqltypes.Value) ([]byte, error) {
+	b = appendUint64(b, uint64(len(vals)))
+	var err error
+	for _, v := range vals {
+		if b, err = appendValue(b, v); err != nil {
+			return b, err
 		}
-		sec := int64(binary.LittleEndian.Uint64(buf[:8]))
-		nsec := int64(binary.LittleEndian.Uint32(buf[8:]))
-		return sqltypes.NewTime(time.Unix(sec, nsec).UTC()), nil
-	}
-	kind := sqltypes.Kind(kb)
-	var buf [8]byte
-	switch kind {
-	case sqltypes.KindNull:
-		return sqltypes.Null, nil
-	case sqltypes.KindInt, sqltypes.KindBool:
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return sqltypes.Null, err
-		}
-		n := int64(binary.LittleEndian.Uint64(buf[:]))
-		if kind == sqltypes.KindBool {
-			return sqltypes.NewBool(n != 0), nil
-		}
-		return sqltypes.NewInt(n), nil
-	case sqltypes.KindDouble:
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return sqltypes.Null, err
-		}
-		return sqltypes.NewDouble(math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))), nil
-	case sqltypes.KindTime:
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return sqltypes.Null, err
-		}
-		return sqltypes.NewTime(time.Unix(0, int64(binary.LittleEndian.Uint64(buf[:]))).UTC()), nil
-	case sqltypes.KindString, sqltypes.KindClob, sqltypes.KindDatalink:
-		b, err := readBytes(r)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		switch kind {
-		case sqltypes.KindClob:
-			return sqltypes.NewClob(string(b)), nil
-		case sqltypes.KindDatalink:
-			return sqltypes.NewDatalink(string(b)), nil
-		default:
-			return sqltypes.NewString(string(b)), nil
-		}
-	case sqltypes.KindBytes:
-		b, err := readBytes(r)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		return sqltypes.NewBytes(b), nil
-	default:
-		return sqltypes.Null, fmt.Errorf("sqldb: corrupt value kind %d", kb)
-	}
-}
-
-func writeBytes(w *bufio.Writer, b []byte) error {
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(b)))
-	if _, err := w.Write(lenBuf[:n]); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
-func readBytes(r *bufio.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<31 {
-		return nil, fmt.Errorf("sqldb: corrupt length %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
 	}
 	return b, nil
 }
 
-func writeString(w *bufio.Writer, s string) error { return writeBytes(w, []byte(s)) }
-
-func readString(r *bufio.Reader) (string, error) {
-	b, err := readBytes(r)
-	return string(b), err
+// decoder reads encoded fields off the front of b. The first failure
+// sticks in err and empties b, so every later read returns a zero value.
+type decoder struct {
+	b   []byte
+	err error
 }
 
-func writeUint64(w *bufio.Writer, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.b = nil
 }
 
-func readUint64(r *bufio.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
+// take returns the next n bytes, aliasing the input.
+func (d *decoder) take(n int) []byte {
+	if len(d.b) < n {
+		d.fail(io.ErrUnexpectedEOF)
+		return nil
 	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	p := d.b[:n:n]
+	d.b = d.b[n:]
+	return p
 }
 
-func writeRow(w *bufio.Writer, vals []sqltypes.Value) error {
-	if err := writeUint64(w, uint64(len(vals))); err != nil {
-		return err
+func (d *decoder) uint8() byte {
+	if p := d.take(1); p != nil {
+		return p[0]
 	}
-	for _, v := range vals {
-		if err := writeValue(w, v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return 0
 }
 
-func readRow(r *bufio.Reader) ([]sqltypes.Value, error) {
-	n, err := readUint64(r)
-	if err != nil {
-		return nil, err
+func (d *decoder) uint32() uint32 {
+	if p := d.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
 	}
-	if n > 1<<20 {
-		return nil, fmt.Errorf("sqldb: corrupt row width %d", n)
+	return 0
+}
+
+func (d *decoder) uint64() uint64 {
+	if p := d.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+// bytes reads a uvarint-length-prefixed field, aliasing the input.
+func (d *decoder) bytes() []byte {
+	n, k := binary.Uvarint(d.b)
+	switch {
+	case k == 0:
+		d.fail(io.ErrUnexpectedEOF)
+		return nil
+	case k < 0:
+		d.fail(fmt.Errorf("sqldb: corrupt length varint"))
+		return nil
+	case n > maxEncodedLen:
+		d.fail(fmt.Errorf("sqldb: corrupt length %d", n))
+		return nil
+	}
+	d.b = d.b[k:]
+	return d.take(int(n))
+}
+
+func (d *decoder) string() string { return string(d.bytes()) }
+
+func (d *decoder) value() sqltypes.Value {
+	kb := d.uint8()
+	if kb == farTimeTag {
+		sec, nsec := int64(d.uint64()), int64(d.uint32())
+		return sqltypes.NewTime(time.Unix(sec, nsec).UTC())
+	}
+	switch kind := sqltypes.Kind(kb); kind {
+	case sqltypes.KindNull:
+		return sqltypes.Null
+	case sqltypes.KindInt:
+		return sqltypes.NewInt(int64(d.uint64()))
+	case sqltypes.KindBool:
+		return sqltypes.NewBool(d.uint64() != 0)
+	case sqltypes.KindDouble:
+		return sqltypes.NewDouble(math.Float64frombits(d.uint64()))
+	case sqltypes.KindTime:
+		return sqltypes.NewTime(time.Unix(0, int64(d.uint64())).UTC())
+	case sqltypes.KindString:
+		return sqltypes.NewString(d.string())
+	case sqltypes.KindClob:
+		return sqltypes.NewClob(d.string())
+	case sqltypes.KindDatalink:
+		return sqltypes.NewDatalink(d.string())
+	case sqltypes.KindBytes:
+		return sqltypes.NewBytes(bytes.Clone(d.bytes()))
+	default:
+		d.fail(fmt.Errorf("sqldb: corrupt value kind %d", kb))
+		return sqltypes.Null
+	}
+}
+
+func (d *decoder) row() []sqltypes.Value {
+	n := d.uint64()
+	// Every value takes at least its kind byte: a count beyond the bytes
+	// left is corrupt before a slice is sized by it.
+	if n > maxEncodedWidth || n > uint64(len(d.b)) {
+		d.fail(fmt.Errorf("sqldb: corrupt row width %d", n))
+	}
+	if d.err != nil {
+		return nil
 	}
 	vals := make([]sqltypes.Value, n)
 	for i := range vals {
-		vals[i], err = readValue(r)
-		if err != nil {
-			return nil, err
-		}
+		vals[i] = d.value()
 	}
-	return vals, nil
+	return vals
 }

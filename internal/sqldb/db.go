@@ -523,6 +523,9 @@ func (db *DB) applyWALRecord(rec walRecord, refs *mvccRefs) error {
 		if !ok {
 			return fmt.Errorf("insert into unknown table %s", rec.table)
 		}
+		if err := td.checkWidth(rec.row, rec.vals); err != nil {
+			return err
+		}
 		if uint64(rec.row) >= db.nextRow.Load() {
 			db.nextRow.Store(uint64(rec.row) + 1)
 		}
@@ -541,10 +544,20 @@ func (db *DB) applyWALRecord(rec walRecord, refs *mvccRefs) error {
 		var err error
 		if rec.op == walOpDelete {
 			_, err = td.delete(s, refs)
-		} else {
+		} else if err = td.checkWidth(rec.row, rec.vals); err == nil {
 			_, err = td.update(s, rec.vals, refs)
 		}
 		return err
+	}
+	return nil
+}
+
+// checkWidth refuses a logged row whose value count is not its table's
+// column count. Only a writer bug or a forged file can hold one, and
+// the heap and indexes index rows by column position.
+func (td *tableData) checkWidth(id rowID, vals []sqltypes.Value) error {
+	if len(vals) != len(td.schema.Cols) {
+		return fmt.Errorf("row %d of %s has %d values, want %d", id, td.schema.Name, len(vals), len(td.schema.Cols))
 	}
 	return nil
 }
@@ -1173,38 +1186,65 @@ func (db *DB) Begin() (*Tx, error) {
 }
 
 // Exec runs a DML statement inside the transaction. DDL is rejected:
-// schema changes are autocommit-only in this engine.
+// schema changes are autocommit-only in this engine. The statement comes
+// from the plan cache, as DB.Exec's does, so a batch of INSERTs sharing
+// one text is parsed once. A SELECT runs as Query does, its result
+// discarded.
 func (tx *Tx) Exec(sql string, args ...sqltypes.Value) (Result, error) {
-	if tx.done {
-		return Result{}, fmt.Errorf("sqldb: transaction already finished")
-	}
-	stmt, err := Parse(sql)
+	st, err := tx.stmt(sql, errTxDMLOnly)
 	if err != nil {
 		return Result{}, err
 	}
-	switch stmt.(type) {
-	case *InsertStmt, *UpdateStmt, *DeleteStmt, *SelectStmt:
+	switch s := st.ast.(type) {
+	case *SelectStmt:
+		_, err := tx.query(st, s, args)
+		return Result{}, err
+	case *InsertStmt, *UpdateStmt, *DeleteStmt:
 	default:
-		return Result{}, fmt.Errorf("sqldb: only DML is allowed inside a transaction")
+		return Result{}, errTxDMLOnly
 	}
-	res, _, err := tx.db.execStmtLocked(tx.state, stmt, args)
+	res, _, err := tx.db.execStmtLocked(tx.state, st.ast, args)
 	return res, err
 }
 
-// Query runs a SELECT inside the transaction.
+// Query runs a SELECT inside the transaction through the plan cache's
+// bound plan. It reads in latest-mode visibility, so it sees the
+// transaction's own uncommitted writes.
 func (tx *Tx) Query(sql string, args ...sqltypes.Value) (*Rows, error) {
-	if tx.done {
-		return nil, fmt.Errorf("sqldb: transaction already finished")
-	}
-	stmt, err := Parse(sql)
+	st, err := tx.stmt(sql, errNotSelect)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := stmt.(*SelectStmt)
+	sel, ok := st.ast.(*SelectStmt)
 	if !ok {
-		return nil, fmt.Errorf("sqldb: Query requires a SELECT statement")
+		return nil, errNotSelect
 	}
-	return tx.db.execSelectLocked(sel, args, tx.state.intr)
+	return tx.query(st, sel, args)
+}
+
+// stmt returns the cached statement for sql; transaction-control text
+// fails with notAllowed, the caller's error for any statement it
+// cannot run.
+func (tx *Tx) stmt(sql string, notAllowed error) (*Stmt, error) {
+	if tx.done {
+		return nil, fmt.Errorf("sqldb: transaction already finished")
+	}
+	st, err := tx.db.preparedStmt(sql)
+	if errors.Is(err, errTxControl) {
+		return nil, notAllowed
+	}
+	return st, err
+}
+
+// query runs a SELECT's bound plan at snapLatest. The transaction holds
+// db.mu exclusively, which keeps this plan build serialised with every
+// other binding of the shared AST.
+func (tx *Tx) query(st *Stmt, sel *SelectStmt, args []sqltypes.Value) (*Rows, error) {
+	plan, err := st.selectPlanLocked(sel)
+	if err != nil {
+		return nil, err
+	}
+	return tx.db.runSelectAt(plan, args, snapLatest, nil, tx.state.intr)
 }
 
 // Commit makes the transaction durable and releases the lock. The
@@ -1237,11 +1277,17 @@ func (tx *Tx) Rollback() error {
 	return err
 }
 
-// applyDDLText re-executes logged DDL during snapshot/WAL replay.
+// applyDDLText re-executes logged DDL during snapshot/WAL replay. Only
+// the four statements that write the DDL log may appear in it.
 func (db *DB) applyDDLText(sql string) error {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return err
+	}
+	switch stmt.(type) {
+	case *CreateTableStmt, *DropTableStmt, *CreateIndexStmt, *DropIndexStmt:
+	default:
+		return fmt.Errorf("sqldb: %q is not DDL", sql)
 	}
 	tx := &txState{} // replay: no WAL, no link control
 	_, _, err = db.execStmtLocked(tx, stmt, nil)

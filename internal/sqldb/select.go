@@ -128,10 +128,10 @@ func planVolatile(plan *selectPlan) bool {
 }
 
 // execSelectLocked plans and runs a SELECT in one step (the uncached
-// path). The caller holds db.mu exclusively — this is the explicit-Tx /
-// script path — so the query runs in latest-mode visibility: it must
-// see the enclosing transaction's own uncommitted writes, and no other
-// writer can be in flight under the exclusive lock.
+// path). The caller holds db.mu exclusively — this is the script path —
+// so the query runs in latest-mode visibility: no other writer can be
+// in flight under the exclusive lock. An explicit transaction runs the
+// same visibility through its cached plan (Tx.query).
 func (db *DB) execSelectLocked(s *SelectStmt, params []sqltypes.Value, ic *interrupt) (*Rows, error) {
 	plan, err := db.planSelect(s)
 	if err != nil {

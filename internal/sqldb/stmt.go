@@ -365,7 +365,7 @@ func (s *Stmt) Query(args ...sqltypes.Value) (*Rows, error) {
 func (s *Stmt) query(ctx context.Context, args []sqltypes.Value, force bool) (*Rows, *Trace, error) {
 	sel, ok := s.ast.(*SelectStmt)
 	if !ok {
-		return nil, nil, fmt.Errorf("sqldb: Query requires a SELECT statement")
+		return nil, nil, errNotSelect
 	}
 	db := s.db
 	thr := db.traceThresholdNs.Load()
@@ -531,6 +531,12 @@ func (db *DB) SetPlanCacheCapacity(n int) {
 // PlanCacheLen reports how many statements are currently cached.
 func (db *DB) PlanCacheLen() int { return db.plans.len() }
 
+var (
+	errNotSelect = errors.New("sqldb: Query requires a SELECT statement")
+	errTxControl = errors.New("sqldb: use Begin/Commit/Rollback on *DB, not SQL text")
+	errTxDMLOnly = errors.New("sqldb: only DML is allowed inside a transaction")
+)
+
 // preparedStmt returns the shared prepared statement for sql, parsing
 // and caching it on a miss. Evicted statements keep working — eviction
 // only drops the cache's reference.
@@ -545,7 +551,7 @@ func (db *DB) preparedStmt(sql string) (*Stmt, error) {
 		return nil, err
 	}
 	if _, ok := ast.(*TxStmt); ok {
-		return nil, fmt.Errorf("sqldb: use Begin/Commit/Rollback on *DB, not SQL text")
+		return nil, errTxControl
 	}
 	st := &Stmt{db: db, text: sql, ast: ast}
 	db.plans.put(st)

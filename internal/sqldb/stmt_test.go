@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -272,5 +273,77 @@ func TestRowsColIndexCache(t *testing.T) {
 	hand := &Rows{Columns: []string{"X", "Y"}}
 	if i := hand.ColIndex("y"); i != 1 {
 		t.Fatalf("uncached ColIndex = %d", i)
+	}
+}
+
+// TestTxUsesPlanCache: a transaction's statements come from the plan
+// cache like autocommit ones. An INSERT and a SELECT repeated with the
+// same text miss once each and hit after that, and the SELECT, run
+// through the cached plan, still sees the transaction's own
+// uncommitted rows.
+func TestTxUsesPlanCache(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR(20))`)
+	const ins = `INSERT INTO t VALUES (?, ?)`
+	const sel = `SELECT v FROM t WHERE id = ?`
+	// The counters behind sqldb_plan_cache_{misses,hits}_total, read by
+	// handle: a registry snapshot evaluates gauges that wait for the
+	// transaction's lock.
+	misses, hits := db.met.planMisses.Value, db.met.planHits.Value
+	miss0, hit0 := misses(), hits()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback() // a failed check must not leave db.mu held for Close
+	for i := int64(1); i <= 3; i++ {
+		if _, err := tx.Exec(ins, sqltypes.NewInt(i), sqltypes.NewString(fmt.Sprint("v", i))); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := tx.Query(sel, sqltypes.NewInt(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows.Data) != 1 || rows.Data[0][0].Str() != fmt.Sprint("v", i) {
+			t.Fatalf("in-transaction SELECT of row %d: %v", i, rows.Data)
+		}
+		if m, h := misses()-miss0, hits()-hit0; m != 2 || h != 2*(i-1) {
+			t.Fatalf("after %d rounds: %d misses, %d hits; want 2, %d", i, m, h, 2*(i-1))
+		}
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if rows := mustQuery(t, db, sel, sqltypes.NewInt(1)); len(rows.Data) != 0 {
+		t.Fatalf("rolled-back row visible: %v", rows.Data)
+	}
+}
+
+// TestTxRejectsNonDMLText: the transaction path keeps its own errors
+// for text it cannot run, transaction control included.
+func TestTxRejectsNonDMLText(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	for _, c := range []struct {
+		sql, exec, query string
+	}{
+		{`COMMIT`, "only DML is allowed inside a transaction", "Query requires a SELECT statement"},
+		{`CREATE TABLE u (id INTEGER)`, "only DML is allowed inside a transaction", "Query requires a SELECT statement"},
+		{`DELETE FROM t`, "", "Query requires a SELECT statement"},
+	} {
+		if _, err := tx.Exec(c.sql); (err == nil) != (c.exec == "") || err != nil && !strings.Contains(err.Error(), c.exec) {
+			t.Errorf("Exec(%q) = %v, want %q", c.sql, err, c.exec)
+		}
+		if _, err := tx.Query(c.sql); err == nil || !strings.Contains(err.Error(), c.query) {
+			t.Errorf("Query(%q) = %v, want %q", c.sql, err, c.query)
+		}
+	}
+	if _, err := tx.Exec(`SELECT id FROM t`); err != nil {
+		t.Errorf("SELECT through Exec: %v", err)
 	}
 }

@@ -1,8 +1,6 @@
 package sqldb
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -97,6 +95,7 @@ type walFile struct {
 	fs       iofault.FS
 	path     string
 	pending  []byte // staged frames not yet written
+	enc      []byte // one record's payload, reused by every stage
 	nPending int    // staged transactions in pending
 	seq      uint64 // last staged commit sequence
 	durable  uint64 // highest sequence known fsynced
@@ -153,7 +152,8 @@ func openWAL(fs iofault.FS, path string, epoch uint64) (*walFile, error) {
 	}
 	size := fi.Size()
 	if size == 0 {
-		frame := frameBytes(encodeWALRecord(walRecord{op: walOpEpoch}, epoch))
+		payload, _ := appendWALRecord(nil, walRecord{op: walOpEpoch}, epoch) // carries no values: cannot fail
+		frame := frameBytes(payload)
 		if _, err := f.Write(frame); err == nil {
 			err = f.Sync()
 		}
@@ -196,21 +196,40 @@ func (w *walFile) poisoned() error {
 // and returns the transaction's commit sequence for waitDurable. Called
 // in commit order (DB.commitMu serialises committers, sharded and
 // global alike), so on-disk order always matches in-memory commit-stamp
-// order. No I/O here.
+// order. No I/O here, and no allocation once the buffers have grown:
+// each record is encoded into w.enc and framed into w.pending. A record
+// that fails to encode stages nothing of its transaction.
 func (w *walFile) stageTx(txID uint64, recs []walRecord) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return 0, w.err
 	}
-	w.pending = iofault.AppendFrame(w.pending, encodeWALRecord(walRecord{op: walOpBegin}, txID))
-	for _, r := range recs {
-		w.pending = iofault.AppendFrame(w.pending, encodeWALRecord(r, txID))
+	mark := len(w.pending)
+	err := w.stageLocked(walRecord{op: walOpBegin}, txID)
+	for i := 0; i < len(recs) && err == nil; i++ {
+		err = w.stageLocked(recs[i], txID)
 	}
-	w.pending = iofault.AppendFrame(w.pending, encodeWALRecord(walRecord{op: walOpCommit}, txID))
+	if err == nil {
+		err = w.stageLocked(walRecord{op: walOpCommit}, txID)
+	}
+	if err != nil {
+		w.pending = w.pending[:mark]
+		return 0, err
+	}
 	w.nPending++
 	w.seq++
 	return w.seq, nil
+}
+
+// stageLocked frames one record onto the pending buffer; w.mu is held.
+func (w *walFile) stageLocked(r walRecord, txID uint64) error {
+	var err error
+	if w.enc, err = appendWALRecord(w.enc[:0], r, txID); err != nil {
+		return err
+	}
+	w.pending = iofault.AppendFrame(w.pending, w.enc)
+	return nil
 }
 
 // waitDurable blocks until every staged sequence up to seq is on disk.
@@ -328,68 +347,41 @@ func getUint32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-func encodeWALRecord(r walRecord, txID uint64) []byte {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	bw.WriteByte(r.op)
-	writeUint64(bw, txID)
+func appendWALRecord(b []byte, r walRecord, txID uint64) ([]byte, error) {
+	b = appendUint64(append(b, r.op), txID)
 	switch r.op {
 	case walOpInsert, walOpUpdate:
-		writeString(bw, r.table)
-		writeUint64(bw, uint64(r.row))
-		writeRow(bw, r.vals)
+		b = appendUint64(appendString(b, r.table), uint64(r.row))
+		return appendRow(b, r.vals)
 	case walOpDelete:
-		writeString(bw, r.table)
-		writeUint64(bw, uint64(r.row))
+		b = appendUint64(appendString(b, r.table), uint64(r.row))
 	case walOpDDL:
-		writeString(bw, r.ddl)
+		b = appendString(b, r.ddl)
 	}
-	bw.Flush()
-	return buf.Bytes()
+	return b, nil
 }
 
+// decodeWALRecord parses one record payload, returning the record and
+// its transaction id (the checkpoint generation, for an epoch record).
 func decodeWALRecord(payload []byte) (walRecord, uint64, error) {
-	br := bufio.NewReader(bytes.NewReader(payload))
-	op, err := br.ReadByte()
-	if err != nil {
-		return walRecord{}, 0, err
-	}
-	txID, err := readUint64(br)
-	if err != nil {
-		return walRecord{}, 0, err
-	}
-	r := walRecord{op: op}
-	switch op {
+	d := decoder{b: payload}
+	r := walRecord{op: d.uint8()}
+	txID := d.uint64()
+	switch r.op {
 	case walOpInsert, walOpUpdate:
-		if r.table, err = readString(br); err != nil {
-			return r, 0, err
-		}
-		id, err := readUint64(br)
-		if err != nil {
-			return r, 0, err
-		}
-		r.row = rowID(id)
-		if r.vals, err = readRow(br); err != nil {
-			return r, 0, err
-		}
+		r.table = d.string()
+		r.row = rowID(d.uint64())
+		r.vals = d.row()
 	case walOpDelete:
-		if r.table, err = readString(br); err != nil {
-			return r, 0, err
-		}
-		id, err := readUint64(br)
-		if err != nil {
-			return r, 0, err
-		}
-		r.row = rowID(id)
+		r.table = d.string()
+		r.row = rowID(d.uint64())
 	case walOpDDL:
-		if r.ddl, err = readString(br); err != nil {
-			return r, 0, err
-		}
+		r.ddl = d.string()
 	case walOpBegin, walOpCommit, walOpEpoch:
 	default:
-		return r, 0, fmt.Errorf("sqldb: corrupt WAL op %d", op)
+		d.fail(fmt.Errorf("sqldb: corrupt WAL op %d", r.op))
 	}
-	return r, txID, nil
+	return r, txID, d.err
 }
 
 // ---------- replay ----------
@@ -469,16 +461,9 @@ const (
 	snapshotMagicLegacy = "EASIADB1"
 )
 
-// crcWriter updates a running CRC32 with everything written through it.
-type crcWriter struct {
-	w   iofault.File
-	sum uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.sum = crc32.Update(cw.sum, crc32.IEEETable, p)
-	return cw.w.Write(p)
-}
+// snapshotChunk is how many encoded bytes the snapshot writer gathers
+// before handing them to the file.
+const snapshotChunk = 1 << 16
 
 // saveSnapshotLocked writes the complete database image for checkpoint
 // generation gen, durably: tmp file + whole-file checksum + fsync +
@@ -505,47 +490,53 @@ func (db *DB) saveSnapshotLocked(gen uint64) (renamed bool, err error) {
 		db.fs.Remove(tmp) //nolint:errcheck // best-effort cleanup
 		return false, werr
 	}
-	cw := &crcWriter{w: f}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return cleanup(err)
+	// The image is encoded into buf; drain adds buf to the running
+	// checksum and writes it out once it holds at least min bytes.
+	var sum uint32
+	buf := make([]byte, 0, 2*snapshotChunk)
+	drain := func(min int) error {
+		if len(buf) < min {
+			return nil
+		}
+		sum = crc32.Update(sum, crc32.IEEETable, buf)
+		_, err := f.Write(buf)
+		buf = buf[:0]
+		return err
 	}
-	writeUint64(bw, gen)
-	writeUint64(bw, db.nextTx.Load())
-	writeUint64(bw, db.nextRow.Load())
+	buf = append(buf, snapshotMagic...)
+	buf = appendUint64(buf, gen)
+	buf = appendUint64(buf, db.nextTx.Load())
+	buf = appendUint64(buf, db.nextRow.Load())
 	// DDL log: replaying it rebuilds catalogue + indexes.
-	writeUint64(bw, uint64(len(db.ddlLog)))
+	buf = appendUint64(buf, uint64(len(db.ddlLog)))
 	for _, ddl := range db.ddlLog {
-		writeString(bw, ddl)
+		buf = appendString(buf, ddl)
 	}
 	// Heaps.
 	names := db.cat.TableNames()
-	writeUint64(bw, uint64(len(names)))
+	buf = appendUint64(buf, uint64(len(names)))
 	for _, name := range names {
 		td := db.data[name]
-		writeString(bw, name)
+		buf = appendString(buf, name)
 		// Under the checkpoint barrier every stamp is resolved, so the
 		// latest-mode count equals the number of rows the scan writes.
-		writeUint64(bw, uint64(td.live.Load()))
+		buf = appendUint64(buf, uint64(td.live.Load()))
 		var werr error
 		td.scan(snapLatest, func(s *rowSlot, vals []sqltypes.Value) bool {
-			if werr = writeUint64(bw, uint64(s.id)); werr != nil {
-				return false
+			if buf, werr = appendRow(appendUint64(buf, uint64(s.id)), vals); werr == nil {
+				werr = drain(snapshotChunk)
 			}
-			if werr = writeRow(bw, vals); werr != nil {
-				return false
-			}
-			return true
+			return werr == nil
 		})
 		if werr != nil {
 			return cleanup(werr)
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	if err := drain(1); err != nil {
 		return cleanup(err)
 	}
 	var tail [4]byte
-	putUint32(tail[:], cw.sum)
+	putUint32(tail[:], sum)
 	if _, err := f.Write(tail[:]); err != nil {
 		return cleanup(err)
 	}
@@ -590,73 +581,59 @@ func (db *DB) loadSnapshotLocked() error {
 	if crc32.ChecksumIEEE(body) != getUint32(data[len(data)-4:]) {
 		return fmt.Errorf("%w: %s fails its whole-file checksum", ErrSnapshotCorrupt, path)
 	}
-	br := bufio.NewReaderSize(bytes.NewReader(body[len(snapshotMagic):]), 1<<16)
-	corrupt := func(err error) error {
+	d := decoder{b: body[len(snapshotMagic):]}
+	corrupt := func(format string, args ...any) error {
 		// The checksum passed, so a parse failure means a writer bug or
 		// memory corruption — still refuse, still typed.
-		return fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, path, err)
+		return fmt.Errorf("%w: %s: %s", ErrSnapshotCorrupt, path, fmt.Sprintf(format, args...))
 	}
-	gen, err := readUint64(br)
-	if err != nil {
-		return corrupt(err)
+	gen, nt, nr := d.uint64(), d.uint64(), d.uint64()
+	nDDL := d.uint64()
+	if d.err != nil {
+		return corrupt("%v", d.err)
 	}
 	db.gen = gen
-	nt, err := readUint64(br)
-	if err != nil {
-		return corrupt(err)
-	}
 	db.nextTx.Store(nt)
-	nr, err := readUint64(br)
-	if err != nil {
-		return corrupt(err)
-	}
 	db.nextRow.Store(nr)
-	nDDL, err := readUint64(br)
-	if err != nil {
-		return corrupt(err)
-	}
 	for i := uint64(0); i < nDDL; i++ {
-		ddl, err := readString(br)
-		if err != nil {
-			return corrupt(err)
+		ddl := d.string()
+		if d.err != nil {
+			return corrupt("%v", d.err)
 		}
 		if err := db.applyDDLText(ddl); err != nil {
 			return fmt.Errorf("sqldb: snapshot DDL replay: %w", err)
 		}
 	}
-	nTables, err := readUint64(br)
-	if err != nil {
-		return corrupt(err)
-	}
 	// Snapshot rows all collapse to one commit stamp, baseStamp: visible
 	// to every reader, ordered before everything the WAL replays on top.
 	var refs mvccRefs
-	for i := uint64(0); i < nTables; i++ {
-		name, err := readString(br)
-		if err != nil {
-			return corrupt(err)
+	for i, nTables := uint64(0), d.uint64(); i < nTables; i++ {
+		name, nRows := d.string(), d.uint64()
+		if d.err != nil {
+			return corrupt("%v", d.err)
 		}
 		td, ok := db.data[name]
 		if !ok {
-			return fmt.Errorf("sqldb: snapshot heap for unknown table %s", name)
-		}
-		nRows, err := readUint64(br)
-		if err != nil {
-			return corrupt(err)
+			return corrupt("heap for unknown table %s", name)
 		}
 		for j := uint64(0); j < nRows; j++ {
-			id, err := readUint64(br)
-			if err != nil {
-				return corrupt(err)
+			id, vals := d.uint64(), d.row()
+			if d.err != nil {
+				return corrupt("%v", d.err)
 			}
-			vals, err := readRow(br)
-			if err != nil {
-				return corrupt(err)
+			if err := td.checkWidth(rowID(id), vals); err != nil {
+				return corrupt("%v", err)
 			}
 			if err := td.insert(rowID(id), vals, &refs); err != nil {
-				return fmt.Errorf("sqldb: snapshot row replay: %w", err)
+				return corrupt("row replay: %v", err)
 			}
 		}
+	}
+	if d.err != nil {
+		return corrupt("%v", d.err)
+	}
+	if len(d.b) > 0 {
+		return corrupt("%d bytes after the last heap", len(d.b))
 	}
 	if !refs.empty() {
 		refs.commit(baseStamp)
