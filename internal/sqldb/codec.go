@@ -43,13 +43,6 @@ import (
 // the sqltypes.Kind range, so it can never collide with a kind byte.
 const farTimeTag = 0x80 | byte(sqltypes.KindTime)
 
-// Bounds a decoder applies before trusting a length or a count: no
-// string is longer than 2 GiB and no row wider than 2^20 values.
-const (
-	maxEncodedLen   = 1 << 31
-	maxEncodedWidth = 1 << 20
-)
-
 func appendUint64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
 func appendString(b []byte, s string) []byte {
@@ -146,7 +139,7 @@ func (d *decoder) bytes() []byte {
 	case k < 0:
 		d.fail(fmt.Errorf("sqldb: corrupt length varint"))
 		return nil
-	case n > maxEncodedLen:
+	case n > uint64(len(d.b)-k):
 		d.fail(fmt.Errorf("sqldb: corrupt length %d", n))
 		return nil
 	}
@@ -191,7 +184,7 @@ func (d *decoder) row() []sqltypes.Value {
 	n := d.uint64()
 	// Every value takes at least its kind byte: a count beyond the bytes
 	// left is corrupt before a slice is sized by it.
-	if n > maxEncodedWidth || n > uint64(len(d.b)) {
+	if n > uint64(len(d.b)) {
 		d.fail(fmt.Errorf("sqldb: corrupt row width %d", n))
 	}
 	if d.err != nil {
