@@ -651,6 +651,9 @@ func BenchmarkAblation_CompositeIndex(b *testing.B) {
 // cross-product nested loop (SetFullScanOnly). The INL path probes the
 // index once per outer row instead of materialising a million-row
 // product; results are proven identical by TestJoinINLPropertyVsNaive.
+// The three-table leg is the report's join shape — a path on the first
+// table, then two index probes, 400 projected rows — whose allocs/op
+// track the join's row assembly.
 func BenchmarkAblation_JoinPlan(b *testing.B) {
 	db, err := sqldb.Open("")
 	if err != nil {
@@ -658,11 +661,13 @@ func BenchmarkAblation_JoinPlan(b *testing.B) {
 	}
 	defer db.Close()
 	if err := db.ExecScript(`CREATE TABLE SIM (SID INTEGER PRIMARY KEY, K INTEGER);
-		CREATE TABLE RES (RID INTEGER PRIMARY KEY, K INTEGER, SZ INTEGER)`); err != nil {
+		CREATE TABLE RES (RID INTEGER PRIMARY KEY, K INTEGER, SZ INTEGER);
+		CREATE TABLE AUTH (AID INTEGER PRIMARY KEY, NAME VARCHAR(40))`); err != nil {
 		b.Fatal(err)
 	}
 	insS, _ := db.Prepare(`INSERT INTO SIM VALUES (?, ?)`)
 	insR, _ := db.Prepare(`INSERT INTO RES VALUES (?, ?, ?)`)
+	insA, _ := db.Prepare(`INSERT INTO AUTH VALUES (?, ?)`)
 	const n = 1000
 	for i := 0; i < n; i++ {
 		if _, err := insS.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i))); err != nil {
@@ -670,6 +675,9 @@ func BenchmarkAblation_JoinPlan(b *testing.B) {
 		}
 		if _, err := insR.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i)),
 			sqltypes.NewInt(int64(i)*4096)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := insA.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("author %d", i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -694,6 +702,20 @@ func BenchmarkAblation_JoinPlan(b *testing.B) {
 			}
 		})
 	}
+	b.Run("index-nested-loop-3-table", func(b *testing.B) {
+		const rows = 400
+		const query3 = `SELECT RES.RID, SIM.SID, AUTH.NAME FROM SIM JOIN RES ON RES.K = SIM.K
+			JOIN AUTH ON AUTH.AID = RES.RID WHERE SIM.SID < ?`
+		args := uncached(sqltypes.NewInt(rows))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := db.Query(query3, args()...)
+			if err != nil || len(out.Data) != rows {
+				b.Fatalf("rows=%v err=%v", out, err)
+			}
+			out.Close()
+		}
+	})
 }
 
 // BenchmarkRollup measures the report's rollup shape: 100k rows in 400
@@ -760,11 +782,13 @@ func BenchmarkAblation_HashJoin(b *testing.B) {
 	}
 	defer db.Close()
 	if err := db.ExecScript(`CREATE TABLE SIM (SID INTEGER PRIMARY KEY, K INTEGER);
-		CREATE TABLE RES (RID INTEGER PRIMARY KEY, K INTEGER, SZ INTEGER)`); err != nil {
+		CREATE TABLE RES (RID INTEGER PRIMARY KEY, K INTEGER, SZ INTEGER);
+		CREATE TABLE AUTH (AID INTEGER PRIMARY KEY, NAME VARCHAR(40))`); err != nil {
 		b.Fatal(err)
 	}
 	insS, _ := db.Prepare(`INSERT INTO SIM VALUES (?, ?)`)
 	insR, _ := db.Prepare(`INSERT INTO RES VALUES (?, ?, ?)`)
+	insA, _ := db.Prepare(`INSERT INTO AUTH VALUES (?, ?)`)
 	const n = 1000
 	for i := 0; i < n; i++ {
 		if _, err := insS.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i))); err != nil {
@@ -772,6 +796,9 @@ func BenchmarkAblation_HashJoin(b *testing.B) {
 		}
 		if _, err := insR.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i)),
 			sqltypes.NewInt(int64(i)*4096)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := insA.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("author %d", i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -794,6 +821,20 @@ func BenchmarkAblation_HashJoin(b *testing.B) {
 			}
 		})
 	}
+	b.Run("index-nested-loop-3-table", func(b *testing.B) {
+		const rows = 400
+		const query3 = `SELECT RES.RID, SIM.SID, AUTH.NAME FROM SIM JOIN RES ON RES.K = SIM.K
+			JOIN AUTH ON AUTH.AID = RES.RID WHERE SIM.SID < ?`
+		args := uncached(sqltypes.NewInt(rows))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := db.Query(query3, args()...)
+			if err != nil || len(out.Data) != rows {
+				b.Fatalf("rows=%v err=%v", out, err)
+			}
+			out.Close()
+		}
+	})
 }
 
 // BenchmarkAblation_GroupCommit shows WAL group commit amortising

@@ -40,17 +40,17 @@ import (
 
 func main() {
 	var (
-		host   = flag.String("host", "localhost:8081", "host[:port] as it appears in DATALINK URLs")
-		listen = flag.String("listen", ":8081", "listen address")
-		root   = flag.String("root", "dlfs-data", "file store root directory (single-server mode)")
-		secret = flag.String("secret", "", "shared token secret (must match the archive server)")
-		ttl    = flag.Duration("ttl", med.DefaultTokenTTL, "default token lifetime")
+		host    = flag.String("host", "localhost:8081", "host[:port] as it appears in DATALINK URLs")
+		listen  = flag.String("listen", ":8081", "listen address")
+		root    = flag.String("root", "dlfs-data", "file store root directory (single-server mode)")
+		secret  = flag.String("secret", "", "shared token secret (must match the archive server)")
+		ttl     = flag.Duration("ttl", med.DefaultTokenTTL, "default token lifetime")
 		rf      = flag.Int("rf", cluster.DefaultReplicationFactor, "replication factor (gateway mode)")
 		probe   = flag.Duration("probe", 2*time.Second, "health-probe / anti-entropy interval (gateway mode)")
 		rpcTO   = flag.Duration("rpc-timeout", 0, "per-attempt deadline for RPCs to peer daemons (gateway mode; 0 = unbounded)")
 		retries = flag.Int("rpc-retries", 0, "extra attempts for idempotent RPCs to peer daemons, with jittered exponential backoff (gateway mode)")
-		state  = flag.String("state", "", "repair-state checkpoint file (gateway mode): removal tombstones and pending repairs survive a restart")
-		spool  = flag.String("spool", "", "spool directory for fan-out/repair payloads (gateway mode; default OS temp dir, often RAM-backed tmpfs — use a real disk for large datasets)")
+		state   = flag.String("state", "", "repair-state checkpoint file (gateway mode): removal tombstones and pending repairs survive a restart")
+		spool   = flag.String("spool", "", "spool directory for fan-out/repair payloads (gateway mode; default OS temp dir, often RAM-backed tmpfs — use a real disk for large datasets)")
 	)
 	var replicas []string
 	flag.Func("replica", "peer daemon as host=baseURL (repeatable; enables gateway mode)", func(v string) error {

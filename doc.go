@@ -106,7 +106,7 @@
 //     keeps take the rows' place in front of the sink.
 //     Every GROUP BY groups one way ("hash-agg" in Stmt.AccessPath):
 //     groups hash on the index-key encoding of their keys, which keeps
-//     NULL, '' and 0 vs '0' in distinct groups and INTEGER 1 and
+//     NULL, the empty string and 0 vs '0' in distinct groups and INTEGER 1 and
 //     DOUBLE 1 in one (DISTINCT keys on the same encoding), and
 //     allocates a key string only when a group first appears. No
 //     GROUP BY reads an index to cluster its groups or folds them off
@@ -146,13 +146,24 @@
 //     the probed table once — keyed by the same canonical encoding,
 //     NULL keys never matching — and probes it per outer row, so an
 //     unindexed equi-join costs O(|inner| + |outer|) instead of the
-//     cross product (BenchmarkAblation_HashJoin: ~200x on 1k×1k). For
-//     a two-table inner join the executor picks the probed side at run
-//     time — the indexed table, the larger of two indexed tables, or
-//     the smaller side for the hash build — so the smaller table
-//     drives the outer loop. Join plans live in the cached selectPlan
-//     under the same schema-epoch invalidation
-//     (BenchmarkAblation_JoinPlan: ≥100x on a 1k×1k equi-join).
+//     cross product (BenchmarkAblation_HashJoin: ~200x on 1k×1k). A
+//     two-table inner join is driven by the first table whenever that
+//     table's access path serves the execution, since the path already
+//     narrows the outer loop to the rows the WHERE wants
+//     (TestJoinKeepsFirstTablePath); only without one does the
+//     executor pick the probed side at run time — the indexed table,
+//     the larger of two indexed tables, or the smaller side for the
+//     hash build — so the smaller table drives the outer loop. The
+//     join assembles its rows in place, in one row buffer per
+//     execution: each level writes its candidate's columns — only the
+//     columns some expression of the statement reads — into its own
+//     slots, and probes fill reused candidate and slot buffers. Each
+//     row that passes the WHERE is copied once, into the scratch
+//     arena, and that copy is what the memory budget is charged for
+//     (TestJoinAllocsFlatPerRow, TestJoinFoldFootprint). Join plans
+//     live in the cached selectPlan under the same schema-epoch
+//     invalidation (BenchmarkAblation_JoinPlan: ≥100x on a 1k×1k
+//     equi-join).
 //
 //   - WAL group commit. Committers stage their redo frames under the
 //     writer lock (log order = commit order) and wait for durability
@@ -251,10 +262,10 @@
 //     out into plain heap memory first, so detached results stay valid
 //     indefinitely (the contract long-lived callers rely on); Close is
 //     idempotent and nil-safe either way.
-//     Intermediate join rows live in a separate scratch arena released
-//     when the statement returns — a computed projection copies
-//     surviving values into the result arena, so no scratch reference
-//     escapes. It batches source rows by reference (colBatch) and
+//     A join's delivered rows — one copy of each row that passes the
+//     WHERE — live in a separate scratch arena released when the
+//     statement returns; a computed projection copies surviving values
+//     into the result arena, so no scratch reference escapes. It batches source rows by reference (colBatch) and
 //     flushes each batch into one rows × columns arena block, filled a
 //     column at a time with no staging columns; a batch is at most 1024
 //     rows and never more than fit a slab.
@@ -484,10 +495,10 @@
 // 4x); a statement arriving with the queue full is shed immediately
 // with ErrAdmissionRejected rather than piling latency onto everyone
 // else. Options.MemoryBudget bounds the bytes statements may retain
-// concurrently — hash-aggregation groups, join hash tables, joined
-// rows, held sort candidates and result rows are charged against it,
-// and a statement that would exceed the budget fails with ErrMemoryBudget
-// instead of taking the process down. DB.Close drains admitted
+// concurrently — hash-aggregation groups, join hash tables, the rows
+// a join delivers, held sort candidates and result rows are charged
+// against it, and a statement that would exceed the budget fails with
+// ErrMemoryBudget instead of taking the process down. DB.Close drains admitted
 // statements for a grace period (DB.CloseGrace) before tearing down
 // the WAL, so
 // shutdown is a drain, not an amputation; the easiad and dlfsd

@@ -157,9 +157,9 @@ type Stats struct {
 type ReplicaSet struct {
 	cfg Config
 
-	mu      sync.Mutex
-	members map[string]*member
-	order   []string // sorted member names, for deterministic iteration
+	mu       sync.Mutex
+	members  map[string]*member
+	order    []string // sorted member names, for deterministic iteration
 	pending  map[uint64]*txWork
 	dirty    map[string]dirtyState
 	dirtyGen uint64

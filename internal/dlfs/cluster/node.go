@@ -49,10 +49,10 @@ type clientNode struct{ c *dlfs.Client }
 // NewClientNode wraps a remote daemon client as a cluster node.
 func NewClientNode(c *dlfs.Client) Node { return clientNode{c} }
 
-func (n clientNode) Host() string                         { return n.c.Host() }
+func (n clientNode) Host() string                           { return n.c.Host() }
 func (n clientNode) Prepare(tx uint64, op med.LinkOp) error { return n.c.Prepare(tx, op) }
-func (n clientNode) Commit(tx uint64) error               { return n.c.Commit(tx) }
-func (n clientNode) Abort(tx uint64) error                { return n.c.Abort(tx) }
+func (n clientNode) Commit(tx uint64) error                 { return n.c.Commit(tx) }
+func (n clientNode) Abort(tx uint64) error                  { return n.c.Abort(tx) }
 func (n clientNode) EnsureLinked(path string, opts sqltypes.DatalinkOptions) error {
 	return n.c.EnsureLinked(path, opts)
 }
@@ -69,11 +69,11 @@ func (n clientNode) Open(path, token string) (io.ReadCloser, dlfs.FileInfo, erro
 	return n.c.OpenStat(path, token)
 }
 
-func (n clientNode) Stat(path string) (dlfs.FileInfo, error)  { return n.c.Stat(path) }
-func (n clientNode) Rename(oldPath, newPath string) error     { return n.c.Rename(oldPath, newPath) }
-func (n clientNode) Remove(path string) error                 { return n.c.Remove(path) }
-func (n clientNode) LinkStates() ([]dlfs.LinkState, error)    { return n.c.LinkStates() }
-func (n clientNode) Ping() error                              { return n.c.Ping() }
+func (n clientNode) Stat(path string) (dlfs.FileInfo, error) { return n.c.Stat(path) }
+func (n clientNode) Rename(oldPath, newPath string) error    { return n.c.Rename(oldPath, newPath) }
+func (n clientNode) Remove(path string) error                { return n.c.Remove(path) }
+func (n clientNode) LinkStates() ([]dlfs.LinkState, error)   { return n.c.LinkStates() }
+func (n clientNode) Ping() error                             { return n.c.Ping() }
 
 // SetRPCTimeout forwards the tier's per-attempt deadline to the client
 // (applied by ReplicaSet.Add before the node is routed to).

@@ -123,8 +123,8 @@ func TestTokenInspect(t *testing.T) {
 
 // fakeServer records coordinator calls for protocol tests.
 type fakeServer struct {
-	host     string
-	prepared []LinkOp
+	host      string
+	prepared  []LinkOp
 	commits   []uint64
 	aborts    []uint64
 	failPrep  bool

@@ -62,10 +62,13 @@ import (
 //     returned alive after VACUUM unlinks them, bounded by what callers
 //     keep plus the result cache's capacity.
 //
-// Intermediate join rows use the second, scratch arena, released when
-// the statement finishes (the result rows copy values out of them,
-// never alias them), so the reuse benefits extend to the join paths
-// without pinning intermediates in the result's arena.
+// A join assembles each combination in one row buffer per execution
+// and copies a row that passes the WHERE, once, into the second,
+// scratch arena: the sink may hold it (a sort entry, a group's first
+// row, a batch awaiting projection) until the statement finishes, when
+// the scratch arena is released. The result rows copy values out of
+// it, never alias it, so no delivered row is pinned in the result's
+// arena.
 
 // arenaChunkValues is the pooled slab size in Value slots: 8192 × 32
 // bytes = 256 KiB per chunk, so a 100k-row projection needs a few dozen
@@ -101,23 +104,13 @@ type rowArena struct {
 // exactly n, so appends can never bleed into a neighbouring row).
 // Requests larger than a chunk are served straight from the heap.
 func (a *rowArena) alloc(n int) []sqltypes.Value {
-	return a.allocCap(n, n)
-}
-
-// allocCap is alloc with extra capacity (len n, cap c ≥ n): the join
-// assembly builds combined rows by appending to a base prefix, and the
-// reserved capacity keeps that append inside the arena region.
-func (a *rowArena) allocCap(n, c int) []sqltypes.Value {
-	if c < n {
-		c = n
+	if n > arenaChunkValues {
+		return make([]sqltypes.Value, n)
 	}
-	if c > arenaChunkValues {
-		return make([]sqltypes.Value, n, c)
-	}
-	if c > len(a.cur) {
+	if n > len(a.cur) {
 		// Plain heap for the first request, whatever its size, and for
 		// doubling chunks after it up to arenaHeapValues; then pooled slabs.
-		if size := max(c, 2*a.heap, arenaFirstValues); a.heap == 0 || size <= arenaHeapValues {
+		if size := max(n, 2*a.heap, arenaFirstValues); a.heap == 0 || size <= arenaHeapValues {
 			a.heap = size
 			a.cur = make([]sqltypes.Value, size)
 		} else {
@@ -126,8 +119,8 @@ func (a *rowArena) allocCap(n, c int) []sqltypes.Value {
 			a.cur = chunk
 		}
 	}
-	s := a.cur[:n:c]
-	a.cur = a.cur[c:]
+	s := a.cur[:n:n]
+	a.cur = a.cur[n:]
 	return s
 }
 

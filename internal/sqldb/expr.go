@@ -105,10 +105,11 @@ type evalCtx struct {
 	intr *interrupt
 
 	// ar backs the statement's result rows (owned by the returned Rows,
-	// released on Rows.Close); scratch backs intermediate rows — joined
-	// tuples the projection copies out of — and is released when the
-	// statement finishes. Both nil outside a SELECT (DML row matching and
-	// INSERT evaluation allocate from neither).
+	// released on Rows.Close); scratch backs the joined rows a join
+	// delivers — one copy each, which the sinks may hold and the
+	// projection copies out of — and is released when the statement
+	// finishes. Both nil outside a SELECT (DML row matching and INSERT
+	// evaluation allocate from neither).
 	ar      *rowArena
 	scratch *rowArena
 

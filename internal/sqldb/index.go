@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,11 +81,13 @@ type keyBound struct {
 // idxScanBatch is how many keys a range scan gathers per latch hold.
 const idxScanBatch = 128
 
-// lookupVisible returns the rows visible at snap under one key.
-func lookupVisible(td *tableData, idx *orderedIndex, k string, snap uint64) []*rowSlot {
-	var rows []*rowSlot
+// lookupVisible appends to rows the rows visible at snap under one key,
+// growing rows at most once, to room for every posting under the key.
+func lookupVisible(rows []*rowSlot, td *tableData, idx *orderedIndex, k string, snap uint64) []*rowSlot {
 	td.latch.RLock()
-	for _, e := range idx.lookupKey(k) {
+	es := idx.lookupKey(k)
+	rows = slices.Grow(rows, len(es))
+	for _, e := range es {
 		if e.visibleAt(snap) {
 			rows = append(rows, e.slot)
 		}

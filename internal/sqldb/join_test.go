@@ -99,11 +99,14 @@ func TestJoinProbePlan(t *testing.T) {
 
 // TestJoinINLPropertyVsNaive: every join result through the index
 // nested-loop must equal the exhaustive cross-product path, for inner,
-// comma and LEFT joins, including NULL join keys and extra predicates.
+// comma and LEFT joins, including NULL join keys and extra predicates,
+// over two and three tables, with every column or none of a table
+// read, and inside an explicit transaction (latest-mode visibility of
+// its own uncommitted writes).
 func TestJoinINLPropertyVsNaive(t *testing.T) {
 	for _, cfg := range []struct {
-		name                     string
-		indexChild, indexParent  bool
+		name                    string
+		indexChild, indexParent bool
 	}{
 		{"child-indexed", true, false},
 		{"parent-indexed", false, true}, // exercises the swapped INL
@@ -131,6 +134,31 @@ func TestJoinINLPropertyVsNaive(t *testing.T) {
 				// Constant probe on the inner side.
 				{`SELECT PID, CID FROM PAR, CHI WHERE CHI.K = ? AND PAR.K = CHI.K`,
 					[]sqltypes.Value{sqltypes.NewInt(7)}},
+				// The first table's path drives a two-table join.
+				{`SELECT PID, CID, V FROM PAR JOIN CHI ON CHI.K = PAR.K WHERE PAR.PID = ?`,
+					[]sqltypes.Value{sqltypes.NewInt(11)}},
+				// Three tables with an inner middle level, then a LEFT one.
+				{`SELECT P.PID, A.CID, Q.NAME FROM PAR P JOIN CHI A ON A.K = P.K JOIN PAR Q ON Q.PID = A.V`, nil},
+				{`SELECT P.PID, A.CID, Q.NAME FROM PAR P LEFT JOIN CHI A ON A.K = P.K JOIN PAR Q ON Q.PID = A.V`, nil},
+				// NULL-extended rows feed a further level: one that extends
+				// them again, and one that matches them on the outer table.
+				{`SELECT P.PID, A.CID, Q.PID FROM PAR P LEFT JOIN CHI A ON A.K = P.K LEFT JOIN PAR Q ON Q.PID = A.V`, nil},
+				{`SELECT P.PID, A.CID, A.V, Q.PID FROM PAR P LEFT JOIN CHI A ON A.K = P.K AND A.V > ? JOIN PAR Q ON Q.NAME = P.NAME WHERE A.CID IS NULL OR Q.K = A.K`,
+					[]sqltypes.Value{sqltypes.NewInt(80)}},
+				// Every column of every table.
+				{`SELECT * FROM PAR JOIN CHI ON CHI.K = PAR.K`, nil},
+				{`SELECT * FROM PAR LEFT JOIN CHI ON CHI.K = PAR.K AND CHI.V < ?`,
+					[]sqltypes.Value{sqltypes.NewInt(30)}},
+				// No expression reads Q: it only multiplies the rows.
+				{`SELECT P.PID, A.CID FROM PAR P, CHI A, PAR Q WHERE A.K = P.K AND P.PID < ?`,
+					[]sqltypes.Value{sqltypes.NewInt(6)}},
+				{`SELECT COUNT(*) FROM PAR P, CHI A, PAR Q WHERE A.K = P.K`, nil},
+				// Grouped and deduplicated joins.
+				{`SELECT P.NAME, COUNT(*), SUM(A.V), MAX(A.CID) FROM PAR P JOIN CHI A ON A.K = P.K GROUP BY P.NAME`, nil},
+				{`SELECT A.V, COUNT(*) FROM PAR P LEFT JOIN CHI A ON A.K = P.K GROUP BY A.V HAVING COUNT(*) > ?`,
+					[]sqltypes.Value{sqltypes.NewInt(1)}},
+				{`SELECT DISTINCT P.NAME, A.V FROM PAR P JOIN CHI A ON A.K = P.K`, nil},
+				{`SELECT DISTINCT P.NAME FROM PAR P JOIN CHI A ON A.K = P.K ORDER BY P.NAME`, nil},
 			}
 			for _, q := range queries {
 				indexed, ierr := db.Query(q.sql, q.args...)
@@ -147,6 +175,68 @@ func TestJoinINLPropertyVsNaive(t *testing.T) {
 				if rowsKey(indexed, ordered) != rowsKey(naive, ordered) {
 					t.Fatalf("%s: INL %d rows != naive %d rows",
 						q.sql, len(indexed.Data), len(naive.Data))
+				}
+			}
+			// A self-join on the primary key is the identity, so a clause
+			// that alone reads a column of Q must give the lone table's
+			// answer: an oracle the join's own assembly does not share.
+			for _, id := range []struct{ join, lone string }{
+				{`SELECT COUNT(*) FROM PAR P JOIN PAR Q ON Q.PID = P.PID GROUP BY Q.NAME`,
+					`SELECT COUNT(*) FROM PAR GROUP BY NAME`},
+				{`SELECT P.PID FROM PAR P JOIN PAR Q ON Q.PID = P.PID WHERE Q.K < 20 ORDER BY Q.NAME, P.PID`,
+					`SELECT PID FROM PAR WHERE K < 20 ORDER BY NAME, PID`},
+				{`SELECT COUNT(*) FROM PAR P JOIN PAR Q ON Q.PID = P.PID GROUP BY P.NAME HAVING MIN(Q.K) > 5`,
+					`SELECT COUNT(*) FROM PAR GROUP BY NAME HAVING MIN(K) > 5`},
+				{`SELECT DISTINCT P.NAME FROM PAR P JOIN PAR Q ON Q.PID = P.PID AND Q.K > 10`,
+					`SELECT DISTINCT NAME FROM PAR WHERE K > 10`},
+			} {
+				for _, scanOnly := range []bool{false, true} {
+					db.SetFullScanOnly(scanOnly)
+					joined, jerr := db.Query(id.join)
+					lone, lerr := db.Query(id.lone)
+					db.SetFullScanOnly(false)
+					if jerr != nil || lerr != nil {
+						t.Fatalf("%s: %v; %s: %v", id.join, jerr, id.lone, lerr)
+					}
+					ordered := strings.Contains(id.lone, "ORDER BY")
+					if rowsKey(joined, ordered) != rowsKey(lone, ordered) {
+						t.Fatalf("%s (scanOnly=%v): %d rows, the lone table gives %d",
+							id.join, scanOnly, len(joined.Data), len(lone.Data))
+					}
+				}
+			}
+			// The same statements inside a transaction that has written a
+			// child and re-keyed a parent it has not committed.
+			inTx := func(scanOnly bool) []string {
+				db.SetFullScanOnly(scanOnly)
+				defer db.SetFullScanOnly(false)
+				tx, err := db.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tx.Rollback()
+				if _, err := tx.Exec(`INSERT INTO CHI VALUES (?, ?, ?)`, sqltypes.NewInt(9000),
+					sqltypes.NewInt(3), sqltypes.NewInt(85)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tx.Exec(`UPDATE PAR SET K = ? WHERE PID = ?`, sqltypes.NewInt(3), sqltypes.NewInt(11)); err != nil {
+					t.Fatal(err)
+				}
+				keys := make([]string, len(queries))
+				for i, q := range queries {
+					rows, err := tx.Query(q.sql, q.args...)
+					if err != nil {
+						keys[i] = "error: " + err.Error()
+						continue
+					}
+					keys[i] = rowsKey(rows, strings.Contains(q.sql, "ORDER BY"))
+				}
+				return keys
+			}
+			indexed, naive := inTx(false), inTx(true)
+			for i, q := range queries {
+				if indexed[i] != naive[i] {
+					t.Fatalf("in a transaction, %s: INL and naive results differ", q.sql)
 				}
 			}
 		})
@@ -350,5 +440,55 @@ func TestJoinLimitStopsTheJoin(t *testing.T) {
 	// children and 10 parents.
 	if tr.Rows != 10 || tr.HeapReads > 40 {
 		t.Fatalf("%d rows for %d heap reads, want 10 rows for ≤ 40", tr.Rows, tr.HeapReads)
+	}
+}
+
+// TestJoinKeepsFirstTablePath: a two-table join whose WHERE gives the
+// first table an index path drives the join from that path — one file,
+// probing its simulation — instead of swapping to a scan of the
+// smaller second table that probes the first for every row. The tables
+// are the archive's RESULT_FILE and SIMULATION, keyed as its schema
+// keys them.
+func TestJoinKeepsFirstTablePath(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE SIMULATION (SIMULATION_KEY VARCHAR(30) PRIMARY KEY, TITLE VARCHAR(200))`)
+	mustExec(t, db, `CREATE TABLE RESULT_FILE (FILE_NAME VARCHAR(100), SIMULATION_KEY VARCHAR(30),
+		TIMESTEP INTEGER, PRIMARY KEY (FILE_NAME, SIMULATION_KEY))`)
+	mustExec(t, db, `CREATE INDEX IDX_RESULT_SIM_TS ON RESULT_FILE (SIMULATION_KEY, TIMESTEP)`)
+	const sims, files = 400, 5
+	for i := 0; i < sims; i++ {
+		key := fmt.Sprintf("S%04d", i)
+		mustExec(t, db, `INSERT INTO SIMULATION VALUES (?, ?)`, sqltypes.NewString(key), sqltypes.NewString("run "+key))
+		for f := 0; f < files; f++ {
+			mustExec(t, db, `INSERT INTO RESULT_FILE VALUES (?, ?, ?)`,
+				sqltypes.NewString(fmt.Sprintf("%s_t%d.dat", key, f)), sqltypes.NewString(key), sqltypes.NewInt(int64(f)))
+		}
+	}
+	st, err := db.Prepare(`SELECT R.FILE_NAME, S.TITLE FROM RESULT_FILE R
+		JOIN SIMULATION S ON R.SIMULATION_KEY = S.SIMULATION_KEY WHERE R.FILE_NAME = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := st.AccessPath(); !strings.HasPrefix(p, "prefix(") || !strings.Contains(p, "inl-rev(") {
+		t.Fatalf("path = %q, want a path on R and the swap candidate", p)
+	}
+	arg := sqltypes.NewString("S0123_t4.dat")
+	reads := func() int64 { return db.HeapRowReads("RESULT_FILE") + db.HeapRowReads("SIMULATION") }
+	before := reads()
+	got, err := st.Query(arg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reads() - before; n != 2 {
+		t.Errorf("read %d heap rows, want 2: the file and its simulation", n)
+	}
+	db.SetFullScanOnly(true)
+	naive, err := st.Query(arg)
+	db.SetFullScanOnly(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Data) != 1 || rowsKey(got, false) != rowsKey(naive, false) {
+		t.Fatalf("%d rows, naive %d", len(got.Data), len(naive.Data))
 	}
 }

@@ -36,16 +36,21 @@ import (
 // scanning path would drop.
 //
 // For a two-table inner join the planner also prepares the reverse
-// probe (table 0 as the probed side). The executor picks the probed
-// side at run time: the indexed one, or — when both sides are indexed —
-// the larger one, so the smaller table drives the outer loop.
+// probe (table 0 as the probed side). The executor uses it only when
+// the first table's access path does not serve the execution — a
+// planned path already narrows the outer loop to the rows the WHERE
+// wants, which a swap would throw away for a scan of the second table
+// — and then picks the probed side by size: the indexed one, or — when
+// both sides are indexed — the larger one, so the smaller table drives
+// the outer loop.
 //
 // When equi-join conjuncts exist but NO index covers them, the planner
 // records a hash-join fallback instead (hashJoinPlan below): the
 // executor hashes the probed table once on the canonical join-key
 // encoding and probes the map per outer row, replacing the cross
 // product. The same run-time side choice applies — for a two-table
-// inner join the hash table is built on the smaller side.
+// inner join with no path on the first table the hash table is built
+// on the smaller side.
 type joinProbe struct {
 	idx    string   // index name on the probed (inner) table
 	cols   []string // index columns
@@ -81,6 +86,7 @@ func planJoinProbes(plan *selectPlan) {
 	if len(plan.tables) < 2 {
 		return
 	}
+	planJoinReads(plan)
 	plan.joins = make([]*joinProbe, len(plan.tables))
 	plan.hashJoins = make([]*hashJoinPlan, len(plan.tables))
 	width := len(plan.env.cols)
@@ -106,6 +112,40 @@ func planJoinProbes(plan *selectPlan) {
 		plan.revProbe = bestJoinProbe(t0.data, eqs)
 		if plan.revProbe == nil {
 			plan.revHash = newHashJoinPlan(t0.schema, eqs)
+		}
+	}
+}
+
+// planJoinReads records in each FROM table's reads the columns some
+// bound expression of the statement references: the projection, ORDER
+// BY, WHERE, HAVING, GROUP BY and every JOIN condition (which also hold
+// every probe and hash-key expression). Those are the only columns the
+// join copies into its row; the others stay NULL, and nothing reads
+// them.
+func planJoinReads(plan *selectPlan) {
+	s := plan.stmt
+	read := make([]bool, len(plan.env.cols))
+	exprs := append(append([]Expr{s.Where, s.Having}, plan.proj...), s.GroupBy...)
+	for _, o := range s.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	for _, fi := range s.From {
+		exprs = append(exprs, fi.JoinCond)
+	}
+	for _, e := range exprs {
+		walkExpr(e, func(x Expr) bool {
+			if cr, ok := x.(*ColRef); ok && cr.Index >= 0 {
+				read[cr.Index] = true
+			}
+			return true
+		})
+	}
+	for i := range plan.tables {
+		t := &plan.tables[i]
+		for c := range t.schema.Cols {
+			if read[t.start+c] {
+				t.reads = append(t.reads, c)
+			}
 		}
 	}
 }
@@ -304,16 +344,20 @@ func (p *joinProbe) String() string {
 	return strings.Join(p.cols[:p.nEq], "+")
 }
 
-// probeJoin returns the probed table's candidate rows for the outer row
-// currently in ctx.vals. handled=false means a probe value failed to
-// evaluate or align with the indexed column's type; the caller must
-// fall back to the exhaustive scan, which preserves exact semantics.
-// Candidate slices alias live storage: callers must copy values out
-// (the join row assembly does) and not hold them past the engine lock.
-func probeJoin(td *tableData, p *joinProbe, ctx *evalCtx) (cands [][]sqltypes.Value, handled bool) {
+// probeJoin appends to cands the probed table's candidate rows for the
+// outer row currently in the joined row, looking a full key's row slots
+// up into the join's reused slot buffer. handled=false means a probe
+// value failed to evaluate or align with the indexed column's type; the
+// caller must fall back to the exhaustive scan, which preserves exact
+// semantics. Candidate slices alias live storage: callers must copy
+// values out (the join row assembly does) and not hold them past the
+// engine lock.
+func (j *joinRun) probeJoin(cands [][]sqltypes.Value, td *tableData, p *joinProbe) ([][]sqltypes.Value, bool) {
+	ctx := j.ctx
+	ctx.vals = j.row
 	idx := td.index(p.idx)
 	if idx == nil {
-		return nil, false
+		return cands, false
 	}
 	// One probe prefix is built per outer row: reuse the statement's key
 	// buffer (the string conversions below copy) so the nested-loop probe
@@ -325,18 +369,18 @@ func probeJoin(td *tableData, p *joinProbe, ctx *evalCtx) (cands [][]sqltypes.Va
 		if err != nil {
 			// Let the scanning path surface (or not surface) the
 			// evaluation error exactly as before.
-			return nil, false
+			return cands, false
 		}
 		if v.IsNull() {
-			return nil, true // inner.col = NULL is UNKNOWN: no matches
+			return cands, true // inner.col = NULL is UNKNOWN: no matches
 		}
 		pv, ok := probeValue(td.schema.Cols[p.colPos[j]].Type.Kind, v)
 		if !ok {
-			return nil, false
+			return cands, false
 		}
 		prefix = appendKey(prefix, pv)
 	}
-	defer func() { td.heapReads.Add(int64(len(cands))) }()
+	n := len(cands)
 	collect := func(rows []*rowSlot) bool {
 		for _, r := range rows {
 			if vals, live := r.fetch(ctx.snap); live {
@@ -346,13 +390,15 @@ func probeJoin(td *tableData, p *joinProbe, ctx *evalCtx) (cands [][]sqltypes.Va
 		return true
 	}
 	if p.nEq == len(p.cols) {
-		collect(lookupVisible(td, idx, string(prefix), ctx.snap))
-		return cands, true
+		j.slots = lookupVisible(j.slots[:0], td, idx, string(prefix), ctx.snap)
+		collect(j.slots)
+	} else {
+		lo := &keyBound{key: string(prefix), incl: true}
+		hi := &keyBound{key: string(prefix) + keyRangeHiSentinel, incl: true}
+		scanVisibleRange(td, idx, lo, hi, false, ctx.snap, func(_ string, rows []*rowSlot) bool {
+			return collect(rows)
+		})
 	}
-	lo := &keyBound{key: string(prefix), incl: true}
-	hi := &keyBound{key: string(prefix) + keyRangeHiSentinel, incl: true}
-	scanVisibleRange(td, idx, lo, hi, false, ctx.snap, func(_ string, rows []*rowSlot) bool {
-		return collect(rows)
-	})
+	td.heapReads.Add(int64(len(cands) - n))
 	return cands, true
 }

@@ -807,7 +807,7 @@ func (ts *tableScan) keys(ctx *evalCtx, desc bool, f func(k string, rows []*rowS
 	switch {
 	case ts.kr.empty:
 	case ts.kr.useLookup:
-		if rows := lookupVisible(ts.td, ts.idx, ts.kr.lookup, ctx.snap); len(rows) > 0 {
+		if rows := lookupVisible(nil, ts.td, ts.idx, ts.kr.lookup, ctx.snap); len(rows) > 0 {
 			visit(ts.kr.lookup, rows)
 		}
 	default:

@@ -15,6 +15,10 @@ type planTable struct {
 	data   *tableData
 	alias  string
 	start  int // offset of this table's columns in the joined row
+	// reads lists, in a join, the schema positions of the columns some
+	// expression of the statement reads: all the join copies of a
+	// candidate (planJoinReads). Nil for a lone table.
+	reads []int
 }
 
 // selectPlan is a bound, resolved SELECT ready for execution. Planning
@@ -346,7 +350,8 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 	s := plan.stmt
 	// Computed result rows live in ar, owned by the returned Rows and
 	// released on Rows.Close; a stored-order projection's rows are the
-	// stored versions and need no arena. Joined rows live in scratch,
+	// stored versions and need no arena. A join assembles its rows in
+	// one buffer and copies each row it delivers, once, into scratch,
 	// whose chunks go back to the pool as soon as the statement finishes
 	// — whatever references them (a batch awaiting projection, a sort
 	// entry, a group's first row) dies with this call; the projection
@@ -551,26 +556,32 @@ func (p *projectSink) finish() error {
 }
 
 // joinRows streams the join of a multi-table SELECT into emit, depth
-// first in FROM order: each level extends the row assembled so far with
-// one candidate of its table, tests the pushed ON predicate and descends,
-// so a fully joined row reaches emit — past the statement's WHERE,
-// applied here once — the moment it is assembled, in the order a
-// level-by-level build would list them, and the loops unwind as soon as
-// emit returns false. Inner tables whose join key is indexed are probed
-// per outer row (index nested-loop) instead of re-scanned; unindexed
-// equi-joins build a hash table over the inner table once, when its
-// level is first reached, and probe it per outer row (hash join) instead
-// of degrading to the cross product. For a two-table inner join the
-// probed side is chosen at run time (see chooseSwap / chooseHashSwap).
-// first is the first table's resolved scan. Read-only on the plan.
+// first in FROM order, assembling every combination in place in one
+// row buffer: each level writes one candidate of its table into its own
+// slots — only the columns the statement reads (planTable.reads) — and
+// leaves its ancestors' prefix where it is, tests the pushed ON
+// predicate and descends. A fully joined row that passes the
+// statement's WHERE, applied here once, is copied into the scratch arena
+// and reaches emit at once, in the order a level-by-level build would
+// list it, and the loops unwind as soon as emit returns false. Inner
+// tables whose join key is indexed are probed per outer row (index
+// nested-loop) instead of re-scanned; unindexed equi-joins build a hash
+// table over the inner table once, when its level is first reached, and
+// probe it per outer row (hash join) instead of degrading to the cross
+// product. A two-table inner join whose first table has no access path
+// for this execution may run reversed (see chooseSwap /
+// chooseHashSwap). first is the first table's resolved scan. Read-only
+// on the plan.
 func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx, first tableScan, emit func([]sqltypes.Value) bool) error {
 	j := &joinRun{db: db, plan: plan, ctx: ctx, emit: emit,
-		width: len(plan.env.cols), probes: !db.fullScanOnly}
-	if j.probes {
+		row: make([]sqltypes.Value, len(plan.env.cols)), probes: !db.fullScanOnly}
+	if j.probes && first.path == nil {
 		if rev := chooseSwap(plan); rev != nil {
-			t0 := plan.tables[0]
-			return j.swapped(func(c *evalCtx) ([][]sqltypes.Value, bool) {
-				return probeJoin(t0.data, rev, c)
+			var cands [][]sqltypes.Value
+			return j.swapped(func(*evalCtx) ([][]sqltypes.Value, bool) {
+				var ok bool
+				cands, ok = j.probeJoin(cands[:0], plan.tables[0].data, rev)
+				return cands, ok
 			})
 		}
 		if hj := chooseHashSwap(plan); hj != nil {
@@ -582,11 +593,12 @@ func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx, first tableScan, emit fun
 		}
 	}
 	j.hashers = make([]*hashProber, len(plan.tables))
+	j.cands = make([][][]sqltypes.Value, len(plan.tables))
 	// The planner's path narrows the outer loop's candidates; the WHERE
 	// waits for the assembled row.
 	matched := false
 	if err := first.run(ctx, func(_ *rowSlot, vals []sqltypes.Value) bool {
-		return j.extend(0, nil, vals, &matched)
+		return j.extend(0, vals, &matched)
 	}); err != nil {
 		return err
 	}
@@ -596,66 +608,73 @@ func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx, first tableScan, emit fun
 // joinRun is one execution of a join: what every level of the depth-
 // first assembly shares.
 type joinRun struct {
-	db      *DB
-	plan    *selectPlan
-	ctx     *evalCtx
-	emit    func([]sqltypes.Value) bool
-	width   int           // columns of the fully joined row
-	probes  bool          // index and hash probes allowed (not SetFullScanOnly)
-	hashers []*hashProber // per FROM item, built when its level is first reached
-	err     error         // the first failure; it unwinds every level
+	db     *DB
+	plan   *selectPlan
+	ctx    *evalCtx
+	emit   func([]sqltypes.Value) bool
+	probes bool // index and hash probes allowed (not SetFullScanOnly)
+	// row is the joined row being assembled. Level i owns the slots of
+	// FROM item i; depth-first order keeps the slots of the levels
+	// before it valid while it iterates its candidates.
+	row     []sqltypes.Value
+	cands   [][][]sqltypes.Value // per FROM item, the index probe's reused candidate buffer
+	slots   []*rowSlot           // the index probes' reused slot lookup buffer
+	hashers []*hashProber        // per FROM item, built when its level is first reached
+	err     error                // the first failure; it unwinds every level
 }
 
-// deliver applies the statement's WHERE to one fully joined row and
-// hands a match to the sink.
-func (j *joinRun) deliver(row []sqltypes.Value) bool {
-	ok, err := j.ctx.holds(j.plan.stmt.Where, row)
+// deliver applies the statement's WHERE to the fully joined row and
+// hands a match to the sink as a copy in the scratch arena, which the
+// sink may keep until the statement ends: the copy is what holds
+// memory, so it is what the budget is charged for.
+func (j *joinRun) deliver() bool {
+	ok, err := j.ctx.holds(j.plan.stmt.Where, j.row)
 	if !ok {
 		j.err = err
 		return err == nil
 	}
-	return j.emit(row)
-}
-
-// assemble allocates the combined row prefix‖vals. Joined rows are
-// statement-lifetime intermediates: they live in the scratch arena,
-// never in the result arena, and each is a checkpoint and a charge
-// against the memory budget where it is allocated — a row costs its
-// bytes until the statement ends whether or not a sink keeps it.
-func (j *joinRun) assemble(n int) []sqltypes.Value {
-	if j.err = j.ctx.intr.check(); j.err == nil {
-		j.err = j.ctx.intr.charge(rowFootprint(j.width))
-	}
-	if j.err != nil {
-		return nil
-	}
-	return j.ctx.scratch.allocCap(n, j.width)
-}
-
-// extend joins one candidate row of FROM item i onto base and, when the
-// ON condition holds, descends to the next level. false unwinds the join.
-func (j *joinRun) extend(i int, base, vals []sqltypes.Value, matched *bool) bool {
-	combined := j.assemble(len(base))
-	if combined == nil {
+	if j.err = j.ctx.intr.charge(rowFootprint(len(j.row))); j.err != nil {
 		return false
 	}
-	copy(combined, base)
-	combined = append(combined, vals...)
-	if ok, err := j.ctx.holds(j.plan.stmt.From[i].JoinCond, combined); !ok {
+	out := j.ctx.scratch.alloc(len(j.row))
+	copy(out, j.row)
+	return j.emit(out)
+}
+
+// fill writes the columns of FROM item i the statement reads from
+// vals, one of the item's rows, into the item's slots of the joined
+// row.
+func (j *joinRun) fill(i int, vals []sqltypes.Value) {
+	t := &j.plan.tables[i]
+	row := j.row[t.start:]
+	for _, c := range t.reads {
+		row[c] = vals[c]
+	}
+}
+
+// extend places one candidate row of FROM item i in the joined row and,
+// when the ON condition holds, descends to the next level. Every
+// candidate is a cancellation checkpoint. false unwinds the join.
+func (j *joinRun) extend(i int, vals []sqltypes.Value, matched *bool) bool {
+	if j.err = j.ctx.intr.check(); j.err != nil {
+		return false
+	}
+	j.fill(i, vals)
+	if ok, err := j.ctx.holds(j.plan.stmt.From[i].JoinCond, j.row); !ok {
 		j.err = err
 		return err == nil
 	}
 	*matched = true
-	return j.level(i+1, combined)
+	return j.level(i + 1)
 }
 
-// level joins FROM item i onto base: through its index probe or hash
-// table when the plan has one and it serves this outer row, else by
-// scanning the table.
-func (j *joinRun) level(i int, base []sqltypes.Value) bool {
+// level joins FROM item i onto the row assembled so far: through its
+// index probe or hash table when the plan has one and it serves this
+// outer row, else by scanning the table.
+func (j *joinRun) level(i int) bool {
 	plan, ctx := j.plan, j.ctx
 	if i == len(plan.tables) {
-		return j.deliver(base)
+		return j.deliver()
 	}
 	ft := plan.tables[i]
 	var cands [][]sqltypes.Value
@@ -663,28 +682,28 @@ func (j *joinRun) level(i int, base []sqltypes.Value) bool {
 	if j.probes {
 		switch probe, hj := plan.joins[i], plan.hashJoins[i]; {
 		case probe != nil:
-			ctx.vals = base
-			cands, probed = probeJoin(ft.data, probe, ctx)
+			j.cands[i], probed = j.probeJoin(j.cands[i][:0], ft.data, probe)
+			cands = j.cands[i]
 		case hj != nil:
 			if j.hashers[i] == nil {
 				if j.hashers[i], j.err = newHashProber(ft.data, hj, ctx); j.err != nil {
 					return false
 				}
 			}
-			ctx.vals = base
+			ctx.vals = j.row
 			cands, probed = j.hashers[i].probe(ctx)
 		}
 	}
 	matched, more := false, true
 	if probed {
 		for _, vals := range cands {
-			if more = j.extend(i, base, vals, &matched); !more {
+			if more = j.extend(i, vals, &matched); !more {
 				break
 			}
 		}
 	} else {
 		ft.data.scan(ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
-			more = j.extend(i, base, vals, &matched)
+			more = j.extend(i, vals, &matched)
 			return more
 		})
 	}
@@ -692,18 +711,20 @@ func (j *joinRun) level(i int, base []sqltypes.Value) bool {
 		return more
 	}
 	// LEFT JOIN with no match: the NULL-extended row.
-	combined := ctx.scratch.allocCap(len(base), j.width)
-	copy(combined, base)
-	for range ft.schema.Cols {
-		combined = append(combined, sqltypes.Null)
+	row := j.row[ft.start:]
+	for _, c := range ft.reads {
+		row[c] = sqltypes.Null
 	}
-	return j.level(i+1, combined)
+	return j.level(i + 1)
 }
 
-// chooseSwap decides whether a two-table inner join should run with the
-// second table as the outer loop probing the first: when only the first
-// table's join key is indexed, or when both are and the first table is
-// larger (the smaller table should drive the outer loop).
+// chooseSwap decides whether a two-table inner join whose first table
+// has no access path should run with the second table as the outer
+// loop probing the first: when only the first table's join key is
+// indexed, or when both are and the first table is larger (the smaller
+// table should drive the outer loop). The caller never asks when the
+// first table's path serves the execution: that path already narrows
+// the outer loop to the rows the WHERE wants.
 func chooseSwap(plan *selectPlan) *joinProbe {
 	if plan.revProbe == nil || len(plan.tables) != 2 {
 		return nil
@@ -715,11 +736,12 @@ func chooseSwap(plan *selectPlan) *joinProbe {
 }
 
 // chooseHashSwap decides whether a fully-unindexed two-table inner
-// equi-join should build its hash table on the FIRST table: when only
-// that side has usable equi-conjuncts, or when both do and the first
-// table is smaller (the hash table belongs on the smaller side, the
-// larger one drives the outer loop). Index probes, when any exist,
-// already won in chooseSwap / the forward loop.
+// equi-join whose first table has no access path should build its hash
+// table on the FIRST table: when only that side has usable
+// equi-conjuncts, or when both do and the first table is smaller (the
+// hash table belongs on the smaller side, the larger one drives the
+// outer loop). Index probes, when any exist, already won in chooseSwap
+// / the forward loop.
 func chooseHashSwap(plan *selectPlan) *hashJoinPlan {
 	if plan.revHash == nil || len(plan.tables) != 2 {
 		return nil
@@ -735,35 +757,30 @@ func chooseHashSwap(plan *selectPlan) *hashJoinPlan {
 
 // swapped is the reversed two-table nested loop: scan table 1 as the
 // outer side and probe table 0 (via an index probe or a prebuilt hash
-// table — probeFn encapsulates the lookup), assembling each combined row
-// in declared column order so every bound expression keeps its slot.
-// Only inner joins reach here (LEFT JOIN is direction-bound).
+// table — probeFn encapsulates the lookup), assembling each combined
+// row in the same buffer and declared column order as the forward loop,
+// so every bound expression keeps its slot. The probe's expressions
+// only reference table 1's slots. Only inner joins reach here (LEFT
+// JOIN is direction-bound).
 func (j *joinRun) swapped(probeFn func(*evalCtx) ([][]sqltypes.Value, bool)) error {
 	ctx := j.ctx
-	t0, t1 := j.plan.tables[0], j.plan.tables[1]
-	start1 := t1.start
 	cond := j.plan.stmt.From[1].JoinCond
-	// Probe-evaluation row: the probe's expressions only reference table 1
-	// slots, so the table 0 prefix can stay stale.
-	probeRow := make([]sqltypes.Value, j.width)
-	outer := j.db.openScan(t1.data, nil, nil, ctx)
-	err := outer.run(ctx, func(_ *rowSlot, v1 []sqltypes.Value) bool {
-		copy(probeRow[start1:], v1)
-		ctx.vals = probeRow
-		cands, handled := probeFn(ctx)
-		pair := func(v0 []sqltypes.Value) bool {
-			combined := j.assemble(j.width)
-			if combined == nil {
-				return false
-			}
-			copy(combined, v0)
-			copy(combined[start1:], v1)
-			if ok, err := ctx.holds(cond, combined); !ok {
-				j.err = err
-				return err == nil
-			}
-			return j.deliver(combined)
+	pair := func(v0 []sqltypes.Value) bool {
+		if j.err = ctx.intr.check(); j.err != nil {
+			return false
 		}
+		j.fill(0, v0)
+		if ok, err := ctx.holds(cond, j.row); !ok {
+			j.err = err
+			return err == nil
+		}
+		return j.deliver()
+	}
+	outer := j.db.openScan(j.plan.tables[1].data, nil, nil, ctx)
+	err := outer.run(ctx, func(_ *rowSlot, v1 []sqltypes.Value) bool {
+		j.fill(1, v1)
+		ctx.vals = j.row
+		cands, handled := probeFn(ctx)
 		if handled {
 			for _, v0 := range cands {
 				if !pair(v0) {
@@ -773,7 +790,7 @@ func (j *joinRun) swapped(probeFn func(*evalCtx) ([][]sqltypes.Value, bool)) err
 			return true
 		}
 		more := true
-		t0.data.scan(ctx.snap, func(_ *rowSlot, v0 []sqltypes.Value) bool {
+		j.plan.tables[0].data.scan(ctx.snap, func(_ *rowSlot, v0 []sqltypes.Value) bool {
 			more = pair(v0)
 			return more
 		})
@@ -877,7 +894,7 @@ func cmpSortCells(a, b *sortKeyCell) int {
 // and its evaluated ORDER BY keys — not its projection, which only the
 // survivors of OFFSET/LIMIT get.
 type sortEntry struct {
-	src  []sqltypes.Value // source row: aliases storage (scan) or the scratch arena (join)
+	src  []sqltypes.Value // source row: aliases storage (scan) or is the join's delivered copy in the scratch arena
 	gs   *groupState      // the folded group, for an aggregated statement
 	vals []sqltypes.Value // DISTINCT only: the projected row (the source row itself under storedRows)
 	keys []sortKeyCell

@@ -49,10 +49,10 @@ func soakEnvInt(name string, def int) int {
 
 // soakOracle tracks ground truth across crash rounds of one schedule.
 type soakOracle struct {
-	mu        sync.Mutex
-	acked     map[int64]bool // insert acknowledged, must be present
-	deleted   map[int64]bool // delete acknowledged, must be absent
-	delLimbo  map[int64]bool // delete attempted, outcome unknown: the
+	mu       sync.Mutex
+	acked    map[int64]bool // insert acknowledged, must be present
+	deleted  map[int64]bool // delete acknowledged, must be absent
+	delLimbo map[int64]bool // delete attempted, outcome unknown: the
 	// commit record may have hit the platter before the crash killed the
 	// acknowledgement, so the row is legitimately either present or absent
 	attempted map[int64]bool // insert issued (outcome possibly unknown)

@@ -24,8 +24,8 @@ func TestTimeRoundTrip(t *testing.T) {
 		time.Date(2026, 7, 28, 0, 0, 0, 123456789, time.UTC),
 		time.Unix(0, 1),
 		time.Unix(0, -1),
-		time.Date(1677, 9, 1, 0, 0, 0, 0, time.UTC),  // before the int64-ns window
-		time.Date(2263, 1, 1, 0, 0, 0, 0, time.UTC),  // after the window
+		time.Date(1677, 9, 1, 0, 0, 0, 0, time.UTC), // before the int64-ns window
+		time.Date(2263, 1, 1, 0, 0, 0, 0, time.UTC), // after the window
 		time.Date(1000, 6, 15, 12, 30, 45, 7, time.UTC),
 		time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
 	}
