@@ -270,8 +270,8 @@
 //     column at a time with no staging columns; a batch is at most 1024
 //     rows and never more than fit a slab.
 //
-//   - Exact sizing. Row headers collect in a list — the first 64 on the
-//     plain heap, the rest in pooled blocks reused across statements —
+//   - Exact sizing. Row headers collect in a list — the first 64 in a
+//     pooled head, the rest in pooled blocks reused across statements —
 //     and the result's row slice is made once, at the exact row count
 //     (TestSmallResultFootprint pins a page-sized SELECT to ≤ 8 KiB
 //     beyond its rows; TestResultBytesPerReturnedRow a 4,000-row range
@@ -441,15 +441,21 @@
 // FK substitution (internal/core/qbe.go), row-by-key lookups, the
 // link-control column probe behind DownloadURL and startup
 // reconciliation (internal/core/archive.go), and — through those — the
-// webui query/browse/result handlers. A results page is compiled once
-// per request into a column plan (internal/webui/render.go): per
-// column its header, its pre-encoded FK/PK browse links and the
+// webui query/browse/result handlers, which read their query
+// parameters without building a url.Values map (queryParam, held to
+// url.ParseQuery by FuzzQueryParamMatchesParseQuery). A results page is
+// compiled once per request into a column plan drawn from a pool, whose
+// buffers it reuses (internal/webui/render.go): per column its header, its
+// FK/PK browse links escaped once into the plan's byte arena and the
 // schema column a DATALINK cell's token is minted for
 // (Archive.DownloadURLFor, so no cell probes the catalogue), with each
 // FK substitution looked up once per distinct key. The rows stream
-// through the plan into a buffered writer, escaped byte for byte as
-// html/template would (FuzzEscapersMatchTemplate,
-// TestGoldenResultPages). The page chrome goes through the same writer:
+// through the plan into a buffered writer; INTEGER and DOUBLE cells are
+// formatted straight into its buffer. Every data byte goes through one
+// table-driven escaper family — text and attributes, a url.Values-
+// encoded query value, and html/template's raw query value — held byte
+// for byte to html/template by FuzzEscapersMatchTemplate and
+// TestGoldenResultPages. The page chrome goes through the same writer:
 // one layout function heads every page, and the QBE form is written
 // straight from the installed XUIS on each request, so an in-place
 // customisation shows on the next render (TestQueryFormFollowsSpec).

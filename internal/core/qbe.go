@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/sqldb"
@@ -48,74 +49,93 @@ func escapeLike(s string) string {
 // schema, rejecting unknown tables, columns and operators (the form is
 // user input; nothing is spliced into the SQL text).
 func (a *Archive) BuildSQL(q QBE) (string, []sqltypes.Value, error) {
+	sql, args, _, err := a.buildSQL(q)
+	return sql, args, err
+}
+
+// buildSQL is BuildSQL, also returning the schema the SQL was compiled
+// against. The text is appended into one buffer: it is the plan-cache
+// key of every search, so it must not cost more than the lookup it keys.
+func (a *Archive) buildSQL(q QBE) (string, []sqltypes.Value, *sqldb.TableSchema, error) {
 	schema, ok := a.DB.Catalog().Table(q.Table)
 	if !ok {
-		return "", nil, fmt.Errorf("core: unknown table %s", q.Table)
-	}
-	cols := q.Select
-	if len(cols) == 0 {
-		cols = schema.ColNames()
+		return "", nil, nil, fmt.Errorf("core: unknown table %s", q.Table)
 	}
 	// The form offers each column once, so a longer or repeating list is
 	// not a form submission: it would compile a projection as wide as the
 	// request is long over every matching row.
-	if len(cols) > len(schema.Cols) {
-		return "", nil, fmt.Errorf("core: %d columns selected, %s has %d", len(cols), q.Table, len(schema.Cols))
+	if len(q.Select) > len(schema.Cols) {
+		return "", nil, nil, fmt.Errorf("core: %d columns selected, %s has %d", len(q.Select), q.Table, len(schema.Cols))
 	}
-	var sel []string
-	for _, c := range cols {
-		if schema.ColIndex(c) < 0 {
-			return "", nil, fmt.Errorf("core: unknown column %s.%s", q.Table, c)
+	var buf [256]byte
+	sql := append(buf[:0], "SELECT "...)
+	if len(q.Select) == 0 {
+		for i, c := range schema.Cols {
+			if i > 0 {
+				sql = append(sql, ", "...)
+			}
+			sql = append(sql, strings.ToUpper(c.Name)...)
 		}
-		c = strings.ToUpper(c)
-		if slices.Contains(sel, c) {
-			return "", nil, fmt.Errorf("core: column %s.%s selected twice", q.Table, c)
-		}
-		sel = append(sel, c)
 	}
-	var (
-		sql  strings.Builder
-		args []sqltypes.Value
-	)
-	fmt.Fprintf(&sql, "SELECT %s FROM %s", strings.Join(sel, ", "), schema.Name)
-	var conds []string
+	var seenBuf [16]int
+	seen := seenBuf[:0]
+	for i, c := range q.Select {
+		j := schema.ColIndex(c)
+		if j < 0 {
+			return "", nil, nil, fmt.Errorf("core: unknown column %s.%s", q.Table, c)
+		}
+		if slices.Contains(seen, j) {
+			return "", nil, nil, fmt.Errorf("core: column %s.%s selected twice", q.Table, strings.ToUpper(c))
+		}
+		seen = append(seen, j)
+		if i > 0 {
+			sql = append(sql, ", "...)
+		}
+		sql = append(sql, strings.ToUpper(c)...)
+	}
+	sql = append(append(sql, " FROM "...), schema.Name...)
+	var args []sqltypes.Value
 	for _, r := range q.Restrictions {
 		if strings.TrimSpace(r.Value) == "" {
 			continue // empty form fields mean "no restriction"
 		}
 		if schema.ColIndex(r.Column) < 0 {
-			return "", nil, fmt.Errorf("core: unknown column %s.%s", q.Table, r.Column)
+			return "", nil, nil, fmt.Errorf("core: unknown column %s.%s", q.Table, r.Column)
 		}
-		op, ok := qbeOps[strings.ToUpper(strings.TrimSpace(r.Op))]
+		form := strings.ToUpper(strings.TrimSpace(r.Op))
+		op, ok := qbeOps[form]
 		if !ok {
-			return "", nil, fmt.Errorf("core: unsupported operator %q", r.Op)
+			return "", nil, nil, fmt.Errorf("core: unsupported operator %q", r.Op)
 		}
 		val := r.Value
-		switch strings.ToUpper(strings.TrimSpace(r.Op)) {
+		switch form {
 		case "CONTAINS":
 			val = "%" + escapeLike(val) + "%"
 		case "STARTS":
 			val = escapeLike(val) + "%"
 		}
-		conds = append(conds, fmt.Sprintf("%s %s ?", strings.ToUpper(r.Column), op))
+		if args == nil {
+			sql = append(sql, " WHERE "...)
+			args = make([]sqltypes.Value, 0, len(q.Restrictions))
+		} else {
+			sql = append(sql, " AND "...)
+		}
+		sql = append(append(append(append(sql, strings.ToUpper(r.Column)...), ' '), op...), " ?"...)
 		args = append(args, sqltypes.NewString(val))
-	}
-	if len(conds) > 0 {
-		sql.WriteString(" WHERE " + strings.Join(conds, " AND "))
 	}
 	if q.OrderBy != "" {
 		if schema.ColIndex(q.OrderBy) < 0 {
-			return "", nil, fmt.Errorf("core: unknown ORDER BY column %s", q.OrderBy)
+			return "", nil, nil, fmt.Errorf("core: unknown ORDER BY column %s", q.OrderBy)
 		}
-		fmt.Fprintf(&sql, " ORDER BY %s", strings.ToUpper(q.OrderBy))
+		sql = append(append(sql, " ORDER BY "...), strings.ToUpper(q.OrderBy)...)
 		if q.Desc {
-			sql.WriteString(" DESC")
+			sql = append(sql, " DESC"...)
 		}
 	}
 	if q.Limit > 0 {
-		fmt.Fprintf(&sql, " LIMIT %d", q.Limit)
+		sql = strconv.AppendInt(append(sql, " LIMIT "...), int64(q.Limit), 10)
 	}
-	return sql.String(), args, nil
+	return string(sql), args, schema, nil
 }
 
 // ResultSet is a decorated query result: plain values plus the metadata
@@ -123,11 +143,11 @@ func (a *Archive) BuildSQL(q QBE) (string, []sqltypes.Value, error) {
 type ResultSet struct {
 	Table   string
 	Columns []string // upper-cased column names
-	ColIDs  []string // "TABLE.COLUMN"
 	Kinds   []sqltypes.Kind
 	Rows    [][]sqltypes.Value // alias the engine's result storage until Close
 
-	rows *sqldb.Rows
+	rows   *sqldb.Rows
+	colIDs []string // "TABLE.COLUMN" per column, formed by the first Row
 }
 
 // Close releases the result's row storage back to the engine; Rows must
@@ -144,8 +164,14 @@ func (rs *ResultSet) Close() {
 
 // Row returns row i as the colid→value map operations consume.
 func (rs *ResultSet) Row(i int) map[string]sqltypes.Value {
+	if rs.colIDs == nil {
+		rs.colIDs = make([]string, len(rs.Columns))
+		for j, c := range rs.Columns {
+			rs.colIDs[j] = rs.Table + "." + strings.ToUpper(c)
+		}
+	}
 	out := make(map[string]sqltypes.Value, len(rs.Columns))
-	for j, id := range rs.ColIDs {
+	for j, id := range rs.colIDs {
 		out[id] = rs.Rows[i][j]
 	}
 	return out
@@ -157,7 +183,7 @@ func (rs *ResultSet) Row(i int) map[string]sqltypes.Value {
 // one shared cached plan: repeated form submissions and browse clicks
 // skip parsing and binding entirely.
 func (a *Archive) Search(q QBE) (*ResultSet, error) {
-	sql, args, err := a.BuildSQL(q)
+	sql, args, schema, err := a.buildSQL(q)
 	if err != nil {
 		return nil, err
 	}
@@ -169,18 +195,13 @@ func (a *Archive) Search(q QBE) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	schema, _ := a.DB.Catalog().Table(q.Table)
-	rs := &ResultSet{
+	return &ResultSet{
 		Table:   schema.Name,
 		Columns: rows.Columns,
 		Kinds:   rows.Kinds,
 		Rows:    rows.Data,
 		rows:    rows,
-	}
-	for _, c := range rows.Columns {
-		rs.ColIDs = append(rs.ColIDs, schema.Name+"."+strings.ToUpper(c))
-	}
-	return rs, nil
+	}, nil
 }
 
 // BrowseFK implements foreign-key browsing: "selecting a link on an

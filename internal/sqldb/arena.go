@@ -39,7 +39,7 @@ import (
 //     per computed column). No staging columns, no transposition.
 //
 //   - rowList: the result's row headers until the statement finishes,
-//     the first page of them on the plain heap and the rest in pooled
+//     the first page of them in a pooled head and the rest in pooled
 //     fixed-size blocks reused across statements, so out.Data is made
 //     once, at the exact row count, for a 1-row lookup and a 100k-row
 //     export alike.
@@ -152,8 +152,8 @@ func (a *rowArena) markLarge() {
 // colBatchRows is the most source rows a colBatch projects per flush.
 const colBatchRows = 1024
 
-// A rowList keeps its first rowListHeapRows rows in one plain-heap
-// slice grown by append, so a page-sized result never touches a pool;
+// A rowList keeps its first rowListHeapRows rows in a pooled rowHead,
+// so a page-sized result allocates nothing but its exact out.Data;
 // past that, rows go to pooled rowBlocks — a slab's worth of row
 // headers each, so a 100k-row result takes a dozen.
 const (
@@ -161,11 +161,18 @@ const (
 	rowBlockRows    = arenaChunkValues
 )
 
-type rowBlock [rowBlockRows][]sqltypes.Value
+type (
+	rowHead  [rowListHeapRows][]sqltypes.Value
+	rowBlock [rowBlockRows][]sqltypes.Value
+)
 
-// rowBlockPool recycles header blocks across statements. Blocks are
-// cleared before being returned so a pooled block never pins rows.
-var rowBlockPool = sync.Pool{New: func() any { return new(rowBlock) }}
+// rowHeadPool and rowBlockPool recycle header storage across
+// statements. Both are cleared before being returned so a pooled one
+// never pins rows.
+var (
+	rowHeadPool  = sync.Pool{New: func() any { return new(rowHead) }}
+	rowBlockPool = sync.Pool{New: func() any { return new(rowBlock) }}
+)
 
 // rowList collects a result's rows until take makes out.Data once, at
 // the exact row count, however many arrived: appending to out.Data
@@ -181,7 +188,7 @@ type rowList struct {
 func (l *rowList) add(row []sqltypes.Value) {
 	if l.n < rowListHeapRows {
 		if l.head == nil {
-			l.head = make([][]sqltypes.Value, 0, 16)
+			l.head = rowHeadPool.Get().(*rowHead)[:0]
 		}
 		l.head = append(l.head, row)
 	} else {
@@ -207,12 +214,16 @@ func (l *rowList) at(i int) *[]sqltypes.Value {
 }
 
 // truncate drops rows m and later, pooling the blocks left empty;
-// truncate(0) empties the list.
+// truncate(0) empties the list and pools its head too.
 func (l *rowList) truncate(m int) {
 	for i := m; i < l.n; i++ {
 		*l.at(i) = nil
 	}
 	l.head = l.head[:min(m, len(l.head))]
+	if m == 0 && l.head != nil {
+		rowHeadPool.Put((*rowHead)(l.head[:rowListHeapRows]))
+		l.head = nil
+	}
 	keep := (max(m-rowListHeapRows, 0) + rowBlockRows - 1) / rowBlockRows
 	for _, b := range l.blocks[keep:] {
 		rowBlockPool.Put(b)

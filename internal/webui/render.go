@@ -2,9 +2,9 @@ package webui
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -17,24 +17,61 @@ import (
 	"repro/internal/xuis"
 )
 
-// htmlEscaper escapes exactly as html/template does a string in text
-// and in a quoted attribute (FuzzEscapersMatchTemplate).
-var htmlEscaper = strings.NewReplacer("\x00", "\uFFFD", `"`, "&#34;", "&", "&amp;", "'", "&#39;", "+", "&#43;", "<", "&lt;", ">", "&gt;")
+// escaper is one escaping context as a table: the bytes that replace
+// each byte, "" for a byte kept as it is. Every page byte that comes
+// from data goes through one of the three below, each held byte for
+// byte to html/template by FuzzEscapersMatchTemplate.
+type escaper [256]string
 
-// queryValueEscaper escapes exactly as html/template does a raw string
-// in the query of a quoted href: every byte but RFC 3986's unreserved
-// ones becomes %xx in lowercase hex (FuzzEscapersMatchTemplate).
-var queryValueEscaper = func() *strings.Replacer {
-	var oldnew []string
-	for c := 0; c < 256; c++ {
-		b := byte(c)
-		if 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z' || '0' <= b && b <= '9' || strings.IndexByte("-._~", b) >= 0 {
-			continue
+var (
+	// escHTML escapes as html/template does text and a quoted attribute.
+	escHTML = &escaper{0: "\uFFFD", '"': "&#34;", '&': "&amp;", '\'': "&#39;", '+': "&#43;", '<': "&lt;", '>': "&gt;"}
+	// escQueryHTML is escHTML of url.QueryEscape in one pass, a value
+	// in a quoted href's query as url.Values encodes it: %XX, and a
+	// space as the '+' escHTML rewrites.
+	escQueryHTML = percentEscaper("0123456789ABCDEF", "&#43;")
+	// escQueryValue escapes as html/template does a raw value in a
+	// quoted href's query: %xx.
+	escQueryValue = percentEscaper("0123456789abcdef", "%20")
+)
+
+// percentEscaper escapes every byte but RFC 3986's unreserved ones as a
+// '%' and two of the given hex digits, and a space as space.
+func percentEscaper(digits, space string) *escaper {
+	e := new(escaper)
+	for c := range e {
+		if b := byte(c); !('a' <= b && b <= 'z' || 'A' <= b && b <= 'Z' || '0' <= b && b <= '9' || strings.IndexByte("-._~", b) >= 0) {
+			e[c] = "%" + digits[c>>4:c>>4+1] + digits[c&15:c&15+1]
 		}
-		oldnew = append(oldnew, string([]byte{b}), fmt.Sprintf("%%%02x", b))
 	}
-	return strings.NewReplacer(oldnew...)
-}()
+	e[' '] = space
+	return e
+}
+
+// append appends s escaped to dst.
+func (e *escaper) append(dst []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		if r := e[s[i]]; r != "" {
+			dst = append(append(dst, s[last:i]...), r...)
+			last = i + 1
+		}
+	}
+	return append(dst, s[last:]...)
+}
+
+// write writes s escaped to w.
+func (e *escaper) write(w *bufio.Writer, s string) {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		if r := e[s[i]]; r != "" {
+			w.WriteString(s[last:i])
+			w.WriteString(r)
+			last = i + 1
+		}
+	}
+	w.WriteString(s[last:])
+}
 
 // pageWriters recycles the buffered writers pages stream through.
 var pageWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 8<<10) }}
@@ -53,13 +90,16 @@ func finishPage(bw *bufio.Writer) {
 	pageWriters.Put(bw)
 }
 
-// link is a hyperlink beside a cell's text, its href completed by the value.
-type link struct{ href, label string }
+// linkMarkup is a hyperlink already escaped into a buffer: buf[open:mid]
+// is its markup up to the cell value that completes the href, and
+// buf[mid:end] the rest, label and all.
+type linkMarkup struct{ open, mid, end int }
 
 // pagePlan is a results page compiled from the XUIS and the schema
 // before its first row is written, so the paper's four browsing modes
-// cost a lookup per column, not per cell. It is built per request: a
-// plan over a handful of columns costs less than keeping a cache fresh.
+// cost a lookup per column, not per cell. It is built per request from
+// the spec as it stands, into buffers a pool keeps from page to page;
+// nothing about a page is cached.
 type pagePlan struct {
 	display string // the table's name as the XUIS shows it
 	a       *core.Archive
@@ -67,46 +107,66 @@ type pagePlan struct {
 	u       core.User
 	eng     *ops.Engine
 	cols    []colPlan
+	arena   []byte // every column's browsing links, escaped once per page
 
-	// keyCols are the result positions of the primary key in pk_<COLUMN>
-	// order; nil unless the result carries the whole key.
-	keyCols  []int
-	keyNames []string
-	keyRow   int    // the row key was encoded for
-	key      string // row keyRow's "&pk_<COLUMN>=value" parameters
-	links    []link // scratch for a LOB or DATALINK cell's links
+	// keys are the primary key's columns in pk_<COLUMN> order; empty
+	// unless the result carries the whole key.
+	keys   []keyCol
+	keyRow int    // the row key was encoded for
+	key    []byte // row keyRow's "&pk_<COLUMN>=value" parameters, escaped
+
+	memo  map[substKey]string // FK substitutions made on this page
+	cell  []byte              // a LOB or DATALINK cell's links, escaped
+	links []linkMarkup        // their markup in cell
 }
 
 // colPlan is one result column of a pagePlan.
 type colPlan struct {
-	header, colID, table, column string
-	col                          sqldb.Column // a DATALINK token lives for its EXPIRY
-	links                        []link       // FK and PK browsing links
-	subst                        *fkSubst
+	header, column string
+	colID          string       // "TABLE.COLUMN", formed by the first DATALINK cell for its operations
+	col            sqldb.Column // a DATALINK token lives for its EXPIRY
+	links          []linkMarkup // FK and PK browsing links, in the plan's arena
+	subst          fkSubst
+}
+
+// keyCol is a primary-key column's name and position in the result.
+type keyCol struct {
+	name string
+	pos  int
 }
 
 // fkSubst shows a column of the referenced row in place of a foreign
-// key, looked up once per distinct key on a page.
-type fkSubst struct {
-	refTable, refCol, column string
-	memo                     map[string]string
+// key, looked up once per distinct key on a page; column is "" when
+// the XUIS substitutes nothing.
+type fkSubst struct{ refTable, refCol, column string }
+
+type substKey struct {
+	col int
+	key string
 }
 
-func (f *fkSubst) lookup(a *core.Archive, key string) string {
-	if s, ok := f.memo[key]; ok {
+func (p *pagePlan) substitute(j int, key string) string {
+	if s, ok := p.memo[substKey{j, key}]; ok {
 		return s
 	}
-	s, err := a.SubstituteFK(f.refTable, f.refCol, f.column, key)
+	f := &p.cols[j].subst
+	s, err := p.a.SubstituteFK(f.refTable, f.refCol, f.column, key)
 	if err != nil {
 		s = key
 	}
-	f.memo[key] = s
+	p.memo[substKey{j, key}] = s
 	return s
 }
 
+// pagePlans recycles plans; releasePlan gives one back.
+var pagePlans = sync.Pool{New: func() any { return &pagePlan{memo: map[substKey]string{}} }}
+
 // planPage compiles the results page for rs as seen by u.
 func planPage(a *core.Archive, rs *core.ResultSet, u core.User) *pagePlan {
-	p := &pagePlan{display: rs.Table, a: a, rs: rs, u: u, eng: a.Ops(), keyRow: -1, cols: make([]colPlan, len(rs.Columns))}
+	p := pagePlans.Get().(*pagePlan)
+	p.display, p.a, p.rs, p.u, p.eng, p.keyRow = rs.Table, a, rs, u, a.Ops(), -1
+	p.arena, p.keys = p.arena[:0], p.keys[:0]
+	p.cols = slices.Grow(p.cols[:0], len(rs.Columns))[:len(rs.Columns)]
 	specTable := &xuis.Table{} // no XUIS: raw names, no links
 	if spec := a.Spec(); spec != nil {
 		if t, ok := spec.Table(rs.Table); ok {
@@ -116,8 +176,7 @@ func planPage(a *core.Archive, rs *core.ResultSet, u core.User) *pagePlan {
 	schema, _ := a.DB.Catalog().Table(rs.Table)
 	for j, name := range rs.Columns {
 		c := &p.cols[j]
-		c.header, c.colID = name, rs.ColIDs[j]
-		c.table, c.column, _ = xuis.SplitColID(c.colID)
+		*c = colPlan{header: name, column: strings.ToUpper(name), links: c.links[:0]}
 		if schema != nil {
 			c.col, _ = schema.Col(name)
 		}
@@ -128,35 +187,62 @@ func planPage(a *core.Archive, rs *core.ResultSet, u core.User) *pagePlan {
 		c.header = m.DisplayName()
 		if m.FK != nil {
 			if refTable, refCol, err := xuis.SplitColID(m.FK.TableColumn); err == nil {
-				c.links = append(c.links, link{browseHref("fk", refTable, refCol), "details"})
+				c.links = p.browseLink(c.links, "fk", refTable, refCol, "details", "")
 				if _, column, err := xuis.SplitColID(m.FK.SubstColumn); err == nil {
-					c.subst = &fkSubst{refTable, refCol, column, map[string]string{}}
+					c.subst = fkSubst{refTable, refCol, column}
 				}
 			}
 		}
 		if m.PK != nil {
 			for _, ref := range m.PK.RefBy {
 				if childTable, childCol, err := xuis.SplitColID(ref.TableColumn); err == nil {
-					c.links = append(c.links, link{browseHref("pk", childTable, childCol), "→ " + childTable})
+					c.links = p.browseLink(c.links, "pk", childTable, childCol, "→ ", childTable)
 				}
 			}
 		}
 	}
 	if schema != nil {
-		for _, pk := range slices.Sorted(slices.Values(schema.PrimaryKey)) {
+		for _, pk := range schema.PrimaryKey {
 			j := slices.IndexFunc(rs.Columns, func(col string) bool { return strings.EqualFold(col, pk) })
 			if j < 0 {
-				p.keyCols, p.keyNames = nil, nil
+				p.keys = p.keys[:0]
 				break
 			}
-			p.keyCols, p.keyNames = append(p.keyCols, j), append(p.keyNames, pk)
+			p.keys = append(p.keys, keyCol{pk, j})
 		}
+		slices.SortFunc(p.keys, func(x, y keyCol) int { return strings.Compare(x.name, y.name) })
 	}
 	return p
 }
 
-func browseHref(mode, table, col string) string {
-	return "/browse?col=" + url.QueryEscape(col) + "&mode=" + mode + "&table=" + url.QueryEscape(table) + "&value="
+// browseLink escapes a browsing link of the given mode into the arena
+// and appends its markup to links.
+func (p *pagePlan) browseLink(links []linkMarkup, mode, table, col, label, name string) []linkMarkup {
+	l := linkMarkup{open: len(p.arena)}
+	p.arena = escQueryHTML.append(append(p.arena, ` <a href="/browse?col=`...), col)
+	p.arena = escQueryHTML.append(append(append(append(p.arena, "&amp;mode="...), mode...), "&amp;table="...), table)
+	p.arena = append(p.arena, "&amp;value="...)
+	l.mid = len(p.arena)
+	p.arena = appendLabel(p.arena, label, name)
+	l.end = len(p.arena)
+	return append(links, l)
+}
+
+// appendLabel closes a link's href and appends its label — label as it
+// is, then name escaped — and the closing tag.
+func appendLabel(dst []byte, label, name string) []byte {
+	dst = escHTML.append(append(append(dst, `">`...), label...), name)
+	return append(dst, "</a>"...)
+}
+
+// releasePlan gives p back to the pool once its page is written.
+func releasePlan(p *pagePlan) {
+	for j := range p.cols {
+		p.cols[j] = colPlan{links: p.cols[j].links[:0]}
+	}
+	clear(p.memo)
+	p.a, p.rs, p.eng, p.u = nil, nil, nil, core.User{}
+	pagePlans.Put(p)
 }
 
 // writePage writes the whole results page: the layout head, the header
@@ -166,11 +252,11 @@ func (p *pagePlan) writePage(w *bufio.Writer) {
 	w.WriteString("\n<p class=\"meta\">")
 	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(len(p.rs.Rows)), 10))
 	w.WriteString(" row(s) from ")
-	htmlEscaper.WriteString(w, p.display)
+	escHTML.write(w, p.display)
 	w.WriteString(".</p>\n<table class=\"results\">\n<tr>")
 	for _, c := range p.cols {
 		w.WriteString("<th>")
-		htmlEscaper.WriteString(w, c.header)
+		escHTML.write(w, c.header)
 		w.WriteString("</th>")
 	}
 	w.WriteString("</tr>\n")
@@ -178,70 +264,118 @@ func (p *pagePlan) writePage(w *bufio.Writer) {
 		w.WriteString("\n<tr>\n ")
 		for j, v := range row {
 			w.WriteString("\n <td>\n  ")
-			p.writeCell(w, i, row, &p.cols[j], v)
+			p.writeCell(w, i, row, j, v)
 			w.WriteString("\n </td>\n ")
 		}
 		w.WriteString("\n</tr>\n")
 	}
 	w.WriteString("\n</table>\n<p><a href=\"/table?name=")
-	queryValueEscaper.WriteString(w, p.rs.Table)
+	escQueryValue.write(w, p.rs.Table)
 	w.WriteString(`">New search on `)
-	htmlEscaper.WriteString(w, p.display)
+	escHTML.write(w, p.display)
 	w.WriteString("</a> | <a href=\"/\">Home</a></p>\n" + pageFoot)
 }
 
-func (p *pagePlan) writeCell(w *bufio.Writer, i int, row []sqltypes.Value, c *colPlan, v sqltypes.Value) {
-	switch v.Kind() {
+func (p *pagePlan) writeCell(w *bufio.Writer, i int, row []sqltypes.Value, j int, v sqltypes.Value) {
+	c := &p.cols[j]
+	switch k := v.Kind(); k {
 	case sqltypes.KindNull:
 	case sqltypes.KindDatalink:
-		writeLinked(w, p.datalinkText(i, row, c, v), p.links, "")
+		text := p.datalinkLinks(i, row, c, v)
+		writeLinked(w, text, p.cell, p.links, "")
 	case sqltypes.KindBytes, sqltypes.KindClob:
 		// "Hypertext link displays size of object — rematerialised and
 		// returned to the client."
-		label := fmt.Sprintf("%s (%d bytes)", v.Kind(), v.Size())
-		if p.keyCols == nil {
-			htmlEscaper.WriteString(w, label)
+		p.cell, p.links = p.cell[:0], p.links[:0]
+		if len(p.keys) > 0 {
+			p.cell = escQueryHTML.append(append(p.cell, ` <a href="/lob?col=`...), c.column)
+			p.cell = escQueryHTML.append(append(append(p.cell, p.rowKey(i, row)...), "&amp;table="...), p.rs.Table)
+			p.cell = append(p.cell, `">`...)
+		}
+		p.cell = strconv.AppendInt(append(append(p.cell, k.String()...), " ("...), int64(v.Size()), 10)
+		p.cell = append(p.cell, " bytes)"...)
+		if len(p.keys) == 0 {
+			w.Write(p.cell) // a kind's name and a count escape to themselves
 			return
 		}
-		href := "/lob?col=" + url.QueryEscape(c.column) + p.rowKey(i, row) + "&table=" + url.QueryEscape(c.table)
-		p.links = append(p.links[:0], link{href, label})
-		writeLinked(w, "", p.links, "")
+		p.cell = append(p.cell, "</a>"...)
+		p.links = append(p.links, linkMarkup{0, len(p.cell), len(p.cell)})
+		writeLinked(w, "", p.cell, p.links, "")
 	default:
+		if c.subst.column == "" && (k == sqltypes.KindInt || k == sqltypes.KindDouble) {
+			if _, ok := appendNumber(w.AvailableBuffer(), v); ok {
+				writeLinkedNumber(w, v, p.arena, c.links)
+				return
+			}
+		}
 		value := v.AsString()
 		text := value
-		if c.subst != nil {
-			text = c.subst.lookup(p.a, value)
+		if c.subst.column != "" {
+			text = p.substitute(j, value)
 		}
-		writeLinked(w, text, c.links, value)
+		writeLinked(w, text, p.arena, c.links, value)
 	}
 }
 
+// appendNumber appends an INTEGER or DOUBLE value's text, as AsString
+// spells it, to dst. It reports false for a DOUBLE spelled with a '+'
+// (an exponent or +Inf), the one byte of a number that text and query
+// escaping rewrite.
+func appendNumber(dst []byte, v sqltypes.Value) ([]byte, bool) {
+	if v.Kind() == sqltypes.KindInt {
+		return strconv.AppendInt(dst, v.Int(), 10), true
+	}
+	n := len(dst)
+	dst = strconv.AppendFloat(dst, v.Double(), 'g', -1, 64)
+	return dst, bytes.IndexByte(dst[n:], '+') < 0
+}
+
 // writeLinked writes a cell's text, or the text and then its links on
-// a line of their own.
-func writeLinked(w *bufio.Writer, text string, links []link, value string) {
+// a line of their own, value completing each link's href.
+func writeLinked(w *bufio.Writer, text string, buf []byte, links []linkMarkup, value string) {
 	if len(links) == 0 {
-		htmlEscaper.WriteString(w, text)
+		escHTML.write(w, text)
 		return
 	}
 	w.WriteString("\n    ")
-	htmlEscaper.WriteString(w, text)
+	escHTML.write(w, text)
 	w.WriteString("\n    ")
 	for _, l := range links {
-		w.WriteString(` <a href="`)
-		htmlEscaper.WriteString(w, l.href)
-		htmlEscaper.WriteString(w, url.QueryEscape(value))
-		w.WriteString(`">`)
-		htmlEscaper.WriteString(w, l.label)
-		w.WriteString("</a>")
+		w.Write(buf[l.open:l.mid])
+		escQueryHTML.write(w, value)
+		w.Write(buf[l.mid:l.end])
 	}
 	w.WriteString("\n  ")
 }
 
-// datalinkText renders a DATALINK cell's text — the file name and
-// size — and leaves in p.links a tokenized download link for users
+// writeLinkedNumber is writeLinked for a number appendNumber accepts:
+// its digits are both its text and its escaped value, so they go
+// straight into the writer's buffer.
+func writeLinkedNumber(w *bufio.Writer, v sqltypes.Value, buf []byte, links []linkMarkup) {
+	writeNumber := func() {
+		num, _ := appendNumber(w.AvailableBuffer(), v)
+		w.Write(num)
+	}
+	if len(links) == 0 {
+		writeNumber()
+		return
+	}
+	w.WriteString("\n    ")
+	writeNumber()
+	w.WriteString("\n    ")
+	for _, l := range links {
+		w.Write(buf[l.open:l.mid])
+		writeNumber()
+		w.Write(buf[l.mid:l.end])
+	}
+	w.WriteString("\n  ")
+}
+
+// datalinkLinks returns a DATALINK cell's text — the file name and
+// size — and escapes into p.cell a tokenized download link for users
 // allowed one and the operations and upload the XUIS offers on the row.
-func (p *pagePlan) datalinkText(i int, row []sqltypes.Value, c *colPlan, v sqltypes.Value) string {
-	p.links = p.links[:0]
+func (p *pagePlan) datalinkLinks(i int, row []sqltypes.Value, c *colPlan, v sqltypes.Value) string {
+	p.cell, p.links = p.cell[:0], p.links[:0]
 	parsed, err := sqltypes.ParseDatalinkURL(v.Str())
 	if err != nil {
 		return v.Str()
@@ -254,43 +388,63 @@ func (p *pagePlan) datalinkText(i int, row []sqltypes.Value, c *colPlan, v sqlty
 	}
 	if p.u.CanDownload() {
 		if tokURL, err := p.a.DownloadURLFor(c.col, v.Str(), p.u); err == nil {
-			p.links = append(p.links, link{"/download?url=" + url.QueryEscape(tokURL), "download"})
+			open := len(p.cell)
+			p.cell = escQueryHTML.append(append(p.cell, ` <a href="/download?url=`...), tokURL)
+			p.cellLink(open, "download", "")
 		}
 	}
 	if p.eng != nil {
+		if c.colID == "" {
+			c.colID = p.rs.Table + "." + c.column
+		}
 		rowMap, user := p.rs.Row(i), ops.User{Name: p.u.Name, Guest: p.u.Guest}
 		for _, op := range p.eng.Applicable(c.colID, rowMap, user) {
-			href := "/opform?colid=" + url.QueryEscape(c.colID) + "&op=" + url.QueryEscape(op.Name) + p.rowKey(i, row) + "&table=" + url.QueryEscape(c.table)
-			p.links = append(p.links, link{href, "op:" + op.Name})
+			open := len(p.cell)
+			p.cell = escQueryHTML.append(append(p.cell, ` <a href="/opform?colid=`...), c.colID)
+			p.cell = escQueryHTML.append(append(p.cell, "&amp;op="...), op.Name)
+			p.cell = escQueryHTML.append(append(append(p.cell, p.rowKey(i, row)...), "&amp;table="...), p.rs.Table)
+			p.cellLink(open, "op:", op.Name)
 		}
 		if p.u.CanUpload() && p.eng.CanUpload(c.colID, rowMap, user) {
-			href := "/uploadform?colid=" + url.QueryEscape(c.colID) + p.rowKey(i, row) + "&table=" + url.QueryEscape(c.table)
-			p.links = append(p.links, link{href, "upload code"})
+			open := len(p.cell)
+			p.cell = escQueryHTML.append(append(p.cell, ` <a href="/uploadform?colid=`...), c.colID)
+			p.cell = escQueryHTML.append(append(append(p.cell, p.rowKey(i, row)...), "&amp;table="...), p.rs.Table)
+			p.cellLink(open, "upload code", "")
 		}
 	}
 	return text
 }
 
-// rowKey returns row i's "&pk_<COLUMN>=value" parameters (none without
-// the whole key), encoded once, for the first cell that links by key.
-func (p *pagePlan) rowKey(i int, row []sqltypes.Value) string {
+// cellLink closes the link whose href p.cell holds from open on with
+// its label and records its markup in p.links.
+func (p *pagePlan) cellLink(open int, label, name string) {
+	mid := len(p.cell)
+	p.cell = appendLabel(p.cell, label, name)
+	p.links = append(p.links, linkMarkup{open, mid, len(p.cell)})
+}
+
+// rowKey returns row i's "&pk_<COLUMN>=value" parameters, escaped for
+// an href (none without the whole key), encoded once, for the first
+// cell that links by key.
+func (p *pagePlan) rowKey(i int, row []sqltypes.Value) []byte {
 	if p.keyRow != i {
-		var b strings.Builder
-		for k, j := range p.keyCols {
-			b.WriteString("&pk_" + url.QueryEscape(p.keyNames[k]) + "=" + url.QueryEscape(row[j].AsString()))
+		p.key = p.key[:0]
+		for _, k := range p.keys {
+			p.key = escQueryHTML.append(append(p.key, "&amp;pk_"...), k.name)
+			p.key = escQueryHTML.append(append(p.key, '='), row[k.pos].AsString())
 		}
-		p.key, p.keyRow = b.String(), i
+		p.keyRow = i
 	}
 	return p.key
 }
 
 // operatorOptions are the QBE form's operator choices, escaped once.
 var operatorOptions = func() string {
-	var b strings.Builder
+	var b []byte
 	for _, op := range []string{"=", "<>", "<", "<=", ">", ">=", "LIKE", "CONTAINS", "STARTS"} {
-		b.WriteString("<option>" + htmlEscaper.Replace(op) + "</option>")
+		b = append(escHTML.append(append(b, "<option>"...), op), "</option>"...)
 	}
-	return b.String()
+	return string(b)
 }()
 
 // writeQueryForm writes the QBE form page for t, read from the XUIS as
@@ -303,7 +457,7 @@ func writeQueryForm(w *bufio.Writer, t *xuis.Table, u core.User) {
 Wildcards (%, _) are allowed with the LIKE operator.</p>
 <form class="qbe" method="GET" action="/query">
 <input type="hidden" name="table" value="`)
-	htmlEscaper.WriteString(w, t.Name)
+	escHTML.write(w, t.Name)
 	w.WriteString(`">
 <table class="results">
 <tr><th>Return</th><th>Field</th><th>Operator</th><th>Restriction</th><th>Sample values</th></tr>
@@ -311,25 +465,25 @@ Wildcards (%, _) are allowed with the LIKE operator.</p>
 	cols := t.VisibleColumns()
 	for _, c := range cols {
 		w.WriteString("\n<tr>\n <td><input type=\"checkbox\" name=\"sel\" value=\"")
-		htmlEscaper.WriteString(w, c.Name)
+		escHTML.write(w, c.Name)
 		w.WriteString("\" checked></td>\n <td>")
-		htmlEscaper.WriteString(w, c.DisplayName())
+		escHTML.write(w, c.DisplayName())
 		w.WriteString("</td>\n <td>\n  <select name=\"op_")
-		htmlEscaper.WriteString(w, c.Name)
+		escHTML.write(w, c.Name)
 		w.WriteString("\">\n   ")
 		w.WriteString(operatorOptions)
 		w.WriteString("\n  </select>\n </td>\n <td><input name=\"val_")
-		htmlEscaper.WriteString(w, c.Name)
+		escHTML.write(w, c.Name)
 		w.WriteString(`" list="dl_`)
-		htmlEscaper.WriteString(w, c.Name)
+		escHTML.write(w, c.Name)
 		w.WriteString("\"></td>\n <td>\n  ")
 		if c.Samples != nil && len(c.Samples.Values) > 0 {
 			w.WriteString("\n  <datalist id=\"dl_")
-			htmlEscaper.WriteString(w, c.Name)
+			escHTML.write(w, c.Name)
 			w.WriteString("\">\n   ")
 			for _, s := range c.Samples.Values {
 				w.WriteString(`<option value="`)
-				htmlEscaper.WriteString(w, s)
+				escHTML.write(w, s)
 				w.WriteString(`">`)
 			}
 			w.WriteString("\n  </datalist>\n  <span class=\"meta\">")
@@ -337,7 +491,7 @@ Wildcards (%, _) are allowed with the LIKE operator.</p>
 				if i > 0 {
 					w.WriteString(", ")
 				}
-				htmlEscaper.WriteString(w, s)
+				escHTML.write(w, s)
 			}
 			w.WriteString("</span>\n  ")
 		}
@@ -350,9 +504,9 @@ Wildcards (%, _) are allowed with the LIKE operator.</p>
   `)
 	for _, c := range cols {
 		w.WriteString(`<option value="`)
-		htmlEscaper.WriteString(w, c.Name)
+		escHTML.write(w, c.Name)
 		w.WriteString(`">`)
-		htmlEscaper.WriteString(w, c.DisplayName())
+		escHTML.write(w, c.DisplayName())
 		w.WriteString("</option>")
 	}
 	w.WriteString(`

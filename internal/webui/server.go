@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,6 +29,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]core.User
+	logins   []string               // session ids in the order they signed in
 	runs     map[string]retainedRun // recent operation results for /opfile
 }
 
@@ -72,6 +74,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 const sessionCookie = "easia_session"
 
+// maxSessions bounds the session table: guest/guest is a public
+// account, so logins alone must not grow the heap. A login past the
+// cap ends the oldest session.
+const maxSessions = 1024
+
 func (s *Server) currentUser(r *http.Request) (core.User, bool) {
 	c, err := r.Cookie(sessionCookie)
 	if err != nil {
@@ -92,6 +99,14 @@ func (s *Server) startSession(w http.ResponseWriter, u core.User) {
 	id := hex.EncodeToString(raw[:])
 	s.mu.Lock()
 	s.sessions[id] = u
+	s.logins = append(s.logins, id)
+	for len(s.sessions) > maxSessions && len(s.logins) > 0 {
+		delete(s.sessions, s.logins[0])
+		s.logins = s.logins[1:]
+	}
+	if len(s.logins) > 2*maxSessions { // the ids of sessions that logged out
+		s.logins = slices.DeleteFunc(s.logins, func(id string) bool { _, ok := s.sessions[id]; return !ok })
+	}
 	s.mu.Unlock()
 	http.SetCookie(w, &http.Cookie{Name: sessionCookie, Value: id, Path: "/", HttpOnly: true})
 }
@@ -171,7 +186,7 @@ func (s *Server) handleQueryForm(w http.ResponseWriter, r *http.Request, u core.
 		s.renderError(w, u, http.StatusServiceUnavailable, "no XUIS installed")
 		return
 	}
-	name := r.URL.Query().Get("name")
+	name := queryParam(r.URL.RawQuery, "name")
 	t, ok := spec.Table(name)
 	if !ok || t.Hidden {
 		s.renderError(w, u, http.StatusNotFound, "webui: unknown table "+name)
@@ -188,21 +203,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, u core.User
 		s.renderError(w, u, http.StatusBadRequest, err.Error())
 		return
 	}
-	table := r.Form.Get("table")
-	q := core.QBE{Table: table}
-	if r.Form.Get("all") == "" {
-		q.Select = r.Form["sel"]
-		q.Restrictions = formRestrictions(s.archive, table, r.Form)
-		q.OrderBy = r.Form.Get("orderby")
-		q.Desc = r.Form.Get("desc") == "1"
-		if lim := r.Form.Get("limit"); lim != "" {
-			n, err := strconv.Atoi(lim)
-			if err != nil || n < 0 {
-				s.renderError(w, u, http.StatusBadRequest, "invalid limit")
-				return
-			}
-			q.Limit = n
-		}
+	q, err := formQBE(s.archive, r.Form)
+	if err != nil {
+		s.renderError(w, u, http.StatusBadRequest, err.Error())
+		return
 	}
 	rs, err := s.archive.Search(q)
 	if err != nil {
@@ -210,6 +214,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, u core.User
 		return
 	}
 	s.renderResults(w, rs, u)
+}
+
+// formQBE decodes a submitted query form into the search it asks for.
+func formQBE(a *core.Archive, form url.Values) (core.QBE, error) {
+	table := form.Get("table")
+	q := core.QBE{Table: table}
+	if form.Get("all") == "" {
+		q.Select = form["sel"]
+		q.Restrictions = formRestrictions(a, table, form)
+		q.OrderBy = form.Get("orderby")
+		q.Desc = form.Get("desc") == "1"
+		if lim := form.Get("limit"); lim != "" {
+			n, err := strconv.Atoi(lim)
+			if err != nil || n < 0 {
+				return q, errors.New("invalid limit")
+			}
+			q.Limit = n
+		}
+	}
+	return q, nil
 }
 
 // formRestrictions collects a submitted query form's restrictions in
@@ -248,25 +272,48 @@ func formRestrictions(a *core.Archive, table string, form url.Values) []core.Res
 func (s *Server) renderResults(w http.ResponseWriter, rs *core.ResultSet, u core.User) {
 	defer rs.Close()
 	bw := pageWriter(w)
-	planPage(s.archive, rs, u).writePage(bw)
+	p := planPage(s.archive, rs, u)
+	p.writePage(bw)
+	releasePlan(p)
 	finishPage(bw)
+}
+
+// queryParam returns the first value of key in the raw query, exactly
+// as url.ParseQuery(raw).Get(key) does — a pair holding a ';' or a bad
+// escape is skipped, '+' is a space — without building the map.
+func queryParam(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // handleBrowse serves both browsing modes.
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request, u core.User) {
-	q := r.URL.Query()
-	table, col, value := q.Get("table"), q.Get("col"), q.Get("value")
+	raw := r.URL.RawQuery
+	table, col, value := queryParam(raw, "table"), queryParam(raw, "col"), queryParam(raw, "value")
 	var (
 		rs  *core.ResultSet
 		err error
 	)
-	switch q.Get("mode") {
+	switch mode := queryParam(raw, "mode"); mode {
 	case "fk":
 		rs, err = s.archive.BrowseFK(table, col, value)
 	case "pk":
 		rs, err = s.archive.BrowsePK(table, col, value)
 	default:
-		err = fmt.Errorf("webui: unknown browse mode %q", q.Get("mode"))
+		err = fmt.Errorf("webui: unknown browse mode %q", mode)
 	}
 	if err != nil {
 		s.renderError(w, u, http.StatusBadRequest, err.Error())
@@ -306,7 +353,7 @@ func (s *Server) handleLOB(w http.ResponseWriter, r *http.Request, u core.User) 
 // token inside the URL is what authorises the read — exactly the
 // paper's mechanism.
 func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request, u core.User) {
-	tokURL := r.URL.Query().Get("url")
+	tokURL := queryParam(r.URL.RawQuery, "url")
 	rc, err := s.archive.OpenDownload(tokURL)
 	if err != nil {
 		s.renderError(w, u, http.StatusForbidden, err.Error())

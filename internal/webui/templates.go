@@ -44,11 +44,11 @@ const pageFoot = "\n</body>\n</html>\n"
 // document head, who is signed in, the title and any error.
 func writePageHead(w *bufio.Writer, title string, u core.User, errMsg string) {
 	w.WriteString("<!DOCTYPE html>\n<html>\n<head>\n<title>")
-	htmlEscaper.WriteString(w, title)
+	escHTML.write(w, title)
 	w.WriteString(pageStyle)
 	if u.Name != "" {
 		w.WriteString(" | user: <b>")
-		htmlEscaper.WriteString(w, u.Name)
+		escHTML.write(w, u.Name)
 		w.WriteString("</b>")
 		if u.Guest {
 			w.WriteString(" (guest)")
@@ -58,11 +58,11 @@ func writePageHead(w *bufio.Writer, title string, u core.User, errMsg string) {
 		w.WriteString(` | <a href="/">login</a>`)
 	}
 	w.WriteString("\n</p>\n<h1>")
-	htmlEscaper.WriteString(w, title)
+	escHTML.write(w, title)
 	w.WriteString("</h1>\n")
 	if errMsg != "" {
 		w.WriteString(`<p class="err">`)
-		htmlEscaper.WriteString(w, errMsg)
+		escHTML.write(w, errMsg)
 		w.WriteString("</p>")
 	}
 	w.WriteString("\n")
