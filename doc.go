@@ -131,9 +131,9 @@
 //     conjuncts — tracked at plan time), COUNT is answered by summing
 //     visible-posting counts under the key range the statement's scan
 //     resolved — zero heap rows read, asserted via DB.HeapRowReads —
-//     and MIN/MAX decode the answer straight off the boundary key,
-//     fetching one boundary row only for a DOUBLE ±0.0 key, whose sign
-//     the key cannot name (see the decoding notes in key.go).
+//     and MIN/MAX walk that range in order and read one boundary row:
+//     the first live row whose value is not NULL. An aggregate with no
+//     path, an unfiltered COUNT(*) included, folds over the heap.
 //
 //   - Index nested-loop and hash joins. Equality conjuncts of the form
 //     inner.col = expr(outer tables) in ON or WHERE are matched against
@@ -147,17 +147,14 @@
 //     NULL keys never matching — and probes it per outer row, so an
 //     unindexed equi-join costs O(|inner| + |outer|) instead of the
 //     cross product (BenchmarkAblation_HashJoin: ~200x on 1k×1k). A
-//     two-table inner join is driven by the first table whenever that
-//     table's access path serves the execution, since the path already
-//     narrows the outer loop to the rows the WHERE wants
-//     (TestJoinKeepsFirstTablePath); only without one does the
-//     executor pick the probed side at run time — the indexed table,
-//     the larger of two indexed tables, or the smaller side for the
-//     hash build — so the smaller table drives the outer loop. The
-//     join assembles its rows in place, in one row buffer per
-//     execution: each level writes its candidate's columns — only the
-//     columns some expression of the statement reads — into its own
-//     slots, and probes fill reused candidate and slot buffers. Each
+//     join always runs forward: the first table drives the outer loop,
+//     through its access path when one serves the execution
+//     (TestJoinKeepsFirstTablePath), and each later table is probed or
+//     scanned in FROM order. The join assembles its rows in place, in
+//     one row buffer per execution: each level writes its candidate's
+//     columns — only the columns some expression of the statement
+//     reads — into its own slots, and probes fill reused candidate and
+//     slot buffers. Each
 //     row that passes the WHERE is copied once, into the scratch
 //     arena, and that copy is what the memory budget is charged for
 //     (TestJoinAllocsFlatPerRow, TestJoinFoldFootprint). Join plans

@@ -1,10 +1,6 @@
 package sqldb
 
-import (
-	"slices"
-
-	"repro/internal/sqltypes"
-)
+import "repro/internal/sqltypes"
 
 // Index-only aggregates.
 //
@@ -16,17 +12,16 @@ import (
 //	COUNT(*) / COUNT(col)  — sum the row-ID list lengths under the
 //	                         path's key range: zero heap reads.
 //	MIN(col) / MAX(col)    — walk the key range in (reverse) order and
-//	                         decode the answer straight off the boundary
-//	                         KEY (key.go decode support): zero heap
-//	                         reads, but for a DOUBLE zero key (±0.0
-//	                         share it), which one boundary row answers.
+//	                         read the first live row whose value is not
+//	                         NULL: one heap read when the path excludes
+//	                         NULLs.
 //
 // Both walk the key range the statement's tableScan resolved, the one a
 // row-fetching scan walks, under the same rule (planner.go): a
 // residual-free path's range is the predicate, holding exactly the
-// matching rows, strict bounds included. These are the only readers
-// that never fetch a row: a GROUP BY, or any other aggregate, folds
-// fetched rows (agg.go).
+// matching rows, strict bounds included. A GROUP BY, any other
+// aggregate, and an aggregate with no path (an unfiltered COUNT(*)
+// included) fold fetched rows (agg.go).
 
 // aggItem is one projection item of an index-only aggregate plan.
 type aggItem struct {
@@ -44,11 +39,7 @@ func planIndexOnlyAgg(plan *selectPlan) {
 		return
 	}
 	path := plan.path
-	if path == nil {
-		if s.Where != nil {
-			return
-		}
-	} else if !path.residualFree {
+	if path == nil || !path.residualFree {
 		return
 	}
 	items := make([]aggItem, 0, len(plan.proj))
@@ -94,9 +85,6 @@ func planIndexOnlyAgg(plan *selectPlan) {
 // non-NULL value in colPos: equality columns (a NULL probe matches
 // nothing), and the scan column under a range bound or IS NOT NULL.
 func pathGuaranteesNotNull(path *accessPath, colPos int) bool {
-	if path == nil {
-		return false
-	}
 	for i := 0; i < path.nEq; i++ {
 		if path.colPos[i] == colPos {
 			return true
@@ -117,9 +105,6 @@ func pathGuaranteesNotNull(path *accessPath, colPos int) bool {
 // a key-range boundary: equality columns are constant over every match,
 // and the ordered scan column is emitted in value order.
 func pathServesMinMax(path *accessPath, colPos int) bool {
-	if path == nil {
-		return false
-	}
 	for i := 0; i < path.nEq; i++ {
 		if path.colPos[i] == colPos {
 			return true
@@ -137,22 +122,15 @@ func pathServesMinMax(path *accessPath, colPos int) bool {
 }
 
 // runIndexOnlyAgg answers the planned aggregate items from scan's key
-// range — or, for a bare COUNT(*) with no path, from the live-row count.
-// COUNT items read zero heap rows; MIN/MAX at most one boundary row.
-// Governance errors (cancellation, deadline) surface immediately.
+// range. COUNT items read zero heap rows; MIN/MAX read the rows up to
+// the first non-NULL value. Governance errors (cancellation, deadline)
+// surface immediately.
 func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx, scan tableScan) (*Rows, error) {
 	s := plan.stmt
 	var err error
 	count := int64(-1)
 	countRows := func() int64 {
-		switch {
-		case count >= 0:
-		case scan.path == nil:
-			// COUNT(*) with no WHERE: the committed live-count history
-			// answers exactly for this statement's snapshot even while
-			// writers keep committing.
-			count = scan.td.liveAt(ctx.snap)
-		default:
+		if count < 0 {
 			count = 0
 			err = scan.keys(ctx, false, func(_ string, rows []*rowSlot) bool {
 				count += int64(len(rows))
@@ -178,7 +156,7 @@ func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx, scan tableScan) (*
 	copy(kinds, plan.kinds)
 	columns := make([]string, len(plan.labels))
 	copy(columns, plan.labels)
-	out := newRows(columns, kinds)
+	out := &Rows{Columns: columns, Kinds: kinds}
 	if s.Offset == 0 && s.Limit != 0 {
 		out.Data = [][]sqltypes.Value{vals}
 	}
@@ -188,24 +166,17 @@ func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx, scan tableScan) (*
 
 // boundaryAgg finds MIN (desc=false) or MAX (desc=true) of colPos —
 // one of the path's columns (pathServesMinMax) — by walking scan's key
-// range in order: the first key whose colPos component is not NULL
-// holds the answer, decoded straight off the key (decodeKeyColumn) —
-// zero heap rows — or, for a DOUBLE zero key, whose sign the key cannot
-// name, read from one of its rows.
+// range in order: the first live row whose colPos value is not NULL
+// holds the answer. Rows under one key share their colPos value, so a
+// NULL skips the rest of its key.
 func boundaryAgg(scan *tableScan, colPos int, desc bool, ctx *evalCtx) (sqltypes.Value, error) {
-	slot := slices.Index(scan.path.colPos, colPos)
-	colKind := scan.td.schema.Cols[colPos].Type.Kind
 	best := sqltypes.Null
-	err := scan.keys(ctx, desc, func(k string, rows []*rowSlot) bool {
-		if v, ok := decodeKeyColumn(k, slot, colKind); ok {
-			best = v
-			return v.IsNull() // keep scanning past the NULL key
-		}
+	err := scan.keys(ctx, desc, func(_ string, rows []*rowSlot) bool {
 		for _, r := range rows {
 			if vals, live := r.fetch(ctx.snap); live {
 				scan.td.heapReads.Add(1)
 				best = vals[colPos]
-				return false
+				return best.IsNull()
 			}
 		}
 		return true

@@ -268,7 +268,7 @@ func TestColBatchFlushErrorLeavesNoPartialRows(t *testing.T) {
 	if err := cb.flush(ctx, ar, &rl); err == nil {
 		t.Fatal("flush over a zero divisor succeeded")
 	}
-	out := newRows(nil, nil)
+	out := &Rows{}
 	out.Data = rl.take()
 	if len(out.Data) != 2 {
 		t.Fatalf("out.Data holds %d rows after a failed flush, want the 2 of the clean one", len(out.Data))

@@ -190,8 +190,7 @@ func TestIndexOnlyAggregates(t *testing.T) {
 	checkAgainstScan(`SELECT COUNT(*), MIN(B) FROM C WHERE A = ? AND B IS NOT NULL`, sqltypes.NewInt(4))
 	checkAgainstScan(`SELECT COUNT(*) FROM C WHERE A = ? AND B IS NULL`, sqltypes.NewInt(4))
 
-	// No WHERE at all: COUNT(*) from the live counter, zero reads.
-	before = db.HeapRowReads("C")
+	// No WHERE at all: COUNT(*) folds over the heap.
 	rows := checkAgainstScan(`SELECT COUNT(*) FROM C`)
 	if rows.Data[0][0].Int() != 600 {
 		t.Fatalf("COUNT(*) = %v", rows.Data[0][0])

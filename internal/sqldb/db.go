@@ -91,10 +91,6 @@ type Rows struct {
 	Kinds   []sqltypes.Kind
 	Data    [][]sqltypes.Value
 
-	// colIdx caches upper-cased column name → position so per-cell Get
-	// calls (the result-page render path) avoid an O(columns) scan.
-	colIdx map[string]int
-
 	// arena backs the Data row slices of an executed SELECT; nil when no
 	// row lives in arena memory — stored-order, detached, cache-served
 	// and index-only aggregate results. Detach and the result cache copy
@@ -139,29 +135,9 @@ func (r *Rows) Detach() {
 	ar.release()
 }
 
-// newRows builds a result shell with the column-lookup cache populated.
-func newRows(columns []string, kinds []sqltypes.Kind) *Rows {
-	r := &Rows{Columns: columns, Kinds: kinds}
-	r.colIdx = make(map[string]int, len(columns))
-	for i, c := range columns {
-		key := strings.ToUpper(c)
-		if _, dup := r.colIdx[key]; !dup { // first occurrence wins, like the scan
-			r.colIdx[key] = i
-		}
-	}
-	return r
-}
-
-// ColIndex returns the position of the named result column
-// (case-insensitive), or -1.
+// ColIndex returns the position of the first result column with the
+// given name (case-insensitive), or -1.
 func (r *Rows) ColIndex(name string) int {
-	if r.colIdx != nil {
-		if i, ok := r.colIdx[strings.ToUpper(name)]; ok {
-			return i
-		}
-		return -1
-	}
-	// Hand-constructed Rows (tests, adapters) lack the cache.
 	for i, c := range r.Columns {
 		if strings.EqualFold(c, name) {
 			return i
@@ -696,6 +672,9 @@ func (db *DB) Catalog() *Catalog {
 func (db *DB) Checkpoint() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.closed {
+		return ErrClosed
+	}
 	return db.checkpointLocked()
 }
 
@@ -742,9 +721,8 @@ func (db *DB) checkpointLocked() error {
 	// Post-barrier every stamp is resolved and (holding mu exclusively)
 	// no snapshot is open, so vacuum can fold version chains down to the
 	// single current version each — the image the snapshot writer saves.
-	ts := db.lastTS.Load()
 	for _, td := range db.data {
-		td.vacuum(ts)
+		td.vacuum()
 	}
 	renamed, err := db.saveSnapshotLocked(db.gen + 1)
 	if err != nil {
@@ -818,6 +796,10 @@ func (db *DB) ExecScript(sql string) error {
 			return fmt.Errorf("sqldb: transaction control not allowed in scripts")
 		}
 		db.mu.Lock()
+		if db.closed {
+			db.mu.Unlock()
+			return ErrClosed
+		}
 		tx := db.newTx()
 		_, _, err := db.execStmtLocked(tx, stmt, nil)
 		if err != nil {
@@ -1095,15 +1077,14 @@ func (db *DB) rollbackTx(tx *txState) error {
 // Vacuum reclaims every dead row version and dead index entry across
 // all tables: version chains fold down to the single current committed
 // version, index entries ended by committed deletes/updates are removed
-// (B+tree nodes merge as they empty), and the per-table live-count
-// history collapses. It takes the global barrier — no statement is in
-// flight while it runs — and fences the WAL first, so no stamp it
-// reclaims can later be unwound.
+// (B+tree nodes merge as they empty). It takes the global barrier — no
+// statement is in flight while it runs — and fences the WAL first, so
+// no stamp it reclaims can later be unwound.
 func (db *DB) Vacuum() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return fmt.Errorf("sqldb: database is closed")
+		return ErrClosed
 	}
 	return db.vacuumLocked()
 }
@@ -1123,10 +1104,9 @@ func (db *DB) vacuumLocked() error {
 	}
 	start := time.Now()
 	var reclaimed int64
-	ts := db.lastTS.Load()
 	for _, td := range db.data {
 		reclaimed += td.dead.Load()
-		td.vacuum(ts)
+		td.vacuum()
 	}
 	db.met.vacuumNs.ObserveSince(start)
 	db.met.vacuumPass.Inc()
@@ -1180,7 +1160,7 @@ func (db *DB) Begin() (*Tx, error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
-		return nil, fmt.Errorf("sqldb: database is closed")
+		return nil, ErrClosed
 	}
 	return &Tx{db: db, state: db.newTx()}, nil
 }

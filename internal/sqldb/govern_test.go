@@ -2,10 +2,13 @@ package sqldb
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -358,6 +361,80 @@ func TestCloseDrainsLongScan(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
+}
+
+// TestClosedDBRefusesEveryEntryPoint: after Close, Checkpoint,
+// ExecScript, Begin and Vacuum each fail with ErrClosed and change
+// nothing, in memory and on disk: a file-backed directory keeps the
+// bytes Close left, and reopens with only what was committed before it.
+func TestClosedDBRefusesEveryEntryPoint(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, db, `CREATE TABLE T (ID INTEGER PRIMARY KEY)`)
+		mustExec(t, db, `INSERT INTO T VALUES (1)`)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before := dirImage(t, dir)
+		if err := db.Checkpoint(); !errors.Is(err, ErrClosed) {
+			t.Errorf("dir %q: Checkpoint after Close = %v, want ErrClosed", dir, err)
+		}
+		if err := db.ExecScript(`CREATE TABLE U (ID INTEGER)`); !errors.Is(err, ErrClosed) {
+			t.Errorf("dir %q: ExecScript after Close = %v, want ErrClosed", dir, err)
+		}
+		if tx, err := db.Begin(); !errors.Is(err, ErrClosed) {
+			if tx != nil {
+				tx.Rollback() //nolint:errcheck
+			}
+			t.Errorf("dir %q: Begin after Close = %v, want ErrClosed", dir, err)
+		}
+		if err := db.Vacuum(); !errors.Is(err, ErrClosed) {
+			t.Errorf("dir %q: Vacuum after Close = %v, want ErrClosed", dir, err)
+		}
+		if dir == "" {
+			continue
+		}
+		if after := dirImage(t, dir); after != before {
+			t.Errorf("calls after Close changed the directory:\n%s\nwant\n%s", after, before)
+		}
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if _, err := re.Query(`SELECT * FROM U`); err == nil {
+			t.Error("table U created after Close survived a reopen")
+		}
+		rows, err := re.Query(`SELECT COUNT(*) FROM T`)
+		if err != nil || rows.Data[0][0].Int() != 1 {
+			t.Errorf("reopened T: %v, %v", rows, err)
+		}
+		re.Close() //nolint:errcheck
+	}
+}
+
+// dirImage lists each file of dir with its size and content hash ("" for
+// an in-memory database).
+func dirImage(t *testing.T, dir string) string {
+	t.Helper()
+	if dir == "" {
+		return ""
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %d %x\n", e.Name(), len(data), sha256.Sum256(data))
+	}
+	return b.String()
 }
 
 // TestCanceledStatementsNeverMutate is the visibility property test:

@@ -24,7 +24,7 @@ import (
 // the MVCC begin/end stamps of the key↔row association. It is visible at
 // a snapshot iff a version of the row visible there has this key, so
 // index-only aggregates (COUNT from posting counts, MIN/MAX from boundary
-// keys) stay exact while dead postings linger until vacuum. Only a
+// rows) stay exact while dead postings linger until vacuum. Only a
 // key-changing update ends an entry and adds a new one.
 type idxEntry struct {
 	slot  *rowSlot

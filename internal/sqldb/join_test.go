@@ -70,14 +70,14 @@ func TestJoinProbePlan(t *testing.T) {
 		want string
 	}{
 		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K`,
-			"full-scan inl(CHI.K) inl-rev(PAR.K)"},
+			"full-scan inl(CHI.K)"},
 		{`SELECT PID, CID FROM PAR, CHI WHERE PAR.K = CHI.K`,
-			"full-scan inl(CHI.K) inl-rev(PAR.K)"},
+			"full-scan inl(CHI.K)"},
 		{`SELECT PID, CID FROM PAR LEFT JOIN CHI ON CHI.K = PAR.K`,
 			"full-scan inl(CHI.K)"},
 		// Composite join probe: both K and V constrained.
 		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K AND CHI.V = PAR.PID`,
-			"full-scan inl(CHI.K+V) inl-rev(PAR.K)"},
+			"full-scan inl(CHI.K+V)"},
 		// Un-probeable: inequality join.
 		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K > PAR.K`,
 			"full-scan"},
@@ -244,8 +244,8 @@ func TestJoinINLPropertyVsNaive(t *testing.T) {
 }
 
 // TestJoinHashPlan: with no usable index, equi-join conjuncts plan the
-// hash-join fallback (and its two-table reverse candidate) instead of
-// the cross product; non-equi joins still get nothing.
+// hash-join fallback instead of the cross product; non-equi joins still
+// get nothing.
 func TestJoinHashPlan(t *testing.T) {
 	db := buildJoinDB(t, 50, 200, false, false)
 	defer db.Close()
@@ -254,15 +254,14 @@ func TestJoinHashPlan(t *testing.T) {
 		want string
 	}{
 		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K`,
-			"full-scan hash-join(CHI.K) hash-join-rev(PAR.K)"},
+			"full-scan hash-join(CHI.K)"},
 		{`SELECT PID, CID FROM PAR, CHI WHERE PAR.K = CHI.K`,
-			"full-scan hash-join(CHI.K) hash-join-rev(PAR.K)"},
+			"full-scan hash-join(CHI.K)"},
 		{`SELECT PID, CID FROM PAR LEFT JOIN CHI ON CHI.K = PAR.K`,
 			"full-scan hash-join(CHI.K)"},
-		// Every equi-conjunct joins the hash key; the reverse direction
-		// lands on PAR's primary key, whose index serves the probe.
+		// Every equi-conjunct joins the hash key.
 		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K AND CHI.V = PAR.PID`,
-			"full-scan inl-rev(PAR.PID) hash-join(CHI.K+V)"},
+			"full-scan hash-join(CHI.K+V)"},
 		// Inequality joins have no hash fallback.
 		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K > PAR.K`,
 			"full-scan"},
@@ -288,7 +287,7 @@ func TestJoinHashPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := st.AccessPath(); p != "full-scan inl(CHI.K) hash-join-rev(PAR.K)" {
+	if p, _ := st.AccessPath(); p != "full-scan inl(CHI.K)" {
 		t.Fatalf("post-index path = %q", p)
 	}
 }
@@ -344,11 +343,11 @@ func TestJoinHashPropertyVsNaive(t *testing.T) {
 	}
 }
 
-// TestJoinHashBuildsOnSmallerSide: a fully-unindexed two-table inner
-// join hashes the smaller table and lets the larger one drive the outer
-// loop, so neither side is scanned more than once — heap reads stay
-// near |PAR| + |CHI| instead of |PAR|·|CHI|.
-func TestJoinHashBuildsOnSmallerSide(t *testing.T) {
+// TestJoinHashAvoidsCrossProduct: a fully-unindexed two-table inner
+// join hashes its second table once and probes it per row of the first,
+// so neither side is scanned more than once — heap reads stay near
+// |PAR| + |CHI| instead of |PAR|·|CHI|.
+func TestJoinHashAvoidsCrossProduct(t *testing.T) {
 	db := buildJoinDB(t, 12, 900, false, false)
 	defer db.Close()
 	const q = `SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K`
@@ -363,13 +362,13 @@ func TestJoinHashBuildsOnSmallerSide(t *testing.T) {
 	}
 	parReads := db.HeapRowReads("PAR") - beforeP
 	chiReads := db.HeapRowReads("CHI") - beforeC
-	// PAR (12 live) is hashed once; CHI (900) drives the outer loop
-	// once. The cross product would read 12×900 = 10800 PAR rows.
+	// PAR (12 live) drives the outer loop once; CHI (900) is hashed
+	// once. The cross product would read 12×900 = 10800 CHI rows.
 	if parReads > 50 {
-		t.Fatalf("hash join read %d PAR heap rows (cross product reads 10800)", parReads)
+		t.Fatalf("hash join read %d PAR heap rows", parReads)
 	}
 	if chiReads > 1000 {
-		t.Fatalf("hash join read %d CHI heap rows", chiReads)
+		t.Fatalf("hash join read %d CHI heap rows (cross product reads 10800)", chiReads)
 	}
 	db.SetFullScanOnly(true)
 	naive, err := st.Query()
@@ -379,43 +378,6 @@ func TestJoinHashBuildsOnSmallerSide(t *testing.T) {
 	}
 	if rowsKey(hashed, false) != rowsKey(naive, false) {
 		t.Fatalf("hash-join %d rows != naive %d rows", len(hashed.Data), len(naive.Data))
-	}
-}
-
-// TestJoinSwapPicksSmallerOuter: with both sides indexed and the first
-// table much larger, the executor probes the first table so the smaller
-// second table drives the outer loop; results stay identical.
-func TestJoinSwapPicksSmallerOuter(t *testing.T) {
-	db := buildJoinDB(t, 2000, 10, true, true)
-	defer db.Close()
-	const q = `SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K`
-	st, err := db.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := st.AccessPath(); !strings.Contains(p, "inl-rev(PAR.K)") {
-		t.Fatalf("swap candidate missing from plan: %q", p)
-	}
-	// PAR (2000 live) > CHI (10 live): probing PAR means the big table
-	// is never scanned per outer row — heap reads stay near |CHI| plus
-	// the matches, far under |PAR|×|CHI|.
-	before := db.HeapRowReads("PAR")
-	indexed, err := st.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parReads := db.HeapRowReads("PAR") - before
-	if parReads > 3000 {
-		t.Fatalf("swapped INL read %d PAR heap rows (scan would read 20000+)", parReads)
-	}
-	db.SetFullScanOnly(true)
-	naive, err := st.Query()
-	db.SetFullScanOnly(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowsKey(indexed, false) != rowsKey(naive, false) {
-		t.Fatalf("swapped INL %d rows != naive %d rows", len(indexed.Data), len(naive.Data))
 	}
 }
 
@@ -445,8 +407,7 @@ func TestJoinLimitStopsTheJoin(t *testing.T) {
 
 // TestJoinKeepsFirstTablePath: a two-table join whose WHERE gives the
 // first table an index path drives the join from that path — one file,
-// probing its simulation — instead of swapping to a scan of the
-// smaller second table that probes the first for every row. The tables
+// probing its simulation — instead of scanning either table. The tables
 // are the archive's RESULT_FILE and SIMULATION, keyed as its schema
 // keys them.
 func TestJoinKeepsFirstTablePath(t *testing.T) {
@@ -469,8 +430,8 @@ func TestJoinKeepsFirstTablePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := st.AccessPath(); !strings.HasPrefix(p, "prefix(") || !strings.Contains(p, "inl-rev(") {
-		t.Fatalf("path = %q, want a path on R and the swap candidate", p)
+	if p, _ := st.AccessPath(); !strings.HasPrefix(p, "prefix(") {
+		t.Fatalf("path = %q, want a path on R", p)
 	}
 	arg := sqltypes.NewString("S0123_t4.dat")
 	reads := func() int64 { return db.HeapRowReads("RESULT_FILE") + db.HeapRowReads("SIMULATION") }

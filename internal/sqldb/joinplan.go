@@ -35,22 +35,11 @@ import (
 // NULL-extended row, so the post-join WHERE drops exactly the rows the
 // scanning path would drop.
 //
-// For a two-table inner join the planner also prepares the reverse
-// probe (table 0 as the probed side). The executor uses it only when
-// the first table's access path does not serve the execution — a
-// planned path already narrows the outer loop to the rows the WHERE
-// wants, which a swap would throw away for a scan of the second table
-// — and then picks the probed side by size: the indexed one, or — when
-// both sides are indexed — the larger one, so the smaller table drives
-// the outer loop.
-//
 // When equi-join conjuncts exist but NO index covers them, the planner
 // records a hash-join fallback instead (hashJoinPlan below): the
 // executor hashes the probed table once on the canonical join-key
 // encoding and probes the map per outer row, replacing the cross
-// product. The same run-time side choice applies — for a two-table
-// inner join with no path on the first table the hash table is built
-// on the smaller side.
+// product. Either way the first table drives the outer loop.
 type joinProbe struct {
 	idx    string   // index name on the probed (inner) table
 	cols   []string // index columns
@@ -76,9 +65,8 @@ type hashJoinPlan struct {
 	eqs    []Expr          // outer-side expressions, parallel to cols
 }
 
-// planJoinProbes fills plan.joins (forward probes, one per FROM item)
-// and plan.revProbe (two-table swap candidate), plus the hash-join
-// fallbacks (plan.hashJoins / plan.revHash) wherever equi-conjuncts
+// planJoinProbes fills plan.joins (index probes, one per FROM item),
+// plus the hash-join fallbacks (plan.hashJoins) wherever equi-conjuncts
 // exist but no index covers them. Runs at plan build; the schema epoch
 // invalidates it with the rest of the plan.
 func planJoinProbes(plan *selectPlan) {
@@ -89,7 +77,6 @@ func planJoinProbes(plan *selectPlan) {
 	planJoinReads(plan)
 	plan.joins = make([]*joinProbe, len(plan.tables))
 	plan.hashJoins = make([]*hashJoinPlan, len(plan.tables))
-	width := len(plan.env.cols)
 	for i := 1; i < len(plan.tables); i++ {
 		t := plan.tables[i]
 		innerLo, innerHi := t.start, t.start+len(t.schema.Cols)
@@ -100,18 +87,6 @@ func planJoinProbes(plan *selectPlan) {
 		plan.joins[i] = bestJoinProbe(t.data, eqs)
 		if plan.joins[i] == nil {
 			plan.hashJoins[i] = newHashJoinPlan(t.schema, eqs)
-		}
-	}
-	// Reverse probe: two-table inner join, table 0 as the probed side.
-	if len(plan.tables) == 2 && !s.From[1].LeftJoin {
-		t0, t1 := plan.tables[0], plan.tables[1]
-		eqs := make(map[string]Expr)
-		outerOK := func(e Expr) bool { return exprRefsWithin(e, t1.start, width) }
-		collectJoinEqs(s.From[1].JoinCond, t0.schema, 0, t1.start, outerOK, eqs)
-		collectJoinEqs(s.Where, t0.schema, 0, t1.start, outerOK, eqs)
-		plan.revProbe = bestJoinProbe(t0.data, eqs)
-		if plan.revProbe == nil {
-			plan.revHash = newHashJoinPlan(t0.schema, eqs)
 		}
 	}
 }

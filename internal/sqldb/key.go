@@ -3,7 +3,6 @@ package sqldb
 import (
 	"encoding/binary"
 	"math"
-	"time"
 
 	"repro/internal/sqltypes"
 )
@@ -45,8 +44,7 @@ import (
 // Tag order matches the kind order SortCompare falls back to for
 // incomparable pairs. Whether a numeric component carries the tiebreak
 // depends on its image alone, so every component is self-delimiting and
-// a reader (skipKeyComponent, decodeKeyValue) knows its length from the
-// bytes it has read. A probe must be aligned with the indexed column's
+// a tuple's key is the concatenation of its values' keys. A probe must be aligned with the indexed column's
 // kind before it is encoded (probeValue): keys are exact within one
 // kind, and alignment is what keeps mixed-kind comparisons exact.
 
@@ -125,25 +123,6 @@ func appendKey(b []byte, v sqltypes.Value) []byte {
 // share (|f| >= 2^53, NaN excluded), so its key carries the tiebreak.
 func farImage(f float64) bool { return math.Abs(f) >= 1<<53 }
 
-// numericComponent reads the numeric component leading k (k[0] is its
-// tag): its float64 image and its encoded length.
-func numericComponent(k string) (f float64, n int, ok bool) {
-	if len(k) < 9 {
-		return 0, 0, false
-	}
-	bits := binary.BigEndian.Uint64([]byte(k[1:9]))
-	if bits&(1<<63) != 0 {
-		bits &^= 1 << 63 // non-negative: clear the set sign bit
-	} else {
-		bits = ^bits // negative: unflip everything
-	}
-	f, n = math.Float64frombits(bits), 9
-	if farImage(f) {
-		n = 17
-	}
-	return f, n, len(k) >= n
-}
-
 // appendEscaped writes s with 0x00 escaped as {0x00,0xFF} and a
 // {0x00,0x01} terminator, so concatenated tuple keys stay unambiguous
 // and "a" orders before "ab" and before "a\x00b".
@@ -161,174 +140,6 @@ func appendEscaped(b []byte, s string) []byte {
 // nullKey is the canonical encoding of a single NULL, the boundary the
 // ordered index uses for IS NULL / IS NOT NULL scans.
 var nullKey = encodeKey(sqltypes.Null)
-
-// ---------- decoding ----------
-//
-// The encoding is also decodable: the index-only aggregates read their
-// answers straight off index KEYS instead of fetching rows. Every
-// component round-trips to the stored value but one: on a DOUBLE column
-// -0.0 and +0.0 share a key (Compare treats them as equal), so a zero
-// key cannot name its sign; decodeKeyValue reports ok=false and the
-// caller falls back to the row fetch. All NaN payloads were
-// canonicalised to one key, but every NaN is observably identical to
-// the engine, so NaN round-trips; a far INTEGER decodes from its
-// tiebreak. The decoded value is materialised in the COLUMN's declared
-// kind — stored values were coerced to it on write, so the class tag alone
-// (numeric, text) would not distinguish INTEGER from DOUBLE or VARCHAR
-// from CLOB.
-
-// skipKeyComponent returns the remainder of k after one encoded value,
-// or ok=false on a truncated or unrecognised component.
-func skipKeyComponent(k string) (rest string, ok bool) {
-	if len(k) == 0 {
-		return "", false
-	}
-	switch k[0] {
-	case keyTagNull:
-		return k[1:], true
-	case keyTagNumeric:
-		_, n, ok := numericComponent(k)
-		if !ok {
-			return "", false
-		}
-		return k[n:], true
-	case keyTagBool:
-		if len(k) < 2 {
-			return "", false
-		}
-		return k[2:], true
-	case keyTagTime:
-		if len(k) < 13 {
-			return "", false
-		}
-		return k[13:], true
-	case keyTagText, keyTagBytes, keyTagLink:
-		for i := 1; i < len(k); i++ {
-			if k[i] != 0x00 {
-				continue
-			}
-			if i+1 >= len(k) {
-				return "", false
-			}
-			if k[i+1] == 0x01 {
-				return k[i+2:], true
-			}
-			i++ // skip the escaped byte
-		}
-		return "", false
-	}
-	return "", false
-}
-
-// unescapeKey inverts appendEscaped on the leading component of k.
-func unescapeKey(k string) (s string, ok bool) {
-	var b []byte
-	for i := 0; i < len(k); i++ {
-		if k[i] != 0x00 {
-			b = append(b, k[i])
-			continue
-		}
-		if i+1 >= len(k) {
-			return "", false
-		}
-		switch k[i+1] {
-		case 0x01:
-			return string(b), true
-		case 0xFF:
-			b = append(b, 0x00)
-			i++
-		default:
-			return "", false
-		}
-	}
-	return "", false
-}
-
-// decodeKeyValue decodes the leading component of k into the domain of
-// a column of kind colKind. ok=false means the component does not
-// round-trip (see the decoding notes above) or its class does not match
-// the column's kind; the caller must fall back to fetching rows.
-func decodeKeyValue(k string, colKind sqltypes.Kind) (sqltypes.Value, bool) {
-	if len(k) == 0 {
-		return sqltypes.Null, false
-	}
-	switch k[0] {
-	case keyTagNull:
-		return sqltypes.Null, true
-	case keyTagNumeric:
-		f, n, ok := numericComponent(k)
-		if !ok {
-			return sqltypes.Null, false
-		}
-		switch colKind {
-		case sqltypes.KindInt:
-			i := int64(f)
-			if n > 9 {
-				i = int64(binary.BigEndian.Uint64([]byte(k[9:17])) ^ (1 << 63))
-			}
-			if float64(i) != f { // NaN, ±Inf or a fraction: no INTEGER's key
-				return sqltypes.Null, false
-			}
-			return sqltypes.NewInt(i), true
-		case sqltypes.KindDouble:
-			if f == 0 {
-				return sqltypes.Null, false // cannot reconstruct the sign of ±0.0
-			}
-			return sqltypes.NewDouble(f), true
-		}
-		return sqltypes.Null, false
-	case keyTagText:
-		s, ok := unescapeKey(k[1:])
-		if !ok {
-			return sqltypes.Null, false
-		}
-		switch colKind {
-		case sqltypes.KindString:
-			return sqltypes.NewString(s), true
-		case sqltypes.KindClob:
-			return sqltypes.NewClob(s), true
-		}
-		return sqltypes.Null, false
-	case keyTagBool:
-		if len(k) < 2 || colKind != sqltypes.KindBool {
-			return sqltypes.Null, false
-		}
-		return sqltypes.NewBool(k[1] != 0), true
-	case keyTagTime:
-		if len(k) < 13 || colKind != sqltypes.KindTime {
-			return sqltypes.Null, false
-		}
-		sec := int64(binary.BigEndian.Uint64([]byte(k[1:9])) ^ (1 << 63))
-		nsec := int64(binary.BigEndian.Uint32([]byte(k[9:13])))
-		return sqltypes.NewTime(time.Unix(sec, nsec).UTC()), true
-	case keyTagBytes:
-		s, ok := unescapeKey(k[1:])
-		if !ok || colKind != sqltypes.KindBytes {
-			return sqltypes.Null, false
-		}
-		return sqltypes.NewBytes([]byte(s)), true
-	case keyTagLink:
-		s, ok := unescapeKey(k[1:])
-		if !ok || colKind != sqltypes.KindDatalink {
-			return sqltypes.Null, false
-		}
-		return sqltypes.NewDatalink(s), true
-	}
-	return sqltypes.Null, false
-}
-
-// decodeKeyColumn decodes the slot-th component of a concatenated index
-// key as a value of the column's kind (the boundary-key MIN/MAX read).
-func decodeKeyColumn(k string, slot int, colKind sqltypes.Kind) (sqltypes.Value, bool) {
-	for i := 0; i < slot; i++ {
-		rest, ok := skipKeyComponent(k)
-		if !ok {
-			return sqltypes.Null, false
-		}
-		k = rest
-	}
-	return decodeKeyValue(k, colKind)
-}
 
 // probeValue maps a lookup value into the key domain of a column of
 // kind colKind. Stored values are coerced to their column's type on

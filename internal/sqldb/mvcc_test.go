@@ -23,9 +23,9 @@ import (
 //     multiple of ten, MAX(ID) == COUNT(*), and SUM(ID) equal to the
 //     prefix sum — later stamps may be invisible, earlier ones may not.
 //
-// COUNT(*) with no WHERE answers from the live-count history, MAX/SUM
-// from heap scans, and the group probes from the ordered index, so the
-// invariants also cross-check the three read paths against each other.
+// COUNT(*) with no WHERE, MAX and SUM answer from heap scans and the
+// group probes from the ordered index, so the invariants also
+// cross-check the two read paths against each other.
 // Run under -race in CI.
 func TestMVCCSnapshotIsolation(t *testing.T) {
 	db := memDB(t)

@@ -38,10 +38,10 @@ import (
 // evict, decided before anything is copied. Counts and frequencies
 // halve every doorkeeperAging sightings; declines are counted by reason.
 //
-// Sharing: an entry holds one *Rows built at fill (Columns, Kinds,
-// colIdx, and the filling result's rows: its own Data when no arena
-// backs them — a stored-order projection's rows are the stored versions
-// — else row headers over one flat slab copied out of the arena); a hit
+// Sharing: an entry holds one *Rows built at fill (Columns, Kinds, and
+// the filling result's rows: its own Data when no arena backs them — a
+// stored-order projection's rows are the stored versions — else row
+// headers over one flat slab copied out of the arena); a hit
 // is a shallow copy of it. Rows from Query are read-only (see Rows).
 //
 // Visibility contract (why a hit can never be a stale read): an entry
@@ -90,9 +90,9 @@ const (
 	doorkeeperSlots         = 4096 // direct-mapped; a power of two
 	doorkeeperAging         = 8 * doorkeeperSlots
 	// entryOverhead is an entry's heap cost beyond its values, row
-	// headers, payloads and key: the entry, list element, Rows header,
-	// column index and map slots.
-	entryOverhead = 640
+	// headers, payloads and key: the entry, list element, Rows header
+	// and map slots.
+	entryOverhead = 368
 )
 
 // Decline reasons (the reason label of sqldb_result_cache_declines_total).
@@ -337,8 +337,8 @@ func (rc *resultCache) fill(p cacheProbe, text string, args []sqltypes.Value, pl
 	// Arena-backed rows are Closed later, and their chunks may hold more
 	// than the rows: copy those into one slab. Other rows are exactly
 	// what entryBytes charged and never written, so the entry shares
-	// them. Columns, Kinds and colIdx belong to this execution and are
-	// read-only from here on, so the entry adopts them.
+	// them. Columns and Kinds belong to this execution and are read-only
+	// from here on, so the entry adopts them.
 	data := rows.Data
 	if rows.arena != nil {
 		flat := make([]sqltypes.Value, 0, len(rows.Data)*len(rows.Columns))
@@ -348,7 +348,7 @@ func (rc *resultCache) fill(p cacheProbe, text string, args []sqltypes.Value, pl
 			data[i] = flat[len(flat)-len(r) : len(flat) : len(flat)]
 		}
 	}
-	ent.rows = &Rows{Columns: rows.Columns, Kinds: rows.Kinds, Data: data, colIdx: rows.colIdx}
+	ent.rows = &Rows{Columns: rows.Columns, Kinds: rows.Kinds, Data: data}
 	ent.elem = rc.order.PushFront(ent)
 	rc.entries[p.hash] = ent
 	rc.used += bytes

@@ -61,18 +61,13 @@ type selectPlan struct {
 	aggItems []aggItem
 
 	// joins holds the index nested-loop probe per FROM item (nil =
-	// exhaustive scan); revProbe is the two-table swap candidate that
-	// probes the FIRST table instead. See joinplan.go. Both immutable
-	// after planning.
-	joins    []*joinProbe
-	revProbe *joinProbe
+	// exhaustive scan). See joinplan.go. Immutable after planning.
+	joins []*joinProbe
 
 	// hashJoins holds the hash-join fallback per FROM item (only where
-	// equi-join conjuncts exist but no index serves them); revHash is
-	// the two-table candidate that builds the hash table on the FIRST
-	// table instead. See joinplan.go. Immutable after planning.
+	// equi-join conjuncts exist but no index serves them). See
+	// joinplan.go. Immutable after planning.
 	hashJoins []*hashJoinPlan
-	revHash   *hashJoinPlan
 
 	// Fold-based aggregation state (see agg.go): every aggregate call
 	// in the projection/HAVING/ORDER BY gets an accumulator slot, keyed
@@ -368,9 +363,8 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 	}
 	scan := db.openScan(plan.tables[0].data, plan.path, where, ctx)
 	// Index-only aggregation: COUNT/MIN/MAX over a residual-free path
-	// answered from its keys without materialising candidate rows, or a
-	// bare COUNT(*) from the live-row count.
-	if plan.aggItems != nil && (scan.path != nil || (plan.path == nil && !db.fullScanOnly)) {
+	// answered from its keys without materialising candidate rows.
+	if plan.aggItems != nil && scan.path != nil {
 		endAgg := tr.span("index-only-agg")
 		out, err := db.runIndexOnlyAgg(plan, ctx, scan)
 		if err != nil {
@@ -384,7 +378,7 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 	// below writes to Kinds, and the plan (with its labels and kinds) is
 	// shared across concurrent executions. A result cache entry adopts
 	// them once the statement completes.
-	out := newRows(slices.Clone(plan.labels), slices.Clone(plan.kinds))
+	out := &Rows{Columns: slices.Clone(plan.labels), Kinds: slices.Clone(plan.kinds)}
 	if s.Limit == 0 {
 		return out, nil
 	}
@@ -568,30 +562,11 @@ func (p *projectSink) finish() error {
 // nested-loop) instead of re-scanned; unindexed equi-joins build a hash
 // table over the inner table once, when its level is first reached, and
 // probe it per outer row (hash join) instead of degrading to the cross
-// product. A two-table inner join whose first table has no access path
-// for this execution may run reversed (see chooseSwap /
-// chooseHashSwap). first is the first table's resolved scan. Read-only
-// on the plan.
+// product. The join always runs forward, driven by the first table.
+// first is the first table's resolved scan. Read-only on the plan.
 func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx, first tableScan, emit func([]sqltypes.Value) bool) error {
 	j := &joinRun{db: db, plan: plan, ctx: ctx, emit: emit,
 		row: make([]sqltypes.Value, len(plan.env.cols)), probes: !db.fullScanOnly}
-	if j.probes && first.path == nil {
-		if rev := chooseSwap(plan); rev != nil {
-			var cands [][]sqltypes.Value
-			return j.swapped(func(*evalCtx) ([][]sqltypes.Value, bool) {
-				var ok bool
-				cands, ok = j.probeJoin(cands[:0], plan.tables[0].data, rev)
-				return cands, ok
-			})
-		}
-		if hj := chooseHashSwap(plan); hj != nil {
-			hp, err := newHashProber(plan.tables[0].data, hj, ctx)
-			if err != nil {
-				return err
-			}
-			return j.swapped(hp.probe)
-		}
-	}
 	j.hashers = make([]*hashProber, len(plan.tables))
 	j.cands = make([][][]sqltypes.Value, len(plan.tables))
 	// The planner's path narrows the outer loop's candidates; the WHERE
@@ -716,90 +691,6 @@ func (j *joinRun) level(i int) bool {
 		row[c] = sqltypes.Null
 	}
 	return j.level(i + 1)
-}
-
-// chooseSwap decides whether a two-table inner join whose first table
-// has no access path should run with the second table as the outer
-// loop probing the first: when only the first table's join key is
-// indexed, or when both are and the first table is larger (the smaller
-// table should drive the outer loop). The caller never asks when the
-// first table's path serves the execution: that path already narrows
-// the outer loop to the rows the WHERE wants.
-func chooseSwap(plan *selectPlan) *joinProbe {
-	if plan.revProbe == nil || len(plan.tables) != 2 {
-		return nil
-	}
-	if fwd := plan.joins[1]; fwd != nil && plan.tables[0].data.live.Load() <= plan.tables[1].data.live.Load() {
-		return nil
-	}
-	return plan.revProbe
-}
-
-// chooseHashSwap decides whether a fully-unindexed two-table inner
-// equi-join whose first table has no access path should build its hash
-// table on the FIRST table: when only that side has usable
-// equi-conjuncts, or when both do and the first table is smaller (the
-// hash table belongs on the smaller side, the larger one drives the
-// outer loop). Index probes, when any exist, already won in chooseSwap
-// / the forward loop.
-func chooseHashSwap(plan *selectPlan) *hashJoinPlan {
-	if plan.revHash == nil || len(plan.tables) != 2 {
-		return nil
-	}
-	if plan.joins[1] != nil || plan.revProbe != nil {
-		return nil // an index serves this join
-	}
-	if fwd := plan.hashJoins[1]; fwd != nil && plan.tables[1].data.live.Load() <= plan.tables[0].data.live.Load() {
-		return nil // forward hash already builds on the smaller (inner) side
-	}
-	return plan.revHash
-}
-
-// swapped is the reversed two-table nested loop: scan table 1 as the
-// outer side and probe table 0 (via an index probe or a prebuilt hash
-// table — probeFn encapsulates the lookup), assembling each combined
-// row in the same buffer and declared column order as the forward loop,
-// so every bound expression keeps its slot. The probe's expressions
-// only reference table 1's slots. Only inner joins reach here (LEFT
-// JOIN is direction-bound).
-func (j *joinRun) swapped(probeFn func(*evalCtx) ([][]sqltypes.Value, bool)) error {
-	ctx := j.ctx
-	cond := j.plan.stmt.From[1].JoinCond
-	pair := func(v0 []sqltypes.Value) bool {
-		if j.err = ctx.intr.check(); j.err != nil {
-			return false
-		}
-		j.fill(0, v0)
-		if ok, err := ctx.holds(cond, j.row); !ok {
-			j.err = err
-			return err == nil
-		}
-		return j.deliver()
-	}
-	outer := j.db.openScan(j.plan.tables[1].data, nil, nil, ctx)
-	err := outer.run(ctx, func(_ *rowSlot, v1 []sqltypes.Value) bool {
-		j.fill(1, v1)
-		ctx.vals = j.row
-		cands, handled := probeFn(ctx)
-		if handled {
-			for _, v0 := range cands {
-				if !pair(v0) {
-					return false
-				}
-			}
-			return true
-		}
-		more := true
-		j.plan.tables[0].data.scan(ctx.snap, func(_ *rowSlot, v0 []sqltypes.Value) bool {
-			more = pair(v0)
-			return more
-		})
-		return more
-	})
-	if err != nil {
-		return err
-	}
-	return j.err
 }
 
 // sortKeyCell is one ORDER BY key with its cross-kind coercions cached.
@@ -1124,7 +1015,7 @@ func (db *DB) runSelectNoFrom(plan *selectPlan, params []sqltypes.Value) (*Rows,
 	}
 	columns := make([]string, len(plan.labels))
 	copy(columns, plan.labels)
-	out := newRows(columns, kinds)
+	out := &Rows{Columns: columns, Kinds: kinds}
 	out.Data = [][]sqltypes.Value{vals}
 	return out, nil
 }

@@ -57,15 +57,14 @@ func (s *Stmt) Text() string { return s.text }
 // like any named one.
 //
 // Aggregated plans append their strategy: " index-only" (a
-// COUNT/MIN/MAX answered from the index without materialising rows),
+// COUNT/MIN/MAX answered from the path's key range: COUNT reads no
+// rows, MIN/MAX one boundary row each),
 // " hash-agg" (every GROUP BY: a grouped fold through a hash table) or
 // " agg-fold" (a single-group fold, no GROUP BY). Plans whose
 // ORDER BY ... LIMIT runs as a bounded heap selection instead of a full
 // sort append " top-k". Joined
-// tables probed by an index nested-loop append " inl(ALIAS.COLS)" (or
-// " inl-rev(...)" for the two-table swap candidate that probes the
-// first table); unindexed equi-joins append " hash-join(ALIAS.COLS)"
-// (or " hash-join-rev(...)"). A statement with a live result cache
+// tables probed by an index nested-loop append " inl(ALIAS.COLS)";
+// unindexed equi-joins append " hash-join(ALIAS.COLS)". A statement with a live result cache
 // entry appends " cached" — its repeats are served without execution.
 //
 // EXPLAIN-style introspection for tests and diagnostics; building the
@@ -114,16 +113,10 @@ func pathString(plan *selectPlan, sel *SelectStmt) string {
 			out += " inl(" + plan.tables[i].alias + "." + jp.String() + ")"
 		}
 	}
-	if plan.revProbe != nil {
-		out += " inl-rev(" + plan.tables[0].alias + "." + plan.revProbe.String() + ")"
-	}
 	for i, hj := range plan.hashJoins {
 		if hj != nil {
 			out += " hash-join(" + plan.tables[i].alias + "." + hj.String() + ")"
 		}
-	}
-	if plan.revHash != nil {
-		out += " hash-join-rev(" + plan.tables[0].alias + "." + plan.revHash.String() + ")"
 	}
 	return out
 }

@@ -113,19 +113,12 @@ type mvccRefs struct {
 	// undo reverses the side effects that are not stamp-guarded: the
 	// live/dead counters. Run in reverse order on abort.
 	undo []func()
-	// delta is the per-table net live-row change, applied to the
-	// committed live-count history at commit time.
-	delta map[*tableData]int64
-	// touched lists every table this transaction wrote (including
-	// updates, which leave delta untouched). Commit publishes the commit
-	// stamp to each table's lastWrite — the result cache's serve-time
-	// staleness check — and the commit hook drops cached entries over
-	// them. Tiny (statements touch a handful of tables), so a linear
+	// touched lists every table this transaction wrote. Commit
+	// publishes the commit stamp to each table's lastWrite — the result
+	// cache's serve-time staleness check — and the commit hook drops
+	// cached entries over them. Tiny (statements touch a handful of tables), so a linear
 	// dedupe beats a map.
 	touched []*tableData
-	// stamp is the commit stamp once allocated (0 until then); the
-	// unwind path uses it to pop live-history marks.
-	stamp uint64
 }
 
 // touch records td in the transaction's written-tables set.
@@ -138,22 +131,14 @@ func (r *mvccRefs) touch(td *tableData) {
 	r.touched = append(r.touched, td)
 }
 
-func (r *mvccRefs) addDelta(td *tableData, d int64) {
-	if r.delta == nil {
-		r.delta = make(map[*tableData]int64, 2)
-	}
-	r.delta[td] += d
-}
-
 func (r *mvccRefs) empty() bool {
 	return len(r.created) == 0 && len(r.ended) == 0 &&
 		len(r.createdIdx) == 0 && len(r.endedIdx) == 0 && len(r.undo) == 0
 }
 
-// commit resolves every in-flight stamp to ts and records the live-count
-// marks. Must run under DB.commitMu so stamp order equals WAL order.
+// commit resolves every in-flight stamp to ts. Must run under
+// DB.commitMu so stamp order equals WAL order.
 func (r *mvccRefs) commit(ts uint64) {
-	r.stamp = ts
 	for _, v := range r.created {
 		v.begin.Store(ts)
 	}
@@ -165,9 +150,6 @@ func (r *mvccRefs) commit(ts uint64) {
 	}
 	for _, e := range r.endedIdx {
 		e.end.Store(ts)
-	}
-	for td, d := range r.delta {
-		td.pushLiveMark(ts, d)
 	}
 	// Publish the write stamp per table BEFORE lastTS advances (both
 	// happen under commitMu): any reader whose snapshot can see this
@@ -200,20 +182,6 @@ func (r *mvccRefs) abort() {
 	for i := len(r.undo) - 1; i >= 0; i-- {
 		r.undo[i]()
 	}
-	if r.stamp != 0 {
-		for td, d := range r.delta {
-			td.popLiveMark(r.stamp, d)
-		}
-	}
-}
-
-// liveMark is one point of a table's committed live-row-count history:
-// after the commit at stamp ts the table held live visible rows. The
-// history lets index-only COUNT(*) answer exactly for any open snapshot
-// while writers keep committing; vacuum prunes it back to one mark.
-type liveMark struct {
-	ts   uint64
-	live int64
 }
 
 // tableData is the heap + indexes for one table.
@@ -240,11 +208,8 @@ type tableData struct {
 	// into it, and a slot leaves it only in vacuum — under the barrier,
 	// its postings swept with it — so a *rowSlot outlives the latch.
 	slots []*rowSlot
-	live  atomic.Int64 // latest committed+in-flight live rows (planner heuristics)
+	live  atomic.Int64 // latest committed+in-flight live rows (snapshot row counts)
 	dead  atomic.Int64 // dead versions + index entries awaiting vacuum
-
-	histMu   sync.Mutex
-	liveHist []liveMark // committed live counts, ascending ts
 
 	// indexes lists the table's indexes (see index.go) sorted by name, so
 	// the planner's candidate walk and writer entry-stamping order are
@@ -271,10 +236,7 @@ type tableData struct {
 const pkIndexName = "PRIMARY KEY"
 
 func newTableData(schema *TableSchema) *tableData {
-	td := &tableData{
-		schema:   schema,
-		liveHist: []liveMark{{ts: 0, live: 0}},
-	}
+	td := &tableData{schema: schema}
 	constraint := func(name string, cols []string) {
 		if td.index(name) != nil {
 			return // the same UNIQUE tuple declared twice
@@ -356,50 +318,6 @@ func (td *tableData) checkedKeys(vals []sqltypes.Value, self *rowSlot) ([]string
 	return keys, nil
 }
 
-// pushLiveMark records the committed live count after the commit at ts.
-func (td *tableData) pushLiveMark(ts uint64, delta int64) {
-	td.histMu.Lock()
-	last := td.liveHist[len(td.liveHist)-1].live
-	td.liveHist = append(td.liveHist, liveMark{ts: ts, live: last + delta})
-	td.histMu.Unlock()
-}
-
-// popLiveMark retracts the mark pushed at ts (fsync-failure unwind; the
-// suffix is popped LIFO so ts is always the newest mark for this table).
-func (td *tableData) popLiveMark(ts uint64, delta int64) {
-	td.histMu.Lock()
-	if n := len(td.liveHist); n > 0 && td.liveHist[n-1].ts == ts {
-		td.liveHist = td.liveHist[:n-1]
-	} else if n > 0 {
-		// Shouldn't happen (unwind is LIFO), but keep the history sane.
-		td.liveHist[n-1].live -= delta
-	}
-	td.histMu.Unlock()
-}
-
-// liveAt returns the committed live-row count visible at snap.
-func (td *tableData) liveAt(snap uint64) int64 {
-	if snap == snapLatest {
-		return td.live.Load()
-	}
-	td.histMu.Lock()
-	defer td.histMu.Unlock()
-	h := td.liveHist
-	i := sort.Search(len(h), func(i int) bool { return h[i].ts > snap })
-	if i == 0 {
-		return 0
-	}
-	return h[i-1].live
-}
-
-// resetLiveHist collapses the history to a single mark (vacuum: no
-// snapshot older than the barrier can still be open).
-func (td *tableData) resetLiveHist(ts uint64) {
-	td.histMu.Lock()
-	td.liveHist = append(td.liveHist[:0], liveMark{ts: ts, live: td.live.Load()})
-	td.histMu.Unlock()
-}
-
 // insert installs a new row as an uncommitted version and maintains
 // indexes. The caller owns the table's writer slot (wmu or the global
 // barrier).
@@ -424,7 +342,6 @@ func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) err
 	td.latch.Unlock()
 	td.live.Add(1)
 	refs.created = append(refs.created, v)
-	refs.addDelta(td, 1)
 	refs.undo = append(refs.undo, func() {
 		td.live.Add(-1)
 		td.dead.Add(1)
@@ -453,7 +370,6 @@ func (td *tableData) delete(s *rowSlot, refs *mvccRefs) ([]sqltypes.Value, error
 	td.latch.RUnlock()
 	td.live.Add(-1)
 	td.dead.Add(1)
-	refs.addDelta(td, -1)
 	refs.undo = append(refs.undo, func() {
 		td.live.Add(1)
 		td.dead.Add(-1)
@@ -562,7 +478,7 @@ func (td *tableData) scan(snap uint64, f func(s *rowSlot, vals []sqltypes.Value)
 // must hold the global barrier (DB.mu exclusively) with the WAL fenced,
 // so no snapshot is live and no commit can be unwound afterwards: a
 // version is reclaimable iff it is not the current committed version.
-func (td *tableData) vacuum(ts uint64) {
+func (td *tableData) vacuum() {
 	kept := make([]*rowSlot, 0, len(td.slots))
 	for _, s := range td.slots {
 		v := s.versionAt(snapLatest)
@@ -578,5 +494,4 @@ func (td *tableData) vacuum(ts uint64) {
 		idx.sweepDead()
 	}
 	td.dead.Store(0)
-	td.resetLiveHist(ts)
 }

@@ -8,7 +8,7 @@ import (
 
 // TraceNode is one plan-node measurement inside an execution trace:
 // how long the stage ran, how many rows it produced and how many heap
-// row versions it visited (zero for index-only stages).
+// row versions it visited (zero for an index-only COUNT).
 type TraceNode struct {
 	Node      string `json:"node"`
 	Rows      int64  `json:"rows"`
