@@ -316,6 +316,25 @@
 //     suffix and the trace cache:"hit|miss|bypass" tag
 //     (BenchmarkAblation_OpCache tracks the repeated-query win).
 //
+//   - Linked-file size memo. A results page shows each DATALINK file's
+//     size (core.Archive.LinkedFileSize), and the archive asks the
+//     file's host for it once, not per render: it remembers the size of
+//     a file the host reports linked under FILE LINK CONTROL with WRITE
+//     PERMISSION BLOCKED, which cannot change until the database unlinks
+//     it. The memo is tagged with the med.Coordinator's link generation,
+//     which is odd while a transaction that unlinks is committing on its
+//     hosts, or a host is being replaced, and moves on when either
+//     starts and when it finishes. A size is served only under an even
+//     generation equal to the tag, and stored only if the generation did
+//     not move while the host was asked (TestCoordinatorLinkGeneration,
+//     TestLinkedSizeFreshUnderWrites, TestRepeatRenderCostsNoStat,
+//     TestLinkedFileSizeMissesWhileUnlinkInFlight). A WRITE PERMISSION
+//     FS file's size is asked every time. The rule holds only while this
+//     archive is the one database controlling its hosts' links — the
+//     paper's one DLFM per database: an unlink made by anything else
+//     does not move the generation. The memo keeps at most 4,096 sizes
+//     and starts over empty when full.
+//
 // # Durability and recovery contract
 //
 // All storage-tier I/O goes through internal/iofault: an FS abstraction

@@ -95,7 +95,20 @@ type Archive struct {
 	spec  *xuis.Spec
 	eng   *ops.Engine
 	hosts map[string]FileHost
+
+	sizes sizeMemo
 }
+
+// sizeMemo remembers the sizes of linked, write-blocked files by
+// DATALINK URL, all read under one link generation (gen).
+type sizeMemo struct {
+	mu    sync.Mutex
+	gen   uint64
+	sizes map[string]int64
+}
+
+// sizeMemoCap bounds the memo; a full memo starts over empty.
+const sizeMemoCap = 4096
 
 // Open creates or reopens an archive.
 func Open(cfg Config) (*Archive, error) {
@@ -125,6 +138,7 @@ func Open(cfg Config) (*Archive, error) {
 		Users:  NewUserStore(),
 		cfg:    cfg,
 		hosts:  make(map[string]FileHost),
+		sizes:  sizeMemo{sizes: make(map[string]int64)},
 	}
 	return a, nil
 }
@@ -138,12 +152,14 @@ func (a *Archive) InitTurbulenceSchema() error {
 }
 
 // AttachFileServer registers a file-server host with both the SQL/MED
-// coordinator and the archive's read/write paths.
+// coordinator and the archive's read/write paths. The coordinator comes
+// second, so the link generation it moves on covers a read that found
+// the host this one replaces.
 func (a *Archive) AttachFileServer(h FileHost) {
-	a.Coord.Register(h)
 	a.mu.Lock()
 	a.hosts[strings.ToLower(h.Host())] = h
 	a.mu.Unlock()
+	a.Coord.Register(h)
 }
 
 // Host returns the registered host, if any.
@@ -327,6 +343,51 @@ func (a *Archive) fetchURL(url string) (io.ReadCloser, error) {
 		return nil, err
 	}
 	return h.OpenFile(u.Path, token)
+}
+
+// LinkedFileSize reports the size of the file a DATALINK URL names,
+// asking its host only when the size is not remembered. A size is
+// remembered only for a file linked under FILE LINK CONTROL with WRITE
+// PERMISSION BLOCKED, and served only while the coordinator's link
+// generation is even and the one it was read under: no unlink has
+// committed since, so the file cannot have changed.
+func (a *Archive) LinkedFileSize(url string) (int64, error) {
+	m := &a.sizes
+	gen := a.Coord.LinkGeneration()
+	if gen%2 == 0 {
+		m.mu.Lock()
+		size, ok := m.sizes[url]
+		ok = ok && m.gen == gen
+		m.mu.Unlock()
+		if ok {
+			return size, nil
+		}
+	}
+	u, err := sqltypes.ParseDatalinkURL(url)
+	if err != nil {
+		return 0, err
+	}
+	h, ok := a.Host(u.Host)
+	if !ok {
+		return 0, fmt.Errorf("core: no file server registered for host %s", u.Host)
+	}
+	fi, err := h.StatFile(u.Path)
+	if err != nil {
+		return 0, err
+	}
+	if fi.Linked && fi.Opts.FileLinkControl && fi.Opts.WritePerm == sqltypes.WriteBlocked &&
+		gen%2 == 0 && a.Coord.LinkGeneration() == gen {
+		m.mu.Lock()
+		if m.gen < gen || len(m.sizes) >= sizeMemoCap {
+			m.gen = gen
+			clear(m.sizes)
+		}
+		if m.gen == gen {
+			m.sizes[url] = fi.Size
+		}
+		m.mu.Unlock()
+	}
+	return fi.Size, nil
 }
 
 // ArchiveFile stores content on the named host ("archive data where it

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -243,7 +244,7 @@ func (c *Client) EnsureLinked(path string, opts sqltypes.DatalinkOptions) error 
 // observable.
 func (c *Client) Put(path string, r io.Reader) error {
 	resp, cancel, err := c.roundTrip(false, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodPut, c.baseURL+"/files"+path, r)
+		return http.NewRequest(http.MethodPut, c.filesURL(path, ""), r)
 	})
 	if err != nil {
 		return err
@@ -267,15 +268,7 @@ func (c *Client) Open(path, token string) (io.ReadCloser, error) {
 // response headers — one round trip, which is what the replication
 // tier's failover reads use.
 func (c *Client) OpenStat(path, token string) (io.ReadCloser, FileInfo, error) {
-	url := c.baseURL + "/files" + path
-	if token != "" {
-		u, err := sqltypes.ParseDatalinkURL("http://" + c.host + path)
-		if err != nil {
-			return nil, FileInfo{}, err
-		}
-		url = c.baseURL + "/files" + u.Dir() + "/" + token + ";" + u.File()
-	}
-	resp, cancel, err := c.get(url)
+	resp, cancel, err := c.get(c.filesURL(path, token))
 	if err != nil {
 		return nil, FileInfo{}, err
 	}
@@ -292,6 +285,19 @@ func (c *Client) OpenStat(path, token string) (io.ReadCloser, FileInfo, error) {
 	// The per-attempt deadline stays armed while the caller streams the
 	// body; Close releases it.
 	return &cancelReadCloser{rc: resp.Body, cancel: cancel}, fi, nil
+}
+
+// filesURL is the /files URL of path, with token, if any, in the
+// tokenized dir/token;file form. The path is escaped, ';' included, so
+// every byte of it reaches the server as itself and the one literal ';'
+// is the token's.
+func (c *Client) filesURL(path, token string) string {
+	esc := strings.ReplaceAll((&url.URL{Path: path}).EscapedPath(), ";", "%3B")
+	if token == "" {
+		return c.baseURL + "/files" + esc
+	}
+	i := strings.LastIndexByte(esc, '/') + 1
+	return c.baseURL + "/files" + esc[:i] + url.PathEscape(token) + ";" + esc[i:]
 }
 
 // cancelReadCloser couples a streamed response body to its RPC
@@ -311,7 +317,7 @@ func (c *cancelReadCloser) Close() error {
 
 // Stat queries file metadata.
 func (c *Client) Stat(path string) (FileInfo, error) {
-	resp, cancel, err := c.get(c.baseURL + "/dlfm/stat?path=" + path)
+	resp, cancel, err := c.get(c.baseURL + "/dlfm/stat?path=" + url.QueryEscape(path))
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -325,7 +331,9 @@ func (c *Client) Stat(path string) (FileInfo, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		return FileInfo{}, err
 	}
-	return FileInfo{Path: sr.Path, Size: sr.Size, ModTime: sr.ModTime, Linked: sr.Linked, Opts: sr.Opts}, nil
+	// The path asked about, not the reply's: JSON cannot carry a path
+	// that is not UTF-8.
+	return FileInfo{Path: path, Size: sr.Size, ModTime: sr.ModTime, Linked: sr.Linked, Opts: sr.Opts}, nil
 }
 
 // Ping probes the daemon's health endpoint (the cluster's failure

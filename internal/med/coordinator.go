@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sqltypes"
 )
@@ -64,26 +65,68 @@ type FileServer interface {
 type Coordinator struct {
 	mu      sync.Mutex
 	servers map[string]FileServer // host → manager
-	pending map[uint64]map[string]FileServer
+	pending map[uint64]*pendingTx
 	// failedAborts queues (txID → servers) whose Abort did not get
 	// through (e.g. the daemon was unreachable). Until the abort lands,
 	// the server holds the staged prepare and its path reservations —
 	// files could leak. RetryFailedAborts drains the queue; Reconcile
 	// calls it as part of startup repair.
 	failedAborts map[uint64]map[string]FileServer
+	// changes counts the changes that can alter a linked file — a
+	// commit that unlinks, a host replaced — in its high bits
+	// (changeStarted each) and those still in flight in its low bits.
+	// LinkGeneration reads it.
+	changes atomic.Uint64
+}
+
+// pendingTx is one transaction's prepared link work: the servers it
+// touches, and whether any of its operations unlinks.
+type pendingTx struct {
+	servers map[string]FileServer
+	unlinks bool
 }
 
 // NewCoordinator returns a coordinator with no registered file servers.
 func NewCoordinator() *Coordinator {
 	return &Coordinator{
 		servers:      make(map[string]FileServer),
-		pending:      make(map[uint64]map[string]FileServer),
+		pending:      make(map[uint64]*pendingTx),
 		failedAborts: make(map[uint64]map[string]FileServer),
 	}
 }
 
-// Register adds (or replaces) the manager for a host.
+// changeStarted is one started change in Coordinator.changes; the bits
+// below it count the changes in flight.
+const changeStarted = 1 << 24
+
+// LinkGeneration reports the link generation. It is odd exactly while
+// a change that can alter a linked file is in flight — a transaction
+// that unlinks is committing on its hosts, or Register is replacing a
+// host — and it moves on whenever one starts and whenever the last one
+// in flight finishes; one change on its own moves it on by two. So what
+// a host said about a linked, write-blocked file under an even
+// generation still holds while the generation is unchanged: only an
+// unlink lets such a file change.
+func (c *Coordinator) LinkGeneration() uint64 {
+	v := c.changes.Load()
+	gen := 2 * (v / changeStarted)
+	if v%changeStarted != 0 {
+		gen--
+	}
+	return gen
+}
+
+// beginChange marks a change to linked files as started; the returned
+// func marks it finished.
+func (c *Coordinator) beginChange() func() {
+	c.changes.Add(changeStarted + 1)
+	return func() { c.changes.Add(^uint64(0)) }
+}
+
+// Register adds (or replaces) the manager for a host. Replacing one
+// moves the link generation on: the new manager may hold other files.
 func (c *Coordinator) Register(fs FileServer) {
+	defer c.beginChange()()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.servers[strings.ToLower(fs.Host())] = fs
@@ -118,12 +161,13 @@ func (c *Coordinator) prepare(txID uint64, url string, kind LinkOpKind, opts sql
 	c.mu.Lock()
 	fs, ok := c.servers[host]
 	if ok {
-		m := c.pending[txID]
-		if m == nil {
-			m = make(map[string]FileServer)
-			c.pending[txID] = m
+		p := c.pending[txID]
+		if p == nil {
+			p = &pendingTx{servers: make(map[string]FileServer)}
+			c.pending[txID] = p
 		}
-		m[host] = fs
+		p.servers[host] = fs
+		p.unlinks = p.unlinks || kind == OpUnlink
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -171,13 +215,21 @@ func (c *Coordinator) PrepareUnlink(txID uint64, url string, opts sqltypes.Datal
 }
 
 // Commit applies the transaction's link work on every involved server.
+// A transaction that unlinks holds the link generation odd until every
+// server has answered, failed or not.
 func (c *Coordinator) Commit(txID uint64) error {
 	c.mu.Lock()
-	involved := c.pending[txID]
+	tx := c.pending[txID]
 	delete(c.pending, txID)
 	c.mu.Unlock()
+	if tx == nil {
+		return nil
+	}
+	if tx.unlinks {
+		defer c.beginChange()()
+	}
 	var errs []error
-	for _, fs := range involved {
+	for _, fs := range tx.servers {
 		if err := fs.Commit(txID); err != nil {
 			errs = append(errs, fmt.Errorf("host %s: %w", fs.Host(), err))
 		}
@@ -191,11 +243,14 @@ func (c *Coordinator) Commit(txID uint64) error {
 // (txID, server) pairs are queued for RetryFailedAborts.
 func (c *Coordinator) Abort(txID uint64) error {
 	c.mu.Lock()
-	involved := c.pending[txID]
+	tx := c.pending[txID]
 	delete(c.pending, txID)
 	c.mu.Unlock()
+	if tx == nil {
+		return nil
+	}
 	var errs []error
-	for host, fs := range involved {
+	for host, fs := range tx.servers {
 		if err := fs.Abort(txID); err != nil {
 			errs = append(errs, fmt.Errorf("host %s: abort tx %d: %w", fs.Host(), txID, err))
 			c.mu.Lock()

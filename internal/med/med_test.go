@@ -1,7 +1,9 @@
 package med
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -262,4 +264,135 @@ func TestCoordinatorReconcile(t *testing.T) {
 	if len(fs1.prepared) != 3 {
 		t.Fatalf("partial reconcile: %d", len(fs1.prepared))
 	}
+}
+
+// gatedServer is a FileServer whose Commit announces itself on entered
+// and returns only once released, failing if fail is set.
+type gatedServer struct {
+	host    string
+	entered chan uint64
+	release chan struct{}
+	fail    atomic.Bool
+}
+
+func newGatedServer(host string) *gatedServer {
+	return &gatedServer{host: host, entered: make(chan uint64, 8), release: make(chan struct{})}
+}
+
+func (g *gatedServer) Host() string                       { return g.host }
+func (g *gatedServer) Prepare(tx uint64, op LinkOp) error { return nil }
+func (g *gatedServer) Abort(tx uint64) error              { return nil }
+func (g *gatedServer) EnsureLinked(path string, opts sqltypes.DatalinkOptions) error {
+	return nil
+}
+func (g *gatedServer) Commit(tx uint64) error {
+	g.entered <- tx
+	<-g.release
+	if g.fail.Load() {
+		return ErrTokenTampered // any error will do
+	}
+	return nil
+}
+
+// TestCoordinatorLinkGeneration: the link generation is odd exactly
+// while a transaction that unlinks is committing on its hosts, or a
+// host is being replaced, and each of those moves it on by two once
+// done — a failing host Commit included. Linking, aborting and
+// preparing without committing leave it as it is.
+func TestCoordinatorLinkGeneration(t *testing.T) {
+	c := NewCoordinator()
+	s := newGatedServer("fs1.sim:80")
+	c.Register(s)
+	gen := c.LinkGeneration()
+	if gen != 2 {
+		t.Fatalf("after registering one host the generation is %d, want 2", gen)
+	}
+	opts := sqltypes.DefaultEASIA()
+	const url = "http://fs1.sim:80/d/a.tsf"
+	want := func(what string, g uint64) {
+		t.Helper()
+		if got := c.LinkGeneration(); got != g {
+			t.Fatalf("%s: generation %d, want %d", what, got, g)
+		}
+	}
+	// commit runs Commit(tx) until its host is inside Commit, checks
+	// the generation there, then lets the host answer.
+	commit := func(tx uint64, during uint64) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- c.Commit(tx) }()
+		if got := <-s.entered; got != tx {
+			t.Fatalf("host committing tx %d, want %d", got, tx)
+		}
+		want(fmt.Sprintf("tx %d in flight", tx), during)
+		s.release <- struct{}{}
+		return <-done
+	}
+
+	if err := c.PrepareLink(1, url, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := commit(1, gen); err != nil {
+		t.Fatal(err)
+	}
+	want("after a link-only commit", gen)
+
+	if err := c.PrepareUnlink(2, url, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Abort(2); err != nil {
+		t.Fatal(err)
+	}
+	want("after an aborted unlink", gen)
+
+	if err := c.PrepareUnlink(3, url, opts); err != nil {
+		t.Fatal(err)
+	}
+	want("after an unlink prepared and not committed", gen)
+
+	if err := c.PrepareLink(4, "http://fs1.sim:80/d/b.tsf", opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PrepareUnlink(4, url, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := commit(4, gen+1); err != nil {
+		t.Fatal(err)
+	}
+	gen += 2
+	want("after an unlink commits", gen)
+
+	s.fail.Store(true)
+	if err := c.PrepareUnlink(5, url, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := commit(5, gen+1); err == nil {
+		t.Fatal("the host's failed Commit was not reported")
+	}
+	s.fail.Store(false)
+	gen += 2
+	want("after an unlink whose host Commit failed", gen)
+
+	// Two unlinks in flight at once: odd until the last one is done.
+	for _, tx := range []uint64{6, 7} {
+		if err := c.PrepareUnlink(tx, url, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 2)
+	go func() { done <- c.Commit(6) }()
+	<-s.entered
+	go func() { done <- c.Commit(7) }()
+	<-s.entered
+	want("two unlinks in flight", gen+3)
+	s.release <- struct{}{}
+	<-done
+	want("one of two unlinks done", gen+3)
+	s.release <- struct{}{}
+	<-done
+	gen += 4
+	want("both unlinks done", gen)
+
+	c.Register(newGatedServer("fs1.sim:80"))
+	want("after a host is replaced", gen+2)
 }

@@ -3,7 +3,6 @@ package webui
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"io"
 	"slices"
 	"strconv"
@@ -282,7 +281,13 @@ func (p *pagePlan) writeCell(w *bufio.Writer, i int, row []sqltypes.Value, j int
 	case sqltypes.KindNull:
 	case sqltypes.KindDatalink:
 		text := p.datalinkLinks(i, row, c, v)
-		writeLinked(w, text, p.cell, p.links, "")
+		if len(p.links) == 0 {
+			w.Write(p.cell[:text])
+			return
+		}
+		w.WriteString("\n    ")
+		w.Write(p.cell[:text])
+		writeLinks(w, p.cell, p.links, "")
 	case sqltypes.KindBytes, sqltypes.KindClob:
 		// "Hypertext link displays size of object — rematerialised and
 		// returned to the client."
@@ -339,6 +344,12 @@ func writeLinked(w *bufio.Writer, text string, buf []byte, links []linkMarkup, v
 	}
 	w.WriteString("\n    ")
 	escHTML.write(w, text)
+	writeLinks(w, buf, links, value)
+}
+
+// writeLinks writes a cell's links on a line of their own, value
+// completing each link's href.
+func writeLinks(w *bufio.Writer, buf []byte, links []linkMarkup, value string) {
 	w.WriteString("\n    ")
 	for _, l := range links {
 		w.Write(buf[l.open:l.mid])
@@ -371,21 +382,23 @@ func writeLinkedNumber(w *bufio.Writer, v sqltypes.Value, buf []byte, links []li
 	w.WriteString("\n  ")
 }
 
-// datalinkLinks returns a DATALINK cell's text — the file name and
-// size — and escapes into p.cell a tokenized download link for users
-// allowed one and the operations and upload the XUIS offers on the row.
-func (p *pagePlan) datalinkLinks(i int, row []sqltypes.Value, c *colPlan, v sqltypes.Value) string {
+// datalinkLinks escapes a DATALINK cell into p.cell — its text, the
+// file name and size, then a tokenized download link for users allowed
+// one and the operations and upload the XUIS offers on the row — and
+// returns where the text ends.
+func (p *pagePlan) datalinkLinks(i int, row []sqltypes.Value, c *colPlan, v sqltypes.Value) int {
 	p.cell, p.links = p.cell[:0], p.links[:0]
 	parsed, err := sqltypes.ParseDatalinkURL(v.Str())
 	if err != nil {
-		return v.Str()
+		p.cell = escHTML.append(p.cell, v.Str())
+		return len(p.cell)
 	}
-	text := parsed.File()
-	if h, ok := p.a.Host(parsed.Host); ok {
-		if fi, err := h.StatFile(parsed.Path); err == nil {
-			text = fmt.Sprintf("%s (%d bytes)", parsed.File(), fi.Size)
-		}
+	p.cell = escHTML.append(p.cell, parsed.File())
+	if size, err := p.a.LinkedFileSize(v.Str()); err == nil {
+		// A count and its frame escape to themselves.
+		p.cell = append(strconv.AppendInt(append(p.cell, " ("...), size, 10), " bytes)"...)
 	}
+	text := len(p.cell)
 	if p.u.CanDownload() {
 		if tokURL, err := p.a.DownloadURLFor(c.col, v.Str(), p.u); err == nil {
 			open := len(p.cell)
