@@ -323,17 +323,29 @@
 //     PERMISSION BLOCKED, which cannot change until the database unlinks
 //     it. The memo is tagged with the med.Coordinator's link generation,
 //     which is odd while a transaction that unlinks is committing on its
-//     hosts, or a host is being replaced, and moves on when either
-//     starts and when it finishes. A size is served only under an even
-//     generation equal to the tag, and stored only if the generation did
-//     not move while the host was asked (TestCoordinatorLinkGeneration,
+//     hosts — and, if a host's Commit failed, until a Reconcile succeeds,
+//     since that host may still apply the unlink — and moves on when such
+//     a change starts, when the last one finishes and when a host is
+//     replaced. A size is served only under an even generation equal to
+//     the tag, and stored only if the generation did not move while the
+//     host was asked (TestCoordinatorLinkGeneration,
 //     TestLinkedSizeFreshUnderWrites, TestRepeatRenderCostsNoStat,
-//     TestLinkedFileSizeMissesWhileUnlinkInFlight). A WRITE PERMISSION
-//     FS file's size is asked every time. The rule holds only while this
-//     archive is the one database controlling its hosts' links — the
-//     paper's one DLFM per database: an unlink made by anything else
-//     does not move the generation. The memo keeps at most 4,096 sizes
-//     and starts over empty when full.
+//     TestLinkedFileSizeMissesWhileUnlinkInFlight,
+//     TestLinkedFileSizeAfterFailedUnlinkCommit). A WRITE PERMISSION FS
+//     file's size is asked every time, and so is every size on an
+//     in-process replica set (a host with RepairLinks), which
+//     acknowledges a commit a replica missed and applies it there later
+//     (TestLinkedFileSizeAsksReplicatedHost). The rule holds only while
+//     this archive is the one database controlling its hosts' links —
+//     the paper's one DLFM per database: an unlink made by anything else
+//     does not move the generation. It also takes each host's answer as
+//     its links' state: a dlfsd gateway over replicas, reached as a
+//     remote daemon, acknowledges a partial commit the same way, and a
+//     lagging replica's answer through it can be remembered until the
+//     next unlink commits. The memo keeps at most 4,096 sizes and starts
+//     over empty when full. The file daemon resolves only a path's clean
+//     spelling, so no other spelling of a linked file reaches its bytes
+//     past its link (TestServerRefusesOtherSpellings).
 //
 // # Durability and recovery contract
 //

@@ -350,7 +350,10 @@ func (a *Archive) fetchURL(url string) (io.ReadCloser, error) {
 // remembered only for a file linked under FILE LINK CONTROL with WRITE
 // PERMISSION BLOCKED, and served only while the coordinator's link
 // generation is even and the one it was read under: no unlink has
-// committed since, so the file cannot have changed.
+// committed since, so the file cannot have changed. A replicated host
+// (one with a repairer) is always asked: it acknowledges a commit some
+// replica missed and applies it there later, so a replica's answer can
+// be stale under an unchanged generation.
 func (a *Archive) LinkedFileSize(url string) (int64, error) {
 	m := &a.sizes
 	gen := a.Coord.LinkGeneration()
@@ -374,6 +377,9 @@ func (a *Archive) LinkedFileSize(url string) (int64, error) {
 	fi, err := h.StatFile(u.Path)
 	if err != nil {
 		return 0, err
+	}
+	if _, replicated := h.(repairer); replicated {
+		return fi.Size, nil
 	}
 	if fi.Linked && fi.Opts.FileLinkControl && fi.Opts.WritePerm == sqltypes.WriteBlocked &&
 		gen%2 == 0 && a.Coord.LinkGeneration() == gen {

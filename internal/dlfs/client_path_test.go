@@ -136,15 +136,82 @@ func TestClientEscapesPaths(t *testing.T) {
 	}
 }
 
-// FuzzClientPathRoundTrip: for any path the store accepts, Put, Stat
-// and Open through the client and a daemon over HTTP agree with the
-// path, size and bytes — and the Put wrote that path and nothing else.
-// A Put through the client may fail only where the store's own Put of
-// the same path fails (a NUL byte, the root itself).
+// TestServerRefusesOtherSpellings: a linked, READ PERMISSION DB, WRITE
+// PERMISSION BLOCKED file is reached only by its own path. A tokenless
+// GET or a PUT that names it another way — "//", a "." or ".." segment,
+// a trailing '/', literally or percent-encoded — is refused, and the
+// file keeps its bytes.
+func TestServerRefusesOtherSpellings(t *testing.T) {
+	auth := newAuth(t)
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(NewManager("fs1.sim:80", store, auth)))
+	defer srv.Close()
+	client := NewClient("fs1.sim:80", srv.URL, srv.Client())
+	const body = "linked body"
+	if err := client.Put("/d/f.dat", strings.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Prepare(1, med.LinkOp{Kind: med.OpLink, Path: "/d/f.dat", Opts: sqltypes.DefaultEASIA()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	raw := srv.Client()
+	raw.CheckRedirect = func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }
+	for _, spelling := range []string{
+		"/files/d//f.dat",
+		"/files//d/f.dat",
+		"/files/d/./f.dat",
+		"/files/d/../d/f.dat",
+		"/files/d/f.dat/",
+		"/files/d%2F%2Ff.dat",
+		"/files/d%2F.%2Ff.dat",
+		"/files/d/%2E/f.dat",
+		"/files/d/%2E%2E/d/f.dat",
+		"/files/d/f.dat%2F",
+	} {
+		for _, method := range []string{http.MethodGet, http.MethodPut} {
+			req, err := http.NewRequest(method, srv.URL+spelling, strings.NewReader("overwritten"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := raw.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode/100 == 2 {
+				t.Errorf("%s %s: %s %q", method, spelling, resp.Status, got)
+			}
+		}
+	}
+	tok, err := auth.Mint("/d/f.dat", "u", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, client, "/d/f.dat", tok); got != body {
+		t.Fatalf("the linked file now reads %q", got)
+	}
+	if got := storedFiles(t, store.Root()); len(got) != 1 || got[0] != "d/f.dat" {
+		t.Fatalf("host holds %q", got)
+	}
+}
+
+// FuzzClientPathRoundTrip: for any path the store accepts — a clean
+// one, the only spelling that resolves — Put, Stat and Open through the
+// client and a daemon over HTTP agree with the path, size and bytes,
+// and the Put wrote that path and nothing else. A Put through the
+// client may fail only where the store's own Put of the same path fails
+// (a NUL byte, the root itself).
 func FuzzClientPathRoundTrip(f *testing.F) {
 	for _, p := range []string{
 		"/d/f.dat", "/d/a#b.dat", "/d/a%41.dat", "/d/a+b.dat", "/d/a&b.dat",
-		"/d/a b.dat", "/d/a?b.dat", "/d/a;b.dat", "/tok;f", "/d//x/./y.dat",
+		"/d/a b.dat", "/d/a?b.dat", "/d/a;b.dat", "/tok;f", "/d/.x/y.dat",
 		"/d/\xff\xfe.dat", "/d/é.dat", "/d/a\x00b", "/", "/d/",
 	} {
 		f.Add(p, []byte("body"))

@@ -74,23 +74,15 @@ func NewServer(mgr Backend) *Server {
 	s.mux.HandleFunc("/dlfm/stat", s.handleStat)
 	s.mux.HandleFunc("/dlfm/linked", s.handleLinked)
 	s.mux.HandleFunc("/dlfm/links", s.handleLinks)
+	s.mux.HandleFunc("/files/", s.handleFiles)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
 	return s
 }
 
-// ServeHTTP implements http.Handler. A /files/ path goes to the file
-// routes as it was sent, not through the mux: the mux would redirect a
-// spelling it does not consider clean, such as "//" or a "." segment,
-// which the store resolves itself.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if esc := r.URL.EscapedPath(); strings.HasPrefix(esc, "/files/") {
-		s.handleFiles(w, r, esc[len("/files"):])
-		return
-	}
-	s.mux.ServeHTTP(w, r)
-}
+// ServeHTTP implements http.Handler.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // wire messages
 
@@ -258,12 +250,12 @@ func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.mgr.LinkStates())
 }
 
-// handleFiles serves uploads and (token-gated) downloads of the file
-// esc names, the request's path after "/files" as it was sent. The
-// download URL carries the access token the way the paper shows:
-// /files/dir/access_token;filename. The token is split off before the
-// path is unescaped, so an escaped ';' (%3B) is part of a file name.
-func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request, esc string) {
+// handleFiles serves uploads and (token-gated) downloads. The download
+// URL carries the access token the way the paper shows:
+// /files/dir/access_token;filename. The token is split off the path as
+// it was sent, before unescaping, so an escaped ';' (%3B) is part of a
+// file name.
+func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPut:
 		n, err := s.mgr.Put(strings.TrimPrefix(r.URL.Path, "/files"), r.Body)
@@ -274,7 +266,7 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request, esc string)
 		w.WriteHeader(http.StatusCreated)
 		fmt.Fprintf(w, "%d bytes stored\n", n)
 	case http.MethodGet:
-		path, token := sqltypes.SplitTokenizedPath(esc)
+		path, token := sqltypes.SplitTokenizedPath(strings.TrimPrefix(r.URL.EscapedPath(), "/files"))
 		path, err := url.PathUnescape(path)
 		if err == nil {
 			token, err = url.PathUnescape(token)

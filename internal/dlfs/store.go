@@ -364,13 +364,16 @@ func appendSync(fsys iofault.FS, name string, data []byte) error {
 }
 
 // resolve maps a server-local path ("/dir/file") to a filesystem path,
-// rejecting traversal.
+// rejecting traversal. Only a path's clean spelling resolves: link state
+// is kept by path as given, so another spelling of a linked file ("//",
+// a "." or ".." segment, a trailing '/') would reach its bytes past its
+// link.
 func (s *Store) resolve(path string) (string, error) {
 	if !strings.HasPrefix(path, "/") {
 		return "", ErrBadPath
 	}
-	clean := filepath.Clean("/" + strings.TrimPrefix(path, "/"))
-	if strings.Contains(clean, "..") {
+	clean := filepath.Clean(path)
+	if clean != path || strings.Contains(clean, "..") {
 		return "", ErrBadPath
 	}
 	if strings.HasPrefix(filepath.Base(clean), ".dlfm") {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sqltypes"
 )
@@ -72,11 +71,12 @@ type Coordinator struct {
 	// files could leak. RetryFailedAborts drains the queue; Reconcile
 	// calls it as part of startup repair.
 	failedAborts map[uint64]map[string]FileServer
-	// changes counts the changes that can alter a linked file — a
-	// commit that unlinks, a host replaced — in its high bits
-	// (changeStarted each) and those still in flight in its low bits.
-	// LinkGeneration reads it.
-	changes atomic.Uint64
+	// started counts the changes that can alter a linked file — a
+	// commit that unlinks, a host replaced — and open those not yet
+	// finished; LinkGeneration reads them. held counts the open changes
+	// of unlinking commits that failed on a host: the host may still
+	// apply the unlink, so they stay open until Reconcile.
+	started, open, held uint64
 }
 
 // pendingTx is one transaction's prepared link work: the servers it
@@ -95,41 +95,31 @@ func NewCoordinator() *Coordinator {
 	}
 }
 
-// changeStarted is one started change in Coordinator.changes; the bits
-// below it count the changes in flight.
-const changeStarted = 1 << 24
-
 // LinkGeneration reports the link generation. It is odd exactly while
-// a change that can alter a linked file is in flight — a transaction
-// that unlinks is committing on its hosts, or Register is replacing a
-// host — and it moves on whenever one starts and whenever the last one
-// in flight finishes; one change on its own moves it on by two. So what
-// a host said about a linked, write-blocked file under an even
-// generation still holds while the generation is unchanged: only an
-// unlink lets such a file change.
+// a change that can alter a linked file is open — a transaction that
+// unlinks is committing on its hosts, or failed to commit on one and
+// Reconcile has not run since — and moves on whenever a change starts
+// or a host is replaced and whenever the last open change finishes; one
+// change on its own moves it on by two. So what a host said about a
+// linked, write-blocked file under an even generation still holds while
+// the generation is unchanged: only an unlink lets such a file change.
 func (c *Coordinator) LinkGeneration() uint64 {
-	v := c.changes.Load()
-	gen := 2 * (v / changeStarted)
-	if v%changeStarted != 0 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	gen := 2 * c.started
+	if c.open > 0 {
 		gen--
 	}
 	return gen
 }
 
-// beginChange marks a change to linked files as started; the returned
-// func marks it finished.
-func (c *Coordinator) beginChange() func() {
-	c.changes.Add(changeStarted + 1)
-	return func() { c.changes.Add(^uint64(0)) }
-}
-
-// Register adds (or replaces) the manager for a host. Replacing one
-// moves the link generation on: the new manager may hold other files.
+// Register adds (or replaces) the manager for a host. It moves the link
+// generation on: a replacing manager may hold other files.
 func (c *Coordinator) Register(fs FileServer) {
-	defer c.beginChange()()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.servers[strings.ToLower(fs.Host())] = fs
+	c.started++
 }
 
 // Server returns the manager for host, if registered.
@@ -216,23 +206,33 @@ func (c *Coordinator) PrepareUnlink(txID uint64, url string, opts sqltypes.Datal
 
 // Commit applies the transaction's link work on every involved server.
 // A transaction that unlinks holds the link generation odd until every
-// server has answered, failed or not.
+// server has answered, and past that until Reconcile if one failed.
 func (c *Coordinator) Commit(txID uint64) error {
 	c.mu.Lock()
 	tx := c.pending[txID]
 	delete(c.pending, txID)
+	if tx != nil && tx.unlinks {
+		c.started++
+		c.open++
+	}
 	c.mu.Unlock()
 	if tx == nil {
 		return nil
-	}
-	if tx.unlinks {
-		defer c.beginChange()()
 	}
 	var errs []error
 	for _, fs := range tx.servers {
 		if err := fs.Commit(txID); err != nil {
 			errs = append(errs, fmt.Errorf("host %s: %w", fs.Host(), err))
 		}
+	}
+	if tx.unlinks {
+		c.mu.Lock()
+		if len(errs) > 0 {
+			c.held++
+		} else {
+			c.open--
+		}
+		c.mu.Unlock()
 	}
 	return errors.Join(errs...)
 }
@@ -325,8 +325,13 @@ func (c *Coordinator) FailedAbortCount() int {
 // corresponding file must be linked. The archive core calls this at
 // startup with the URLs of all controlled DATALINK columns. Aborts that
 // previously failed to reach their server are retried first, so a
-// rolled-back prepare cannot keep files reserved across a recovery.
+// rolled-back prepare cannot keep files reserved across a recovery. A
+// Reconcile that succeeds finishes the changes of unlinking commits that
+// failed on a host before it began.
 func (c *Coordinator) Reconcile(urls []string, opts sqltypes.DatalinkOptions) error {
+	c.mu.Lock()
+	held := c.held
+	c.mu.Unlock()
 	var errs []error
 	if err := c.RetryFailedAborts(); err != nil {
 		errs = append(errs, err)
@@ -346,5 +351,12 @@ func (c *Coordinator) Reconcile(urls []string, opts sqltypes.DatalinkOptions) er
 			errs = append(errs, fmt.Errorf("med: reconcile %s: %w", url, err))
 		}
 	}
-	return errors.Join(errs...)
+	if len(errs) > 0 {
+		return errors.Join(errs...)
+	}
+	c.mu.Lock()
+	c.held -= held
+	c.open -= held
+	c.mu.Unlock()
+	return nil
 }

@@ -295,10 +295,10 @@ func (g *gatedServer) Commit(tx uint64) error {
 }
 
 // TestCoordinatorLinkGeneration: the link generation is odd exactly
-// while a transaction that unlinks is committing on its hosts, or a
-// host is being replaced, and each of those moves it on by two once
-// done — a failing host Commit included. Linking, aborting and
-// preparing without committing leave it as it is.
+// while a transaction that unlinks is committing on its hosts, and
+// after one whose host Commit failed until a Reconcile succeeds; each
+// moves it on by two once done, and so does replacing a host. Linking,
+// aborting and preparing without committing leave it as it is.
 func TestCoordinatorLinkGeneration(t *testing.T) {
 	c := NewCoordinator()
 	s := newGatedServer("fs1.sim:80")
@@ -370,8 +370,18 @@ func TestCoordinatorLinkGeneration(t *testing.T) {
 		t.Fatal("the host's failed Commit was not reported")
 	}
 	s.fail.Store(false)
+	// The host may still apply the unlink: odd until a Reconcile
+	// succeeds.
+	want("after an unlink whose host Commit failed", gen+1)
+	if err := c.Reconcile([]string{"http://fs9.sim:80/d/a.tsf"}, opts); err == nil {
+		t.Fatal("reconciling a URL on an unknown host succeeded")
+	}
+	want("after a failed Reconcile", gen+1)
+	if err := c.Reconcile([]string{url}, opts); err != nil {
+		t.Fatal(err)
+	}
 	gen += 2
-	want("after an unlink whose host Commit failed", gen)
+	want("after Reconcile", gen)
 
 	// Two unlinks in flight at once: odd until the last one is done.
 	for _, tx := range []uint64{6, 7} {

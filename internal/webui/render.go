@@ -281,13 +281,7 @@ func (p *pagePlan) writeCell(w *bufio.Writer, i int, row []sqltypes.Value, j int
 	case sqltypes.KindNull:
 	case sqltypes.KindDatalink:
 		text := p.datalinkLinks(i, row, c, v)
-		if len(p.links) == 0 {
-			w.Write(p.cell[:text])
-			return
-		}
-		w.WriteString("\n    ")
-		w.Write(p.cell[:text])
-		writeLinks(w, p.cell, p.links, "")
+		writeLinked(w, p.cell[:text], p.cell, p.links, "")
 	case sqltypes.KindBytes, sqltypes.KindClob:
 		// "Hypertext link displays size of object — rematerialised and
 		// returned to the client."
@@ -305,7 +299,7 @@ func (p *pagePlan) writeCell(w *bufio.Writer, i int, row []sqltypes.Value, j int
 		}
 		p.cell = append(p.cell, "</a>"...)
 		p.links = append(p.links, linkMarkup{0, len(p.cell), len(p.cell)})
-		writeLinked(w, "", p.cell, p.links, "")
+		writeLinked(w, nil, p.cell, p.links, "")
 	default:
 		if c.subst.column == "" && (k == sqltypes.KindInt || k == sqltypes.KindDouble) {
 			if _, ok := appendNumber(w.AvailableBuffer(), v); ok {
@@ -318,7 +312,8 @@ func (p *pagePlan) writeCell(w *bufio.Writer, i int, row []sqltypes.Value, j int
 		if c.subst.column != "" {
 			text = p.substitute(j, value)
 		}
-		writeLinked(w, text, p.arena, c.links, value)
+		p.cell = escHTML.append(p.cell[:0], text)
+		writeLinked(w, p.cell, p.arena, c.links, value)
 	}
 }
 
@@ -335,21 +330,15 @@ func appendNumber(dst []byte, v sqltypes.Value) ([]byte, bool) {
 	return dst, bytes.IndexByte(dst[n:], '+') < 0
 }
 
-// writeLinked writes a cell's text, or the text and then its links on
-// a line of their own, value completing each link's href.
-func writeLinked(w *bufio.Writer, text string, buf []byte, links []linkMarkup, value string) {
+// writeLinked writes a cell's escaped text, or the text and then its
+// links on a line of their own, value completing each link's href.
+func writeLinked(w *bufio.Writer, text, buf []byte, links []linkMarkup, value string) {
 	if len(links) == 0 {
-		escHTML.write(w, text)
+		w.Write(text)
 		return
 	}
 	w.WriteString("\n    ")
-	escHTML.write(w, text)
-	writeLinks(w, buf, links, value)
-}
-
-// writeLinks writes a cell's links on a line of their own, value
-// completing each link's href.
-func writeLinks(w *bufio.Writer, buf []byte, links []linkMarkup, value string) {
+	w.Write(text)
 	w.WriteString("\n    ")
 	for _, l := range links {
 		w.Write(buf[l.open:l.mid])
