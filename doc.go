@@ -347,6 +347,20 @@
 //     spelling, so no other spelling of a linked file reaches its bytes
 //     past its link (TestServerRefusesOtherSpellings).
 //
+//   - Stream copies. Every download, upload and operation fetch copies
+//     its bytes with iofault.Copy. It keeps a side's own copy path — a
+//     source's WriteTo (a bytes.Reader) or a destination's ReadFrom
+//     (net/http's response, which pools its buffer and can sendfile) —
+//     except the method of an *os.File or a socket when the other side
+//     is neither: that method then has no kernel copy to make and falls
+//     back to io.Copy, which allocates 32 KiB per call. Everything else
+//     is copied through a pooled 32 KiB buffer, returned however the
+//     copy ends. A 2 KiB download through the web layer and an
+//     in-process file server allocated over 64 KiB in two such buffers
+//     (TestDownloadAllocs, TestServerDownloadAllocs, TestStorePutAllocs,
+//     TestCopyFileFallbackBorrows, TestCopyFailingWriter,
+//     TestDownloadFailingWriter, TestDownloadRoundTrip).
+//
 // # Durability and recovery contract
 //
 // All storage-tier I/O goes through internal/iofault: an FS abstraction

@@ -780,7 +780,7 @@ func newSpool(dir string, r io.Reader) (*spool, error) {
 		return nil, err
 	}
 	sp := &spool{f: f}
-	if sp.size, err = io.Copy(f, r); err != nil {
+	if sp.size, err = iofault.Copy(f, r); err != nil {
 		sp.Close()
 		return nil, err
 	}

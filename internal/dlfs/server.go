@@ -8,9 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/iofault"
 	"repro/internal/med"
 	"repro/internal/sqltypes"
 )
@@ -290,12 +292,12 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 		}
 		defer rc.Close()
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", fmt.Sprintf("%d", fi.Size))
+		w.Header().Set("Content-Length", strconv.FormatInt(fi.Size, 10))
 		// Metadata headers let Client.OpenStat rebuild FileInfo without
 		// a separate stat round trip (the replication tier's read path).
 		w.Header().Set("Last-Modified", fi.ModTime.UTC().Format(http.TimeFormat))
-		w.Header().Set("X-Dlfs-Linked", fmt.Sprintf("%t", fi.Linked))
-		io.Copy(w, rc) //nolint:errcheck // client disconnects are not server errors
+		w.Header().Set("X-Dlfs-Linked", strconv.FormatBool(fi.Linked))
+		iofault.Copy(w, rc) //nolint:errcheck // client disconnects are not server errors
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}

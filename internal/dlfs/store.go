@@ -567,7 +567,7 @@ func (s *Store) Put(path string, r io.Reader) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := io.Copy(f, r)
+	n, err := iofault.Copy(f, r)
 	if err == nil {
 		// A Put that returns success must survive a host crash: the
 		// archive acknowledges ingested simulation output upstream.

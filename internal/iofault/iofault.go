@@ -9,9 +9,11 @@
 // The package also carries the durability helpers the storage layers
 // share: SyncDir (parent-directory fsync, the half of atomic-rename
 // durability that is easy to forget), WriteFileAtomic
-// (tmp + write + fsync + rename + dir fsync), and the record framing of
-// the append-only logs with the scan that tells a torn tail from
-// corruption (AppendFrame, ScanFrames: frame.go).
+// (tmp + write + fsync + rename + dir fsync), the record framing of the
+// append-only logs with the scan that tells a torn tail from corruption
+// (AppendFrame, ScanFrames: frame.go), and the stream copy of every
+// upload, download and fetch, which borrows its buffer from a pool
+// rather than allocating one per call (Copy: copy.go).
 package iofault
 
 import (

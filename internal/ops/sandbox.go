@@ -2,12 +2,12 @@ package ops
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"repro/internal/iofault"
 	"repro/internal/script"
 	"repro/internal/sqltypes"
 	"repro/internal/turb"
@@ -177,7 +177,7 @@ func (e *Engine) fetchDataset(url, workdir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := io.Copy(f, rc); err != nil {
+	if _, err := iofault.Copy(f, rc); err != nil {
 		f.Close()
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package sqltypes
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -162,6 +163,9 @@ type DatalinkURL struct {
 	Path   string // "/filesystem/directory/filename"
 }
 
+// ErrBadDatalinkURL is wrapped by every ParseDatalinkURL error.
+var ErrBadDatalinkURL = errors.New("sqltypes: datalink URL")
+
 // ParseDatalinkURL parses the URL form used in INSERT/UPDATE statements.
 // Only http and file schemes are accepted (LINKTYPE URL).
 func ParseDatalinkURL(s string) (DatalinkURL, error) {
@@ -175,16 +179,16 @@ func ParseDatalinkURL(s string) (DatalinkURL, error) {
 	case strings.HasPrefix(rest, "file://"):
 		u.Scheme, rest = "file", rest[len("file://"):]
 	default:
-		return u, fmt.Errorf("sqltypes: datalink URL %q: unsupported scheme (want http/https/file)", s)
+		return u, fmt.Errorf("%w %q: unsupported scheme (want http/https/file)", ErrBadDatalinkURL, s)
 	}
 	slash := strings.IndexByte(rest, '/')
 	if slash <= 0 {
-		return u, fmt.Errorf("sqltypes: datalink URL %q: missing host or path", s)
+		return u, fmt.Errorf("%w %q: missing host or path", ErrBadDatalinkURL, s)
 	}
 	u.Host = rest[:slash]
 	u.Path = rest[slash:]
 	if strings.HasSuffix(u.Path, "/") {
-		return u, fmt.Errorf("sqltypes: datalink URL %q: path names a directory, not a file", s)
+		return u, fmt.Errorf("%w %q: path names a directory, not a file", ErrBadDatalinkURL, s)
 	}
 	return u, nil
 }

@@ -16,6 +16,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dlfs"
+	"repro/internal/iofault"
+	"repro/internal/med"
 	"repro/internal/ops"
 	"repro/internal/sqltypes"
 	"repro/internal/telemetry"
@@ -356,12 +359,29 @@ func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request, u core.U
 	tokURL := queryParam(r.URL.RawQuery, "url")
 	rc, err := s.archive.OpenDownload(tokURL)
 	if err != nil {
-		s.renderError(w, u, http.StatusForbidden, err.Error())
+		s.renderError(w, u, downloadStatus(err), err.Error())
 		return
 	}
 	defer rc.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	io.Copy(w, rc) //nolint:errcheck // client disconnects are not errors
+	iofault.Copy(w, rc) //nolint:errcheck // client disconnects are not errors
+}
+
+// downloadStatus answers a failed download: 403 only when the token
+// refuses it, 404 for a file its server does not have, 400 for a URL
+// that names no file, and 502 when the file server is unregistered,
+// unreachable or fails.
+func downloadStatus(err error) int {
+	switch {
+	case errors.Is(err, dlfs.ErrTokenRequired), errors.Is(err, med.ErrTokenExpired),
+		errors.Is(err, med.ErrTokenTampered), errors.Is(err, med.ErrTokenWrongFile):
+		return http.StatusForbidden
+	case errors.Is(err, dlfs.ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, sqltypes.ErrBadDatalinkURL), errors.Is(err, dlfs.ErrBadPath):
+		return http.StatusBadRequest
+	}
+	return http.StatusBadGateway
 }
 
 func (s *Server) opFromRequest(r *http.Request) (opName, colID, table string, key map[string]string) {
