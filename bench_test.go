@@ -167,6 +167,30 @@ func BenchmarkE8_ResultPage(b *testing.B) {
 // handler in process: search, column plan and streamed rows, with no
 // socket in the way.
 func BenchmarkRenderPKPage(b *testing.B) {
+	benchRenderPage(b, "/browse?mode=pk&table=RESULT_FILE&col=SIMULATION_KEY&value=S19990110150932")
+}
+
+// BenchmarkRenderSearchPage measures the /query page a bench/ browse
+// visit submits from the query form: every field ticked with an
+// operator and a mostly empty restriction, two restrictions filled
+// (the run and a TIMESTEP lower bound) and limit 20, so the form's
+// decoding is measured with the search and the 20-row render.
+func BenchmarkRenderSearchPage(b *testing.B) {
+	search := url.Values{"table": {"RESULT_FILE"}, "orderby": {""}, "limit": {"20"}}
+	for _, col := range []string{"FILE_NAME", "SIMULATION_KEY", "TIMESTEP", "MEASUREMENT", "FILE_FORMAT", "FILE_SIZE", "DOWNLOAD_RESULT"} {
+		search.Add("sel", col)
+		search.Set("op_"+col, "=")
+		search.Set("val_"+col, "")
+	}
+	search.Set("val_SIMULATION_KEY", "S19990110150932")
+	search.Set("op_TIMESTEP", ">=")
+	search.Set("val_TIMESTEP", "100")
+	benchRenderPage(b, "/query?"+search.Encode())
+}
+
+// benchRenderPage serves path, a results page over a demo archive whose
+// simulation has 50 RESULT_FILE rows, to a signed-in user b.N times.
+func benchRenderPage(b *testing.B, path string) {
 	d, err := exp.BuildDemoArchive(b, 8)
 	if err != nil {
 		b.Fatal(err)
@@ -186,12 +210,13 @@ func BenchmarkRenderPKPage(b *testing.B) {
 	form := httptest.NewRequest("POST", "/login", strings.NewReader("username=bench&password=pw"))
 	form.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	h.ServeHTTP(login, form)
-	req := httptest.NewRequest("GET", "/browse?mode=pk&table=RESULT_FILE&col=SIMULATION_KEY&value=S19990110150932", nil)
+	req := httptest.NewRequest("GET", path, nil)
 	for _, c := range login.Result().Cookies() {
 		req.AddCookie(c)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		req.Form, req.PostForm = nil, nil // as each new request arrives
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != 200 {

@@ -239,7 +239,8 @@
 //     VACUUM and checkpoints (TestStoredOrderResultOutlivesWrites,
 //     TestStoredOrderRowsAreStoredVersions). The trade: a retained
 //     result keeps alive the versions it returned after VACUUM unlinks
-//     them, bounded by what callers hold plus the 512 KiB result cache;
+//     them, bounded by what callers hold (a result cache entry is
+//     dropped by the commit that supersedes its versions);
 //     and writing through such a row would corrupt the table, which is
 //     why Rows are read-only.
 //
@@ -310,7 +311,15 @@
 //     mid-fill publishes nothing. The cache holds at most 512 KiB — an
 //     eighth of Options.MemoryBudget when that is less — charged at
 //     what entries keep on the heap (TestResultCacheResidentBytesHonest)
-//     and against the budget while resident (refunded on eviction).
+//     and against the budget while resident (refunded on eviction). A
+//     stored-order entry is charged its overhead, key and 24-byte row
+//     headers alone (TestResultCacheStoredOrderCharge): its rows are
+//     stored versions, which storage keeps until a write supersedes
+//     them, and a fill re-reads its tables' write stamps under the
+//     cache lock while every commit's sweep drops the entries over the
+//     tables it wrote — so no entry is ever the last holder of a
+//     version, and charging the shared values and payloads would count
+//     them twice and starve the cache of the browse pages it is for.
 //     It is observable via the sqldb_result_cache_* metrics (declined
 //     fills by reason), the /status page, the " cached" AccessPath
 //     suffix and the trace cache:"hit|miss|bypass" tag
@@ -485,22 +494,36 @@
 // reconciliation (internal/core/archive.go), and — through those — the
 // webui query/browse/result handlers, which read their query
 // parameters without building a url.Values map (queryParam, held to
-// url.ParseQuery by FuzzQueryParamMatchesParseQuery). A results page is
-// compiled once per request into a column plan drawn from a pool, whose
-// buffers it reuses (internal/webui/render.go): per column its header, its
-// FK/PK browse links escaped once into the plan's byte arena and the
-// schema column a DATALINK cell's token is minted for
-// (Archive.DownloadURLFor, so no cell probes the catalogue), with each
-// FK substitution looked up once per distinct key. The rows stream
-// through the plan into a buffered writer; INTEGER and DOUBLE cells are
-// formatted straight into its buffer. Every data byte goes through one
+// url.ParseQuery by FuzzQueryParamMatchesParseQuery); a /query form in
+// the URL is decoded in one pass into a pooled list of pairs, and one
+// url.ParseQuery would refuse goes through ParseForm for the same 400
+// (FuzzQueryFormMatchesParseForm). A results page's layout is compiled
+// once per shape and remembered (internal/webui/render.go): per column
+// its header, its FK/PK browse links escaped once into the layout's
+// byte arena, its FK substitution target, its colid, whether the XUIS
+// attaches an operation or an upload to it, and the schema column a
+// DATALINK cell's token is minted for (Archive.DownloadURLFor, so no
+// cell probes the catalogue), with the primary key's positions. The
+// memo is keyed by the spec generation (core.Archive.SpecGeneration,
+// advanced by every SetSpec, the same *Spec reinstalled after in-place
+// edits included), the table's *sqldb.TableSchema (DDL makes a new
+// one), the table and the result's column list; it holds 512 layouts
+// and starts over empty when full (TestLayoutFreshUnderSpecChanges,
+// TestLayoutMemoBounded). It never holds what is the request's own:
+// rows, tokens, file sizes, FK substitutions, the user and the
+// operations applicable to a row, which a page works out in a pooled
+// plan, building a row's colid map only for a column with an operation
+// or an upload; each FK substitution is looked up once per distinct
+// key on the page. Each row is escaped into one reused buffer and
+// handed to a buffered writer whole. Every data byte goes through one
 // table-driven escaper family — text and attributes, a url.Values-
 // encoded query value, and html/template's raw query value — held byte
 // for byte to html/template by FuzzEscapersMatchTemplate and
 // TestGoldenResultPages. The page chrome goes through the same writer:
 // one layout function heads every page, and the QBE form is written
 // straight from the installed XUIS on each request, so an in-place
-// customisation shows on the next render (TestQueryFormFollowsSpec).
+// customisation shows on the next render (TestQueryFormFollowsSpec);
+// on a results page it shows once SetSpec reinstalls the spec.
 // FuzzChromeMatchesTemplate and TestGoldenChromePages hold the layout,
 // the form and the results chrome to the templates they replaced; only
 // the cold pages (home and errors, operation forms and results, status,

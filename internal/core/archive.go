@@ -90,13 +90,15 @@ type Archive struct {
 	Tokens *med.TokenAuthority
 	Users  *UserStore
 
-	mu    sync.RWMutex
-	cfg   Config
-	spec  *xuis.Spec
-	eng   *ops.Engine
-	hosts map[string]FileHost
+	mu      sync.RWMutex
+	cfg     Config
+	spec    *xuis.Spec
+	specGen uint64 // advanced by every SetSpec
+	eng     *ops.Engine
+	hosts   map[string]FileHost
 
-	sizes sizeMemo
+	sizes  sizeMemo
+	probes probeMemo
 }
 
 // sizeMemo remembers the sizes of linked, write-blocked files by
@@ -109,6 +111,23 @@ type sizeMemo struct {
 
 // sizeMemoCap bounds the memo; a full memo starts over empty.
 const sizeMemoCap = 4096
+
+// probeMemo remembers, per table schema, the prepared statements that
+// ask which of its DATALINK columns holds a URL (datalinkColumnFor).
+type probeMemo struct {
+	mu     sync.Mutex
+	probes map[*sqldb.TableSchema][]datalinkProbe
+}
+
+// datalinkProbe counts a DATALINK column's rows holding a URL.
+type datalinkProbe struct {
+	col  sqldb.Column
+	stmt *sqldb.Stmt
+}
+
+// probeMemoCap bounds the probe memo, as sizeMemoCap does the size memo;
+// only DDL makes new schemas.
+const probeMemoCap = 256
 
 // Open creates or reopens an archive.
 func Open(cfg Config) (*Archive, error) {
@@ -139,6 +158,7 @@ func Open(cfg Config) (*Archive, error) {
 		cfg:    cfg,
 		hosts:  make(map[string]FileHost),
 		sizes:  sizeMemo{sizes: make(map[string]int64)},
+		probes: probeMemo{probes: make(map[*sqldb.TableSchema][]datalinkProbe)},
 	}
 	return a, nil
 }
@@ -279,6 +299,17 @@ func (a *Archive) Spec() *xuis.Spec {
 	return a.spec
 }
 
+// SpecGeneration returns the active XUIS with its generation, a count
+// every SetSpec advances — also one that reinstalls the same *Spec after
+// editing it in place. Whatever is derived from the spec stays current
+// while the generation does; an edit not yet installed by SetSpec is
+// not part of any generation.
+func (a *Archive) SpecGeneration() (*xuis.Spec, uint64) {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.spec, a.specGen
+}
+
 // GenerateXUIS builds the default XUIS from the live catalogue and
 // installs it ("the system is started by initialising … with an XUIS").
 func (a *Archive) GenerateXUIS(databaseName string) (*xuis.Spec, error) {
@@ -293,7 +324,9 @@ func (a *Archive) GenerateXUIS(databaseName string) (*xuis.Spec, error) {
 }
 
 // SetSpec validates and installs a (possibly customised) XUIS, and
-// rebuilds the operations engine bound to it.
+// rebuilds the operations engine bound to it. It advances the spec
+// generation (SpecGeneration), so reinstalling the same *Spec is how an
+// in-place edit reaches the pages.
 func (a *Archive) SetSpec(spec *xuis.Spec) error {
 	if err := xuis.Validate(spec, a.DB.Catalog()); err != nil {
 		return err
@@ -315,6 +348,7 @@ func (a *Archive) SetSpec(spec *xuis.Spec) error {
 	}
 	a.mu.Lock()
 	a.spec = spec
+	a.specGen++
 	a.eng = eng
 	a.mu.Unlock()
 	return nil
@@ -448,27 +482,48 @@ func (a *Archive) datalinkColumnFor(url string) (sqldb.Column, bool) {
 	cat := a.DB.Catalog()
 	for _, name := range cat.TableNames() {
 		schema, _ := cat.Table(name)
-		for _, ci := range schema.DatalinkColumns() {
-			col := schema.Cols[ci]
-			// Prepared per (table, column), so only the first lookup
-			// pays for parsing and binding.
-			stmt, err := a.DB.Prepare(
-				fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s = DLVALUE(?)", schema.Name, col.Name))
-			if err != nil {
-				continue
-			}
-			rows, err := stmt.Query(sqltypes.NewString(url))
+		for _, p := range a.datalinkProbes(schema) {
+			rows, err := p.stmt.Query(sqltypes.NewString(url))
 			if err != nil {
 				continue
 			}
 			linked := len(rows.Data) == 1 && rows.Data[0][0].Int() > 0
 			rows.Close()
 			if linked {
-				return col, true
+				return p.col, true
 			}
 		}
 	}
 	return sqldb.Column{}, false
+}
+
+// datalinkProbes returns the probes of schema's DATALINK columns in
+// column order, prepared once per schema: a schema never changes once
+// the catalogue publishes it (DDL makes a new one).
+func (a *Archive) datalinkProbes(schema *sqldb.TableSchema) []datalinkProbe {
+	m := &a.probes
+	m.mu.Lock()
+	probes, ok := m.probes[schema]
+	m.mu.Unlock()
+	if ok {
+		return probes
+	}
+	for _, ci := range schema.DatalinkColumns() {
+		col := schema.Cols[ci]
+		stmt, err := a.DB.Prepare(
+			fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE %s = DLVALUE(?)", schema.Name, col.Name))
+		if err != nil {
+			continue
+		}
+		probes = append(probes, datalinkProbe{col, stmt})
+	}
+	m.mu.Lock()
+	if len(m.probes) >= probeMemoCap {
+		clear(m.probes)
+	}
+	m.probes[schema] = probes
+	m.mu.Unlock()
+	return probes
 }
 
 // OpenDownload streams a file given its tokenized or raw URL on behalf

@@ -60,7 +60,8 @@ import (
 //     rows are stored versions or plain-heap rows, and Close releases
 //     nothing. A retained stored-order result keeps the versions it
 //     returned alive after VACUUM unlinks them, bounded by what callers
-//     keep plus the result cache's capacity.
+//     keep; a result cache entry never does, since the commit that
+//     supersedes its versions drops it.
 //
 // A join assembles each combination in one row buffer per execution
 // and copies a row that passes the WHERE, once, into the second,

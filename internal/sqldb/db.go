@@ -135,26 +135,6 @@ func (r *Rows) Detach() {
 	ar.release()
 }
 
-// ColIndex returns the position of the first result column with the
-// given name (case-insensitive), or -1.
-func (r *Rows) ColIndex(name string) int {
-	for i, c := range r.Columns {
-		if strings.EqualFold(c, name) {
-			return i
-		}
-	}
-	return -1
-}
-
-// Get returns row i's value in the named column (Null when absent).
-func (r *Rows) Get(i int, col string) sqltypes.Value {
-	j := r.ColIndex(col)
-	if j < 0 || i < 0 || i >= len(r.Data) {
-		return sqltypes.Null
-	}
-	return r.Data[i][j]
-}
-
 // indexDef records a secondary index created with CREATE INDEX.
 type indexDef struct {
 	Name    string

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -193,7 +194,7 @@ func rowsKey(r *Rows, ordered bool) string {
 // assertSorted checks ORDER BY output against SortCompare.
 func assertSorted(t *testing.T, r *Rows, col string, desc bool, sql string) {
 	t.Helper()
-	ci := r.ColIndex(col)
+	ci := slices.IndexFunc(r.Columns, func(c string) bool { return strings.EqualFold(c, col) })
 	if ci < 0 {
 		t.Fatalf("%s: ORDER BY column %s missing from result", sql, col)
 	}

@@ -68,7 +68,11 @@ import (
 //
 // Memory: capacity is resultCacheBytes, or an eighth of
 // Options.MemoryBudget when that is smaller. An entry is charged what it
-// holds on the heap (entryBytes); with a budget, cached bytes are
+// holds on the heap (entryBytes). A stored-order entry is charged its
+// overhead, key and row headers alone: its rows are stored versions,
+// which storage holds until a write supersedes them, and the fill
+// declines, or the write's commit drops the entry, first — so no entry
+// is ever the last holder of a version. With a budget, cached bytes are
 // charged against the same pool as live statement buffers — a fill
 // that the pool refuses is declined (the statement still succeeds), and
 // every eviction, invalidation or flush refunds in full.
@@ -256,11 +260,15 @@ func (rc *resultCache) lookup(text string, args []sqltypes.Value, plan *selectPl
 }
 
 // entryBytes is what an entry holding rows under a keyLen-byte key keeps
-// on the heap: values, row headers, string payloads (values and
-// payloads counted in full even when shared with storage: the entry
-// keeps them alive), key, overhead.
-func entryBytes(rows *Rows, keyLen int) int64 {
+// on the heap: its overhead, key and row headers, and, unless the rows
+// are stored versions (stored), their values and string payloads.
+// Stored versions are storage's until a write supersedes them, and that
+// write's commit drops the entry, so they are never the entry's alone.
+func entryBytes(rows *Rows, keyLen int, stored bool) int64 {
 	b := int64(entryOverhead + keyLen + 24*len(rows.Data))
+	if stored {
+		return b
+	}
 	for _, r := range rows.Data {
 		b += 32 * int64(len(r))
 		for _, v := range r {
@@ -287,16 +295,21 @@ func (rc *resultCache) fill(p cacheProbe, text string, args []sqltypes.Value, pl
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	count, reason := rc.sight(p)
-	if p.stamp > asOf {
-		// A source table was written after the snapshot: the entry would
-		// be stale on arrival.
-		count, reason = 0, declineStampMoved
+	// A source table written after the snapshot — before the lookup, or
+	// since (read under mu, which the commit's invalidation sweep takes
+	// after publishing lastWrite) — would make the entry stale on arrival
+	// and, for stored rows, the last holder of versions storage let go.
+	for _, t := range plan.tables {
+		if t.data.lastWrite.Load() > asOf {
+			count, reason = 0, declineStampMoved
+		}
 	}
 	if count == 0 {
 		rc.decline(reason)
 		return
 	}
-	bytes := entryBytes(rows, len(text)+1+len(argKey))
+	stored := plan.storedRows && rows.arena == nil
+	bytes := entryBytes(rows, len(text)+1+len(argKey), stored)
 	if bytes > rc.capBytes/resultCacheEntryDivisor {
 		rc.decline(declineOversize)
 		return
@@ -335,10 +348,11 @@ func (rc *resultCache) fill(p cacheProbe, text string, args []sqltypes.Value, pl
 		ent.tables[i] = t.data
 	}
 	// Arena-backed rows are Closed later, and their chunks may hold more
-	// than the rows: copy those into one slab. Other rows are exactly
-	// what entryBytes charged and never written, so the entry shares
-	// them. Columns and Kinds belong to this execution and are read-only
-	// from here on, so the entry adopts them.
+	// than the rows: copy those into one slab. Other rows are never
+	// written, so the entry shares them: stored versions, or rows made
+	// for this result alone, which entryBytes charged in full. Columns
+	// and Kinds belong to this execution and are read-only from here on,
+	// so the entry adopts them.
 	data := rows.Data
 	if rows.arena != nil {
 		flat := make([]sqltypes.Value, 0, len(rows.Data)*len(rows.Columns))

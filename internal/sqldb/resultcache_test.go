@@ -403,13 +403,15 @@ func TestResultCacheMemoryBudget(t *testing.T) {
 		t.Fatalf("MemoryInUse = %d, cache holds %d — cached bytes not charged", held, rc.bytesUsed())
 	}
 
-	mustQuery(t, db, `SELECT id, pad FROM big`).Close() // priming
-	r := mustQuery(t, db, `SELECT id, pad FROM big`)
+	// Not in stored order, so the entry would hold copies of its values
+	// and is charged for their payloads.
+	mustQuery(t, db, `SELECT pad, id FROM big`).Close() // priming
+	r := mustQuery(t, db, `SELECT pad, id FROM big`)
 	if len(r.Data) != 50 {
 		t.Fatalf("big query rows = %d, want 50", len(r.Data))
 	}
 	r.Close()
-	if rc.hasStmt(`SELECT id, pad FROM big`) {
+	if rc.hasStmt(`SELECT pad, id FROM big`) {
 		t.Fatal("over-budget entry was published")
 	}
 	if got := db.MemoryInUse(); got != held {
@@ -425,6 +427,36 @@ func TestResultCacheMemoryBudget(t *testing.T) {
 	db.setResultCacheCap(0)
 	if got := db.MemoryInUse(); got != 0 {
 		t.Fatalf("MemoryInUse = %d after cache disabled, want 0", got)
+	}
+}
+
+// TestResultCacheStoredOrderCharge: an entry whose rows are stored
+// versions is charged its overhead, key and 24-byte row headers alone —
+// storage holds the values and payloads — and a write to its table
+// drops it at commit, so it never outlives the versions it shares.
+func TestResultCacheStoredOrderCharge(t *testing.T) {
+	db := cacheDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, pad VARCHAR(600))`)
+	for i := 0; i < 40; i++ {
+		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString(strings.Repeat("s", 500)))
+	}
+	rc := db.rcache.Load()
+	const q = `SELECT id, pad FROM t WHERE id < ?`
+	arg := sqltypes.NewInt(30)
+	mustQuery(t, db, q, arg).Close() // priming
+	if r := mustQuery(t, db, q, arg); len(r.Data) != 30 {
+		t.Fatalf("%d rows, want 30", len(r.Data))
+	}
+	if !rc.hasStmt(q) {
+		t.Fatal("stored-order result not cached")
+	}
+	key := len(q) + 1 + len(appendArgKey(nil, []sqltypes.Value{arg}))
+	if got, want := rc.bytesUsed(), int64(entryOverhead+key+24*30); got != want {
+		t.Fatalf("stored-order entry charged %d bytes, want %d (overhead %d + key %d + 30 row headers)", got, want, entryOverhead, key)
+	}
+	mustExec(t, db, `UPDATE t SET pad = 'x' WHERE id = 39`)
+	if n := rc.entryCount(); n != 0 || rc.bytesUsed() != 0 {
+		t.Fatalf("%d entries holding %d bytes after a write to their table, want none", n, rc.bytesUsed())
 	}
 }
 
@@ -627,7 +659,8 @@ func TestResultCacheSkipsFillAcrossWrite(t *testing.T) {
 // TestResultCacheHotEntrySurvivesColdChurn: a key hit every 8th
 // statement stays resident while 200 distinct keys, each seen twice,
 // stream past a full cache — a cold candidate never displaces a hotter
-// entry. The entries are sized so that four fill the cache.
+// entry. The entries are sized so that four fill the cache: the
+// projection is not in stored order, so each is charged its payload.
 func TestResultCacheHotEntrySurvivesColdChurn(t *testing.T) {
 	db := memDB(t)
 	db.setResultCacheCap(8 << 10)
@@ -636,14 +669,14 @@ func TestResultCacheHotEntrySurvivesColdChurn(t *testing.T) {
 	for i := 0; i <= 200; i++ {
 		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString(pad))
 	}
-	stmt, err := db.Prepare(`SELECT id, pad FROM t WHERE id = ?`)
+	stmt, err := db.Prepare(`SELECT pad, id FROM t WHERE id = ?`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	query := func(id int) {
 		t.Helper()
 		rows, err := stmt.Query(sqltypes.NewInt(int64(id)))
-		if err != nil || len(rows.Data) != 1 || rows.Data[0][0].Int() != int64(id) {
+		if err != nil || len(rows.Data) != 1 || rows.Data[0][1].Int() != int64(id) {
 			t.Fatalf("id %d: %v, err %v", id, rows, err)
 		}
 		rows.Close()

@@ -247,32 +247,8 @@ func TestRowsDetachedFromStorage(t *testing.T) {
 	rows := mustQuery(t, db, `SELECT * FROM t`)
 	mustExec(t, db, `UPDATE t SET v = 'after' WHERE id = 1`)
 	mustExec(t, db, `DELETE FROM t WHERE id = 1`)
-	if got := rows.Get(0, "v").AsString(); got != "before" {
+	if got := rows.Data[0][1].AsString(); got != "before" {
 		t.Fatalf("result mutated by later writes: %q", got)
-	}
-}
-
-func TestRowsColIndexCache(t *testing.T) {
-	db := memDB(t)
-	mustExec(t, db, `CREATE TABLE t (alpha INTEGER, beta INTEGER, gamma INTEGER)`)
-	mustExec(t, db, `INSERT INTO t VALUES (1, 2, 3)`)
-	rows := mustQuery(t, db, `SELECT * FROM t`)
-	if i := rows.ColIndex("beta"); i != 1 {
-		t.Fatalf("ColIndex(beta) = %d", i)
-	}
-	if i := rows.ColIndex("GAMMA"); i != 2 {
-		t.Fatalf("ColIndex(GAMMA) = %d", i)
-	}
-	if i := rows.ColIndex("missing"); i != -1 {
-		t.Fatalf("ColIndex(missing) = %d", i)
-	}
-	if v := rows.Get(0, "gamma"); v.Int() != 3 {
-		t.Fatalf("Get = %v", v)
-	}
-	// Hand-constructed Rows (no cache) still resolve by linear scan.
-	hand := &Rows{Columns: []string{"X", "Y"}}
-	if i := hand.ColIndex("y"); i != 1 {
-		t.Fatalf("uncached ColIndex = %d", i)
 	}
 }
 

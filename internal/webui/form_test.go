@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"testing"
 )
 
@@ -31,6 +32,48 @@ func FuzzQueryParamMatchesParseQuery(f *testing.F) {
 		want, _ := url.ParseQuery(raw)
 		if got := queryParam(raw, key); got != want.Get(key) {
 			t.Fatalf("queryParam(%q, %q) = %q, url.ParseQuery gives %q", raw, key, got, want.Get(key))
+		}
+	})
+}
+
+// FuzzQueryFormMatchesParseForm: the one-pass decoder /query reads a
+// form in the URL with refuses exactly the queries url.ParseQuery (and
+// so ParseForm) refuses, and otherwise holds every key's values in the
+// order sent — the same first value per key, the same sel order.
+func FuzzQueryFormMatchesParseForm(f *testing.F) {
+	for _, seed := range []string{
+		"table=RESULT_FILE&sel=FILE_NAME&sel=TIMESTEP&op_TIMESTEP=%3E%3D&val_TIMESTEP=4&val_FILE_NAME=&limit=20&orderby=",
+		"sel=B&sel=A&sel=B",
+		"a=1;b=2&a=3",
+		"a=%zz&a=ok",
+		"%zz=1&k=2",
+		"a+b=c+d&a%20b=e",
+		"k&k=2&=v&&=w",
+		"val_X=%20&val_X=1&op_X=&op_X=LIKE",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		want, err := url.ParseQuery(raw)
+		var form queryForm
+		if ok := form.parse(raw); ok != (err == nil) {
+			t.Fatalf("parse(%q) = %v, url.ParseQuery error %v", raw, ok, err)
+		}
+		if err != nil {
+			return
+		}
+		got := url.Values{}
+		for _, p := range form.pairs {
+			got[p.key] = append(got[p.key], p.value)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parse(%q) holds %q, url.ParseQuery %q", raw, got, want)
+		}
+		for key := range want {
+			if form.get(key) != want.Get(key) {
+				t.Fatalf("get(%q) = %q on %q, url.ParseQuery gives %q", key, form.get(key), raw, want.Get(key))
+			}
 		}
 	})
 }

@@ -3,6 +3,8 @@ package webui
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"hash/maphash"
 	"io"
 	"slices"
 	"strconv"
@@ -94,38 +96,36 @@ func finishPage(bw *bufio.Writer) {
 // buf[mid:end] the rest, label and all.
 type linkMarkup struct{ open, mid, end int }
 
-// pagePlan is a results page compiled from the XUIS and the schema
-// before its first row is written, so the paper's four browsing modes
-// cost a lookup per column, not per cell. It is built per request from
-// the spec as it stands, into buffers a pool keeps from page to page;
-// nothing about a page is cached.
-type pagePlan struct {
+// pageLayout is what every results page of one shape shares — the
+// spec generation, table schema, table and result columns it was
+// compiled from — so the paper's four browsing modes cost a lookup per
+// column, not per cell, and a shape is compiled from the XUIS once. A
+// layoutMemo builds it on a shape's first page; after that it is only
+// read, by any number of pages at once.
+type pageLayout struct {
+	gen     uint64
+	schema  *sqldb.TableSchema
+	table   string
+	columns []string
+
 	display string // the table's name as the XUIS shows it
-	a       *core.Archive
-	rs      *core.ResultSet
-	u       core.User
-	eng     *ops.Engine
+	header  []byte // the header cells, escaped
 	cols    []colPlan
-	arena   []byte // every column's browsing links, escaped once per page
+	arena   []byte // every column's browsing links, escaped
 
 	// keys are the primary key's columns in pk_<COLUMN> order; empty
 	// unless the result carries the whole key.
-	keys   []keyCol
-	keyRow int    // the row key was encoded for
-	key    []byte // row keyRow's "&pk_<COLUMN>=value" parameters, escaped
-
-	memo  map[substKey]string // FK substitutions made on this page
-	cell  []byte              // a LOB or DATALINK cell's links, escaped
-	links []linkMarkup        // their markup in cell
+	keys []keyCol
 }
 
-// colPlan is one result column of a pagePlan.
+// colPlan is one result column of a pageLayout.
 type colPlan struct {
-	header, column string
-	colID          string       // "TABLE.COLUMN", formed by the first DATALINK cell for its operations
-	col            sqldb.Column // a DATALINK token lives for its EXPIRY
-	links          []linkMarkup // FK and PK browsing links, in the plan's arena
-	subst          fkSubst
+	column string       // upper-cased
+	colID  string       // "TABLE.COLUMN", as operations name the column
+	col    sqldb.Column // a DATALINK token lives for its EXPIRY
+	links  []linkMarkup // FK and PK browsing links, in the layout's arena
+	subst  fkSubst
+	ops    bool // the XUIS attaches an operation or an upload
 }
 
 // keyCol is a primary-key column's name and position in the result.
@@ -138,6 +138,155 @@ type keyCol struct {
 // key, looked up once per distinct key on a page; column is "" when
 // the XUIS substitutes nothing.
 type fkSubst struct{ refTable, refCol, column string }
+
+// layoutMemo holds page layouts by a hash of their shape. A hit is
+// checked against the whole shape, so a collision costs a rebuild,
+// never a wrong page; a full memo starts over empty.
+type layoutMemo struct {
+	seed    maphash.Seed
+	mu      sync.Mutex
+	layouts map[uint64]*pageLayout
+}
+
+// layoutMemoCap bounds the memo: a shape is a select list, so a client
+// can make as many as it likes.
+const layoutMemoCap = 512
+
+func newLayoutMemo() *layoutMemo {
+	return &layoutMemo{seed: maphash.MakeSeed(), layouts: make(map[uint64]*pageLayout)}
+}
+
+// layout returns the layout of rs's page under the installed spec.
+func (m *layoutMemo) layout(a *core.Archive, rs *core.ResultSet) *pageLayout {
+	spec, gen := a.SpecGeneration()
+	schema, _ := a.DB.Catalog().Table(rs.Table)
+	var h maphash.Hash
+	h.SetSeed(m.seed)
+	var genBytes [8]byte
+	binary.LittleEndian.PutUint64(genBytes[:], gen)
+	h.Write(genBytes[:])
+	h.WriteString(rs.Table)
+	for _, c := range rs.Columns {
+		h.WriteByte(0)
+		h.WriteString(c)
+	}
+	key := h.Sum64()
+	m.mu.Lock()
+	l := m.layouts[key]
+	m.mu.Unlock()
+	if l != nil && l.gen == gen && l.schema == schema && l.table == rs.Table && slices.Equal(l.columns, rs.Columns) {
+		return l
+	}
+	l = newPageLayout(spec, gen, schema, rs.Table, rs.Columns)
+	m.mu.Lock()
+	if len(m.layouts) >= layoutMemoCap {
+		clear(m.layouts)
+	}
+	m.layouts[key] = l
+	m.mu.Unlock()
+	return l
+}
+
+// newPageLayout compiles the layout of a page of columns from table
+// (with schema, nil for none) under spec (nil for none: raw names, no
+// links).
+func newPageLayout(spec *xuis.Spec, gen uint64, schema *sqldb.TableSchema, table string, columns []string) *pageLayout {
+	l := &pageLayout{gen: gen, schema: schema, table: table, columns: slices.Clone(columns),
+		display: table, cols: make([]colPlan, len(columns))}
+	specTable := &xuis.Table{}
+	if spec != nil {
+		if t, ok := spec.Table(table); ok {
+			specTable, l.display = t, t.DisplayName()
+		}
+	}
+	for j, name := range columns {
+		c := &l.cols[j]
+		c.column = strings.ToUpper(name)
+		c.colID = table + "." + c.column
+		if schema != nil {
+			c.col, _ = schema.Col(name)
+		}
+		header := name
+		if m, ok := specTable.Column(name); ok {
+			header = m.DisplayName()
+			if m.FK != nil {
+				if refTable, refCol, err := xuis.SplitColID(m.FK.TableColumn); err == nil {
+					c.links = l.browseLink(c.links, "fk", refTable, refCol, "details", "")
+					if _, column, err := xuis.SplitColID(m.FK.SubstColumn); err == nil {
+						c.subst = fkSubst{refTable, refCol, column}
+					}
+				}
+			}
+			if m.PK != nil {
+				for _, ref := range m.PK.RefBy {
+					if childTable, childCol, err := xuis.SplitColID(ref.TableColumn); err == nil {
+						c.links = l.browseLink(c.links, "pk", childTable, childCol, "→ ", childTable)
+					}
+				}
+			}
+			c.ops = len(m.Operations) > 0 || m.Upload != nil
+		}
+		l.header = escHTML.append(append(l.header, "<th>"...), header)
+		l.header = append(l.header, "</th>"...)
+	}
+	if schema != nil {
+		for _, pk := range schema.PrimaryKey {
+			j := slices.IndexFunc(columns, func(col string) bool { return strings.EqualFold(col, pk) })
+			if j < 0 {
+				l.keys = nil
+				break
+			}
+			l.keys = append(l.keys, keyCol{pk, j})
+		}
+		slices.SortFunc(l.keys, func(x, y keyCol) int { return strings.Compare(x.name, y.name) })
+	}
+	return l
+}
+
+// browseLink escapes a browsing link of the given mode into the arena
+// and appends its markup to links.
+func (l *pageLayout) browseLink(links []linkMarkup, mode, table, col, label, name string) []linkMarkup {
+	m := linkMarkup{open: len(l.arena)}
+	l.arena = escQueryHTML.append(append(l.arena, ` <a href="/browse?col=`...), col)
+	l.arena = escQueryHTML.append(append(append(append(l.arena, "&amp;mode="...), mode...), "&amp;table="...), table)
+	l.arena = append(l.arena, "&amp;value="...)
+	m.mid = len(l.arena)
+	l.arena = appendLabel(l.arena, label, name)
+	m.end = len(l.arena)
+	return append(links, m)
+}
+
+// appendLabel closes a link's href and appends its label — label as it
+// is, then name escaped — and the closing tag.
+func appendLabel(dst []byte, label, name string) []byte {
+	dst = escHTML.append(append(append(dst, `">`...), label...), name)
+	return append(dst, "</a>"...)
+}
+
+// pagePlan is one results page being written: its layout's parts,
+// shared and read-only, and what is the request's own — the rows, the
+// user, the operations engine, FK substitutions and the buffers a row
+// is escaped into, which a pool keeps from page to page.
+type pagePlan struct {
+	display string
+	header  []byte
+	cols    []colPlan
+	arena   []byte
+	keys    []keyCol
+
+	a   *core.Archive
+	rs  *core.ResultSet
+	u   core.User
+	eng *ops.Engine
+
+	keyRow int    // the row key was encoded for
+	key    []byte // row keyRow's "&pk_<COLUMN>=value" parameters, escaped
+
+	memo  map[substKey]string // FK substitutions made on this page
+	cell  []byte              // a LOB or DATALINK cell's links, or a cell's linked text, escaped
+	links []linkMarkup        // their markup in cell
+	row   []byte              // the row being written
+}
 
 type substKey struct {
 	col int
@@ -160,92 +309,25 @@ func (p *pagePlan) substitute(j int, key string) string {
 // pagePlans recycles plans; releasePlan gives one back.
 var pagePlans = sync.Pool{New: func() any { return &pagePlan{memo: map[substKey]string{}} }}
 
-// planPage compiles the results page for rs as seen by u.
-func planPage(a *core.Archive, rs *core.ResultSet, u core.User) *pagePlan {
+// planPage plans the results page for rs as seen by u on layout l.
+func planPage(a *core.Archive, l *pageLayout, rs *core.ResultSet, u core.User) *pagePlan {
 	p := pagePlans.Get().(*pagePlan)
-	p.display, p.a, p.rs, p.u, p.eng, p.keyRow = rs.Table, a, rs, u, a.Ops(), -1
-	p.arena, p.keys = p.arena[:0], p.keys[:0]
-	p.cols = slices.Grow(p.cols[:0], len(rs.Columns))[:len(rs.Columns)]
-	specTable := &xuis.Table{} // no XUIS: raw names, no links
-	if spec := a.Spec(); spec != nil {
-		if t, ok := spec.Table(rs.Table); ok {
-			specTable, p.display = t, t.DisplayName()
-		}
-	}
-	schema, _ := a.DB.Catalog().Table(rs.Table)
-	for j, name := range rs.Columns {
-		c := &p.cols[j]
-		*c = colPlan{header: name, column: strings.ToUpper(name), links: c.links[:0]}
-		if schema != nil {
-			c.col, _ = schema.Col(name)
-		}
-		m, ok := specTable.Column(name)
-		if !ok {
-			continue
-		}
-		c.header = m.DisplayName()
-		if m.FK != nil {
-			if refTable, refCol, err := xuis.SplitColID(m.FK.TableColumn); err == nil {
-				c.links = p.browseLink(c.links, "fk", refTable, refCol, "details", "")
-				if _, column, err := xuis.SplitColID(m.FK.SubstColumn); err == nil {
-					c.subst = fkSubst{refTable, refCol, column}
-				}
-			}
-		}
-		if m.PK != nil {
-			for _, ref := range m.PK.RefBy {
-				if childTable, childCol, err := xuis.SplitColID(ref.TableColumn); err == nil {
-					c.links = p.browseLink(c.links, "pk", childTable, childCol, "→ ", childTable)
-				}
-			}
-		}
-	}
-	if schema != nil {
-		for _, pk := range schema.PrimaryKey {
-			j := slices.IndexFunc(rs.Columns, func(col string) bool { return strings.EqualFold(col, pk) })
-			if j < 0 {
-				p.keys = p.keys[:0]
-				break
-			}
-			p.keys = append(p.keys, keyCol{pk, j})
-		}
-		slices.SortFunc(p.keys, func(x, y keyCol) int { return strings.Compare(x.name, y.name) })
-	}
+	p.display, p.header, p.cols, p.arena, p.keys = l.display, l.header, l.cols, l.arena, l.keys
+	p.a, p.rs, p.u, p.eng, p.keyRow = a, rs, u, a.Ops(), -1
 	return p
-}
-
-// browseLink escapes a browsing link of the given mode into the arena
-// and appends its markup to links.
-func (p *pagePlan) browseLink(links []linkMarkup, mode, table, col, label, name string) []linkMarkup {
-	l := linkMarkup{open: len(p.arena)}
-	p.arena = escQueryHTML.append(append(p.arena, ` <a href="/browse?col=`...), col)
-	p.arena = escQueryHTML.append(append(append(append(p.arena, "&amp;mode="...), mode...), "&amp;table="...), table)
-	p.arena = append(p.arena, "&amp;value="...)
-	l.mid = len(p.arena)
-	p.arena = appendLabel(p.arena, label, name)
-	l.end = len(p.arena)
-	return append(links, l)
-}
-
-// appendLabel closes a link's href and appends its label — label as it
-// is, then name escaped — and the closing tag.
-func appendLabel(dst []byte, label, name string) []byte {
-	dst = escHTML.append(append(append(dst, `">`...), label...), name)
-	return append(dst, "</a>"...)
 }
 
 // releasePlan gives p back to the pool once its page is written.
 func releasePlan(p *pagePlan) {
-	for j := range p.cols {
-		p.cols[j] = colPlan{links: p.cols[j].links[:0]}
-	}
+	p.header, p.cols, p.arena, p.keys = nil, nil, nil, nil
 	clear(p.memo)
 	p.a, p.rs, p.eng, p.u = nil, nil, nil, core.User{}
 	pagePlans.Put(p)
 }
 
 // writePage writes the whole results page: the layout head, the header
-// cells, every row, and the foot.
+// cells, every row, and the foot. A row is escaped into one buffer and
+// written whole.
 func (p *pagePlan) writePage(w *bufio.Writer) {
 	writePageHead(w, "Results from "+p.display, p.u, "")
 	w.WriteString("\n<p class=\"meta\">")
@@ -253,20 +335,17 @@ func (p *pagePlan) writePage(w *bufio.Writer) {
 	w.WriteString(" row(s) from ")
 	escHTML.write(w, p.display)
 	w.WriteString(".</p>\n<table class=\"results\">\n<tr>")
-	for _, c := range p.cols {
-		w.WriteString("<th>")
-		escHTML.write(w, c.header)
-		w.WriteString("</th>")
-	}
+	w.Write(p.header)
 	w.WriteString("</tr>\n")
 	for i, row := range p.rs.Rows {
-		w.WriteString("\n<tr>\n ")
+		b := append(p.row[:0], "\n<tr>\n "...)
 		for j, v := range row {
-			w.WriteString("\n <td>\n  ")
-			p.writeCell(w, i, row, j, v)
-			w.WriteString("\n </td>\n ")
+			b = append(b, "\n <td>\n  "...)
+			b = p.appendCell(b, i, row, j, v)
+			b = append(b, "\n </td>\n "...)
 		}
-		w.WriteString("\n</tr>\n")
+		p.row = append(b, "\n</tr>\n"...)
+		w.Write(p.row)
 	}
 	w.WriteString("\n</table>\n<p><a href=\"/table?name=")
 	escQueryValue.write(w, p.rs.Table)
@@ -275,13 +354,15 @@ func (p *pagePlan) writePage(w *bufio.Writer) {
 	w.WriteString("</a> | <a href=\"/\">Home</a></p>\n" + pageFoot)
 }
 
-func (p *pagePlan) writeCell(w *bufio.Writer, i int, row []sqltypes.Value, j int, v sqltypes.Value) {
+// appendCell appends cell j of row i, escaped, to dst.
+func (p *pagePlan) appendCell(dst []byte, i int, row []sqltypes.Value, j int, v sqltypes.Value) []byte {
 	c := &p.cols[j]
 	switch k := v.Kind(); k {
 	case sqltypes.KindNull:
+		return dst
 	case sqltypes.KindDatalink:
 		text := p.datalinkLinks(i, row, c, v)
-		writeLinked(w, p.cell[:text], p.cell, p.links, "")
+		return appendLinked(dst, p.cell[:text], p.cell, p.links, "")
 	case sqltypes.KindBytes, sqltypes.KindClob:
 		// "Hypertext link displays size of object — rematerialised and
 		// returned to the client."
@@ -294,17 +375,15 @@ func (p *pagePlan) writeCell(w *bufio.Writer, i int, row []sqltypes.Value, j int
 		p.cell = strconv.AppendInt(append(append(p.cell, k.String()...), " ("...), int64(v.Size()), 10)
 		p.cell = append(p.cell, " bytes)"...)
 		if len(p.keys) == 0 {
-			w.Write(p.cell) // a kind's name and a count escape to themselves
-			return
+			return append(dst, p.cell...) // a kind's name and a count escape to themselves
 		}
 		p.cell = append(p.cell, "</a>"...)
 		p.links = append(p.links, linkMarkup{0, len(p.cell), len(p.cell)})
-		writeLinked(w, nil, p.cell, p.links, "")
+		return appendLinked(dst, nil, p.cell, p.links, "")
 	default:
 		if c.subst.column == "" && (k == sqltypes.KindInt || k == sqltypes.KindDouble) {
-			if _, ok := appendNumber(w.AvailableBuffer(), v); ok {
-				writeLinkedNumber(w, v, p.arena, c.links)
-				return
+			if out, ok := appendLinkedNumber(dst, v, p.arena, c.links); ok {
+				return out
 			}
 		}
 		value := v.AsString()
@@ -312,8 +391,11 @@ func (p *pagePlan) writeCell(w *bufio.Writer, i int, row []sqltypes.Value, j int
 		if c.subst.column != "" {
 			text = p.substitute(j, value)
 		}
+		if len(c.links) == 0 {
+			return escHTML.append(dst, text)
+		}
 		p.cell = escHTML.append(p.cell[:0], text)
-		writeLinked(w, p.cell, p.arena, c.links, value)
+		return appendLinked(dst, p.cell, p.arena, c.links, value)
 	}
 }
 
@@ -330,51 +412,50 @@ func appendNumber(dst []byte, v sqltypes.Value) ([]byte, bool) {
 	return dst, bytes.IndexByte(dst[n:], '+') < 0
 }
 
-// writeLinked writes a cell's escaped text, or the text and then its
+// appendLinked appends a cell's escaped text, or the text and then its
 // links on a line of their own, value completing each link's href.
-func writeLinked(w *bufio.Writer, text, buf []byte, links []linkMarkup, value string) {
+func appendLinked(dst, text, buf []byte, links []linkMarkup, value string) []byte {
 	if len(links) == 0 {
-		w.Write(text)
-		return
+		return append(dst, text...)
 	}
-	w.WriteString("\n    ")
-	w.Write(text)
-	w.WriteString("\n    ")
+	dst = append(append(append(dst, "\n    "...), text...), "\n    "...)
 	for _, l := range links {
-		w.Write(buf[l.open:l.mid])
-		escQueryHTML.write(w, value)
-		w.Write(buf[l.mid:l.end])
+		dst = escQueryHTML.append(append(dst, buf[l.open:l.mid]...), value)
+		dst = append(dst, buf[l.mid:l.end]...)
 	}
-	w.WriteString("\n  ")
+	return append(dst, "\n  "...)
 }
 
-// writeLinkedNumber is writeLinked for a number appendNumber accepts:
-// its digits are both its text and its escaped value, so they go
-// straight into the writer's buffer.
-func writeLinkedNumber(w *bufio.Writer, v sqltypes.Value, buf []byte, links []linkMarkup) {
-	writeNumber := func() {
-		num, _ := appendNumber(w.AvailableBuffer(), v)
-		w.Write(num)
+// appendLinkedNumber is appendLinked for a number: its digits are both
+// its text and its escaped value. It reports false, dst unchanged, for
+// a number appendNumber does not accept.
+func appendLinkedNumber(dst []byte, v sqltypes.Value, buf []byte, links []linkMarkup) ([]byte, bool) {
+	n := len(dst)
+	if len(links) > 0 {
+		dst = append(dst, "\n    "...)
+	}
+	start := len(dst)
+	dst, ok := appendNumber(dst, v)
+	if !ok {
+		return dst[:n], false
 	}
 	if len(links) == 0 {
-		writeNumber()
-		return
+		return dst, true
 	}
-	w.WriteString("\n    ")
-	writeNumber()
-	w.WriteString("\n    ")
+	num := dst[start:len(dst):len(dst)] // appends below never write it
+	dst = append(dst, "\n    "...)
 	for _, l := range links {
-		w.Write(buf[l.open:l.mid])
-		writeNumber()
-		w.Write(buf[l.mid:l.end])
+		dst = append(append(append(dst, buf[l.open:l.mid]...), num...), buf[l.mid:l.end]...)
 	}
-	w.WriteString("\n  ")
+	return append(dst, "\n  "...), true
 }
 
 // datalinkLinks escapes a DATALINK cell into p.cell — its text, the
 // file name and size, then a tokenized download link for users allowed
 // one and the operations and upload the XUIS offers on the row — and
-// returns where the text ends.
+// returns where the text ends. The row's colid→value map operations
+// test their conditions on is built only for a column the XUIS attaches
+// one to.
 func (p *pagePlan) datalinkLinks(i int, row []sqltypes.Value, c *colPlan, v sqltypes.Value) int {
 	p.cell, p.links = p.cell[:0], p.links[:0]
 	parsed, err := sqltypes.ParseDatalinkURL(v.Str())
@@ -395,10 +476,7 @@ func (p *pagePlan) datalinkLinks(i int, row []sqltypes.Value, c *colPlan, v sqlt
 			p.cellLink(open, "download", "")
 		}
 	}
-	if p.eng != nil {
-		if c.colID == "" {
-			c.colID = p.rs.Table + "." + c.column
-		}
+	if p.eng != nil && c.ops {
 		rowMap, user := p.rs.Row(i), ops.User{Name: p.u.Name, Guest: p.u.Guest}
 		for _, op := range p.eng.Applicable(c.colID, rowMap, user) {
 			open := len(p.cell)

@@ -29,6 +29,7 @@ import (
 type Server struct {
 	archive *core.Archive
 	mux     *http.ServeMux
+	layouts *layoutMemo
 
 	mu       sync.Mutex
 	sessions map[string]core.User
@@ -48,6 +49,7 @@ func NewServer(a *core.Archive) *Server {
 	s := &Server{
 		archive:  a,
 		mux:      http.NewServeMux(),
+		layouts:  newLayoutMemo(),
 		sessions: map[string]core.User{},
 		runs:     map[string]retainedRun{},
 	}
@@ -201,12 +203,21 @@ func (s *Server) handleQueryForm(w http.ResponseWriter, r *http.Request, u core.
 }
 
 // handleQuery translates the QBE form submission and renders results.
+// A form in the URL is decoded in one pass (queryForm); one its decoder
+// refuses, and a POST's, go through ParseForm, whose error text the 400
+// carries.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, u core.User) {
-	if err := r.ParseForm(); err != nil {
-		s.renderError(w, u, http.StatusBadRequest, err.Error())
-		return
+	f := queryForms.Get().(*queryForm)
+	defer f.release()
+	var (
+		q   core.QBE
+		err error
+	)
+	if formInURL(r) && f.parse(r.URL.RawQuery) {
+		q, err = f.qbe(s.archive)
+	} else if err = r.ParseForm(); err == nil {
+		q, err = formQBE(s.archive, r.Form)
 	}
-	q, err := formQBE(s.archive, r.Form)
 	if err != nil {
 		s.renderError(w, u, http.StatusBadRequest, err.Error())
 		return
@@ -219,55 +230,143 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, u core.User
 	s.renderResults(w, rs, u)
 }
 
-// formQBE decodes a submitted query form into the search it asks for.
-func formQBE(a *core.Archive, form url.Values) (core.QBE, error) {
-	table := form.Get("table")
-	q := core.QBE{Table: table}
-	if form.Get("all") == "" {
-		q.Select = form["sel"]
-		q.Restrictions = formRestrictions(a, table, form)
-		q.OrderBy = form.Get("orderby")
-		q.Desc = form.Get("desc") == "1"
-		if lim := form.Get("limit"); lim != "" {
-			n, err := strconv.Atoi(lim)
-			if err != nil || n < 0 {
-				return q, errors.New("invalid limit")
-			}
-			q.Limit = n
+// formInURL reports whether ParseForm would read r's form from its URL
+// alone: no form parsed yet, and a method whose body is no form.
+func formInURL(r *http.Request) bool {
+	return r.Form == nil && r.Method != http.MethodPost && r.Method != http.MethodPut && r.Method != http.MethodPatch
+}
+
+// formPair is one key and value of a decoded form.
+type formPair struct{ key, value string }
+
+// queryForm is a query form as a list of pairs in the order sent, with
+// the scratch its search is decoded through; a pool keeps it from
+// request to request.
+type queryForm struct {
+	pairs []formPair
+	sel   []string
+	vals  []formPair // val_<COL> pairs, keyed by COL
+	ops   []formPair // op_<COL> pairs, keyed by COL
+	restr []core.Restriction
+}
+
+var queryForms = sync.Pool{New: func() any { return new(queryForm) }}
+
+// release gives f back to the pool once its search has run.
+func (f *queryForm) release() {
+	f.pairs, f.sel, f.vals, f.ops, f.restr = f.pairs[:0], f.sel[:0], f.vals[:0], f.ops[:0], f.restr[:0]
+	queryForms.Put(f)
+}
+
+// parse decodes raw into f's pairs as url.ParseQuery does, and reports
+// false for a query ParseQuery refuses: a pair holding a ';' or a bad
+// escape.
+func (f *queryForm) parse(raw string) bool {
+	f.pairs = f.pairs[:0]
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" {
+			continue
 		}
+		if strings.Contains(pair, ";") {
+			return false
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, kerr := url.QueryUnescape(k)
+		v, verr := url.QueryUnescape(v)
+		if kerr != nil || verr != nil {
+			return false
+		}
+		f.pairs = append(f.pairs, formPair{k, v})
+	}
+	return true
+}
+
+// get returns the first value of key, as url.Values.Get does.
+func (f *queryForm) get(key string) string {
+	for _, p := range f.pairs {
+		if p.key == key {
+			return p.value
+		}
+	}
+	return ""
+}
+
+// formQBE decodes a form ParseForm read into the search it asks for.
+func formQBE(a *core.Archive, form url.Values) (core.QBE, error) {
+	var f queryForm
+	for key, vals := range form {
+		for _, v := range vals {
+			f.pairs = append(f.pairs, formPair{key, v})
+		}
+	}
+	return f.qbe(a)
+}
+
+// qbe decodes the form into the search it asks for. The search holds
+// f's scratch: it is read before f is released.
+func (f *queryForm) qbe(a *core.Archive) (core.QBE, error) {
+	q := core.QBE{Table: f.get("table")}
+	if f.get("all") != "" {
+		return q, nil
+	}
+	for _, p := range f.pairs {
+		if p.key == "sel" {
+			f.sel = append(f.sel, p.value)
+		} else if col, ok := strings.CutPrefix(p.key, "val_"); ok {
+			f.vals = append(f.vals, formPair{col, p.value})
+		} else if col, ok := strings.CutPrefix(p.key, "op_"); ok {
+			f.ops = append(f.ops, formPair{col, p.value})
+		}
+	}
+	if len(f.sel) > 0 {
+		q.Select = f.sel
+	}
+	q.Restrictions = f.restrictions(a, q.Table)
+	q.OrderBy = f.get("orderby")
+	q.Desc = f.get("desc") == "1"
+	if lim := f.get("limit"); lim != "" {
+		n, err := strconv.Atoi(lim)
+		if err != nil || n < 0 {
+			return q, errors.New("invalid limit")
+		}
+		q.Limit = n
 	}
 	return q, nil
 }
 
-// formRestrictions collects a submitted query form's restrictions in
-// the table's column order, then by name — never in the form map's
-// iteration order, which would compile one form to several SQL texts
-// and as many plan-cache entries.
-func formRestrictions(a *core.Archive, table string, form url.Values) []core.Restriction {
-	var cols []string
-	for key, vals := range form {
-		if col, ok := strings.CutPrefix(key, "val_"); ok && len(vals) > 0 && strings.TrimSpace(vals[0]) != "" {
-			cols = append(cols, col)
-		}
-	}
+// restrictions collects the form's restrictions — each column's first
+// val_<COL> when it is not blank, under its first op_<COL> ("=" when
+// that is empty) — in the table's column order, then by name: never in
+// the order sent, which would compile one form to several SQL texts and
+// as many plan-cache entries.
+func (f *queryForm) restrictions(a *core.Archive, table string) []core.Restriction {
+	byKey := func(x, y formPair) int { return strings.Compare(x.key, y.key) }
+	sameKey := func(x, y formPair) bool { return x.key == y.key }
+	slices.SortStableFunc(f.vals, byKey)
+	f.vals = slices.CompactFunc(f.vals, sameKey) // keeps each column's first
+	f.vals = slices.DeleteFunc(f.vals, func(p formPair) bool { return strings.TrimSpace(p.value) == "" })
+	slices.SortStableFunc(f.ops, byKey)
+	f.ops = slices.CompactFunc(f.ops, sameKey)
 	schema, _ := a.DB.Catalog().Table(table)
-	slices.SortFunc(cols, func(x, y string) int {
+	slices.SortFunc(f.vals, func(x, y formPair) int {
 		if schema != nil {
-			if c := cmp.Compare(schema.ColIndex(x), schema.ColIndex(y)); c != 0 {
+			if c := cmp.Compare(schema.ColIndex(x.key), schema.ColIndex(y.key)); c != 0 {
 				return c
 			}
 		}
-		return cmp.Compare(x, y)
+		return cmp.Compare(x.key, y.key)
 	})
-	out := make([]core.Restriction, len(cols))
-	for i, col := range cols {
-		op := form.Get("op_" + col)
-		if op == "" {
-			op = "="
+	f.restr = slices.Grow(f.restr[:0], len(f.vals))
+	for _, v := range f.vals {
+		op := "="
+		if i, ok := slices.BinarySearchFunc(f.ops, v.key, func(p formPair, col string) int { return strings.Compare(p.key, col) }); ok && f.ops[i].value != "" {
+			op = f.ops[i].value
 		}
-		out[i] = core.Restriction{Column: col, Op: op, Value: form.Get("val_" + col)}
+		f.restr = append(f.restr, core.Restriction{Column: v.key, Op: op, Value: v.value})
 	}
-	return out
+	return f.restr
 }
 
 // renderResults streams a results page through its column plan; the
@@ -275,7 +374,7 @@ func formRestrictions(a *core.Archive, table string, form url.Values) []core.Res
 func (s *Server) renderResults(w http.ResponseWriter, rs *core.ResultSet, u core.User) {
 	defer rs.Close()
 	bw := pageWriter(w)
-	p := planPage(s.archive, rs, u)
+	p := planPage(s.archive, s.layouts.layout(s.archive, rs), rs, u)
 	p.writePage(bw)
 	releasePlan(p)
 	finishPage(bw)

@@ -362,10 +362,11 @@ func TestQueryFormCompilesToOneStatement(t *testing.T) {
 	}
 	var warm int64
 	for i := 0; i < 50; i++ {
-		sql, _, err := ts.archive.BuildSQL(core.QBE{
-			Table: "RESULT_FILE", Select: form["sel"], Limit: 20,
-			Restrictions: formRestrictions(ts.archive, "RESULT_FILE", form),
-		})
+		q, err := formQBE(ts.archive, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sql, _, err := ts.archive.BuildSQL(q)
 		if err != nil || sql != want {
 			t.Fatalf("submission %d compiled to %q (err %v), want %q", i, sql, err, want)
 		}

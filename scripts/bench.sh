@@ -50,6 +50,9 @@
 #   BenchmarkRenderPKPage            — one 50-row primary-key browse
 #                                      page through the webui handler:
 #                                      search, column plan, streamed rows
+#   BenchmarkRenderSearchPage        — the 20-row /query page a browse
+#                                      visit submits from the query form:
+#                                      form decoding, search, render
 set -eu
 
 cd "$(dirname "$0")/.."
