@@ -1011,9 +1011,9 @@ func BenchmarkAblation_PlanCache(b *testing.B) {
 // engine's read lock, so ns/op should drop roughly linearly from
 // procs=1 to procs=8 on real multi-core hardware (a single-core host
 // reports flat numbers — see BENCH json notes). The mixed variant is a
-// 90/10 read/write blend; writes go through the sharded per-table
-// latch, so reader throughput should stay within ~20% of read-only
-// rather than collapsing behind an exclusive writer lock.
+// 90/10 read/write blend and is recorded, not gated: every write takes
+// the engine's exclusive barrier for its execution and WAL staging, so
+// readers queue behind it, though not behind its fsync.
 func BenchmarkParallelQuery(b *testing.B) {
 	build := func() *sqldb.DB {
 		db, err := sqldb.Open("")

@@ -32,11 +32,11 @@
 //     re-bind when it moves, so a stale plan is never served.
 //
 //   - A concurrent read path. SELECTs (Query, Stmt.Query) share the
-//     engine's read lock and run in parallel — against each other and,
-//     through MVCC snapshot reads, against sharded single-table DML
-//     (see "Concurrency model" below). Query results are fully
-//     materialised, read-only results, valid after the lock is
-//     released and concurrent with later writes.
+//     engine's read lock and run in parallel with each other, and with
+//     the WAL flushes of committing writers, which wait for durability
+//     outside the lock (see "Concurrency model" below). Query results
+//     are fully materialised, read-only results, valid after the lock
+//     is released and concurrent with later writes.
 //
 //   - A compact value layout. sqltypes.Value is a 32-byte tagged union
 //     (kind + flags byte, one 64-bit scalar word shared by INTEGER/
@@ -182,9 +182,10 @@
 //     snapshot — the highest published commit stamp — at statement
 //     start, and sees exactly the versions whose begin stamp is
 //     committed and ≤ the snapshot and whose end stamp is absent,
-//     uncommitted, or > the snapshot. Writers install new versions and
-//     stamp old ones without ever blocking readers: an open scan keeps
-//     answering from its snapshot while later transactions commit.
+//     uncommitted, or > the snapshot. A result keeps answering from
+//     its snapshot after later transactions commit: stored-order rows
+//     are the versions themselves, and the result cache serves an
+//     entry only while no source table has a newer commit stamp.
 //     Statements inside an explicit transaction (Tx, ExecScript) run
 //     under the exclusive lock in latest-state mode, so they see their
 //     own uncommitted writes — explicit transactions remain
@@ -193,15 +194,19 @@
 //     visibility order always agree, and crash replay reassigns stamps
 //     transaction-by-transaction in the same order.
 //
-//   - Sharded writes. Autocommit single-table DML whose table has no
-//     foreign keys in either direction and no DATALINK columns commits
-//     under the shared engine lock plus a per-table write latch:
-//     writers on different tables proceed concurrently through the
-//     same WAL group-commit path, and readers are never blocked by
-//     either. Everything else — DDL, FK-bearing DML, link-control
-//     writes, explicit transactions — takes the engine lock
-//     exclusively (the DDL/global barrier), which also guarantees no
-//     statement snapshot is open while the catalogue changes.
+//   - One write path. Every write — autocommit DML and DDL, explicit
+//     transactions, vacuum and checkpoint — takes the engine lock
+//     exclusively (the barrier), and readers share it, so no reader
+//     runs while a table's heap or index trees change and no statement
+//     snapshot is open while the catalogue changes. An autocommit
+//     write holds the barrier while it executes and stages its WAL
+//     frames, and waits for the fsync outside it: readers and the next
+//     writer run during the flush, and concurrent committers share one
+//     fsync (group commit). Every autocommit Exec records one
+//     sqldb_barrier_wait_ns sample (TestEveryWriteTakesTheBarrier).
+//     The paper's schema has a foreign key or a DATALINK column on
+//     every written table, so a second, per-table write path would
+//     serve none of its writes.
 //
 //   - Vacuum. Dead versions (and their index postings) accumulate
 //     until reclaimed: DB.Vacuum on demand, or the background vacuum
@@ -214,14 +219,14 @@
 //     exactly one version per live row, with every index swept of
 //     dead postings (emptied leaves merge away). That barrier is also
 //     why an index posting can be the row reference itself — a pointer
-//     to the row's slot, followed with no id lookup after the table
-//     latch is released: a slot and its postings are removed only here,
-//     together, with no reader in flight (TestSlotOrderInvariant).
+//     to the row's slot, followed with no id lookup: a slot and its
+//     postings are removed only here, together, with no reader in
+//     flight (TestSlotOrderInvariant).
 //     Checkpoints vacuum as a side effect, since the snapshot they
 //     write keeps only current rows. TestMVCCSnapshotIsolation,
 //     TestVacuumReclaim and TestAutoVacuum pin these contracts down;
-//     BenchmarkParallelQuery tracks read scaling and the 90/10 mixed
-//     workload.
+//     BenchmarkParallelQuery tracks read scaling, and records the 90/10
+//     mixed workload, whose writers serialise readers at the barrier.
 //
 // # Result pipeline and caching
 //
@@ -553,9 +558,9 @@
 // per-call context deadline, or the DB.SetStatementTimeout default
 // applied when a statement arrives without one) surfaces
 // sqldb.ErrCanceled / sqldb.ErrDeadlineExceeded within milliseconds
-// without poisoning the engine: reads hold no state beyond their
-// latch, and a cancelled DML unwinds its MVCC intents exactly like a
-// constraint failure. The cancellation boundary is the WAL stage —
+// without poisoning the engine: reads hold no state beyond the shared
+// engine lock, and a cancelled DML unwinds its MVCC intents exactly
+// like a constraint failure. The cancellation boundary is the WAL stage —
 // the interrupt is checked one last time immediately before the
 // commit is staged; once staged, the statement commits and reports
 // success (the same at-most-once boundary a crash recovery exposes).
@@ -596,9 +601,8 @@
 // (sqldb_wal_fsync_ns, sqldb_wal_group_commit_batch,
 // sqldb_wal_poison_total, sqldb_commits_total), the plan cache
 // (sqldb_plan_cache_{hits,misses}_total, sqldb_plan_cache_entries),
-// contention (sqldb_latch_wait_ns for the sharded per-table latch,
-// sqldb_barrier_wait_ns for the exclusive barrier), and MVCC hygiene
-// (sqldb_vacuum_pass_ns, sqldb_vacuum_passes_total,
+// contention (sqldb_barrier_wait_ns, the write barrier's acquisition
+// wait), and MVCC hygiene (sqldb_vacuum_pass_ns, sqldb_vacuum_passes_total,
 // sqldb_vacuum_rows_reclaimed_total, sqldb_autovacuum_triggers_total,
 // sqldb_dead_rows, sqldb_snapshot_age_ns), and statement governance
 // (sqldb_statements_{canceled,timed_out,shed}_total,
@@ -614,7 +618,7 @@
 // EXPLAIN ANALYZE: Stmt.Trace forces a Trace for one execution —
 // per-plan-node wall time, output rows and heap row-version reads
 // (zero for index-only stages, asserted against DB.HeapRowReads),
-// plus the DML commit-pipeline breakdown (latch or barrier wait, WAL
+// plus the DML commit-pipeline breakdown (barrier wait, WAL
 // staging, fsync wait, and the group-commit batch the fsync rode in).
 // DB.SetTraceThreshold(d) traces every statement and writes any whose
 // wall time reaches d to the slow-query log (DB.SetSlowQueryLog) as

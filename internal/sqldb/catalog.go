@@ -2,8 +2,10 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/sqltypes"
 )
@@ -87,28 +89,38 @@ func (t *TableSchema) rebuildIndex() {
 // It is the metadata source for XUIS generation: table names, column
 // names/types, primary keys and foreign keys, exactly the inventory the
 // paper's default-XUIS tool extracts via JDBC.
+//
+// DDL (under the engine's barrier) never changes a published map: it
+// copies it, edits the copy and publishes that, so readers load one
+// immutable map and need no lock, whatever DDL runs beside them.
 type Catalog struct {
-	tables map[string]*TableSchema
+	tables atomic.Pointer[map[string]*TableSchema]
 }
 
 // NewCatalog returns an empty catalogue.
 func NewCatalog() *Catalog {
-	return &Catalog{tables: make(map[string]*TableSchema)}
+	c := &Catalog{}
+	c.tables.Store(&map[string]*TableSchema{})
+	return c
 }
+
+func (c *Catalog) load() map[string]*TableSchema { return *c.tables.Load() }
 
 // Table looks up a schema by case-insensitive name.
 func (c *Catalog) Table(name string) (*TableSchema, bool) {
-	t, ok := c.tables[strings.ToUpper(name)]
+	t, ok := c.load()[strings.ToUpper(name)]
 	return t, ok
 }
 
 // TableNames returns all table names, sorted.
-func (c *Catalog) TableNames() []string {
-	names := make([]string, 0, len(c.tables))
-	for _, t := range c.tables {
-		names = append(names, t.Name)
+func (c *Catalog) TableNames() []string { return sortedNames(c.load()) }
+
+func sortedNames(tables map[string]*TableSchema) []string {
+	names := make([]string, 0, len(tables))
+	for name := range tables {
+		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -117,13 +129,14 @@ func (c *Catalog) TableNames() []string {
 // paper's "primary key browsing": SIMULATION_KEY links to the three
 // tables in which it appears as a foreign key.
 func (c *Catalog) ReferencedBy(table string) []FKRef {
-	target, ok := c.Table(table)
+	tables := c.load()
+	target, ok := tables[strings.ToUpper(table)]
 	if !ok {
 		return nil
 	}
 	var out []FKRef
-	for _, name := range c.TableNames() {
-		t, _ := c.Table(name)
+	for _, name := range sortedNames(tables) {
+		t := tables[name]
 		for _, fk := range t.ForeignKeys {
 			if strings.EqualFold(fk.RefTable, target.Name) {
 				for i, col := range fk.Cols {
@@ -146,7 +159,7 @@ type FKRef struct {
 // installs the schema.
 func (c *Catalog) addTable(stmt *CreateTableStmt) (*TableSchema, error) {
 	key := strings.ToUpper(stmt.Table)
-	if _, exists := c.tables[key]; exists {
+	if _, exists := c.Table(key); exists {
 		return nil, fmt.Errorf("sqldb: table %s already exists", stmt.Table)
 	}
 	if len(stmt.Cols) == 0 {
@@ -218,17 +231,20 @@ func (c *Catalog) addTable(stmt *CreateTableStmt) (*TableSchema, error) {
 		}
 		t.ForeignKeys = append(t.ForeignKeys, def)
 	}
-	c.tables[key] = t
+	m := maps.Clone(c.load()) // callers hold the barrier: no concurrent edit
+	m[key] = t
+	c.tables.Store(&m)
 	return t, nil
 }
 
 func (c *Catalog) dropTable(name string) error {
 	key := strings.ToUpper(name)
-	if _, ok := c.tables[key]; !ok {
+	tables := c.load()
+	if _, ok := tables[key]; !ok {
 		return fmt.Errorf("sqldb: table %s does not exist", name)
 	}
 	// RESTRICT: refuse to drop a table still referenced by another.
-	for _, other := range c.tables {
+	for _, other := range tables {
 		if other.Name == key {
 			continue
 		}
@@ -238,7 +254,9 @@ func (c *Catalog) dropTable(name string) error {
 			}
 		}
 	}
-	delete(c.tables, key)
+	m := maps.Clone(tables)
+	delete(m, key)
+	c.tables.Store(&m)
 	return nil
 }
 

@@ -142,19 +142,17 @@ type indexDef struct {
 	Columns []string // upper-cased, index order
 }
 
-// DB is an embedded SQL database with MVCC snapshot reads and a sharded
-// write path. SELECTs (Query, Stmt.Query) take mu as a read lock, pin a
-// commit-stamp snapshot at statement start and run concurrently — with
-// each other AND with writers, which install new row versions without
-// disturbing what an open reader's snapshot sees. Single-table DML with
-// no foreign keys in either direction and no DATALINK columns commits
-// through a per-table writer latch (tableData.wmu), so non-conflicting
-// writes to different tables proceed concurrently through the shared
-// WAL group-commit path. DDL, explicit transactions, FK-involved DML
-// and maintenance (checkpoint, vacuum) take mu exclusively — the global
-// barrier. A DB with an empty directory is purely in-memory; otherwise
-// snapshot.db and wal.log in the directory provide durability with
-// crash recovery.
+// DB is an embedded SQL database with MVCC snapshot reads and one write
+// path. SELECTs (Query, Stmt.Query) take mu as a read lock, pin a
+// commit-stamp snapshot at statement start and run concurrently with
+// each other. Every write — autocommit DML and DDL, explicit
+// transactions, and maintenance (checkpoint, vacuum) — takes mu
+// exclusively: the barrier. A write holds it while it executes and
+// stages its WAL frames, then releases it before waiting for the fsync,
+// so readers and the next writer run during the flush and concurrent
+// committers share it (group commit). A DB with an empty directory is
+// purely in-memory; otherwise snapshot.db and wal.log in the directory
+// provide durability with crash recovery.
 //
 // Indexes: every PRIMARY KEY and UNIQUE constraint and every CREATE
 // INDEX name ON table (col, ...) builds the same B+tree over the
@@ -168,26 +166,29 @@ type indexDef struct {
 // plans transparently re-plan.
 //
 // Locking rules (for maintainers):
-//   - Catalogue/topology state — cat, data (the map itself), each
-//     table's indexes list, indexes, nowFn, fullScanOnly, schemaEpoch,
-//     closed — is written only under mu.Lock and may be read under
-//     mu.RLock.
-//   - Row and index CONTENT is MVCC-stamped: readers walk an index (or
-//     copy the slots header) under a short tableData.latch read section,
-//     take the *rowSlot each posting points at, and read its version
-//     chain lock-free, after the latch is released, at the snapshot
-//     pinned by readSnapshot. No reader looks a row up by id: a table's
-//     slots are ascending by id, and tableData.slotFor (a binary search)
-//     exists for WAL replay alone. A slot pointer outlives the latch
-//     because slots and postings are removed only by vacuum, under
-//     mu.Lock. Writers serialise per table on tableData.wmu while
-//     holding mu.RLock, or skip wmu under mu.Lock.
-//     Lock order: mu (any mode) → wmu → latch/commitMu. Never acquire
-//     mu while holding commitMu or a wmu.
+//   - Catalogue/topology state — data (the map itself), each table's
+//     indexes list, indexes, nowFn, fullScanOnly, schemaEpoch, closed —
+//     is written only under mu.Lock and may be read under mu.RLock. The
+//     catalogue (cat) is written under mu.Lock too, but publishes each
+//     change as a new map, so Catalog() readers need no lock.
+//   - Table structure — a table's slots and index trees — changes only
+//     under mu.Lock, and every path that reads it holds mu at least
+//     shared for as long as it reads: Stmt.query and Stmt.AccessPath
+//     (mu.RLock for the whole statement, result-cache fill included),
+//     Stmt.exec, Tx and ExecScript (mu.Lock), checkpoint and vacuum
+//     (mu.Lock), and WAL replay and snapshot load in Open (before the
+//     DB is shared). So no reader overlaps a structural change, and no
+//     latch guards the trees. Row and index CONTENT is MVCC-stamped: a
+//     reader reads version chains at the snapshot pinned by
+//     readSnapshot, so rows committed after it stay invisible. No
+//     reader looks a row up by id: a table's slots are ascending by id,
+//     and tableData.slotFor (a binary search) exists for WAL replay
+//     alone. Lock order: mu (any mode) → commitMu. Never acquire mu
+//     while holding commitMu.
 //   - Commit-path state — wal, inflight, poisonErr, txSinceCheckpoint,
-//     lastTS advancement — is guarded by commitMu, so sharded writers
-//     holding only mu.RLock commit safely. Exclusive paths (checkpoint,
-//     unwind, Close) take commitMu too.
+//     lastTS advancement — is guarded by commitMu, because a commit's
+//     finish closure reads and writes it after mu is released.
+//     Exclusive paths (checkpoint, unwind, Close) take commitMu too.
 //   - Query results are fully materialised copies, never views into
 //     storage, so they outlive the read lock.
 //   - The plan cache (plans) and per-statement plan builds (Stmt.mu)
@@ -208,7 +209,7 @@ type DB struct {
 	cat     *Catalog
 	data    map[string]*tableData
 	indexes map[string]indexDef // index name (upper) → definition
-	nextRow atomic.Uint64       // row-id allocator (sharded writers race)
+	nextRow atomic.Uint64       // row-id allocator
 	nextTx  atomic.Uint64       // transaction-id allocator
 
 	// commitMu serialises the commit point: WAL staging, commit-stamp
@@ -641,12 +642,9 @@ func (db *DB) SetClock(now func() time.Time) {
 }
 
 // Catalog exposes the live schema catalogue for read-only use (XUIS
-// generation, browsing). Callers must not mutate it.
-func (db *DB) Catalog() *Catalog {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.cat
-}
+// generation, browsing). Callers must not mutate it. Its reads are
+// safe beside concurrent DDL.
+func (db *DB) Catalog() *Catalog { return db.cat }
 
 // Checkpoint folds the WAL into a fresh snapshot and truncates the log.
 func (db *DB) Checkpoint() error {
@@ -814,7 +812,7 @@ func (db *DB) Query(sql string, args ...sqltypes.Value) (*Rows, error) {
 // QueryContext is Query with cooperative cancellation: admission
 // control, deadline (ctx's own or the SetStatementTimeout default) and
 // per-row checkpoints in every scan, join, sort and fold loop. A
-// canceled read leaves no latches held and the database unpoisoned.
+// canceled read leaves no engine lock held and the database unpoisoned.
 func (db *DB) QueryContext(ctx context.Context, sql string, args ...sqltypes.Value) (*Rows, error) {
 	st, err := db.preparedStmt(sql)
 	if err != nil {
@@ -844,8 +842,7 @@ type txState struct {
 	wal *walFile
 }
 
-// newTx allocates a transaction. Safe under any mu mode — sharded
-// writers holding only the read lock race on the atomic allocator.
+// newTx allocates a transaction from the atomic id allocator.
 func (db *DB) newTx() *txState {
 	return &txState{id: db.nextTx.Add(1) - 1}
 }
@@ -865,9 +862,8 @@ func (db *DB) readSnapshot() uint64 { return db.lastTS.Load() }
 // commit (only after durability, per the LinkController contract), any
 // due auto-vacuum and any due checkpoint.
 //
-// The caller holds mu (read mode for the sharded path, plus the table's
-// wmu; write mode for the global paths) across execution AND this call,
-// so the stamp is installed before another writer can touch the same
+// The caller holds mu exclusively across execution AND this call, so
+// the stamp is installed before another writer can touch the same
 // rows. A staging failure rolls the transaction back immediately and
 // returns a nil finish. A flush failure inside finish unwinds the WHOLE
 // undurable suffix of staged transactions in reverse commit order under
@@ -1011,8 +1007,8 @@ func (db *DB) dropInflightLocked(tx *txState) {
 // the batch; later ones find their transaction already gone. The
 // returned error aggregates link-control abort failures from the
 // unwound transactions. Caller holds mu exclusively (the stamp flips
-// and structural undo must not interleave with sharded writers) plus
-// commitMu (inflight).
+// and structural undo must not interleave with a writer) plus commitMu
+// (inflight).
 func (db *DB) unwindFailedLocked() error {
 	var durable []*txState
 	var abortErrs []error
@@ -1037,11 +1033,11 @@ func (db *DB) unwindFailedLocked() error {
 // rollbackTx undoes the transaction's in-memory effects — flipping its
 // MVCC stamps to the aborted state and reversing structural side
 // effects, see mvccRefs.abort — and releases its link-control
-// reservations. The caller must own the touched tables' writer slots
-// (wmu, or mu exclusively). The returned error never means the database
-// rollback failed (stamp flips cannot fail); it reports a link-control
-// abort that could not reach a file server, so a staged prepare may
-// survive there until the coordinator retries the abort or reconciles.
+// reservations. The caller holds mu exclusively. The returned error
+// never means the database rollback failed (stamp flips cannot fail);
+// it reports a link-control abort that could not reach a file server,
+// so a staged prepare may survive there until the coordinator retries
+// the abort or reconciles.
 func (db *DB) rollbackTx(tx *txState) error {
 	tx.refs.abort()
 	if tx.usedLink && db.linkCtl != nil {

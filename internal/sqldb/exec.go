@@ -416,8 +416,8 @@ func (db *DB) execDeleteLocked(tx *txState, s *DeleteStmt, params []sqltypes.Val
 // predicate is tested on every candidate (see openScan).
 func (db *DB) matchRowsLocked(td *tableData, schema *TableSchema, where Expr, params []sqltypes.Value, ic *interrupt) ([]*rowSlot, error) {
 	// Latest-mode visibility: DML must see the current state, including
-	// this transaction's own earlier writes (the owning writer slot —
-	// wmu or the global lock — guarantees no foreign in-flight stamps).
+	// this transaction's own earlier writes (the barrier guarantees no
+	// foreign in-flight stamps).
 	ctx := &evalCtx{params: params, now: db.nowFn(), snap: snapLatest, intr: ic}
 	scan := db.openScan(td, planAccess(td, schema.Name, where, nil, nil, false, false), where, ctx)
 	var matched []*rowSlot

@@ -125,7 +125,7 @@ func TestCancelMidStatementLatency(t *testing.T) {
 		t.Fatalf("cancel-to-return latency %v, want <= 50ms", latency)
 	}
 	// The identical statement succeeds on a fresh context: no poison,
-	// no leaked latch, no stuck admission slot.
+	// no held engine lock, no stuck admission slot.
 	rows, err := db.QueryContext(context.Background(), longJoinSQL)
 	if err != nil {
 		t.Fatalf("identical statement after cancel: %v", err)
@@ -189,9 +189,9 @@ func mustInt(t *testing.T, db *DB, sql string) int64 {
 
 // TestStatementDeadlines covers both deadline sources — the
 // per-database SetStatementTimeout default and an explicit context
-// deadline — and then proves a deadline-killed read left no latch
-// behind: DML (table write latch) and DDL (exclusive engine lock)
-// both succeed immediately afterwards.
+// deadline — and then proves a deadline-killed read left no engine
+// lock behind: DML and DDL, which both take the barrier, succeed
+// immediately afterwards.
 func TestStatementDeadlines(t *testing.T) {
 	db := governDB(t, Options{}, 1200, 50)
 
@@ -210,8 +210,7 @@ func TestStatementDeadlines(t *testing.T) {
 		t.Fatalf("sqldb_statements_timed_out_total = %d, want >= 2", c)
 	}
 
-	// Latch-free: the write latch and the exclusive engine lock are
-	// both immediately acquirable after the deadline kills.
+	// The barrier is immediately acquirable after the deadline kills.
 	if _, err := db.Exec(`UPDATE big SET v = v + 1 WHERE id = 7`); err != nil {
 		t.Fatalf("DML after deadline kill: %v", err)
 	}
@@ -441,16 +440,15 @@ func dirImage(t *testing.T, dir string) string {
 // across many statements whose contexts are canceled at random points,
 // the final visible state is exactly the set of acknowledged effects —
 // every ErrCanceled statement contributed nothing (all-or-nothing per
-// statement), on both the sharded write path (FK-free table) and the
-// exclusive path (FK-bearing table).
+// statement), on an FK-free table and on an FK-bearing one, whose
+// constraint checks read a second table.
 func TestCanceledStatementsNeverMutate(t *testing.T) {
 	db, err := OpenWith("", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close() //nolint:errcheck
-	// prop is FK-free (sharded path); child references parent
-	// (exclusive path).
+	// prop is FK-free; child references parent.
 	for _, ddl := range []string{
 		`CREATE TABLE prop (id INTEGER PRIMARY KEY, v INTEGER)`,
 		`CREATE TABLE parent (id INTEGER PRIMARY KEY)`,
@@ -487,16 +485,16 @@ func TestCanceledStatementsNeverMutate(t *testing.T) {
 	ackedIns := make(map[int64]bool)
 	for i := 0; i < 160; i++ {
 		switch i % 3 {
-		case 0: // sharded-path insert
+		case 0: // FK-free insert
 			id := int64(10000 + i)
 			if run(`INSERT INTO prop VALUES (?, 0)`, sqltypes.NewInt(id)) == nil {
 				ackedIns[id] = true
 			}
-		case 1: // sharded-path multi-row update (atomicity probe)
+		case 1: // FK-free multi-row update (atomicity probe)
 			if run(`UPDATE prop SET v = v + 1 WHERE id < ?`, sqltypes.NewInt(seeded)) == nil {
 				ackedUpdates++
 			}
-		default: // exclusive-path insert (FK check forces the engine lock)
+		default: // FK-bearing insert (its FK check reads parent)
 			id := int64(20000 + i)
 			if run(`INSERT INTO child VALUES (?, 1)`, sqltypes.NewInt(id)) == nil {
 				ackedIns[id] = true
@@ -527,7 +525,7 @@ func TestCanceledStatementsNeverMutate(t *testing.T) {
 	for _, r := range crows.Data {
 		seen[r[0].Int()] = true
 		if !ackedIns[r[0].Int()] {
-			t.Fatalf("canceled exclusive-path insert %d is visible", r[0].Int())
+			t.Fatalf("canceled FK-bearing insert %d is visible", r[0].Int())
 		}
 	}
 	for id := range ackedIns {

@@ -52,8 +52,8 @@ func liveEntry(s *rowSlot) *idxEntry {
 }
 
 // findCurrentEntry locates the live posting for row s under key k, the
-// one a delete or key-changing update must end. Caller holds the table
-// latch at least shared plus the table's writer slot.
+// one a delete or key-changing update must end. Caller holds the
+// barrier.
 func findCurrentEntry(idx *orderedIndex, k string, s *rowSlot) *idxEntry {
 	for _, e := range idx.lookupKey(k) {
 		if e.slot == s && entryCurrent(e) {
@@ -71,20 +71,15 @@ type keyBound struct {
 
 // ---------- snapshot-filtered access helpers ----------
 //
-// Readers go through these: they hold the table latch shared only for
-// bounded stretches (one point lookup, or one batch of keys), filter
-// postings down to the slots of the rows visible at the snapshot, and
-// hand the caller latch-free data (a slot outlives the latch). Because a
-// reader never holds two table latches at once (join probes re-enter per
-// probe, after the outer batch is released), latch cycles cannot form.
+// Readers go through these, holding DB.mu at least shared: they filter
+// postings down to the slots of the rows visible at the snapshot.
 
-// idxScanBatch is how many keys a range scan gathers per latch hold.
+// idxScanBatch is how many keys a range scan gathers before visiting.
 const idxScanBatch = 128
 
 // lookupVisible appends to rows the rows visible at snap under one key,
 // growing rows at most once, to room for every posting under the key.
-func lookupVisible(rows []*rowSlot, td *tableData, idx *orderedIndex, k string, snap uint64) []*rowSlot {
-	td.latch.RLock()
+func lookupVisible(rows []*rowSlot, idx *orderedIndex, k string, snap uint64) []*rowSlot {
 	es := idx.lookupKey(k)
 	rows = slices.Grow(rows, len(es))
 	for _, e := range es {
@@ -92,24 +87,21 @@ func lookupVisible(rows []*rowSlot, td *tableData, idx *orderedIndex, k string, 
 			rows = append(rows, e.slot)
 		}
 	}
-	td.latch.RUnlock()
 	return rows
 }
 
-// scanVisibleRange drives a resumable, batched range scan: up to
-// idxScanBatch keys are collected per latch hold, then f runs
-// latch-free over each key's visible rows (keys with no visible posting
-// are skipped). Between batches the scan resumes strictly after the
-// last delivered key; committed-after-snapshot writers only add
-// postings invisible at snap, and structural removal happens only under
-// the global barrier, so the resumed walk observes exactly the
-// snapshot's key set.
-func scanVisibleRange(td *tableData, idx *orderedIndex, lo, hi *keyBound, desc bool, snap uint64, f func(k string, rows []*rowSlot) bool) {
+// scanVisibleRange drives a batched range scan: up to idxScanBatch keys
+// are gathered from the tree, then f runs over each key's visible rows
+// (keys with no visible posting are skipped). Between batches the scan
+// resumes strictly after the last delivered key. Gathering first keeps
+// the tree walk a tight loop apart from the visitor's work: calling f
+// from inside the walk instead cost the report workload about 6% more
+// CPU per op.
+func scanVisibleRange(idx *orderedIndex, lo, hi *keyBound, desc bool, snap uint64, f func(k string, rows []*rowSlot) bool) {
 	buf := scanBufs.Get().(*scanBuf)
 	defer scanBufs.Put(buf)
 	for {
 		batch, flat := buf.batch[:0], buf.flat[:0]
-		td.latch.RLock()
 		idx.scanRange(lo, hi, desc, func(k string, es []*idxEntry) bool {
 			start := len(flat)
 			for _, e := range es {
@@ -122,7 +114,6 @@ func scanVisibleRange(td *tableData, idx *orderedIndex, lo, hi *keyBound, desc b
 			}
 			return len(batch) < idxScanBatch
 		})
-		td.latch.RUnlock()
 		buf.flat = flat // keep what append grew
 		for _, kv := range batch {
 			if !f(kv.k, kv.rows) {
@@ -190,13 +181,11 @@ const (
 // within still-populated leaves no rebalancing happens, which is the
 // right trade for the archive's insert-mostly workload.
 //
-// Structural mutation (insertKey, removeEntry, sweepDead) requires the
-// table latch exclusively and lookups require it shared — except from
-// the table's owning writer (wmu or the global barrier), which is the
-// only structural mutator and may therefore read without the latch.
-// Postings' stamps are atomics and may be read lock-free once located;
-// slices handed to visitors alias index storage and must not be mutated
-// or kept past the latch.
+// Structural mutation (insertKey, removeEntry, sweepDead) happens only
+// under the barrier (DB.mu exclusively); lookups and scans hold DB.mu at
+// least shared. Postings' stamps are atomics. Slices handed to visitors
+// alias index storage and must not be mutated or kept past the
+// statement.
 type orderedIndex struct {
 	name string
 	cols []string // upper-cased column names, index order

@@ -365,12 +365,12 @@ func (j *joinRun) probeJoin(cands [][]sqltypes.Value, td *tableData, p *joinProb
 		return true
 	}
 	if p.nEq == len(p.cols) {
-		j.slots = lookupVisible(j.slots[:0], td, idx, string(prefix), ctx.snap)
+		j.slots = lookupVisible(j.slots[:0], idx, string(prefix), ctx.snap)
 		collect(j.slots)
 	} else {
 		lo := &keyBound{key: string(prefix), incl: true}
 		hi := &keyBound{key: string(prefix) + keyRangeHiSentinel, incl: true}
-		scanVisibleRange(td, idx, lo, hi, false, ctx.snap, func(_ string, rows []*rowSlot) bool {
+		scanVisibleRange(idx, lo, hi, false, ctx.snap, func(_ string, rows []*rowSlot) bool {
 			return collect(rows)
 		})
 	}

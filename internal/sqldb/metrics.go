@@ -17,8 +17,7 @@ import (
 //	sqldb_plan_cache_hits_total        counter    statement-cache hits
 //	sqldb_plan_cache_misses_total      counter    statement-cache misses (parse+bind)
 //	sqldb_plan_cache_entries           gauge      statements currently cached
-//	sqldb_latch_wait_ns                histogram  sharded-write per-table latch wait
-//	sqldb_barrier_wait_ns              histogram  exclusive-barrier acquisition wait
+//	sqldb_barrier_wait_ns              histogram  write-barrier acquisition wait, once per autocommit Exec
 //	sqldb_vacuum_pass_ns               histogram  vacuum pass duration
 //	sqldb_vacuum_passes_total          counter    completed vacuum passes
 //	sqldb_vacuum_rows_reclaimed_total  counter    dead versions+entries reclaimed
@@ -49,7 +48,6 @@ type dbMetrics struct {
 	commits     *telemetry.Counter
 	planHits    *telemetry.Counter
 	planMisses  *telemetry.Counter
-	latchWaitNs *telemetry.Histogram
 	barrierNs   *telemetry.Histogram
 	vacuumNs    *telemetry.Histogram
 	vacuumPass  *telemetry.Counter
@@ -83,8 +81,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 		commits:     reg.Counter("sqldb_commits_total", "Committed transactions."),
 		planHits:    reg.Counter("sqldb_plan_cache_hits_total", "Plan-cache hits."),
 		planMisses:  reg.Counter("sqldb_plan_cache_misses_total", "Plan-cache misses (full parse and bind)."),
-		latchWaitNs: reg.Histogram("sqldb_latch_wait_ns", "Sharded-write per-table latch acquisition wait in nanoseconds."),
-		barrierNs:   reg.Histogram("sqldb_barrier_wait_ns", "Exclusive global-barrier acquisition wait in nanoseconds."),
+		barrierNs:   reg.Histogram("sqldb_barrier_wait_ns", "Write-barrier acquisition wait in nanoseconds, once per autocommit Exec."),
 		vacuumNs:    reg.Histogram("sqldb_vacuum_pass_ns", "Vacuum pass duration in nanoseconds."),
 		vacuumPass:  reg.Counter("sqldb_vacuum_passes_total", "Completed vacuum passes."),
 		vacuumRows:  reg.Counter("sqldb_vacuum_rows_reclaimed_total", "Dead row versions and index entries reclaimed by vacuum."),

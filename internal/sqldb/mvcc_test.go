@@ -12,8 +12,8 @@ import (
 
 // ---------- snapshot isolation under concurrency ----------
 
-// TestMVCCSnapshotIsolation drives sharded single-table writers against
-// concurrent readers and checks per-statement snapshot invariants:
+// TestMVCCSnapshotIsolation drives single-table writers on two tables
+// against concurrent readers and checks per-statement snapshot invariants:
 //
 //   - Group atomicity: a writer rewrites a whole group's V in one
 //     UPDATE, so any reader's MIN(V)/MAX(V) over that group must agree —
@@ -70,7 +70,7 @@ func TestMVCCSnapshotIsolation(t *testing.T) {
 	}
 	done := make(chan struct{})
 
-	// Writer: whole-group rewrites through the sharded path.
+	// Writer: whole-group rewrites, one UPDATE per group.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -83,8 +83,8 @@ func TestMVCCSnapshotIsolation(t *testing.T) {
 		}
 	}()
 
-	// Writer: dense-id batch appends on a second table; its latch is
-	// independent of SIM's, so the two writers commit concurrently.
+	// Writer: dense-id batch appends on a second table. The two writers
+	// take the barrier in turn, but their WAL flushes overlap.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -160,58 +160,44 @@ func TestMVCCSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestShardedWriteClassification pins down which statements take the
-// sharded (per-table latch) write path: single-table DML on FK-free,
-// DATALINK-free tables only. FK-bearing tables must stay on the
-// exclusive path — their constraint checks read other tables.
-func TestShardedWriteClassification(t *testing.T) {
+// TestEveryWriteTakesTheBarrier: there is one write path. Every
+// autocommit INSERT, UPDATE and DELETE — on an FK-free table and on an
+// FK-bearing one alike — takes the barrier exactly once, observed as one
+// sqldb_barrier_wait_ns sample per statement.
+func TestEveryWriteTakesTheBarrier(t *testing.T) {
 	db := memDB(t)
 	mustExec(t, db, `CREATE TABLE FREE (ID INTEGER PRIMARY KEY, V INTEGER)`)
 	mustExec(t, db, `CREATE TABLE PARENT (ID INTEGER PRIMARY KEY)`)
 	mustExec(t, db, `CREATE TABLE CHILD (ID INTEGER PRIMARY KEY, PID INTEGER REFERENCES PARENT (ID))`)
-
-	classify := func(sql string) *tableData {
-		t.Helper()
-		ast, err := Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		return db.shardedTarget(ast)
-	}
-	if classify(`INSERT INTO FREE VALUES (1, 1)`) == nil {
-		t.Error("FK-free insert should shard")
-	}
-	if classify(`UPDATE FREE SET V = 2 WHERE ID = 1`) == nil {
-		t.Error("FK-free update should shard")
-	}
-	if classify(`DELETE FROM FREE WHERE ID = 1`) == nil {
-		t.Error("FK-free delete should shard")
-	}
-	if classify(`INSERT INTO CHILD VALUES (1, 1)`) != nil {
-		t.Error("FK child must take the exclusive path")
-	}
-	if classify(`DELETE FROM PARENT WHERE ID = 1`) != nil {
-		t.Error("FK parent must take the exclusive path")
-	}
-	if classify(`CREATE INDEX FREE_V ON FREE (V) USING HASH`) != nil {
-		t.Error("DDL must take the exclusive path")
-	}
-
-	// The exclusive path still enforces the constraint.
 	mustExec(t, db, `INSERT INTO PARENT VALUES (7)`)
-	mustExec(t, db, `INSERT INTO CHILD VALUES (1, 7)`)
-	if _, err := db.Exec(`DELETE FROM PARENT WHERE ID = 7`); err == nil {
-		t.Fatal("FK violation not caught")
+	barriers := func() uint64 {
+		m, ok := db.Metrics().Find("sqldb_barrier_wait_ns")
+		if !ok || m.Hist == nil {
+			t.Fatalf("sqldb_barrier_wait_ns missing: %+v", m)
+		}
+		return m.Hist.Count
+	}
+	for _, sql := range []string{
+		`INSERT INTO FREE VALUES (1, 1)`,
+		`UPDATE FREE SET V = 2 WHERE ID = 1`,
+		`DELETE FROM FREE WHERE ID = 1`,
+		`INSERT INTO CHILD VALUES (1, 7)`,
+		`UPDATE CHILD SET PID = 7 WHERE ID = 1`,
+		`DELETE FROM CHILD WHERE ID = 1`,
+	} {
+		before := barriers()
+		mustExec(t, db, sql)
+		if got := barriers() - before; got != 1 {
+			t.Errorf("%s: %d barrier acquisitions, want 1", sql, got)
+		}
 	}
 }
 
 // ---------- vacuum ----------
 
-func countVersions(td *tableData) (slots, versions int) {
-	td.latch.RLock()
-	defer td.latch.RUnlock()
+func countVersions(db *DB, td *tableData) (slots, versions int) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	for _, s := range td.slots {
 		slots++
 		for v := s.head.Load(); v != nil; v = v.prev {
@@ -246,7 +232,7 @@ func TestVacuumReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	td := db.data["T"]
-	baseSlots, baseVersions := countVersions(td)
+	baseSlots, baseVersions := countVersions(db, td)
 	if baseSlots != 100 || baseVersions != 100 {
 		t.Fatalf("baseline: %d slots / %d versions, want 100/100", baseSlots, baseVersions)
 	}
@@ -267,7 +253,7 @@ func TestVacuumReclaim(t *testing.T) {
 		mustExec(t, db, `UPDATE T SET B = B + 1 WHERE ID >= 1000`)
 		mustExec(t, db, `DELETE FROM T WHERE ID >= 1000`)
 	}
-	if _, dirtyVersions := countVersions(td); dirtyVersions <= baseVersions {
+	if _, dirtyVersions := countVersions(db, td); dirtyVersions <= baseVersions {
 		t.Fatalf("churn left no dead versions to reclaim (%d)", dirtyVersions)
 	}
 	dirtyNodes := ordered.nodeCount()
@@ -275,7 +261,7 @@ func TestVacuumReclaim(t *testing.T) {
 	if err := db.Vacuum(); err != nil {
 		t.Fatal(err)
 	}
-	slots, versions := countVersions(td)
+	slots, versions := countVersions(db, td)
 	if slots != baseSlots || versions != baseVersions {
 		t.Fatalf("after vacuum: %d slots / %d versions, want %d/%d", slots, versions, baseSlots, baseVersions)
 	}
@@ -327,7 +313,7 @@ func TestAutoVacuum(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	slots, versions := countVersions(td)
+	slots, versions := countVersions(db, td)
 	if slots != 0 || versions != 0 {
 		t.Fatalf("auto-vacuum left %d slots / %d versions", slots, versions)
 	}

@@ -807,11 +807,11 @@ func (ts *tableScan) keys(ctx *evalCtx, desc bool, f func(k string, rows []*rowS
 	switch {
 	case ts.kr.empty:
 	case ts.kr.useLookup:
-		if rows := lookupVisible(nil, ts.td, ts.idx, ts.kr.lookup, ctx.snap); len(rows) > 0 {
+		if rows := lookupVisible(nil, ts.idx, ts.kr.lookup, ctx.snap); len(rows) > 0 {
 			visit(ts.kr.lookup, rows)
 		}
 	default:
-		scanVisibleRange(ts.td, ts.idx, ts.kr.lo, ts.kr.hi, desc, ctx.snap, visit)
+		scanVisibleRange(ts.idx, ts.kr.lo, ts.kr.hi, desc, ctx.snap, visit)
 	}
 	return err
 }

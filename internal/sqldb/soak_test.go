@@ -71,9 +71,9 @@ func newSoakOracle() *soakOracle {
 }
 
 // soakTable routes a row id to its table: even ids live in K, odd in
-// K2. Two FK-free tables make concurrent workers commit through
-// independent sharded latches, so crash schedules capture genuinely
-// overlapping commit stamps that recovery must replay in order.
+// K2. Concurrent workers on two tables take the barrier in turn but
+// overlap their WAL flushes, so crash schedules capture commit stamps
+// from interleaved group commits that recovery must replay in order.
 func soakTable(k int64) string {
 	if k%2 == 0 {
 		return "K"
@@ -293,7 +293,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 						faults.CrashAfterOps("", crashAfter, torn)
 					}
 					db.CheckpointEvery = 4 + rng.Intn(9)
-					// Two rounds in three run four workers: their sharded
+					// Two rounds in three run four workers: their
 					// commits interleave stamps across K and K2, which the
 					// post-crash replay must reproduce in order.
 					runWorkload(db, faults, rng, o, &nextID, round%3 != 0)

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -582,6 +583,46 @@ func TestOrderByDescAndAlias(t *testing.T) {
 	rows := mustQuery(t, db, `SELECT id, v * 2 AS dbl FROM t ORDER BY dbl DESC`)
 	if rows.Data[0][1].Int() != 60 || rows.Data[2][1].Int() != 20 {
 		t.Fatalf("alias order: %v", rows.Data)
+	}
+}
+
+// TestCatalogReadsUnderDDL: Catalog().Table, TableNames and
+// ReferencedBy take no engine lock, so they must stay safe while CREATE
+// and DROP TABLE change the catalogue beside them. Run under -race.
+func TestCatalogReadsUnderDDL(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE KEEP (ID INTEGER PRIMARY KEY)`)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			name := fmt.Sprintf("T%d", i%4)
+			if _, err := db.Exec(`CREATE TABLE ` + name + ` (ID INTEGER PRIMARY KEY, K INTEGER REFERENCES KEEP (ID))`); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := db.Exec(`DROP TABLE ` + name); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	cat := db.Catalog()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if _, ok := cat.Table("keep"); !ok {
+			t.Fatal("KEEP vanished from the catalogue")
+		}
+		if names := cat.TableNames(); !slices.Contains(names, "KEEP") || len(names) > 2 {
+			t.Fatalf("table names: %v", names)
+		}
+		if refs := cat.ReferencedBy("KEEP"); len(refs) > 1 {
+			t.Fatalf("ReferencedBy: %+v", refs)
+		}
 	}
 }
 

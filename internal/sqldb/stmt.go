@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -121,14 +120,11 @@ func pathString(plan *selectPlan, sel *SelectStmt) string {
 	return out
 }
 
-// Exec runs the prepared statement in autocommit mode. Single-table
-// DML against a table with no foreign keys (either direction) and no
-// DATALINK columns takes the sharded write path: the shared engine lock
-// plus that table's write latch, so writers on different tables commit
-// concurrently (and MVCC readers are never blocked). Everything else —
-// DDL, FK-bearing DML, link-control writes — falls back to the
-// exclusive writer lock. A prepared SELECT via Exec is allowed, with
-// the result discarded.
+// Exec runs the prepared statement in autocommit mode. Every write —
+// DML and DDL alike — executes and stages its commit under the engine
+// barrier (db.mu held exclusively); the WAL fsync it then waits for
+// happens outside it, batched with concurrent committers. A prepared
+// SELECT via Exec is allowed, with the result discarded.
 func (s *Stmt) Exec(args ...sqltypes.Value) (Result, error) {
 	res, _, err := s.exec(nil, args, false)
 	return res, err
@@ -190,62 +186,6 @@ func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value, force bool) (Res
 	}
 	defer ic.release()
 	tr.setDeadline(ic)
-	db.mu.RLock()
-	if td := db.shardedTarget(s.ast); td != nil {
-		if db.closed {
-			db.mu.RUnlock()
-			return Result{}, nil, ErrClosed
-		}
-		// The write latch serialises writers of this one table; it also
-		// serialises bindings of this statement's shared AST (same
-		// statement → same table → same latch).
-		latchStart := time.Now()
-		td.wmu.Lock()
-		latchNs := time.Since(latchStart).Nanoseconds()
-		db.met.latchWaitNs.Observe(latchNs)
-		tx := db.newTx()
-		tx.intr = ic
-		tr.beginHeap()
-		endExec := tr.span("dml")
-		res, _, err := db.execStmtLocked(tx, s.ast, args)
-		if err == nil {
-			// Last cancellation checkpoint: past this poll the
-			// transaction stages its WAL frames and commits.
-			err = ic.poll()
-		}
-		if err != nil {
-			rbErr := db.rollbackTx(tx)
-			td.wmu.Unlock()
-			db.mu.RUnlock()
-			db.traceCanceled(tr, ic, thr)
-			return Result{}, nil, errors.Join(err, rbErr)
-		}
-		endExec(int64(res.RowsAffected))
-		tr.endHeap()
-		stageStart := time.Now()
-		finish, err := db.commitTx(tx)
-		stageNs := time.Since(stageStart).Nanoseconds()
-		// Release the latch only after commitTx published the stamp:
-		// the next writer on this table must observe these versions as
-		// committed, not in flight. All engine locks drop before
-		// finish() — its failure unwind and checkpoint re-check take
-		// db.mu exclusively.
-		td.wmu.Unlock()
-		db.mu.RUnlock()
-		if err != nil {
-			return Result{}, nil, err
-		}
-		if tr != nil {
-			tr.t.LatchWaitNs = latchNs
-			tr.t.WALStageNs = stageNs
-		}
-		if err := s.finishTraced(tr, tx, finish, thr, res); err != nil {
-			return Result{}, nil, err
-		}
-		return res, tr.trace(), nil
-	}
-	db.mu.RUnlock()
-
 	barrierStart := time.Now()
 	db.mu.Lock()
 	barrierNs := time.Since(barrierStart).Nanoseconds()
@@ -260,7 +200,8 @@ func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value, force bool) (Res
 	endExec := tr.span("dml")
 	res, _, err := db.execStmtLocked(tx, s.ast, args)
 	if err == nil {
-		// Same pre-WAL-stage cancellation boundary as the sharded path.
+		// Last cancellation checkpoint: past this poll the
+		// transaction stages its WAL frames and commits.
 		err = ic.poll()
 	}
 	if err != nil {
@@ -278,70 +219,24 @@ func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value, force bool) (Res
 	if err != nil {
 		return Result{}, nil, err
 	}
+	// The fsync happens here, outside the barrier, batched with any
+	// concurrently committing transactions (WAL group commit).
+	fsyncStart := time.Now()
+	err = finish()
 	if tr != nil {
 		tr.t.BarrierWaitNs = barrierNs
 		tr.t.WALStageNs = stageNs
-	}
-	// The fsync happens here, outside the writer lock, batched with any
-	// concurrently committing transactions (WAL group commit).
-	if err := s.finishTraced(tr, tx, finish, thr, res); err != nil {
-		return Result{}, nil, err
-	}
-	return res, tr.trace(), nil
-}
-
-// finishTraced runs the commit's finish closure, timing the durability
-// wait and recording the group-commit batch the fsync rode in, then
-// closes the trace and hands it to the slow-query log.
-func (s *Stmt) finishTraced(tr *execTrace, tx *txState, finish func() error, thr int64, res Result) error {
-	fsyncStart := time.Now()
-	err := finish()
-	if tr != nil {
 		tr.t.FsyncWaitNs = time.Since(fsyncStart).Nanoseconds()
 		if tx.wal != nil {
 			tr.t.GroupCommitBatch = tx.wal.lastBatch.Load()
 		}
 		tr.finishRows(int64(res.RowsAffected))
-		s.db.noteSlow(tr, thr)
+		db.noteSlow(tr, thr)
 	}
-	return err
-}
-
-// shardedTarget classifies a statement for the sharded write path,
-// returning the target table when eligible: single-table DML whose
-// table declares no outgoing foreign keys, is referenced by no other
-// table's foreign keys, and has no DATALINK columns. Such a statement
-// reads and writes exactly one table's heap and indexes, so the
-// per-table write latch is a full substitute for the exclusive engine
-// lock. Caller holds db.mu (read mode suffices: the catalogue only
-// changes under the write lock).
-func (db *DB) shardedTarget(stmt Statement) *tableData {
-	var name string
-	switch s := stmt.(type) {
-	case *InsertStmt:
-		name = s.Table
-	case *UpdateStmt:
-		name = s.Table
-	case *DeleteStmt:
-		name = s.Table
-	default:
-		return nil
+	if err != nil {
+		return Result{}, nil, err
 	}
-	ts, ok := db.cat.Table(name)
-	if !ok {
-		return nil // let the exclusive path report the unknown table
-	}
-	if len(ts.ForeignKeys) > 0 || len(ts.DatalinkColumns()) > 0 {
-		return nil
-	}
-	for _, other := range db.cat.tables {
-		for _, fk := range other.ForeignKeys {
-			if strings.EqualFold(fk.RefTable, ts.Name) {
-				return nil
-			}
-		}
-	}
-	return db.data[strings.ToUpper(ts.Name)]
+	return res, tr.trace(), nil
 }
 
 // Query runs a prepared SELECT under the shared read lock: any number of

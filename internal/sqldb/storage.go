@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/sqltypes"
@@ -37,9 +36,9 @@ const (
 
 	// snapLatest is the visibility mode used by DML row matching and FK
 	// checks: see the latest non-aborted state, including this
-	// transaction's own uncommitted changes. Safe because same-table
-	// writers serialise on tableData.wmu (or on DB.mu for the global
-	// paths), so any in-flight stamp seen in this mode is our own.
+	// transaction's own uncommitted changes. Safe because every writer
+	// holds DB.mu exclusively until its stamps are resolved, so any
+	// in-flight stamp seen in this mode is our own.
 	snapLatest = ^uint64(0)
 )
 
@@ -188,25 +187,13 @@ func (r *mvccRefs) abort() {
 type tableData struct {
 	schema *TableSchema
 
-	// wmu serialises writer statements on this table: a sharded DML
-	// statement holds it from row matching through commit-stamping, so
-	// "latest" visibility during matching can never observe another
-	// transaction's in-flight stamps. Global-barrier paths (DDL,
-	// explicit transactions, FK-involved DML, vacuum) already exclude
-	// everything via DB.mu and skip it.
-	wmu sync.Mutex
-
-	// latch guards the physical structure readers traverse: the slots
-	// slice header and the index trees. Writers hold it exclusively only
-	// for short structural mutations; readers hold it shared for bounded
-	// batches and never nest two table latches (see index.go).
-	latch sync.RWMutex
-
 	// slots is the heap, strictly ascending by row id: ids come from one
-	// allocator and are taken, inserted and WAL-staged under the table's
-	// writer slot; snapshots and vacuum keep slots order. Postings point
-	// into it, and a slot leaves it only in vacuum — under the barrier,
-	// its postings swept with it — so a *rowSlot outlives the latch.
+	// allocator and are taken, inserted and WAL-staged under the
+	// barrier; snapshots and vacuum keep slots order. Postings point
+	// into it, and a slot leaves it only in vacuum, its postings swept
+	// with it. The slots and the index trees change only under DB.mu
+	// held exclusively, and every reader holds it shared for its whole
+	// statement, so no reader ever sees a structure mid-change.
 	slots []*rowSlot
 	live  atomic.Int64 // latest committed+in-flight live rows (snapshot row counts)
 	dead  atomic.Int64 // dead versions + index entries awaiting vacuum
@@ -274,10 +261,10 @@ func (td *tableData) addIndex(idx *orderedIndex) {
 
 // checkUnique enforces a PRIMARY KEY / UNIQUE index against the latest
 // state: no current posting under k — committed or this transaction's
-// own in-flight one — may belong to a row other than self. The owning
-// writer slot excludes every other writer, and abort flips posting
-// stamps back, so the MVCC postings are the whole truth and no second
-// structure is kept. Key equality is value equality (key.go), so any
+// own in-flight one — may belong to a row other than self. The barrier
+// excludes every other writer, and abort flips posting stamps back, so
+// the MVCC postings are the whole truth and no second structure is
+// kept. Key equality is value equality (key.go), so any
 // live holder is a violation. SQL semantics: rows with NULL in any
 // constrained column are exempt (they are still indexed; the planner
 // may use them).
@@ -319,8 +306,7 @@ func (td *tableData) checkedKeys(vals []sqltypes.Value, self *rowSlot) ([]string
 }
 
 // insert installs a new row as an uncommitted version and maintains
-// indexes. The caller owns the table's writer slot (wmu or the global
-// barrier).
+// indexes. The caller holds the barrier (DB.mu exclusively).
 func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) error {
 	keys, err := td.checkedKeys(vals, nil)
 	if err != nil {
@@ -331,7 +317,6 @@ func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) err
 	v.begin.Store(uncommittedStamp)
 	s := &rowSlot{id: id}
 	s.head.Store(v)
-	td.latch.Lock()
 	td.appendSlot(s)
 	for i, idx := range td.indexes {
 		e := &idxEntry{slot: s}
@@ -339,7 +324,6 @@ func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) err
 		idx.insertKey(keys[i], e)
 		refs.createdIdx = append(refs.createdIdx, e)
 	}
-	td.latch.Unlock()
 	td.live.Add(1)
 	refs.created = append(refs.created, v)
 	refs.undo = append(refs.undo, func() {
@@ -360,14 +344,12 @@ func (td *tableData) delete(s *rowSlot, refs *mvccRefs) ([]sqltypes.Value, error
 	refs.touch(td)
 	v.end.Store(uncommittedStamp)
 	refs.ended = append(refs.ended, v)
-	td.latch.RLock()
 	for _, idx := range td.indexes {
 		if e := findCurrentEntry(idx, idx.rowKeyOf(vals), s); e != nil {
 			e.end.Store(uncommittedStamp)
 			refs.endedIdx = append(refs.endedIdx, e)
 		}
 	}
-	td.latch.RUnlock()
 	td.live.Add(-1)
 	td.dead.Add(1)
 	refs.undo = append(refs.undo, func() {
@@ -398,7 +380,6 @@ func (td *tableData) update(s *rowSlot, newVals []sqltypes.Value, refs *mvccRefs
 	refs.created = append(refs.created, nv)
 	refs.ended = append(refs.ended, v)
 	td.dead.Add(1) // the superseded version
-	td.latch.Lock()
 	for i, idx := range td.indexes {
 		oldKey := idx.rowKeyOf(old)
 		if oldKey == keys[i] {
@@ -414,16 +395,17 @@ func (td *tableData) update(s *rowSlot, newVals []sqltypes.Value, refs *mvccRefs
 		idx.insertKey(keys[i], ne)
 		refs.createdIdx = append(refs.createdIdx, ne)
 	}
-	td.latch.Unlock()
 	refs.undo = append(refs.undo, func() {
 		td.dead.Add(1) // the aborted new version
 	})
 	return old, nil
 }
 
-// appendSlot adds a new row's slot under the exclusive latch, keeping
-// slots ascending by id. Ids arrive in order; one that did not is placed
-// by a copying insert (cap i), since scans walk the old array unlatched.
+// appendSlot adds a new row's slot, keeping slots ascending by id. Ids
+// arrive in order, except from a WAL written while writers still
+// committed concurrently: replaying it may deliver an id late, and that
+// slot is placed by a copying insert (cap i), which leaves any earlier
+// copy of the slots header unchanged.
 func (td *tableData) appendSlot(s *rowSlot) {
 	if n := len(td.slots); n == 0 || td.slots[n-1].id < s.id {
 		td.slots = append(td.slots, s)
@@ -454,14 +436,10 @@ func (td *tableData) get(s *rowSlot, snap uint64) ([]sqltypes.Value, bool) {
 }
 
 // scan calls f for each row visible at snap in insertion order; f
-// returns false to stop. The latch is held only long enough to copy the
-// slots slice header, so long analytical scans never block writers.
+// returns false to stop.
 func (td *tableData) scan(snap uint64, f func(s *rowSlot, vals []sqltypes.Value) bool) {
-	td.latch.RLock()
-	slots := td.slots
-	td.latch.RUnlock()
 	visited := int64(0)
-	for _, s := range slots {
+	for _, s := range td.slots {
 		v := s.versionAt(snap)
 		if v == nil {
 			continue

@@ -136,7 +136,7 @@ func checkSlotInvariant(t *testing.T, db *DB, phase string) {
 }
 
 // TestSlotOrderInvariant drives every path that adds or removes a slot
-// — sharded writers on two tables sharing the id allocator, explicit
+// — concurrent writers on two tables sharing the id allocator, explicit
 // transactions that commit or roll back, key-changing UPDATEs, DELETEs,
 // Vacuum, a checkpoint, and a crash whose recovery loads the snapshot
 // and replays insert, update and delete records by id — and checks the
@@ -162,8 +162,8 @@ func TestSlotOrderInvariant(t *testing.T) {
 
 	var nextKey [2]atomic.Int64 // per-table primary-key allocator
 	// writePhase runs two writers per table and one transaction loop
-	// against db; writers of one table contend for its wmu, writers of
-	// different tables interleave ids, transactions take the barrier.
+	// against db; every writer takes the barrier, writers of different
+	// tables interleave ids, transactions hold it until they end.
 	writePhase := func(db *DB, seed int64) {
 		var wg sync.WaitGroup
 		for ti, name := range tables {
@@ -334,8 +334,8 @@ func TestSlotOrderInvariant(t *testing.T) {
 
 // TestAppendSlotOutOfOrder: no writer produces a descending id, but the
 // one place a slot is added must keep slots sorted if one ever does —
-// slotFor's binary search depends on it — and must not shift the array a
-// latch-free scan may still be walking.
+// slotFor's binary search depends on it — and must not shift the array
+// under an earlier copy of the slots header.
 func TestAppendSlotOutOfOrder(t *testing.T) {
 	schema := &TableSchema{Name: "X", Cols: []Column{{Name: "K", Type: sqltypes.TypeInfo{Kind: sqltypes.KindInt}}}}
 	schema.rebuildIndex()

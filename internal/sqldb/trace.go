@@ -19,7 +19,7 @@ type TraceNode struct {
 // Trace is an EXPLAIN ANALYZE record for one statement execution: the
 // access-path description the planner chose plus measured per-node wall
 // time and row/heap-read counts, and — for DML — the commit-pipeline
-// breakdown (latch or barrier wait, WAL staging, fsync wait and the
+// breakdown (barrier wait, WAL staging, fsync wait and the
 // group-commit batch the fsync rode in). Traces marshal to one JSON
 // object; the slow-query log emits them one per line.
 type Trace struct {
@@ -40,7 +40,6 @@ type Trace struct {
 	Nodes     []TraceNode `json:"nodes,omitempty"`
 
 	// DML commit-pipeline breakdown (all zero for SELECT).
-	LatchWaitNs      int64 `json:"latch_wait_ns,omitempty"`
 	BarrierWaitNs    int64 `json:"barrier_wait_ns,omitempty"`
 	WALStageNs       int64 `json:"wal_stage_ns,omitempty"`
 	FsyncWaitNs      int64 `json:"fsync_wait_ns,omitempty"`

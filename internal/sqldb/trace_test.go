@@ -171,7 +171,7 @@ func TestTraceDMLPipeline(t *testing.T) {
 	if tr.GroupCommitBatch < 1 {
 		t.Fatalf("GroupCommitBatch = %d, want >= 1", tr.GroupCommitBatch)
 	}
-	if tr.WALStageNs < 0 || tr.FsyncWaitNs < 0 || tr.LatchWaitNs < 0 {
+	if tr.WALStageNs < 0 || tr.FsyncWaitNs < 0 {
 		t.Fatalf("negative pipeline timing: %+v", tr)
 	}
 

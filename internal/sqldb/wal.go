@@ -194,11 +194,11 @@ func (w *walFile) poisoned() error {
 
 // stageTx appends BEGIN, the records and COMMIT to the pending buffer
 // and returns the transaction's commit sequence for waitDurable. Called
-// in commit order (DB.commitMu serialises committers, sharded and
-// global alike), so on-disk order always matches in-memory commit-stamp
-// order. No I/O here, and no allocation once the buffers have grown:
-// each record is encoded into w.enc and framed into w.pending. A record
-// that fails to encode stages nothing of its transaction.
+// in commit order (DB.commitMu serialises committers), so on-disk
+// order always matches in-memory commit-stamp order. No I/O here, and
+// no allocation once the buffers have grown: each record is encoded
+// into w.enc and framed into w.pending. A record that fails to encode
+// stages nothing of its transaction.
 func (w *walFile) stageTx(txID uint64, recs []walRecord) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
