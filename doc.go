@@ -202,8 +202,10 @@
 //     write holds the barrier while it executes and stages its WAL
 //     frames, and waits for the fsync outside it: readers and the next
 //     writer run during the flush, and concurrent committers share one
-//     fsync (group commit). Every autocommit Exec records one
-//     sqldb_barrier_wait_ns sample (TestEveryWriteTakesTheBarrier).
+//     fsync (group commit). Every autocommit DML or DDL statement
+//     records one sqldb_barrier_wait_ns sample
+//     (TestEveryWriteTakesTheBarrier); transactions, scripts, vacuum
+//     and checkpoint take the barrier without recording one.
 //     The paper's schema has a foreign key or a DATALINK column on
 //     every written table, so a second, per-table write path would
 //     serve none of its writes.
@@ -601,8 +603,8 @@
 // (sqldb_wal_fsync_ns, sqldb_wal_group_commit_batch,
 // sqldb_wal_poison_total, sqldb_commits_total), the plan cache
 // (sqldb_plan_cache_{hits,misses}_total, sqldb_plan_cache_entries),
-// contention (sqldb_barrier_wait_ns, the write barrier's acquisition
-// wait), and MVCC hygiene (sqldb_vacuum_pass_ns, sqldb_vacuum_passes_total,
+// contention (sqldb_barrier_wait_ns, the barrier wait of an
+// autocommit DML or DDL statement), and MVCC hygiene (sqldb_vacuum_pass_ns, sqldb_vacuum_passes_total,
 // sqldb_vacuum_rows_reclaimed_total, sqldb_autovacuum_triggers_total,
 // sqldb_dead_rows, sqldb_snapshot_age_ns), and statement governance
 // (sqldb_statements_{canceled,timed_out,shed}_total,

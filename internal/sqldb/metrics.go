@@ -17,7 +17,7 @@ import (
 //	sqldb_plan_cache_hits_total        counter    statement-cache hits
 //	sqldb_plan_cache_misses_total      counter    statement-cache misses (parse+bind)
 //	sqldb_plan_cache_entries           gauge      statements currently cached
-//	sqldb_barrier_wait_ns              histogram  write-barrier acquisition wait, once per autocommit Exec
+//	sqldb_barrier_wait_ns              histogram  write-barrier wait of an autocommit DML/DDL statement
 //	sqldb_vacuum_pass_ns               histogram  vacuum pass duration
 //	sqldb_vacuum_passes_total          counter    completed vacuum passes
 //	sqldb_vacuum_rows_reclaimed_total  counter    dead versions+entries reclaimed
@@ -81,7 +81,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 		commits:     reg.Counter("sqldb_commits_total", "Committed transactions."),
 		planHits:    reg.Counter("sqldb_plan_cache_hits_total", "Plan-cache hits."),
 		planMisses:  reg.Counter("sqldb_plan_cache_misses_total", "Plan-cache misses (full parse and bind)."),
-		barrierNs:   reg.Histogram("sqldb_barrier_wait_ns", "Write-barrier acquisition wait in nanoseconds, once per autocommit Exec."),
+		barrierNs:   reg.Histogram("sqldb_barrier_wait_ns", "Write-barrier acquisition wait in nanoseconds of an autocommit DML/DDL statement."),
 		vacuumNs:    reg.Histogram("sqldb_vacuum_pass_ns", "Vacuum pass duration in nanoseconds."),
 		vacuumPass:  reg.Counter("sqldb_vacuum_passes_total", "Completed vacuum passes."),
 		vacuumRows:  reg.Counter("sqldb_vacuum_rows_reclaimed_total", "Dead row versions and index entries reclaimed by vacuum."),
