@@ -6,7 +6,6 @@
 package repro
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -21,8 +20,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dlfs"
-	"repro/internal/dlfs/cluster"
 	"repro/internal/exp"
 	"repro/internal/med"
 	"repro/internal/netsim"
@@ -1221,91 +1218,5 @@ func BenchmarkAblation_QBECompile(b *testing.B) {
 		if err != nil || len(rs.Rows) != 1 {
 			b.Fatalf("rows=%d err=%v", len(rs.Rows), err)
 		}
-	}
-}
-
-// newBenchSet builds a replica set of n in-process managers over temp
-// stores (the failover and replicated-put ablations).
-func newBenchSet(b *testing.B, n, rf int) (*cluster.ReplicaSet, *med.TokenAuthority) {
-	b.Helper()
-	auth, err := med.NewTokenAuthority([]byte("bench-secret"), time.Minute)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rs := cluster.New(cluster.Config{Host: "fs.sim:80", ReplicationFactor: rf, Tokens: auth})
-	for i := 0; i < n; i++ {
-		store, err := dlfs.NewStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		host := fmt.Sprintf("r%d.sim:80", i)
-		if err := rs.Add(cluster.NewManagerNode(dlfs.NewManager(host, store, auth))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return rs, auth
-}
-
-// BenchmarkAblation_Failover measures token-checked read latency
-// through the replicated tier (RF=2 over 3 members) with all replicas
-// healthy versus the path's primary marked down: the price of a read
-// that has to fail over, against the tier's baseline overhead.
-func BenchmarkAblation_Failover(b *testing.B) {
-	const path = "/runs/s1/ts0.tsf"
-	payload := strings.Repeat("x", 64<<10)
-	for _, down := range []int{0, 1} {
-		b.Run(fmt.Sprintf("replicas-down=%d", down), func(b *testing.B) {
-			rs, auth := newBenchSet(b, 3, 2)
-			if _, err := rs.Put(path, strings.NewReader(payload)); err != nil {
-				b.Fatal(err)
-			}
-			if err := rs.Prepare(1, med.LinkOp{Kind: med.OpLink, Path: path, Opts: sqltypes.DefaultEASIA()}); err != nil {
-				b.Fatal(err)
-			}
-			if err := rs.Commit(1); err != nil {
-				b.Fatal(err)
-			}
-			if down > 0 {
-				if err := rs.MarkDown(rs.Replicas(path)[0]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			tok, err := auth.Mint(path, "bench", time.Hour)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rc, _, err := rs.Open(path, tok)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := io.Copy(io.Discard, rc); err != nil {
-					b.Fatal(err)
-				}
-				rc.Close()
-			}
-		})
-	}
-}
-
-// BenchmarkReplicatedPut measures archival write throughput through
-// the tier at RF=1 (placement only) versus RF=2 (true fan-out): the
-// bandwidth cost of the durability the failover reads rely on.
-func BenchmarkReplicatedPut(b *testing.B) {
-	payload := []byte(strings.Repeat("y", 256<<10))
-	for _, rf := range []int{1, 2} {
-		b.Run(fmt.Sprintf("rf=%d", rf), func(b *testing.B) {
-			rs, _ := newBenchSet(b, 3, rf)
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				path := fmt.Sprintf("/runs/s1/put%d.tsf", i)
-				if _, err := rs.Put(path, bytes.NewReader(payload)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -348,17 +348,12 @@
 //     TestLinkedSizeFreshUnderWrites, TestRepeatRenderCostsNoStat,
 //     TestLinkedFileSizeMissesWhileUnlinkInFlight,
 //     TestLinkedFileSizeAfterFailedUnlinkCommit). A WRITE PERMISSION FS
-//     file's size is asked every time, and so is every size on an
-//     in-process replica set (a host with RepairLinks), which
-//     acknowledges a commit a replica missed and applies it there later
-//     (TestLinkedFileSizeAsksReplicatedHost). The rule holds only while
-//     this archive is the one database controlling its hosts' links —
-//     the paper's one DLFM per database: an unlink made by anything else
+//     file's size is asked every time. The rule holds only while this
+//     archive is the one database controlling its hosts' links — the
+//     paper's one DLFM per database: an unlink made by anything else
 //     does not move the generation. It also takes each host's answer as
-//     its links' state: a dlfsd gateway over replicas, reached as a
-//     remote daemon, acknowledges a partial commit the same way, and a
-//     lagging replica's answer through it can be remembered until the
-//     next unlink commits. The memo keeps at most 4,096 sizes and starts
+//     its links' state, which holds because every host is one store
+//     behind one daemon. The memo keeps at most 4,096 sizes and starts
 //     over empty when full. The file daemon resolves only a path's clean
 //     spelling, so no other spelling of a linked file reaches its bytes
 //     past its link (TestServerRefusesOtherSpellings).
@@ -444,9 +439,7 @@
 //
 // TestStoreCrashSoak holds the store to this against a model, the way
 // TestCrashRecoverySoak holds sqldb, and FuzzScanFrames feeds the shared
-// scanner arbitrary bytes. The cluster's repair-state checkpoint still
-// uses WriteFileAtomic for its (small) dirty set; its failures are
-// counted in Stats rather than dropped.
+// scanner arbitrary bytes.
 //
 // One archive step — Put a result file, INSERT its RESULT_FILE row with
 // the DATALINK, UPDATE the run's timestep count — makes four fsyncs,
@@ -467,33 +460,36 @@
 //     own. A caller that wants one flush for both puts them in one
 //     transaction; the engine does not guess.
 //
-// # The replicated DATALINK file-server tier
+// # One Data Links File Manager per host
 //
-// The paper's files live on distributed file servers; one crashed
-// daemon must not make its files unreadable or wedge link-control 2PC.
-// internal/dlfs/cluster groups several Data Links File Managers behind
-// one logical DATALINK host as a ReplicaSet: rendezvous-hash placement
-// puts every file on ReplicationFactor members (default 2), Prepare/
-// Commit/EnsureLinked/Put fan out to the placed replicas, Open/Stat
-// fail over in placement order with token checks intact, and a health
-// checker (periodic Ping probe + consecutive-failure circuit breaker,
-// manual MarkDown/MarkUp) keeps routing away from dead members. A down
-// replica never blocks a link or a read; the divergence it accrues is
-// recorded and an anti-entropy pass (Repair — run by the background
-// loop, by core's Reconcile, and on demand) re-replicates files, link
-// state and staged commits once the member rejoins, last writer
-// winning by event time: unlinks leave TTL-bounded tombstones in the
-// registry itself, so a member that slept through an unlink cannot
-// resurrect the stale link via the registry union. A write that
-// reaches every placed replica supersedes any stale repair verdict for
-// its path, and with Config.StatePath (dlfsd -state) the repair queue
-// — removal tombstones included — survives a gateway restart. Abort failures are no longer dropped anywhere in the stack:
+// The paper puts each file server on its own host, running one Data
+// Links File Manager, and the central database's link-control 2PC
+// covers all of them; it replicates no file server. A replicated tier
+// (a replica set standing in for one host behind a dlfsd gateway) was
+// built here and deleted: no workload, soak or easiad path reached it,
+// and it forced special cases on everything behind core.FileHost — the
+// size memo had to exempt it, /status and /metrics were built around
+// replica health, and the cross-tier crash model (ROADMAP item 10) and
+// the lazy participant log (item 15) would each have needed a
+// replicated variant. So a FileHost is one store behind one daemon,
+// reached in-process (dlfs.Manager) or over HTTP (dlfs.Client), and
+// examples/distributed runs two of them under one transaction, with a
+// netsim partition cutting one off. Abort failures are not dropped:
 // they surface through Coordinator.Abort/Tx.Rollback and are queued
-// for retry so a rolled-back prepare cannot leak reserved files on a
-// server that missed the abort. See internal/dlfs/README.md for the
-// placement/consistency details and cmd/dlfsd for the gateway
-// deployment mode; BenchmarkAblation_Failover and
-// BenchmarkReplicatedPut track the tier's read/write costs.
+// for retry, so a rolled-back prepare cannot leak reserved files on a
+// server that missed the abort. What the tier left behind stays for
+// its own reason:
+//
+//   - dlfs.Client.LinkStates and the daemon's /dlfm/links: the
+//     two-sided Reconcile of item 10(a), host links against database
+//     URLs.
+//   - dlfs.Client.WithContext: the seam a request's context takes to
+//     the file server (item 29).
+//   - netsim.Faults: the example's partition.
+//   - /healthz: a deployment's liveness probe.
+//   - The registry log's tombstone records: an on-disk format that
+//     TestStoreCrashSoak and the registry tests pin; dropping them is a
+//     change with its own durability evidence.
 //
 // The hot internal callers hold prepared statements: QBE searches and
 // FK substitution (internal/core/qbe.go), row-by-key lookups, the
@@ -545,9 +541,8 @@
 // (SIMULATION_KEY, TIMESTEP) index serves the compound "this run, this
 // timestep window" shape with one prefix+range scan, answers its
 // COUNT/MIN/MAX forms index-only, and gives SIMULATION_KEY equi-joins
-// an index nested-loop probe. The webui /status page surfaces the
-// replicated tier's health (replica-set members, open breakers, paths
-// awaiting re-replication) via core.Archive.HostStatuses.
+// an index nested-loop probe. The webui /status page lists the
+// registered file-server hosts (med.Coordinator.Hosts).
 //
 // # Cancellation, deadlines, and overload
 //
@@ -581,11 +576,9 @@
 // the WAL, so
 // shutdown is a drain, not an amputation; the easiad and dlfsd
 // daemons translate SIGTERM into exactly that drain. The remote file
-// tier applies the same discipline: dlfs.Client RPCs honour a context
-// (WithContext) and per-attempt deadline (SetRPCTimeout), idempotent
-// RPCs can retry with jittered exponential backoff (SetRetry), and
-// cluster fan-out reads stop failing over once the caller's context
-// ends (ReplicaSet.OpenContext/StatContext, cluster.Config.RPCTimeout).
+// tier applies the same discipline: a dlfs.Client RPC is one request
+// bounded by the client's context (WithContext), never retried, so a
+// fault reaches the coordinator as it happened.
 //
 // # Observability
 //
@@ -610,11 +603,6 @@
 // (sqldb_statements_{canceled,timed_out,shed}_total,
 // sqldb_admission_wait_ns, sqldb_admission_queue_depth,
 // sqldb_mem_budget_rejected_total, sqldb_mem_budget_bytes_in_use).
-// The replicated file tier
-// registers dlfs_cluster_* counters and histograms on the registry
-// passed via cluster.Config.Metrics (failovers, breaker trips, 2PC
-// partial commits/writes, put latency, anti-entropy repair totals and
-// the pending-repair gauge); cluster.Stats remains as a thin view.
 //
 // Per-statement execution tracing upgrades Stmt.AccessPath into
 // EXPLAIN ANALYZE: Stmt.Trace forces a Trace for one execution —
@@ -630,14 +618,12 @@
 // untraced configuration to within noise of the pre-telemetry engine
 // and prices always-on tracing.
 //
-// Exposure: the webui serves the archive-wide exposition at /metrics
-// (login-gated, like every page) via core.Archive.WriteMetrics, which
-// concatenates the engine registry with each attached file host's;
-// /status renders the headline numbers (WAL batch size, fsync
-// percentiles, plan-cache hit rate, dead-row debt, repair counts)
-// next to replica-set health. cmd/dlfsd mounts its process registry
-// at /metrics unauthenticated, in both single-server and gateway
-// modes. scripts/bench.sh folds easiabench -latency percentile series
+// Exposure: the webui serves the engine's exposition at /metrics
+// (login-gated, like every page) from DB.Metrics; /status renders the
+// headline numbers (WAL batch size, fsync percentiles, plan-cache hit
+// rate, dead-row debt) above the registered file-server hosts. The file
+// tier registers no metrics, so cmd/dlfsd serves no /metrics.
+// scripts/bench.sh folds easiabench -latency percentile series
 // into the BENCH_<date>.json record, and scripts/parallel_gate.sh +
 // the CI core-count guard turn BenchmarkParallelQuery into the
 // multi-core scaling regression gate.

@@ -21,7 +21,6 @@ import (
 	"repro/internal/script"
 	"repro/internal/sqldb"
 	"repro/internal/sqltypes"
-	"repro/internal/telemetry"
 	"repro/internal/xuis"
 )
 
@@ -190,108 +189,6 @@ func (a *Archive) Host(host string) (FileHost, bool) {
 	return h, ok
 }
 
-// HostStatus is the replication-health snapshot of one registered
-// file-server host, surfaced on the web UI's status page.
-type HostStatus struct {
-	Host       string
-	Replicated bool // backed by a replica set (the fields below apply)
-	// Members lists the replica-set members; Down the members whose
-	// health breaker is currently open; UnderReplicated the paths known
-	// to be missing a replica (pending anti-entropy repair).
-	Members         []string
-	Down            []string
-	UnderReplicated []string
-	// Metrics is the host's telemetry snapshot (replica-set counters and
-	// latency summaries) when the host exposes one; nil otherwise.
-	Metrics []telemetry.Metric
-}
-
-// clusterStatus is the health surface a replicated host (e.g.
-// cluster.ReplicaSet) exposes; plain single-manager hosts don't.
-type clusterStatus interface {
-	Members() []string
-	Down() []string
-	UnderReplicated() []string
-}
-
-// metricsSource is the telemetry surface a host may expose in addition
-// to clusterStatus (cluster.ReplicaSet does).
-type metricsSource interface {
-	MetricsSnapshot() []telemetry.Metric
-}
-
-// metricsRegistry is the registry surface a host may expose; used by
-// WriteMetrics to render a host's full exposition (histogram buckets
-// included, which snapshots do not carry).
-type metricsRegistry interface {
-	Metrics() *telemetry.Registry
-}
-
-// WriteMetrics renders the archive's full telemetry — the SQL engine's
-// registry plus every registry exposed by a registered file-server
-// host — in Prometheus text exposition format. Registries shared by
-// several hosts (a common Config.Metrics) are written once.
-func (a *Archive) WriteMetrics(w io.Writer) error {
-	if err := a.DB.Metrics().WritePrometheus(w); err != nil {
-		return err
-	}
-	a.mu.RLock()
-	names := make([]string, 0, len(a.hosts))
-	for name := range a.hosts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	regs := make([]*telemetry.Registry, 0, len(names))
-	seen := make(map[*telemetry.Registry]bool)
-	for _, name := range names {
-		if mr, ok := a.hosts[name].(metricsRegistry); ok {
-			if reg := mr.Metrics(); reg != nil && !seen[reg] {
-				seen[reg] = true
-				regs = append(regs, reg)
-			}
-		}
-	}
-	a.mu.RUnlock()
-	for _, reg := range regs {
-		if err := reg.WritePrometheus(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// HostStatuses reports every registered file-server host, sorted by
-// name, with replication health where the host exposes it.
-func (a *Archive) HostStatuses() []HostStatus {
-	a.mu.RLock()
-	names := make([]string, 0, len(a.hosts))
-	for name := range a.hosts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	hosts := make([]FileHost, len(names))
-	for i, name := range names {
-		hosts[i] = a.hosts[name]
-	}
-	a.mu.RUnlock()
-
-	out := make([]HostStatus, len(names))
-	for i, h := range hosts {
-		st := HostStatus{Host: names[i]}
-		if cs, ok := h.(clusterStatus); ok {
-			st.Replicated = true
-			st.Members = cs.Members()
-			st.Down = cs.Down()
-			st.UnderReplicated = cs.UnderReplicated()
-		}
-		if ms, ok := h.(metricsSource); ok {
-			st.Metrics = ms.MetricsSnapshot()
-		}
-		out[i] = st
-	}
-	return out
-}
-
 // Spec returns the active XUIS (nil before generation/loading).
 func (a *Archive) Spec() *xuis.Spec {
 	a.mu.RLock()
@@ -384,10 +281,7 @@ func (a *Archive) fetchURL(url string) (io.ReadCloser, error) {
 // remembered only for a file linked under FILE LINK CONTROL with WRITE
 // PERMISSION BLOCKED, and served only while the coordinator's link
 // generation is even and the one it was read under: no unlink has
-// committed since, so the file cannot have changed. A replicated host
-// (one with a repairer) is always asked: it acknowledges a commit some
-// replica missed and applies it there later, so a replica's answer can
-// be stale under an unchanged generation.
+// committed since, so the file cannot have changed.
 func (a *Archive) LinkedFileSize(url string) (int64, error) {
 	m := &a.sizes
 	gen := a.Coord.LinkGeneration()
@@ -411,9 +305,6 @@ func (a *Archive) LinkedFileSize(url string) (int64, error) {
 	fi, err := h.StatFile(u.Path)
 	if err != nil {
 		return 0, err
-	}
-	if _, replicated := h.(repairer); replicated {
-		return fi.Size, nil
 	}
 	if fi.Linked && fi.Opts.FileLinkControl && fi.Opts.WritePerm == sqltypes.WriteBlocked &&
 		gen%2 == 0 && a.Coord.LinkGeneration() == gen {
@@ -542,17 +433,10 @@ func (a *Archive) OpenDownload(tokenizedURL string) (io.ReadCloser, error) {
 	return h.OpenFile(path, token)
 }
 
-// repairer is the replication hook: a host backed by a replica set
-// (cluster.ReplicaSet) exposes an anti-entropy pass, which Reconcile
-// runs after link repair so rejoined members converge immediately.
-type repairer interface {
-	RepairLinks() error
-}
-
 // Reconcile repairs file-manager link state after crash recovery: every
 // controlled DATALINK value in the database must be linked on its host.
-// Replicated hosts additionally get an anti-entropy pass, and aborts
-// that never reached a file server are retried by the coordinator.
+// Aborts that never reached a file server are retried by the
+// coordinator.
 func (a *Archive) Reconcile() error {
 	cat := a.DB.Catalog()
 	var firstErr error
@@ -579,19 +463,6 @@ func (a *Archive) Reconcile() error {
 			}
 			rows.Close()
 			if err := a.Coord.Reconcile(urls, *opts); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	a.mu.RLock()
-	hosts := make([]FileHost, 0, len(a.hosts))
-	for _, h := range a.hosts {
-		hosts = append(hosts, h)
-	}
-	a.mu.RUnlock()
-	for _, h := range hosts {
-		if r, ok := h.(repairer); ok {
-			if err := r.RepairLinks(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}

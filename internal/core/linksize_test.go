@@ -182,29 +182,3 @@ func TestLinkedFileSizeAfterFailedUnlinkCommit(t *testing.T) {
 		t.Fatalf("after Reconcile two lookups asked the host %d times, want 1", n)
 	}
 }
-
-// replicatedHost is a host with an anti-entropy pass, as a replica set
-// has: it may apply a commit on a lagging replica after acknowledging it.
-type replicatedHost struct{ *lateCommitHost }
-
-func (replicatedHost) RepairLinks() error { return nil }
-
-// TestLinkedFileSizeAsksReplicatedHost: a replicated host's sizes are
-// never remembered — a replica that missed an acknowledged unlink can
-// answer with a stale link state under an unchanged generation.
-func TestLinkedFileSizeAsksReplicatedHost(t *testing.T) {
-	h := replicatedHost{&lateCommitHost{}}
-	a := linkSizeArchive(t, func(fh FileHost) FileHost {
-		h.FileHost = fh
-		return h
-	})
-	url := archiveLinked(t, a, 1, "ten bytes!")
-	for i := 0; i < 3; i++ {
-		if size, err := a.LinkedFileSize(url); err != nil || size != 10 {
-			t.Fatalf("LinkedFileSize = %d, %v; want 10", size, err)
-		}
-	}
-	if n := h.stats.Load(); n != 3 {
-		t.Fatalf("three lookups asked the replicated host %d times, want 3", n)
-	}
-}

@@ -212,9 +212,6 @@ func TestUnlinkLeavesTombstone(t *testing.T) {
 	if tomb == nil {
 		t.Fatalf("no tombstone in LinkStates: %+v", states)
 	}
-	if !tomb.EventTime().Equal(tomb.UnlinkedAt) {
-		t.Fatal("tombstone EventTime should be its UnlinkedAt")
-	}
 	// The tombstone survives a restart (it is part of the registry).
 	reloaded, err := NewStore(s.Root())
 	if err != nil {

@@ -2,7 +2,6 @@ package dlfs
 
 import (
 	"io"
-	"time"
 
 	"repro/internal/med"
 	"repro/internal/sqltypes"
@@ -46,13 +45,6 @@ func (m *Manager) EnsureLinked(path string, opts sqltypes.DatalinkOptions) error
 	return m.store.EnsureLinked(path, opts)
 }
 
-// EnsureUnlinked forces path out of the linked state, tombstoning the
-// unlink at the given event time (reconciliation counterpart of
-// EnsureLinked).
-func (m *Manager) EnsureUnlinked(path string, at time.Time) error {
-	return m.store.EnsureUnlinked(path, at)
-}
-
 // BackupLinked implements med.BackupParticipant.
 func (m *Manager) BackupLinked(dst string) (int, error) { return m.store.BackupLinked(dst) }
 
@@ -76,16 +68,12 @@ func (m *Manager) Rename(oldPath, newPath string) error { return m.store.Rename(
 // Remove deletes a file (refused while linked).
 func (m *Manager) Remove(path string) error { return m.store.Remove(path) }
 
-// LinkStates lists the link registry (anti-entropy and the daemon's
-// /dlfm/links route).
+// LinkStates lists the link registry (the daemon's /dlfm/links and
+// /dlfm/linked routes).
 func (m *Manager) LinkStates() []LinkState { return m.store.LinkStates() }
-
-// Ping reports liveness; an in-process manager is always reachable.
-func (m *Manager) Ping() error { return nil }
 
 // Compile-time interface checks.
 var (
 	_ med.FileServer        = (*Manager)(nil)
 	_ med.BackupParticipant = (*Manager)(nil)
-	_ Backend               = (*Manager)(nil)
 )

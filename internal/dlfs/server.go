@@ -1,7 +1,6 @@
 package dlfs
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,31 +16,7 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// Backend is what the HTTP daemon serves: the SQL/MED participant
-// protocol plus file and registry access. dlfs.Manager (one local
-// store) implements it, and so does cluster.ReplicaSet (a replicated
-// tier fanning out to several stores) — which is how cmd/dlfsd can run
-// either as a plain file manager or as a replication gateway without
-// the wire protocol changing.
-type Backend interface {
-	med.FileServer
-	Put(path string, r io.Reader) (int64, error)
-	Open(path, token string) (io.ReadCloser, FileInfo, error)
-	Stat(path string) (FileInfo, error)
-	Rename(oldPath, newPath string) error
-	Remove(path string) error
-	LinkStates() []LinkState
-}
-
-// ContextBackend is an optional Backend capability: reads bounded by
-// the caller's context. A gateway backend (cluster.ReplicaSet)
-// implements it so a client that disconnects mid-download stops the
-// replica failover scan instead of letting it run to completion.
-type ContextBackend interface {
-	OpenContext(ctx context.Context, path, token string) (io.ReadCloser, FileInfo, error)
-}
-
-// Server exposes a Backend over HTTP: the wire protocol between the
+// Server exposes a Manager over HTTP: the wire protocol between the
 // database host's coordinator and a remote file-server host, plus plain
 // file GET/PUT for browsers and archiving tools.
 //
@@ -60,12 +35,12 @@ type ContextBackend interface {
 //	GET  /files/<dir>/<token;file>          (token segment optional)
 //	GET  /healthz
 type Server struct {
-	mgr Backend
+	mgr *Manager
 	mux *http.ServeMux
 }
 
-// NewServer wraps a backend in the HTTP daemon.
-func NewServer(mgr Backend) *Server {
+// NewServer wraps a manager in the HTTP daemon.
+func NewServer(mgr *Manager) *Server {
 	s := &Server{mgr: mgr, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/dlfm/prepare", s.handlePrepare)
 	s.mux.HandleFunc("/dlfm/commit", s.handleCommit)
@@ -77,6 +52,7 @@ func NewServer(mgr Backend) *Server {
 	s.mux.HandleFunc("/dlfm/linked", s.handleLinked)
 	s.mux.HandleFunc("/dlfm/links", s.handleLinks)
 	s.mux.HandleFunc("/files/", s.handleFiles)
+	// A deployment's liveness probe; nothing in the archive calls it.
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -247,7 +223,7 @@ func (s *Server) handleLinked(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLinks serves the full registry — paths plus options and link
-// times — which the replication tier's anti-entropy scan consumes.
+// times, unlink tombstones included (Client.LinkStates).
 func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.mgr.LinkStates())
 }
@@ -277,15 +253,7 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, fmt.Errorf("%w: %v", ErrBadPath, err))
 			return
 		}
-		var (
-			rc io.ReadCloser
-			fi FileInfo
-		)
-		if cb, ok := s.mgr.(ContextBackend); ok {
-			rc, fi, err = cb.OpenContext(r.Context(), path, token)
-		} else {
-			rc, fi, err = s.mgr.Open(path, token)
-		}
+		rc, fi, err := s.mgr.Open(path, token)
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -293,10 +261,7 @@ func (s *Server) handleFiles(w http.ResponseWriter, r *http.Request) {
 		defer rc.Close()
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Length", strconv.FormatInt(fi.Size, 10))
-		// Metadata headers let Client.OpenStat rebuild FileInfo without
-		// a separate stat round trip (the replication tier's read path).
 		w.Header().Set("Last-Modified", fi.ModTime.UTC().Format(http.TimeFormat))
-		w.Header().Set("X-Dlfs-Linked", strconv.FormatBool(fi.Linked))
 		iofault.Copy(w, rc) //nolint:errcheck // client disconnects are not server errors
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)

@@ -52,16 +52,16 @@ var (
 
 // LinkState records one linked file in the manager's registry — or,
 // when UnlinkedAt is set, a tombstone for a file that was unlinked.
-// Tombstones ride the same wire format as links (the anti-entropy scan
-// consumes both), so a healed partition learns "this was unlinked at T"
-// instead of resurrecting the stale link by last-writer-wins union.
+// Tombstones share the links' format: the registry log records an
+// unlink as one (an on-disk format TestStoreCrashSoak and the registry
+// tests pin), and /dlfm/links serves both (Client.LinkStates).
 type LinkState struct {
 	Path     string                   `json:"path"`
 	Opts     sqltypes.DatalinkOptions `json:"opts"`
 	LinkedAt time.Time                `json:"linked_at"`
 	// UnlinkedAt, when non-zero, marks this entry as an unlink
-	// tombstone: the path is NOT linked here, and the unlink event at
-	// this time outranks any older link elsewhere in the replica set.
+	// tombstone: the path is NOT linked here, and was unlinked at this
+	// time.
 	UnlinkedAt time.Time `json:"unlinked_at,omitempty"`
 }
 
@@ -69,19 +69,8 @@ type LinkState struct {
 // live link.
 func (ls LinkState) Tombstone() bool { return !ls.UnlinkedAt.IsZero() }
 
-// EventTime is the instant of the entry's most recent state change —
-// the timestamp last-writer-wins reconciliation compares.
-func (ls LinkState) EventTime() time.Time {
-	if ls.UnlinkedAt.After(ls.LinkedAt) {
-		return ls.UnlinkedAt
-	}
-	return ls.LinkedAt
-}
-
-// DefaultTombstoneTTL bounds how long unlink tombstones are retained.
-// It must exceed the longest partition the tier is expected to heal
-// from; after GC a rejoining replica's stale link can win the union
-// again, which is the documented residual risk of bounded tombstones.
+// DefaultTombstoneTTL bounds how long unlink tombstones are retained;
+// compaction drops the expired ones from the registry log.
 const DefaultTombstoneTTL = 24 * time.Hour
 
 // FileInfo describes a stored file for the UI layer (the paper's result
@@ -439,8 +428,7 @@ func (s *Store) Commit(txID uint64) error {
 		case med.OpLink:
 			recs = append(recs, LinkState{Path: op.Path, Opts: op.Opts, LinkedAt: time.Now().UTC()})
 		case med.OpUnlink:
-			// Tombstone the unlink so a replica that missed it (partition,
-			// crash) cannot resurrect the link via the registry union.
+			// The registry log records an unlink as a tombstone.
 			st, linked := s.links[op.Path]
 			recs = append(recs, LinkState{Path: op.Path, Opts: st.Opts, LinkedAt: st.LinkedAt, UnlinkedAt: time.Now().UTC()})
 			if linked && st.Opts.OnUnlink == sqltypes.UnlinkDelete {
@@ -496,10 +484,9 @@ func (s *Store) EnsureLinked(path string, opts sqltypes.DatalinkOptions) error {
 }
 
 // EnsureUnlinked forces path out of the linked state, recording the
-// tombstone at the given event time (anti-entropy repair: the time is
-// the original unlink's, not the repair's, so reconciliation ordering
-// is preserved). A no-op when the path is not linked and a tombstone at
-// least as new already exists.
+// tombstone at the given event time. A no-op when the path is not
+// linked and a tombstone at least as new already exists. The registry
+// tests use it to write tombstones directly.
 func (s *Store) EnsureUnlinked(path string, at time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -531,10 +518,8 @@ func (s *Store) LinkedPaths() []string {
 }
 
 // LinkStates returns the full link registry — live links AND unlink
-// tombstones (distinguish with Tombstone()) — sorted by path. The
-// cluster's anti-entropy loop uses it to learn which state (and event
-// time, for last-writer-wins ordering) each replica holds; tombstones
-// are what stop a healed partition from resurrecting an unlinked file.
+// tombstones (distinguish with Tombstone()) — sorted by path: what
+// compaction writes and the daemon's /dlfm/links serves.
 func (s *Store) LinkStates() []LinkState {
 	s.mu.Lock()
 	defer s.mu.Unlock()

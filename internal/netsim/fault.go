@@ -14,7 +14,7 @@ import (
 //
 //   - Partition(host): requests fail with a connection-style error, the
 //     way a severed WAN path or a crashed daemon looks to the caller;
-//   - SetDelay(host, d): requests stall for d first (a slow replica);
+//   - SetDelay(host, d): requests stall for d first (a slow host);
 //   - CrashAfter(host, pathSubstr, n): the nth matching request is
 //     delivered, then the host partitions — which is exactly "the
 //     daemon crashed between prepare and commit" when pathSubstr is

@@ -37,6 +37,7 @@ type TableSchema struct {
 	ForeignKeys []ForeignKey
 
 	colIdx map[string]int // upper-cased name → position
+	dlCols []int          // positions of the DATALINK columns
 }
 
 // ColIndex returns the position of the named column (case-insensitive),
@@ -67,21 +68,18 @@ func (t *TableSchema) ColNames() []string {
 }
 
 // DatalinkColumns returns the indexes of DATALINK columns, used by the
-// executor to route link-control work.
-func (t *TableSchema) DatalinkColumns() []int {
-	var out []int
-	for i, c := range t.Cols {
-		if c.Type.Kind == sqltypes.KindDatalink {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// executor to route link-control work. The slice is the schema's own:
+// callers must not modify it.
+func (t *TableSchema) DatalinkColumns() []int { return t.dlCols }
 
 func (t *TableSchema) rebuildIndex() {
 	t.colIdx = make(map[string]int, len(t.Cols))
+	t.dlCols = nil
 	for i, c := range t.Cols {
 		t.colIdx[strings.ToUpper(c.Name)] = i
+		if c.Type.Kind == sqltypes.KindDatalink {
+			t.dlCols = append(t.dlCols, i)
+		}
 	}
 }
 

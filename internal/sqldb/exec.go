@@ -315,6 +315,8 @@ func (db *DB) execUpdateLocked(tx *txState, s *UpdateStmt, params []sqltypes.Val
 	}
 
 	ctx := &evalCtx{params: params, now: db.nowFn(), snap: snapLatest, intr: tx.intr}
+	refs := db.childRefsLocked(schema)
+	dlCols := schema.DatalinkColumns()
 	updated := 0
 	for _, row := range matched {
 		if err := ctx.intr.check(); err != nil {
@@ -343,12 +345,12 @@ func (db *DB) execUpdateLocked(tx *txState, s *UpdateStmt, params []sqltypes.Val
 			return Result{}, err
 		}
 		// Updating a key referenced by children is RESTRICTed.
-		if err := db.checkNoChildRefsLocked(schema, old, newVals); err != nil {
+		if err := db.checkNoChildRefsLocked(schema, refs, old, newVals); err != nil {
 			return Result{}, err
 		}
 		// SQL/MED: changing a controlled DATALINK unlinks the old file
 		// and links the new one inside the same transaction.
-		for _, ci := range schema.DatalinkColumns() {
+		for _, ci := range dlCols {
 			if old[ci].Equal(newVals[ci]) || (old[ci].IsNull() && newVals[ci].IsNull()) {
 				continue
 			}
@@ -383,6 +385,8 @@ func (db *DB) execDeleteLocked(tx *txState, s *DeleteStmt, params []sqltypes.Val
 	if err != nil {
 		return Result{}, err
 	}
+	refs := db.childRefsLocked(schema)
+	dlCols := schema.DatalinkColumns()
 	deleted := 0
 	for _, row := range matched {
 		if err := tx.intr.check(); err != nil {
@@ -392,10 +396,10 @@ func (db *DB) execDeleteLocked(tx *txState, s *DeleteStmt, params []sqltypes.Val
 		if !ok {
 			continue
 		}
-		if err := db.checkNoChildRefsLocked(schema, old, nil); err != nil {
+		if err := db.checkNoChildRefsLocked(schema, refs, old, nil); err != nil {
 			return Result{}, err
 		}
-		for _, ci := range schema.DatalinkColumns() {
+		for _, ci := range dlCols {
 			if err := db.unlinkValueLocked(tx, schema, ci, old[ci]); err != nil {
 				return Result{}, err
 			}
@@ -517,43 +521,62 @@ func (db *DB) rowExistsLocked(schema *TableSchema, cols []string, tuple []sqltyp
 	return found
 }
 
-// checkNoChildRefsLocked enforces RESTRICT when deleting a row or
-// changing its key: if any child table references the old key values
-// (and, for updates, the key actually changes), the operation fails.
-func (db *DB) checkNoChildRefsLocked(schema *TableSchema, old, new []sqltypes.Value) error {
+// childRef is one foreign key of child that references another table.
+type childRef struct {
+	child *TableSchema
+	fk    *ForeignKey
+}
+
+// childRefsLocked lists the foreign keys that reference schema, ordered
+// by child table name, so a RESTRICT error names the first referencing
+// table. A DML statement collects them once: it holds db.mu
+// exclusively, so no DDL changes the set before it finishes.
+func (db *DB) childRefsLocked(schema *TableSchema) []childRef {
+	var refs []childRef
 	for _, name := range db.cat.TableNames() {
 		child, _ := db.cat.Table(name)
-		for _, fk := range child.ForeignKeys {
-			if fk.RefTable != schema.Name {
-				continue
+		for i := range child.ForeignKeys {
+			if child.ForeignKeys[i].RefTable == schema.Name {
+				refs = append(refs, childRef{child: child, fk: &child.ForeignKeys[i]})
 			}
-			oldKey := make([]sqltypes.Value, len(fk.RefCols))
-			anyNull := false
+		}
+	}
+	return refs
+}
+
+// checkNoChildRefsLocked enforces RESTRICT when deleting a row or
+// changing its key: if any child table of refs (childRefsLocked)
+// references the old key values (and, for updates, the key actually
+// changes), the operation fails.
+func (db *DB) checkNoChildRefsLocked(schema *TableSchema, refs []childRef, old, new []sqltypes.Value) error {
+	for _, r := range refs {
+		fk := r.fk
+		oldKey := make([]sqltypes.Value, len(fk.RefCols))
+		anyNull := false
+		for i, rc := range fk.RefCols {
+			oldKey[i] = old[schema.ColIndex(rc)]
+			if oldKey[i].IsNull() {
+				anyNull = true
+			}
+		}
+		if anyNull {
+			continue
+		}
+		if new != nil {
+			changed := false
 			for i, rc := range fk.RefCols {
-				oldKey[i] = old[schema.ColIndex(rc)]
-				if oldKey[i].IsNull() {
-					anyNull = true
+				if c, ok := sqltypes.Compare(oldKey[i], new[schema.ColIndex(rc)]); !ok || c != 0 {
+					changed = true
+					break
 				}
 			}
-			if anyNull {
+			if !changed {
 				continue
 			}
-			if new != nil {
-				changed := false
-				for i, rc := range fk.RefCols {
-					if c, ok := sqltypes.Compare(oldKey[i], new[schema.ColIndex(rc)]); !ok || c != 0 {
-						changed = true
-						break
-					}
-				}
-				if !changed {
-					continue
-				}
-			}
-			if db.rowExistsLocked(child, fk.Cols, oldKey) {
-				return fmt.Errorf("sqldb: RESTRICT: %s row is referenced by %s (%s)",
-					schema.Name, child.Name, strings.Join(fk.Cols, ", "))
-			}
+		}
+		if db.rowExistsLocked(r.child, fk.Cols, oldKey) {
+			return fmt.Errorf("sqldb: RESTRICT: %s row is referenced by %s (%s)",
+				schema.Name, r.child.Name, strings.Join(fk.Cols, ", "))
 		}
 	}
 	return nil

@@ -678,13 +678,6 @@ type statusMetric struct {
 	Name, Value string
 }
 
-// statusHost decorates a host's replication health with the telemetry
-// rows worth an operator's glance.
-type statusHost struct {
-	core.HostStatus
-	MetricRows []statusMetric
-}
-
 // findMetric returns the snapshot entry with the given (unlabelled)
 // name, if present.
 func findMetric(ms []telemetry.Metric, name string) (telemetry.Metric, bool) {
@@ -769,63 +762,23 @@ func engineSummary(ms []telemetry.Metric) []statusMetric {
 	return rows
 }
 
-// hostSummary distils a replica set's metrics into the per-host rows:
-// failovers, breaker trips and cumulative repair outcomes.
-func hostSummary(ms []telemetry.Metric) []statusMetric {
-	if ms == nil {
-		return nil
-	}
-	var rows []statusMetric
-	if m, ok := findMetric(ms, "dlfs_cluster_failovers_total"); ok {
-		rows = append(rows, statusMetric{"Failovers", strconv.FormatInt(m.Value, 10)})
-	}
-	if m, ok := findMetric(ms, "dlfs_cluster_breaker_trips_total"); ok {
-		rows = append(rows, statusMetric{"Breaker trips", strconv.FormatInt(m.Value, 10)})
-	}
-	copied, _ := findMetric(ms, "dlfs_cluster_repair_copied_total")
-	relinked, _ := findMetric(ms, "dlfs_cluster_repair_relinked_total")
-	unlinked, _ := findMetric(ms, "dlfs_cluster_repair_unlinked_total")
-	rows = append(rows, statusMetric{"Repairs (copied / relinked / unlinked)",
-		fmt.Sprintf("%d / %d / %d", copied.Value, relinked.Value, unlinked.Value)})
-	if m, ok := findMetric(ms, "dlfs_cluster_repair_errors_total"); ok && m.Value > 0 {
-		rows = append(rows, statusMetric{"Repair errors", strconv.FormatInt(m.Value, 10)})
-	}
-	pc, _ := findMetric(ms, "dlfs_cluster_partial_commits_total")
-	pw, _ := findMetric(ms, "dlfs_cluster_partial_writes_total")
-	if pc.Value+pw.Value > 0 {
-		rows = append(rows, statusMetric{"Partial commits / writes",
-			fmt.Sprintf("%d / %d", pc.Value, pw.Value)})
-	}
-	return rows
-}
-
-// handleStatus surfaces the file-server tier's replication health and a
-// telemetry summary: per registered host, the replica-set members, the
-// members whose breaker is open (Down), the paths awaiting
-// re-replication (UnderReplicated) and the tier's repair counters;
-// above them, the SQL engine's headline metrics. The full exposition
-// lives at /metrics.
+// handleStatus lists the registered file-server hosts under the SQL
+// engine's headline metrics. The full exposition lives at /metrics.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, u core.User) {
-	hs := s.archive.HostStatuses()
-	hosts := make([]statusHost, len(hs))
-	for i, h := range hs {
-		hosts[i] = statusHost{HostStatus: h, MetricRows: hostSummary(h.Metrics)}
-	}
 	writeTemplatePage(w, "File-server status", u, "", statusTmpl, struct {
 		Engine []statusMetric
-		Hosts  []statusHost
+		Hosts  []string
 	}{
 		Engine: engineSummary(s.archive.DB.MetricsSnapshot()),
-		Hosts:  hosts,
+		Hosts:  s.archive.Coord.Hosts(),
 	})
 }
 
-// handleMetrics serves the archive's full telemetry in Prometheus text
-// exposition format: the SQL engine's registry plus every registered
-// replica set's. Login-gated like every other page.
+// handleMetrics serves the SQL engine's telemetry in Prometheus text
+// exposition format. Login-gated like every other page.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, u core.User) {
 	w.Header().Set("Content-Type", telemetry.ContentType)
-	_ = s.archive.WriteMetrics(w)
+	_ = s.archive.DB.Metrics().WritePrometheus(w)
 }
 
 // handleXUIS serves the active specification as XML — the document that

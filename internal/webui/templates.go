@@ -144,9 +144,9 @@ var opResultTmpl = mustContent("opresult", `
 `)
 
 var statusTmpl = mustContent("status", `
-<p class="meta">Replication health of the registered file-server hosts
-(the DATALINK tier behind the archive's download links) and the
-archive's telemetry headlines. The full Prometheus exposition is at
+<p class="meta">The registered file-server hosts (the DATALINK tier
+behind the archive's download links) and the archive's telemetry
+headlines. The full Prometheus exposition is at
 <a href="/metrics">/metrics</a>.</p>
 {{if .Engine}}
 <h2>Archive engine</h2>
@@ -154,25 +154,11 @@ archive's telemetry headlines. The full Prometheus exposition is at
 {{range .Engine}}<tr><th>{{.Name}}</th><td>{{.Value}}</td></tr>
 {{end}}</table>
 {{end}}
-{{if not .Hosts}}<p>No file servers registered.</p>{{end}}
-{{range .Hosts}}
-<h2>{{.Host}}</h2>
-{{if .Replicated}}
-<table class="results">
-<tr><th>Members</th><td>{{range $i, $m := .Members}}{{if $i}}, {{end}}{{$m}}{{end}}</td></tr>
-<tr><th>Down</th><td>
- {{if .Down}}<span class="err">{{range $i, $m := .Down}}{{if $i}}, {{end}}{{$m}}{{end}}</span>
- {{else}}none{{end}}</td></tr>
-<tr><th>Under-replicated paths</th><td>
- {{if .UnderReplicated}}<span class="err">{{len .UnderReplicated}}</span>:
-  {{range $i, $p := .UnderReplicated}}{{if $i}}, {{end}}<code>{{$p}}</code>{{end}}
- {{else}}none{{end}}</td></tr>
-{{range .MetricRows}}<tr><th>{{.Name}}</th><td>{{.Value}}</td></tr>
-{{end}}</table>
-{{else}}
-<p class="meta">single manager (no replica set)</p>
-{{end}}
-{{end}}
+<h2>File servers</h2>
+{{if .Hosts}}<ul>
+{{range .Hosts}}<li>{{.}}</li>
+{{end}}</ul>
+{{else}}<p>No file servers registered.</p>{{end}}
 <p><a href="/">Home</a></p>
 `)
 

@@ -2,16 +2,12 @@
 # Run the benchmark suite and record the results as BENCH_<date>.json in
 # the repo root, so the perf trajectory accumulates across PRs.
 #
-# Usage: scripts/bench.sh [-pkg <go-package>] [go-test-bench-regexp]
+# Usage: scripts/bench.sh [go-test-bench-regexp]
 #   BENCHTIME=2s scripts/bench.sh 'BenchmarkAblation.*'
-#   scripts/bench.sh -pkg . 'BenchmarkAblation_(ValueLayout|CompositeIndex|JoinPlan)'
+#   scripts/bench.sh 'BenchmarkAblation_(ValueLayout|CompositeIndex|JoinPlan)'
 #
-# -pkg restricts the run to one Go package (default "."): the query-
-# engine ablations live in the root package and run in seconds, while
-# the full default pattern also exercises the slower cluster benches —
-# the filter lets CI (and a laptop) track the query engine without
-# paying for the replication tier. OUT=<file> overrides the output
-# filename (useful when recording more than one slice per day).
+# The benchmarks are the root package's. OUT=<file> overrides the
+# output filename (useful when recording more than one slice per day).
 #
 # The default pattern runs every benchmark, including the ablations
 # that track the engine's perf levers across PRs:
@@ -42,11 +38,6 @@
 #                                      browse query
 #   BenchmarkAblation_GroupCommit    — WAL group commit vs serial fsyncs
 #                                      (parallel vs serial committers)
-#   BenchmarkAblation_Failover       — token-checked read latency through
-#                                      the replicated tier, 0 vs 1
-#                                      replicas down
-#   BenchmarkReplicatedPut           — archival write throughput at RF=1
-#                                      vs RF=2 fan-out
 #   BenchmarkRenderPKPage            — one 50-row primary-key browse
 #                                      page through the webui handler:
 #                                      search, column plan, streamed rows
@@ -57,11 +48,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PKG="."
-if [ "${1:-}" = "-pkg" ]; then
-    PKG="$2"
-    shift 2
-fi
 PATTERN="${1:-.}"
 BENCHTIME="${BENCHTIME:-0.5s}"
 DATE="$(date -u +%Y%m%d)"
@@ -72,7 +58,7 @@ trap 'rm -f "$RAW" "$LAT"' EXIT
 
 # No pipeline here: under plain sh `go test | tee` would exit with
 # tee's status and a failed bench run would still record a green JSON.
-go test -run 'xxx' -bench "$PATTERN" -benchtime "$BENCHTIME" -benchmem "$PKG" > "$RAW" 2>&1 || {
+go test -run 'xxx' -bench "$PATTERN" -benchtime "$BENCHTIME" -benchmem . > "$RAW" 2>&1 || {
     cat "$RAW"
     echo "bench run failed" >&2
     exit 1
