@@ -791,74 +791,6 @@ func BenchmarkRollup(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 }
 
-// BenchmarkAblation_HashJoin measures the hash-join fallback on a
-// 1k×1k equi-join with NO index on either join key, against the naive
-// cross-product nested loop the engine previously degraded to. The
-// hash join scans each table once (build + probe) instead of visiting
-// a million row pairs; results are proven identical by
-// TestJoinHashPropertyVsNaive.
-func BenchmarkAblation_HashJoin(b *testing.B) {
-	db, err := sqldb.Open("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.ExecScript(`CREATE TABLE SIM (SID INTEGER PRIMARY KEY, K INTEGER);
-		CREATE TABLE RES (RID INTEGER PRIMARY KEY, K INTEGER, SZ INTEGER);
-		CREATE TABLE AUTH (AID INTEGER PRIMARY KEY, NAME VARCHAR(40))`); err != nil {
-		b.Fatal(err)
-	}
-	insS, _ := db.Prepare(`INSERT INTO SIM VALUES (?, ?)`)
-	insR, _ := db.Prepare(`INSERT INTO RES VALUES (?, ?, ?)`)
-	insA, _ := db.Prepare(`INSERT INTO AUTH VALUES (?, ?)`)
-	const n = 1000
-	for i := 0; i < n; i++ {
-		if _, err := insS.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i))); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := insR.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i)),
-			sqltypes.NewInt(int64(i)*4096)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := insA.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("author %d", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	const query = `SELECT COUNT(*) FROM SIM JOIN RES ON RES.K = SIM.K`
-	args := uncached()
-	for _, mode := range []struct {
-		name     string
-		scanOnly bool
-	}{{"cross-product", true}, {"hash-join", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			db.SetFullScanOnly(mode.scanOnly)
-			defer db.SetFullScanOnly(false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err := db.Query(query, args()...)
-				if err != nil || out.Data[0][0].Int() != n {
-					b.Fatalf("rows=%v err=%v", out, err)
-				}
-			}
-		})
-	}
-	b.Run("index-nested-loop-3-table", func(b *testing.B) {
-		const rows = 400
-		const query3 = `SELECT RES.RID, SIM.SID, AUTH.NAME FROM SIM JOIN RES ON RES.K = SIM.K
-			JOIN AUTH ON AUTH.AID = RES.RID WHERE SIM.SID < ?`
-		args := uncached(sqltypes.NewInt(rows))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out, err := db.Query(query3, args()...)
-			if err != nil || len(out.Data) != rows {
-				b.Fatalf("rows=%v err=%v", out, err)
-			}
-			out.Close()
-		}
-	})
-}
-
 // BenchmarkAblation_GroupCommit shows WAL group commit amortising
 // fsyncs: serial committers pay one Sync each, concurrent committers
 // batch behind a shared flush leader, so parallel throughput rises with

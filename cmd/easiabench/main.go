@@ -37,17 +37,7 @@ func (o *osTempDirer) cleanup() {
 
 func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids (e1..e12) or 'all'")
-	latency := flag.Bool("latency", false, "run the per-query latency workload instead of the experiments and print p50/p95/p99 JSON")
-	latencyN := flag.Int("latency-n", 2000, "executions per query in -latency mode")
 	flag.Parse()
-
-	if *latency {
-		if err := runLatency(*latencyN); err != nil {
-			fmt.Fprintf(os.Stderr, "latency: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	dirs := &osTempDirer{}
 	defer dirs.cleanup()

@@ -126,27 +126,26 @@
 //     hand-written and generated statements, with index paths on and
 //     under SetFullScanOnly.
 //
-//   - Index-only aggregates. When a single-table COUNT/MIN/MAX query's
-//     WHERE clause is consumed exactly by the chosen path (no residual
-//     conjuncts — tracked at plan time), COUNT is answered by summing
-//     visible-posting counts under the key range the statement's scan
-//     resolved — zero heap rows read, asserted via DB.HeapRowReads —
-//     and MIN/MAX walk that range in order and read one boundary row:
-//     the first live row whose value is not NULL. An aggregate with no
-//     path, an unfiltered COUNT(*) included, folds over the heap.
+//   - Index-only COUNT. When a single-table query's projection is
+//     COUNT(*) and COUNT(col) calls only and its WHERE clause is
+//     consumed exactly by the chosen path (no residual conjuncts —
+//     tracked at plan time), the count is the sum of visible-posting
+//     counts under the key range the statement's scan resolved — zero
+//     heap rows read, asserted via DB.HeapRowReads. MIN, MAX and an
+//     aggregate with no path, an unfiltered COUNT(*) included, fold
+//     over the rows the path finds.
 //
-//   - Index nested-loop and hash joins. Equality conjuncts of the form
+//   - Index nested-loop joins. Equality conjuncts of the form
 //     inner.col = expr(outer tables) in ON or WHERE are matched against
 //     the inner table's indexes; each accumulated outer row then probes
 //     the index instead of re-scanning the inner heap, with the ON
 //     condition still applied to every candidate and the WHERE applied
 //     after the join (identical results, property-tested against the
-//     cross-product path in join_test.go). When equi-conjuncts exist
-//     but NO index covers them, the executor builds a hash table over
-//     the probed table once — keyed by the same canonical encoding,
-//     NULL keys never matching — and probes it per outer row, so an
-//     unindexed equi-join costs O(|inner| + |outer|) instead of the
-//     cross product (BenchmarkAblation_HashJoin: ~200x on 1k×1k). A
+//     cross-product path in join_test.go). An equi-join that no index
+//     covers runs as nested scans, the inner table scanned once per
+//     outer row: no archive statement sends one (every form names one
+//     table, and the report's join follows declared keys), so the
+//     remedy for a slow one is an index, not a second join strategy. A
 //     join always runs forward: the first table drives the outer loop,
 //     through its access path when one serves the execution
 //     (TestJoinKeepsFirstTablePath), and each later table is probed or
@@ -263,10 +262,9 @@
 //     unclosed large result is reclaimed by the GC and only misses the
 //     pool. Callers that consume a result close it: core.ResultSet
 //     aliases Rows.Data and passes Close on, and the webui results page
-//     closes its search after the last row is written. Rows.Detach copies arena-backed rows
-//     out into plain heap memory first, so detached results stay valid
-//     indefinitely (the contract long-lived callers rely on); Close is
-//     idempotent and nil-safe either way.
+//     closes its search after the last row is written; a caller that
+//     keeps a result leaves it unclosed. Close is idempotent and
+//     nil-safe.
 //     A join's delivered rows — one copy of each row that passes the
 //     WHERE — live in a separate scratch arena released when the
 //     statement returns; a computed projection copies surviving values
@@ -485,7 +483,7 @@
 //     URLs.
 //   - dlfs.Client.WithContext: the seam a request's context takes to
 //     the file server (item 29).
-//   - netsim.Faults: the example's partition.
+//   - netsim.Faults (Partition, Heal, Client): the example's partition.
 //   - /healthz: a deployment's liveness probe.
 //   - The registry log's tombstone records: an on-disk format that
 //     TestStoreCrashSoak and the registry tests pin; dropping them is a
@@ -540,7 +538,7 @@
 // Reconcile's IS NOT NULL scan are both index-served; the composite
 // (SIMULATION_KEY, TIMESTEP) index serves the compound "this run, this
 // timestep window" shape with one prefix+range scan, answers its
-// COUNT/MIN/MAX forms index-only, and gives SIMULATION_KEY equi-joins
+// COUNT forms index-only, and gives SIMULATION_KEY equi-joins
 // an index nested-loop probe. The webui /status page lists the
 // registered file-server hosts (med.Coordinator.Hosts).
 //
@@ -548,8 +546,8 @@
 //
 // Every statement entry point has a context-aware form —
 // DB.QueryContext / DB.ExecContext and the Stmt equivalents — and
-// every streaming loop in the executor (heap and index scans, fold
-// aggregation, hash-join build and probe, top-k, sort, DML row loops)
+// every streaming loop in the executor (heap and index scans, join
+// candidates, fold aggregation, top-k, sort, DML row loops)
 // polls a per-statement interrupt on an amortised stride, so
 // cancelling the context or exceeding the statement deadline (the
 // per-call context deadline, or the DB.SetStatementTimeout default
@@ -583,13 +581,13 @@
 // # Observability
 //
 // internal/telemetry is the dependency-free metrics core the whole
-// stack reports through: sharded atomic counters, gauges (including
-// scrape-time callbacks), and log-bucketed latency histograms with
-// p50/p95/p99 summaries, collected in named registries with optional
-// labels and rendered in Prometheus text exposition format
-// (Registry.WritePrometheus / Handler; telemetry.ContentType). A nil
-// metric handle no-ops, so instrumented code never checks whether
-// telemetry is wired.
+// stack reports through: sharded atomic counters, gauges (scrape-time
+// callbacks), and log-bucketed latency histograms with p50/p95/p99
+// summaries, collected in named registries with optional labels and
+// rendered in Prometheus text exposition format
+// (Registry.WritePrometheus; telemetry.ContentType). A nil metric
+// handle no-ops, so instrumented code never checks whether telemetry
+// is wired.
 //
 // The engine registers its registry at Open — DB.Metrics /
 // DB.MetricsSnapshot — with families covering the commit pipeline
@@ -623,8 +621,8 @@
 // headline numbers (WAL batch size, fsync percentiles, plan-cache hit
 // rate, dead-row debt) above the registered file-server hosts. The file
 // tier registers no metrics, so cmd/dlfsd serves no /metrics.
-// scripts/bench.sh folds easiabench -latency percentile series
-// into the BENCH_<date>.json record, and scripts/parallel_gate.sh +
-// the CI core-count guard turn BenchmarkParallelQuery into the
-// multi-core scaling regression gate.
+// scripts/bench.sh records the root benchmarks in a BENCH_<date>.json
+// record (per-query latency percentiles come from bench/'s workloads),
+// and scripts/parallel_gate.sh + the CI core-count guard turn
+// BenchmarkParallelQuery into the multi-core scaling regression gate.
 package repro

@@ -81,7 +81,7 @@ func main() {
 	faults := netsim.NewFaults()
 	clients := map[string]*dlfs.Client{}
 	for _, d := range []daemon{fs1, fs2} {
-		c := dlfs.NewClient(d.host, "http://"+d.host, faults.Client(nil))
+		c := dlfs.NewClient(d.host, "http://"+d.host, faults.Client())
 		clients[d.host] = c
 		archive.AttachFileServer(core.WrapClient(c))
 	}

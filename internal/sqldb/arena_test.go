@@ -670,55 +670,6 @@ func TestStoredOrderResultOutlivesWrites(t *testing.T) {
 	}
 }
 
-// TestArenaDetachSurvivesReuse: Detach must copy rows out of the arena
-// so they stay valid after Close returns the chunks to the pool and
-// later statements reuse them.
-func TestArenaDetachSurvivesReuse(t *testing.T) {
-	db := memDB(t)
-	// The churn below must execute every time, and it writes into its
-	// results — which a result cache hit would share.
-	db.setResultCacheCap(0)
-	arenaFixture(t, db)
-
-	detached := mustQuery(t, db, `SELECT id, name, score FROM sim WHERE bucket = 2 ORDER BY id`)
-	detached.Detach()
-	snapshot := make([][]string, len(detached.Data))
-	for i, row := range detached.Data {
-		snapshot[i] = []string{row[0].String(), row[1].String(), row[2].String()}
-	}
-	detached.Close() // must be a no-op for detached rows' data
-
-	// Churn the chunk pool hard: these queries allocate and release
-	// arenas that would alias the detached rows if Detach had not
-	// copied them out.
-	for i := 0; i < 50; i++ {
-		r := mustQuery(t, db, `SELECT name, id, bucket, score, ok FROM sim`)
-		for ri := range r.Data {
-			for ci := range r.Data[ri] {
-				r.Data[ri][ci] = sqltypes.NewString("CLOBBER")
-			}
-		}
-		r.Close()
-	}
-
-	if len(detached.Data) != len(snapshot) {
-		t.Fatalf("detached rows shrank: %d != %d", len(detached.Data), len(snapshot))
-	}
-	for i, row := range detached.Data {
-		for j := range row {
-			if row[j].String() != snapshot[i][j] {
-				t.Fatalf("detached row %d col %d corrupted: %s != %s", i, j, row[j].String(), snapshot[i][j])
-			}
-		}
-	}
-
-	// Close is idempotent and nil-safe.
-	detached.Close()
-	detached.Close()
-	var nilRows *Rows
-	nilRows.Close()
-}
-
 // TestArenaConcurrentQueries runs many readers against the arena path
 // while a writer mutates the table, under -race. Each reader verifies a
 // per-row invariant (score == id * 0.25) that chunk-reuse corruption

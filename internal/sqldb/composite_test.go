@@ -132,8 +132,9 @@ func TestCompositeAccessPaths(t *testing.T) {
 }
 
 // TestIndexOnlyAggregates: COUNT over an exactly-consumed predicate
-// must be answered without materialising any heap row; MIN/MAX touch
-// only boundary rows. Results must equal the full-scan oracle.
+// must be answered without materialising any heap row; MIN/MAX beside
+// it fold the rows the path finds. Results must equal the full-scan
+// oracle.
 func TestIndexOnlyAggregates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := buildCompositeDB(t, rng, 600)
@@ -152,7 +153,7 @@ func TestIndexOnlyAggregates(t *testing.T) {
 			t.Fatalf("%s (scan): %v", sql, err)
 		}
 		if rowsKey(indexed, true) != rowsKey(scanned, true) {
-			t.Fatalf("%s: index-only %v != scan %v", sql, indexed.Data, scanned.Data)
+			t.Fatalf("%s: indexed %v != scan %v", sql, indexed.Data, scanned.Data)
 		}
 		return indexed
 	}

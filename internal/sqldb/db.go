@@ -73,8 +73,8 @@ type Result struct {
 // writes after publishing it, so later writes, VACUUM and checkpoints
 // leave the result as of its snapshot. Writing through such a row would
 // corrupt the table, not only the cache. Reslicing Data, appending to a
-// row (its capacity ends at its last column), or Detach/Close on one's
-// own Rows is fine; writing through them is not.
+// row (its capacity ends at its last column), or Close on one's own
+// Rows is fine; writing through them is not.
 //
 // Any other projection's rows are backed by a per-statement arena
 // (arena.go): plain heap for a small result, pooled slabs once it has
@@ -82,19 +82,16 @@ type Result struct {
 // after Close the Data slices must not be read. Close is optional — a
 // small result has nothing to release, and an unclosed large one is
 // reclaimed by the GC like any other value, its slabs just miss the
-// pool. Callers that retain a result indefinitely while closing eagerly
-// elsewhere call Detach first, which copies arena-backed rows onto the
-// plain heap (the detached-Rows contract: after Detach, Close is a
-// no-op).
+// pool. A caller that keeps a result leaves it unclosed.
 type Rows struct {
 	Columns []string
 	Kinds   []sqltypes.Kind
 	Data    [][]sqltypes.Value
 
 	// arena backs the Data row slices of an executed SELECT; nil when no
-	// row lives in arena memory — stored-order, detached, cache-served
-	// and index-only aggregate results. Detach and the result cache copy
-	// the rows exactly when it is non-nil.
+	// row lives in arena memory — stored-order, cache-served and
+	// index-only aggregate results. The result cache copies the rows
+	// exactly when it is non-nil.
 	arena *rowArena
 }
 
@@ -108,30 +105,6 @@ func (r *Rows) Close() {
 	ar := r.arena
 	r.arena = nil
 	r.Data = nil
-	ar.release()
-}
-
-// Detach copies the result out of its arena onto the plain heap, so it
-// stays valid indefinitely even if the arena's chunks are recycled.
-// After Detach, Close is a no-op. Nil-safe; detaching a result that
-// owns no arena does nothing.
-func (r *Rows) Detach() {
-	if r == nil || r.arena == nil {
-		return
-	}
-	ar := r.arena
-	r.arena = nil
-	if n := len(r.Data); n > 0 {
-		ncols := 0
-		for _, row := range r.Data {
-			ncols += len(row)
-		}
-		flat := make([]sqltypes.Value, 0, ncols)
-		for i, row := range r.Data {
-			flat = append(flat, row...)
-			r.Data[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
-		}
-	}
 	ar.release()
 }
 

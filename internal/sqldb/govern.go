@@ -13,11 +13,11 @@ import (
 // budgets and admission control.
 //
 // Every statement execution owns one *interrupt. The streaming loops —
-// heap and index scans, fold aggregation, hash-join build and probe,
-// top-k and sort key assembly, DML row matching — call check() once per
-// row; it polls the statement's context (and the database's close
-// broadcast) every interruptStride rows, so a canceled statement stops
-// within a few hundred row visits regardless of how much data remains.
+// heap and index scans, join candidates, fold aggregation, top-k and
+// sort key assembly, DML row matching — call check() once per row; it
+// polls the statement's context (and the database's close broadcast)
+// every interruptStride rows, so a canceled statement stops within a
+// few hundred row visits regardless of how much data remains.
 // The first governance failure is sticky: once check() has reported an
 // error, every later call reports the same one, so a cancellation
 // surfaces through the existing scanErr/foldErr plumbing exactly like
@@ -34,7 +34,7 @@ import (
 //
 // The memory budget is a database-wide byte pool (Options.MemoryBudget)
 // charged by the operators that buffer unbounded state: hash-agg group
-// tables, join hash builds, materialised/sort row buffers. Charges are
+// tables, joined rows, materialised/sort row buffers. Charges are
 // estimates (estimated value-slot sizes, not precise heap accounting);
 // the point is to fail one statement with ErrMemoryBudget instead of
 // taking the process down with an OOM kill. A statement's charges are
@@ -59,8 +59,8 @@ var (
 	// deadline (per-call or the DB.SetStatementTimeout default).
 	ErrDeadlineExceeded = errors.New("sqldb: statement deadline exceeded")
 	// ErrMemoryBudget reports a statement that would have pushed the
-	// database's buffered-operator memory (hash aggregation, join hash
-	// builds, sort buffers) past Options.MemoryBudget.
+	// database's buffered-operator memory (hash aggregation, joined
+	// rows, sort buffers) past Options.MemoryBudget.
 	ErrMemoryBudget = errors.New("sqldb: statement memory budget exceeded")
 	// ErrAdmissionRejected reports a statement shed at admission: the
 	// concurrent-statement limit was reached AND the wait queue was

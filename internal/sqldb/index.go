@@ -15,7 +15,7 @@ import (
 // tableData.indexes, so whatever enforces a key also serves the planner:
 // point lookups (O(log n)), leading-prefix, range and IS [NOT] NULL
 // scans, in-order scans for ORDER BY, join probes and
-// index-only aggregates. CREATE INDEX ... USING HASH|ORDERED is still
+// index-only COUNT. CREATE INDEX ... USING HASH|ORDERED is still
 // parsed — DDL logs written by earlier versions contain it — and
 // ignored.
 
@@ -23,8 +23,8 @@ import (
 // reference itself, followed with no lookup (see tableData.slots) — and
 // the MVCC begin/end stamps of the key↔row association. It is visible at
 // a snapshot iff a version of the row visible there has this key, so
-// index-only aggregates (COUNT from posting counts, MIN/MAX from boundary
-// rows) stay exact while dead postings linger until vacuum. Only a
+// index-only COUNT (from posting counts) stays exact while dead
+// postings linger until vacuum. Only a
 // key-changing update ends an entry and adds a new one.
 type idxEntry struct {
 	slot  *rowSlot

@@ -95,6 +95,23 @@ func TestJoinProbePlan(t *testing.T) {
 			t.Errorf("%s: path %q, want %q", tc.sql, got, tc.want)
 		}
 	}
+	// With no index the equi-join runs as nested scans; an index created
+	// on the join key re-plans it as a probe.
+	bare := buildJoinDB(t, 50, 200, false, false)
+	defer bare.Close()
+	st, err := bare.Prepare(`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := st.AccessPath(); p != "full-scan" {
+		t.Fatalf("unindexed path = %q", p)
+	}
+	if _, err := bare.Exec(`CREATE INDEX CHI_K ON CHI (K)`); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := st.AccessPath(); p != "full-scan inl(CHI.K)" {
+		t.Fatalf("post-index path = %q", p)
+	}
 }
 
 // TestJoinINLPropertyVsNaive: every join result through the index
@@ -159,6 +176,11 @@ func TestJoinINLPropertyVsNaive(t *testing.T) {
 					[]sqltypes.Value{sqltypes.NewInt(1)}},
 				{`SELECT DISTINCT P.NAME, A.V FROM PAR P JOIN CHI A ON A.K = P.K`, nil},
 				{`SELECT DISTINCT P.NAME FROM PAR P JOIN CHI A ON A.K = P.K ORDER BY P.NAME`, nil},
+				// Composite join key.
+				{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K AND CHI.V = PAR.PID`, nil},
+				// Three tables, the third joined on the second's key.
+				{`SELECT COUNT(*) FROM PAR P, CHI A, CHI B WHERE A.K = P.K AND B.K = A.K AND B.V < ?`,
+					[]sqltypes.Value{sqltypes.NewInt(40)}},
 			}
 			for _, q := range queries {
 				indexed, ierr := db.Query(q.sql, q.args...)
@@ -240,144 +262,6 @@ func TestJoinINLPropertyVsNaive(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestJoinHashPlan: with no usable index, equi-join conjuncts plan the
-// hash-join fallback instead of the cross product; non-equi joins still
-// get nothing.
-func TestJoinHashPlan(t *testing.T) {
-	db := buildJoinDB(t, 50, 200, false, false)
-	defer db.Close()
-	cases := []struct {
-		sql  string
-		want string
-	}{
-		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K`,
-			"full-scan hash-join(CHI.K)"},
-		{`SELECT PID, CID FROM PAR, CHI WHERE PAR.K = CHI.K`,
-			"full-scan hash-join(CHI.K)"},
-		{`SELECT PID, CID FROM PAR LEFT JOIN CHI ON CHI.K = PAR.K`,
-			"full-scan hash-join(CHI.K)"},
-		// Every equi-conjunct joins the hash key.
-		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K AND CHI.V = PAR.PID`,
-			"full-scan hash-join(CHI.K+V)"},
-		// Inequality joins have no hash fallback.
-		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K > PAR.K`,
-			"full-scan"},
-	}
-	for _, tc := range cases {
-		st, err := db.Prepare(tc.sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := st.AccessPath()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tc.want {
-			t.Errorf("%s: path %q, want %q", tc.sql, got, tc.want)
-		}
-	}
-	// An index on the join key displaces the hash fallback.
-	if _, err := db.Exec(`CREATE INDEX CHI_K ON CHI (K)`); err != nil {
-		t.Fatal(err)
-	}
-	st, err := db.Prepare(`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := st.AccessPath(); p != "full-scan inl(CHI.K)" {
-		t.Fatalf("post-index path = %q", p)
-	}
-}
-
-// TestJoinHashPropertyVsNaive: hash-join results must equal the
-// exhaustive cross-product path for inner, comma and LEFT joins,
-// including NULL join keys (never matching), WHERE-derived keys and a
-// three-table chain of hash probes.
-func TestJoinHashPropertyVsNaive(t *testing.T) {
-	db := buildJoinDB(t, 40, 150, false, false)
-	defer db.Close()
-	queries := []struct {
-		sql  string
-		args []sqltypes.Value
-	}{
-		{`SELECT PID, CID, V FROM PAR JOIN CHI ON CHI.K = PAR.K`, nil},
-		{`SELECT PID, CID FROM PAR, CHI WHERE PAR.K = CHI.K`, nil},
-		{`SELECT PID, CID FROM PAR LEFT JOIN CHI ON CHI.K = PAR.K`, nil},
-		{`SELECT PID, CID FROM PAR LEFT JOIN CHI ON CHI.K = PAR.K AND CHI.V > ?`,
-			[]sqltypes.Value{sqltypes.NewInt(50)}},
-		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K WHERE CHI.V BETWEEN ? AND ?`,
-			[]sqltypes.Value{sqltypes.NewInt(10), sqltypes.NewInt(60)}},
-		{`SELECT PID, CID FROM PAR, CHI WHERE PAR.K = CHI.K AND PAR.NAME = ?`,
-			[]sqltypes.Value{sqltypes.NewString("p3")}},
-		{`SELECT COUNT(*) FROM PAR JOIN CHI ON CHI.K = PAR.K`, nil},
-		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K ORDER BY PID, CID`, nil},
-		{`SELECT PID, CID FROM PAR, CHI WHERE CHI.K = ? AND PAR.K = CHI.K`,
-			[]sqltypes.Value{sqltypes.NewInt(7)}},
-		// Composite hash key.
-		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K AND CHI.V = PAR.PID`, nil},
-		// Three tables: two chained hash probes.
-		{`SELECT COUNT(*) FROM PAR P, CHI A, CHI B WHERE A.K = P.K AND B.K = A.K AND B.V < ?`,
-			[]sqltypes.Value{sqltypes.NewInt(40)}},
-		// Grouped aggregate over a hash join.
-		{`SELECT NAME, COUNT(*) FROM PAR JOIN CHI ON CHI.K = PAR.K GROUP BY NAME`, nil},
-	}
-	for _, q := range queries {
-		hashed, herr := db.Query(q.sql, q.args...)
-		db.SetFullScanOnly(true)
-		naive, nerr := db.Query(q.sql, q.args...)
-		db.SetFullScanOnly(false)
-		if (herr == nil) != (nerr == nil) {
-			t.Fatalf("%s: error mismatch %v vs %v", q.sql, herr, nerr)
-		}
-		if herr != nil {
-			continue
-		}
-		ordered := strings.Contains(q.sql, "ORDER BY")
-		if rowsKey(hashed, ordered) != rowsKey(naive, ordered) {
-			t.Fatalf("%s: hash-join %d rows != naive %d rows",
-				q.sql, len(hashed.Data), len(naive.Data))
-		}
-	}
-}
-
-// TestJoinHashAvoidsCrossProduct: a fully-unindexed two-table inner
-// join hashes its second table once and probes it per row of the first,
-// so neither side is scanned more than once — heap reads stay near
-// |PAR| + |CHI| instead of |PAR|·|CHI|.
-func TestJoinHashAvoidsCrossProduct(t *testing.T) {
-	db := buildJoinDB(t, 12, 900, false, false)
-	defer db.Close()
-	const q = `SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K`
-	st, err := db.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	beforeP, beforeC := db.HeapRowReads("PAR"), db.HeapRowReads("CHI")
-	hashed, err := st.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parReads := db.HeapRowReads("PAR") - beforeP
-	chiReads := db.HeapRowReads("CHI") - beforeC
-	// PAR (12 live) drives the outer loop once; CHI (900) is hashed
-	// once. The cross product would read 12×900 = 10800 CHI rows.
-	if parReads > 50 {
-		t.Fatalf("hash join read %d PAR heap rows", parReads)
-	}
-	if chiReads > 1000 {
-		t.Fatalf("hash join read %d CHI heap rows (cross product reads 10800)", chiReads)
-	}
-	db.SetFullScanOnly(true)
-	naive, err := st.Query()
-	db.SetFullScanOnly(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowsKey(hashed, false) != rowsKey(naive, false) {
-		t.Fatalf("hash-join %d rows != naive %d rows", len(hashed.Data), len(naive.Data))
 	}
 }
 

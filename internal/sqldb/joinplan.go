@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/sqltypes"
@@ -35,11 +34,11 @@ import (
 // NULL-extended row, so the post-join WHERE drops exactly the rows the
 // scanning path would drop.
 //
-// When equi-join conjuncts exist but NO index covers them, the planner
-// records a hash-join fallback instead (hashJoinPlan below): the
-// executor hashes the probed table once on the canonical join-key
-// encoding and probes the map per outer row, replacing the cross
-// product. Either way the first table drives the outer loop.
+// An equi-join that no index covers runs as nested scans: the inner
+// table is scanned once per outer row. No archive statement sends one —
+// every form names one table, and the report's join follows declared
+// keys — so the remedy for a slow one is an index. The first table
+// always drives the outer loop.
 type joinProbe struct {
 	idx    string   // index name on the probed (inner) table
 	cols   []string // index columns
@@ -48,27 +47,9 @@ type joinProbe struct {
 	eqs    []Expr   // outer-side expressions, len nEq
 }
 
-// hashJoinPlan is the hash-join fallback for a probed table whose
-// equi-join conjuncts no index serves: at execution the table's rows
-// are hashed once on the canonical encoding of the join columns
-// (buildJoinHash) and each outer row probes the map (probeJoinHash) —
-// O(|inner| + |outer|·probe) instead of the cross product's
-// O(|inner|·|outer|). The ON condition is still evaluated on every
-// candidate and the WHERE applied after the join, so results are
-// identical to the scanning path — including LEFT JOIN NULL extension
-// and the WHERE-derived probe argument spelled out above for index
-// probes.
-type hashJoinPlan struct {
-	cols   []string        // join columns on the probed table, sorted
-	colPos []int           // schema positions, parallel to cols
-	kinds  []sqltypes.Kind // declared column kinds, for probe alignment
-	eqs    []Expr          // outer-side expressions, parallel to cols
-}
-
-// planJoinProbes fills plan.joins (index probes, one per FROM item),
-// plus the hash-join fallbacks (plan.hashJoins) wherever equi-conjuncts
-// exist but no index covers them. Runs at plan build; the schema epoch
-// invalidates it with the rest of the plan.
+// planJoinProbes fills plan.joins (index probes, one per FROM item; nil
+// where no index covers the item's equi-conjuncts). Runs at plan build;
+// the schema epoch invalidates it with the rest of the plan.
 func planJoinProbes(plan *selectPlan) {
 	s := plan.stmt
 	if len(plan.tables) < 2 {
@@ -76,7 +57,6 @@ func planJoinProbes(plan *selectPlan) {
 	}
 	planJoinReads(plan)
 	plan.joins = make([]*joinProbe, len(plan.tables))
-	plan.hashJoins = make([]*hashJoinPlan, len(plan.tables))
 	for i := 1; i < len(plan.tables); i++ {
 		t := plan.tables[i]
 		innerLo, innerHi := t.start, t.start+len(t.schema.Cols)
@@ -85,18 +65,14 @@ func planJoinProbes(plan *selectPlan) {
 		collectJoinEqs(s.From[i].JoinCond, t.schema, innerLo, innerHi, outerOK, eqs)
 		collectJoinEqs(s.Where, t.schema, innerLo, innerHi, outerOK, eqs)
 		plan.joins[i] = bestJoinProbe(t.data, eqs)
-		if plan.joins[i] == nil {
-			plan.hashJoins[i] = newHashJoinPlan(t.schema, eqs)
-		}
 	}
 }
 
 // planJoinReads records in each FROM table's reads the columns some
 // bound expression of the statement references: the projection, ORDER
 // BY, WHERE, HAVING, GROUP BY and every JOIN condition (which also hold
-// every probe and hash-key expression). Those are the only columns the
-// join copies into its row; the others stay NULL, and nothing reads
-// them.
+// every probe expression). Those are the only columns the join copies
+// into its row; the others stay NULL, and nothing reads them.
 func planJoinReads(plan *selectPlan) {
 	s := plan.stmt
 	read := make([]bool, len(plan.env.cols))
@@ -123,108 +99,6 @@ func planJoinReads(plan *selectPlan) {
 			}
 		}
 	}
-}
-
-// newHashJoinPlan builds the hash-join fallback over every collected
-// equi-conjunct (more columns mean a more selective key). Columns are
-// sorted so the plan — and its AccessPath rendering — is deterministic.
-func newHashJoinPlan(schema *TableSchema, eqs map[string]Expr) *hashJoinPlan {
-	if len(eqs) == 0 {
-		return nil
-	}
-	cols := make([]string, 0, len(eqs))
-	for c := range eqs {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	hp := &hashJoinPlan{cols: cols}
-	for _, c := range cols {
-		ci := schema.ColIndex(c)
-		hp.colPos = append(hp.colPos, ci)
-		hp.kinds = append(hp.kinds, schema.Cols[ci].Type.Kind)
-		hp.eqs = append(hp.eqs, eqs[c])
-	}
-	return hp
-}
-
-// String renders the hash-join key for EXPLAIN-style introspection.
-func (hp *hashJoinPlan) String() string {
-	return strings.Join(hp.cols, "+")
-}
-
-// buildJoinHash hashes the probed table's live rows by the canonical
-// encoding of the join columns. Rows with a NULL join column never
-// match any probe (the equality is UNKNOWN) and are left out. The
-// stored row slices are referenced, not copied — the join row assembly
-// copies values out under the engine lock, like every probe path. The
-// build is a cancellation checkpoint and charges every retained entry
-// (key bytes + a row reference) against the statement memory budget.
-func buildJoinHash(td *tableData, hp *hashJoinPlan, ctx *evalCtx) (map[string][][]sqltypes.Value, error) {
-	m := make(map[string][][]sqltypes.Value)
-	var buf []byte
-	var buildErr error
-	td.scan(ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
-		if buildErr = ctx.intr.check(); buildErr != nil {
-			return false
-		}
-		buf = buf[:0]
-		for _, p := range hp.colPos {
-			if vals[p].IsNull() {
-				return true // skip the row
-			}
-			buf = appendKey(buf, vals[p])
-		}
-		if buildErr = ctx.intr.charge(int64(len(buf)) + rowFootprint(0)); buildErr != nil {
-			return false
-		}
-		k := string(buf)
-		m[k] = append(m[k], vals)
-		return true
-	})
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	return m, nil
-}
-
-// hashProber probes one prebuilt join hash table, reusing its key
-// buffer across outer rows (one prober per executing join side — never
-// shared between concurrent executions).
-type hashProber struct {
-	table map[string][][]sqltypes.Value
-	hp    *hashJoinPlan
-	buf   []byte
-}
-
-func newHashProber(td *tableData, hp *hashJoinPlan, ctx *evalCtx) (*hashProber, error) {
-	table, err := buildJoinHash(td, hp, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &hashProber{table: table, hp: hp}, nil
-}
-
-// probe returns the candidate rows for the outer row currently in
-// ctx.vals. Semantics mirror probeJoin: handled=false (evaluation or
-// alignment failure) sends the caller to the exhaustive scan for this
-// outer row; a NULL probe matches nothing.
-func (p *hashProber) probe(ctx *evalCtx) (cands [][]sqltypes.Value, handled bool) {
-	p.buf = p.buf[:0]
-	for j, e := range p.hp.eqs {
-		v, err := evalExpr(e, ctx)
-		if err != nil {
-			return nil, false
-		}
-		if v.IsNull() {
-			return nil, true // inner.col = NULL is UNKNOWN: no matches
-		}
-		pv, ok := probeValue(p.hp.kinds[j], v)
-		if !ok {
-			return nil, false
-		}
-		p.buf = appendKey(p.buf, pv)
-	}
-	return p.table[string(p.buf)], true
 }
 
 // exprRefsWithin reports whether every column reference in e falls in

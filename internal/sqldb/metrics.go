@@ -151,9 +151,9 @@ func (db *DB) deadRowDebt() int64 {
 	return dead
 }
 
-// Metrics exposes the engine's telemetry registry — mount
-// Metrics().Handler() to serve Prometheus text format, or use
-// MetricsSnapshot for programmatic access.
+// Metrics exposes the engine's telemetry registry: the webui's /metrics
+// page writes it with WritePrometheus, and MetricsSnapshot gives
+// programmatic access.
 func (db *DB) Metrics() *telemetry.Registry { return db.met.reg }
 
 // MetricsSnapshot captures every engine metric (counters, gauges and

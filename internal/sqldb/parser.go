@@ -677,60 +677,54 @@ func (p *parser) parseSelect() (Statement, error) {
 		}
 		break
 	}
-	if p.acceptKeyword("FROM") {
-		first := true
-		for {
-			var fi FromItem
-			if !first {
-				switch {
-				case p.accept(tokSymbol, ","):
-					// comma join: cross product constrained by WHERE
-				case p.acceptKeyword("JOIN"):
-					fi.JoinCond = nil // set below
-				case p.acceptKeyword("INNER"):
-					if err := p.expectKeyword("JOIN"); err != nil {
-						return nil, err
-					}
-				case p.acceptKeyword("LEFT"):
-					p.acceptKeyword("OUTER")
-					if err := p.expectKeyword("JOIN"); err != nil {
-						return nil, err
-					}
-					fi.LeftJoin = true
-				default:
-					goto fromDone
+	if err := p.expectKeyword("FROM"); err != nil {
+		return nil, err
+	}
+	for {
+		var fi FromItem
+		if len(stmt.From) > 0 {
+			switch {
+			case p.accept(tokSymbol, ","):
+				// comma join: cross product constrained by WHERE
+			case p.acceptKeyword("JOIN"):
+			case p.acceptKeyword("INNER"):
+				if err := p.expectKeyword("JOIN"); err != nil {
+					return nil, err
 				}
+			case p.acceptKeyword("LEFT"):
+				p.acceptKeyword("OUTER")
+				if err := p.expectKeyword("JOIN"); err != nil {
+					return nil, err
+				}
+				fi.LeftJoin = true
 			}
-			name, err := p.identifier("table name")
+		}
+		name, err := p.identifier("table name")
+		if err != nil {
+			return nil, err
+		}
+		fi.Table = name
+		if p.acceptKeyword("AS") {
+			alias, err := p.identifier("alias")
 			if err != nil {
 				return nil, err
 			}
-			fi.Table = name
-			if p.acceptKeyword("AS") {
-				alias, err := p.identifier("alias")
-				if err != nil {
-					return nil, err
-				}
-				fi.Alias = alias
-			} else if p.at(tokIdent, "") {
-				fi.Alias = p.next().text
+			fi.Alias = alias
+		} else if p.at(tokIdent, "") {
+			fi.Alias = p.next().text
+		}
+		if len(stmt.From) > 0 && p.acceptKeyword("ON") {
+			cond, err := p.parseExpr()
+			if err != nil {
+				return nil, err
 			}
-			if !first && p.acceptKeyword("ON") {
-				cond, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				fi.JoinCond = cond
-			}
-			stmt.From = append(stmt.From, fi)
-			first = false
-			if p.at(tokSymbol, ",") || p.atKeyword("JOIN") || p.atKeyword("INNER") || p.atKeyword("LEFT") {
-				continue
-			}
+			fi.JoinCond = cond
+		}
+		stmt.From = append(stmt.From, fi)
+		if !p.at(tokSymbol, ",") && !p.atKeyword("JOIN") && !p.atKeyword("INNER") && !p.atKeyword("LEFT") {
 			break
 		}
 	}
-fromDone:
 	if p.acceptKeyword("WHERE") {
 		e, err := p.parseExpr()
 		if err != nil {

@@ -39,7 +39,7 @@ import (
 // snapshot exactly when a visible version of its row has that key
 // (idxEntry), so the range holds exactly the matching rows and nothing
 // re-tests them — neither the row executor (tableScan) nor the
-// index-only aggregates (aggplan.go). Everything else — a path that
+// index-only COUNT (aggplan.go). Everything else — a path that
 // leaves conjuncts, and the heap fallback — applies the full WHERE.
 // TestPlannerPropertyIndexVsScan, TestPlannerPropertyDML,
 // FuzzIndexPathMatchesScan, TestFarKeysMatchReference and

@@ -53,7 +53,6 @@ func (r *refEval) table(name string) ([][]sqltypes.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Detach()
 	r.snaps[name] = res.Data
 	return res.Data, nil
 }

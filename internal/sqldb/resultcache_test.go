@@ -56,12 +56,10 @@ func TestResultCacheHitAndAccessPath(t *testing.T) {
 	mustQuery(t, db, q).Close() // priming: a first sighting is not cached
 	misses0 := counterValue(t, db, "sqldb_result_cache_misses_total")
 	first := mustQuery(t, db, q)
-	first.Detach()
 	if got := counterValue(t, db, "sqldb_result_cache_misses_total") - misses0; got != 1 {
 		t.Fatalf("misses after first query = %d, want 1", got)
 	}
 	second := mustQuery(t, db, q)
-	second.Detach()
 	if got := counterValue(t, db, "sqldb_result_cache_hits_total"); got != 1 {
 		t.Fatalf("hits after second query = %d, want 1", got)
 	}

@@ -41,7 +41,6 @@ type selectPlan struct {
 	proj     []Expr
 	labels   []string
 	kinds    []sqltypes.Kind
-	noFrom   bool
 
 	// storedRows marks an unaggregated projection of the lone table's
 	// columns in stored order (SELECT *, or the same list spelled out):
@@ -55,19 +54,14 @@ type selectPlan struct {
 	// planning and shared by concurrent executions.
 	path *accessPath
 
-	// aggItems, when non-nil, plans the whole query as index-only
-	// aggregation (see aggplan.go): the projection is COUNT/MIN/MAX
-	// answered from path's exact key range without materialising rows.
-	aggItems []aggItem
+	// indexOnly plans the whole query as index-only aggregation (see
+	// aggplan.go): the projection is COUNTs answered from path's exact
+	// key range without materialising rows.
+	indexOnly bool
 
 	// joins holds the index nested-loop probe per FROM item (nil =
 	// exhaustive scan). See joinplan.go. Immutable after planning.
 	joins []*joinProbe
-
-	// hashJoins holds the hash-join fallback per FROM item (only where
-	// equi-join conjuncts exist but no index serves them). See
-	// joinplan.go. Immutable after planning.
-	hashJoins []*hashJoinPlan
 
 	// Fold-based aggregation state (see agg.go): every aggregate call
 	// in the projection/HAVING/ORDER BY gets an accumulator slot, keyed
@@ -148,27 +142,6 @@ func (db *DB) execSelectLocked(s *SelectStmt, params []sqltypes.Value, ic *inter
 // join drives — see runSelectAt. Caller holds db.mu (read suffices;
 // binding of a shared statement is serialised by Stmt.mu).
 func (db *DB) planSelect(s *SelectStmt) (*selectPlan, error) {
-	// SELECT without FROM: bind items against an empty namespace.
-	if len(s.From) == 0 {
-		plan := &selectPlan{stmt: s, noFrom: true}
-		for _, item := range s.Items {
-			if item.Star {
-				return nil, fmt.Errorf("sqldb: SELECT * requires a FROM clause")
-			}
-			if err := bindExpr(item.Expr, &bindEnv{}, false); err != nil {
-				return nil, err
-			}
-			label := item.Alias
-			if label == "" {
-				label = exprLabel(item.Expr)
-			}
-			plan.proj = append(plan.proj, item.Expr)
-			plan.labels = append(plan.labels, label)
-		}
-		plan.cacheable = !planVolatile(plan)
-		return plan, nil
-	}
-
 	var (
 		tables []planTable
 		env    = &bindEnv{}
@@ -339,9 +312,6 @@ func (db *DB) runSelect(plan *selectPlan, params []sqltypes.Value) (*Rows, error
 // and the groups HAVING keeps take the rows' place. Nothing holds the
 // complete row set of a scan or a join.
 func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64, tr *execTrace, ic *interrupt) (*Rows, error) {
-	if plan.noFrom {
-		return db.runSelectNoFrom(plan, params)
-	}
 	s := plan.stmt
 	// Computed result rows live in ar, owned by the returned Rows and
 	// released on Rows.Close; a stored-order projection's rows are the
@@ -362,9 +332,9 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 		where = nil
 	}
 	scan := db.openScan(plan.tables[0].data, plan.path, where, ctx)
-	// Index-only aggregation: COUNT/MIN/MAX over a residual-free path
-	// answered from its keys without materialising candidate rows.
-	if plan.aggItems != nil && scan.path != nil {
+	// Index-only aggregation: COUNTs over a residual-free path answered
+	// from its keys without materialising candidate rows.
+	if plan.indexOnly && scan.path != nil {
 		endAgg := tr.span("index-only-agg")
 		out, err := db.runIndexOnlyAgg(plan, ctx, scan)
 		if err != nil {
@@ -559,15 +529,12 @@ func (p *projectSink) finish() error {
 // and reaches emit at once, in the order a level-by-level build would
 // list it, and the loops unwind as soon as emit returns false. Inner
 // tables whose join key is indexed are probed per outer row (index
-// nested-loop) instead of re-scanned; unindexed equi-joins build a hash
-// table over the inner table once, when its level is first reached, and
-// probe it per outer row (hash join) instead of degrading to the cross
-// product. The join always runs forward, driven by the first table.
+// nested-loop); any other inner table is scanned per outer row. The
+// join always runs forward, driven by the first table.
 // first is the first table's resolved scan. Read-only on the plan.
 func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx, first tableScan, emit func([]sqltypes.Value) bool) error {
 	j := &joinRun{db: db, plan: plan, ctx: ctx, emit: emit,
 		row: make([]sqltypes.Value, len(plan.env.cols)), probes: !db.fullScanOnly}
-	j.hashers = make([]*hashProber, len(plan.tables))
 	j.cands = make([][][]sqltypes.Value, len(plan.tables))
 	// The planner's path narrows the outer loop's candidates; the WHERE
 	// waits for the assembled row.
@@ -587,15 +554,14 @@ type joinRun struct {
 	plan   *selectPlan
 	ctx    *evalCtx
 	emit   func([]sqltypes.Value) bool
-	probes bool // index and hash probes allowed (not SetFullScanOnly)
+	probes bool // index probes allowed (not SetFullScanOnly)
 	// row is the joined row being assembled. Level i owns the slots of
 	// FROM item i; depth-first order keeps the slots of the levels
 	// before it valid while it iterates its candidates.
-	row     []sqltypes.Value
-	cands   [][][]sqltypes.Value // per FROM item, the index probe's reused candidate buffer
-	slots   []*rowSlot           // the index probes' reused slot lookup buffer
-	hashers []*hashProber        // per FROM item, built when its level is first reached
-	err     error                // the first failure; it unwinds every level
+	row   []sqltypes.Value
+	cands [][][]sqltypes.Value // per FROM item, the index probe's reused candidate buffer
+	slots []*rowSlot           // the index probes' reused slot lookup buffer
+	err   error                // the first failure; it unwinds every level
 }
 
 // deliver applies the statement's WHERE to the fully joined row and
@@ -644,40 +610,27 @@ func (j *joinRun) extend(i int, vals []sqltypes.Value, matched *bool) bool {
 }
 
 // level joins FROM item i onto the row assembled so far: through its
-// index probe or hash table when the plan has one and it serves this
-// outer row, else by scanning the table.
+// index probe when the plan has one and it serves this outer row, else
+// by scanning the table.
 func (j *joinRun) level(i int) bool {
-	plan, ctx := j.plan, j.ctx
+	plan := j.plan
 	if i == len(plan.tables) {
 		return j.deliver()
 	}
 	ft := plan.tables[i]
-	var cands [][]sqltypes.Value
 	probed := false
-	if j.probes {
-		switch probe, hj := plan.joins[i], plan.hashJoins[i]; {
-		case probe != nil:
-			j.cands[i], probed = j.probeJoin(j.cands[i][:0], ft.data, probe)
-			cands = j.cands[i]
-		case hj != nil:
-			if j.hashers[i] == nil {
-				if j.hashers[i], j.err = newHashProber(ft.data, hj, ctx); j.err != nil {
-					return false
-				}
-			}
-			ctx.vals = j.row
-			cands, probed = j.hashers[i].probe(ctx)
-		}
+	if probe := plan.joins[i]; j.probes && probe != nil {
+		j.cands[i], probed = j.probeJoin(j.cands[i][:0], ft.data, probe)
 	}
 	matched, more := false, true
 	if probed {
-		for _, vals := range cands {
+		for _, vals := range j.cands[i] {
 			if more = j.extend(i, vals, &matched); !more {
 				break
 			}
 		}
 	} else {
-		ft.data.scan(ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
+		ft.data.scan(j.ctx.snap, func(_ *rowSlot, vals []sqltypes.Value) bool {
 			more = j.extend(i, vals, &matched)
 			return more
 		})
@@ -996,28 +949,6 @@ func (s *sortSink) finish() error {
 		}
 	}
 	return p.finish()
-}
-
-// runSelectNoFrom evaluates a FROM-less SELECT once against an empty
-// row. Binding already happened at plan time; this path is read-only on
-// the plan like runSelect.
-func (db *DB) runSelectNoFrom(plan *selectPlan, params []sqltypes.Value) (*Rows, error) {
-	ctx := &evalCtx{params: params, now: db.nowFn()}
-	vals := make([]sqltypes.Value, len(plan.proj))
-	kinds := make([]sqltypes.Kind, len(plan.proj))
-	for i, e := range plan.proj {
-		v, err := evalExpr(e, ctx)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-		kinds[i] = v.Kind()
-	}
-	columns := make([]string, len(plan.labels))
-	copy(columns, plan.labels)
-	out := &Rows{Columns: columns, Kinds: kinds}
-	out.Data = [][]sqltypes.Value{vals}
-	return out, nil
 }
 
 // expandProjection turns SELECT items into a flat expression list with

@@ -655,6 +655,7 @@ func TestParseErrors(t *testing.T) {
 		`INSERT INTO t VALUES`,
 		`SELECT * FROM t WHERE`,
 		`SELECT 'unterminated`,
+		`SELECT 1`,
 	}
 	for _, sql := range bad {
 		if _, err := db.Query(sql); err == nil {

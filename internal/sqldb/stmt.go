@@ -55,16 +55,15 @@ func (s *Stmt) Text() string { return s.text }
 // ("eq(T.A+B)"). A PRIMARY KEY or UNIQUE constraint's index appears
 // like any named one.
 //
-// Aggregated plans append their strategy: " index-only" (a
-// COUNT/MIN/MAX answered from the path's key range: COUNT reads no
-// rows, MIN/MAX one boundary row each),
-// " hash-agg" (every GROUP BY: a grouped fold through a hash table) or
-// " agg-fold" (a single-group fold, no GROUP BY). Plans whose
-// ORDER BY ... LIMIT runs as a bounded heap selection instead of a full
-// sort append " top-k". Joined
-// tables probed by an index nested-loop append " inl(ALIAS.COLS)";
-// unindexed equi-joins append " hash-join(ALIAS.COLS)". A statement with a live result cache
-// entry appends " cached" — its repeats are served without execution.
+// Aggregated plans append their strategy: " index-only" (COUNTs
+// answered from the path's key range, reading no rows), " hash-agg"
+// (every GROUP BY: a grouped fold through a hash table) or " agg-fold"
+// (a single-group fold, no GROUP BY). Plans whose ORDER BY ... LIMIT
+// runs as a bounded heap selection instead of a full sort append
+// " top-k". Joined tables probed by an index nested-loop append
+// " inl(ALIAS.COLS)"; a joined table with no entry is scanned per outer
+// row. A statement with a live result cache entry appends " cached" —
+// its repeats are served without execution.
 //
 // EXPLAIN-style introspection for tests and diagnostics; building the
 // plan on demand, it reflects the live schema epoch, so it shows the
@@ -92,12 +91,9 @@ func (s *Stmt) AccessPath() (string, error) {
 // pathString renders a bound plan's access-path description — the
 // shared vocabulary of AccessPath and execution traces.
 func pathString(plan *selectPlan, sel *SelectStmt) string {
-	if plan.noFrom {
-		return "no-from"
-	}
 	out := plan.path.String()
 	switch {
-	case plan.aggItems != nil:
+	case plan.indexOnly:
 		out += " index-only"
 	case plan.aggregated && len(sel.GroupBy) > 0:
 		out += " hash-agg"
@@ -110,11 +106,6 @@ func pathString(plan *selectPlan, sel *SelectStmt) string {
 	for i, jp := range plan.joins {
 		if jp != nil {
 			out += " inl(" + plan.tables[i].alias + "." + jp.String() + ")"
-		}
-	}
-	for i, hj := range plan.hashJoins {
-		if hj != nil {
-			out += " hash-join(" + plan.tables[i].alias + "." + hj.String() + ")"
 		}
 	}
 	return out

@@ -1,10 +1,11 @@
 // Package telemetry is the engine's dependency-free metrics core: sharded
-// atomic counters, gauges and log-bucketed latency histograms, collected
-// in a named registry and exposed programmatically (Registry.Snapshot)
-// or as Prometheus text format (Registry.WritePrometheus / Handler).
+// atomic counters, callback gauges and log-bucketed latency histograms,
+// collected in a named registry and exposed programmatically
+// (Registry.Snapshot) or as Prometheus text format
+// (Registry.WritePrometheus).
 //
 // Every metric type is safe for concurrent use and nil-safe: methods on
-// a nil *Counter/*Gauge/*Histogram are no-ops, so instrumentation sites
+// a nil *Counter/*Histogram are no-ops, so instrumentation sites
 // can hold possibly-unregistered handles and pay (near) nothing when a
 // metric is not exported. Recording on a live metric is one or two
 // uncontended atomic adds — cheap enough for per-statement hot paths.
@@ -59,43 +60,6 @@ func (c *Counter) Value() int64 {
 		total += c.shards[i].v.Load()
 	}
 	return total
-}
-
-// Gauge is an instantaneous value: either set explicitly (Set/Add) or
-// computed on demand by a callback (registered via Registry.GaugeFunc).
-type Gauge struct {
-	v  atomic.Int64
-	fn func() int64
-}
-
-// Set stores the gauge's value. No-op on a nil receiver or a callback
-// gauge.
-func (g *Gauge) Set(v int64) {
-	if g == nil || g.fn != nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by delta. No-op on a nil receiver or a callback
-// gauge.
-func (g *Gauge) Add(delta int64) {
-	if g == nil || g.fn != nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the gauge's current value (invoking the callback for
-// callback gauges).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	if g.fn != nil {
-		return g.fn()
-	}
-	return g.v.Load()
 }
 
 // histBuckets covers every non-negative int64: bucket i holds values v

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strings"
 )
@@ -44,7 +43,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case kindCounter:
 			fmt.Fprintf(&b, "%s%s %d\n", m.name, labelString(m.labels, "", ""), m.counter.Value())
 		case kindGauge:
-			fmt.Fprintf(&b, "%s%s %d\n", m.name, labelString(m.labels, "", ""), m.gauge.Value())
+			fmt.Fprintf(&b, "%s%s %d\n", m.name, labelString(m.labels, "", ""), m.gauge())
 		case kindHistogram:
 			writeHistogram(&b, m)
 		}
@@ -105,13 +104,4 @@ func labelString(labels []Label, extraName, extraValue string) string {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, "\\", "\\\\")
 	return strings.ReplaceAll(s, "\n", "\\n")
-}
-
-// Handler returns an http.Handler serving the registry in Prometheus
-// text format — mount it at /metrics.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", ContentType)
-		r.WritePrometheus(w) //nolint:errcheck // client disconnects are not errors
-	})
 }

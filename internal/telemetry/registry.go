@@ -35,7 +35,7 @@ type registered struct {
 	labels []Label
 
 	counter *Counter
-	gauge   *Gauge
+	gauge   func() int64 // a gauge's value, computed at snapshot/scrape time
 	hist    *Histogram
 }
 
@@ -115,20 +115,8 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return m.counter
 }
 
-// Gauge registers (or finds) a settable gauge. Labels are k,v pairs.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	ls := pairLabels(labels)
-	m := r.lookup(metricKey(name, ls), func() *registered {
-		return &registered{name: name, help: help, kind: kindGauge, labels: ls, gauge: &Gauge{}}
-	})
-	return m.gauge
-}
-
-// GaugeFunc registers a callback gauge whose value is computed at
-// snapshot/scrape time. fn must be safe to call from any goroutine and
+// GaugeFunc registers a gauge whose value fn computes at snapshot/scrape
+// time; it is the only kind of gauge. fn must be safe to call from any goroutine and
 // must not call back into this registry.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...string) {
 	if r == nil {
@@ -136,7 +124,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...strin
 	}
 	ls := pairLabels(labels)
 	r.lookup(metricKey(name, ls), func() *registered {
-		return &registered{name: name, help: help, kind: kindGauge, labels: ls, gauge: &Gauge{fn: fn}}
+		return &registered{name: name, help: help, kind: kindGauge, labels: ls, gauge: fn}
 	})
 }
 
@@ -189,7 +177,7 @@ func (r *Registry) Snapshot() []Metric {
 		case kindCounter:
 			e.Value = m.counter.Value()
 		case kindGauge:
-			e.Value = m.gauge.Value()
+			e.Value = m.gauge()
 		case kindHistogram:
 			s := m.hist.Snapshot()
 			e.Value = int64(s.Count)

@@ -26,8 +26,6 @@
 #                                      GroupPushdown and IndexFetch
 #                                      ablations; older BENCH records
 #                                      hold their figures)
-#   BenchmarkAblation_HashJoin       — hash join vs cross product on an
-#                                      unindexed 1k×1k equi-join
 #   BenchmarkAblation_Arena          — arena/columnar result path on a
 #                                      100k-row projection (allocs/op and
 #                                      B/row ceilings; the per-row make
@@ -53,8 +51,7 @@ BENCHTIME="${BENCHTIME:-0.5s}"
 DATE="$(date -u +%Y%m%d)"
 OUT="${OUT:-BENCH_${DATE}.json}"
 RAW="$(mktemp)"
-LAT="$(mktemp)"
-trap 'rm -f "$RAW" "$LAT"' EXIT
+trap 'rm -f "$RAW"' EXIT
 
 # No pipeline here: under plain sh `go test | tee` would exit with
 # tee's status and a failed bench run would still record a green JSON.
@@ -94,23 +91,9 @@ $1 ~ /^BenchmarkAblation_Arena\/arena/ {
 $1 ~ /^BenchmarkAblation_PlanCache\/cache=on/ { guard(metric("B/op"), "B/op", bytes_ceiling) }
 ' "$RAW" || exit 1
 
-# Per-query latency percentiles from the telemetry histograms: the
-# easiabench -latency mode emits a JSON array of
-# {name, count, mean_ns, p50_ns, p95_ns, p99_ns} that becomes the
-# "latency" key of the record. LATENCY_N=0 skips the run.
-LATENCY_N="${LATENCY_N:-2000}"
-if [ "$LATENCY_N" -gt 0 ]; then
-    go run ./cmd/easiabench -latency -latency-n "$LATENCY_N" > "$LAT" || {
-        echo "latency run failed" >&2
-        exit 1
-    }
-else
-    printf '[]\n' > "$LAT"
-fi
-
 # Convert `go test -bench` text output into a JSON array of
-# {name, iterations, ns_per_op, bytes_per_op, allocs_per_op}, then
-# append the latency series.
+# {name, iterations, ns_per_op, bytes_per_op, allocs_per_op}. Per-query
+# latency percentiles come from bench/'s workloads, not from here.
 awk -v date="$DATE" '
 BEGIN { print "{"; printf "  \"date\": \"%s\",\n  \"benchmarks\": [\n", date; n = 0 }
 /^Benchmark/ {
@@ -126,10 +109,7 @@ BEGIN { print "{"; printf "  \"date\": \"%s\",\n  \"benchmarks\": [\n", date; n 
     if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
     printf "}"
 }
-END { print "\n  ]," }
+END { print "\n  ]\n}" }
 ' "$RAW" > "$OUT"
-printf '  "latency": ' >> "$OUT"
-sed 's/^/  /; 1s/^  //' "$LAT" >> "$OUT"
-printf '}\n' >> "$OUT"
 
 echo "wrote $OUT"
