@@ -95,23 +95,6 @@ func TestJoinProbePlan(t *testing.T) {
 			t.Errorf("%s: path %q, want %q", tc.sql, got, tc.want)
 		}
 	}
-	// With no index the equi-join runs as nested scans; an index created
-	// on the join key re-plans it as a probe.
-	bare := buildJoinDB(t, 50, 200, false, false)
-	defer bare.Close()
-	st, err := bare.Prepare(`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := st.AccessPath(); p != "full-scan" {
-		t.Fatalf("unindexed path = %q", p)
-	}
-	if _, err := bare.Exec(`CREATE INDEX CHI_K ON CHI (K)`); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := st.AccessPath(); p != "full-scan inl(CHI.K)" {
-		t.Fatalf("post-index path = %q", p)
-	}
 }
 
 // TestJoinINLPropertyVsNaive: every join result through the index
@@ -262,6 +245,84 @@ func TestJoinINLPropertyVsNaive(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestJoinHashPlan: the engine has no hash-join fallback (the name
+// predates its removal), so with no usable index every equi-join, as
+// any other join, plans as nested scans; an index created on the join
+// key re-plans the prepared statement as a probe.
+func TestJoinHashPlan(t *testing.T) {
+	db := buildJoinDB(t, 50, 200, false, false)
+	defer db.Close()
+	for _, sql := range []string{
+		`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K`,
+		`SELECT PID, CID FROM PAR, CHI WHERE PAR.K = CHI.K`,
+		`SELECT PID, CID FROM PAR LEFT JOIN CHI ON CHI.K = PAR.K`,
+		`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K AND CHI.V = PAR.PID`,
+		`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K > PAR.K`,
+	} {
+		st, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.AccessPath()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != "full-scan" {
+			t.Errorf("%s: path %q, want %q", sql, got, "full-scan")
+		}
+	}
+	st, err := db.Prepare(`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`CREATE INDEX CHI_K ON CHI (K)`); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := st.AccessPath(); p != "full-scan inl(CHI.K)" {
+		t.Fatalf("post-index path = %q", p)
+	}
+}
+
+// TestJoinHashPropertyVsNaive: equi-joins no index covers (the shapes
+// the removed hash join used to run) must give the reference
+// evaluator's answer, with and without full-scan-only planning, for
+// inner, comma and LEFT joins, NULL join keys (never matching),
+// WHERE-derived keys, a composite key and a three-table chain.
+func TestJoinHashPropertyVsNaive(t *testing.T) {
+	db := buildJoinDB(t, 40, 150, false, false)
+	defer db.Close()
+	ref := newRefEval(db)
+	for _, q := range []struct {
+		sql  string
+		args []sqltypes.Value
+	}{
+		{`SELECT PID, CID, V FROM PAR JOIN CHI ON CHI.K = PAR.K`, nil},
+		{`SELECT PID, CID FROM PAR, CHI WHERE PAR.K = CHI.K`, nil},
+		{`SELECT PID, CID FROM PAR LEFT JOIN CHI ON CHI.K = PAR.K`, nil},
+		{`SELECT PID, CID FROM PAR LEFT JOIN CHI ON CHI.K = PAR.K AND CHI.V > ?`,
+			[]sqltypes.Value{sqltypes.NewInt(50)}},
+		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K WHERE CHI.V BETWEEN ? AND ?`,
+			[]sqltypes.Value{sqltypes.NewInt(10), sqltypes.NewInt(60)}},
+		{`SELECT PID, CID FROM PAR, CHI WHERE PAR.K = CHI.K AND PAR.NAME = ?`,
+			[]sqltypes.Value{sqltypes.NewString("p3")}},
+		{`SELECT COUNT(*) FROM PAR JOIN CHI ON CHI.K = PAR.K`, nil},
+		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K ORDER BY PID, CID`, nil},
+		{`SELECT PID, CID FROM PAR, CHI WHERE CHI.K = ? AND PAR.K = CHI.K`,
+			[]sqltypes.Value{sqltypes.NewInt(7)}},
+		// Composite join key.
+		{`SELECT PID, CID FROM PAR JOIN CHI ON CHI.K = PAR.K AND CHI.V = PAR.PID`, nil},
+		// Three tables chained on unindexed keys.
+		{`SELECT COUNT(*) FROM PAR P, CHI A, CHI B WHERE A.K = P.K AND B.K = A.K AND B.V < ?`,
+			[]sqltypes.Value{sqltypes.NewInt(40)}},
+		// Grouped aggregate over the join.
+		{`SELECT NAME, COUNT(*) FROM PAR JOIN CHI ON CHI.K = PAR.K GROUP BY NAME`, nil},
+	} {
+		if ref.check(t, q.sql, q.args...) == nil {
+			t.Fatalf("%s: the statement failed", q.sql)
+		}
 	}
 }
 
