@@ -1067,18 +1067,16 @@ func BenchmarkAblation_Telemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Admission pins the overhead of statement
-// governance on the hot scan path: "ungoverned" is a plain Query on a
-// database with no admission semaphore configured (interrupt
-// checkpoints compile to nil-receiver fast paths); "governed" runs the
-// same scan through QueryContext with admission control, a statement
-// timeout, and a memory budget all armed. The contract is that the
-// governed path stays within noise (<3%) of the ungoverned one — the
-// semaphore is one channel op per statement and the per-row
-// checkpoint is a strided counter test.
+// BenchmarkAblation_Admission measures what a context deadline costs on
+// the hot scan path: "ungoverned" is a plain Query, whose context never
+// fires; "governed" runs the same scan through QueryContext under a
+// one-minute deadline, so admission reads the deadline and the
+// strided per-row interrupt poll has a live channel to select on. The
+// contract is that the governed path stays within noise (<3%) of the
+// ungoverned one.
 func BenchmarkAblation_Admission(b *testing.B) {
-	build := func(opts sqldb.Options) *sqldb.DB {
-		db, err := sqldb.OpenWith("", opts)
+	build := func() *sqldb.DB {
+		db, err := sqldb.Open("")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1099,7 +1097,7 @@ func BenchmarkAblation_Admission(b *testing.B) {
 	arg := sqltypes.NewString("S042")
 
 	b.Run("ungoverned", func(b *testing.B) {
-		db := build(sqldb.Options{})
+		db := build()
 		defer db.Close()
 		args := uncached(arg)
 		b.ResetTimer()
@@ -1110,13 +1108,10 @@ func BenchmarkAblation_Admission(b *testing.B) {
 		}
 	})
 	b.Run("governed", func(b *testing.B) {
-		db := build(sqldb.Options{
-			MaxConcurrentStatements: runtime.GOMAXPROCS(0),
-			MemoryBudget:            64 << 20,
-		})
+		db := build()
 		defer db.Close()
-		db.SetStatementTimeout(time.Minute)
-		ctx := context.Background()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
 		args := uncached(arg)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -163,7 +163,7 @@ func main() {
 
 	// Graceful drain on SIGTERM/SIGINT: stop accepting requests, give
 	// in-flight ones a bounded window to finish, then fall through to
-	// the deferred a.Close() — which itself drains admitted statements
+	// the deferred a.Close() — which itself drains in-flight statements
 	// before tearing the engine down, so a statement mid-scan sees
 	// ErrClosed instead of a yanked WAL.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

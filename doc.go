@@ -155,8 +155,7 @@
 //     reads — into its own slots, and probes fill reused candidate and
 //     slot buffers. Each
 //     row that passes the WHERE is copied once, into the scratch
-//     arena, and that copy is what the memory budget is charged for
-//     (TestJoinAllocsFlatPerRow, TestJoinFoldFootprint). Join plans
+//     arena (TestJoinAllocsFlatPerRow, TestJoinFoldFootprint). Join plans
 //     live in the cached selectPlan under the same schema-epoch
 //     invalidation (BenchmarkAblation_JoinPlan: ≥100x on a 1k×1k
 //     equi-join).
@@ -313,10 +312,9 @@
 //     functions (NOW, CURRENT_TIMESTAMP) bypass the cache,
 //     explicit-transaction reads never consult it (they run in
 //     latest-state mode), and a statement that fails or is canceled
-//     mid-fill publishes nothing. The cache holds at most 512 KiB — an
-//     eighth of Options.MemoryBudget when that is less — charged at
-//     what entries keep on the heap (TestResultCacheResidentBytesHonest)
-//     and against the budget while resident (refunded on eviction). A
+//     mid-fill publishes nothing. The cache holds at most 512 KiB,
+//     charged at what entries keep on the heap
+//     (TestResultCacheResidentBytesHonest). A
 //     stored-order entry is charged its overhead, key and 24-byte row
 //     headers alone (TestResultCacheStoredOrderCharge): its rows are
 //     stored versions, which storage keeps until a write supersedes
@@ -542,17 +540,16 @@
 // an index nested-loop probe. The webui /status page lists the
 // registered file-server hosts (med.Coordinator.Hosts).
 //
-// # Cancellation, deadlines, and overload
+// # Cancellation and deadlines
 //
 // Every statement entry point has a context-aware form —
 // DB.QueryContext / DB.ExecContext and the Stmt equivalents — and
 // every streaming loop in the executor (heap and index scans, join
 // candidates, fold aggregation, top-k, sort, DML row loops)
 // polls a per-statement interrupt on an amortised stride, so
-// cancelling the context or exceeding the statement deadline (the
-// per-call context deadline, or the DB.SetStatementTimeout default
-// applied when a statement arrives without one) surfaces
-// sqldb.ErrCanceled / sqldb.ErrDeadlineExceeded within milliseconds
+// cancelling the context or passing its deadline (the only deadline
+// a statement has) surfaces sqldb.ErrCanceled /
+// sqldb.ErrDeadlineExceeded within milliseconds
 // without poisoning the engine: reads hold no state beyond the shared
 // engine lock, and a cancelled DML unwinds its MVCC intents exactly
 // like a constraint failure. The cancellation boundary is the WAL stage —
@@ -560,19 +557,12 @@
 // commit is staged; once staged, the statement commits and reports
 // success (the same at-most-once boundary a crash recovery exposes).
 //
-// Overload is governed by two budgets. Options.MaxConcurrentStatements
-// caps simultaneously executing statements with a fair admission
-// semaphore and a bounded wait queue (Options.AdmissionQueue, default
-// 4x); a statement arriving with the queue full is shed immediately
-// with ErrAdmissionRejected rather than piling latency onto everyone
-// else. Options.MemoryBudget bounds the bytes statements may retain
-// concurrently — hash-aggregation groups, join hash tables, the rows
-// a join delivers, held sort candidates and result rows are charged
-// against it, and a statement that would exceed the budget fails with
-// ErrMemoryBudget instead of taking the process down. DB.Close drains admitted
-// statements for a grace period (DB.CloseGrace) before tearing down
-// the WAL, so
-// shutdown is a drain, not an amputation; the easiad and dlfsd
+// The engine queues no statement and budgets no memory: the
+// archive's unit of work is a handful of small indexed SELECTs, and a
+// cap on concurrent statements starved exactly those behind long
+// scans. DB.Close drains in-flight statements for a grace period
+// (DB.CloseGrace) before tearing down the WAL, so shutdown is a
+// drain, not an amputation; the easiad and dlfsd
 // daemons translate SIGTERM into exactly that drain. The remote file
 // tier applies the same discipline: a dlfs.Client RPC is one request
 // bounded by the client's context (WithContext), never retried, so a
@@ -598,9 +588,7 @@
 // autocommit DML or DDL statement), and MVCC hygiene (sqldb_vacuum_pass_ns, sqldb_vacuum_passes_total,
 // sqldb_vacuum_rows_reclaimed_total, sqldb_autovacuum_triggers_total,
 // sqldb_dead_rows, sqldb_snapshot_age_ns), and statement governance
-// (sqldb_statements_{canceled,timed_out,shed}_total,
-// sqldb_admission_wait_ns, sqldb_admission_queue_depth,
-// sqldb_mem_budget_rejected_total, sqldb_mem_budget_bytes_in_use).
+// (sqldb_statements_{canceled,timed_out}_total).
 //
 // Per-statement execution tracing upgrades Stmt.AccessPath into
 // EXPLAIN ANALYZE: Stmt.Trace forces a Trace for one execution —

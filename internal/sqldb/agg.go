@@ -306,10 +306,6 @@ type groupFolder struct {
 	err error // a failure that stopped the fold
 }
 
-// groupFootprint estimates the retained bytes of one hash-agg group:
-// the groupState shell plus one accumulator per aggregate slot.
-func groupFootprint(slots int) int64 { return 64 + 48*int64(slots) }
-
 // add folds one source row into its group. false stops the source: the
 // fold failed.
 func (f *groupFolder) add(row []sqltypes.Value) bool {
@@ -335,11 +331,6 @@ func (f *groupFolder) add(row []sqltypes.Value) bool {
 	}
 	gs := f.byKey[string(f.keyBuf)] // no-allocation map lookup
 	if gs == nil {
-		// A new group retains its key and accumulators for the
-		// statement's lifetime: charge the memory budget.
-		if f.err = ctx.intr.charge(int64(len(f.keyBuf)) + groupFootprint(len(plan.aggCalls))); f.err != nil {
-			return false
-		}
 		gs = plan.newGroupState()
 		f.byKey[string(f.keyBuf)] = gs
 		f.groups = append(f.groups, gs)

@@ -14,15 +14,15 @@ import (
 )
 
 // Chaos soak: the crash-recovery soak's disk-fault schedules combined
-// with cancel-heavy load and admission pressure. Every insert runs
-// under a context canceled at a random point, four workers contend for
-// two admission slots, and the scripted crash still fires mid-I/O.
+// with cancel-heavy load. Every insert runs under a context canceled at
+// a random point, four workers contend for the engine, and the
+// scripted crash still fires mid-I/O.
 // The oracle is the crash soak's committed-prefix contract plus one
 // new clause with real teeth:
 //
-//   - a statement that returned ErrCanceled (or was shed at admission)
-//     without a concurrent injected crash contributed NOTHING — its row
-//     must be absent after recovery, every round, under -race.
+//   - a statement that returned ErrCanceled without a concurrent
+//     injected crash contributed NOTHING — its row must be absent
+//     after recovery, every round, under -race.
 //
 // Env knobs (CI runs the bounded version; scripts/soak.sh SOAK_CHAOS=1
 // runs the long one):
@@ -37,10 +37,9 @@ func chaosRecord(o *soakOracle, canceled map[int64]bool, mu *sync.Mutex, k int64
 		o.mu.Lock()
 		o.acked[k] = true
 		o.mu.Unlock()
-	case (errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded) ||
-		errors.Is(err, ErrAdmissionRejected)) && !errors.Is(err, iofault.ErrCrashed):
-		// Cleanly governed failure: the statement unwound pre-WAL-stage
-		// (or never ran). It must have no visible effect, ever.
+	case (errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded)) && !errors.Is(err, iofault.ErrCrashed):
+		// Cleanly governed failure: the statement unwound pre-WAL-stage.
+		// It must have no visible effect, ever.
 		mu.Lock()
 		canceled[k] = true
 		mu.Unlock()
@@ -154,8 +153,8 @@ func chaosPresent(t *testing.T, db *DB) map[int64]bool {
 	return present
 }
 
-// TestChaosCancelSoak drives seeded schedules of crash + cancel + admission
-// chaos and holds every recovery to the extended oracle.
+// TestChaosCancelSoak drives seeded schedules of crash + cancel chaos
+// and holds every recovery to the extended oracle.
 func TestChaosCancelSoak(t *testing.T) {
 	schedules := soakEnvInt("CHAOS_SCHEDULES", 25)
 	baseSeed := int64(soakEnvInt("CHAOS_SEED", 1))
@@ -195,7 +194,7 @@ func TestChaosCancelSoak(t *testing.T) {
 				if armEarly {
 					faults.CrashAfterOps("", crashAfter, torn)
 				}
-				db, err := OpenWith(dir, Options{FS: faults, MaxConcurrentStatements: 2})
+				db, err := OpenWith(dir, Options{FS: faults})
 				if err != nil {
 					if !errors.Is(err, iofault.ErrCrashed) {
 						t.Fatalf("round %d: open under injector failed for a non-crash reason: %v", round, err)

@@ -173,9 +173,7 @@ type indexDef struct {
 //     The walFile has its own mutex and must never be touched under mu
 //     except through stageTx/checkpointLocked/vacuumLocked.
 type DB struct {
-	// governState holds the statement-governance machinery: default
-	// statement timeout, memory budget pool, admission semaphore and
-	// the Close drain bookkeeping. See govern.go.
+	// governState holds the Close drain bookkeeping. See govern.go.
 	governState
 
 	mu      sync.RWMutex
@@ -281,20 +279,6 @@ type Options struct {
 	// before the damage and truncates the rest. RecoveryInfo.Salvaged
 	// reports that it happened.
 	Salvage bool
-	// MaxConcurrentStatements bounds how many statements execute at
-	// once. Over the limit, arrivals wait in a bounded queue (length
-	// AdmissionQueue); a full queue sheds with ErrAdmissionRejected.
-	// Zero disables admission control.
-	MaxConcurrentStatements int
-	// AdmissionQueue is the admission wait-queue bound; defaults to
-	// 4×MaxConcurrentStatements when zero.
-	AdmissionQueue int
-	// MemoryBudget caps the bytes buffered by hash aggregation, join
-	// hash builds and sort/materialise buffers across all concurrent
-	// statements; a statement that would exceed it fails with
-	// ErrMemoryBudget. Zero means unlimited. The result cache is
-	// charged against it too, and holds at most an eighth of it.
-	MemoryBudget int64
 }
 
 // RecoveryInfo describes what crash recovery found and did during Open.
@@ -337,13 +321,9 @@ func OpenWith(dir string, opts Options) (*DB, error) {
 	db.nextTx.Store(1)
 	db.nextRow.Store(1)
 	db.lastTS.Store(baseStamp)
-	db.initGovern(opts)
+	db.initGovern()
 	db.met = newDBMetrics(db)
-	rcBytes := int64(resultCacheBytes)
-	if db.memBudget > 0 {
-		rcBytes = min(rcBytes, db.memBudget/8)
-	}
-	db.rcache.Store(newResultCache(db, rcBytes))
+	db.rcache.Store(newResultCache(db, resultCacheBytes))
 	if db.fs == nil {
 		db.fs = iofault.Disk{}
 	}
@@ -497,15 +477,15 @@ func (td *tableData) checkWidth(id rowID, vals []sqltypes.Value) error {
 // cancellation (new statements are refused with ErrClosed, running
 // statements observe the broadcast at their next interrupt checkpoint
 // and fail with ErrCanceled), then waits up to CloseGrace for the
-// admitted set to finish before proceeding to teardown — at which point
-// mu.Lock still serialises with any straggler holding the read lock. A
+// in-flight statements to finish before proceeding to teardown — at
+// which point mu.Lock still serialises with any straggler holding the read lock. A
 // poisoned database skips the checkpoint (its durability is already
 // suspect; the on-disk state from the last successful fsync is what
 // recovery will use) but still releases the log's descriptor. Any
 // background vacuum is waited out, and the slow-query log writer is
 // flushed and closed, before Close returns.
 func (db *DB) Close() error {
-	// Stop admission and cancel in-flight statements. Idempotent.
+	// Refuse new statements and cancel in-flight ones. Idempotent.
 	db.closeOnce.Do(func() {
 		db.closingFlag.Store(true)
 		close(db.closing)
@@ -721,10 +701,9 @@ func (db *DB) Exec(sql string, args ...sqltypes.Value) (Result, error) {
 }
 
 // ExecContext is Exec with cooperative cancellation: the statement is
-// subject to admission control, the ctx deadline (or the
-// SetStatementTimeout default when ctx has none) and per-row
-// cancellation checkpoints, returning ErrCanceled/ErrDeadlineExceeded
-// when stopped. A DML statement canceled before its WAL frames are
+// subject to ctx's cancellation and deadline, checked at per-row
+// checkpoints, returning ErrCanceled/ErrDeadlineExceeded when stopped.
+// A DML statement canceled before its WAL frames are
 // staged rolls back cleanly; once staged, it commits (see the
 // cancellation-boundary notes in govern.go).
 func (db *DB) ExecContext(ctx context.Context, sql string, args ...sqltypes.Value) (Result, error) {
@@ -782,10 +761,10 @@ func (db *DB) Query(sql string, args ...sqltypes.Value) (*Rows, error) {
 	return st.Query(args...)
 }
 
-// QueryContext is Query with cooperative cancellation: admission
-// control, deadline (ctx's own or the SetStatementTimeout default) and
-// per-row checkpoints in every scan, join, sort and fold loop. A
-// canceled read leaves no engine lock held and the database unpoisoned.
+// QueryContext is Query with cooperative cancellation: ctx's
+// cancellation and deadline are checked at per-row checkpoints in
+// every scan, join, sort and fold loop. A canceled read leaves no
+// engine lock held and the database unpoisoned.
 func (db *DB) QueryContext(ctx context.Context, sql string, args ...sqltypes.Value) (*Rows, error) {
 	st, err := db.preparedStmt(sql)
 	if err != nil {

@@ -99,9 +99,8 @@ type evalCtx struct {
 	now    time.Time
 	snap   uint64
 
-	// intr is the owning statement's cancellation checker and memory
-	// account (govern.go); nil — the ungoverned internal path — makes
-	// every check/charge a no-op.
+	// intr is the owning statement's cancellation checker (govern.go);
+	// nil — the ungoverned internal path — makes every check a no-op.
 	intr *interrupt
 
 	// ar backs the statement's result rows (owned by the returned Rows,

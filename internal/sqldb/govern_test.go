@@ -186,27 +186,20 @@ func mustInt(t *testing.T, db *DB, sql string) int64 {
 	return rows.Data[0][0].Int()
 }
 
-// TestStatementDeadlines covers both deadline sources — the
-// per-database SetStatementTimeout default and an explicit context
-// deadline — and then proves a deadline-killed read left no engine
-// lock behind: DML and DDL, which both take the barrier, succeed
+// TestStatementDeadlines covers the one deadline source — the
+// statement's context — and then proves a deadline-killed read left no
+// engine lock behind: DML and DDL, which both take the barrier, succeed
 // immediately afterwards.
 func TestStatementDeadlines(t *testing.T) {
 	db := governDB(t, Options{}, 1200, 50)
-
-	db.SetStatementTimeout(2 * time.Millisecond)
-	if _, err := db.QueryContext(context.Background(), longJoinSQL); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("SetStatementTimeout kill: %v, want ErrDeadlineExceeded", err)
-	}
-	db.SetStatementTimeout(0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	if _, err := db.QueryContext(ctx, longJoinSQL); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("context deadline kill: %v, want ErrDeadlineExceeded", err)
 	}
-	if c := counterValue(t, db, "sqldb_statements_timed_out_total"); c < 2 {
-		t.Fatalf("sqldb_statements_timed_out_total = %d, want >= 2", c)
+	if c := counterValue(t, db, "sqldb_statements_timed_out_total"); c < 1 {
+		t.Fatalf("sqldb_statements_timed_out_total = %d, want >= 1", c)
 	}
 
 	// The barrier is immediately acquirable after the deadline kills.
@@ -218,111 +211,6 @@ func TestStatementDeadlines(t *testing.T) {
 	}
 	if got := mustInt(t, db, `SELECT COUNT(*) FROM big WHERE v >= 0`); got != 1200 {
 		t.Fatalf("post-deadline read: %d rows, want 1200", got)
-	}
-}
-
-// TestMemoryBudget: a hash aggregation over more groups than the
-// budget allows fails with ErrMemoryBudget (instead of growing without
-// bound), the pool drains back to zero, and budget-friendly statements
-// on the same database keep working.
-func TestMemoryBudget(t *testing.T) {
-	// 2000 distinct SIM values: the hash-agg table alone wants
-	// ~2000 x (key + groupFootprint) >> 8KB.
-	db := governDB(t, Options{MemoryBudget: 8 << 10}, 2000, 2000)
-
-	_, err := db.QueryContext(context.Background(), `SELECT sim, COUNT(*) FROM big GROUP BY sim`)
-	if !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("hash-agg over budget: %v, want ErrMemoryBudget", err)
-	}
-	if _, err := db.QueryContext(context.Background(), `SELECT id, sim, v FROM big ORDER BY v, id`); !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("sort buffer over budget: %v, want ErrMemoryBudget", err)
-	}
-	if used := db.MemoryInUse(); used != 0 {
-		t.Fatalf("MemoryInUse = %d after failed statements, want 0 (pool leak)", used)
-	}
-	if c := counterValue(t, db, "sqldb_mem_budget_rejected_total"); c < 2 {
-		t.Fatalf("sqldb_mem_budget_rejected_total = %d, want >= 2", c)
-	}
-	// A single-group fold buffers almost nothing and stays admissible.
-	if got := mustInt(t, db, `SELECT COUNT(*) FROM big`); got != 2000 {
-		t.Fatalf("budget-friendly query after rejections: %d, want 2000", got)
-	}
-	if used := db.MemoryInUse(); used != 0 {
-		t.Fatalf("MemoryInUse = %d after successful statement, want 0", used)
-	}
-}
-
-// TestAdmissionQueueThenShed is the overload acceptance criterion:
-// MaxConcurrentStatements=N under 4N concurrent clients admits N,
-// queues up to the bound, and sheds the rest with ErrAdmissionRejected
-// — goroutines never pile up behind the semaphore.
-func TestAdmissionQueueThenShed(t *testing.T) {
-	const n = 2 // 4N = 8 clients
-	db := governDB(t, Options{MaxConcurrentStatements: n, AdmissionQueue: 1}, 1500, 50)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errs := make(chan error, 4*n)
-	for i := 0; i < 4*n; i++ {
-		go func() {
-			_, err := db.QueryContext(ctx, longJoinSQL)
-			errs <- err
-		}()
-	}
-
-	// Sheds return immediately; admitted and queued statements block on
-	// the long join until the cancel below. With 2 slots + 1 queue
-	// entry, at least 5 of the 8 must shed.
-	var shed, canceled, other int
-	collected := 0
-	deadline := time.After(10 * time.Second)
-	for collected < 5 {
-		select {
-		case err := <-errs:
-			collected++
-			classifyAdmissionErr(t, err, &shed, &canceled, &other)
-		case <-deadline:
-			t.Fatalf("only %d of the expected sheds returned (shed=%d canceled=%d)", collected, shed, canceled)
-		}
-	}
-	cancel()
-	for collected < 4*n {
-		select {
-		case err := <-errs:
-			collected++
-			classifyAdmissionErr(t, err, &shed, &canceled, &other)
-		case <-time.After(10 * time.Second):
-			t.Fatalf("statements hung after cancel: %d/%d returned", collected, 4*n)
-		}
-	}
-	if other != 0 {
-		t.Fatalf("unexpected error class under overload (shed=%d canceled=%d other=%d)", shed, canceled, other)
-	}
-	if shed < 5 {
-		t.Fatalf("shed %d of %d, want >= 5 (N admitted + 1 queued at most)", shed, 4*n)
-	}
-	if got := counterValue(t, db, "sqldb_statements_shed_total"); got != int64(shed) {
-		t.Fatalf("sqldb_statements_shed_total = %d, want %d", got, shed)
-	}
-	if depth := db.AdmissionQueueDepth(); depth != 0 {
-		t.Fatalf("AdmissionQueueDepth = %d after drain, want 0", depth)
-	}
-	// The database is healthy: a fresh client admits instantly.
-	if got := mustInt(t, db, `SELECT COUNT(*) FROM big`); got != 1500 {
-		t.Fatalf("query after overload: %d, want 1500", got)
-	}
-}
-
-func classifyAdmissionErr(t *testing.T, err error, shed, canceled, other *int) {
-	t.Helper()
-	switch {
-	case errors.Is(err, ErrAdmissionRejected):
-		*shed++
-	case errors.Is(err, ErrCanceled):
-		*canceled++
-	default:
-		t.Logf("unexpected overload error: %v", err)
-		*other++
 	}
 }
 
@@ -548,11 +436,11 @@ func TestSlowLogCancelReason(t *testing.T) {
 	if _, err := db.QueryContext(canceled, `SELECT id FROM big WHERE v < 90`); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled query: %v", err)
 	}
-	db.SetStatementTimeout(2 * time.Millisecond)
-	if _, err := db.QueryContext(context.Background(), longJoinSQL); !errors.Is(err, ErrDeadlineExceeded) {
+	ctx, cancelDeadline := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancelDeadline()
+	if _, err := db.QueryContext(ctx, longJoinSQL); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("deadline query: %v", err)
 	}
-	db.SetStatementTimeout(0)
 
 	lines := strings.Split(strings.TrimSpace(log.buf.String()), "\n")
 	if len(lines) != 2 {
@@ -573,7 +461,7 @@ func TestSlowLogCancelReason(t *testing.T) {
 	}
 	// DeadlineNs is the budget left at admission: a scheduling stall
 	// before it is read can leave it negative, so only its presence and
-	// its ceiling, the configured timeout, are fixed.
+	// its ceiling, the context's timeout, are fixed.
 	if second.DeadlineNs == 0 || second.DeadlineNs > int64(2*time.Millisecond) {
 		t.Fatalf("deadline trace carries no budget within the 2ms timeout: %+v", second)
 	}
@@ -597,27 +485,27 @@ func (c *closableLog) Write(p []byte) (int, error) { return c.buf.Write(p) }
 func (c *closableLog) Close() error                { c.closed = true; return nil }
 
 // TestAdmissionReleasedOnError: statements that fail for ordinary,
-// non-governance reasons (unknown table, bad SQL) must still release
-// their admission slot — a regression guard on the release path.
+// non-governance reasons after admission (an evaluation error, a
+// duplicate key) must still end their in-flight registration — else
+// Close would wait out CloseGrace for statements that already returned.
 func TestAdmissionReleasedOnError(t *testing.T) {
-	db := governDB(t, Options{MaxConcurrentStatements: 1}, 300, 10)
+	db := governDB(t, Options{}, 300, 10)
 	for i := 0; i < 10; i++ {
-		if _, err := db.QueryContext(context.Background(), `SELECT nope FROM missing`); err == nil {
-			t.Fatal("query against missing table succeeded")
+		if _, err := db.QueryContext(context.Background(), `SELECT id / (v - v) FROM big`); err == nil {
+			t.Fatal("division by zero succeeded")
+		}
+		if _, err := db.ExecContext(context.Background(), `INSERT INTO big VALUES (1, 'dup', 1)`); err == nil {
+			t.Fatal("duplicate primary key insert succeeded")
 		}
 	}
-	// With a single slot, a leaked release would deadlock here.
-	done := make(chan int64, 1)
-	go func() { done <- mustInt(t, db, `SELECT COUNT(*) FROM big`) }()
-	select {
-	case got := <-done:
-		if got != 300 {
-			t.Fatalf("COUNT = %d, want 300", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("admission slot leaked by failed statements")
+	if got := mustInt(t, db, `SELECT COUNT(*) FROM big`); got != 300 {
+		t.Fatalf("COUNT = %d, want 300", got)
 	}
-	if db.MemoryInUse() != 0 || db.AdmissionQueueDepth() != 0 {
-		t.Fatalf("governance state leaked: mem=%d depth=%d", db.MemoryInUse(), db.AdmissionQueueDepth())
+	start := time.Now()
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if took := time.Since(start); took > db.CloseGrace/5 {
+		t.Fatalf("Close took %v with CloseGrace %v: a failed statement leaked its in-flight registration", took, db.CloseGrace)
 	}
 }

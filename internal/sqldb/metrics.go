@@ -27,11 +27,6 @@ import (
 //	sqldb_slow_queries_total           counter    statements over the trace threshold
 //	sqldb_statements_canceled_total    counter    statements stopped by cancellation
 //	sqldb_statements_timed_out_total   counter    statements stopped by their deadline
-//	sqldb_statements_shed_total        counter    statements rejected at admission
-//	sqldb_admission_wait_ns            histogram  time queued statements waited for a slot
-//	sqldb_admission_queue_depth        gauge      statements currently queued for admission
-//	sqldb_mem_budget_rejected_total    counter    statements stopped by the memory budget
-//	sqldb_mem_budget_bytes_in_use      gauge      bytes charged against the memory budget
 //	sqldb_result_cache_hits_total      counter    result cache hits (statement not re-executed)
 //	sqldb_result_cache_misses_total    counter    result cache misses on cacheable statements
 //	sqldb_result_cache_declines_total  counter    completed misses not cached, by reason
@@ -55,11 +50,8 @@ type dbMetrics struct {
 	autoVacuum  *telemetry.Counter
 	slowQueries *telemetry.Counter
 
-	stmtCanceled    *telemetry.Counter
-	stmtTimedOut    *telemetry.Counter
-	stmtShed        *telemetry.Counter
-	admissionWaitNs *telemetry.Histogram
-	memRejected     *telemetry.Counter
+	stmtCanceled *telemetry.Counter
+	stmtTimedOut *telemetry.Counter
 
 	rcHits          *telemetry.Counter
 	rcMisses        *telemetry.Counter
@@ -88,11 +80,8 @@ func newDBMetrics(db *DB) *dbMetrics {
 		autoVacuum:  reg.Counter("sqldb_autovacuum_triggers_total", "Background auto-vacuum passes triggered."),
 		slowQueries: reg.Counter("sqldb_slow_queries_total", "Statements that exceeded the trace threshold."),
 
-		stmtCanceled:    reg.Counter("sqldb_statements_canceled_total", "Statements stopped by context cancellation or shutdown."),
-		stmtTimedOut:    reg.Counter("sqldb_statements_timed_out_total", "Statements stopped by their deadline."),
-		stmtShed:        reg.Counter("sqldb_statements_shed_total", "Statements rejected at admission (queue full)."),
-		admissionWaitNs: reg.Histogram("sqldb_admission_wait_ns", "Time queued statements waited for an admission slot in nanoseconds."),
-		memRejected:     reg.Counter("sqldb_mem_budget_rejected_total", "Statements stopped by the memory budget."),
+		stmtCanceled: reg.Counter("sqldb_statements_canceled_total", "Statements stopped by context cancellation or shutdown."),
+		stmtTimedOut: reg.Counter("sqldb_statements_timed_out_total", "Statements stopped by their deadline."),
 
 		rcHits:          reg.Counter("sqldb_result_cache_hits_total", "Result-cache hits (statement answered without execution)."),
 		rcMisses:        reg.Counter("sqldb_result_cache_misses_total", "Result-cache misses on cacheable statements."),
@@ -112,12 +101,6 @@ func newDBMetrics(db *DB) *dbMetrics {
 	})
 	reg.GaugeFunc("sqldb_plan_cache_entries", "Statements currently held by the plan cache.", func() int64 {
 		return int64(db.plans.len())
-	})
-	reg.GaugeFunc("sqldb_admission_queue_depth", "Statements currently queued for admission.", func() int64 {
-		return db.admitWaiting.Load()
-	})
-	reg.GaugeFunc("sqldb_mem_budget_bytes_in_use", "Bytes currently charged against the statement memory budget.", func() int64 {
-		return db.memUsed.Load()
 	})
 	reg.GaugeFunc("sqldb_result_cache_bytes", "Bytes currently held by the result cache.", func() int64 {
 		if rc := db.rcache.Load(); rc != nil {

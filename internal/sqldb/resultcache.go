@@ -66,16 +66,12 @@ import (
 // not load-bearing. DDL flushes the whole cache (flushResultCache at
 // every schema-epoch bump) and the epoch check rejects any straggler.
 //
-// Memory: capacity is resultCacheBytes, or an eighth of
-// Options.MemoryBudget when that is smaller. An entry is charged what it
+// Memory: capacity is resultCacheBytes. An entry is charged what it
 // holds on the heap (entryBytes). A stored-order entry is charged its
 // overhead, key and row headers alone: its rows are stored versions,
 // which storage holds until a write supersedes them, and the fill
 // declines, or the write's commit drops the entry, first — so no entry
-// is ever the last holder of a version. With a budget, cached bytes are
-// charged against the same pool as live statement buffers — a fill
-// that the pool refuses is declined (the statement still succeeds), and
-// every eviction, invalidation or flush refunds in full.
+// is ever the last holder of a version.
 //
 // Locking: mu is a leaf lock — taken under db.mu read sections (the
 // lookup and fill paths) and after commitMu is released (the
@@ -282,8 +278,8 @@ func entryBytes(rows *Rows, keyLen int, stored bool) int64 {
 }
 
 // fill offers a completed miss's result to the cache: admitted only past
-// the row cap, the doorkeeper, the byte cap, the victim comparison and
-// the memory budget, all decided before anything is copied. A decline
+// the row cap, the doorkeeper, the byte cap and the victim comparison,
+// all decided before anything is copied. A decline
 // is silent to the caller: the statement already succeeded.
 func (rc *resultCache) fill(p cacheProbe, text string, args []sqltypes.Value, plan *selectPlan, rows *Rows, asOf, epoch uint64) {
 	if len(rows.Data) > resultCacheMaxRows {
@@ -324,13 +320,6 @@ func (rc *resultCache) fill(p cacheProbe, text string, args []sqltypes.Value, pl
 			return
 		}
 		freed += v.bytes
-	}
-	// Charge the database memory budget BEFORE accepting: cached bytes
-	// compete with live statement buffers for the same pool.
-	if rc.db.memBudget > 0 && rc.db.memUsed.Add(bytes) > rc.db.memBudget {
-		rc.db.memUsed.Add(-bytes)
-		rc.decline(declineOversize)
-		return
 	}
 	key := text + "\x00" + string(argKey)
 	if old := rc.entries[p.hash]; old != nil {
@@ -427,9 +416,6 @@ func (rc *resultCache) removeLocked(ent *cacheEntry) {
 				delete(rc.byTable, td)
 			}
 		}
-	}
-	if rc.db.memBudget > 0 {
-		rc.db.memUsed.Add(-ent.bytes)
 	}
 }
 

@@ -21,19 +21,14 @@ func cacheDB(t *testing.T) *DB {
 }
 
 // setResultCacheCap replaces the database's result cache with an empty
-// one of the given byte capacity, or turns it off (bytes <= 0),
-// refunding every budget charge the old one held.
+// one of the given byte capacity, or turns it off (bytes <= 0).
 func (db *DB) setResultCacheCap(bytes int64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	old := db.rcache.Load()
 	if bytes <= 0 {
 		db.rcache.Store(nil)
 	} else {
 		db.rcache.Store(newResultCache(db, bytes))
-	}
-	if old != nil {
-		old.flush()
 	}
 }
 
@@ -368,64 +363,6 @@ func TestResultCacheConcurrentNoStaleReads(t *testing.T) {
 	}
 	close(stop)
 	readers.Wait()
-}
-
-// TestResultCacheMemoryBudget: cached bytes are charged against
-// Options.MemoryBudget, an entry that would blow the budget is rejected
-// with a full refund (the query itself still succeeds), and disabling
-// the cache returns every charged byte.
-func TestResultCacheMemoryBudget(t *testing.T) {
-	db, err := OpenWith("", Options{MemoryBudget: 12_000})
-	if err != nil {
-		t.Fatalf("OpenWith: %v", err)
-	}
-	t.Cleanup(func() { db.Close() })
-	db.setResultCacheCap(4 << 20)
-
-	mustExec(t, db, `CREATE TABLE small (id INTEGER PRIMARY KEY, v VARCHAR(10))`)
-	mustExec(t, db, `INSERT INTO small VALUES (1, 'a'), (2, 'b')`)
-	// Wide VARCHAR rows: the execution-time charge (row footprints only)
-	// stays within budget, but the cache entry also accounts the string
-	// payloads and exceeds it.
-	mustExec(t, db, `CREATE TABLE big (id INTEGER PRIMARY KEY, pad VARCHAR(250))`)
-	pad := strings.Repeat("y", 250)
-	for i := 0; i < 50; i++ {
-		mustExec(t, db, `INSERT INTO big VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString(pad))
-	}
-
-	mustQuery(t, db, `SELECT id, v FROM small ORDER BY id`).Close() // priming
-	mustQuery(t, db, `SELECT id, v FROM small ORDER BY id`).Close()
-	rc := db.rcache.Load()
-	held := db.MemoryInUse()
-	if held <= 0 || held != rc.bytesUsed() {
-		t.Fatalf("MemoryInUse = %d, cache holds %d — cached bytes not charged", held, rc.bytesUsed())
-	}
-
-	// Not in stored order, so the entry would hold copies of its values
-	// and is charged for their payloads.
-	mustQuery(t, db, `SELECT pad, id FROM big`).Close() // priming
-	r := mustQuery(t, db, `SELECT pad, id FROM big`)
-	if len(r.Data) != 50 {
-		t.Fatalf("big query rows = %d, want 50", len(r.Data))
-	}
-	r.Close()
-	if rc.hasStmt(`SELECT pad, id FROM big`) {
-		t.Fatal("over-budget entry was published")
-	}
-	if got := db.MemoryInUse(); got != held {
-		t.Fatalf("MemoryInUse = %d after rejected insert, want %d (full refund)", got, held)
-	}
-
-	// The small entry is still live and served.
-	mustQuery(t, db, `SELECT id, v FROM small ORDER BY id`).Close()
-	if counterValue(t, db, "sqldb_result_cache_hits_total") == 0 {
-		t.Fatal("small entry lost")
-	}
-
-	db.setResultCacheCap(0)
-	if got := db.MemoryInUse(); got != 0 {
-		t.Fatalf("MemoryInUse = %d after cache disabled, want 0", got)
-	}
 }
 
 // TestResultCacheStoredOrderCharge: an entry whose rows are stored

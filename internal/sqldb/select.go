@@ -299,8 +299,7 @@ func (db *DB) runSelect(plan *selectPlan, params []sqltypes.Value) (*Rows, error
 // runSelectAt is runSelect at an explicit snapshot (snapLatest for the
 // exclusive-lock transaction path). A non-nil tr collects per-node
 // timings and heap-read counts for EXPLAIN ANALYZE. A non-nil ic makes
-// the row source a cancellation checkpoint and charges buffered state
-// against the memory budget.
+// the row source a cancellation checkpoint.
 //
 // Every statement is one row source feeding one sink. The source is the
 // filtered scan of a lone table (tableScan) or the join of several
@@ -476,10 +475,6 @@ func (p *projectSink) add(src []sqltypes.Value, gs *groupState) bool {
 		return true
 	}
 	proj, ctx := p.plan.proj, p.ctx
-	// Projected rows are retained in the result: charge the budget.
-	if p.err = ctx.intr.charge(rowFootprint(len(proj))); p.err != nil {
-		return false
-	}
 	switch {
 	case gs != nil:
 		vals := ctx.ar.alloc(len(proj))
@@ -566,16 +561,12 @@ type joinRun struct {
 
 // deliver applies the statement's WHERE to the fully joined row and
 // hands a match to the sink as a copy in the scratch arena, which the
-// sink may keep until the statement ends: the copy is what holds
-// memory, so it is what the budget is charged for.
+// sink may keep until the statement ends.
 func (j *joinRun) deliver() bool {
 	ok, err := j.ctx.holds(j.plan.stmt.Where, j.row)
 	if !ok {
 		j.err = err
 		return err == nil
-	}
-	if j.err = j.ctx.intr.charge(rowFootprint(len(j.row))); j.err != nil {
-		return false
 	}
 	out := j.ctx.scratch.alloc(len(j.row))
 	copy(out, j.row)
@@ -806,7 +797,6 @@ func (s *sortSink) add(src []sqltypes.Value, gs *groupState) bool {
 	if s.err = plan.orderErr; s.err != nil {
 		return false
 	}
-	held := rowFootprint(len(s.cand))
 	if s.seen != nil {
 		s.keyBuf = s.keyBuf[:0]
 		for i, e := range plan.proj {
@@ -819,7 +809,6 @@ func (s *sortSink) add(src []sqltypes.Value, gs *groupState) bool {
 			return true
 		}
 		s.seen[string(s.keyBuf)] = struct{}{}
-		held += rowFootprint(len(s.row)) + int64(len(s.keyBuf))
 	}
 	for i, e := range plan.order {
 		v, err := plan.evalOver(e, src, gs, ctx)
@@ -842,10 +831,6 @@ func (s *sortSink) add(src []sqltypes.Value, gs *groupState) bool {
 		}
 		e.keys = worst.keys
 	} else {
-		// Held candidates buffer until finish: charge the memory budget.
-		if s.err = ctx.intr.charge(held); s.err != nil {
-			return false
-		}
 		e.keys = s.newKeys()
 	}
 	copy(e.keys, s.cand)

@@ -121,9 +121,9 @@ func (s *Stmt) Exec(args ...sqltypes.Value) (Result, error) {
 	return res, err
 }
 
-// ExecContext is Exec under cooperative cancellation: admission
-// control, the ctx deadline (or the SetStatementTimeout default) and
-// per-row interrupt checkpoints. Canceled DML unwinds cleanly via the
+// ExecContext is Exec under cooperative cancellation: ctx's
+// cancellation and deadline, checked at per-row interrupt checkpoints.
+// Canceled DML unwinds cleanly via the
 // MVCC abort path when stopped before its WAL frames are staged; once
 // staged, it commits (see govern.go for the boundary).
 func (s *Stmt) ExecContext(ctx context.Context, args ...sqltypes.Value) (Result, error) {
@@ -169,8 +169,8 @@ func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value, force bool) (Res
 	if force || thr > 0 {
 		tr = db.newTrace(s.text, "exec")
 	}
-	// Admission + deadline gate. Acquired before any engine lock, so a
-	// queued statement holds nothing while it waits.
+	// Closed check, deadline read and in-flight registration, before
+	// any engine lock.
 	ic, err := db.admitStatement(ctx)
 	if err != nil {
 		return Result{}, nil, err

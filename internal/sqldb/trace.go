@@ -50,12 +50,11 @@ type Trace struct {
 	Slow bool `json:"slow,omitempty"`
 
 	// CancelReason records why a governed statement stopped early:
-	// "canceled", "deadline", "memory" or "shutdown". Empty for
+	// "canceled", "deadline" or "shutdown". Empty for
 	// statements that ran to completion.
 	CancelReason string `json:"cancel_reason,omitempty"`
-	// DeadlineNs is the statement's remaining deadline budget at
-	// admission (ctx deadline or the SetStatementTimeout default);
-	// zero when the statement had no deadline.
+	// DeadlineNs is the statement's remaining context deadline budget
+	// at admission; zero when the statement had no deadline.
 	DeadlineNs int64 `json:"deadline_ns,omitempty"`
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/url"
 	"slices"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/iofault"
 	"repro/internal/med"
 	"repro/internal/ops"
+	"repro/internal/sqldb"
 	"repro/internal/sqltypes"
 	"repro/internal/telemetry"
 	"repro/internal/xuis"
@@ -224,7 +226,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, u core.User
 	}
 	rs, err := s.archive.Search(q)
 	if err != nil {
-		s.renderError(w, u, http.StatusBadRequest, err.Error())
+		status, msg := engineStatus(err)
+		s.renderError(w, u, status, msg)
 		return
 	}
 	s.renderResults(w, rs, u)
@@ -418,7 +421,8 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request, u core.Use
 		err = fmt.Errorf("webui: unknown browse mode %q", mode)
 	}
 	if err != nil {
-		s.renderError(w, u, http.StatusBadRequest, err.Error())
+		status, msg := engineStatus(err)
+		s.renderError(w, u, status, msg)
 		return
 	}
 	s.renderResults(w, rs, u)
@@ -481,6 +485,18 @@ func downloadStatus(err error) int {
 		return http.StatusBadRequest
 	}
 	return http.StatusBadGateway
+}
+
+// engineStatus answers a failed archive call. A closed or poisoned
+// metadata database is the server's fault: 500 with a fixed message,
+// the engine's text going to the log rather than to the browser. Any
+// other failure is the request's: 400 with the error's text.
+func engineStatus(err error) (int, string) {
+	if errors.Is(err, sqldb.ErrClosed) || errors.Is(err, sqldb.ErrPoisoned) {
+		log.Printf("webui: %v", err)
+		return http.StatusInternalServerError, "the archive database is unavailable"
+	}
+	return http.StatusBadRequest, err.Error()
 }
 
 func (s *Server) opFromRequest(r *http.Request) (opName, colID, table string, key map[string]string) {
@@ -568,7 +584,8 @@ func (s *Server) handleOpRun(w http.ResponseWriter, r *http.Request, u core.User
 	}
 	res, err := s.archive.RunOperation(opName, colID, table, key, params, u)
 	if err != nil {
-		s.renderError(w, u, http.StatusBadRequest, err.Error())
+		status, msg := engineStatus(err)
+		s.renderError(w, u, status, msg)
 		return
 	}
 	s.renderOpResult(w, res, u)
@@ -667,7 +684,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, u core.Use
 	code := []byte(r.PostFormValue("code"))
 	res, err := s.archive.UploadAndRun(colID, table, key, code, "easl", entry, nil, u)
 	if err != nil {
-		s.renderError(w, u, http.StatusBadRequest, err.Error())
+		status, msg := engineStatus(err)
+		s.renderError(w, u, status, msg)
 		return
 	}
 	s.renderOpResult(w, res, u)
@@ -744,20 +762,12 @@ func engineSummary(ms []telemetry.Metric) []statusMetric {
 	if m, ok := findMetric(ms, "sqldb_slow_queries_total"); ok && m.Value > 0 {
 		rows = append(rows, statusMetric{"Slow queries over threshold", strconv.FormatInt(m.Value, 10)})
 	}
-	// Overload posture: how deep the admission queue is right now, and
-	// how many statements have been shed, timed out or canceled so far.
-	if m, ok := findMetric(ms, "sqldb_admission_queue_depth"); ok {
-		rows = append(rows, statusMetric{"Admission queue depth", strconv.FormatInt(m.Value, 10)})
-	}
-	shed, _ := findMetric(ms, "sqldb_statements_shed_total")
+	// How many statements their callers' contexts have stopped so far.
 	timedOut, _ := findMetric(ms, "sqldb_statements_timed_out_total")
 	canceled, _ := findMetric(ms, "sqldb_statements_canceled_total")
-	if shed.Value+timedOut.Value+canceled.Value > 0 {
-		rows = append(rows, statusMetric{"Statements shed / timed out / canceled",
-			fmt.Sprintf("%d / %d / %d", shed.Value, timedOut.Value, canceled.Value)})
-	}
-	if m, ok := findMetric(ms, "sqldb_mem_budget_rejected_total"); ok && m.Value > 0 {
-		rows = append(rows, statusMetric{"Memory-budget rejections", strconv.FormatInt(m.Value, 10)})
+	if timedOut.Value+canceled.Value > 0 {
+		rows = append(rows, statusMetric{"Statements timed out / canceled",
+			fmt.Sprintf("%d / %d", timedOut.Value, canceled.Value)})
 	}
 	return rows
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dlfs"
 	"repro/internal/med"
+	"repro/internal/sqldb"
 	"repro/internal/turb"
 	"repro/internal/xuis"
 )
@@ -406,6 +407,50 @@ func TestBrowseEndpoints(t *testing.T) {
 	code, _ := ts.get(t, "/browse?mode=zap&table=AUTHOR&col=X&value=1")
 	if code != http.StatusBadRequest {
 		t.Errorf("bad mode status %d", code)
+	}
+}
+
+// TestEngineStatus: a closed or poisoned metadata database is a server
+// fault (500, fixed text); every other archive failure stays 400 with
+// its own text.
+func TestEngineStatus(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"closed", sqldb.ErrClosed, http.StatusInternalServerError},
+		{"closed mid-statement", fmt.Errorf("%w: %w", sqldb.ErrCanceled, sqldb.ErrClosed), http.StatusInternalServerError},
+		{"poisoned", fmt.Errorf("%w: disk full", sqldb.ErrPoisoned), http.StatusInternalServerError},
+		{"canceled", sqldb.ErrCanceled, http.StatusBadRequest},
+		{"bad request", fmt.Errorf("core: unknown table %q", "NOPE"), http.StatusBadRequest},
+	} {
+		status, msg := engineStatus(c.err)
+		if status != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, status, c.want)
+		}
+		if echoed := msg == c.err.Error(); echoed != (c.want == http.StatusBadRequest) {
+			t.Errorf("%s: message %q, echoes the error: %v", c.name, msg, echoed)
+		}
+	}
+}
+
+// TestClosedArchiveAnswers500: once the archive's database is closed,
+// searches and browsing answer 500 without echoing the engine's text.
+func TestClosedArchiveAnswers500(t *testing.T) {
+	ts := newSite(t)
+	ts.login(t, "guest", "guest")
+	if err := ts.archive.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{
+		"/query?table=RESULT_FILE&all=1",
+		"/browse?mode=pk&table=RESULT_FILE&col=SIMULATION_KEY&value=S19990110150932",
+	} {
+		code, body := ts.get(t, path)
+		if code != http.StatusInternalServerError || strings.Contains(body, "sqldb:") {
+			t.Errorf("%s on a closed archive: status %d, want 500 without the engine's text:\n%.300s", path, code, body)
+		}
 	}
 }
 

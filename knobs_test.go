@@ -18,11 +18,10 @@ import (
 // method is gone, must leave it.
 var knobsWithoutCallers = map[string]string{
 	"SetFullScanOnly":      "the index ≡ scan oracle of the planner, join and reference-evaluator property tests, until ROADMAP item 3's evaluator covers it",
-	"SetStatementTimeout":  "the per-database default deadline; easiad has no flag for it yet",
 	"SetPlanCacheCapacity": "the plan-cache ablation's off switch; no deployment has needed another size",
 }
 
-const maxKnobsWithoutCallers = 3
+const maxKnobsWithoutCallers = 2
 
 // fieldsWithoutSetters are the exported fields of sqldb.Options and
 // sqldb.DB that no non-test file outside internal/sqldb sets, each with
@@ -30,16 +29,13 @@ const maxKnobsWithoutCallers = 3
 // shrink (maxFieldsWithoutSetters), and an entry that gains a setter, or
 // whose field is gone, must leave it.
 var fieldsWithoutSetters = map[string]string{
-	"Options.FS":                      "the fault-injection seam of the sqldb crash soaks; core.Config cannot pass it yet (ROADMAP item 10)",
-	"Options.MaxConcurrentStatements": "admission control; bench_test.go's overload benchmark sets it, easiad has no flag for it yet",
-	"Options.AdmissionQueue":          "the admission queue bound; its default (4×MaxConcurrentStatements) has served every test",
-	"Options.MemoryBudget":            "the statement memory budget; bench_test.go's overload benchmark sets it, easiad has no flag for it yet",
-	"DB.CheckpointEvery":              "the automatic checkpoint period; every deployment runs the default (1024), tests lower it to force checkpoints",
-	"DB.AutoVacuumDeadRows":           "the auto-vacuum threshold; every deployment runs the default (16384), tests lower it to force vacuums",
-	"DB.CloseGrace":                   "Close's drain bound; every deployment runs the default (5 s), tests shorten it",
+	"Options.FS":            "the fault-injection seam of the sqldb crash soaks; core.Config cannot pass it yet (ROADMAP item 10)",
+	"DB.CheckpointEvery":    "the automatic checkpoint period; every deployment runs the default (1024), tests lower it to force checkpoints",
+	"DB.AutoVacuumDeadRows": "the auto-vacuum threshold; every deployment runs the default (16384), tests lower it to force vacuums",
+	"DB.CloseGrace":         "Close's drain bound; every deployment runs the default (5 s), tests shorten it",
 }
 
-const maxFieldsWithoutSetters = 7
+const maxFieldsWithoutSetters = 4
 
 // sqldbImport is the import path whose knobs and fields the ledgers cover.
 const sqldbImport = "repro/internal/sqldb"

@@ -13,10 +13,10 @@
 #   SOAK_SEED=$(date +%s) scripts/soak.sh   # a fresh seed band
 #   NORACE=1 scripts/soak.sh        # ~5x faster, for huge sweeps
 #   SOAK_CHAOS=1 scripts/soak.sh    # also run the crash+cancel chaos
-#                                   # schedules (admission pressure,
-#                                   # randomly canceled statements, and
-#                                   # the canceled-never-visible oracle
-#                                   # on top of the durability contract)
+#                                   # schedules (randomly canceled
+#                                   # statements, and the
+#                                   # canceled-never-visible oracle on
+#                                   # top of the durability contract)
 #
 # Schedule i uses seed SOAK_SEED+i, so a failure report names the exact
 # seed to replay: SOAK_SEED=<seed> SOAK_SCHEDULES=1 scripts/soak.sh
