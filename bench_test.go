@@ -498,18 +498,14 @@ func BenchmarkAblation_Arena(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_OrderedIndex measures the ordered secondary index
-// on the paper's dominant scientific-query shape — a selective range
-// predicate (TIMESTEP window) over a large result-file catalogue —
-// against the same query forced through a full scan. The acceptance
-// bar for the access-path planner is ≥5x on 100k rows; the B+tree scan
-// touches ~0.1% of the table and lands far beyond that.
-func BenchmarkAblation_OrderedIndex(b *testing.B) {
+// resultFileDB loads a 100k-row RESULT_FILE catalogue over 400
+// simulations, row i at timestep(i), then runs ddl unless it is empty:
+// the index an ablation measures, absent from its full-scan leg.
+func resultFileDB(b *testing.B, timestep func(i int) int64, ddl string) *sqldb.DB {
 	db, err := sqldb.Open("")
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer db.Close()
 	if _, err := db.Exec(`CREATE TABLE RESULT_FILE (
 		ID INTEGER PRIMARY KEY, SIMULATION_KEY VARCHAR(30),
 		TIMESTEP INTEGER, SIZE_BYTES INTEGER)`); err != nil {
@@ -519,31 +515,43 @@ func BenchmarkAblation_OrderedIndex(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const rows = 100_000
-	for i := 0; i < rows; i++ {
+	for i := 0; i < 100_000; i++ {
 		if _, err := ins.Exec(
 			sqltypes.NewInt(int64(i)),
 			sqltypes.NewString(fmt.Sprintf("S%03d", i%400)),
-			sqltypes.NewInt(int64(i)),
+			sqltypes.NewInt(timestep(i)),
 			sqltypes.NewInt(int64(i)*1024)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if _, err := db.Exec(`CREATE INDEX IDX_TS ON RESULT_FILE (TIMESTEP) USING ORDERED`); err != nil {
-		b.Fatal(err)
+	if ddl != "" {
+		if _, err := db.Exec(ddl); err != nil {
+			b.Fatal(err)
+		}
 	}
+	return db
+}
+
+// BenchmarkAblation_OrderedIndex measures the ordered secondary index
+// on the paper's dominant scientific-query shape — a selective range
+// predicate (TIMESTEP window) over a large result-file catalogue —
+// against the same query on the same table without the index, which
+// the engine answers with a full scan. The acceptance bar for the
+// access-path planner is ≥5x on 100k rows; the B+tree scan touches
+// ~0.1% of the table and lands far beyond that.
+func BenchmarkAblation_OrderedIndex(b *testing.B) {
+	timestep := func(i int) int64 { return int64(i) }
 	const query = `SELECT COUNT(*), MAX(SIZE_BYTES) FROM RESULT_FILE WHERE TIMESTEP BETWEEN ? AND ?`
 	args := uncached(sqltypes.NewInt(50_000), sqltypes.NewInt(50_099))
 	for _, mode := range []struct {
-		name     string
-		scanOnly bool
-	}{{"full-scan", true}, {"ordered-index", false}} {
+		name string
+		db   *sqldb.DB
+	}{{"full-scan", resultFileDB(b, timestep, "")},
+		{"ordered-index", resultFileDB(b, timestep, `CREATE INDEX IDX_TS ON RESULT_FILE (TIMESTEP) USING ORDERED`)}} {
+		defer mode.db.Close()
 		b.Run(mode.name, func(b *testing.B) {
-			db.SetFullScanOnly(mode.scanOnly)
-			defer db.SetFullScanOnly(false)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := db.Query(query, args()...)
+				rows, err := mode.db.Query(query, args()...)
 				if err != nil || rows.Data[0][0].Int() != 100 {
 					b.Fatalf("rows=%v err=%v", rows, err)
 				}
@@ -617,49 +625,23 @@ func BenchmarkAblation_ValueLayout(b *testing.B) {
 // BenchmarkAblation_CompositeIndex measures the composite (two-column)
 // ordered index on the archive's dominant compound shape — "this
 // simulation, this timestep" — as a two-column equality over 100k rows,
-// against the same query forced through a full scan. The equality is
-// consumed exactly, so the COUNT is additionally answered index-only
-// (zero heap rows; see TestIndexOnlyAggregates for the assertion).
+// against the same query on the same table without the index, which
+// the engine answers with a full scan. The equality is consumed
+// exactly, so the COUNT is additionally answered index-only (zero heap
+// rows; see TestIndexOnlyAggregates for the assertion).
 func BenchmarkAblation_CompositeIndex(b *testing.B) {
-	db, err := sqldb.Open("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.Exec(`CREATE TABLE RESULT_FILE (
-		ID INTEGER PRIMARY KEY, SIMULATION_KEY VARCHAR(30),
-		TIMESTEP INTEGER, SIZE_BYTES INTEGER)`); err != nil {
-		b.Fatal(err)
-	}
-	ins, err := db.Prepare(`INSERT INTO RESULT_FILE VALUES (?, ?, ?, ?)`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const rows = 100_000
-	for i := 0; i < rows; i++ {
-		if _, err := ins.Exec(
-			sqltypes.NewInt(int64(i)),
-			sqltypes.NewString(fmt.Sprintf("S%03d", i%400)),
-			sqltypes.NewInt(int64(i/400)), // 400 sims × 250 timesteps, 1 row per pair
-			sqltypes.NewInt(int64(i)*1024)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := db.Exec(`CREATE INDEX IDX_SIM_TS ON RESULT_FILE (SIMULATION_KEY, TIMESTEP) USING ORDERED`); err != nil {
-		b.Fatal(err)
-	}
+	timestep := func(i int) int64 { return int64(i / 400) } // 400 sims × 250 timesteps, 1 row per pair
 	const query = `SELECT COUNT(*) FROM RESULT_FILE WHERE SIMULATION_KEY = ? AND TIMESTEP = ?`
 	args := uncached(sqltypes.NewString("S042"), sqltypes.NewInt(125))
 	for _, mode := range []struct {
-		name     string
-		scanOnly bool
-	}{{"full-scan", true}, {"composite-index", false}} {
+		name string
+		db   *sqldb.DB
+	}{{"full-scan", resultFileDB(b, timestep, "")},
+		{"composite-index", resultFileDB(b, timestep, `CREATE INDEX IDX_SIM_TS ON RESULT_FILE (SIMULATION_KEY, TIMESTEP) USING ORDERED`)}} {
+		defer mode.db.Close()
 		b.Run(mode.name, func(b *testing.B) {
-			db.SetFullScanOnly(mode.scanOnly)
-			defer db.SetFullScanOnly(false)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := db.Query(query, args()...)
+				out, err := mode.db.Query(query, args()...)
 				if err != nil || out.Data[0][0].Int() != 1 {
 					b.Fatalf("rows=%v err=%v", out, err)
 				}
@@ -669,55 +651,60 @@ func BenchmarkAblation_CompositeIndex(b *testing.B) {
 }
 
 // BenchmarkAblation_JoinPlan measures the index nested-loop join on a
-// 1k×1k equi-join with the inner join key indexed, against the naive
-// cross-product nested loop (SetFullScanOnly). The INL path probes the
-// index once per outer row instead of materialising a million-row
-// product; results are proven identical by TestJoinINLPropertyVsNaive.
-// The three-table leg is the report's join shape — a path on the first
-// table, then two index probes, 400 projected rows — whose allocs/op
-// track the join's row assembly.
+// 1k×1k equi-join with the inner join key indexed, against the same
+// tables without that index, where the engine scans the inner table
+// per outer row (the cross product). The INL path probes the index once
+// per outer row instead of visiting a million row pairs; results are
+// proven identical by TestJoinINLPropertyVsNaive. The three-table leg
+// is the report's join shape — a path on the first table, then two
+// index probes, 400 projected rows — whose allocs/op track the join's
+// row assembly.
 func BenchmarkAblation_JoinPlan(b *testing.B) {
-	db, err := sqldb.Open("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.ExecScript(`CREATE TABLE SIM (SID INTEGER PRIMARY KEY, K INTEGER);
-		CREATE TABLE RES (RID INTEGER PRIMARY KEY, K INTEGER, SZ INTEGER);
-		CREATE TABLE AUTH (AID INTEGER PRIMARY KEY, NAME VARCHAR(40))`); err != nil {
-		b.Fatal(err)
-	}
-	insS, _ := db.Prepare(`INSERT INTO SIM VALUES (?, ?)`)
-	insR, _ := db.Prepare(`INSERT INTO RES VALUES (?, ?, ?)`)
-	insA, _ := db.Prepare(`INSERT INTO AUTH VALUES (?, ?)`)
 	const n = 1000
-	for i := 0; i < n; i++ {
-		if _, err := insS.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i))); err != nil {
+	build := func(withIndex bool) *sqldb.DB {
+		db, err := sqldb.Open("")
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := insR.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i)),
-			sqltypes.NewInt(int64(i)*4096)); err != nil {
+		if err := db.ExecScript(`CREATE TABLE SIM (SID INTEGER PRIMARY KEY, K INTEGER);
+			CREATE TABLE RES (RID INTEGER PRIMARY KEY, K INTEGER, SZ INTEGER);
+			CREATE TABLE AUTH (AID INTEGER PRIMARY KEY, NAME VARCHAR(40))`); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := insA.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("author %d", i))); err != nil {
-			b.Fatal(err)
+		insS, _ := db.Prepare(`INSERT INTO SIM VALUES (?, ?)`)
+		insR, _ := db.Prepare(`INSERT INTO RES VALUES (?, ?, ?)`)
+		insA, _ := db.Prepare(`INSERT INTO AUTH VALUES (?, ?)`)
+		for i := 0; i < n; i++ {
+			if _, err := insS.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i))); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := insR.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i)),
+				sqltypes.NewInt(int64(i)*4096)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := insA.Exec(sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("author %d", i))); err != nil {
+				b.Fatal(err)
+			}
 		}
+		if withIndex {
+			if _, err := db.Exec(`CREATE INDEX RES_K ON RES (K)`); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return db
 	}
-	if _, err := db.Exec(`CREATE INDEX RES_K ON RES (K)`); err != nil {
-		b.Fatal(err)
-	}
+	db, naive := build(true), build(false)
+	defer db.Close()
+	defer naive.Close()
 	const query = `SELECT COUNT(*) FROM SIM JOIN RES ON RES.K = SIM.K`
 	args := uncached()
 	for _, mode := range []struct {
-		name     string
-		scanOnly bool
-	}{{"cross-product", true}, {"index-nested-loop", false}} {
+		name string
+		db   *sqldb.DB
+	}{{"cross-product", naive}, {"index-nested-loop", db}} {
 		b.Run(mode.name, func(b *testing.B) {
-			db.SetFullScanOnly(mode.scanOnly)
-			defer db.SetFullScanOnly(false)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := db.Query(query, args()...)
+				out, err := mode.db.Query(query, args()...)
 				if err != nil || out.Data[0][0].Int() != n {
 					b.Fatalf("rows=%v err=%v", out, err)
 				}
@@ -729,7 +716,6 @@ func BenchmarkAblation_JoinPlan(b *testing.B) {
 		const query3 = `SELECT RES.RID, SIM.SID, AUTH.NAME FROM SIM JOIN RES ON RES.K = SIM.K
 			JOIN AUTH ON AUTH.AID = RES.RID WHERE SIM.SID < ?`
 		args := uncached(sqltypes.NewInt(rows))
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			out, err := db.Query(query3, args()...)
 			if err != nil || len(out.Data) != rows {
@@ -874,17 +860,26 @@ func BenchmarkAblation_WALCommit(b *testing.B) {
 
 // BenchmarkAblation_PlanCache measures the prepared-statement plan
 // cache on the archive's hottest query shape: a selective indexed
-// browse lookup issued repeatedly through DB.Query with identical text.
-// Cache off re-lexes, re-parses and re-binds the statement per call;
-// cache on reuses one bound plan, leaving only the index lookup and
-// projection. This is the FK/PK-browsing and link-control pattern where
+// browse lookup issued repeatedly through DB.Query. cache=on repeats
+// one statement text and reuses its bound plan, leaving only the index
+// lookup and projection. cache=off cycles through 1,024 texts of the
+// same statement that differ only in the table's alias — four times
+// the plan cache's 256 entries, so every call misses it and re-lexes,
+// re-parses and re-binds (and pays the cache's insert and eviction).
+// This is the FK/PK-browsing and link-control pattern where
 // per-statement overhead, not data volume, bounds throughput.
 func BenchmarkAblation_PlanCache(b *testing.B) {
-	const query = `SELECT FILE_NAME, SIMULATION_KEY, TIMESTEP, MEASUREMENT, SIZE_BYTES, FORMAT
-		FROM RESULT_FILE
+	query := func(alias int) string {
+		return fmt.Sprintf(`SELECT FILE_NAME, SIMULATION_KEY, TIMESTEP, MEASUREMENT, SIZE_BYTES, FORMAT
+		FROM RESULT_FILE R%04d
 		WHERE SIMULATION_KEY = ? AND TIMESTEP BETWEEN ? AND ?
 		AND MEASUREMENT IN ('u', 'v', 'w', 'p') AND FORMAT <> 'RAW'
-		ORDER BY TIMESTEP LIMIT 5`
+		ORDER BY TIMESTEP LIMIT 5`, alias)
+	}
+	texts := make([]string, 1024)
+	for i := range texts {
+		texts[i] = query(i)
+	}
 	build := func() *sqldb.DB {
 		db, err := sqldb.Open("")
 		if err != nil {
@@ -919,13 +914,14 @@ func BenchmarkAblation_PlanCache(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			db := build()
 			defer db.Close()
-			if !cached {
-				db.SetPlanCacheCapacity(0)
-			}
 			args := uncached(sqltypes.NewString("S042"), sqltypes.NewInt(0), sqltypes.NewInt(2000))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := db.Query(query, args()...)
+				text := texts[0]
+				if !cached {
+					text = texts[i%len(texts)]
+				}
+				rows, err := db.Query(text, args()...)
 				if err != nil || len(rows.Data) != 5 {
 					b.Fatalf("rows=%v err=%v", rows, err)
 				}
@@ -1067,14 +1063,16 @@ func BenchmarkAblation_Telemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Admission measures what a context deadline costs on
+// BenchmarkAblation_Deadline measures what a context deadline costs on
 // the hot scan path: "ungoverned" is a plain Query, whose context never
 // fires; "governed" runs the same scan through QueryContext under a
-// one-minute deadline, so admission reads the deadline and the
+// one-minute deadline, so the statement reads the deadline and the
 // strided per-row interrupt poll has a live channel to select on. The
 // contract is that the governed path stays within noise (<3%) of the
-// ungoverned one.
-func BenchmarkAblation_Admission(b *testing.B) {
+// ungoverned one; on a small host the run-to-run spread of either leg
+// is far wider than that, so the figure can only be read from
+// interleaved pairs of runs in one process (ROADMAP item 1).
+func BenchmarkAblation_Deadline(b *testing.B) {
 	build := func() *sqldb.DB {
 		db, err := sqldb.Open("")
 		if err != nil {
@@ -1122,8 +1120,11 @@ func BenchmarkAblation_Admission(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_TokenTTLZeroAlloc: repeated validation of the same
-// token (the browse-page hot path).
+// BenchmarkAblation_QBECompile measures one QBE form search on the demo
+// archive (8-point grid): compiling the form (a CONTAINS list, a range
+// restriction and an ORDER BY) into SQL, running it and building the
+// result set with its DATALINK column — the archive's search path from
+// form to rows, without the page render.
 func BenchmarkAblation_QBECompile(b *testing.B) {
 	d, err := exp.BuildDemoArchive(b, 8)
 	if err != nil {

@@ -123,8 +123,10 @@
 //     (TestAggFoldErrorParity). The fold is held to a naive reference
 //     evaluator (internal/sqldb/refeval_test.go — nested loops over
 //     table snapshots, pairwise grouping, sort.SliceStable) over
-//     hand-written and generated statements, with index paths on and
-//     under SetFullScanOnly.
+//     hand-written and generated statements; a plan that reads its
+//     tables from the heap must match it row for row. Index paths are
+//     also held to an unindexed twin (scanTwin: the same tables and
+//     rows with no key or index) by the planner, join and fuzz tests.
 //
 //   - Index-only COUNT. When a single-table query's projection is
 //     COUNT(*) and COUNT(col) calls only and its WHERE clause is
@@ -324,8 +326,8 @@
 //     version, and charging the shared values and payloads would count
 //     them twice and starve the cache of the browse pages it is for.
 //     It is observable via the sqldb_result_cache_* metrics (declined
-//     fills by reason), the /status page, the " cached" AccessPath
-//     suffix and the trace cache:"hit|miss|bypass" tag
+//     fills by reason), the /status page and the trace
+//     cache:"hit|miss|bypass" tag
 //     (BenchmarkAblation_OpCache tracks the repeated-query win).
 //
 //   - Linked-file size memo. A results page shows each DATALINK file's
@@ -591,15 +593,16 @@
 // (sqldb_statements_{canceled,timed_out}_total).
 //
 // Per-statement execution tracing upgrades Stmt.AccessPath into
-// EXPLAIN ANALYZE: Stmt.Trace forces a Trace for one execution —
-// per-plan-node wall time, output rows and heap row-version reads
-// (zero for index-only stages, asserted against DB.HeapRowReads),
-// plus the DML commit-pipeline breakdown (barrier wait, WAL
-// staging, fsync wait, and the group-commit batch the fsync rode in).
-// DB.SetTraceThreshold(d) traces every statement and writes any whose
-// wall time reaches d to the slow-query log (DB.SetSlowQueryLog) as
-// one JSON object per line, counting them in
-// sqldb_slow_queries_total. The threshold-zero default collects
+// EXPLAIN ANALYZE, read from the slow-query log: DB.SetTraceThreshold(d)
+// traces every statement and writes any whose wall time reaches d to
+// the log (DB.SetSlowQueryLog) as one JSON Trace per line, counting
+// them in sqldb_slow_queries_total. A Trace carries the access path,
+// the result-cache interaction, per-plan-node wall time, output rows
+// and heap row-version reads (zero for index-only stages, asserted
+// against DB.HeapRowReads), plus the DML commit-pipeline breakdown
+// (barrier wait, WAL staging, fsync wait, and the group-commit batch
+// the fsync rode in). A one-nanosecond threshold traces every
+// statement, which is how the tests read traces. The threshold-zero default collects
 // nothing on the statement path; BenchmarkAblation_Telemetry pins the
 // untraced configuration to within noise of the pre-telemetry engine
 // and prices always-on tracing.

@@ -242,9 +242,7 @@ func TestAggFoldMinMaxBoundaryRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.SetFullScanOnly(true)
-		oracle, err := db.Query(sql, args...)
-		db.SetFullScanOnly(false)
+		oracle, err := scanTwin(t, db).Query(sql, args...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,11 +63,12 @@ func buildCompositeDB(t testing.TB, rng *rand.Rand, rows int) *DB {
 
 // TestCompositeAccessPaths checks the planner's composite matching and
 // its EXPLAIN strings, and that every path returns the same rows as the
-// forced scan.
+// unindexed twin's scan.
 func TestCompositeAccessPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := buildCompositeDB(t, rng, 400)
 	defer db.Close()
+	twin := scanTwin(t, db)
 
 	cases := []struct {
 		sql  string
@@ -117,9 +118,7 @@ func TestCompositeAccessPaths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
-		db.SetFullScanOnly(true)
-		scanned, err := st.Query(tc.args...)
-		db.SetFullScanOnly(false)
+		scanned, err := twin.Query(tc.sql, tc.args...)
 		if err != nil {
 			t.Fatalf("%s (scan): %v", tc.sql, err)
 		}
@@ -133,8 +132,8 @@ func TestCompositeAccessPaths(t *testing.T) {
 
 // TestIndexOnlyAggregates: COUNT over an exactly-consumed predicate
 // must be answered without materialising any heap row; MIN/MAX beside
-// it fold the rows the path finds. Results must equal the full-scan
-// oracle.
+// it fold the rows the path finds. Results must equal the unindexed
+// twin's.
 func TestIndexOnlyAggregates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := buildCompositeDB(t, rng, 600)
@@ -146,9 +145,7 @@ func TestIndexOnlyAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		db.SetFullScanOnly(true)
-		scanned, err := db.Query(sql, args...)
-		db.SetFullScanOnly(false)
+		scanned, err := scanTwin(t, db).Query(sql, args...)
 		if err != nil {
 			t.Fatalf("%s (scan): %v", sql, err)
 		}
@@ -168,7 +165,7 @@ func TestIndexOnlyAggregates(t *testing.T) {
 	}
 	before := db.HeapRowReads("C")
 	checkAgainstScan(`SELECT COUNT(*) FROM C WHERE A = ? AND B = ?`, sqltypes.NewInt(4), sqltypes.NewInt(2))
-	// The full-scan oracle ran in between; re-run only the indexed side.
+	// Copying C into the twin read its heap; re-run only the indexed side.
 	before = db.HeapRowReads("C")
 	if _, err := st.Query(sqltypes.NewInt(4), sqltypes.NewInt(2)); err != nil {
 		t.Fatal(err)
@@ -299,7 +296,7 @@ func TestCompositeIndexReplay(t *testing.T) {
 }
 
 // TestPlannerPropertyCompositeVsScan: random predicates over composite
-// and single indexes, SELECT and DML, must match the full-scan oracle.
+// and single indexes, SELECT and DML, must match the unindexed twin.
 func TestPlannerPropertyCompositeVsScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 
@@ -337,6 +334,7 @@ func TestPlannerPropertyCompositeVsScan(t *testing.T) {
 	t.Run("select", func(t *testing.T) {
 		db := buildCompositeDB(t, rand.New(rand.NewSource(23)), 500)
 		defer db.Close()
+		twin := scanTwin(t, db)
 		for i := 0; i < 300; i++ {
 			cond, args := randPred()
 			sql := "SELECT ID, A, B, S FROM C WHERE " + cond
@@ -352,9 +350,7 @@ func TestPlannerPropertyCompositeVsScan(t *testing.T) {
 				ordered = true
 			}
 			indexed, ierr := db.Query(sql, args...)
-			db.SetFullScanOnly(true)
-			scanned, serr := db.Query(sql, args...)
-			db.SetFullScanOnly(false)
+			scanned, serr := twin.Query(sql, args...)
 			if (ierr == nil) != (serr == nil) {
 				t.Fatalf("%s: error mismatch %v vs %v", sql, ierr, serr)
 			}
@@ -369,14 +365,9 @@ func TestPlannerPropertyCompositeVsScan(t *testing.T) {
 	})
 
 	t.Run("dml", func(t *testing.T) {
-		mk := func(scanOnly bool) *DB {
-			db := buildCompositeDB(t, rand.New(rand.NewSource(29)), 400)
-			db.SetFullScanOnly(scanOnly)
-			return db
-		}
-		a, b := mk(false), mk(true)
+		a := buildCompositeDB(t, rand.New(rand.NewSource(29)), 400)
 		defer a.Close()
-		defer b.Close()
+		b := scanTwin(t, a)
 		for i := 0; i < 80; i++ {
 			cond, args := randPred()
 			var sql string

@@ -140,7 +140,7 @@ type indexDef struct {
 //
 // Locking rules (for maintainers):
 //   - Catalogue/topology state — data (the map itself), each table's
-//     indexes list, indexes, nowFn, fullScanOnly, schemaEpoch, closed —
+//     indexes list, indexes, nowFn, schemaEpoch, closed —
 //     is written only under mu.Lock and may be read under mu.RLock. The
 //     catalogue (cat) is written under mu.Lock too, but publishes each
 //     change as a new map, so Catalog() readers need no lock.
@@ -241,16 +241,8 @@ type DB struct {
 	// recovery describes what the Open that produced this DB found.
 	recovery RecoveryInfo
 
-	// rcache is the query result cache (resultcache.go), armed at
-	// Open; nil only when an in-package test turns it off. Swapped
-	// atomically so the read path loads it without touching mu's write
-	// side.
-	rcache atomic.Pointer[resultCache]
-
-	// fullScanOnly disables index access paths at execution time (the
-	// planner still runs; its choice is ignored). Ablation and
-	// property-testing knob — see SetFullScanOnly.
-	fullScanOnly bool
+	// rcache is the query result cache (resultcache.go), made at Open.
+	rcache *resultCache
 
 	// nowFn supplies the clock for NOW(); injectable for deterministic
 	// tests and the network-simulated experiments.
@@ -311,7 +303,7 @@ func OpenWith(dir string, opts Options) (*DB, error) {
 		cat:                NewCatalog(),
 		data:               make(map[string]*tableData),
 		indexes:            make(map[string]indexDef),
-		plans:              newPlanCache(DefaultPlanCacheCapacity),
+		plans:              newPlanCache(planCacheCapacity),
 		dir:                dir,
 		fs:                 opts.FS,
 		nowFn:              time.Now,
@@ -323,7 +315,7 @@ func OpenWith(dir string, opts Options) (*DB, error) {
 	db.lastTS.Store(baseStamp)
 	db.initGovern()
 	db.met = newDBMetrics(db)
-	db.rcache.Store(newResultCache(db, resultCacheBytes))
+	db.rcache = newResultCache(db, resultCacheBytes)
 	if db.fs == nil {
 		db.fs = iofault.Disk{}
 	}
@@ -546,31 +538,10 @@ func (db *DB) SetLinkController(lc LinkController) {
 	db.linkCtl = lc
 }
 
-// SetFullScanOnly disables (on=true) or re-enables index-driven access
-// paths for SELECT/UPDATE/DELETE execution. With it on, every statement
-// scans the heap and tests its full WHERE; results are identical
-// because a path's key range holds every matching row, and exactly
-// those when the path is residual-free (see planner.go).
-// This is the ablation baseline for BenchmarkAblation_OrderedIndex and
-// the oracle the planner property tests compare against. Switching
-// flushes the result cache, whose row orders came from the other mode.
-func (db *DB) SetFullScanOnly(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.fullScanOnly != on {
-		db.fullScanOnly = on
-		db.flushResultCache()
-	}
-}
-
-// flushResultCache empties the result cache, if enabled. Called at
-// every schema-epoch bump: DDL changes what a statement text means, so
+// flushResultCache empties the result cache. Called at every
+// schema-epoch bump: DDL changes what a statement text means, so
 // nothing cached under the old catalogue may be served.
-func (db *DB) flushResultCache() {
-	if rc := db.rcache.Load(); rc != nil {
-		rc.flush()
-	}
-}
+func (db *DB) flushResultCache() { db.rcache.flush() }
 
 // HeapRowReads reports how many rows have been materialised out of the
 // named table's heap since it was created (point gets plus scan
@@ -879,8 +850,8 @@ func (db *DB) commitTx(tx *txState) (func() error, error) {
 	// (stored inside refs.commit above, before lastTS advanced) is the
 	// serve-time correctness backstop; this sweep just reclaims memory
 	// eagerly. See resultcache.go.
-	if rc := db.rcache.Load(); rc != nil && len(tx.refs.touched) > 0 {
-		rc.invalidateTables(tx.refs.touched)
+	if len(tx.refs.touched) > 0 {
+		db.rcache.invalidateTables(tx.refs.touched)
 	}
 	linkCtl := db.linkCtl
 	finish := func() error {

@@ -423,7 +423,7 @@ func (db *DB) matchRowsLocked(td *tableData, schema *TableSchema, where Expr, pa
 	// this transaction's own earlier writes (the barrier guarantees no
 	// foreign in-flight stamps).
 	ctx := &evalCtx{params: params, now: db.nowFn(), snap: snapLatest, intr: ic}
-	scan := db.openScan(td, planAccess(td, schema.Name, where, nil, nil, false, false), where, ctx)
+	scan := openScan(td, planAccess(td, schema.Name, where, nil, nil, false, false), where, ctx)
 	var matched []*rowSlot
 	err := scan.run(ctx, func(s *rowSlot, _ []sqltypes.Value) bool {
 		matched = append(matched, s)

@@ -124,7 +124,7 @@ func TestCancelMidStatementLatency(t *testing.T) {
 		t.Fatalf("cancel-to-return latency %v, want <= 50ms", latency)
 	}
 	// The identical statement succeeds on a fresh context: no poison,
-	// no held engine lock, no stuck admission slot.
+	// no held engine lock, no leaked in-flight registration.
 	rows, err := db.QueryContext(context.Background(), longJoinSQL)
 	if err != nil {
 		t.Fatalf("identical statement after cancel: %v", err)

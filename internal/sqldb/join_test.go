@@ -98,7 +98,7 @@ func TestJoinProbePlan(t *testing.T) {
 }
 
 // TestJoinINLPropertyVsNaive: every join result through the index
-// nested-loop must equal the exhaustive cross-product path, for inner,
+// nested-loop must equal the unindexed twin's nested scans, for inner,
 // comma and LEFT joins, including NULL join keys and extra predicates,
 // over two and three tables, with every column or none of a table
 // read, and inside an explicit transaction (latest-mode visibility of
@@ -116,6 +116,7 @@ func TestJoinINLPropertyVsNaive(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			db := buildJoinDB(t, 40, 150, cfg.indexChild, cfg.indexParent)
 			defer db.Close()
+			twin := scanTwin(t, db)
 			queries := []struct {
 				sql  string
 				args []sqltypes.Value
@@ -167,9 +168,7 @@ func TestJoinINLPropertyVsNaive(t *testing.T) {
 			}
 			for _, q := range queries {
 				indexed, ierr := db.Query(q.sql, q.args...)
-				db.SetFullScanOnly(true)
-				naive, nerr := db.Query(q.sql, q.args...)
-				db.SetFullScanOnly(false)
+				naive, nerr := twin.Query(q.sql, q.args...)
 				if (ierr == nil) != (nerr == nil) {
 					t.Fatalf("%s: error mismatch %v vs %v", q.sql, ierr, nerr)
 				}
@@ -195,26 +194,25 @@ func TestJoinINLPropertyVsNaive(t *testing.T) {
 				{`SELECT DISTINCT P.NAME FROM PAR P JOIN PAR Q ON Q.PID = P.PID AND Q.K > 10`,
 					`SELECT DISTINCT NAME FROM PAR WHERE K > 10`},
 			} {
-				for _, scanOnly := range []bool{false, true} {
-					db.SetFullScanOnly(scanOnly)
-					joined, jerr := db.Query(id.join)
-					lone, lerr := db.Query(id.lone)
-					db.SetFullScanOnly(false)
+				for _, on := range []struct {
+					name string
+					db   *DB
+				}{{"indexed", db}, {"twin", twin}} {
+					joined, jerr := on.db.Query(id.join)
+					lone, lerr := on.db.Query(id.lone)
 					if jerr != nil || lerr != nil {
 						t.Fatalf("%s: %v; %s: %v", id.join, jerr, id.lone, lerr)
 					}
 					ordered := strings.Contains(id.lone, "ORDER BY")
 					if rowsKey(joined, ordered) != rowsKey(lone, ordered) {
-						t.Fatalf("%s (scanOnly=%v): %d rows, the lone table gives %d",
-							id.join, scanOnly, len(joined.Data), len(lone.Data))
+						t.Fatalf("%s (%s): %d rows, the lone table gives %d",
+							id.join, on.name, len(joined.Data), len(lone.Data))
 					}
 				}
 			}
 			// The same statements inside a transaction that has written a
 			// child and re-keyed a parent it has not committed.
-			inTx := func(scanOnly bool) []string {
-				db.SetFullScanOnly(scanOnly)
-				defer db.SetFullScanOnly(false)
+			inTx := func(db *DB) []string {
 				tx, err := db.Begin()
 				if err != nil {
 					t.Fatal(err)
@@ -238,7 +236,7 @@ func TestJoinINLPropertyVsNaive(t *testing.T) {
 				}
 				return keys
 			}
-			indexed, naive := inTx(false), inTx(true)
+			indexed, naive := inTx(db), inTx(twin)
 			for i, q := range queries {
 				if indexed[i] != naive[i] {
 					t.Fatalf("in a transaction, %s: INL and naive results differ", q.sql)
@@ -339,10 +337,7 @@ func TestJoinLimitStopsTheJoin(t *testing.T) {
 	if p, _ := st.AccessPath(); !strings.Contains(p, "inl(P.PID)") {
 		t.Fatalf("path = %q", p)
 	}
-	tr, err := st.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := traceStmt(t, st)
 	// One in ten children has a NULL key and probes nothing: ≈ 11
 	// children and 10 parents.
 	if tr.Rows != 10 || tr.HeapReads > 40 {
@@ -388,9 +383,7 @@ func TestJoinKeepsFirstTablePath(t *testing.T) {
 	if n := reads() - before; n != 2 {
 		t.Errorf("read %d heap rows, want 2: the file and its simulation", n)
 	}
-	db.SetFullScanOnly(true)
-	naive, err := st.Query(arg)
-	db.SetFullScanOnly(false)
+	naive, err := scanTwin(t, db).Query(st.Text(), arg)
 	if err != nil {
 		t.Fatal(err)
 	}

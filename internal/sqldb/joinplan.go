@@ -24,8 +24,8 @@ import (
 // of O(|inner|). Probes only narrow the candidate set: the ON condition
 // is still evaluated on every candidate and the WHERE clause is applied
 // after the join, so results are identical to the scanning path (which
-// remains both the fallback when a probe cannot be aligned with the
-// indexed column's type and the SetFullScanOnly oracle).
+// remains the fallback when a probe cannot be aligned with the indexed
+// column's type).
 //
 // LEFT JOIN keeps its semantics: a probe that finds no candidates
 // produces the NULL-extended row, exactly as an exhaustive scan with no

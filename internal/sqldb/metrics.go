@@ -103,16 +103,10 @@ func newDBMetrics(db *DB) *dbMetrics {
 		return int64(db.plans.len())
 	})
 	reg.GaugeFunc("sqldb_result_cache_bytes", "Bytes currently held by the result cache.", func() int64 {
-		if rc := db.rcache.Load(); rc != nil {
-			return rc.bytesUsed()
-		}
-		return 0
+		return db.rcache.bytesUsed()
 	})
 	reg.GaugeFunc("sqldb_result_cache_capacity_bytes", "Byte capacity of the result cache.", func() int64 {
-		if rc := db.rcache.Load(); rc != nil {
-			return rc.capBytes
-		}
-		return 0
+		return db.rcache.capBytes
 	})
 	return m
 }

@@ -43,8 +43,8 @@ import (
 // leaves conjuncts, and the heap fallback — applies the full WHERE.
 // TestPlannerPropertyIndexVsScan, TestPlannerPropertyDML,
 // FuzzIndexPathMatchesScan, TestFarKeysMatchReference and
-// TestReferenceEvaluatorProperty pin the rule against forced scans and
-// the reference evaluator.
+// TestReferenceEvaluatorProperty pin the rule against an unindexed
+// twin's scans and the reference evaluator.
 
 // accessPathKind enumerates the executor strategies.
 type accessPathKind uint8
@@ -765,15 +765,15 @@ type tableScan struct {
 // openScan resolves path's probes against this execution's parameters
 // and decides what the scan still has to test of where, the statement's
 // predicate on this table (nil: none). A path that cannot serve the
-// execution — none planned, SetFullScanOnly, or a probe that fails to
+// execution — none planned, or a probe that fails to
 // evaluate or align (see pathKeyRange) — leaves the heap scan, so
 // whether rows will arrive in the path's order is known before the
 // first one is emitted. A resolved residual-free path's key range is
 // the predicate and the scan tests nothing; the heap scan and a path
 // that leaves conjuncts test all of where.
-func (db *DB) openScan(td *tableData, path *accessPath, where Expr, ctx *evalCtx) tableScan {
+func openScan(td *tableData, path *accessPath, where Expr, ctx *evalCtx) tableScan {
 	ts := tableScan{td: td, where: where}
-	if path == nil || db.fullScanOnly {
+	if path == nil {
 		return ts
 	}
 	idx := td.index(path.idx)

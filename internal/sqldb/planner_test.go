@@ -208,7 +208,7 @@ func assertSorted(t *testing.T, r *Rows, col string, desc bool, sql string) {
 
 // TestPlannerPropertyIndexVsScan: every randomly generated SELECT must
 // return identical rows through the planner's index paths and through a
-// forced full scan. ORDER BY results are additionally checked for
+// unindexed twin's full scan. ORDER BY results are additionally checked for
 // sortedness; exact sequences are compared when ordering by the unique
 // ID column. A residual-free path's rows are never tested against the
 // WHERE, so the property is only as strong as the share of statements
@@ -218,6 +218,7 @@ func TestPlannerPropertyIndexVsScan(t *testing.T) {
 	db := buildPropertyDB(t, rng, 500)
 	defer db.Close()
 
+	twin := scanTwin(t, db)
 	statements, residualFree := 0, 0
 	runOne := func(sql string, args []sqltypes.Value, exactOrder bool, orderCol string, desc bool) {
 		t.Helper()
@@ -226,9 +227,7 @@ func TestPlannerPropertyIndexVsScan(t *testing.T) {
 			residualFree++
 		}
 		indexed, ierr := db.Query(sql, args...)
-		db.SetFullScanOnly(true)
-		scanned, serr := db.Query(sql, args...)
-		db.SetFullScanOnly(false)
+		scanned, serr := twin.Query(sql, args...)
 		if (ierr == nil) != (serr == nil) {
 			t.Fatalf("%s args=%v: error mismatch: index=%v scan=%v", sql, args, ierr, serr)
 		}
@@ -304,6 +303,7 @@ func TestPlannerPropertyIndexVsScan(t *testing.T) {
 	if _, err := db.Exec(`DELETE FROM P WHERE S = ?`, sqltypes.NewString("gamma")); err != nil {
 		t.Fatal(err)
 	}
+	twin = scanTwin(t, db)
 	phase(250)
 
 	// Aggregates over index-served predicates.
@@ -351,6 +351,7 @@ func TestPlannerPropertyIndexVsScan(t *testing.T) {
 	if _, err := db.Exec(`UPDATE K SET A = A + 100, U = NULL WHERE W < ?`, sqltypes.NewInt(10)); err != nil {
 		t.Fatal(err)
 	}
+	twin = scanTwin(t, db)
 	keyPhase(200)
 	t.Logf("%d of %d statements planned a residual-free path", residualFree, statements)
 	if residualFree < statements/4 {
@@ -359,7 +360,7 @@ func TestPlannerPropertyIndexVsScan(t *testing.T) {
 }
 
 // TestPlannerPropertyDML: UPDATE/DELETE row selection through index
-// paths must match the forced-scan selection, with at least a quarter
+// paths must match the unindexed twin's selection, with at least a quarter
 // of the statements on a residual-free path (whose key range alone
 // picks the rows). Inside one explicit transaction, after an UPDATE
 // that moves rows to new index keys, statements keyed on the old and
@@ -367,15 +368,9 @@ func TestPlannerPropertyIndexVsScan(t *testing.T) {
 // latest-mode posting is current exactly when its row holds its key.
 func TestPlannerPropertyDML(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	mkDB := func(scanOnly bool) *DB {
-		r := rand.New(rand.NewSource(99))
-		db := buildPropertyDB(t, r, 300)
-		db.SetFullScanOnly(scanOnly)
-		return db
-	}
-	a, b := mkDB(false), mkDB(true)
+	a := buildPropertyDB(t, rand.New(rand.NewSource(99)), 300)
 	defer a.Close()
-	defer b.Close()
+	b := scanTwin(t, a)
 	both := func(sql string, args []sqltypes.Value) {
 		t.Helper()
 		ra, ea := a.Exec(sql, args...)
@@ -778,7 +773,7 @@ func fuzzProbe(kind uint8, x uint64, s string) sqltypes.Value {
 // the predicate — no row it selects is tested against the WHERE again —
 // so for any probe, under =, <, <=, >, >=, BETWEEN or IS [NOT] NULL,
 // alone or behind an equality prefix, the path must select exactly the
-// rows SetFullScanOnly's heap scan does, or fail with the same error.
+// rows the unindexed twin's heap scan does, or fail with the same error.
 func FuzzIndexPathMatchesScan(f *testing.F) {
 	i, d := func(v int64) uint64 { return uint64(v) }, math.Float64bits
 	const tInt, tDouble, tText, tTime = 1, 2, 3, 4
@@ -834,6 +829,7 @@ func FuzzIndexPathMatchesScan(f *testing.F) {
 	}
 	db := fuzzPathDB(f)
 	defer db.Close()
+	twin := scanTwin(f, db)
 	cols := []string{"I", "D", "S", "TS"}
 	composites := [][2]string{{"S", "I"}, {"I", "D"}, {"TS", "S"}, {"D", "TS"}}
 	ops := []string{"=", "<", "<=", ">", ">="}
@@ -870,9 +866,7 @@ func FuzzIndexPathMatchesScan(f *testing.F) {
 			t.Fatalf("%s: planned path %v, residual-free %v", sql, p, p != nil && p.residualFree)
 		}
 		indexed, ierr := db.Query(sql, args...)
-		db.SetFullScanOnly(true)
-		scanned, serr := db.Query(sql, args...)
-		db.SetFullScanOnly(false)
+		scanned, serr := twin.Query(sql, args...)
 		if ierr != nil || serr != nil {
 			if ierr == nil || serr == nil || ierr.Error() != serr.Error() {
 				t.Fatalf("%s args=%v: index error %v, scan error %v", sql, args, ierr, serr)

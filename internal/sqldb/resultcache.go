@@ -109,8 +109,7 @@ var declineReasons = [...]string{"first_sighting", "stamp_moved", "colder_than_v
 type cacheEntry struct {
 	key  string // stmt text + exact arg encoding
 	hash uint64
-	stmt string // stmt text alone (AccessPath introspection)
-	rows *Rows  // shared by every hit; never written after fill
+	rows *Rows // shared by every hit; never written after fill
 
 	bytes  int64
 	freq   uint32 // sightings at admission + hits
@@ -145,9 +144,6 @@ type resultCache struct {
 	// byTable indexes entries by source table so the commit hook drops
 	// O(affected) entries, not O(cache).
 	byTable map[*tableData]map[*cacheEntry]struct{}
-	// stmts counts live entries per statement text, for AccessPath's
-	// " cached" tag.
-	stmts map[string]int
 
 	door      [doorkeeperSlots]sighting
 	sightings int
@@ -161,7 +157,6 @@ func newResultCache(db *DB, capBytes int64) *resultCache {
 		order:    list.New(),
 		entries:  make(map[uint64]*cacheEntry),
 		byTable:  make(map[*tableData]map[*cacheEntry]struct{}),
-		stmts:    make(map[string]int),
 	}
 }
 
@@ -331,7 +326,7 @@ func (rc *resultCache) fill(p cacheProbe, text string, args []sqltypes.Value, pl
 		rc.removeLocked(rc.order.Back().Value.(*cacheEntry))
 		rc.db.met.rcEvicts.Inc()
 	}
-	ent := &cacheEntry{key: key, hash: p.hash, stmt: text, bytes: bytes, freq: count,
+	ent := &cacheEntry{key: key, hash: p.hash, bytes: bytes, freq: count,
 		asOf: asOf, epoch: epoch, tables: make([]*tableData, len(plan.tables))}
 	for i, t := range plan.tables {
 		ent.tables[i] = t.data
@@ -355,7 +350,6 @@ func (rc *resultCache) fill(p cacheProbe, text string, args []sqltypes.Value, pl
 	ent.elem = rc.order.PushFront(ent)
 	rc.entries[p.hash] = ent
 	rc.used += bytes
-	rc.stmts[text]++
 	for _, td := range ent.tables {
 		set := rc.byTable[td]
 		if set == nil {
@@ -396,8 +390,8 @@ func (rc *resultCache) sight(p cacheProbe) (uint32, int) {
 
 func (rc *resultCache) decline(reason int) { rc.db.met.rcDeclines[reason].Inc() }
 
-// removeLocked unlinks an entry and refunds its bytes (cache accounting
-// and, when budgeted, the database memory pool). Caller holds rc.mu.
+// removeLocked unlinks an entry and refunds its bytes to the cache.
+// Caller holds rc.mu.
 func (rc *resultCache) removeLocked(ent *cacheEntry) {
 	if ent.elem == nil {
 		return
@@ -406,9 +400,6 @@ func (rc *resultCache) removeLocked(ent *cacheEntry) {
 	ent.elem = nil
 	delete(rc.entries, ent.hash)
 	rc.used -= ent.bytes
-	if rc.stmts[ent.stmt]--; rc.stmts[ent.stmt] <= 0 {
-		delete(rc.stmts, ent.stmt)
-	}
 	for _, td := range ent.tables {
 		if set := rc.byTable[td]; set != nil {
 			delete(set, ent)
@@ -437,21 +428,13 @@ func (rc *resultCache) invalidateTables(tds []*tableData) {
 }
 
 // flush empties the cache, refunding every charge. Called on DDL
-// (schema-epoch bumps) and when the cache is replaced.
+// (schema-epoch bumps).
 func (rc *resultCache) flush() {
 	rc.mu.Lock()
 	for rc.order.Len() > 0 {
 		rc.removeLocked(rc.order.Back().Value.(*cacheEntry))
 	}
 	rc.mu.Unlock()
-}
-
-// hasStmt reports whether any live entry was filled from the given
-// statement text (AccessPath's " cached" tag).
-func (rc *resultCache) hasStmt(text string) bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.stmts[text] > 0
 }
 
 // bytesUsed reports the cache's current retained bytes (gauge).

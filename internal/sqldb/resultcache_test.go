@@ -21,15 +21,11 @@ func cacheDB(t *testing.T) *DB {
 }
 
 // setResultCacheCap replaces the database's result cache with an empty
-// one of the given byte capacity, or turns it off (bytes <= 0).
+// one of the given byte capacity.
 func (db *DB) setResultCacheCap(bytes int64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if bytes <= 0 {
-		db.rcache.Store(nil)
-	} else {
-		db.rcache.Store(newResultCache(db, bytes))
-	}
+	db.rcache = newResultCache(db, bytes)
 }
 
 // entryCount reports how many result sets are cached.
@@ -40,8 +36,9 @@ func (rc *resultCache) entryCount() int {
 }
 
 // TestResultCacheHitAndAccessPath: the second execution of an identical
-// cacheable statement is served from the cache, the hit/miss counters
-// advance, and AccessPath advertises the cached state.
+// cacheable statement is served from the cache and the hit/miss
+// counters advance. AccessPath describes the plan alone: a repeat's
+// trace carries the plan's path and, apart, the cache hit.
 func TestResultCacheHitAndAccessPath(t *testing.T) {
 	db := cacheDB(t)
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR(10))`)
@@ -68,8 +65,8 @@ func TestResultCacheHitAndAccessPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AccessPath: %v", err)
 	}
-	if !strings.Contains(path, " cached") {
-		t.Fatalf("AccessPath = %q, want ' cached' suffix", path)
+	if tr := traceStmt(t, stmt); tr.Cache != "hit" || tr.Path != path {
+		t.Fatalf("repeat traced cache %q, path %q; want hit, %q", tr.Cache, tr.Path, path)
 	}
 
 	// Distinct bound args are distinct cache keys.
@@ -208,7 +205,7 @@ func TestResultCacheDDLFlush(t *testing.T) {
 	mustExec(t, db, `INSERT INTO t VALUES (1, 'a')`)
 	mustQuery(t, db, `SELECT v FROM t`).Close() // priming
 	mustQuery(t, db, `SELECT v FROM t`).Close()
-	rc := db.rcache.Load()
+	rc := db.rcache
 	if rc.entryCount() != 1 {
 		t.Fatalf("entries before DDL = %d, want 1", rc.entryCount())
 	}
@@ -237,7 +234,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString(pad))
 	}
-	rc := db.rcache.Load()
+	rc := db.rcache
 	// One row per entry (~900 bytes) stays under the per-entry cap
 	// (capBytes/4); forty of them overflow the 8 KiB cache.
 	for i := 0; i < 40; i++ {
@@ -256,18 +253,17 @@ func TestResultCacheLRUEviction(t *testing.T) {
 }
 
 // TestResultCacheEquivalenceSequential replays one seeded DML+query
-// script against a cache-on and a cache-off database and requires every
-// query result to match exactly.
+// script and holds every query result — first sightings, fills and the
+// hits entries from earlier steps serve — against the reference
+// evaluator, which reads the tables afresh after every write.
 func TestResultCacheEquivalenceSequential(t *testing.T) {
-	setup := func(t *testing.T, cached bool) *DB {
-		db := memDB(t)
-		if !cached {
-			db.setResultCacheCap(0)
-		}
-		mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, bucket INTEGER, v DOUBLE)`)
-		return db
+	db := memDB(t)
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, bucket INTEGER, v DOUBLE)`)
+	ref := newRefEval(db)
+	exec := func(sql string, args ...sqltypes.Value) {
+		mustExec(t, db, sql, args...)
+		ref.reset()
 	}
-	on, off := setup(t, true), setup(t, false)
 
 	queries := []string{
 		`SELECT COUNT(*) FROM t`,
@@ -280,35 +276,22 @@ func TestResultCacheEquivalenceSequential(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		switch rng.Intn(4) {
 		case 0:
-			args := []sqltypes.Value{
-				sqltypes.NewInt(next),
-				sqltypes.NewInt(int64(rng.Intn(5))),
-				sqltypes.NewDouble(rng.Float64() * 100),
-			}
+			exec(`INSERT INTO t VALUES (?, ?, ?)`, sqltypes.NewInt(next),
+				sqltypes.NewInt(int64(rng.Intn(5))), sqltypes.NewDouble(rng.Float64()*100))
 			next++
-			mustExec(t, on, `INSERT INTO t VALUES (?, ?, ?)`, args...)
-			mustExec(t, off, `INSERT INTO t VALUES (?, ?, ?)`, args...)
 		case 1:
 			if next > 0 {
-				id := sqltypes.NewInt(rng.Int63n(next))
-				mustExec(t, on, `UPDATE t SET v = v + 1 WHERE id = ?`, id)
-				mustExec(t, off, `UPDATE t SET v = v + 1 WHERE id = ?`, id)
+				exec(`UPDATE t SET v = v + 1 WHERE id = ?`, sqltypes.NewInt(rng.Int63n(next)))
 			}
 		case 2:
 			if next > 0 {
-				id := sqltypes.NewInt(rng.Int63n(next))
-				mustExec(t, on, `DELETE FROM t WHERE id = ?`, id)
-				mustExec(t, off, `DELETE FROM t WHERE id = ?`, id)
+				exec(`DELETE FROM t WHERE id = ?`, sqltypes.NewInt(rng.Int63n(next)))
 			}
 		case 3:
-			q := queries[rng.Intn(len(queries))]
-			a, b := mustQuery(t, on, q), mustQuery(t, off, q)
-			rowsMustEqual(t, fmt.Sprintf("step %d %s", step, q), a, b)
-			a.Close()
-			b.Close()
+			ref.check(t, queries[rng.Intn(len(queries))])
 		}
 	}
-	if counterValue(t, on, "sqldb_result_cache_hits_total") == 0 {
+	if counterValue(t, db, "sqldb_result_cache_hits_total") == 0 {
 		t.Fatal("script never hit the cache — equivalence test exercised nothing")
 	}
 }
@@ -375,14 +358,14 @@ func TestResultCacheStoredOrderCharge(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString(strings.Repeat("s", 500)))
 	}
-	rc := db.rcache.Load()
+	rc := db.rcache
 	const q = `SELECT id, pad FROM t WHERE id < ?`
 	arg := sqltypes.NewInt(30)
 	mustQuery(t, db, q, arg).Close() // priming
 	if r := mustQuery(t, db, q, arg); len(r.Data) != 30 {
 		t.Fatalf("%d rows, want 30", len(r.Data))
 	}
-	if !rc.hasStmt(q) {
+	if rc.entryCount() != 1 {
 		t.Fatal("stored-order result not cached")
 	}
 	key := len(q) + 1 + len(appendArgKey(nil, []sqltypes.Value{arg}))
@@ -414,8 +397,8 @@ func TestResultCacheCancellationNoPartialEntry(t *testing.T) {
 	if _, err := db.QueryContext(canceled, q); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled query: err = %v, want ErrCanceled", err)
 	}
-	rc := db.rcache.Load()
-	if rc.hasStmt(q) || rc.entryCount() != 0 {
+	rc := db.rcache
+	if rc.entryCount() != 0 {
 		t.Fatal("canceled statement published a cache entry")
 	}
 
@@ -429,13 +412,14 @@ func TestResultCacheCancellationNoPartialEntry(t *testing.T) {
 		t.Fatalf("rows = %d, want 500", len(r.Data))
 	}
 	r.Close()
-	if !rc.hasStmt(q) {
+	if rc.entryCount() != 1 {
 		t.Fatal("live statement did not cache")
 	}
 }
 
 // TestResultCacheTraceStates: EXPLAIN ANALYZE traces carry the
-// cache:"hit"|"miss"|"bypass" tag, and no tag when the cache is off.
+// cache:"hit"|"miss"|"bypass" tag, and what a hit serves is the
+// reference evaluator's answer.
 func TestResultCacheTraceStates(t *testing.T) {
 	db := cacheDB(t)
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
@@ -445,52 +429,23 @@ func TestResultCacheTraceStates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	if _, err := stmt.Trace(); err != nil { // priming
-		t.Fatalf("trace: %v", err)
+	for i, want := range []string{"miss", "miss", "hit"} { // first sighting, fill, hit
+		if tr := traceStmt(t, stmt); tr.Cache != want {
+			t.Fatalf("trace %d: cache = %q, want %q", i+1, tr.Cache, want)
+		}
 	}
-	tr, err := stmt.Trace()
-	if err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	if tr.Cache != "miss" {
-		t.Fatalf("first trace cache = %q, want miss", tr.Cache)
-	}
-	tr, err = stmt.Trace()
-	if err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	if tr.Cache != "hit" {
-		t.Fatalf("second trace cache = %q, want hit", tr.Cache)
-	}
-	if !strings.Contains(tr.Path, " cached") {
-		t.Fatalf("hit trace path = %q, want ' cached'", tr.Path)
+	hits := counterValue(t, db, "sqldb_result_cache_hits_total")
+	newRefEval(db).check(t, stmt.Text())
+	if counterValue(t, db, "sqldb_result_cache_hits_total") != hits+3 {
+		t.Fatal("the reference check was not served from the cache")
 	}
 
 	volatile, err := db.Prepare(`SELECT id, NOW() FROM t`)
 	if err != nil {
 		t.Fatalf("prepare volatile: %v", err)
 	}
-	tr, err = volatile.Trace()
-	if err != nil {
-		t.Fatalf("trace volatile: %v", err)
-	}
-	if tr.Cache != "bypass" {
+	if tr := traceStmt(t, volatile); tr.Cache != "bypass" {
 		t.Fatalf("volatile trace cache = %q, want bypass", tr.Cache)
-	}
-
-	off := memDB(t)
-	off.setResultCacheCap(0)
-	mustExec(t, off, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
-	s2, err := off.Prepare(`SELECT id FROM t`)
-	if err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	tr, err = s2.Trace()
-	if err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	if tr.Cache != "" {
-		t.Fatalf("cache-off trace cache = %q, want empty", tr.Cache)
 	}
 }
 
@@ -544,7 +499,7 @@ func TestResultCacheAdmitsOnRepeat(t *testing.T) {
 	db := memDB(t)
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR(10))`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, 'a'), (2, 'b')`)
-	rc := db.rcache.Load()
+	rc := db.rcache
 	const q = `SELECT id, v FROM t ORDER BY id`
 	for i, want := range []int{0, 1, 1} {
 		rows := mustQuery(t, db, q)
@@ -570,7 +525,7 @@ func TestResultCacheAdmitsOnRepeat(t *testing.T) {
 func TestResultCacheSkipsFillAcrossWrite(t *testing.T) {
 	db := memDB(t)
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)`)
-	rc := db.rcache.Load()
+	rc := db.rcache
 	const q = `SELECT COUNT(*), SUM(v) FROM t`
 	for i := 0; i < 20; i++ {
 		rows := mustQuery(t, db, q)
@@ -631,7 +586,7 @@ func TestResultCacheHotEntrySurvivesColdChurn(t *testing.T) {
 			t.Fatalf("statement %d: the hot key was evicted by cold churn (after %d cold statements)", s, cold)
 		}
 	}
-	if got := db.rcache.Load().entryCount(); got != 4 {
+	if got := db.rcache.entryCount(); got != 4 {
 		t.Fatalf("%d entries, want a full cache of 4", got)
 	}
 	if declines(t, db, "colder_than_victim") == 0 {
@@ -677,7 +632,7 @@ func TestResultCacheResidentBytesHonest(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	rc := db.rcache.Load()
+	rc := db.rcache
 	used := rc.bytesUsed()
 	if used < capBytes*9/10 {
 		t.Fatalf("cache holds %d of %d bytes: not filled to its cap", used, capBytes)

@@ -330,7 +330,7 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 	if len(plan.tables) > 1 {
 		where = nil
 	}
-	scan := db.openScan(plan.tables[0].data, plan.path, where, ctx)
+	scan := openScan(plan.tables[0].data, plan.path, where, ctx)
 	// Index-only aggregation: COUNTs over a residual-free path answered
 	// from its keys without materialising candidate rows.
 	if plan.indexOnly && scan.path != nil {
@@ -426,7 +426,7 @@ func (db *DB) streamRows(plan *selectPlan, ctx *evalCtx, scan tableScan, emit fu
 	if len(plan.tables) == 1 {
 		return scan.run(ctx, func(_ *rowSlot, vals []sqltypes.Value) bool { return emit(vals) })
 	}
-	return db.joinRows(plan, ctx, scan, emit)
+	return joinRows(plan, ctx, scan, emit)
 }
 
 // rowSink consumes a statement's candidates — source rows (gs nil) or,
@@ -527,9 +527,9 @@ func (p *projectSink) finish() error {
 // nested-loop); any other inner table is scanned per outer row. The
 // join always runs forward, driven by the first table.
 // first is the first table's resolved scan. Read-only on the plan.
-func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx, first tableScan, emit func([]sqltypes.Value) bool) error {
-	j := &joinRun{db: db, plan: plan, ctx: ctx, emit: emit,
-		row: make([]sqltypes.Value, len(plan.env.cols)), probes: !db.fullScanOnly}
+func joinRows(plan *selectPlan, ctx *evalCtx, first tableScan, emit func([]sqltypes.Value) bool) error {
+	j := &joinRun{plan: plan, ctx: ctx, emit: emit,
+		row: make([]sqltypes.Value, len(plan.env.cols))}
 	j.cands = make([][][]sqltypes.Value, len(plan.tables))
 	// The planner's path narrows the outer loop's candidates; the WHERE
 	// waits for the assembled row.
@@ -545,11 +545,9 @@ func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx, first tableScan, emit fun
 // joinRun is one execution of a join: what every level of the depth-
 // first assembly shares.
 type joinRun struct {
-	db     *DB
-	plan   *selectPlan
-	ctx    *evalCtx
-	emit   func([]sqltypes.Value) bool
-	probes bool // index probes allowed (not SetFullScanOnly)
+	plan *selectPlan
+	ctx  *evalCtx
+	emit func([]sqltypes.Value) bool
 	// row is the joined row being assembled. Level i owns the slots of
 	// FROM item i; depth-first order keeps the slots of the levels
 	// before it valid while it iterates its candidates.
@@ -610,7 +608,7 @@ func (j *joinRun) level(i int) bool {
 	}
 	ft := plan.tables[i]
 	probed := false
-	if probe := plan.joins[i]; j.probes && probe != nil {
+	if probe := plan.joins[i]; probe != nil {
 		j.cands[i], probed = j.probeJoin(j.cands[i][:0], ft.data, probe)
 	}
 	matched, more := false, true

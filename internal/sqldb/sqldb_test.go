@@ -788,7 +788,7 @@ func TestSortCellsMatchSortCompare(t *testing.T) {
 // pass. The error surfaces wherever the expression is evaluated — a
 // projection, an ORDER BY key, a HAVING, and a probe on an indexed
 // column, where the failed probe falls back to the heap scan and
-// reports what SetFullScanOnly reports.
+// reports what the unindexed twin's scan reports.
 func TestIntegerArithmeticOutOfRange(t *testing.T) {
 	const maxI, minI = math.MaxInt64, math.MinInt64
 	for _, c := range []struct {
@@ -843,6 +843,7 @@ func TestIntegerArithmeticOutOfRange(t *testing.T) {
 			sqltypes.NewInt(int64(i)), sqltypes.NewInt(gn[0]), sqltypes.NewInt(gn[1]))
 	}
 	mustExec(t, db, `CREATE INDEX W_N ON W (N)`)
+	twin := scanTwin(t, db)
 	// Each operator at the edge one of W's rows holds; X stands for the
 	// operand: the column, the group's aggregate, or a probe parameter.
 	for _, c := range []struct {
@@ -874,9 +875,7 @@ func TestIntegerArithmeticOutOfRange(t *testing.T) {
 			t.Fatalf("%s: path %q, want eq(W.N)", sql, p)
 		}
 		_, ierr := db.Query(sql, sqltypes.NewInt(c.edge))
-		db.SetFullScanOnly(true)
-		_, serr := db.Query(sql, sqltypes.NewInt(c.edge))
-		db.SetFullScanOnly(false)
+		_, serr := twin.Query(sql, sqltypes.NewInt(c.edge))
 		if ierr == nil || serr == nil || ierr.Error() != serr.Error() || !strings.Contains(ierr.Error(), "out of BIGINT range") {
 			t.Errorf("%s: index error %v, scan error %v; want the same BIGINT range error", sql, ierr, serr)
 		}

@@ -11,11 +11,11 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// DefaultPlanCacheCapacity bounds the internal LRU of prepared plans
+// planCacheCapacity bounds the internal LRU of prepared plans
 // that Exec/Query consult. The archive's statement population is small
 // (QBE shapes, browse/link-control templates), so a few hundred entries
 // cover the working set with room to spare.
-const DefaultPlanCacheCapacity = 256
+const planCacheCapacity = 256
 
 // Stmt is a prepared statement: SQL parsed once, with — for SELECTs — a
 // bound plan (resolved table/column references, expanded projection)
@@ -62,8 +62,7 @@ func (s *Stmt) Text() string { return s.text }
 // runs as a bounded heap selection instead of a full sort append
 // " top-k". Joined tables probed by an index nested-loop append
 // " inl(ALIAS.COLS)"; a joined table with no entry is scanned per outer
-// row. A statement with a live result cache entry appends " cached" —
-// its repeats are served without execution.
+// row.
 //
 // EXPLAIN-style introspection for tests and diagnostics; building the
 // plan on demand, it reflects the live schema epoch, so it shows the
@@ -79,13 +78,7 @@ func (s *Stmt) AccessPath() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	out := pathString(plan, sel)
-	// A live result cache entry for this statement means repeats are
-	// answered without execution: surface it like the other strategies.
-	if rc := s.db.rcache.Load(); rc != nil && plan.cacheable && rc.hasStmt(s.text) {
-		out += " cached"
-	}
-	return out, nil
+	return pathString(plan, sel), nil
 }
 
 // pathString renders a bound plan's access-path description — the
@@ -117,8 +110,7 @@ func pathString(plan *selectPlan, sel *SelectStmt) string {
 // happens outside it, batched with concurrent committers. A prepared
 // SELECT via Exec is allowed, with the result discarded.
 func (s *Stmt) Exec(args ...sqltypes.Value) (Result, error) {
-	res, _, err := s.exec(nil, args, false)
-	return res, err
+	return s.exec(nil, args)
 }
 
 // ExecContext is Exec under cooperative cancellation: ctx's
@@ -127,53 +119,36 @@ func (s *Stmt) Exec(args ...sqltypes.Value) (Result, error) {
 // MVCC abort path when stopped before its WAL frames are staged; once
 // staged, it commits (see govern.go for the boundary).
 func (s *Stmt) ExecContext(ctx context.Context, args ...sqltypes.Value) (Result, error) {
-	res, _, err := s.exec(ctx, args, false)
-	return res, err
+	return s.exec(ctx, args)
 }
 
 // QueryContext is Query under cooperative cancellation — see
 // DB.QueryContext.
 func (s *Stmt) QueryContext(ctx context.Context, args ...sqltypes.Value) (*Rows, error) {
-	rows, _, err := s.query(ctx, args, false)
-	return rows, err
+	return s.query(ctx, args)
 }
 
-// Trace executes the statement once with tracing forced on, regardless
-// of the database's trace threshold, and returns the execution trace —
-// EXPLAIN ANALYZE. SELECT traces carry the access path and per-node
-// timings; DML traces carry the commit-pipeline breakdown. The traced
-// execution's result is discarded; side effects of DML happen normally.
-func (s *Stmt) Trace(args ...sqltypes.Value) (*Trace, error) {
-	if _, ok := s.ast.(*SelectStmt); ok {
-		_, t, err := s.query(nil, args, true)
-		return t, err
-	}
-	_, t, err := s.exec(nil, args, true)
-	return t, err
-}
-
-// exec is Exec with optional tracing (forced, or threshold-armed) and
-// optional cancellation (ctx may be nil: background, default timeout
-// still applies).
-func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value, force bool) (Result, *Trace, error) {
+// exec is Exec, traced when the trace threshold is armed, under
+// optional cancellation (ctx may be nil).
+func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value) (Result, error) {
 	// SELECT via Exec: reuse the cached plan through the same path as
 	// Query. This is not just an optimisation — it keeps every binding
 	// of this statement's shared AST serialised under s.mu.
 	if _, ok := s.ast.(*SelectStmt); ok {
-		_, t, err := s.query(ctx, args, force)
-		return Result{}, t, err
+		_, err := s.query(ctx, args)
+		return Result{}, err
 	}
 	db := s.db
 	thr := db.traceThresholdNs.Load()
 	var tr *execTrace
-	if force || thr > 0 {
+	if thr > 0 {
 		tr = db.newTrace(s.text, "exec")
 	}
 	// Closed check, deadline read and in-flight registration, before
 	// any engine lock.
 	ic, err := db.admitStatement(ctx)
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	defer ic.release()
 	tr.setDeadline(ic)
@@ -183,7 +158,7 @@ func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value, force bool) (Res
 	db.met.barrierNs.Observe(barrierNs)
 	if db.closed {
 		db.mu.Unlock()
-		return Result{}, nil, ErrClosed
+		return Result{}, ErrClosed
 	}
 	tx := db.newTx()
 	tx.intr = ic
@@ -199,7 +174,7 @@ func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value, force bool) (Res
 		rbErr := db.rollbackTx(tx)
 		db.mu.Unlock()
 		db.traceCanceled(tr, ic, thr)
-		return Result{}, nil, errors.Join(err, rbErr)
+		return Result{}, errors.Join(err, rbErr)
 	}
 	endExec(int64(res.RowsAffected))
 	tr.endHeap()
@@ -208,7 +183,7 @@ func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value, force bool) (Res
 	stageNs := time.Since(stageStart).Nanoseconds()
 	db.mu.Unlock()
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
 	// The fsync happens here, outside the barrier, batched with any
 	// concurrently committing transactions (WAL group commit).
@@ -225,9 +200,9 @@ func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value, force bool) (Res
 		db.noteSlow(tr, thr)
 	}
 	if err != nil {
-		return Result{}, nil, err
+		return Result{}, err
 	}
-	return res, tr.trace(), nil
+	return res, nil
 }
 
 // Query runs a prepared SELECT under the shared read lock: any number of
@@ -235,26 +210,25 @@ func (s *Stmt) exec(ctx context.Context, args []sqltypes.Value, force bool) (Res
 // writers. The bound plan is reused as long as the schema epoch is
 // unchanged.
 func (s *Stmt) Query(args ...sqltypes.Value) (*Rows, error) {
-	rows, _, err := s.query(nil, args, false)
-	return rows, err
+	return s.query(nil, args)
 }
 
-// query is Query with optional tracing (forced, or threshold-armed) and
+// query is Query, traced when the trace threshold is armed, under
 // optional cancellation (ctx may be nil).
-func (s *Stmt) query(ctx context.Context, args []sqltypes.Value, force bool) (*Rows, *Trace, error) {
+func (s *Stmt) query(ctx context.Context, args []sqltypes.Value) (*Rows, error) {
 	sel, ok := s.ast.(*SelectStmt)
 	if !ok {
-		return nil, nil, errNotSelect
+		return nil, errNotSelect
 	}
 	db := s.db
 	thr := db.traceThresholdNs.Load()
 	var tr *execTrace
-	if force || thr > 0 {
+	if thr > 0 {
 		tr = db.newTrace(s.text, "select")
 	}
 	ic, err := db.admitStatement(ctx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer ic.release()
 	tr.setDeadline(ic)
@@ -276,22 +250,15 @@ func (s *Stmt) query(ctx context.Context, args []sqltypes.Value, force bool) (*R
 		// Result-cache consult: only cacheable plans (no volatile
 		// functions), only this auto-commit path — Tx/script SELECTs run
 		// in latest-mode visibility and never reach here.
-		rc := db.rcache.Load()
+		cacheState = "bypass"
 		var probe cacheProbe
-		if rc != nil {
-			if plan.cacheable {
-				var out *Rows
-				if out, probe = rc.lookup(s.text, args, plan, db.schemaEpoch, snap); out != nil {
-					cacheState = "hit"
-					if tr != nil {
-						tr.t.Path += " cached"
-					}
-					return out, nil
-				}
-				cacheState = "miss"
-			} else {
-				cacheState = "bypass"
+		if plan.cacheable {
+			var out *Rows
+			if out, probe = db.rcache.lookup(s.text, args, plan, db.schemaEpoch, snap); out != nil {
+				cacheState = "hit"
+				return out, nil
 			}
+			cacheState = "miss"
 		}
 		tr.beginHeap()
 		out, err := db.runSelectAt(plan, args, snap, tr, ic)
@@ -300,7 +267,7 @@ func (s *Stmt) query(ctx context.Context, args []sqltypes.Value, force bool) (*R
 			// Only COMPLETED results are offered: any error above —
 			// including cancellation mid-fill — returns before this
 			// point, so a partial result can never be served.
-			rc.fill(probe, s.text, args, plan, out, snap, db.schemaEpoch)
+			db.rcache.fill(probe, s.text, args, plan, out, snap, db.schemaEpoch)
 		}
 		return out, err
 	}()
@@ -309,13 +276,13 @@ func (s *Stmt) query(ctx context.Context, args []sqltypes.Value, force bool) (*R
 	}
 	if err != nil {
 		db.traceCanceled(tr, ic, thr)
-		return nil, nil, err
+		return nil, err
 	}
 	if tr != nil {
 		tr.finishRows(int64(len(rows.Data)))
 		db.noteSlow(tr, thr)
 	}
-	return rows, tr.trace(), nil
+	return rows, nil
 }
 
 // selectPlanLocked returns the statement's plan, (re)building it when
@@ -371,9 +338,6 @@ func (c *planCache) get(text string) (*Stmt, bool) {
 func (c *planCache) put(st *Stmt) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 {
-		return
-	}
 	if el, ok := c.entries[st.text]; ok {
 		c.order.MoveToFront(el)
 		return
@@ -386,29 +350,11 @@ func (c *planCache) put(st *Stmt) {
 	}
 }
 
-func (c *planCache) reset(capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = capacity
-	c.order.Init()
-	c.entries = make(map[string]*list.Element)
-}
-
 func (c *planCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
-
-// SetPlanCacheCapacity resizes the internal plan cache, dropping all
-// cached entries; zero disables caching entirely (every Exec/Query then
-// parses and binds from scratch — the ablation baseline).
-func (db *DB) SetPlanCacheCapacity(n int) {
-	db.plans.reset(n)
-}
-
-// PlanCacheLen reports how many statements are currently cached.
-func (db *DB) PlanCacheLen() int { return db.plans.len() }
 
 var (
 	errNotSelect = errors.New("sqldb: Query requires a SELECT statement")

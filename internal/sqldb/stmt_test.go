@@ -135,29 +135,32 @@ func TestPreparedStmtOnDroppedTable(t *testing.T) {
 	}
 }
 
+// TestPlanCacheEviction: the plan cache keeps the most recently used
+// statements up to its capacity, and a statement it evicted keeps
+// working on its own.
 func TestPlanCacheEviction(t *testing.T) {
 	db := memDB(t)
 	mustExec(t, db, `CREATE TABLE t (id INTEGER)`)
-	db.SetPlanCacheCapacity(2)
-	for i := 0; i < 5; i++ {
-		mustQuery(t, db, fmt.Sprintf(`SELECT id FROM t WHERE id = %d`, i))
-	}
-	if n := db.PlanCacheLen(); n != 2 {
-		t.Fatalf("cache len = %d, want 2", n)
-	}
-	// An evicted statement handle keeps working on its own.
-	st, err := db.Prepare(`SELECT id FROM t WHERE id = 0`)
+	db.plans = newPlanCache(2)
+	sql := func(i int) string { return fmt.Sprintf(`SELECT id FROM t WHERE id = %d`, i) }
+	st, err := db.Prepare(sql(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetPlanCacheCapacity(0) // drop everything, disable caching
+	for i := 1; i < 5; i++ {
+		mustQuery(t, db, sql(i))
+	}
+	if n := db.plans.len(); n != 2 {
+		t.Fatalf("cache len = %d, want 2", n)
+	}
+	for i, held := range []bool{false, false, false, true, true} {
+		if _, ok := db.plans.get(sql(i)); ok != held {
+			t.Fatalf("statement %d cached = %v, want %v", i, ok, held)
+		}
+	}
 	if _, err := st.Query(); err != nil {
 		t.Fatalf("evicted stmt must stay usable: %v", err)
 	}
-	if n := db.PlanCacheLen(); n != 0 {
-		t.Fatalf("disabled cache holds %d entries", n)
-	}
-	mustQuery(t, db, `SELECT id FROM t`) // uncached path still works
 }
 
 // TestConcurrentQueryExec drives concurrent readers against concurrent

@@ -32,7 +32,7 @@ type Trace struct {
 	// Cache records the statement's result cache interaction: "hit"
 	// (served without execution), "miss" (executed, then cached if
 	// admitted) or "bypass" (cacheable=false — volatile functions). Empty
-	// when the result cache is disabled or for non-SELECT statements.
+	// for non-SELECT statements.
 	Cache     string      `json:"cache,omitempty"`
 	Rows      int64       `json:"rows"`
 	HeapReads int64       `json:"heap_reads"`
@@ -45,8 +45,7 @@ type Trace struct {
 	FsyncWaitNs      int64 `json:"fsync_wait_ns,omitempty"`
 	GroupCommitBatch int64 `json:"group_commit_batch,omitempty"`
 
-	// Slow is set when the statement exceeded the slow-query threshold
-	// (always false for traces forced via Stmt.Trace under the threshold).
+	// Slow is set when the statement exceeded the slow-query threshold.
 	Slow bool `json:"slow,omitempty"`
 
 	// CancelReason records why a governed statement stopped early:
@@ -132,14 +131,6 @@ func (tr *execTrace) finishRows(rows int64) {
 	tr.t.WallNs = time.Since(tr.start).Nanoseconds()
 }
 
-// trace unwraps the collected Trace (nil when tracing was disabled).
-func (tr *execTrace) trace() *Trace {
-	if tr == nil {
-		return nil
-	}
-	return tr.t
-}
-
 // setDeadline records the statement's deadline budget on the trace.
 func (tr *execTrace) setDeadline(ic *interrupt) {
 	if tr == nil || ic == nil {
@@ -187,8 +178,7 @@ func (db *DB) noteSlow(tr *execTrace, thresholdNs int64) {
 // statement is traced, and any whose wall time reaches d is written to
 // the slow-query log (see SetSlowQueryLog) as one JSON line and counted
 // in sqldb_slow_queries_total. Zero disables tracing entirely — the
-// default, and the near-zero-overhead path. Stmt.Trace forces a trace
-// for one execution regardless of this setting.
+// default, and the near-zero-overhead path.
 func (db *DB) SetTraceThreshold(d time.Duration) {
 	db.traceThresholdNs.Store(int64(d))
 }

@@ -35,6 +35,46 @@ func traceDB(t *testing.T) *DB {
 	return db
 }
 
+// traceStmt runs st once with every statement over the trace threshold
+// and returns the trace the slow-query log wrote for it — EXPLAIN
+// ANALYZE, read the way an operator reads it. A SELECT runs as Query,
+// anything else as Exec.
+func traceStmt(t testing.TB, st *Stmt, args ...sqltypes.Value) Trace {
+	t.Helper()
+	var buf bytes.Buffer
+	st.db.SetSlowQueryLog(&buf)
+	st.db.SetTraceThreshold(time.Nanosecond)
+	var err error
+	if _, ok := st.ast.(*SelectStmt); ok {
+		_, err = st.Query(args...)
+	} else {
+		_, err = st.Exec(args...)
+	}
+	st.db.SetTraceThreshold(0)
+	st.db.SetSlowQueryLog(nil)
+	if err != nil {
+		t.Fatalf("%s: %v", st.Text(), err)
+	}
+	return slowLogLines(t, &buf, 1)[0]
+}
+
+// slowLogLines decodes the slow-query log written to buf, which must
+// hold exactly n lines.
+func slowLogLines(t testing.TB, buf *bytes.Buffer, n int) []Trace {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != n || lines[0] == "" {
+		t.Fatalf("got %d slow-log lines, want %d:\n%s", len(lines), n, buf.String())
+	}
+	out := make([]Trace, n)
+	for i, line := range lines {
+		if err := json.Unmarshal([]byte(line), &out[i]); err != nil {
+			t.Fatalf("slow-log line is not JSON: %v\n%s", err, line)
+		}
+	}
+	return out
+}
+
 // heapReadsTotal sums the per-table heap-read counters the trace layer
 // must agree with.
 func heapReadsTotal(db *DB, tables ...string) int64 {
@@ -80,15 +120,9 @@ func TestTraceHeapReadAccounting(t *testing.T) {
 			}
 
 			before := heapReadsTotal(db, tables...)
-			tr, err := st.Trace(tc.args...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tr := traceStmt(t, st, tc.args...)
 			delta := heapReadsTotal(db, tables...) - before
 
-			if tr == nil {
-				t.Fatal("Trace returned nil trace")
-			}
 			if tr.Kind != "select" {
 				t.Fatalf("Kind = %q, want select", tr.Kind)
 			}
@@ -117,9 +151,6 @@ func TestTraceHeapReadAccounting(t *testing.T) {
 			}
 			if tr.WallNs <= 0 {
 				t.Fatalf("WallNs = %d, want > 0", tr.WallNs)
-			}
-			if tr.Slow {
-				t.Fatal("forced trace under no threshold marked Slow")
 			}
 
 			// The index-only path is the reason heap reads are worth
@@ -152,10 +183,7 @@ func TestTraceDMLPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := st.Trace(sqltypes.NewInt(1), sqltypes.NewInt(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := traceStmt(t, st, sqltypes.NewInt(1), sqltypes.NewInt(10))
 	if tr.Kind != "exec" || tr.Rows != 1 {
 		t.Fatalf("kind=%q rows=%d, want exec/1", tr.Kind, tr.Rows)
 	}
@@ -202,14 +230,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if _, err := db.Query(`SELECT COUNT(*) FROM obs WHERE v < 50`); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("got %d slow-log lines, want 1:\n%s", len(lines), buf.String())
-	}
-	var tr Trace
-	if err := json.Unmarshal([]byte(lines[0]), &tr); err != nil {
-		t.Fatalf("slow-log line is not JSON: %v\n%s", err, lines[0])
-	}
+	tr := slowLogLines(t, &buf, 1)[0]
 	if !tr.Slow || tr.Kind != "select" || tr.SQL == "" || len(tr.Nodes) == 0 || tr.WallNs <= 0 {
 		t.Fatalf("bad slow-log record: %+v", tr)
 	}
@@ -226,10 +247,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if _, err := db.Exec(`UPDATE obs SET v = v + 1 WHERE id = 7`); err != nil {
 		t.Fatal(err)
 	}
-	var dtr Trace
-	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &dtr); err != nil {
-		t.Fatalf("DML slow-log line: %v\n%s", err, buf.String())
-	}
+	dtr := slowLogLines(t, &buf, 1)[0]
 	if dtr.Kind != "exec" || !dtr.Slow {
 		t.Fatalf("bad DML slow-log record: %+v", dtr)
 	}
@@ -246,6 +264,73 @@ func TestSlowQueryLog(t *testing.T) {
 	slow, _ = db.Metrics().Find("sqldb_slow_queries_total")
 	if slow.Value != 2 {
 		t.Fatalf("sqldb_slow_queries_total = %d, want 2", slow.Value)
+	}
+}
+
+// TestSlowLogTraceFields reads EXPLAIN ANALYZE the way an operator
+// does, from the slow-query log's JSON lines: a SELECT that misses the
+// result cache, the same SELECT when the cache serves it, and an UPDATE
+// on a durable database, with the access path, cache state, plan nodes,
+// heap reads and the DML commit-pipeline fields each one carries.
+func TestSlowLogTraceFields(t *testing.T) {
+	db, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE obs (id INTEGER PRIMARY KEY, sim VARCHAR(8), v INTEGER)`)
+	mustExec(t, db, `CREATE INDEX obs_sim ON obs (sim)`)
+	for i := 0; i < 50; i++ {
+		mustExec(t, db, `INSERT INTO obs VALUES (?, ?, ?)`, sqltypes.NewInt(int64(i)),
+			sqltypes.NewString(fmt.Sprintf("S%d", i%10)), sqltypes.NewInt(int64(i)))
+	}
+	const q = `SELECT id, v FROM obs WHERE sim = ? ORDER BY id`
+	arg := sqltypes.NewString("S3")
+	st, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := st.AccessPath()
+	if err != nil || !strings.Contains(path, "(OBS.SIM)") {
+		t.Fatalf("path %q, err %v: want a path on OBS.SIM", path, err)
+	}
+	mustQuery(t, db, q, arg) // a first sighting: the next execution fills the cache
+
+	var buf bytes.Buffer
+	db.SetSlowQueryLog(&buf)
+	db.SetTraceThreshold(time.Nanosecond)
+	mustQuery(t, db, q, arg)
+	mustQuery(t, db, q, arg)
+	mustExec(t, db, `UPDATE obs SET v = v + 1 WHERE id = ?`, sqltypes.NewInt(7))
+	db.SetTraceThreshold(0)
+	lines := slowLogLines(t, &buf, 3)
+	miss, hit, upd := lines[0], lines[1], lines[2]
+
+	for _, tr := range lines {
+		if !tr.Slow || tr.SQL == "" || tr.Time == "" || tr.WallNs <= 0 {
+			t.Fatalf("bad slow-log record: %+v", tr)
+		}
+	}
+	var nodeReads int64
+	for _, n := range miss.Nodes {
+		nodeReads += n.HeapReads
+	}
+	if miss.Kind != "select" || miss.Path != path || miss.Cache != "miss" || miss.Rows != 5 ||
+		miss.HeapReads != 5 || len(miss.Nodes) == 0 || nodeReads != miss.HeapReads {
+		t.Fatalf("cache-miss record: %+v", miss)
+	}
+	if hit.Kind != "select" || hit.Path != path || hit.Cache != "hit" || hit.Rows != 5 ||
+		hit.HeapReads != 0 || len(hit.Nodes) != 0 {
+		t.Fatalf("cache-hit record: %+v", hit)
+	}
+	if upd.Kind != "exec" || upd.Path != "" || upd.Cache != "" || upd.Rows != 1 ||
+		len(upd.Nodes) != 1 || upd.Nodes[0].Node != "dml" || upd.Nodes[0].Rows != 1 {
+		t.Fatalf("UPDATE record: %+v", upd)
+	}
+	if upd.WALStageNs <= 0 || upd.FsyncWaitNs <= 0 || upd.GroupCommitBatch < 1 || upd.BarrierWaitNs < 0 ||
+		upd.BarrierWaitNs+upd.WALStageNs+upd.FsyncWaitNs > upd.WallNs {
+		t.Fatalf("UPDATE commit pipeline: barrier %d, stage %d, fsync %d ns, batch %d, wall %d ns",
+			upd.BarrierWaitNs, upd.WALStageNs, upd.FsyncWaitNs, upd.GroupCommitBatch, upd.WallNs)
 	}
 }
 

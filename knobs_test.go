@@ -16,12 +16,24 @@ import (
 // knob needs a caller that is not a test — so this list may only shrink
 // (maxKnobsWithoutCallers), and an entry that gains a caller, or whose
 // method is gone, must leave it.
-var knobsWithoutCallers = map[string]string{
-	"SetFullScanOnly":      "the index ≡ scan oracle of the planner, join and reference-evaluator property tests, until ROADMAP item 3's evaluator covers it",
-	"SetPlanCacheCapacity": "the plan-cache ablation's off switch; no deployment has needed another size",
+var knobsWithoutCallers = map[string]string{}
+
+const maxKnobsWithoutCallers = 0
+
+// entryPointsWithoutCallers are the names of the exported methods of
+// *sqldb.DB and *sqldb.Stmt that no non-test file outside
+// internal/sqldb calls, each with the reason it stays. The same rule as
+// the knobs: the list may only shrink (maxEntryPointsWithoutCallers),
+// and an entry that gains a caller, or whose method is gone, must leave
+// it.
+var entryPointsWithoutCallers = map[string]string{
+	"AccessPath":   "Stmt's EXPLAIN for diagnostics; the planner tests read every plan through it",
+	"Vacuum":       "reclaims dead versions on demand; checkpoints and auto-vacuum reclaim on their own",
+	"ExecContext":  "DB's and Stmt's: the request context reaches no write yet (ROADMAP item 29)",
+	"QueryContext": "DB's and Stmt's: the request context reaches no query yet (ROADMAP item 29)",
 }
 
-const maxKnobsWithoutCallers = 2
+const maxEntryPointsWithoutCallers = 4
 
 // fieldsWithoutSetters are the exported fields of sqldb.Options and
 // sqldb.DB that no non-test file outside internal/sqldb sets, each with
@@ -119,6 +131,55 @@ func TestKnobsHaveCallers(t *testing.T) {
 	for name := range knobsWithoutCallers {
 		if !knobs[name] {
 			t.Errorf("%s is listed but is no (*sqldb.DB).Set* method any more: take it off the list", name)
+		}
+	}
+}
+
+// TestEntryPointsHaveCallers parses the module: every exported method
+// of *sqldb.DB and *sqldb.Stmt is called from some non-test file outside
+// internal/sqldb (matched by method name; bench/ counts), or is listed
+// above with its reason.
+func TestEntryPointsHaveCallers(t *testing.T) {
+	if len(entryPointsWithoutCallers) > maxEntryPointsWithoutCallers {
+		t.Fatalf("%d entry points without callers, at most %d allowed: the list only shrinks", len(entryPointsWithoutCallers), maxEntryPointsWithoutCallers)
+	}
+	methods := map[string]string{} // method name → its receiver, "DB" or "Stmt"
+	called := map[string]bool{}    // method names some outside non-test file calls
+	parseModule(t, func(path string, file *ast.File) {
+		inPkg := inSqldb(path)
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if inPkg && n.Recv != nil && n.Name.IsExported() {
+					if star, ok := n.Recv.List[0].Type.(*ast.StarExpr); ok {
+						if id, ok := star.X.(*ast.Ident); ok && (id.Name == "DB" || id.Name == "Stmt") {
+							methods[n.Name.Name] = id.Name
+						}
+					}
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && !inPkg {
+					called[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	})
+	if len(methods) == 0 {
+		t.Fatal("found no exported (*DB) or (*Stmt) method under internal/sqldb: run from the module root")
+	}
+	for name, recv := range methods {
+		_, listed := entryPointsWithoutCallers[name]
+		switch {
+		case !called[name] && !listed:
+			t.Errorf("(*sqldb.%s).%s has no caller outside internal/sqldb and _test.go files: give it one, delete it, or list it with a reason", recv, name)
+		case called[name] && listed:
+			t.Errorf("(*sqldb.%s).%s has a caller outside internal/sqldb now: take it off the list", recv, name)
+		}
+	}
+	for name := range entryPointsWithoutCallers {
+		if _, ok := methods[name]; !ok {
+			t.Errorf("%s is listed but is no exported (*sqldb.DB) or (*sqldb.Stmt) method any more: take it off the list", name)
 		}
 	}
 }
