@@ -38,15 +38,18 @@
 //     are fully materialised, read-only results, valid after the lock
 //     is released and concurrent with later writes.
 //
-//   - A compact value layout. sqltypes.Value is a 32-byte tagged union
-//     (kind + flags byte, one 64-bit scalar word shared by INTEGER/
-//     DOUBLE/BOOLEAN/TIMESTAMP, and a string header shared by text,
-//     DATALINK and BLOB payloads — timestamps encode as UTC unix
-//     nanoseconds, with instants outside 1678–2262 kept marshalled
-//     behind the far-time flag). Rows are copied by value throughout
-//     the SELECT path, so the shrink from the previous 112-byte struct
-//     (~27% of SELECT CPU in duffcopy) cuts both scan time and result
-//     materialisation B/op (BenchmarkAblation_ValueLayout; layout
+//   - A compact value layout. sqltypes.Value is a 24-byte tagged union
+//     of a string header and one 64-bit word. Text, DATALINK and BLOB
+//     payloads, and timestamps outside 1678–2262 (kept marshalled), sit
+//     in the string, with the kind in the word's top byte; INTEGER,
+//     DOUBLE, BOOLEAN and other timestamps (UTC unix nanoseconds) sit
+//     in the word, with a string that points into a private tag array
+//     and whose length is the kind. Every archived row holds one Value
+//     per column resident, and rows are copied by value throughout the
+//     SELECT path, so the shrink from the first 112-byte struct (~27%
+//     of SELECT CPU in duffcopy) through 32 bytes to 24 cuts resident
+//     bytes per row, scan time and result materialisation B/op
+//     (TestResidentBytesPerRow, BenchmarkAblation_ValueLayout; layout
 //     invariants documented in internal/sqltypes/value.go).
 //
 //   - One index structure with an access-path planner. Every PRIMARY

@@ -67,13 +67,13 @@ import (
 // it, never alias it, so no delivered row is pinned in the result's
 // arena.
 
-// arenaChunkValues is the pooled slab size in Value slots: 8192 × 32
-// bytes = 256 KiB per chunk, so a 100k-row projection needs a few dozen
+// arenaChunkValues is the pooled slab size in Value slots: 8192 × 24
+// bytes = 192 KiB per chunk, so a 100k-row projection needs a few dozen
 // chunk grabs.
 const arenaChunkValues = 8192
 
-// Plain-heap chunks grow from arenaFirstValues (512 bytes: a one-row
-// result pays for little more than its row) to arenaHeapValues (16 KiB):
+// Plain-heap chunks grow from arenaFirstValues (384 bytes: a one-row
+// result pays for little more than its row) to arenaHeapValues (12 KiB):
 // together ~1000 values, a 50-row page of any archive table, and all a
 // closed large result gives up to the GC before it starts recycling.
 const (

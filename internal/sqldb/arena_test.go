@@ -313,7 +313,7 @@ func TestSmallResultFootprint(t *testing.T) {
 	}
 	const (
 		statements = 1000
-		overhead   = 8 << 10 // bytes per statement beyond rows × cols × 32
+		overhead   = 8 << 10 // bytes per statement beyond rows × cols × sizeof(Value)
 		allocs     = 32      // measured: 20 for one row, 28 for fifty
 	)
 	for _, tc := range []struct {
@@ -343,7 +343,7 @@ func TestSmallResultFootprint(t *testing.T) {
 			}
 		})
 		perStmt := total / statements
-		result := uint64(tc.rows * tc.cols * 32)
+		result := uint64(tc.rows * tc.cols * int(unsafe.Sizeof(sqltypes.Value{})))
 		if perStmt > result+overhead {
 			t.Errorf("%s: %d B/statement, result is %d B: %d B overhead, want ≤ %d",
 				tc.sql, perStmt, result, perStmt-result, overhead)
@@ -442,7 +442,7 @@ func TestLargeResultRecyclesSlabs(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const slabBytes = arenaChunkValues * 32
+	const slabBytes = arenaChunkValues * int(unsafe.Sizeof(sqltypes.Value{}))
 	first, _ := totalAlloc(query)
 	firstFresh := fresh
 	if want := tableRows / 2 * 5 / arenaChunkValues; firstFresh < want {
@@ -492,7 +492,7 @@ func TestResultBytesPerReturnedRow(t *testing.T) {
 	defer func() { arenaChunkPool.New, rowBlockPool.New = slabNew, blockNew }()
 	const (
 		statements = 20
-		slabBytes  = arenaChunkValues * 32
+		slabBytes  = arenaChunkValues * int(unsafe.Sizeof(sqltypes.Value{}))
 		blockBytes = rowBlockRows * 24
 	)
 	for _, tc := range []struct {
@@ -800,7 +800,7 @@ func TestJoinFoldFootprint(t *testing.T) {
 	const (
 		statements   = 50
 		perJoinedRow = 0.13
-		slabBytes    = arenaChunkValues * 32
+		slabBytes    = arenaChunkValues * int(unsafe.Sizeof(sqltypes.Value{}))
 	)
 	fresh := 0
 	poolNew := arenaChunkPool.New

@@ -202,9 +202,13 @@ func TestStageTxEncodeErrorStagesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	staged := len(w.pending)
-	// A kind no constructor makes; the kind is Value's first field.
+	// A kind no constructor makes. A Value that is not a scalar keeps
+	// its kind in the top byte of its last word.
 	var bad sqltypes.Value
-	*(*sqltypes.Kind)(unsafe.Pointer(&bad)) = 0x7f
+	*(*uint64)(unsafe.Add(unsafe.Pointer(&bad), unsafe.Sizeof(bad)-8)) = 0x7f << 56
+	if bad.Kind() != 0x7f {
+		t.Fatalf("crafted value has kind %v, want Kind(127)", bad.Kind())
+	}
 	recs := []walRecord{{op: walOpInsert, table: "T", row: 2, vals: []sqltypes.Value{sqltypes.NewInt(1), bad}}}
 	if _, err := w.stageTx(3, recs); err == nil || !strings.Contains(err.Error(), "cannot encode") {
 		t.Fatalf("stageTx of an unencodable value: %v", err)

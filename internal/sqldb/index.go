@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/sqltypes"
 )
@@ -197,12 +198,66 @@ type orderedIndex struct {
 	root   *btreeNode
 }
 
+// A leaf holds its keys and, parallel to them, each key's postings in
+// 16 bytes (see postings): a slice per key would cost a 24-byte header
+// and an 8-byte array for what is, in every unique index and in most
+// others, a lone posting.
 type btreeNode struct {
 	leaf     bool
-	keys     []string      // leaf entries
-	ents     [][]*idxEntry // parallel to keys
-	seps     []string      // inner separators
+	keys     []string   // leaf entries
+	ents     []postings // parallel to keys
+	seps     []string   // inner separators
 	children []*btreeNode
+}
+
+// postings is one key's postings in its leaf. A lone posting is held
+// inline (one); only a key with two or more allocates a list (many),
+// which then holds them all. A key in a leaf has at least one posting.
+type postings struct {
+	one  *idxEntry
+	many *[]*idxEntry
+}
+
+// list returns the postings as a slice. A lone posting comes back as a
+// one-element view of the leaf itself, valid until the next structural
+// change: visitors already must not keep es past their call, and
+// structural change runs under the barrier.
+func (p *postings) list() []*idxEntry {
+	if p.many != nil {
+		return *p.many
+	}
+	return unsafe.Slice(&p.one, 1)
+}
+
+// add appends posting e, moving a lone posting into a list.
+func (p *postings) add(e *idxEntry) {
+	if p.many != nil {
+		*p.many = append(*p.many, e)
+		return
+	}
+	p.many = &[]*idxEntry{p.one, e}
+	p.one = nil
+}
+
+// remove drops the first posting matching the predicate, folding a list
+// left with one posting back inline, and reports whether none remain.
+func (p *postings) remove(match func(*idxEntry) bool) (empty bool) {
+	if p.many == nil {
+		if match(p.one) {
+			p.one = nil
+		}
+		return p.one == nil
+	}
+	es := *p.many
+	if j := slices.IndexFunc(es, match); j >= 0 {
+		es = slices.Delete(es, j, j+1)
+	}
+	if len(es) == 1 {
+		p.one, p.many = es[0], nil
+	} else {
+		*p.many = es
+	}
+	return false
 }
 
 func newOrderedIndex(name string, schema *TableSchema, cols []string) *orderedIndex {
@@ -272,7 +327,7 @@ func (ix *orderedIndex) lookupKey(k string) []*idxEntry {
 	}
 	i := sort.SearchStrings(n.keys, k)
 	if i < len(n.keys) && n.keys[i] == k {
-		return n.ents[i]
+		return n.ents[i].list()
 	}
 	return nil
 }
@@ -335,7 +390,7 @@ func (n *btreeNode) insert(k string, e *idxEntry) (*btreeNode, string) {
 	if n.leaf {
 		i := sort.SearchStrings(n.keys, k)
 		if i < len(n.keys) && n.keys[i] == k {
-			n.ents[i] = append(n.ents[i], e)
+			n.ents[i].add(e)
 			return nil, ""
 		}
 		// A full leaf splits before it takes the key, so its arrays never
@@ -351,7 +406,7 @@ func (n *btreeNode) insert(k string, e *idxEntry) (*btreeNode, string) {
 			right = &btreeNode{
 				leaf: true,
 				keys: append([]string(nil), n.keys[mid:]...),
-				ents: append([][]*idxEntry(nil), n.ents[mid:]...),
+				ents: append([]postings(nil), n.ents[mid:]...),
 			}
 			n.keys = n.keys[:mid:mid]
 			n.ents = n.ents[:mid:mid]
@@ -362,9 +417,9 @@ func (n *btreeNode) insert(k string, e *idxEntry) (*btreeNode, string) {
 		n.keys = append(n.keys, "")
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = k
-		n.ents = append(n.ents, nil)
+		n.ents = append(n.ents, postings{})
 		copy(n.ents[i+1:], n.ents[i:])
-		n.ents[i] = []*idxEntry{e}
+		n.ents[i] = postings{one: e}
 		if right == nil {
 			return nil, ""
 		}
@@ -406,14 +461,7 @@ func (n *btreeNode) remove(k string, match func(*idxEntry) bool) (empty bool) {
 		if i >= len(n.keys) || n.keys[i] != k {
 			return len(n.keys) == 0
 		}
-		es := n.ents[i]
-		for j, e := range es {
-			if match(e) {
-				n.ents[i] = append(es[:j], es[j+1:]...)
-				break
-			}
-		}
-		if len(n.ents[i]) == 0 {
+		if n.ents[i].remove(match) {
 			n.keys = append(n.keys[:i], n.keys[i+1:]...)
 			n.ents = append(n.ents[:i], n.ents[i+1:]...)
 		}
@@ -470,7 +518,7 @@ func (n *btreeNode) ascend(lo, hi *keyBound, f func(k string, es []*idxEntry) bo
 				}
 				continue
 			}
-			if !f(n.keys[i], n.ents[i]) {
+			if !f(n.keys[i], n.ents[i].list()) {
 				return false
 			}
 		}
@@ -500,7 +548,7 @@ func (n *btreeNode) descend(lo, hi *keyBound, f func(k string, es []*idxEntry) b
 				}
 				continue
 			}
-			if !f(n.keys[i], n.ents[i]) {
+			if !f(n.keys[i], n.ents[i].list()) {
 				return false
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"math"
 	"sync"
+	"unsafe"
 
 	"repro/internal/sqltypes"
 )
@@ -256,12 +257,16 @@ func (rc *resultCache) lookup(text string, args []sqltypes.Value, plan *selectPl
 // Stored versions are storage's until a write supersedes them, and that
 // write's commit drops the entry, so they are never the entry's alone.
 func entryBytes(rows *Rows, keyLen int, stored bool) int64 {
-	b := int64(entryOverhead + keyLen + 24*len(rows.Data))
+	const (
+		rowHeaderBytes = int64(unsafe.Sizeof([]sqltypes.Value(nil)))
+		valueBytes     = int64(unsafe.Sizeof(sqltypes.Value{}))
+	)
+	b := int64(entryOverhead+keyLen) + rowHeaderBytes*int64(len(rows.Data))
 	if stored {
 		return b
 	}
 	for _, r := range rows.Data {
-		b += 32 * int64(len(r))
+		b += valueBytes * int64(len(r))
 		for _, v := range r {
 			switch v.Kind() {
 			case sqltypes.KindString, sqltypes.KindClob, sqltypes.KindDatalink, sqltypes.KindBytes:

@@ -555,7 +555,7 @@ func TestResultCacheHotEntrySurvivesColdChurn(t *testing.T) {
 	db := memDB(t)
 	db.setResultCacheCap(8 << 10)
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, pad VARCHAR(1200))`)
-	pad := strings.Repeat("p", 1150)
+	pad := strings.Repeat("p", 1200)
 	for i := 0; i <= 200; i++ {
 		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString(pad))
 	}

@@ -82,19 +82,22 @@ func TestResidentBytesPerRow(t *testing.T) {
 	withPK := resident(",\n  PRIMARY KEY (FILE_NAME, SIMULATION_KEY)")
 	withIdx := resident(",\n  PRIMARY KEY (FILE_NAME, SIMULATION_KEY)",
 		`CREATE INDEX IDX_RESULT_SIM_TS ON RESULT_FILE (SIMULATION_KEY, TIMESTEP)`)
-	// Ceilings are the measured figures + 5%: 364.3 / 137.4 / 112.8 /
-	// 614.5 (heap 380.3 under -race, which does not pack tiny strings).
-	// The same test read 478.1 / 137.9 / 111.9 / 727.9 while a
-	// sync.Map beside slots mapped every row id to its slot.
+	// Ceilings are the measured figures + 5%: 297.4 / 114.2 / 94.8 /
+	// 506.4, but the heap's is 315 because -race, which does not pack
+	// tiny strings, reads 313.4 there. The same test read 345.7 / 137.1
+	// / 112.8 / 595.6 while a Value was 32 bytes and every index key
+	// kept its postings in a slice of its own, and 478.1 / 137.9 /
+	// 111.9 / 727.9 while a sync.Map beside slots mapped every row id
+	// to its slot.
 	for _, share := range []struct {
 		name    string
 		got     float64
 		ceiling float64
 	}{
-		{"heap", heap, 383},
-		{"primary key", withPK - heap, 144},
-		{"(SIMULATION_KEY, TIMESTEP) index", withIdx - withPK, 118},
-		{"row with both", withIdx, 645},
+		{"heap", heap, 315},
+		{"primary key", withPK - heap, 120},
+		{"(SIMULATION_KEY, TIMESTEP) index", withIdx - withPK, 100},
+		{"row with both", withIdx, 532},
 	} {
 		t.Logf("%-34s %6.1f B/row", share.name, share.got)
 		if share.got > share.ceiling {

@@ -11,63 +11,68 @@ import (
 // with datalink by URL), and (0, false) otherwise — including when either
 // side is NULL, since NULL compares as UNKNOWN.
 func Compare(a, b Value) (int, bool) {
-	if a.kind == KindNull || b.kind == KindNull {
+	return compare(a, a.Kind(), b, b.Kind())
+}
+
+// compare is Compare for values whose kinds ak and bk the caller has
+// read, so each is derived once per comparison.
+func compare(a Value, ak Kind, b Value, bk Kind) (int, bool) {
+	if ak == KindNull || bk == KindNull {
 		return 0, false
 	}
-	// Numeric cross-kind promotion.
-	if a.IsNumeric() && b.IsNumeric() {
-		if a.kind == KindInt && b.kind == KindInt {
+	if ak == bk {
+		switch ak {
+		case KindInt, KindBool:
 			return cmpInt(int64(a.x), int64(b.x)), true
+		case KindDouble:
+			return cmpFloat(a.Double(), b.Double()), true
+		case KindTime:
+			if a.isScalar() && b.isScalar() {
+				return cmpInt(int64(a.x), int64(b.x)), true
+			}
+			at, bt := a.Time(), b.Time()
+			switch {
+			case at.Before(bt):
+				return -1, true
+			case at.After(bt):
+				return 1, true
+			default:
+				return 0, true
+			}
+		case KindString, KindClob, KindBytes, KindDatalink:
+			return strings.Compare(a.s, b.s), true
 		}
-		af, _ := a.AsDouble()
-		bf, _ := b.AsDouble()
-		return cmpFloat(af, bf), true
+		return 0, false
 	}
 	switch {
-	case a.IsTextual() && b.IsTextual():
-		return strings.Compare(a.s, b.s), true
-	case a.kind == KindBool && b.kind == KindBool:
-		return cmpInt(int64(a.x), int64(b.x)), true
-	case a.kind == KindTime && b.kind == KindTime:
-		an, afar := a.timeOrd()
-		bn, bfar := b.timeOrd()
-		if !afar && !bfar {
-			return cmpInt(an, bn), true
-		}
-		at, bt := a.Time(), b.Time()
-		switch {
-		case at.Before(bt):
-			return -1, true
-		case at.After(bt):
-			return 1, true
-		default:
-			return 0, true
-		}
-	case a.kind == KindBytes && b.kind == KindBytes:
-		return strings.Compare(a.s, b.s), true
-	case a.kind == KindDatalink && b.kind == KindDatalink:
+	// Numeric cross-kind promotion.
+	case ak.numeric() && bk.numeric():
+		af, _ := a.asDouble(ak)
+		bf, _ := b.asDouble(bk)
+		return cmpFloat(af, bf), true
+	case ak.textual() && bk.textual():
 		return strings.Compare(a.s, b.s), true
 	// Mixed string/number: SQL engines typically attempt numeric coercion
 	// of the string operand; we follow that convention because the QBE
 	// layer sends every restriction as text.
-	case a.IsTextual() && b.IsNumeric():
-		if af, ok := a.AsDouble(); ok {
-			bf, _ := b.AsDouble()
+	case ak.textual() && bk.numeric():
+		if af, ok := a.asDouble(ak); ok {
+			bf, _ := b.asDouble(bk)
 			return cmpFloat(af, bf), true
 		}
 		return 0, false
-	case a.IsNumeric() && b.IsTextual():
-		if bf, ok := b.AsDouble(); ok {
-			af, _ := a.AsDouble()
+	case ak.numeric() && bk.textual():
+		if bf, ok := b.asDouble(bk); ok {
+			af, _ := a.asDouble(ak)
 			return cmpFloat(af, bf), true
 		}
 		return 0, false
-	case a.kind == KindTime && b.IsTextual():
+	case ak == KindTime && bk.textual():
 		if bt, err := ParseTimestamp(b.s); err == nil {
 			return Compare(a, NewTime(bt))
 		}
 		return 0, false
-	case a.IsTextual() && b.kind == KindTime:
+	case ak.textual() && bk == KindTime:
 		c, ok := Compare(b, a)
 		return -c, ok
 	}
@@ -112,7 +117,8 @@ func cmpFloat(a, b float64) int {
 // SortCompare orders values for ORDER BY: NULLs sort first, then by
 // Compare; incomparable pairs order by kind so sorting is total and stable.
 func SortCompare(a, b Value) int {
-	an, bn := a.kind == KindNull, b.kind == KindNull
+	ak, bk := a.Kind(), b.Kind()
+	an, bn := ak == KindNull, bk == KindNull
 	switch {
 	case an && bn:
 		return 0
@@ -121,8 +127,8 @@ func SortCompare(a, b Value) int {
 	case bn:
 		return 1
 	}
-	if c, ok := Compare(a, b); ok {
+	if c, ok := compare(a, ak, b, bk); ok {
 		return c
 	}
-	return cmpInt(int64(a.kind), int64(b.kind))
+	return cmpInt(int64(ak), int64(bk))
 }

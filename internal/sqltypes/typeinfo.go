@@ -54,7 +54,8 @@ func ParseTimestamp(s string) (time.Time, error) {
 // returning an error when SQL assignment rules forbid the conversion.
 // It is the single point deciding INSERT/UPDATE type compatibility.
 func CoerceFor(t TypeInfo, v Value) (Value, error) {
-	if v.IsNull() {
+	vk := v.Kind()
+	if vk == KindNull {
 		return Null, nil
 	}
 	switch t.Kind {
@@ -67,7 +68,7 @@ func CoerceFor(t TypeInfo, v Value) (Value, error) {
 			return NewDouble(f), nil
 		}
 	case KindString:
-		if v.IsTextual() || v.IsNumeric() || v.kind == KindBool || v.kind == KindTime {
+		if vk.textual() || vk.numeric() || vk == KindBool || vk == KindTime {
 			s := v.AsString()
 			if t.Size > 0 && len(s) > t.Size {
 				return Null, fmt.Errorf("sqltypes: value too long for %s (%d > %d)", t, len(s), t.Size)
@@ -75,7 +76,7 @@ func CoerceFor(t TypeInfo, v Value) (Value, error) {
 			return NewString(s), nil
 		}
 	case KindBool:
-		switch v.kind {
+		switch vk {
 		case KindBool:
 			return v, nil
 		case KindInt:
@@ -89,7 +90,7 @@ func CoerceFor(t TypeInfo, v Value) (Value, error) {
 			}
 		}
 	case KindTime:
-		switch v.kind {
+		switch vk {
 		case KindTime:
 			return v, nil
 		case KindString:
@@ -98,21 +99,21 @@ func CoerceFor(t TypeInfo, v Value) (Value, error) {
 			}
 		}
 	case KindBytes:
-		switch v.kind {
+		switch vk {
 		case KindBytes:
 			return v, nil
 		case KindString, KindClob:
 			return NewBytes([]byte(v.s)), nil
 		}
 	case KindClob:
-		if v.IsTextual() {
+		if vk.textual() {
 			return NewClob(v.AsString()), nil
 		}
-		if v.kind == KindBytes {
+		if vk == KindBytes {
 			return NewClob(v.s), nil
 		}
 	case KindDatalink:
-		switch v.kind {
+		switch vk {
 		case KindDatalink:
 			return v, nil
 		case KindString:
@@ -122,5 +123,5 @@ func CoerceFor(t TypeInfo, v Value) (Value, error) {
 			return NewDatalink(v.s), nil
 		}
 	}
-	return Null, fmt.Errorf("sqltypes: cannot store %s value into %s column", v.Kind(), t)
+	return Null, fmt.Errorf("sqltypes: cannot store %s value into %s column", vk, t)
 }

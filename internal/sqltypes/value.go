@@ -9,25 +9,40 @@
 //
 // # Layout
 //
-// Value is 32 bytes — a kind byte, a flags byte, one 64-bit scalar word
-// and a string header — so SELECT scans copy rows in a handful of MOVs
-// instead of the duffcopy loop the previous 112-byte struct (separate
-// int64, float64, string, []byte and time.Time fields) required:
+// Value is 24 bytes — a string header and one 64-bit word — because
+// every archived row holds one Value per column resident, so its size
+// sets how many catalogue rows fit in memory. The kind lives in
+// whichever half the payload leaves free:
 //
-//	kind  Kind   — runtime type tag
-//	flags uint8  — layout flags (flagFarTime)
-//	x     uint64 — INTEGER payload, BOOLEAN (0/1), DOUBLE as IEEE-754
-//	               bits, or TIMESTAMP as UTC unix nanoseconds
-//	s     string — VARCHAR/CLOB/DATALINK text; BLOB bytes aliased as a
-//	               string (values are immutable, so the no-copy view is
-//	               safe); far-timestamp gob payload
+//	payload kinds (VARCHAR, CLOB, DATALINK, BLOB, far TIMESTAMP):
+//	  s — the payload: text; BLOB bytes aliased as a string (values
+//	      are immutable, so the no-copy view is safe); the marshalled
+//	      time.Time of a far timestamp
+//	  x — the kind in its top byte, zero below
+//	scalar kinds (INTEGER, DOUBLE, BOOLEAN, inline TIMESTAMP):
+//	  s — a tag: a string pointing into the private scalarTag array,
+//	      whose length is the kind
+//	  x — the payload: INTEGER, BOOLEAN (0/1), DOUBLE as IEEE-754
+//	      bits, or TIMESTAMP as UTC unix nanoseconds
+//
+// Kind is one pointer compare: a value whose s points at scalarTag is a
+// scalar of kind len(s), any other takes its kind from x. No payload can
+// point there, because no accessor hands a tag out. The zero Value
+// (empty s, x = 0) is NULL.
+//
+// The payload stays in a string field rather than a 16-byte
+// {unsafe.Pointer, word} pair. reflect.DeepEqual — which the WAL and
+// workload-generator tests use to compare rows — compares a string by
+// content and a pointer by address, so two equal VARCHARs built apart
+// would differ under the pointer layout. Tags of one kind share their
+// content, so equal scalars stay DeepEqual too.
 //
 // Invariants:
 //
 //   - The zero Value is SQL NULL.
 //   - TIMESTAMP values are stored in UTC. Instants representable as
-//     int64 nanoseconds (years 1678–2262, plus the zero time.Time) live
-//     in x; anything outside that window sets flagFarTime and keeps the
+//     int64 nanoseconds (years 1678–2262, plus the zero time.Time) are
+//     scalars; anything outside that window is a payload kind with the
 //     time.Time marshalled in s, so no instant is silently truncated.
 //   - BLOB payloads alias the []byte passed to NewBytes; neither the
 //     caller (after construction) nor the receiver of Bytes() may
@@ -85,9 +100,12 @@ func (k Kind) String() string {
 	}
 }
 
-// flagFarTime marks a TIMESTAMP whose instant lies outside the int64
-// unix-nanosecond window; its payload is marshalled in s instead of x.
-const flagFarTime = 1 << 0
+// kindShift places a payload value's kind in the top byte of x.
+const kindShift = 56
+
+// scalarTag is what a scalar value's s points into; its length is the
+// kind, so the array needs a byte for every scalar kind.
+var scalarTag [KindTime + 1]byte
 
 // zeroTimeBits is the x sentinel (the bit pattern of math.MinInt64) for
 // the zero time.Time, which predates the nanosecond window but must
@@ -112,23 +130,34 @@ func InNanoRange(t time.Time) bool {
 // Value is a single SQL value. The zero Value is SQL NULL.
 // See the package comment for the layout and its invariants.
 type Value struct {
-	kind  Kind
-	flags uint8
-	x     uint64
-	s     string
+	s string
+	x uint64
 }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
+// scalar returns a scalar-kind value: the tag of kind k and payload x.
+func scalar(k Kind, x uint64) Value {
+	return Value{s: unsafe.String(&scalarTag[0], int(k)), x: x}
+}
+
+// payload returns a payload-kind value: s with kind k in x's top byte.
+func payload(k Kind, s string) Value {
+	return Value{s: s, x: uint64(k) << kindShift}
+}
+
+// isScalar reports whether s is a tag, so x holds the payload.
+func (v Value) isScalar() bool { return unsafe.StringData(v.s) == &scalarTag[0] }
+
 // NewInt returns an INTEGER value.
-func NewInt(v int64) Value { return Value{kind: KindInt, x: uint64(v)} }
+func NewInt(v int64) Value { return scalar(KindInt, uint64(v)) }
 
 // NewDouble returns a DOUBLE value.
-func NewDouble(v float64) Value { return Value{kind: KindDouble, x: math.Float64bits(v)} }
+func NewDouble(v float64) Value { return scalar(KindDouble, math.Float64bits(v)) }
 
 // NewString returns a VARCHAR value.
-func NewString(v string) Value { return Value{kind: KindString, s: v} }
+func NewString(v string) Value { return payload(KindString, v) }
 
 // NewBool returns a BOOLEAN value.
 func NewBool(v bool) Value {
@@ -136,14 +165,14 @@ func NewBool(v bool) Value {
 	if v {
 		x = 1
 	}
-	return Value{kind: KindBool, x: x}
+	return scalar(KindBool, x)
 }
 
 // NewTime returns a TIMESTAMP value (stored in UTC).
 func NewTime(v time.Time) Value {
 	t := v.UTC()
 	if t.IsZero() {
-		return Value{kind: KindTime, x: zeroTimeBits}
+		return scalar(KindTime, zeroTimeBits)
 	}
 	if t.Before(minNanoTime) || t.After(maxNanoTime) {
 		// Outside the inline window (before 1678 or after 2262): keep
@@ -152,31 +181,37 @@ func NewTime(v time.Time) Value {
 		if err != nil {
 			// MarshalBinary only fails on malformed zone offsets, which
 			// UTC() has already normalised away; keep NULL-safe anyway.
-			return Value{kind: KindTime, x: zeroTimeBits}
+			return scalar(KindTime, zeroTimeBits)
 		}
-		return Value{kind: KindTime, flags: flagFarTime, s: string(b)}
+		return payload(KindTime, string(b))
 	}
-	return Value{kind: KindTime, x: uint64(t.UnixNano())}
+	return scalar(KindTime, uint64(t.UnixNano()))
 }
 
 // NewBytes returns a BLOB value. The slice is used directly; callers must
 // not mutate it afterwards.
 func NewBytes(v []byte) Value {
-	return Value{kind: KindBytes, s: unsafe.String(unsafe.SliceData(v), len(v))}
+	return payload(KindBytes, unsafe.String(unsafe.SliceData(v), len(v)))
 }
 
 // NewClob returns a CLOB value.
-func NewClob(v string) Value { return Value{kind: KindClob, s: v} }
+func NewClob(v string) Value { return payload(KindClob, v) }
 
 // NewDatalink returns a DATALINK value holding the canonical URL form
 // "scheme://host/path" exactly as it would appear in an SQL INSERT.
-func NewDatalink(url string) Value { return Value{kind: KindDatalink, s: url} }
+func NewDatalink(url string) Value { return payload(KindDatalink, url) }
 
 // Kind reports the value's runtime kind.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if v.isScalar() {
+		return Kind(len(v.s))
+	}
+	return Kind(v.x >> kindShift)
+}
 
-// IsNull reports whether the value is SQL NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+// IsNull reports whether the value is SQL NULL: a payload kind's x and a
+// scalar's tag are never zero.
+func (v Value) IsNull() bool { return v.x == 0 && len(v.s) == 0 }
 
 // Int returns the INTEGER payload; valid only when Kind()==KindInt or KindBool.
 func (v Value) Int() int64 { return int64(v.x) }
@@ -184,15 +219,21 @@ func (v Value) Int() int64 { return int64(v.x) }
 // Double returns the DOUBLE payload.
 func (v Value) Double() float64 { return math.Float64frombits(v.x) }
 
-// Str returns the string payload of VARCHAR, CLOB or DATALINK values.
-func (v Value) Str() string { return v.s }
+// Str returns the string payload of VARCHAR, CLOB or DATALINK values,
+// and "" for a scalar, whose tag must not escape.
+func (v Value) Str() string {
+	if v.isScalar() {
+		return ""
+	}
+	return v.s
+}
 
 // Bool returns the BOOLEAN payload.
 func (v Value) Bool() bool { return v.x != 0 }
 
 // Time returns the TIMESTAMP payload.
 func (v Value) Time() time.Time {
-	if v.flags&flagFarTime != 0 {
+	if !v.isScalar() {
 		var t time.Time
 		if err := t.UnmarshalBinary([]byte(v.s)); err != nil {
 			return time.Time{}
@@ -205,19 +246,9 @@ func (v Value) Time() time.Time {
 	return time.Unix(0, int64(v.x)).UTC()
 }
 
-// timeOrd returns an ordering key for TIMESTAMP values: far times order
-// by their reconstructed instant, inline times by their nanosecond word.
-// Comparing two inline timestamps never allocates.
-func (v Value) timeOrd() (nanos int64, far bool) {
-	if v.flags&flagFarTime != 0 {
-		return 0, true
-	}
-	return int64(v.x), false
-}
-
 // Bytes returns the BLOB payload. Callers must not mutate the result.
 func (v Value) Bytes() []byte {
-	if len(v.s) == 0 {
+	if len(v.s) == 0 || v.isScalar() {
 		return nil
 	}
 	return unsafe.Slice(unsafe.StringData(v.s), len(v.s))
@@ -226,7 +257,7 @@ func (v Value) Bytes() []byte {
 // AsInt coerces the value to int64 where a lossless or conventional SQL
 // conversion exists.
 func (v Value) AsInt() (int64, bool) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt, KindBool:
 		return int64(v.x), true
 	case KindDouble:
@@ -248,7 +279,12 @@ func (v Value) AsInt() (int64, bool) {
 
 // AsDouble coerces the value to float64 under SQL numeric promotion rules.
 func (v Value) AsDouble() (float64, bool) {
-	switch v.kind {
+	return v.asDouble(v.Kind())
+}
+
+// asDouble is AsDouble for a value whose kind k the caller has read.
+func (v Value) asDouble(k Kind) (float64, bool) {
+	switch k {
 	case KindInt, KindBool:
 		return float64(int64(v.x)), true
 	case KindDouble:
@@ -266,7 +302,7 @@ func (v Value) AsDouble() (float64, bool) {
 
 // AsString renders the value as the string a CAST(x AS VARCHAR) would give.
 func (v Value) AsString() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return ""
 	case KindInt:
@@ -288,21 +324,21 @@ func (v Value) AsString() string {
 }
 
 // IsNumeric reports whether the value participates in arithmetic.
-func (v Value) IsNumeric() bool {
-	return v.kind == KindInt || v.kind == KindDouble
-}
+func (v Value) IsNumeric() bool { return v.Kind().numeric() }
 
 // IsTextual reports whether the value is character data (VARCHAR or CLOB).
-func (v Value) IsTextual() bool {
-	return v.kind == KindString || v.kind == KindClob
-}
+func (v Value) IsTextual() bool { return v.Kind().textual() }
+
+func (k Kind) numeric() bool { return k == KindInt || k == KindDouble }
+
+func (k Kind) textual() bool { return k == KindString || k == KindClob }
 
 // Size returns the logical size in bytes/characters of the value: the
 // length for strings/CLOBs/BLOBs, 8 for numerics and timestamps, and the
 // URL length for DATALINKs. The web layer displays this next to LOB and
 // DATALINK hyperlinks, as in the paper's result-table figure.
 func (v Value) Size() int {
-	switch v.kind {
+	switch v.Kind() {
 	case KindString, KindClob, KindDatalink, KindBytes:
 		return len(v.s)
 	case KindNull:
@@ -315,7 +351,7 @@ func (v Value) Size() int {
 // String implements fmt.Stringer with an SQL-literal style rendering,
 // used in logs and error messages.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindString:
@@ -334,9 +370,6 @@ func (v Value) String() string {
 // Equal reports strict SQL equality (NULL is not equal to anything,
 // including NULL). Use Compare for ordering with NULL handling.
 func (v Value) Equal(o Value) bool {
-	if v.kind == KindNull || o.kind == KindNull {
-		return false
-	}
 	c, ok := Compare(v, o)
 	return ok && c == 0
 }

@@ -247,6 +247,8 @@ type formPair struct{ key, value string }
 // request to request.
 type queryForm struct {
 	pairs []formPair
+	buf   []byte // parse's unescaped keys and values, end to end
+	ends  []int  // parse's escaped keys and values: component, end in buf
 	sel   []string
 	vals  []formPair // val_<COL> pairs, keyed by COL
 	ops   []formPair // op_<COL> pairs, keyed by COL
@@ -263,9 +265,11 @@ func (f *queryForm) release() {
 
 // parse decodes raw into f's pairs as url.ParseQuery does, and reports
 // false for a query ParseQuery refuses: a pair holding a ';' or a bad
-// escape.
+// escape. A key or value with nothing to unescape is a substring of
+// raw; the others are unescaped into buf end to end and copied out
+// once, so a form costs one allocation however many escapes it holds.
 func (f *queryForm) parse(raw string) bool {
-	f.pairs = f.pairs[:0]
+	f.pairs, f.buf, f.ends = f.pairs[:0], f.buf[:0], f.ends[:0]
 	for raw != "" {
 		var pair string
 		pair, raw, _ = strings.Cut(raw, "&")
@@ -276,14 +280,75 @@ func (f *queryForm) parse(raw string) bool {
 			return false
 		}
 		k, v, _ := strings.Cut(pair, "=")
-		k, kerr := url.QueryUnescape(k)
-		v, verr := url.QueryUnescape(v)
-		if kerr != nil || verr != nil {
+		if !f.unescape(k, 2*len(f.pairs)) || !f.unescape(v, 2*len(f.pairs)+1) {
 			return false
 		}
 		f.pairs = append(f.pairs, formPair{k, v})
 	}
+	s, start := string(f.buf), 0
+	for i := 0; i < len(f.ends); i += 2 {
+		c, end := f.ends[i], f.ends[i+1]
+		if p := &f.pairs[c/2]; c%2 == 0 {
+			p.key = s[start:end]
+		} else {
+			p.value = s[start:end]
+		}
+		start = end
+	}
 	return true
+}
+
+// unescape appends escaped key or value s to buf, noting in ends which
+// it is — component c, 2i for pair i's key and 2i+1 for its value — and
+// where it ends, and reports false for a bad escape. An s without
+// escapes stays where it is.
+func (f *queryForm) unescape(s string, c int) bool {
+	if !strings.ContainsAny(s, "%+") {
+		return true
+	}
+	var ok bool
+	f.buf, ok = appendUnescaped(f.buf, s)
+	f.ends = append(f.ends, c, len(f.buf))
+	return ok
+}
+
+// appendUnescaped appends s decoded as url.QueryUnescape decodes it,
+// and reports false where QueryUnescape fails: on a '%' not followed by
+// two hex digits.
+func appendUnescaped(b []byte, s string) ([]byte, bool) {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '%':
+			if i+2 >= len(s) {
+				return b, false
+			}
+			hi, hok := unhex(s[i+1])
+			lo, lok := unhex(s[i+2])
+			if !hok || !lok {
+				return b, false
+			}
+			b = append(b, hi<<4|lo)
+			i += 2
+		case '+':
+			b = append(b, ' ')
+		default:
+			b = append(b, c)
+		}
+	}
+	return b, true
+}
+
+// unhex returns the value of hexadecimal digit c.
+func unhex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }
 
 // get returns the first value of key, as url.Values.Get does.
