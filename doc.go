@@ -59,8 +59,9 @@
 //     is accepted and ignored); composite indexes concatenate the
 //     per-column encodings, whose terminator scheme makes tuple order
 //     equal byte order. Constraints are enforced by probing that
-//     tree's MVCC postings for a current holder, so the structure
-//     that guards a key is the one the planner reads it through. The
+//     tree's postings for a row whose current version holds the key,
+//     so the structure that guards a key is the one the planner reads
+//     it through. The
 //     planner matches WHERE conjuncts against each index's leading
 //     prefix: full-tuple equality is a point lookup, any equality
 //     prefix plus one range/BETWEEN/IS [NOT] NULL predicate on the
@@ -135,8 +136,11 @@
 //     COUNT(*) and COUNT(col) calls only and its WHERE clause is
 //     consumed exactly by the chosen path (no residual conjuncts —
 //     tracked at plan time), the count is the sum of visible-posting
-//     counts under the key range the statement's scan resolved — zero
-//     heap rows read, asserted via DB.HeapRowReads. MIN, MAX and an
+//     counts under the key range the statement's scan resolved. A
+//     posting of a row with one version is counted by that version's
+//     stamps, so over rows not written since the last vacuum zero heap
+//     rows are read, asserted via DB.HeapRowReads; a row written since
+//     has its key re-read, and counts as a heap read. MIN, MAX and an
 //     aggregate with no path, an unfiltered COUNT(*) included, fold
 //     over the rows the path finds.
 //
@@ -178,8 +182,14 @@
 //
 // The engine is multi-version: every heap row is a chain of versions
 // stamped with the commit timestamps that created and (when
-// overwritten or deleted) ended them, and secondary-index postings
-// carry the same stamps. The rules:
+// overwritten or deleted) ended them. Index postings carry no stamps: a
+// posting is the row's slot filed under a key, visible at a snapshot
+// iff the row's version visible there has that key. Postings are only
+// ever filed under a key some version of the row has, and vacuum keeps
+// a row's postings under its one remaining version's keys alone, so a
+// row with one version is visible through its postings by its stamps
+// alone; only a row written since the last vacuum has its key
+// re-encoded and compared. The rules:
 //
 //   - Visibility. A statement run under the shared read lock pins a
 //     snapshot — the highest published commit stamp — at statement
@@ -213,16 +223,18 @@
 //     every written table, so a second, per-table write path would
 //     serve none of its writes.
 //
-//   - Vacuum. Dead versions (and their index postings) accumulate
-//     until reclaimed: DB.Vacuum on demand, or the background vacuum
+//   - Vacuum. Dead versions and stale postings (a deleted row's, an
+//     updated row's under keys it no longer has) accumulate until
+//     reclaimed: DB.Vacuum on demand, or the background vacuum
 //     once the dead-version debt crosses DB.AutoVacuumDeadRows
 //     (default 16384; 0 disables). Vacuum runs under the global
 //     barrier with the WAL fenced, so every stamp is resolved and no
 //     snapshot is live; because readers hold the read lock for the
 //     whole statement, "older than the oldest live snapshot" reduces
 //     to "not the current committed version", and each table folds to
-//     exactly one version per live row, with every index swept of
-//     dead postings (emptied leaves merge away). That barrier is also
+//     exactly one version per live row; a folded row keeps only its
+//     postings under that version's keys, a removed row none (emptied
+//     leaves merge away). That barrier is also
 //     why an index posting can be the row reference itself — a pointer
 //     to the row's slot, followed with no id lookup: a slot and its
 //     postings are removed only here, together, with no reader in

@@ -78,15 +78,19 @@ func pathGuaranteesNotNull(path *accessPath, colPos int) bool {
 }
 
 // runIndexOnlyAgg answers the planned COUNTs from scan's key range,
-// counted once and read from no heap row. Governance errors
-// (cancellation, deadline) surface immediately.
+// counted once. A posting of a row with one version is counted by its
+// stamps alone; only a row written since the last vacuum has its values
+// read, to recheck its key, and counts as a heap read. Governance
+// errors (cancellation, deadline) surface immediately.
 func (db *DB) runIndexOnlyAgg(plan *selectPlan, ctx *evalCtx, scan tableScan) (*Rows, error) {
 	s := plan.stmt
 	var count int64
-	if err := scan.keys(ctx, false, func(_ string, rows []*rowSlot) bool {
+	rechecks, err := scan.keys(ctx, false, func(_ string, rows []visibleRow) bool {
 		count += int64(len(rows))
 		return true
-	}); err != nil {
+	})
+	scan.td.heapReads.Add(rechecks)
+	if err != nil {
 		return nil, err
 	}
 	vals := make([]sqltypes.Value, len(plan.proj))

@@ -402,9 +402,11 @@ func TestOrderedIndexDeleteReclaim(t *testing.T) {
 	ix := newOrderedIndex("IX", schema, []string{"K"})
 
 	const n = 20000
-	row := func(k int64) []sqltypes.Value { return []sqltypes.Value{sqltypes.NewInt(k)} }
+	key := func(k int64) string { return encodeKey(sqltypes.NewInt(k)) }
+	slots := make([]*rowSlot, n)
 	for i := int64(0); i < n; i++ {
-		ix.addRow(row(i), liveEntry(&rowSlot{id: rowID(i)}))
+		slots[i] = &rowSlot{id: rowID(i)}
+		ix.insertKey(key(i), slots[i])
 	}
 	full := ix.nodeCount()
 	if full < n/btreeLeafMax {
@@ -418,41 +420,37 @@ func TestOrderedIndexDeleteReclaim(t *testing.T) {
 	}
 	// Delete everything: the tree must collapse back to a single node.
 	for i := int64(0); i < n; i++ {
-		ix.removeRow(row(i), rowID(i))
+		ix.removeEntry(key(i), slots[i])
 	}
 	if got := ix.nodeCount(); got != 1 {
 		t.Fatalf("after deleting all keys: %d nodes, want 1 (was %d)", got, full)
 	}
 	// And it must still be a working index.
-	ix.addRow(row(42), liveEntry(&rowSlot{id: 1}))
-	if es := ix.lookupKey(encodeKey(sqltypes.NewInt(42))); len(es) != 1 || es[0].slot.id != 1 {
-		t.Fatalf("lookup after reclaim: %v", es)
+	ix.insertKey(key(42), &rowSlot{id: 1})
+	if ss := ix.lookupKey(key(42)); len(ss) != 1 || ss[0].id != 1 {
+		t.Fatalf("lookup after reclaim: %v", ss)
 	}
 
 	// Interleaved random inserts/deletes against a map oracle.
 	rng := rand.New(rand.NewSource(41))
 	ix2 := newOrderedIndex("IX2", schema, []string{"K"})
-	oracle := map[int64][]rowID{}
+	oracle := map[int64][]*rowSlot{}
 	nextID := rowID(1)
 	for op := 0; op < 30000; op++ {
 		k := int64(rng.Intn(500))
 		if rng.Intn(3) > 0 && len(oracle[k]) == 0 || rng.Intn(2) == 0 {
-			ix2.addRow(row(k), liveEntry(&rowSlot{id: nextID}))
-			oracle[k] = append(oracle[k], nextID)
+			s := &rowSlot{id: nextID}
+			ix2.insertKey(key(k), s)
+			oracle[k] = append(oracle[k], s)
 			nextID++
-		} else if ids := oracle[k]; len(ids) > 0 {
-			victim := ids[rng.Intn(len(ids))]
-			ix2.removeRow(row(k), victim)
-			for j, id := range ids {
-				if id == victim {
-					oracle[k] = append(ids[:j], ids[j+1:]...)
-					break
-				}
-			}
+		} else if ss := oracle[k]; len(ss) > 0 {
+			j := rng.Intn(len(ss))
+			ix2.removeEntry(key(k), ss[j])
+			oracle[k] = append(ss[:j], ss[j+1:]...)
 		}
 	}
 	for k, want := range oracle {
-		got := ix2.lookupKey(encodeKey(sqltypes.NewInt(k)))
+		got := ix2.lookupKey(key(k))
 		if len(got) != len(want) {
 			t.Fatalf("key %d: %d ids, want %d", k, len(got), len(want))
 		}
@@ -460,8 +458,8 @@ func TestOrderedIndexDeleteReclaim(t *testing.T) {
 	// In-order scan yields sorted, live keys only.
 	prev := ""
 	keys := 0
-	ix2.scanRange(nil, nil, false, func(k string, es []*idxEntry) bool {
-		if len(es) == 0 {
+	ix2.scanRange(nil, nil, false, func(k string, ss []*rowSlot) bool {
+		if len(ss) == 0 {
 			t.Fatalf("empty id list under key %q", k)
 		}
 		if k <= prev && prev != "" {

@@ -255,7 +255,7 @@ type DB struct {
 	// snapshot. Zero disables automatic checkpoints.
 	CheckpointEvery int
 	// AutoVacuumDeadRows triggers a background vacuum once the total
-	// count of dead row versions and dead index entries across all
+	// count of dead row versions and stale index postings across all
 	// tables exceeds it. Zero disables auto-vacuum (DB.Vacuum and
 	// checkpoints still reclaim).
 	AutoVacuumDeadRows int64
@@ -973,10 +973,11 @@ func (db *DB) rollbackTx(tx *txState) error {
 
 // ---------- vacuum ----------
 
-// Vacuum reclaims every dead row version and dead index entry across
+// Vacuum reclaims every dead row version and stale index posting across
 // all tables: version chains fold down to the single current committed
-// version, index entries ended by committed deletes/updates are removed
-// (B+tree nodes merge as they empty). It takes the global barrier — no
+// version, and a row's postings under keys that version does not have
+// are removed, all of a deleted row's (B+tree nodes merge as they
+// empty). It takes the global barrier — no
 // statement is in flight while it runs — and fences the WAL first, so
 // no stamp it reclaims can later be unwound.
 func (db *DB) Vacuum() error {

@@ -172,13 +172,12 @@ func (db *DB) execCreateIndexLocked(tx *txState, s *CreateIndexStmt) (Result, *R
 		}
 	}
 	idx := newOrderedIndex(name, schema, cols)
-	// Backfill under the DDL barrier: every row is committed and no
-	// snapshot that predates the index can be open, so entries carry the
-	// always-visible base stamp.
-	td.scan(snapLatest, func(s *rowSlot, vals []sqltypes.Value) bool {
-		idx.addRow(vals, liveEntry(s))
-		return true
-	})
+	// Backfill under the DDL barrier: each slot is filed under every
+	// distinct key among its retained versions, so whichever of them a
+	// snapshot sees is found under its key (index.go).
+	for _, s := range td.slots {
+		idx.chainKeys(s.head.Load(), func(k string) { idx.insertKey(k, s) })
+	}
 	td.addIndex(idx)
 	db.indexes[name] = indexDef{Name: name, Table: schema.Name, Columns: cols}
 	ddl := fmt.Sprintf("CREATE INDEX %s ON %s (%s)", name, schema.Name, strings.Join(cols, ", "))
@@ -490,20 +489,17 @@ func (db *DB) rowExistsLocked(schema *TableSchema, cols []string, tuple []sqltyp
 		if !aligned || len(idx.pos) < len(pos) || !slices.Equal(idx.pos[:len(pos)], pos) {
 			continue
 		}
-		visit := func(_ string, es []*idxEntry) bool {
-			for _, e := range es {
-				if !entryCurrent(e) {
-					continue
-				}
-				if _, live := e.slot.fetch(snapLatest); live {
+		visit := func(k string, ss []*rowSlot) bool {
+			for _, s := range ss {
+				if v, _ := idx.visibleVersion(k, s, snapLatest); v != nil {
 					found = true
 					return false
 				}
 			}
 			return true
 		}
-		if len(idx.pos) == len(pos) {
-			visit("", idx.lookupKey(string(prefix)))
+		if k := string(prefix); len(idx.pos) == len(pos) {
+			visit(k, idx.lookupKey(k))
 		} else {
 			idx.scanRange(&keyBound{key: string(prefix), incl: true}, prefixUpper(prefix), false, visit)
 		}

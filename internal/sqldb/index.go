@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/sqltypes"
@@ -20,48 +19,59 @@ import (
 // parsed — DDL logs written by earlier versions contain it — and
 // ignored.
 
-// idxEntry is one stamped index posting: the row's slot — the row
-// reference itself, followed with no lookup (see tableData.slots) — and
-// the MVCC begin/end stamps of the key↔row association. It is visible at
-// a snapshot iff a version of the row visible there has this key, so
-// index-only COUNT (from posting counts) stays exact while dead
-// postings linger until vacuum. Only a
-// key-changing update ends an entry and adds a new one.
-type idxEntry struct {
-	slot  *rowSlot
-	begin atomic.Uint64
-	end   atomic.Uint64
-}
+// A posting is a row's slot filed under a key: (k, s) says that some
+// version of row s has key k in this index. Postings carry no stamps.
+// Posting (k, s) is visible at a snapshot iff the version of s visible
+// there has key k (visibleVersion), so index-only COUNT stays exact
+// while stale postings linger until vacuum. Insert posts the new row's
+// keys, a key-changing update posts the new key unless the slot already
+// has it, and only vacuum removes postings: it keeps (k, s) iff s
+// survives and k is its one remaining version's key. Hence the
+// invariant the fast path rests on: a slot whose chain holds one version
+// has postings only under that version's keys.
 
-func (e *idxEntry) visibleAt(snap uint64) bool {
-	return visibleStamp(e.begin.Load(), e.end.Load(), snap)
-}
-
-// entryCurrent reports whether the posting is the latest live one
-// (latest-mode visibility; also the vacuum keep-predicate, since vacuum
-// runs under the barrier with every stamp resolved).
-func entryCurrent(e *idxEntry) bool {
-	return e.begin.Load() != abortedStamp && e.end.Load() == 0
-}
-
-// liveEntry returns a posting stamped as committed from the start, for
-// CREATE INDEX's backfill and the direct index unit tests.
-func liveEntry(s *rowSlot) *idxEntry {
-	e := &idxEntry{slot: s}
-	e.begin.Store(baseStamp)
-	return e
-}
-
-// findCurrentEntry locates the live posting for row s under key k, the
-// one a delete or key-changing update must end. Caller holds the
-// barrier.
-func findCurrentEntry(idx *orderedIndex, k string, s *rowSlot) *idxEntry {
-	for _, e := range idx.lookupKey(k) {
-		if e.slot == s && entryCurrent(e) {
-			return e
+// visibleVersion returns the version behind posting (k, s) visible at
+// snap, or nil, and whether the check read the row's values. A lone
+// version is visible by its stamps alone (the invariant above); in a
+// longer chain, one written since the last vacuum, the version visible
+// at snap has its key re-encoded and compared with k.
+func (ix *orderedIndex) visibleVersion(k string, s *rowSlot, snap uint64) (v *rowVersion, read bool) {
+	if v = s.head.Load(); v.prev == nil {
+		if v.visibleAt(snap) {
+			return v, false
 		}
+		return nil, false
 	}
-	return nil
+	if v = s.versionAt(snap); v == nil {
+		return nil, false
+	}
+	if ix.hasKey(v.vals, k) {
+		return v, true
+	}
+	return nil, true
+}
+
+// hasKey reports whether vals' key in ix is k. Each column is encoded
+// into a stack buffer and matched against k's next bytes, so the
+// recheck allocates nothing for a column encoding of up to 64 bytes.
+func (ix *orderedIndex) hasKey(vals []sqltypes.Value, k string) bool {
+	var buf [64]byte
+	for _, p := range ix.pos {
+		b := appendKey(buf[:0], vals[p])
+		if len(k) < len(b) || k[:len(b)] != string(b) {
+			return false
+		}
+		k = k[len(b):]
+	}
+	return k == ""
+}
+
+// visibleRow is a posting that passed its visibility check: the row's
+// slot and its version visible at the snapshot, so a reader fetches the
+// values without walking the chain again.
+type visibleRow struct {
+	slot *rowSlot
+	ver  *rowVersion
 }
 
 // keyBound is one end of an ordered-index scan.
@@ -79,16 +89,27 @@ type keyBound struct {
 const idxScanBatch = 128
 
 // lookupVisible appends to rows the rows visible at snap under one key,
-// growing rows at most once, to room for every posting under the key.
-func lookupVisible(rows []*rowSlot, idx *orderedIndex, k string, snap uint64) []*rowSlot {
-	es := idx.lookupKey(k)
-	rows = slices.Grow(rows, len(es))
-	for _, e := range es {
-		if e.visibleAt(snap) {
-			rows = append(rows, e.slot)
+// growing rows at most once, to room for every posting under the key,
+// and reports how many rows' values the visibility checks read.
+func lookupVisible(rows []visibleRow, idx *orderedIndex, k string, snap uint64) ([]visibleRow, int64) {
+	ss := idx.lookupKey(k)
+	return appendVisible(slices.Grow(rows, len(ss)), idx, k, ss, snap)
+}
+
+// appendVisible appends to rows those of key k's postings ss visible at
+// snap, and reports how many rows' values the visibility checks read.
+func appendVisible(rows []visibleRow, idx *orderedIndex, k string, ss []*rowSlot, snap uint64) ([]visibleRow, int64) {
+	var rechecks int64
+	for _, s := range ss {
+		v, read := idx.visibleVersion(k, s, snap)
+		if read {
+			rechecks++
+		}
+		if v != nil {
+			rows = append(rows, visibleRow{slot: s, ver: v})
 		}
 	}
-	return rows
+	return rows, rechecks
 }
 
 // scanVisibleRange drives a batched range scan: up to idxScanBatch keys
@@ -98,19 +119,18 @@ func lookupVisible(rows []*rowSlot, idx *orderedIndex, k string, snap uint64) []
 // the tree walk a tight loop apart from the visitor's work. Calling f
 // from inside the walk instead was not shown to cost the report
 // workload nothing: its CPU per op median read 6.5% higher, but in
-// only 10 of 16 pairs, within that workload's run-to-run spread.
-func scanVisibleRange(idx *orderedIndex, lo, hi *keyBound, desc bool, snap uint64, f func(k string, rows []*rowSlot) bool) {
+// only 10 of 16 pairs, within that workload's run-to-run spread. It
+// returns how many rows' values the visibility checks read.
+func scanVisibleRange(idx *orderedIndex, lo, hi *keyBound, desc bool, snap uint64, f func(k string, rows []visibleRow) bool) (rechecks int64) {
 	buf := scanBufs.Get().(*scanBuf)
 	defer scanBufs.Put(buf)
 	for {
 		batch, flat := buf.batch[:0], buf.flat[:0]
-		idx.scanRange(lo, hi, desc, func(k string, es []*idxEntry) bool {
+		idx.scanRange(lo, hi, desc, func(k string, ss []*rowSlot) bool {
 			start := len(flat)
-			for _, e := range es {
-				if e.visibleAt(snap) {
-					flat = append(flat, e.slot)
-				}
-			}
+			var n int64
+			flat, n = appendVisible(flat, idx, k, ss, snap)
+			rechecks += n
 			if len(flat) > start {
 				batch = append(batch, keyRows{k: k, rows: flat[start:len(flat):len(flat)]})
 			}
@@ -119,11 +139,11 @@ func scanVisibleRange(idx *orderedIndex, lo, hi *keyBound, desc bool, snap uint6
 		buf.flat = flat // keep what append grew
 		for _, kv := range batch {
 			if !f(kv.k, kv.rows) {
-				return
+				return rechecks
 			}
 		}
 		if len(batch) < idxScanBatch {
-			return
+			return rechecks
 		}
 		resume := &keyBound{key: batch[len(batch)-1].k, incl: false}
 		if desc {
@@ -134,8 +154,9 @@ func scanVisibleRange(idx *orderedIndex, lo, hi *keyBound, desc bool, snap uint6
 	}
 }
 
-// scanBuf is one range scan's gather buffer: the keys of a batch and,
-// flattened behind them, their visible rows. Pooled because it is sized
+// scanBuf is one scan's gather buffer: the keys of a batch and,
+// flattened behind them, their visible rows (a point lookup's one key
+// gathers into flat alone). Pooled because it is sized
 // for a full batch, which is more than a page-sized result: allocated
 // per scan — per outer row, under a join probe — it would be most of
 // what a small statement allocates. A scan nested inside a visitor
@@ -144,16 +165,16 @@ func scanVisibleRange(idx *orderedIndex, lo, hi *keyBound, desc bool, snap uint6
 // scan or a GC empties the pool: cheaper than clearing on every Put.
 type scanBuf struct {
 	batch []keyRows
-	flat  []*rowSlot
+	flat  []visibleRow
 }
 
 type keyRows struct {
 	k    string
-	rows []*rowSlot
+	rows []visibleRow
 }
 
 var scanBufs = sync.Pool{New: func() any {
-	return &scanBuf{batch: make([]keyRows, 0, idxScanBatch), flat: make([]*rowSlot, 0, 4*idxScanBatch)}
+	return &scanBuf{batch: make([]keyRows, 0, idxScanBatch), flat: make([]visibleRow, 0, 4*idxScanBatch)}
 }}
 
 // ---------- ordered index (B+tree) ----------
@@ -179,15 +200,14 @@ const (
 // Structurally removing the last posting under a key removes the leaf
 // entry, and a leaf that empties out is merged away (its parent drops
 // the hollow child and the adjoining separator), so delete-heavy tables
-// do not accumulate dead nodes once vacuum sweeps the dead postings;
+// do not accumulate dead nodes once vacuum drops the stale postings;
 // within still-populated leaves no rebalancing happens, which is the
 // right trade for the archive's insert-mostly workload.
 //
-// Structural mutation (insertKey, removeEntry, sweepDead) happens only
+// Structural mutation (insertKey, removeEntry, dropStale) happens only
 // under the barrier (DB.mu exclusively); lookups and scans hold DB.mu at
-// least shared. Postings' stamps are atomics. Slices handed to visitors
-// alias index storage and must not be mutated or kept past the
-// statement.
+// least shared. Slices handed to visitors alias index storage and must
+// not be mutated or kept past the statement.
 type orderedIndex struct {
 	name string
 	cols []string // upper-cased column names, index order
@@ -210,52 +230,53 @@ type btreeNode struct {
 	children []*btreeNode
 }
 
-// postings is one key's postings in its leaf. A lone posting is held
-// inline (one); only a key with two or more allocates a list (many),
-// which then holds them all. A key in a leaf has at least one posting.
+// postings is one key's postings in its leaf: the slots filed under it,
+// each at most once. A lone posting is held inline (one); only a key
+// with two or more allocates a list (many), which then holds them all.
+// A key in a leaf has at least one posting.
 type postings struct {
-	one  *idxEntry
-	many *[]*idxEntry
+	one  *rowSlot
+	many *[]*rowSlot
 }
 
 // list returns the postings as a slice. A lone posting comes back as a
 // one-element view of the leaf itself, valid until the next structural
-// change: visitors already must not keep es past their call, and
+// change: visitors already must not keep ss past their call, and
 // structural change runs under the barrier.
-func (p *postings) list() []*idxEntry {
+func (p *postings) list() []*rowSlot {
 	if p.many != nil {
 		return *p.many
 	}
 	return unsafe.Slice(&p.one, 1)
 }
 
-// add appends posting e, moving a lone posting into a list.
-func (p *postings) add(e *idxEntry) {
+// add appends posting s, moving a lone posting into a list.
+func (p *postings) add(s *rowSlot) {
 	if p.many != nil {
-		*p.many = append(*p.many, e)
+		*p.many = append(*p.many, s)
 		return
 	}
-	p.many = &[]*idxEntry{p.one, e}
+	p.many = &[]*rowSlot{p.one, s}
 	p.one = nil
 }
 
-// remove drops the first posting matching the predicate, folding a list
-// left with one posting back inline, and reports whether none remain.
-func (p *postings) remove(match func(*idxEntry) bool) (empty bool) {
+// remove drops posting s, folding a list left with one posting back
+// inline, and reports whether none remain.
+func (p *postings) remove(s *rowSlot) (empty bool) {
 	if p.many == nil {
-		if match(p.one) {
+		if p.one == s {
 			p.one = nil
 		}
 		return p.one == nil
 	}
-	es := *p.many
-	if j := slices.IndexFunc(es, match); j >= 0 {
-		es = slices.Delete(es, j, j+1)
+	ss := *p.many
+	if j := slices.Index(ss, s); j >= 0 {
+		ss = slices.Delete(ss, j, j+1)
 	}
-	if len(es) == 1 {
-		p.one, p.many = es[0], nil
+	if len(ss) == 1 {
+		p.one, p.many = ss[0], nil
 	} else {
-		*p.many = es
+		*p.many = ss
 	}
 	return false
 }
@@ -284,13 +305,9 @@ func (ix *orderedIndex) rowKeyOf(vals []sqltypes.Value) string {
 	return string(b)
 }
 
-func (ix *orderedIndex) addRow(vals []sqltypes.Value, e *idxEntry) {
-	ix.insertKey(ix.rowKeyOf(vals), e)
-}
-
-// insertKey adds a posting under the already-encoded key k.
-func (ix *orderedIndex) insertKey(k string, e *idxEntry) {
-	right, sep := ix.root.insert(k, e)
+// insertKey adds posting (k, s) under the already-encoded key k.
+func (ix *orderedIndex) insertKey(k string, s *rowSlot) {
+	right, sep := ix.root.insert(k, s)
 	if right != nil {
 		ix.root = &btreeNode{
 			seps:     []string{sep},
@@ -299,20 +316,11 @@ func (ix *orderedIndex) insertKey(k string, e *idxEntry) {
 	}
 }
 
-// removeRow structurally removes the current posting for id under the
-// key of vals (the direct index unit tests; DML ends postings by stamp
-// and vacuum sweeps them).
-func (ix *orderedIndex) removeRow(vals []sqltypes.Value, id rowID) {
-	ix.removeEntry(ix.rowKeyOf(vals), func(e *idxEntry) bool {
-		return e.slot.id == id && entryCurrent(e)
-	})
-}
-
-// removeEntry structurally removes the first posting under k matching
-// the predicate and collapses single-child roots so the tree height
-// tracks the live key count back down after bulk removal.
-func (ix *orderedIndex) removeEntry(k string, match func(*idxEntry) bool) {
-	ix.root.remove(k, match)
+// removeEntry structurally removes posting (k, s) and collapses
+// single-child roots so the tree height tracks the live key count back
+// down after bulk removal.
+func (ix *orderedIndex) removeEntry(k string, s *rowSlot) {
+	ix.root.remove(k, s)
 	for !ix.root.leaf && len(ix.root.children) == 1 {
 		ix.root = ix.root.children[0]
 	}
@@ -320,7 +328,7 @@ func (ix *orderedIndex) removeEntry(k string, match func(*idxEntry) bool) {
 
 // lookupKey returns the postings stored under one encoded key (the
 // full column tuple).
-func (ix *orderedIndex) lookupKey(k string) []*idxEntry {
+func (ix *orderedIndex) lookupKey(k string) []*rowSlot {
 	n := ix.root
 	for !n.leaf {
 		n = n.children[n.childFor(k)]
@@ -335,7 +343,7 @@ func (ix *orderedIndex) lookupKey(k string) []*idxEntry {
 // scanRange visits entries with lo <= key <= hi in key order (reversed
 // when desc); nil bounds are open ends. An exclusive bound skips entries
 // equal to the bound key. The visitor returns false to stop.
-func (ix *orderedIndex) scanRange(lo, hi *keyBound, desc bool, f func(k string, es []*idxEntry) bool) {
+func (ix *orderedIndex) scanRange(lo, hi *keyBound, desc bool, f func(k string, ss []*rowSlot) bool) {
 	if desc {
 		ix.root.descend(lo, hi, f)
 	} else {
@@ -343,25 +351,32 @@ func (ix *orderedIndex) scanRange(lo, hi *keyBound, desc bool, f func(k string, 
 	}
 }
 
-// sweepDead structurally removes every non-current posting (vacuum,
-// under the global barrier).
-func (ix *orderedIndex) sweepDead() {
-	type deadPosting struct {
-		k string
-		e *idxEntry
+// dropStale removes slot s's postings under every key that a version
+// of its chain has in ix, except keep's key (every key when keep is
+// nil: the row is gone). Vacuum calls it, under the barrier, for each
+// slot it folds down to keep; since postings are only ever filed under
+// the keys of a slot's versions, this leaves exactly (keep's key, s).
+func (ix *orderedIndex) dropStale(s *rowSlot, chain, keep *rowVersion) {
+	keepKey := "" // no encoded key is empty
+	if keep != nil {
+		keepKey = ix.rowKeyOf(keep.vals)
 	}
-	var dead []deadPosting
-	ix.root.ascend(nil, nil, func(k string, es []*idxEntry) bool {
-		for _, e := range es {
-			if !entryCurrent(e) {
-				dead = append(dead, deadPosting{k: k, e: e})
-			}
+	ix.chainKeys(chain, func(k string) {
+		if k != keepKey {
+			ix.removeEntry(k, s)
 		}
-		return true
 	})
-	for _, d := range dead {
-		victim := d.e
-		ix.removeEntry(d.k, func(e *idxEntry) bool { return e == victim })
+}
+
+// chainKeys calls f once for each distinct key the versions from chain
+// down have in ix.
+func (ix *orderedIndex) chainKeys(chain *rowVersion, f func(k string)) {
+	var seen []string
+	for v := chain; v != nil; v = v.prev {
+		if k := ix.rowKeyOf(v.vals); !slices.Contains(seen, k) {
+			seen = append(seen, k)
+			f(k)
+		}
 	}
 }
 
@@ -386,11 +401,11 @@ func (n *btreeNode) childFor(k string) int {
 
 // insert adds a posting under key k, returning a new right sibling and
 // its separator when the node split.
-func (n *btreeNode) insert(k string, e *idxEntry) (*btreeNode, string) {
+func (n *btreeNode) insert(k string, s *rowSlot) (*btreeNode, string) {
 	if n.leaf {
 		i := sort.SearchStrings(n.keys, k)
 		if i < len(n.keys) && n.keys[i] == k {
-			n.ents[i].add(e)
+			n.ents[i].add(s)
 			return nil, ""
 		}
 		// A full leaf splits before it takes the key, so its arrays never
@@ -419,14 +434,14 @@ func (n *btreeNode) insert(k string, e *idxEntry) (*btreeNode, string) {
 		n.keys[i] = k
 		n.ents = append(n.ents, postings{})
 		copy(n.ents[i+1:], n.ents[i:])
-		n.ents[i] = postings{one: e}
+		n.ents[i] = postings{one: s}
 		if right == nil {
 			return nil, ""
 		}
 		return right, right.keys[0]
 	}
 	ci := n.childFor(k)
-	right, sep := n.children[ci].insert(k, e)
+	right, sep := n.children[ci].insert(k, s)
 	if right == nil {
 		return nil, ""
 	}
@@ -450,25 +465,24 @@ func (n *btreeNode) insert(k string, e *idxEntry) (*btreeNode, string) {
 	return r, up
 }
 
-// remove deletes the first posting under key k matching the predicate
-// and reports whether this node has become empty (merge-at-empty
+// remove deletes posting (k, s) and reports whether this node has become empty (merge-at-empty
 // reclamation: a parent drops an emptied child together with one
 // separator, so hollow leaves do not linger after delete-heavy
 // workloads; partially-filled nodes are never rebalanced).
-func (n *btreeNode) remove(k string, match func(*idxEntry) bool) (empty bool) {
+func (n *btreeNode) remove(k string, s *rowSlot) (empty bool) {
 	if n.leaf {
 		i := sort.SearchStrings(n.keys, k)
 		if i >= len(n.keys) || n.keys[i] != k {
 			return len(n.keys) == 0
 		}
-		if n.ents[i].remove(match) {
+		if n.ents[i].remove(s) {
 			n.keys = append(n.keys[:i], n.keys[i+1:]...)
 			n.ents = append(n.ents[:i], n.ents[i+1:]...)
 		}
 		return len(n.keys) == 0
 	}
 	ci := n.childFor(k)
-	if n.children[ci].remove(k, match) && len(n.children) > 1 {
+	if n.children[ci].remove(k, s) && len(n.children) > 1 {
 		// Drop the hollow child and the separator adjoining it.
 		n.children = append(n.children[:ci], n.children[ci+1:]...)
 		si := ci
@@ -505,7 +519,7 @@ func within(k string, lo, hi *keyBound) bool {
 	return true
 }
 
-func (n *btreeNode) ascend(lo, hi *keyBound, f func(k string, es []*idxEntry) bool) bool {
+func (n *btreeNode) ascend(lo, hi *keyBound, f func(k string, ss []*rowSlot) bool) bool {
 	if n.leaf {
 		start := 0
 		if lo != nil {
@@ -539,7 +553,7 @@ func (n *btreeNode) ascend(lo, hi *keyBound, f func(k string, es []*idxEntry) bo
 	return true
 }
 
-func (n *btreeNode) descend(lo, hi *keyBound, f func(k string, es []*idxEntry) bool) bool {
+func (n *btreeNode) descend(lo, hi *keyBound, f func(k string, ss []*rowSlot) bool) bool {
 	if n.leaf {
 		for i := len(n.keys) - 1; i >= 0; i-- {
 			if !within(n.keys[i], lo, hi) {

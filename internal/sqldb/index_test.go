@@ -9,33 +9,45 @@ import (
 )
 
 // TestIndexPostingsModel runs random inserts, structural removals,
-// aborted inserts, key-changing updates (the old posting ended, a new
-// one added under the new key) and vacuum sweeps over a small key space,
-// so keys move between zero, one, two and many postings, and checks
-// lookupKey, ascending and descending scans, bounded ones too, against
-// a map of each key's postings in the order added. It also checks the
-// leaf layout: a lone posting held inline, a list only for two or more.
+// aborted inserts, key-changing updates (a new version at the chain
+// head, the slot filed under the new key unless it already is) and
+// vacuum folds over a small key space, so keys move between zero, one,
+// two and many postings, and checks lookupKey, ascending and descending
+// scans, bounded ones too, against a map of each key's slots in the
+// order filed. It also checks which postings are visible at snapLatest,
+// and the leaf layout: a lone posting held inline, a list only for two
+// or more.
 func TestIndexPostingsModel(t *testing.T) {
 	schema := &TableSchema{Name: "X", Cols: []Column{{Name: "K", Type: sqltypes.TypeInfo{Kind: sqltypes.KindInt}}}}
 	schema.rebuildIndex()
 	ix := newOrderedIndex("IX", schema, []string{"K"})
 	const keySpace = 300 // enough keys for leaves to split and merge
 	key := func(k int) string { return encodeKey(sqltypes.NewInt(int64(k))) }
-	model := map[string][]*idxEntry{}
+	model := map[string][]*rowSlot{}
+	var slots []*rowSlot // every slot not yet vacuumed away
 	rng := rand.New(rand.NewSource(52))
 	nextID, stamp := rowID(1), uint64(10)
 	var seen [4]int // keys holding 0, 1, 2 and 3+ postings, per check
-	pick := func() (string, *idxEntry) {
+	newSlot := func(k int, begin uint64) *rowSlot {
+		v := &rowVersion{vals: []sqltypes.Value{sqltypes.NewInt(int64(k))}}
+		v.begin.Store(begin)
+		s := &rowSlot{id: nextID}
+		s.head.Store(v)
+		nextID++
+		slots = append(slots, s)
+		return s
+	}
+	pick := func() (string, *rowSlot) {
 		for try := 0; try < 20; try++ {
 			k := key(rng.Intn(keySpace))
-			if es := model[k]; len(es) > 0 {
-				return k, es[rng.Intn(len(es))]
+			if ss := model[k]; len(ss) > 0 {
+				return k, ss[rng.Intn(len(ss))]
 			}
 		}
 		return "", nil
 	}
-	drop := func(k string, victim *idxEntry) {
-		model[k] = slices.DeleteFunc(model[k], func(e *idxEntry) bool { return e == victim })
+	drop := func(k string, victim *rowSlot) {
+		model[k] = slices.DeleteFunc(model[k], func(s *rowSlot) bool { return s == victim })
 		if len(model[k]) == 0 {
 			delete(model, k)
 		}
@@ -43,39 +55,54 @@ func TestIndexPostingsModel(t *testing.T) {
 	for op := 0; op < 20000; op++ {
 		switch r := rng.Intn(20); {
 		case r < 8: // insert
-			k := key(rng.Intn(keySpace))
-			e := liveEntry(&rowSlot{id: nextID})
-			nextID++
-			ix.insertKey(k, e)
-			model[k] = append(model[k], e)
+			k := rng.Intn(keySpace)
+			s := newSlot(k, stamp)
+			ix.insertKey(key(k), s)
+			model[key(k)] = append(model[key(k)], s)
 		case r < 9: // an insert whose transaction aborted
-			k := key(rng.Intn(keySpace))
-			e := &idxEntry{slot: &rowSlot{id: nextID}}
-			e.begin.Store(abortedStamp)
-			nextID++
-			ix.insertKey(k, e)
-			model[k] = append(model[k], e)
+			k := rng.Intn(keySpace)
+			s := newSlot(k, abortedStamp)
+			ix.insertKey(key(k), s)
+			model[key(k)] = append(model[key(k)], s)
 		case r < 14: // structural removal
 			if k, victim := pick(); victim != nil {
-				ix.removeEntry(k, func(e *idxEntry) bool { return e == victim })
+				ix.removeEntry(k, victim)
 				drop(k, victim)
 			}
-		case r < 19: // key-changing UPDATE of a current posting
-			_, old := pick()
-			if old == nil || !entryCurrent(old) {
+		case r < 19: // key-changing UPDATE of a current row
+			_, s := pick()
+			if s == nil || s.versionAt(snapLatest) == nil {
 				continue
 			}
 			stamp++
+			old := s.head.Load()
+			nk := rng.Intn(keySpace)
+			nv := &rowVersion{vals: []sqltypes.Value{sqltypes.NewInt(int64(nk))}, prev: old}
+			nv.begin.Store(stamp)
 			old.end.Store(stamp)
-			nk := key(rng.Intn(keySpace))
-			e := &idxEntry{slot: old.slot}
-			e.begin.Store(stamp)
-			ix.insertKey(nk, e)
-			model[nk] = append(model[nk], e)
+			s.head.Store(nv)
+			if !slices.Contains(ix.lookupKey(key(nk)), s) {
+				ix.insertKey(key(nk), s)
+				model[key(nk)] = append(model[key(nk)], s)
+			}
 		default: // VACUUM
-			ix.sweepDead()
-			for k, es := range model {
-				if model[k] = slices.DeleteFunc(es, func(e *idxEntry) bool { return !entryCurrent(e) }); len(model[k]) == 0 {
+			slots = slices.DeleteFunc(slots, func(s *rowSlot) bool {
+				head, v := s.head.Load(), s.versionAt(snapLatest)
+				if head.prev != nil || v == nil {
+					ix.dropStale(s, head, v)
+				}
+				if v == nil {
+					return true
+				}
+				v.prev = nil
+				s.head.Store(v)
+				return false
+			})
+			for k, ss := range model {
+				if model[k] = slices.DeleteFunc(ss, func(s *rowSlot) bool {
+					v := s.versionAt(snapLatest)
+					return v == nil || ix.rowKeyOf(v.vals) != k
+				}); len(model[k]) == 0 {
 					delete(model, k)
 				}
 			}
@@ -96,11 +123,28 @@ func TestIndexPostingsModel(t *testing.T) {
 	}
 }
 
-func checkIndexModel(t *testing.T, op int, ix *orderedIndex, model map[string][]*idxEntry, keySpace int, key func(int) string, rng *rand.Rand) {
+func checkIndexModel(t *testing.T, op int, ix *orderedIndex, model map[string][]*rowSlot, keySpace int, key func(int) string, rng *rand.Rand) {
 	t.Helper()
 	for k := 0; k < keySpace; k++ {
 		if got, want := ix.lookupKey(key(k)), model[key(k)]; !slices.Equal(got, want) {
 			t.Fatalf("op %d: lookupKey(%d) = %d postings %p, want %d %p", op, k, len(got), got, len(want), want)
+		}
+		// Visible at snapLatest: the filed slots whose current version
+		// has this key.
+		var want []*rowSlot
+		for _, s := range model[key(k)] {
+			if v := s.versionAt(snapLatest); v != nil && ix.rowKeyOf(v.vals) == key(k) {
+				want = append(want, s)
+			}
+		}
+		got, _ := lookupVisible(nil, ix, key(k), snapLatest)
+		if len(got) != len(want) {
+			t.Fatalf("op %d: %d postings under %d visible, want %d", op, len(got), k, len(want))
+		}
+		for i, r := range got {
+			if r.slot != want[i] || r.ver != want[i].head.Load() {
+				t.Fatalf("op %d: visible posting %d under %d is row %d, want row %d at its head", op, i, k, r.slot.id, want[i].id)
+			}
 		}
 	}
 	keys := make([]string, 0, len(model))
@@ -124,9 +168,9 @@ func checkIndexModel(t *testing.T, op int, ix *orderedIndex, model map[string][]
 		}
 		for _, desc := range []bool{false, true} {
 			var got []string
-			ix.scanRange(b.lo, b.hi, desc, func(k string, es []*idxEntry) bool {
-				if !slices.Equal(es, model[k]) {
-					t.Fatalf("op %d: scan (desc %v) visits %d postings under %q, want %d", op, desc, len(es), k, len(model[k]))
+			ix.scanRange(b.lo, b.hi, desc, func(k string, ss []*rowSlot) bool {
+				if !slices.Equal(ss, model[k]) {
+					t.Fatalf("op %d: scan (desc %v) visits %d postings under %q, want %d", op, desc, len(ss), k, len(model[k]))
 				}
 				got = append(got, k)
 				return true

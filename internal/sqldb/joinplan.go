@@ -194,8 +194,8 @@ func (p *joinProbe) String() string {
 }
 
 // probeJoin appends to cands the probed table's candidate rows for the
-// outer row currently in the joined row, looking a full key's row slots
-// up into the join's reused slot buffer. handled=false means a probe
+// outer row currently in the joined row, looking a full key's visible
+// rows up into the join's reused buffer. handled=false means a probe
 // value failed to evaluate or align with the indexed column's type; the
 // caller must fall back to the exhaustive scan, which preserves exact
 // semantics. Candidate slices alias live storage: callers must copy
@@ -230,21 +230,19 @@ func (j *joinRun) probeJoin(cands [][]sqltypes.Value, td *tableData, p *joinProb
 		prefix = appendKey(prefix, pv)
 	}
 	n := len(cands)
-	collect := func(rows []*rowSlot) bool {
+	collect := func(rows []visibleRow) bool {
 		for _, r := range rows {
-			if vals, live := r.fetch(ctx.snap); live {
-				cands = append(cands, vals)
-			}
+			cands = append(cands, r.ver.vals)
 		}
 		return true
 	}
 	if p.nEq == len(p.cols) {
-		j.slots = lookupVisible(j.slots[:0], idx, string(prefix), ctx.snap)
-		collect(j.slots)
+		j.visible, _ = lookupVisible(j.visible[:0], idx, string(prefix), ctx.snap)
+		collect(j.visible)
 	} else {
 		lo := &keyBound{key: string(prefix), incl: true}
 		hi := &keyBound{key: string(prefix) + keyRangeHiSentinel, incl: true}
-		scanVisibleRange(idx, lo, hi, false, ctx.snap, func(_ string, rows []*rowSlot) bool {
+		scanVisibleRange(idx, lo, hi, false, ctx.snap, func(_ string, rows []visibleRow) bool {
 			return collect(rows)
 		})
 	}

@@ -20,7 +20,7 @@ import (
 //	sqldb_barrier_wait_ns              histogram  write-barrier wait of an autocommit DML/DDL statement
 //	sqldb_vacuum_pass_ns               histogram  vacuum pass duration
 //	sqldb_vacuum_passes_total          counter    completed vacuum passes
-//	sqldb_vacuum_rows_reclaimed_total  counter    dead versions+entries reclaimed
+//	sqldb_vacuum_rows_reclaimed_total  counter    dead versions+postings reclaimed
 //	sqldb_autovacuum_triggers_total    counter    background vacuums started
 //	sqldb_dead_rows                    gauge      dead-version debt awaiting vacuum
 //	sqldb_snapshot_age_ns              gauge      age of the newest commit stamp
@@ -76,7 +76,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 		barrierNs:   reg.Histogram("sqldb_barrier_wait_ns", "Write-barrier acquisition wait in nanoseconds of an autocommit DML/DDL statement."),
 		vacuumNs:    reg.Histogram("sqldb_vacuum_pass_ns", "Vacuum pass duration in nanoseconds."),
 		vacuumPass:  reg.Counter("sqldb_vacuum_passes_total", "Completed vacuum passes."),
-		vacuumRows:  reg.Counter("sqldb_vacuum_rows_reclaimed_total", "Dead row versions and index entries reclaimed by vacuum."),
+		vacuumRows:  reg.Counter("sqldb_vacuum_rows_reclaimed_total", "Dead row versions and stale index postings reclaimed by vacuum."),
 		autoVacuum:  reg.Counter("sqldb_autovacuum_triggers_total", "Background auto-vacuum passes triggered."),
 		slowQueries: reg.Counter("sqldb_slow_queries_total", "Statements that exceeded the trace threshold."),
 
@@ -91,7 +91,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 	for i, reason := range declineReasons {
 		m.rcDeclines[i] = reg.Counter("sqldb_result_cache_declines_total", "Completed result cache misses not cached, by reason.", "reason", reason)
 	}
-	reg.GaugeFunc("sqldb_dead_rows", "Dead row versions and index entries awaiting vacuum.", db.deadRowDebt)
+	reg.GaugeFunc("sqldb_dead_rows", "Dead row versions and stale index postings awaiting vacuum.", db.deadRowDebt)
 	reg.GaugeFunc("sqldb_snapshot_age_ns", "Age of the newest published commit stamp in nanoseconds.", func() int64 {
 		last := db.lastCommitWall.Load()
 		if last == 0 {

@@ -209,8 +209,8 @@ func countVersions(db *DB, td *tableData) (slots, versions int) {
 
 func countIndexEntries(idx *orderedIndex) int {
 	n := 0
-	idx.scanRange(nil, nil, false, func(_ string, es []*idxEntry) bool {
-		n += len(es)
+	idx.scanRange(nil, nil, false, func(_ string, ss []*rowSlot) bool {
+		n += len(ss)
 		return true
 	})
 	return n

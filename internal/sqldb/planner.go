@@ -36,8 +36,8 @@ import (
 // exactly (residualFree): every conjunct claimed by exactly one used
 // predicate slot. A residual-free path's key range is the predicate: an
 // aligned probe's keys are exact (key.go) and a posting is visible at a
-// snapshot exactly when a visible version of its row has that key
-// (idxEntry), so the range holds exactly the matching rows and nothing
+// snapshot exactly when the version of its row visible there has that
+// key (index.go), so the range holds exactly the matching rows and nothing
 // re-tests them — neither the row executor (tableScan) nor the
 // index-only COUNT (aggplan.go). Everything else — a path that
 // leaves conjuncts, and the heap fallback — applies the full WHERE.
@@ -794,11 +794,12 @@ func openScan(td *tableData, path *accessPath, where Expr, ctx *evalCtx) tableSc
 // keys walks the resolved key window — one point lookup, or a batched
 // range scan, in reverse index order when desc — handing f each key with
 // its rows visible at ctx.snap until f returns false. Every key is an
-// interrupt checkpoint; the returned error is the interrupt's. Only a
-// path scan has keys: callers walk when ts.path != nil.
-func (ts *tableScan) keys(ctx *evalCtx, desc bool, f func(k string, rows []*rowSlot) bool) error {
-	var err error
-	visit := func(k string, rows []*rowSlot) bool {
+// interrupt checkpoint; the returned error is the interrupt's. It also
+// returns how many rows' values the postings' visibility checks read
+// (index.go). Only a path scan has keys: callers walk when
+// ts.path != nil.
+func (ts *tableScan) keys(ctx *evalCtx, desc bool, f func(k string, rows []visibleRow) bool) (rechecks int64, err error) {
+	visit := func(k string, rows []visibleRow) bool {
 		if err = ctx.intr.check(); err != nil {
 			return false
 		}
@@ -807,13 +808,19 @@ func (ts *tableScan) keys(ctx *evalCtx, desc bool, f func(k string, rows []*rowS
 	switch {
 	case ts.kr.empty:
 	case ts.kr.useLookup:
-		if rows := lookupVisible(nil, ts.idx, ts.kr.lookup, ctx.snap); len(rows) > 0 {
+		// A key can hold many rows (a TIMESTEP holds one per run): gather
+		// them into a pooled buffer, as a range scan does.
+		buf := scanBufs.Get().(*scanBuf)
+		defer scanBufs.Put(buf)
+		var rows []visibleRow
+		if rows, rechecks = lookupVisible(buf.flat[:0], ts.idx, ts.kr.lookup, ctx.snap); len(rows) > 0 {
 			visit(ts.kr.lookup, rows)
 		}
+		buf.flat = rows
 	default:
-		scanVisibleRange(ts.idx, ts.kr.lo, ts.kr.hi, desc, ctx.snap, visit)
+		rechecks = scanVisibleRange(ts.idx, ts.kr.lo, ts.kr.hi, desc, ctx.snap, visit)
 	}
-	return err
+	return rechecks, err
 }
 
 // run visits, in scan order, the rows visible at ctx.snap that satisfy
@@ -840,14 +847,10 @@ func (ts *tableScan) run(ctx *evalCtx, visit func(s *rowSlot, vals []sqltypes.Va
 	}
 	reads := int64(0)
 	defer func() { ts.td.heapReads.Add(reads) }()
-	walkErr := ts.keys(ctx, ts.path.desc, func(_ string, rows []*rowSlot) bool {
+	_, walkErr := ts.keys(ctx, ts.path.desc, func(_ string, rows []visibleRow) bool {
 		for _, r := range rows {
-			vals, live := r.fetch(ctx.snap)
-			if !live {
-				continue
-			}
 			reads++
-			if !each(r, vals) {
+			if !each(r.slot, r.ver.vals) {
 				return false
 			}
 		}

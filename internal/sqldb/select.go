@@ -551,10 +551,10 @@ type joinRun struct {
 	// row is the joined row being assembled. Level i owns the slots of
 	// FROM item i; depth-first order keeps the slots of the levels
 	// before it valid while it iterates its candidates.
-	row   []sqltypes.Value
-	cands [][][]sqltypes.Value // per FROM item, the index probe's reused candidate buffer
-	slots []*rowSlot           // the index probes' reused slot lookup buffer
-	err   error                // the first failure; it unwinds every level
+	row     []sqltypes.Value
+	cands   [][][]sqltypes.Value // per FROM item, the index probe's reused candidate buffer
+	visible []visibleRow         // the index probes' reused lookup buffer
+	err     error                // the first failure; it unwinds every level
 }
 
 // deliver applies the statement's WHERE to the fully joined row and

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -15,7 +16,8 @@ type rowID uint64
 
 // ---------- MVCC stamps ----------
 //
-// Every row version and index entry carries a begin and an end stamp:
+// Every row version carries a begin and an end stamp (index postings
+// carry none: their visibility is the version's, see index.go):
 //
 //	begin — the commit stamp of the transaction that created it,
 //	        uncommittedStamp while that transaction is in flight, or
@@ -42,8 +44,8 @@ const (
 	snapLatest = ^uint64(0)
 )
 
-// visibleStamp reports whether a version/entry with the given begin and
-// end stamps is visible at snapshot snap.
+// visibleStamp reports whether a version with the given begin and end
+// stamps is visible at snapshot snap.
 func visibleStamp(b, e, snap uint64) bool {
 	if snap == snapLatest {
 		return b != abortedStamp && e == 0
@@ -88,27 +90,14 @@ func (s *rowSlot) versionAt(snap uint64) *rowVersion {
 	return nil
 }
 
-// fetch returns the row values visible at snap, lock-free and uncounted:
-// reader loops (index scans, join probes, boundary fetches) add to
-// heapReads once per call site, not with a shared atomic RMW per row.
-func (s *rowSlot) fetch(snap uint64) ([]sqltypes.Value, bool) {
-	v := s.versionAt(snap)
-	if v == nil {
-		return nil, false
-	}
-	return v.vals, true
-}
-
 // mvccRefs is a transaction's record of everything it stamped, kept on
 // txState until the commit is durable. Commit resolves the in-flight
 // stamps to the allocated commit stamp; abort (rollback, or unwinding an
 // unflushed suffix after an fsync failure) flips them back in O(touched)
 // without structural surgery — vacuum reclaims the husks later.
 type mvccRefs struct {
-	created    []*rowVersion
-	ended      []*rowVersion
-	createdIdx []*idxEntry
-	endedIdx   []*idxEntry
+	created []*rowVersion
+	ended   []*rowVersion
 	// undo reverses the side effects that are not stamp-guarded: the
 	// live/dead counters. Run in reverse order on abort.
 	undo []func()
@@ -131,8 +120,7 @@ func (r *mvccRefs) touch(td *tableData) {
 }
 
 func (r *mvccRefs) empty() bool {
-	return len(r.created) == 0 && len(r.ended) == 0 &&
-		len(r.createdIdx) == 0 && len(r.endedIdx) == 0 && len(r.undo) == 0
+	return len(r.created) == 0 && len(r.ended) == 0 && len(r.undo) == 0
 }
 
 // commit resolves every in-flight stamp to ts. Must run under
@@ -143,12 +131,6 @@ func (r *mvccRefs) commit(ts uint64) {
 	}
 	for _, v := range r.ended {
 		v.end.Store(ts)
-	}
-	for _, e := range r.createdIdx {
-		e.begin.Store(ts)
-	}
-	for _, e := range r.endedIdx {
-		e.end.Store(ts)
 	}
 	// Publish the write stamp per table BEFORE lastTS advances (both
 	// happen under commitMu): any reader whose snapshot can see this
@@ -172,12 +154,6 @@ func (r *mvccRefs) abort() {
 	for _, v := range r.ended {
 		v.end.Store(0)
 	}
-	for _, e := range r.createdIdx {
-		e.begin.Store(abortedStamp)
-	}
-	for _, e := range r.endedIdx {
-		e.end.Store(0)
-	}
 	for i := len(r.undo) - 1; i >= 0; i-- {
 		r.undo[i]()
 	}
@@ -190,16 +166,16 @@ type tableData struct {
 	// slots is the heap, strictly ascending by row id: ids come from one
 	// allocator and are taken, inserted and WAL-staged under the
 	// barrier; snapshots and vacuum keep slots order. Postings point
-	// into it, and a slot leaves it only in vacuum, its postings swept
+	// into it, and a slot leaves it only in vacuum, its postings dropped
 	// with it. The slots and the index trees change only under DB.mu
 	// held exclusively, and every reader holds it shared for its whole
 	// statement, so no reader ever sees a structure mid-change.
 	slots []*rowSlot
 	live  atomic.Int64 // latest committed+in-flight live rows (snapshot row counts)
-	dead  atomic.Int64 // dead versions + index entries awaiting vacuum
+	dead  atomic.Int64 // dead versions + stale postings awaiting vacuum
 
 	// indexes lists the table's indexes (see index.go) sorted by name, so
-	// the planner's candidate walk and writer entry-stamping order are
+	// the planner's candidate walk and writers' posting order are
 	// deterministic. The PRIMARY KEY and UNIQUE constraints are
 	// unique-flagged members under the fixed names pkIndexName and
 	// "UNIQUE(A,B)", which no CREATE/DROP INDEX can take or reach. The
@@ -207,7 +183,8 @@ type tableData struct {
 	indexes []*orderedIndex
 
 	// heapReads counts row materialisations out of the heap (get hits
-	// and scan visits). It is the access-path introspection the
+	// and scan visits), and the rows index-only COUNT reads to recheck a
+	// posting's key (index.go). It is the access-path introspection the
 	// index-only aggregate tests assert "reads zero table rows" with;
 	// atomic because SELECTs run concurrently under the read lock.
 	heapReads atomic.Int64
@@ -260,14 +237,14 @@ func (td *tableData) addIndex(idx *orderedIndex) {
 }
 
 // checkUnique enforces a PRIMARY KEY / UNIQUE index against the latest
-// state: no current posting under k — committed or this transaction's
-// own in-flight one — may belong to a row other than self. The barrier
-// excludes every other writer, and abort flips posting stamps back, so
-// the MVCC postings are the whole truth and no second structure is
-// kept. Key equality is value equality (key.go), so any
-// live holder is a violation. SQL semantics: rows with NULL in any
-// constrained column are exempt (they are still indexed; the planner
-// may use them).
+// state: no posting under k visible at snapLatest — committed or this
+// transaction's own in-flight row — may belong to a row other than
+// self. The barrier excludes every other writer, and abort flips the
+// version stamps back, so the postings and their rows' versions are the
+// whole truth and no second structure is kept. Key equality is value
+// equality (key.go), so any live holder is a violation. SQL semantics:
+// rows with NULL in any constrained column are exempt (they are still
+// indexed; the planner may use them).
 func (td *tableData) checkUnique(idx *orderedIndex, k string, vals []sqltypes.Value, self *rowSlot) error {
 	if !idx.unique {
 		return nil
@@ -277,11 +254,11 @@ func (td *tableData) checkUnique(idx *orderedIndex, k string, vals []sqltypes.Va
 			return nil
 		}
 	}
-	for _, e := range idx.lookupKey(k) {
-		if e.slot == self || !entryCurrent(e) {
+	for _, s := range idx.lookupKey(k) {
+		if s == self {
 			continue
 		}
-		if _, live := e.slot.fetch(snapLatest); live {
+		if v, _ := idx.visibleVersion(k, s, snapLatest); v != nil {
 			label := "UNIQUE"
 			if idx.name == pkIndexName {
 				label = pkIndexName
@@ -305,8 +282,9 @@ func (td *tableData) checkedKeys(vals []sqltypes.Value, self *rowSlot) ([]string
 	return keys, nil
 }
 
-// insert installs a new row as an uncommitted version and maintains
-// indexes. The caller holds the barrier (DB.mu exclusively).
+// insert installs a new row as an uncommitted version and files its
+// slot under its key in every index. The caller holds the barrier
+// (DB.mu exclusively).
 func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) error {
 	keys, err := td.checkedKeys(vals, nil)
 	if err != nil {
@@ -319,10 +297,7 @@ func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) err
 	s.head.Store(v)
 	td.appendSlot(s)
 	for i, idx := range td.indexes {
-		e := &idxEntry{slot: s}
-		e.begin.Store(uncommittedStamp)
-		idx.insertKey(keys[i], e)
-		refs.createdIdx = append(refs.createdIdx, e)
+		idx.insertKey(keys[i], s)
 	}
 	td.live.Add(1)
 	refs.created = append(refs.created, v)
@@ -333,8 +308,9 @@ func (td *tableData) insert(id rowID, vals []sqltypes.Value, refs *mvccRefs) err
 	return nil
 }
 
-// delete ends the current version of a row (uncommitted end stamp) and
-// its index entries; nothing is removed structurally until vacuum.
+// delete ends the current version of a row (uncommitted end stamp). The
+// indexes are not touched: the row's postings turn invisible with the
+// version, and vacuum removes them with the slot.
 func (td *tableData) delete(s *rowSlot, refs *mvccRefs) ([]sqltypes.Value, error) {
 	v := s.versionAt(snapLatest)
 	if v == nil {
@@ -344,12 +320,6 @@ func (td *tableData) delete(s *rowSlot, refs *mvccRefs) ([]sqltypes.Value, error
 	refs.touch(td)
 	v.end.Store(uncommittedStamp)
 	refs.ended = append(refs.ended, v)
-	for _, idx := range td.indexes {
-		if e := findCurrentEntry(idx, idx.rowKeyOf(vals), s); e != nil {
-			e.end.Store(uncommittedStamp)
-			refs.endedIdx = append(refs.endedIdx, e)
-		}
-	}
 	td.live.Add(-1)
 	td.dead.Add(1)
 	refs.undo = append(refs.undo, func() {
@@ -360,8 +330,11 @@ func (td *tableData) delete(s *rowSlot, refs *mvccRefs) ([]sqltypes.Value, error
 }
 
 // update installs a new version at the head of the row's chain,
-// maintaining indexes and checking unique constraints against all rows
-// but itself. Index entries are touched only for keys that changed.
+// checking unique constraints against all rows but itself. An index is
+// touched only when the row's key in it changed: the slot is filed under
+// the new key unless it already is (a key the row held before, as in an
+// A→B→A update since the last vacuum). The old key's posting stays for
+// the snapshots that still see the old version, and turns stale.
 func (td *tableData) update(s *rowSlot, newVals []sqltypes.Value, refs *mvccRefs) ([]sqltypes.Value, error) {
 	v := s.versionAt(snapLatest)
 	if v == nil {
@@ -383,17 +356,12 @@ func (td *tableData) update(s *rowSlot, newVals []sqltypes.Value, refs *mvccRefs
 	for i, idx := range td.indexes {
 		oldKey := idx.rowKeyOf(old)
 		if oldKey == keys[i] {
-			continue // entry stays valid for both versions
+			continue // the posting serves both versions
 		}
-		if e := findCurrentEntry(idx, oldKey, s); e != nil {
-			e.end.Store(uncommittedStamp)
-			refs.endedIdx = append(refs.endedIdx, e)
-			td.dead.Add(1)
+		td.dead.Add(1) // the old key's posting, once the update commits
+		if !slices.Contains(idx.lookupKey(keys[i]), s) {
+			idx.insertKey(keys[i], s)
 		}
-		ne := &idxEntry{slot: s}
-		ne.begin.Store(uncommittedStamp)
-		idx.insertKey(keys[i], ne)
-		refs.createdIdx = append(refs.createdIdx, ne)
 	}
 	refs.undo = append(refs.undo, func() {
 		td.dead.Add(1) // the aborted new version
@@ -425,14 +393,17 @@ func (td *tableData) slotFor(id rowID) (*rowSlot, bool) {
 	return td.slots[i], true
 }
 
-// get is fetch plus the read count, for the low-frequency point paths
-// (DML row collection under the writer lock).
+// get returns the row values visible at snap and counts the read, for
+// the low-frequency point paths (DML row collection under the writer
+// lock). Reader loops count once per call site instead, not with a
+// shared atomic RMW per row.
 func (td *tableData) get(s *rowSlot, snap uint64) ([]sqltypes.Value, bool) {
-	vals, ok := s.fetch(snap)
-	if ok {
-		td.heapReads.Add(1)
+	v := s.versionAt(snap)
+	if v == nil {
+		return nil, false
 	}
-	return vals, ok
+	td.heapReads.Add(1)
+	return v.vals, true
 }
 
 // scan calls f for each row visible at snap in insertion order; f
@@ -452,14 +423,23 @@ func (td *tableData) scan(snap uint64, f func(s *rowSlot, vals []sqltypes.Value)
 	td.heapReads.Add(visited)
 }
 
-// vacuum reclaims every dead row version and dead index entry. Caller
+// vacuum reclaims every dead row version and stale posting. Caller
 // must hold the global barrier (DB.mu exclusively) with the WAL fenced,
 // so no snapshot is live and no commit can be unwound afterwards: a
 // version is reclaimable iff it is not the current committed version.
+// Only a slot with more than its current version, or none, has
+// postings to drop; folding it to one version and dropping them in the
+// same pass restores the invariant the postings' fast path rests on
+// (index.go).
 func (td *tableData) vacuum() {
 	kept := make([]*rowSlot, 0, len(td.slots))
 	for _, s := range td.slots {
-		v := s.versionAt(snapLatest)
+		head, v := s.head.Load(), s.versionAt(snapLatest)
+		if head.prev != nil || v == nil {
+			for _, idx := range td.indexes {
+				idx.dropStale(s, head, v)
+			}
+		}
 		if v == nil {
 			continue
 		}
@@ -468,8 +448,5 @@ func (td *tableData) vacuum() {
 		kept = append(kept, s)
 	}
 	td.slots = kept
-	for _, idx := range td.indexes {
-		idx.sweepDead()
-	}
 	td.dead.Store(0)
 }

@@ -82,22 +82,24 @@ func TestResidentBytesPerRow(t *testing.T) {
 	withPK := resident(",\n  PRIMARY KEY (FILE_NAME, SIMULATION_KEY)")
 	withIdx := resident(",\n  PRIMARY KEY (FILE_NAME, SIMULATION_KEY)",
 		`CREATE INDEX IDX_RESULT_SIM_TS ON RESULT_FILE (SIMULATION_KEY, TIMESTEP)`)
-	// Ceilings are the measured figures + 5%: 297.4 / 114.2 / 94.8 /
-	// 506.4, but the heap's is 315 because -race, which does not pack
-	// tiny strings, reads 313.4 there. The same test read 345.7 / 137.1
-	// / 112.8 / 595.6 while a Value was 32 bytes and every index key
-	// kept its postings in a slice of its own, and 478.1 / 137.9 /
-	// 111.9 / 727.9 while a sync.Map beside slots mapped every row id
-	// to its slot.
+	// Ceilings are the measured figures + 5%: 297.4 / 90.2 / 70.8 /
+	// 458.4, but the heap's is 315 because -race, which does not pack
+	// tiny strings, reads 313.4 there (and 474.4 for the row with both).
+	// The same test read 297.4 / 114.2 / 94.8 / 506.4 while every
+	// posting was a 24-byte entry of its own (the slot plus begin/end
+	// stamps), 345.7 / 137.1 / 112.8 / 595.6 while a Value was 32 bytes
+	// and every index key kept its postings in a slice of its own, and
+	// 478.1 / 137.9 / 111.9 / 727.9 while a sync.Map beside slots mapped
+	// every row id to its slot.
 	for _, share := range []struct {
 		name    string
 		got     float64
 		ceiling float64
 	}{
 		{"heap", heap, 315},
-		{"primary key", withPK - heap, 120},
-		{"(SIMULATION_KEY, TIMESTEP) index", withIdx - withPK, 100},
-		{"row with both", withIdx, 532},
+		{"primary key", withPK - heap, 95},
+		{"(SIMULATION_KEY, TIMESTEP) index", withIdx - withPK, 75},
+		{"row with both", withIdx, 482},
 	} {
 		t.Logf("%-34s %6.1f B/row", share.name, share.got)
 		if share.got > share.ceiling {
@@ -109,7 +111,7 @@ func TestResidentBytesPerRow(t *testing.T) {
 // checkSlotInvariant asserts what deleting the rowID → slot map rests
 // on, for every table, under the barrier: slots is strictly ascending by
 // id, slotFor finds each slot from its id, and every posting of every
-// index — current or not: dead ones stay until vacuum, as their slots
+// index — visible or stale: stale ones stay until vacuum, as their slots
 // do — points at the slot slotFor returns for its id.
 func checkSlotInvariant(t *testing.T, db *DB, phase string) {
 	t.Helper()
@@ -125,11 +127,12 @@ func checkSlotInvariant(t *testing.T, db *DB, phase string) {
 			}
 		}
 		for _, idx := range td.indexes {
-			idx.scanRange(nil, nil, false, func(k string, es []*idxEntry) bool {
-				for _, e := range es {
-					if got, ok := td.slotFor(e.slot.id); !ok || got != e.slot {
+			idx.scanRange(nil, nil, false, func(k string, ss []*rowSlot) bool {
+				for _, s := range ss {
+					if got, ok := td.slotFor(s.id); !ok || got != s {
+						v, _ := idx.visibleVersion(k, s, snapLatest)
 						t.Fatalf("%s: %s %s: posting of row %d (current=%v) points at %p, slotFor gives %p, %v",
-							phase, name, idx.name, e.slot.id, entryCurrent(e), e.slot, got, ok)
+							phase, name, idx.name, s.id, v != nil, s, got, ok)
 					}
 				}
 				return true

@@ -45,9 +45,6 @@ type Trace struct {
 	FsyncWaitNs      int64 `json:"fsync_wait_ns,omitempty"`
 	GroupCommitBatch int64 `json:"group_commit_batch,omitempty"`
 
-	// Slow is set when the statement exceeded the slow-query threshold.
-	Slow bool `json:"slow,omitempty"`
-
 	// CancelReason records why a governed statement stopped early:
 	// "canceled", "deadline" or "shutdown". Empty for
 	// statements that ran to completion.
@@ -153,14 +150,13 @@ func (db *DB) traceCanceled(tr *execTrace, ic *interrupt, thresholdNs int64) {
 	db.noteSlow(tr, thresholdNs)
 }
 
-// noteSlow marks and logs the trace when it crossed the threshold:
+// noteSlow logs the trace when it crossed the threshold:
 // one JSON line per slow statement on the configured writer, plus the
 // sqldb_slow_queries_total counter. Called with no engine locks held.
 func (db *DB) noteSlow(tr *execTrace, thresholdNs int64) {
 	if tr == nil || thresholdNs <= 0 || tr.t.WallNs < thresholdNs {
 		return
 	}
-	tr.t.Slow = true
 	db.met.slowQueries.Inc()
 	db.slowMu.Lock()
 	defer db.slowMu.Unlock()

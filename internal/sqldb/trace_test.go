@@ -231,7 +231,7 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := slowLogLines(t, &buf, 1)[0]
-	if !tr.Slow || tr.Kind != "select" || tr.SQL == "" || len(tr.Nodes) == 0 || tr.WallNs <= 0 {
+	if tr.Kind != "select" || tr.SQL == "" || len(tr.Nodes) == 0 || tr.WallNs <= 0 {
 		t.Fatalf("bad slow-log record: %+v", tr)
 	}
 	if tr.Time == "" {
@@ -248,7 +248,7 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	dtr := slowLogLines(t, &buf, 1)[0]
-	if dtr.Kind != "exec" || !dtr.Slow {
+	if dtr.Kind != "exec" {
 		t.Fatalf("bad DML slow-log record: %+v", dtr)
 	}
 
@@ -307,7 +307,7 @@ func TestSlowLogTraceFields(t *testing.T) {
 	miss, hit, upd := lines[0], lines[1], lines[2]
 
 	for _, tr := range lines {
-		if !tr.Slow || tr.SQL == "" || tr.Time == "" || tr.WallNs <= 0 {
+		if tr.SQL == "" || tr.Time == "" || tr.WallNs <= 0 {
 			t.Fatalf("bad slow-log record: %+v", tr)
 		}
 	}

@@ -220,9 +220,10 @@ func (v Value) Int() int64 { return int64(v.x) }
 func (v Value) Double() float64 { return math.Float64frombits(v.x) }
 
 // Str returns the string payload of VARCHAR, CLOB or DATALINK values,
-// and "" for a scalar, whose tag must not escape.
+// and "" for a scalar, whose tag must not escape, and for every
+// TIMESTAMP: a far one's payload is its marshalled instant, not text.
 func (v Value) Str() string {
-	if v.isScalar() {
+	if v.isScalar() || Kind(v.x>>kindShift) == KindTime {
 		return ""
 	}
 	return v.s

@@ -101,7 +101,8 @@ func TestBytesRoundTrip(t *testing.T) {
 // FuzzValueRoundTrip builds a Value of every kind through its
 // constructor, from arbitrary integers, float bits, bytes and instants,
 // and checks that Kind, IsNull and every accessor give back what went
-// in; that a scalar's tag never escapes through Str or Bytes; that two
+// in; that a scalar's tag never escapes through Str or Bytes, and no
+// TIMESTAMP's payload through Str; that two
 // equal values built apart are reflect.DeepEqual, as the WAL and
 // generator tests compare rows; and that Compare orders two values of
 // one kind as Go orders their payloads.
@@ -156,6 +157,10 @@ func FuzzValueRoundTrip(f *testing.F) {
 			case KindInt, KindDouble, KindBool:
 				if v.Str() != "" || v.Bytes() != nil {
 					t.Fatalf("%v: a scalar's Str %q or Bytes %v is not empty", tc.kind, v.Str(), v.Bytes())
+				}
+			case KindTime:
+				if v.Str() != "" {
+					t.Fatalf("%v: Str of %v is %q, want empty", tc.kind, v, v.Str())
 				}
 			}
 			if sk, bk := NewString(v.Str()).Kind(), NewBytes(v.Bytes()).Kind(); sk != KindString || bk != KindBytes {
